@@ -1,9 +1,12 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Subcommands mirror the processing stages (decode, validate, voyages,
-metrics) plus ingest, synth, and an all-in-one run. Each stage reads and
-writes JSONL/CSV files, so stages compose through the filesystem and `run`
-is exactly the staged commands executed back to back.
+metrics) plus ingest, synth, and an all-in-one run. Each stage is one
+function that takes and returns objects and writes that stage's JSONL/CSV
+files and manifest. A staged command loads its inputs from files and calls
+its stage, so stages compose through the filesystem; `run` calls the four
+stages back to back, hands the objects on in memory, and writes the same
+files as the staged commands run one after another.
 
 Exit codes: 0 success, 1 data-quality threshold exceeded, 2 usage or I/O
 error.
@@ -18,16 +21,18 @@ import sys
 import threading
 
 from . import __version__, jsonl, metrics, synth, validate, voyage
-from .codec import MessageDecoder, PositionReport
+from .codec import PositionReport
 from .geo import AreaFilter, InvalidPolygon, PortGeometry, load_port_geometry
 from .ingest import MessageStore, SourceConfig, run_live, run_replay
 from .jsonl import format_ts, message_from_dict, message_to_dict, parse_ts
 
-UTC = dt.timezone.utc
-
 EXIT_OK = 0
 EXIT_QUALITY = 1
 EXIT_USAGE = 2
+
+
+class UsageError(Exception):
+    """Bad arguments or unreadable inputs; main() reports it and exits 2."""
 
 
 def _sha256(path: pathlib.Path) -> str:
@@ -39,12 +44,13 @@ def _sha256(path: pathlib.Path) -> str:
 
 
 def _write_manifest(path: pathlib.Path, command: str, config: dict, inputs, outputs) -> None:
+    """Record the stage's config and the sha256 of each given file that exists."""
     doc = {
         "tool": "portcall",
         "version": __version__,
         "command": command,
         "config": config,
-        "inputs": {str(p): _sha256(pathlib.Path(p)) for p in inputs if pathlib.Path(p).exists()},
+        "inputs": {str(p): _sha256(pathlib.Path(p)) for p in inputs if p and pathlib.Path(p).exists()},
         "outputs": {str(p): _sha256(pathlib.Path(p)) for p in outputs if pathlib.Path(p).exists()},
     }
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -52,58 +58,60 @@ def _write_manifest(path: pathlib.Path, command: str, config: dict, inputs, outp
         f.write("\n")
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 # ---------------------------------------------------------------------------
-# decode
+# loading the inputs named on the command line
 
 
-def cmd_decode(args) -> int:
-    inp = pathlib.Path(args.input)
-    if not inp.exists():
-        return _fail(f"input {inp} does not exist")
-    out = pathlib.Path(args.output)
-    err_path = pathlib.Path(args.errors) if args.errors else out.with_suffix(".errors.jsonl")
-    decoder = MessageDecoder()
-    raw_start = parse_ts(args.raw_start)
-    with open(inp, "r", encoding="utf-8") as f, open(out, "w", encoding="utf-8", newline="\n") as fo, open(
-        err_path, "w", encoding="utf-8", newline="\n"
-    ) as fe:
-        for i, line in enumerate(f):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            rx = raw_start + dt.timedelta(seconds=i * args.raw_cadence_s)
-            for outcome in decoder.feed(line, rx):
-                if outcome.kind in ("position", "static"):
-                    fo.write(jsonl.dumps(message_to_dict(outcome.message)))
-                    fo.write("\n")
-                elif outcome.kind == "error":
-                    fe.write(jsonl.dumps({"error": outcome.error, "detail": outcome.detail, "raw": outcome.raw}))
-                    fe.write("\n")
-        for outcome in decoder.finish():
-            fe.write(jsonl.dumps({"error": outcome.error, "detail": outcome.detail, "raw": outcome.raw}))
-            fe.write("\n")
-    counts = decoder.counts
-    print(
-        f"decoded {counts['positions']} positions, {counts['statics']} statics, "
-        f"{counts['errors']} errors, {counts['skipped']} skipped from {counts['lines']} lines"
-    )
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "decode",
-        {"raw_start": args.raw_start, "raw_cadence_s": args.raw_cadence_s},
-        [inp],
-        [out, err_path],
-    )
-    if args.max_error_rate is not None and counts["lines"]:
-        if counts["errors"] / counts["lines"] > args.max_error_rate:
-            print(f"error rate {counts['errors'] / counts['lines']:.3f} above threshold", file=sys.stderr)
-            return EXIT_QUALITY
-    return EXIT_OK
+def _existing(path) -> pathlib.Path:
+    path = pathlib.Path(path)
+    if not path.exists():
+        raise UsageError(f"input {path} does not exist")
+    return path
+
+
+def _load_port(path) -> PortGeometry | None:
+    if not path:
+        return None
+    try:
+        return load_port_geometry(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad port geometry: {exc}") from exc
+
+
+def _load_validation(config_path, method, port_path) -> tuple[validate.ValidationConfig, PortGeometry | None]:
+    try:
+        cfg = validate.ValidationConfig.from_file(config_path) if config_path else validate.ValidationConfig()
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad config: {exc}") from exc
+    if method:
+        cfg.method = method
+    port = _load_port(port_path)
+    if port is None and cfg.method == "geofence":
+        raise UsageError("method 'geofence' requires --port polygons")
+    return cfg, port
+
+
+def _area_filter(area, center, radius_m: float) -> AreaFilter | None:
+    try:
+        if area:
+            return AreaFilter.from_geojson(area)
+        if center:
+            lat_s, _, lon_s = center.partition(",")
+            return AreaFilter.circle(float(lat_s), float(lon_s), radius_m)
+    except (OSError, ValueError, InvalidPolygon) as exc:
+        raise UsageError(f"bad area: {exc}") from exc
+    return None
+
+
+def _load_ground_truth(path, exclude_dates) -> tuple[metrics.ArrivalTable | None, set[dt.date]]:
+    if not path:
+        return None, set()
+    try:
+        table = metrics.load_ground_truth(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad ground truth: {exc}") from exc
+    exclude = {dt.date.fromisoformat(s) for s in exclude_dates.split(",")} if exclude_dates else set()
+    return table, exclude
 
 
 def _load_positions(path: pathlib.Path) -> list[PositionReport]:
@@ -120,6 +128,67 @@ def _load_statics(path: pathlib.Path) -> dict[int, int]:
         if doc.get("type") == "static":
             ship_types[doc["mmsi"]] = doc.get("ship_type", 0)
     return ship_types
+
+
+# ---------------------------------------------------------------------------
+# decode
+
+
+def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, raw_start: str,
+                 raw_cadence_s: float, max_error_rate: float | None):
+    """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
+
+    Returns the position reports, the ship type of every MMSI that sent
+    static data, and the exit status of the error-rate check. Timestamps are
+    cut to the whole seconds the JSONL holds, so later stages see the values
+    a staged run reads back from the file.
+    """
+    positions: list[PositionReport] = []
+    ship_types: dict[int, int] = {}
+    with open(out, "w", encoding="utf-8", newline="\n") as fo, open(
+        errors, "w", encoding="utf-8", newline="\n"
+    ) as fe:
+
+        def keep(msg):
+            fo.write(jsonl.dumps(message_to_dict(msg)))
+            fo.write("\n")
+            if isinstance(msg, PositionReport):
+                if msg.timestamp.microsecond:
+                    msg.timestamp = msg.timestamp.replace(microsecond=0)
+                positions.append(msg)
+            else:
+                ship_types[msg.mmsi] = msg.ship_type
+
+        def reject(outcome):
+            fe.write(jsonl.dumps({"error": outcome.error, "detail": outcome.detail, "raw": outcome.raw}))
+            fe.write("\n")
+
+        summary = run_replay(SourceConfig(mode="replay", path=source), keep, error_sink=reject,
+                             raw_start=parse_ts(raw_start), raw_cadence_s=raw_cadence_s)
+    print(
+        f"decoded {len(positions)} positions, {summary.messages - len(positions)} statics, "
+        f"{summary.errors} errors, {summary.skipped} skipped from {summary.lines} lines"
+    )
+    _write_manifest(
+        out.with_suffix(out.suffix + ".manifest.json"),
+        "decode",
+        {"raw_start": raw_start, "raw_cadence_s": raw_cadence_s},
+        [source],
+        [out, errors],
+    )
+    status = EXIT_OK
+    if max_error_rate is not None and summary.lines and summary.errors / summary.lines > max_error_rate:
+        print(f"error rate {summary.errors / summary.lines:.3f} above threshold", file=sys.stderr)
+        status = EXIT_QUALITY
+    return positions, ship_types, status
+
+
+def cmd_decode(args) -> int:
+    source = _existing(args.input)
+    out = pathlib.Path(args.output)
+    errors = pathlib.Path(args.errors) if args.errors else out.with_suffix(".errors.jsonl")
+    _, _, status = decode_stage(source, out, errors, args.raw_start, args.raw_cadence_s, args.max_error_rate)
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -171,31 +240,18 @@ def validated_from_dict(doc: dict) -> validate.ValidatedMessage:
     )
 
 
-def cmd_validate(args) -> int:
-    inp = pathlib.Path(args.input)
-    if not inp.exists():
-        return _fail(f"input {inp} does not exist")
-    try:
-        cfg = validate.ValidationConfig.from_file(args.config) if args.config else validate.ValidationConfig()
-    except (OSError, ValueError) as exc:
-        return _fail(f"bad config: {exc}")
-    if args.method:
-        cfg.method = args.method
-    port = None
-    if args.port:
-        try:
-            port = load_port_geometry(args.port)
-        except (OSError, ValueError) as exc:
-            return _fail(f"bad port geometry: {exc}")
-    if port is None and cfg.method == "geofence":
-        return _fail("method 'geofence' requires --port polygons")
-    positions = _load_positions(inp)
-    validated = validate.validate_stream(positions, port, cfg)
+def validate_stage(positions: list[PositionReport], port: PortGeometry | None, cfg: validate.ValidationConfig,
+                   out: pathlib.Path, outages_out: pathlib.Path, *, source: pathlib.Path, port_path: str | None,
+                   config_path: str | None, min_agreement: float | None):
+    """Correct the statuses and detect outages.
+
+    Returns the validated messages, the outages, and the exit status of the
+    agreement check.
+    """
     outages = validate.detect_outages(positions)
-    out = pathlib.Path(args.output)
+    validated = validate.validate_stream(positions, port, cfg, outages=outages)
     jsonl.write_jsonl(out, (validated_to_dict(vm) for vm in validated))
-    outage_path = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
-    jsonl.write_jsonl(outage_path, (_outage_to_dict(o) for o in outages))
+    jsonl.write_jsonl(outages_out, (_outage_to_dict(o) for o in outages))
     agreement = (
         sum(1 for vm in validated if vm.agreed_with_reported) / len(validated) if validated else 1.0
     )
@@ -204,55 +260,60 @@ def cmd_validate(args) -> int:
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         "validate",
-        {"method": cfg.method, "config": args.config or "", "port": args.port or ""},
-        [inp] + ([args.port] if args.port else []) + ([args.config] if args.config else []),
-        [out, outage_path],
+        {"method": cfg.method, "config": config_path or "", "port": port_path or ""},
+        [source, port_path, config_path],
+        [out, outages_out],
     )
-    if args.min_agreement is not None and agreement < args.min_agreement:
+    status = EXIT_OK
+    if min_agreement is not None and agreement < min_agreement:
         print(f"agreement {agreement:.3f} below threshold", file=sys.stderr)
-        return EXIT_QUALITY
-    return EXIT_OK
+        status = EXIT_QUALITY
+    return validated, outages, status
+
+
+def cmd_validate(args) -> int:
+    source = _existing(args.input)
+    cfg, port = _load_validation(args.config, args.method, args.port)
+    out = pathlib.Path(args.output)
+    outages_out = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
+    _, _, status = validate_stage(_load_positions(source), port, cfg, out, outages_out, source=source,
+                                  port_path=args.port, config_path=args.config, min_agreement=args.min_agreement)
+    return status
 
 
 # ---------------------------------------------------------------------------
 # voyages
 
 
-def _area_filter(args) -> AreaFilter | None:
-    if args.area:
-        return AreaFilter.from_geojson(args.area)
-    if args.center:
-        lat_s, _, lon_s = args.center.partition(",")
-        return AreaFilter.circle(float(lat_s), float(lon_s), args.radius_m)
-    return None
-
-
-def cmd_voyages(args) -> int:
-    inp = pathlib.Path(args.input)
-    if not inp.exists():
-        return _fail(f"input {inp} does not exist")
-    try:
-        area = _area_filter(args)
-    except (OSError, ValueError, InvalidPolygon) as exc:
-        return _fail(f"bad area: {exc}")
-    messages = [validated_from_dict(doc) for doc in jsonl.read_jsonl(inp) if doc.get("type") == "validated"]
+def voyages_stage(messages: list[validate.ValidatedMessage], outages: list[validate.Outage],
+                  area: AreaFilter | None, out: pathlib.Path, *, source: pathlib.Path, outages_path: str | None,
+                  area_path: str | None, center: str | None, radius_m: float) -> list[voyage.Voyage]:
+    """Group the messages inside the area into voyages with phases and gap flags."""
     if area is not None:
         messages = [m for m in messages if area.contains(m.report.lat, m.report.lon)]
-    outages = []
-    if args.outages:
-        outages = [_outage_from_dict(doc) for doc in jsonl.read_jsonl(args.outages)]
     voyages = [voyage.segment_phases(v) for v in voyage.extract_voyages(messages)]
     voyages = [voyage.flag_gaps(v, outages) for v in voyages]
-    out = pathlib.Path(args.output)
     jsonl.write_jsonl(out, (voyage.voyage_to_dict(v) for v in voyages))
     print(f"extracted {len(voyages)} voyages from {len(messages)} messages")
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         "voyages",
-        {"area": args.area or "", "center": args.center or "", "radius_m": args.radius_m},
-        [inp] + ([args.outages] if args.outages else []),
+        {"area": area_path or "", "center": center or "", "radius_m": radius_m},
+        [source, outages_path],
         [out],
     )
+    return voyages
+
+
+def cmd_voyages(args) -> int:
+    source = _existing(args.input)
+    area = _area_filter(args.area, args.center, args.radius_m)
+    messages = [validated_from_dict(doc) for doc in jsonl.read_jsonl(source) if doc.get("type") == "validated"]
+    outages = []
+    if args.outages:
+        outages = [_outage_from_dict(doc) for doc in jsonl.read_jsonl(args.outages)]
+    voyages_stage(messages, outages, area, pathlib.Path(args.output), source=source, outages_path=args.outages,
+                  area_path=args.area, center=args.center, radius_m=args.radius_m)
     return EXIT_OK
 
 
@@ -271,23 +332,13 @@ def _hours(delta: dt.timedelta) -> str:
     return f"{delta.total_seconds() / 3600.0:.3f}"
 
 
-def cmd_metrics(args) -> int:
-    vpath = pathlib.Path(args.voyages)
-    if not vpath.exists():
-        return _fail(f"voyages file {vpath} does not exist")
-    outdir = pathlib.Path(args.output_dir)
+def metrics_stage(voyages: list[voyage.Voyage], ship_types: dict[int, int], port: PortGeometry | None,
+                  truth: metrics.ArrivalTable | None, exclude: set[dt.date], outdir: pathlib.Path, *,
+                  vessel: int | None, voyages_path: pathlib.Path, static_path: str | None, truth_path: str | None,
+                  port_path: str | None) -> None:
+    """Write the turnaround, arrival and weekly tables, a summary, and the MAE against the truth if given."""
     outdir.mkdir(parents=True, exist_ok=True)
-    port = None
-    if args.port:
-        try:
-            port = load_port_geometry(args.port)
-        except (OSError, ValueError) as exc:
-            return _fail(f"bad port geometry: {exc}")
-    voyages = [voyage.voyage_from_dict(doc) for doc in jsonl.read_jsonl(vpath)]
-    categories: dict[int, str] = {}
-    if args.static:
-        ship_types = _load_statics(pathlib.Path(args.static))
-        categories = {mmsi: metrics.vessel_category(st) for mmsi, st in ship_types.items()}
+    categories = {mmsi: metrics.vessel_category(st) for mmsi, st in ship_types.items()}
 
     records = metrics.schedule_table(voyages, port)
     turn_csv = outdir / "turnarounds.csv"
@@ -327,30 +378,23 @@ def cmd_metrics(args) -> int:
         },
     }
 
-    if args.vessel:
-        own = [v for v in voyages if v.mmsi == args.vessel]
+    if vessel:
+        own = [v for v in voyages if v.mmsi == vessel]
         schedule = metrics.schedule_table(own, port)
-        sched_csv = outdir / f"schedule_{args.vessel}.csv"
+        sched_csv = outdir / f"schedule_{vessel}.csv"
         _write_csv(
             sched_csv,
             ["arrival", "departure", "turnaround_h"],
             ((format_ts(r.arrival), format_ts(r.departure), _hours(r.turnaround)) for r in schedule),
         )
         outputs.append(sched_csv)
-        summary["vessel"] = {"mmsi": args.vessel, "n_calls": len(schedule)}
+        summary["vessel"] = {"mmsi": vessel, "n_calls": len(schedule)}
 
-    if args.ground_truth:
+    if truth is not None:
         try:
-            truth_table = metrics.load_ground_truth(args.ground_truth)
-        except (OSError, ValueError) as exc:
-            return _fail(f"bad ground truth: {exc}")
-        exclude = set()
-        if args.exclude_dates:
-            exclude = {dt.date.fromisoformat(s) for s in args.exclude_dates.split(",")}
-        try:
-            maes, macro = metrics.arrivals_mae(arrivals, truth_table, exclude)
+            maes, macro = metrics.arrivals_mae(arrivals, truth, exclude)
         except metrics.EmptyOverlap as exc:
-            return _fail(f"ground truth does not overlap: {exc}")
+            raise UsageError(f"ground truth does not overlap: {exc}") from exc
         summary["mae"] = {"per_category": maes, "macro": macro}
         print(f"daily-arrivals MAE per category: {maes}, macro {macro:.3f}")
 
@@ -363,10 +407,21 @@ def cmd_metrics(args) -> int:
     _write_manifest(
         outdir / "metrics.manifest.json",
         "metrics",
-        {"vessel": args.vessel, "ground_truth": args.ground_truth or "", "static": args.static or ""},
-        [vpath] + [p for p in (args.static, args.ground_truth, args.port) if p],
+        {"vessel": vessel, "ground_truth": truth_path or "", "static": static_path or ""},
+        [voyages_path, static_path, truth_path, port_path],
         outputs,
     )
+
+
+def cmd_metrics(args) -> int:
+    voyages_path = _existing(args.voyages)
+    port = _load_port(args.port)
+    truth, exclude = _load_ground_truth(args.ground_truth, args.exclude_dates)
+    voyages = [voyage.voyage_from_dict(doc) for doc in jsonl.read_jsonl(voyages_path)]
+    ship_types = _load_statics(args.static) if args.static else {}
+    metrics_stage(voyages, ship_types, port, truth, exclude, pathlib.Path(args.output_dir), vessel=args.vessel,
+                  voyages_path=voyages_path, static_path=args.static, truth_path=args.ground_truth,
+                  port_path=args.port)
     return EXIT_OK
 
 
@@ -379,7 +434,7 @@ def cmd_synth(args) -> int:
         try:
             scenario = synth.Scenario.load(args.scenario)
         except (OSError, ValueError, KeyError) as exc:
-            return _fail(f"bad scenario: {exc}")
+            raise UsageError(f"bad scenario: {exc}") from exc
     elif args.preset == "ferry":
         scenario = synth.ferry_scenario(days=args.days, error_p=args.error_p, seed=args.seed)
     else:
@@ -405,7 +460,7 @@ def cmd_synth(args) -> int:
         nmea_path.with_suffix(nmea_path.suffix + ".manifest.json"),
         "synth",
         {"preset": args.preset, "seed": args.seed, "days": args.days, "error_p": args.error_p},
-        [args.scenario] if args.scenario else [],
+        [args.scenario],
         outputs,
     )
     return EXIT_OK
@@ -415,7 +470,7 @@ def cmd_ingest(args) -> int:
     try:
         cfg = SourceConfig.parse_source(args.source, replay_speed=args.replay_speed)
     except ValueError as exc:
-        return _fail(str(exc))
+        raise UsageError(str(exc)) from exc
     store = MessageStore(args.store)
     try:
         if cfg.mode == "replay":
@@ -428,7 +483,7 @@ def cmd_ingest(args) -> int:
                 stop.set()
                 raise
     except FileNotFoundError as exc:
-        return _fail(str(exc))
+        raise UsageError(str(exc)) from exc
     finally:
         store.close()
     print(
@@ -439,54 +494,26 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_run(args) -> int:
+    source = _existing(args.input)
+    cfg, port = _load_validation(args.config, args.method, args.port)
+    area = _area_filter(args.area, args.center, args.radius_m)
+    truth, exclude = _load_ground_truth(args.ground_truth, args.exclude_dates)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ns = argparse.Namespace(
-        input=args.input,
-        output=str(outdir / "decoded.jsonl"),
-        errors=str(outdir / "errors.jsonl"),
-        raw_start=args.raw_start,
-        raw_cadence_s=args.raw_cadence_s,
-        max_error_rate=args.max_error_rate,
-    )
-    status = cmd_decode(ns)
-    if status not in (EXIT_OK, EXIT_QUALITY):
-        return status
-    ns = argparse.Namespace(
-        input=str(outdir / "decoded.jsonl"),
-        output=str(outdir / "validated.jsonl"),
-        outages_output=str(outdir / "outages.jsonl"),
-        port=args.port,
-        config=args.config,
-        method=args.method,
-        min_agreement=None,
-    )
-    rc = cmd_validate(ns)
-    if rc != EXIT_OK:
-        return rc
-    ns = argparse.Namespace(
-        input=str(outdir / "validated.jsonl"),
-        output=str(outdir / "voyages.jsonl"),
-        outages=str(outdir / "outages.jsonl"),
-        area=args.area,
-        center=args.center,
-        radius_m=args.radius_m,
-    )
-    rc = cmd_voyages(ns)
-    if rc != EXIT_OK:
-        return rc
-    ns = argparse.Namespace(
-        voyages=str(outdir / "voyages.jsonl"),
-        output_dir=str(outdir / "metrics"),
-        static=str(outdir / "decoded.jsonl"),
-        ground_truth=args.ground_truth,
-        exclude_dates=args.exclude_dates,
-        vessel=args.vessel,
-        port=args.port,
-    )
-    rc = cmd_metrics(ns)
-    if rc != EXIT_OK:
-        return rc
+    decoded = outdir / "decoded.jsonl"
+    validated_path = outdir / "validated.jsonl"
+    outages_path = outdir / "outages.jsonl"
+    voyages_path = outdir / "voyages.jsonl"
+    positions, ship_types, status = decode_stage(source, decoded, outdir / "errors.jsonl", args.raw_start,
+                                                 args.raw_cadence_s, args.max_error_rate)
+    validated, outages, _ = validate_stage(positions, port, cfg, validated_path, outages_path, source=decoded,
+                                           port_path=args.port, config_path=args.config, min_agreement=None)
+    voyages = voyages_stage(validated, outages, area, voyages_path, source=validated_path,
+                            outages_path=str(outages_path), area_path=args.area, center=args.center,
+                            radius_m=args.radius_m)
+    metrics_stage(voyages, ship_types, port, truth, exclude, outdir / "metrics", vessel=args.vessel,
+                  voyages_path=voyages_path, static_path=str(decoded), truth_path=args.ground_truth,
+                  port_path=args.port)
     return status
 
 
@@ -572,9 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ import functools
 import operator
 import re
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 
 class BadChecksum(ValueError):
@@ -73,28 +72,10 @@ _ARMOR_DELETE = {ord(c): None for c in ARMOR_ALPHABET}
 UTC = dt.timezone.utc
 
 
-class NavStatus(IntEnum):
-    """AIS navigational status codes. This toolkit acts on 0, 1 and 5."""
-
-    UNDERWAY_ENGINE = 0
-    AT_ANCHOR = 1
-    NOT_UNDER_COMMAND = 2
-    RESTRICTED_MANEUVERABILITY = 3
-    CONSTRAINED_BY_DRAUGHT = 4
-    MOORED = 5
-    AGROUND = 6
-    FISHING = 7
-    UNDERWAY_SAILING = 8
-    RESERVED_9 = 9
-    RESERVED_10 = 10
-    RESERVED_11 = 11
-    RESERVED_12 = 12
-    RESERVED_13 = 13
-    AIS_SART = 14
-    UNDEFINED = 15
-
-
-TRACKED_STATUSES = (NavStatus.UNDERWAY_ENGINE, NavStatus.AT_ANCHOR, NavStatus.MOORED)
+# The AIS navigational status codes this toolkit acts on, and the phase kind
+# each one names. Every other code is treated as underway.
+UNDERWAY, ANCHORED, MOORED = 0, 1, 5
+STATUS_KINDS = {UNDERWAY: "underway", ANCHORED: "anchored", MOORED: "moored"}
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .codec import MessageDecoder, PositionReport, StaticReport
-from .jsonl import dumps, message_from_dict, message_to_dict
+from .codec import DecodeOutcome, MessageDecoder, PositionReport, StaticReport
+from .jsonl import dumps, message_from_dict, message_to_dict, read_jsonl
 
 UTC = dt.timezone.utc
 
@@ -108,11 +108,8 @@ class MessageStore:
 
     def iter_messages(self):
         for path in self.files():
-            with open(path, "r", encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
-                        yield message_from_dict(json.loads(line))
+            for doc in read_jsonl(path):
+                yield message_from_dict(doc)
 
 
 class QueueSink:
@@ -171,8 +168,10 @@ def run_replay(
     """Replay a stored JSONL or NMEA file through the decoder into the sink.
 
     Tag-blocked NMEA lines carry their own receiver timestamps; bare lines
-    get synthetic ones at raw_cadence_s intervals. replay_speed scales the
-    pauses between consecutive message timestamps (0 disables pacing).
+    get synthetic ones at raw_cadence_s intervals. A line that starts with
+    `{` is read as a stored JSONL message; one that does not parse goes to
+    error_sink as a "malformed" error. replay_speed scales the pauses
+    between consecutive message timestamps (0 disables pacing).
     """
     if cfg.path is None or not cfg.path.exists():
         raise FileNotFoundError(f"replay source {cfg.path} does not exist")
@@ -188,8 +187,9 @@ def run_replay(
             if line.startswith("{"):
                 try:
                     msg = message_from_dict(json.loads(line))
-                except (ValueError, KeyError):
-                    summary.errors += 1
+                except (ValueError, KeyError) as exc:
+                    outcome = DecodeOutcome("error", error="malformed", detail=str(exc), raw=line)
+                    _dispatch([outcome], sink, error_sink, summary)
                     continue
                 ts = msg.timestamp
                 if cfg.replay_speed > 0 and prev_ts is not None and ts is not None:
@@ -200,12 +200,13 @@ def run_replay(
                 continue
             rx = raw_start + dt.timedelta(seconds=i * raw_cadence_s)
             outcomes = dec.feed(line, rx)
-            for outcome in outcomes:
-                if outcome.kind in ("position", "static") and cfg.replay_speed > 0:
-                    ts = outcome.message.timestamp
-                    if prev_ts is not None and ts is not None:
-                        sleep(max(0.0, (ts - prev_ts).total_seconds()) / cfg.replay_speed)
-                    prev_ts = ts or prev_ts
+            if cfg.replay_speed > 0:
+                for outcome in outcomes:
+                    if outcome.kind in ("position", "static"):
+                        ts = outcome.message.timestamp
+                        if prev_ts is not None and ts is not None:
+                            sleep(max(0.0, (ts - prev_ts).total_seconds()) / cfg.replay_speed)
+                        prev_ts = ts or prev_ts
             _dispatch(outcomes, sink, error_sink, summary)
     _dispatch(dec.finish(), sink, error_sink, summary)
     return summary

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .geo import PortGeometry
+from .jsonl import parse_ts
 from .voyage import Voyage
 
 CATEGORIES = ("cargo", "tanker", "passenger", "other")
@@ -240,8 +241,6 @@ def load_ground_truth(path) -> ArrivalTable:
                 table.setdefault(date, {})
                 table[date][cat] = table[date].get(cat, 0) + count
         elif header == ["timestamp", "mmsi", "category"]:
-            from .jsonl import parse_ts
-
             for row in reader:
                 if not row or not row[0].strip():
                     continue

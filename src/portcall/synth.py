@@ -20,15 +20,14 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .codec import ARMOR_ALPHABET, nmea_checksum
+from .codec import ANCHORED, ARMOR_ALPHABET, MOORED, STATUS_KINDS, UNDERWAY, nmea_checksum
 from .geo import AreaFilter, EARTH_RADIUS_M, PortGeometry, Polygon
 from .jsonl import format_ts, parse_ts
 from .metrics import vessel_category
 
 UTC = dt.timezone.utc
 
-UNDERWAY, ANCHORED, MOORED = 0, 1, 5
-_STATUS_KIND = {UNDERWAY: "underway", ANCHORED: "anchored", MOORED: "moored"}
+_KIND_STATUS = {kind: code for code, kind in STATUS_KINDS.items()}
 
 
 class InvalidScenario(ValueError):
@@ -288,10 +287,9 @@ class TruthLog:
 
     def status_at(self, mmsi: int, ts: dt.datetime) -> int | None:
         """True status of a vessel at an instant, None outside any phase."""
-        kind_to_status = {"underway": UNDERWAY, "anchored": ANCHORED, "moored": MOORED}
         for p in self.phases:
             if p.mmsi == mmsi and p.start <= ts < p.end:
-                return kind_to_status[p.kind]
+                return _KIND_STATUS[p.kind]
         return None
 
     def stop_phases(self, min_hours: float = 0.0) -> list[TruthPhase]:
@@ -507,7 +505,7 @@ class _Emitter:
     def position(self, ts: dt.datetime, vessel: VesselPlan, true_status: int, sog, lat, lon, cog, heading):
         reported = true_status
         if self.scenario.error_p > 0 and self.rng.random() < self.scenario.error_p:
-            others = [s for s in (UNDERWAY, ANCHORED, MOORED) if s != true_status]
+            others = [s for s in STATUS_KINDS if s != true_status]
             reported = self.rng.choice(others)
         if self._dropped(ts, vessel.mmsi):
             return

@@ -18,6 +18,7 @@ the two. A debounce filter suppresses single-message status flips so that
 vessels hovering on a polygon border do not flap between states.
 """
 
+import bisect
 import datetime as dt
 import math
 import operator
@@ -26,8 +27,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codec import PositionReport
-from .geo import PortGeometry, UnavailableHeading, _project_unchecked, resultant_length
+from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, PositionReport
+from .geo import EARTH_RADIUS_M, PortGeometry, UnavailableHeading, _project_unchecked, resultant_length
 
 UTC = dt.timezone.utc
 
@@ -43,8 +44,6 @@ class InsufficientWindow(ValueError):
 class TooFewPoints(ValueError):
     """Not enough stopped training points to fit the requested k."""
 
-
-UNDERWAY, ANCHORED, MOORED = 0, 1, 5
 
 METHODS = ("geofence", "kinematic", "knn", "ensemble")
 
@@ -106,7 +105,7 @@ class ValidationConfig:
 
 def _fallback_status(code: int) -> int:
     """Reported status coerced into {0, 1, 5}; anything else means underway."""
-    return code if code in (UNDERWAY, ANCHORED, MOORED) else UNDERWAY
+    return code if code in STATUS_KINDS else UNDERWAY
 
 
 def is_stopped(report: PositionReport, threshold_kn: float = 0.5) -> bool:
@@ -120,6 +119,10 @@ def classify_geofence(report: PositionReport, port: PortGeometry, *, stopped_thr
     """Status from position and speed against the port polygons."""
     if not is_stopped(report, stopped_threshold_kn):
         return UNDERWAY
+    return _geofence_vote(port, report)
+
+
+def _geofence_vote(port: PortGeometry, report: PositionReport) -> int:
     if port.terminal_at(report.lat, report.lon) is not None:
         return MOORED
     if port.anchorage_at(report.lat, report.lon) is not None:
@@ -194,8 +197,8 @@ def fit_knn(reports: Iterable[PositionReport], k: int = 300, *, stopped_threshol
     lon0 = float(lon_arr.mean())
     dlon = (lon_arr - lon0 + 180.0) % 360.0 - 180.0
     xy = np.empty((len(labels), 2), dtype=np.float64)
-    xy[:, 0] = np.radians(dlon) * math.cos(math.radians(lat0)) * 6_371_000.0
-    xy[:, 1] = np.radians(lat_arr - lat0) * 6_371_000.0
+    xy[:, 0] = np.radians(dlon) * math.cos(math.radians(lat0)) * EARTH_RADIUS_M
+    xy[:, 1] = np.radians(lat_arr - lat0) * EARTH_RADIUS_M
     return KnnModel(k=k, origin=(lat0, lon0), xy=xy, labels=np.asarray(labels, dtype=np.uint8))
 
 
@@ -222,6 +225,10 @@ def classify_knn(model: KnnModel, report: PositionReport, *, stopped_threshold_k
     """Majority label of the k nearest training points; ties go to anchored."""
     if not is_stopped(report, stopped_threshold_kn):
         return UNDERWAY
+    return _knn_vote(model, report)
+
+
+def _knn_vote(model: KnnModel, report: PositionReport) -> int:
     x, y = _project_unchecked(model.origin[0], model.origin[1], report.lat, report.lon)
     idx = _neighbor_indices(model, x, y)
     ones = int(np.count_nonzero(model.labels[idx] == ANCHORED))
@@ -305,8 +312,6 @@ def detect_outages(
         for i in range(len(times) - 1):
             if times[i + 1] - times[i] > vessel_gap and _recent_cadence_ok(times, i, cadence):
                 outages.append(Outage("vessel", times[i], times[i + 1], subject=mmsi))
-
-    import bisect
 
     for cell, times in by_cell.items():
         for i in range(len(times) - 1):
@@ -489,13 +494,6 @@ class _VesselOutages:
         return False
 
 
-def _knn_vote(model: KnnModel, report: PositionReport) -> int:
-    x, y = _project_unchecked(model.origin[0], model.origin[1], report.lat, report.lon)
-    idx = _neighbor_indices(model, x, y)
-    ones = int(np.count_nonzero(model.labels[idx] == ANCHORED))
-    return ANCHORED if ones >= idx.shape[0] - ones else MOORED
-
-
 def _stopped_candidate(
     report: PositionReport,
     run: _StopRun,
@@ -505,15 +503,7 @@ def _stopped_candidate(
     min_window: dt.timedelta,
 ) -> tuple[int, str]:
     """Candidate status for a stopped report under the configured method."""
-    geo_vote = None
-    if port is not None:
-        if port.terminal_at(report.lat, report.lon) is not None:
-            geo_vote = MOORED
-        elif port.anchorage_at(report.lat, report.lon) is not None:
-            geo_vote = ANCHORED
-        else:
-            geo_vote = UNDERWAY
-
+    geo_vote = _geofence_vote(port, report) if port is not None else None
     kin_vote = None
     if cfg.method in ("kinematic", "ensemble"):
         if run.n_heading > 0 and run.n_heading * 2 >= run.n and run.span() >= min_window:

@@ -10,15 +10,16 @@ import datetime as dt
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
+from .codec import ANCHORED, MOORED, STATUS_KINDS
 from .geo import haversine_m
+from .jsonl import format_ts, parse_ts
 from .validate import Outage, ValidatedMessage, _grid_cell
 
 HARD_GAP = dt.timedelta(hours=24)
 SOFT_GAP = dt.timedelta(hours=5)
 SOFT_GAP_MOVE_M = 100.0
 
-PHASE_KINDS = {0: "underway", 1: "anchored", 5: "moored"}
-STOPPED_KINDS = ("anchored", "moored")
+STOPPED_STATUSES = (ANCHORED, MOORED)
 
 
 @dataclass
@@ -112,7 +113,7 @@ def segment_phases(voyage: Voyage) -> Voyage:
         sogs = [m.report.sog for m in run if m.report.sog is not None]
         phases.append(
             Phase(
-                kind=PHASE_KINDS[run[0].corrected_navstat],
+                kind=STATUS_KINDS[run[0].corrected_navstat],
                 start=start,
                 end=end,
                 mean_sog=sum(sogs) / len(sogs) if sogs else None,
@@ -181,10 +182,7 @@ def flag_gaps(voyage: Voyage, outages: Sequence[Outage]) -> Voyage:
             flagged = True
             break
         moved = haversine_m(before.report.lat, before.report.lon, after.report.lat, after.report.lon)
-        stopped_both = (
-            PHASE_KINDS.get(before.corrected_navstat) in STOPPED_KINDS
-            and PHASE_KINDS.get(after.corrected_navstat) in STOPPED_KINDS
-        )
+        stopped_both = before.corrected_navstat in STOPPED_STATUSES and after.corrected_navstat in STOPPED_STATUSES
         if moved > SOFT_GAP_MOVE_M or not stopped_both:
             flagged = True
             break
@@ -192,8 +190,6 @@ def flag_gaps(voyage: Voyage, outages: Sequence[Outage]) -> Voyage:
 
 
 def voyage_to_dict(voyage: Voyage) -> dict:
-    from .jsonl import format_ts
-
     return {
         "mmsi": voyage.mmsi,
         "arrival": format_ts(voyage.arrival),
@@ -217,8 +213,6 @@ def voyage_to_dict(voyage: Voyage) -> dict:
 
 
 def voyage_from_dict(doc: dict) -> Voyage:
-    from .jsonl import parse_ts
-
     return Voyage(
         mmsi=doc["mmsi"],
         arrival=parse_ts(doc["arrival"]),
