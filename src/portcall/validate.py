@@ -16,19 +16,27 @@ The ensemble uses the geofence as the base answer, lets a sufficient
 kinematic window override it, and asks the knn model to break ties between
 the two. A debounce filter suppresses single-message status flips so that
 vessels hovering on a polygon border do not flap between states.
+
+The knn search is exact without scanning every training point: the model
+keeps its points sorted by x, and a query computes distances only inside
+the strip |x' - x| <= r, which is certified once its k-th distance is below
+the x-distance to the nearest point left out (Friedman, Baskett & Shustek,
+"An algorithm for finding nearest neighbors", IEEE Trans. Computers, 1975).
+A stream validation asks for one vote per distinct position and starts each
+search from the previous query's k-th distance.
 """
 
 import bisect
 import datetime as dt
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, PositionReport
-from .geo import EARTH_RADIUS_M, PortGeometry, UnavailableHeading, _project_unchecked, resultant_length
+from .geo import PortGeometry, UnavailableHeading, _project_unchecked
 
 UTC = dt.timezone.utc
 
@@ -77,6 +85,8 @@ class ValidationConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ValidationConfig":
@@ -146,33 +156,53 @@ def classify_kinematic(
     """
     if not window:
         raise InsufficientWindow("empty window")
-    last = window[-1]
-    if not is_stopped(last, stopped_threshold_kn):
+    if not is_stopped(window[-1], stopped_threshold_kn):
         return UNDERWAY
-    run: list[PositionReport] = []
-    for report in reversed(window):
+    run = _StopRun()
+    for report in window:
         if report.sog is None:
             continue  # missing speed neither extends nor breaks the run
         if report.sog >= stopped_threshold_kn:
-            break
-        run.append(report)
-    span = run[0].timestamp - run[-1].timestamp  # run is in reverse order
-    if span < dt.timedelta(hours=min_window_h):
-        raise InsufficientWindow(f"stopped span {span} < {min_window_h} h")
-    headings = [r.heading for r in run if r.heading is not None]
-    if len(headings) < min_heading_fraction * len(run):
-        raise UnavailableHeading(f"headings available for {len(headings)}/{len(run)} samples")
-    return ANCHORED if resultant_length(headings) < rbar_threshold else MOORED
+            run.reset()
+        else:
+            run.add(report.timestamp, report.heading)
+    min_window = dt.timedelta(hours=min_window_h)
+    vote = run.kinematic_vote(min_window, rbar_threshold, min_heading_fraction)
+    if vote is None:
+        if run.span() < min_window:
+            raise InsufficientWindow(f"stopped span {run.span()} < {min_window_h} h")
+        raise UnavailableHeading(f"headings available for {run.n_heading}/{run.n} samples")
+    return vote
 
 
 @dataclass(frozen=True)
 class KnnModel:
-    """Location-only k-nearest-neighbour status model for stopped vessels."""
+    """Location-only k-nearest-neighbour status model for stopped vessels.
+
+    The x-sorted view the search scans is derived from xy here, so a model
+    built from its four fields directly searches like one from `fit_knn`.
+    """
 
     k: int
     origin: tuple[float, float]
     xy: np.ndarray  # (n, 2) planar metres around origin
     labels: np.ndarray  # (n,) uint8 with values 1 (anchored) and 5 (moored)
+    order: np.ndarray = field(init=False, repr=False, compare=False)  # index into xy of each x-sorted point
+    xs: np.ndarray = field(init=False, repr=False, compare=False)  # x of the points in x order
+    ys: np.ndarray = field(init=False, repr=False, compare=False)  # y of the points in x order
+    r0: float = field(init=False, repr=False, compare=False)  # first strip half-width
+
+    def __post_init__(self):
+        order = np.argsort(self.xy[:, 0])
+        xs = self.xy[order, 0]
+        n = xs.shape[0]
+        # the half-width at which a strip would hold about k points if the
+        # training points were spread evenly along x
+        r0 = float(xs[-1] - xs[0]) * self.k / (2 * n) if n else 0.0
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", self.xy[order, 1])
+        object.__setattr__(self, "r0", r0 if r0 > 0.0 else math.inf)
 
 
 def fit_knn(reports: Iterable[PositionReport], k: int = 300, *, stopped_threshold_kn: float = 0.5) -> KnnModel:
@@ -195,44 +225,103 @@ def fit_knn(reports: Iterable[PositionReport], k: int = 300, *, stopped_threshol
     lon_arr = np.asarray(lons, dtype=np.float64)
     lat0 = float(lat_arr.mean())
     lon0 = float(lon_arr.mean())
-    dlon = (lon_arr - lon0 + 180.0) % 360.0 - 180.0
-    xy = np.empty((len(labels), 2), dtype=np.float64)
-    xy[:, 0] = np.radians(dlon) * math.cos(math.radians(lat0)) * EARTH_RADIUS_M
-    xy[:, 1] = np.radians(lat_arr - lat0) * EARTH_RADIUS_M
+    xy = np.column_stack(_project_unchecked(lat0, lon0, lat_arr, lon_arr))
     return KnnModel(k=k, origin=(lat0, lon0), xy=xy, labels=np.asarray(labels, dtype=np.uint8))
 
 
-def _neighbor_indices(model: KnnModel, x: float, y: float) -> np.ndarray:
-    """Indices of the k nearest training points, ties broken by index.
+# Relative widening of the retry strip beyond sqrt(dk): rounding in x -/+ r
+# then cannot leave a point at the k-th distance outside, so the retry
+# certifies at once.
+_STRIP_EPS = 1e-9
 
-    Equivalent to sorting by (distance, index) and taking the first k, which
-    keeps the vote identical to an exhaustive scan even with duplicate
-    training points.
+
+def _neighbor_indices(model: KnnModel, x: float, y: float, r: float) -> tuple[np.ndarray, float]:
+    """Indices of the k nearest training points, ties broken by index, and
+    the squared distance of the k-th.
+
+    Equivalent to sorting every point by (squared distance, index) and
+    taking the first k, which keeps the vote identical to an exhaustive scan
+    even with duplicate training points. Only the strip of x-sorted points
+    with |x' - x| <= r is scanned. Its k-th squared distance dk is certified
+    when it is below the squared x-distance to the nearest point left out on
+    either side: every point outside the strip is at least that far, so none
+    can tie or beat dk. That bound is computed with the same float operations
+    as the distances, so rounding at the strip edge cannot drop a point.
+    Otherwise the search retries with r just above sqrt(dk), an upper bound
+    on the true k-th distance, so the retry certifies; a strip with fewer
+    than k points doubles r (from model.r0 when r is 0). r is only a
+    starting guess and does not change the result. When k >= n every point
+    is returned and dk reads 0.
     """
-    d2 = (model.xy[:, 0] - x) ** 2 + (model.xy[:, 1] - y) ** 2
-    n = d2.shape[0]
-    k = model.k
+    xs, k = model.xs, model.k
+    n = xs.shape[0]
     if k >= n:
-        return np.arange(n)
-    part = np.argpartition(d2, k - 1)[:k]
-    dk = d2[part].max()
-    strict = np.flatnonzero(d2 < dk)
-    ties = np.flatnonzero(d2 == dk)
-    return np.concatenate([strict, ties[: k - strict.shape[0]]])
+        return np.arange(n), 0.0
+    while True:
+        if r < math.inf:
+            lo = int(np.searchsorted(xs, x - r, "left"))
+            hi = int(np.searchsorted(xs, x + r, "right"))
+        else:
+            lo, hi = 0, n
+        if hi - lo >= k:
+            d2 = (xs[lo:hi] - x) ** 2 + (model.ys[lo:hi] - y) ** 2
+            dk = float(np.partition(d2, k - 1)[k - 1])
+            gap2 = math.inf
+            if lo > 0:
+                dx = float(xs[lo - 1]) - x
+                gap2 = dx * dx
+            if hi < n:
+                dx = float(xs[hi]) - x
+                gap2 = min(gap2, dx * dx)
+            if dk < gap2 or (lo == 0 and hi == n):
+                break
+            r_next = math.sqrt(dk) * (1.0 + _STRIP_EPS)
+            if r_next > r:
+                r = r_next
+                continue
+        # fewer than k points in the strip, or rounding left one at dk outside
+        r = 2.0 * r if r > 0.0 else model.r0
+    window = model.order[lo:hi]
+    strict = window[d2 < dk]
+    ties = np.sort(window[d2 == dk])
+    return np.concatenate([strict, ties[: k - strict.shape[0]]]), dk
+
+
+class _KnnVotes:
+    """Knn votes for one stream, with one neighbour search per distinct position.
+
+    A vote is a pure function of the position and the fixed model, so it is
+    kept by (lat, lon) for the voter's lifetime. Each search starts from the
+    previous one's k-th distance: consecutive queries come from the same
+    vessel and usually from the same spot.
+    """
+
+    __slots__ = ("model", "votes", "r")
+
+    def __init__(self, model: KnnModel):
+        self.model = model
+        self.votes: dict[tuple[float, float], int] = {}
+        self.r = model.r0
+
+    def vote(self, report: PositionReport) -> int:
+        """Majority label of the k nearest training points; ties go to anchored."""
+        key = (report.lat, report.lon)
+        vote = self.votes.get(key)
+        if vote is None:
+            model = self.model
+            x, y = _project_unchecked(model.origin[0], model.origin[1], report.lat, report.lon)
+            idx, dk = _neighbor_indices(model, x, y, self.r)
+            self.r = math.sqrt(dk)
+            ones = int(np.count_nonzero(model.labels[idx] == ANCHORED))
+            vote = self.votes[key] = ANCHORED if ones >= idx.shape[0] - ones else MOORED
+        return vote
 
 
 def classify_knn(model: KnnModel, report: PositionReport, *, stopped_threshold_kn: float = 0.5) -> int:
     """Majority label of the k nearest training points; ties go to anchored."""
     if not is_stopped(report, stopped_threshold_kn):
         return UNDERWAY
-    return _knn_vote(model, report)
-
-
-def _knn_vote(model: KnnModel, report: PositionReport) -> int:
-    x, y = _project_unchecked(model.origin[0], model.origin[1], report.lat, report.lon)
-    idx = _neighbor_indices(model, x, y)
-    ones = int(np.count_nonzero(model.labels[idx] == ANCHORED))
-    return ANCHORED if ones >= idx.shape[0] - ones else MOORED
+    return _KnnVotes(model).vote(report)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +477,18 @@ class _StopRun:
     def rbar(self) -> float:
         return math.hypot(self.sum_s / self.n_heading, self.sum_c / self.n_heading)
 
+    def kinematic_vote(
+        self, min_window: dt.timedelta, rbar_threshold: float, min_heading_fraction: float = 0.5
+    ) -> int | None:
+        """Anchored when the run's headings rotate, moored when they hold still.
+
+        None when the run is shorter than min_window or fewer than
+        min_heading_fraction of its samples carry a heading.
+        """
+        if self.n_heading == 0 or self.n_heading < min_heading_fraction * self.n or self.span() < min_window:
+            return None
+        return ANCHORED if self.rbar() < rbar_threshold else MOORED
+
 
 def _apply_hysteresis(
     candidates: list[int], times: list[dt.datetime], min_msgs: int, min_minutes: float
@@ -498,7 +599,7 @@ def _stopped_candidate(
     report: PositionReport,
     run: _StopRun,
     port: PortGeometry | None,
-    model: KnnModel | None,
+    knn: _KnnVotes | None,
     cfg: ValidationConfig,
     min_window: dt.timedelta,
 ) -> tuple[int, str]:
@@ -506,8 +607,7 @@ def _stopped_candidate(
     geo_vote = _geofence_vote(port, report) if port is not None else None
     kin_vote = None
     if cfg.method in ("kinematic", "ensemble"):
-        if run.n_heading > 0 and run.n_heading * 2 >= run.n and run.span() >= min_window:
-            kin_vote = ANCHORED if run.rbar() < cfg.rotation_rbar else MOORED
+        kin_vote = run.kinematic_vote(min_window, cfg.rotation_rbar)
 
     if cfg.method == "geofence":
         if geo_vote is not None:
@@ -520,15 +620,15 @@ def _stopped_candidate(
             return geo_vote, "geofence"
         return _fallback_status(report.navstat), "reported"
     if cfg.method == "knn":
-        if model is not None:
-            return _knn_vote(model, report), "knn"
+        if knn is not None:
+            return knn.vote(report), "knn"
         if geo_vote is not None:
             return geo_vote, "geofence"
         return _fallback_status(report.navstat), "reported"
     # ensemble: geofence base, kinematic override, knn breaks disagreements
     if geo_vote is None and kin_vote is None:
-        if model is not None:
-            return _knn_vote(model, report), "knn"
+        if knn is not None:
+            return knn.vote(report), "knn"
         return _fallback_status(report.navstat), "reported"
     if kin_vote is None:
         return geo_vote, "geofence"
@@ -536,8 +636,8 @@ def _stopped_candidate(
         return kin_vote, "kinematic"
     if geo_vote == kin_vote:
         return geo_vote, "geofence"
-    if model is not None:
-        return _knn_vote(model, report), "knn"
+    if knn is not None:
+        return knn.vote(report), "knn"
     return kin_vote, "kinematic"
 
 
@@ -566,6 +666,7 @@ def validate_stream(
             model = fit_knn(msgs, cfg.knn_k, stopped_threshold_kn=cfg.stopped_threshold_kn)
         except TooFewPoints:
             model = None
+    knn = _KnnVotes(model) if model is not None else None
 
     base_label = "geofence" if port is not None else cfg.method if cfg.method != "ensemble" else "kinematic"
     by_vessel: dict[int, list[int]] = {}
@@ -594,7 +695,7 @@ def validate_stream(
                 cand, meth = UNDERWAY, base_label
             else:
                 run.add(m.timestamp, m.heading)
-                cand, meth = _stopped_candidate(m, run, port, model, cfg, min_window)
+                cand, meth = _stopped_candidate(m, run, port, knn, cfg, min_window)
             candidates.append(cand)
             times.append(m.timestamp)
             methods[i] = meth

@@ -139,13 +139,20 @@ def tag_block(line: str, epoch: int) -> str:
 # --- brute-force classifiers and splitters -----------------------------------
 
 
+def brute_neighbors(xy, k: int, qx: float, qy: float) -> list[int]:
+    """Exhaustive k-NN: the first k indices sorted by (squared distance, index)."""
+
+    def d2(i):
+        dx = xy[i][0] - qx
+        dy = xy[i][1] - qy
+        return dx * dx + dy * dy
+
+    return sorted(range(len(xy)), key=lambda i: (d2(i), i))[:k]
+
+
 def brute_knn(xy, labels, k: int, qx: float, qy: float) -> int:
-    """Exhaustive k-NN vote: sort by (squared distance, index), majority."""
-    ranked = sorted(
-        range(len(labels)),
-        key=lambda i: ((xy[i][0] - qx) ** 2 + (xy[i][1] - qy) ** 2, i),
-    )
-    votes = [labels[i] for i in ranked[:k]]
+    """Exhaustive k-NN vote over brute_neighbors; a tie goes to anchored."""
+    votes = [labels[i] for i in brute_neighbors(xy, k, qx, qy)]
     ones = sum(1 for v in votes if v == 1)
     return 1 if ones >= len(votes) - ones else 5
 

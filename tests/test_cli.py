@@ -121,6 +121,16 @@ def test_missing_input_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_knn_k_zero_in_the_config_is_a_usage_error(inputs, tmp_path, capsys):
+    config = tmp_path / "v.conf"
+    config.write_text("method = knn\nknn_k = 0\n")
+    rc = cli.main(["run", "--input", str(inputs["tagged.nmea"]), "--outdir", str(tmp_path / "out"),
+                   "--config", str(config)])
+    assert rc == cli.EXIT_USAGE
+    assert "knn_k" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "ingest"])
 def test_traced_bench_child_runs(inputs, tmp_path, command):
     """The benchmark's traced run wraps names in the package; a rename must not break it."""

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from portcall import validate
+from conftest import decode_all
+from portcall import synth, validate
 from portcall.codec import PositionReport
-from portcall.geo import PortGeometry, Polygon, UnavailableHeading
+from portcall.geo import PortGeometry, Polygon, UnavailableHeading, _project_unchecked
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
@@ -182,7 +183,6 @@ class TestKnn:
             labels = list(model.labels)
             for _ in range(10):
                 q = report(lat=10.0 + rng.uniform(-0.06, 0.06), lon=20.0 + rng.uniform(-0.06, 0.06), sog=0.1)
-                from portcall.geo import _project_unchecked
                 qx, qy = _project_unchecked(model.origin[0], model.origin[1], q.lat, q.lon)
                 assert validate.classify_knn(model, q) == oracles.brute_knn(xy, labels, k, qx, qy)
 
@@ -195,11 +195,51 @@ class TestKnn:
         model = validate.fit_knn(reports, k=30)
         xy = [tuple(p) for p in model.xy]
         labels = list(model.labels)
-        from portcall.geo import _project_unchecked
         for qlat in (10.0, 10.0004, 10.0006, 10.001):
             q = report(lat=qlat, lon=20.0, sog=0.1)
             qx, qy = _project_unchecked(model.origin[0], model.origin[1], q.lat, q.lon)
             assert validate.classify_knn(model, q) == oracles.brute_knn(xy, labels, 30, qx, qy)
+
+    def test_query_on_a_training_point_is_at_distance_zero(self):
+        # training and query points share one projection, so the point itself is a 0 m neighbour
+        reports = two_cluster_reports(n_per=100)
+        model = validate.fit_knn(reports, k=1)
+        q = reports[17]
+        qx, qy = _project_unchecked(model.origin[0], model.origin[1], q.lat, q.lon)
+        idx, dk = validate._neighbor_indices(model, qx, qy, 0.0)
+        assert (idx.tolist(), dk) == ([17], 0.0)
+
+    def test_tie_at_the_strip_edge_goes_to_the_lower_index(self):
+        # point 1 fills a zero-width strip, but point 0 just outside it ties at
+        # the same distance and wins on index, so the strip must widen
+        model = validate.KnnModel(k=1, origin=(10.0, 20.0), xy=np.array([(1.0, 0.0), (0.0, 1.0), (5.0, 5.0)]),
+                                  labels=np.array([1, 5, 5], dtype=np.uint8))
+        idx, dk = validate._neighbor_indices(model, 0.0, 0.0, 0.0)
+        assert (idx.tolist(), dk) == ([0], 1.0)
+
+    def test_nan_query_ends_with_no_neighbours(self):
+        # stored JSONL may carry NaN coordinates; no strip certifies, so the
+        # search must stop at the whole set instead of widening forever
+        model = validate.fit_knn(two_cluster_reports(n_per=50), k=5)
+        for qx, qy in ((math.nan, 0.0), (0.0, math.nan)):
+            idx, _ = validate._neighbor_indices(model, qx, qy, 1.0)
+            assert idx.tolist() == []
+
+    def test_stream_votes_match_the_oracle(self, monkeypatch):
+        scenario = synth.mixed_port_scenario(n_vessels=3, days=1, error_p=0.3, seed=3)
+        positions, _, _ = decode_all(synth.generate(scenario)[0])
+        cfg = validate.ValidationConfig(method="knn", knn_k=30)
+        fast = validate.validate_stream(positions, None, cfg)
+        assert any(vm.method == "knn" for vm in fast)
+
+        def oracle(model, x, y, r):
+            xy = model.xy.tolist()
+            idx = oracles.brute_neighbors(xy, model.k, x, y)
+            dx, dy = xy[idx[-1]][0] - x, xy[idx[-1]][1] - y
+            return np.array(idx), dx * dx + dy * dy
+
+        monkeypatch.setattr(validate, "_neighbor_indices", oracle)
+        assert validate.validate_stream(positions, None, cfg) == fast
 
 
 def cadence_stream(mmsi, start, minutes, step_s=60, lat=10.005, lon=20.01, sog=0.0):
@@ -386,22 +426,58 @@ class TestConfig:
         with pytest.raises(ValueError):
             validate.ValidationConfig(method="catboost")
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_knn_k_below_one_rejected(self, tmp_path, k):
+        # a model with no neighbours would fail to fit and leave every stopped status as reported
+        with pytest.raises(ValueError, match="knn_k"):
+            validate.ValidationConfig(knn_k=k)
+        path = tmp_path / "v.conf"
+        path.write_text(f"method = knn\nknn_k = {k}\n")
+        with pytest.raises(ValueError, match="knn_k"):
+            validate.ValidationConfig.from_file(path)
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_knn_oracle_equivalence_property(seed):
+
+def _training_layout(rng: random.Random, layout: str, n: int) -> list[tuple[float, float]]:
+    if layout == "uniform":
+        return [(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)) for _ in range(n)]
+    # berths and anchor spots: a few centres, positions on a 0.5 m grid (so
+    # squared distances between them are exact and tie often) and repeats
+    centres = [(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)) for _ in range(rng.randrange(1, 5))]
+    pts: list[tuple[float, float]] = []
+    for _ in range(n):
+        if pts and rng.random() < 0.4:
+            pts.append(rng.choice(pts))
+        else:
+            cx, cy = rng.choice(centres)
+            pts.append((round(2 * (cx + rng.gauss(0, 3))) / 2, round(2 * (cy + rng.gauss(0, 3))) / 2))
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["uniform", "clustered"]),
+    st.sampled_from(["near", "on_point", "far"]),
+)
+def test_knn_oracle_equivalence_property(seed, layout, query):
     rng = random.Random(seed)
     n = rng.randrange(30, 400)
     k = rng.choice([1, 5, 30, n])
-    pts = [(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000), rng.choice([1, 5])) for _ in range(n)]
-    model = validate.KnnModel(
-        k=k,
-        origin=(10.0, 20.0),
-        xy=np.array([(x, y) for x, y, _ in pts]),
-        labels=np.array([l for _, _, l in pts], dtype=np.uint8),
-    )
+    xy = _training_layout(rng, layout, n)
+    labels = [rng.choice([1, 5]) for _ in range(n)]
+    model = validate.KnnModel(k=k, origin=(10.0, 20.0), xy=np.array(xy), labels=np.array(labels, dtype=np.uint8))
+    if query == "on_point":
+        qx, qy = rng.choice(xy)
+    elif query == "far":  # well outside the extent: the strip has to grow
+        qx, qy = rng.choice([-1, 1]) * rng.uniform(2e4, 1e6), rng.uniform(-1e6, 1e6)
+    else:
+        qx, qy = round(2 * rng.uniform(-3500, 3500)) / 2, round(2 * rng.uniform(-3500, 3500)) / 2
+    expected = oracles.brute_neighbors(xy, k, qx, qy)
+    # the starting half-width is only a guess: every value gives the same neighbours
+    for r in (0.0, 1e-3, rng.uniform(0.0, 500.0), 1e7, math.inf):
+        idx, _ = validate._neighbor_indices(model, qx, qy, r)
+        assert sorted(idx.tolist()) == sorted(expected)
+
     q = report(sog=0.0, lat=10.0 + rng.uniform(-0.05, 0.05), lon=20.0 + rng.uniform(-0.05, 0.05))
-    from portcall.geo import _project_unchecked
     qx, qy = _project_unchecked(10.0, 20.0, q.lat, q.lon)
-    expected = oracles.brute_knn([(x, y) for x, y, _ in pts], [l for _, _, l in pts], k, qx, qy)
-    assert validate.classify_knn(model, q) == expected
+    assert validate.classify_knn(model, q) == oracles.brute_knn(xy, labels, k, qx, qy)
