@@ -114,12 +114,12 @@ def _load_ground_truth(path, exclude_dates) -> tuple[metrics.ArrivalTable | None
     return table, exclude
 
 
-def _load_positions(path: pathlib.Path) -> list[PositionReport]:
-    out = []
-    for doc in jsonl.read_jsonl(path):
-        if doc.get("type") == "position":
-            out.append(message_from_dict(doc))
-    return out
+def _load_messages(path: pathlib.Path, kind: str, from_dict) -> list:
+    """The documents of one type in a stage's JSONL input, converted; a bad line is a usage error."""
+    try:
+        return [from_dict(doc) for doc in jsonl.read_jsonl(path) if doc.get("type") == kind]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise UsageError(f"bad {kind} message in {path}: {exc}") from exc
 
 
 def _load_statics(path: pathlib.Path) -> dict[int, int]:
@@ -276,7 +276,8 @@ def cmd_validate(args) -> int:
     cfg, port = _load_validation(args.config, args.method, args.port)
     out = pathlib.Path(args.output)
     outages_out = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
-    _, _, status = validate_stage(_load_positions(source), port, cfg, out, outages_out, source=source,
+    positions = _load_messages(source, "position", message_from_dict)
+    _, _, status = validate_stage(positions, port, cfg, out, outages_out, source=source,
                                   port_path=args.port, config_path=args.config, min_agreement=args.min_agreement)
     return status
 
@@ -308,7 +309,7 @@ def voyages_stage(messages: list[validate.ValidatedMessage], outages: list[valid
 def cmd_voyages(args) -> int:
     source = _existing(args.input)
     area = _area_filter(args.area, args.center, args.radius_m)
-    messages = [validated_from_dict(doc) for doc in jsonl.read_jsonl(source) if doc.get("type") == "validated"]
+    messages = _load_messages(source, "validated", validated_from_dict)
     outages = []
     if args.outages:
         outages = [_outage_from_dict(doc) for doc in jsonl.read_jsonl(args.outages)]
@@ -359,7 +360,7 @@ def metrics_stage(voyages: list[voyage.Voyage], ship_types: dict[int, int], port
         ((d.isoformat(), *(arrivals[d][c] for c in metrics.CATEGORIES)) for d in sorted(arrivals)),
     )
 
-    weekly = metrics.weekly_aggregate(records, "mean") if records else {}
+    weekly = metrics.weekly_aggregate(records)
     weekly_csv = outdir / "weekly_turnaround.csv"
     _write_csv(weekly_csv, ["week", "mean_turnaround_h"], ((week, _hours(v)) for week, v in weekly.items()))
 

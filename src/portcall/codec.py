@@ -26,7 +26,7 @@ import datetime as dt
 import functools
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class BadChecksum(ValueError):
@@ -63,7 +63,6 @@ class OutOfRangePosition(ValueError):
 
 # 6-bit armoring alphabet: values 0-39 map to ASCII 48-87, 40-63 to 96-119.
 ARMOR_ALPHABET = "".join(chr(v + 48) if v < 40 else chr(v + 56) for v in range(64))
-_CHAR_VALUE = {c: v for v, c in enumerate(ARMOR_ALPHABET)}
 # str.translate table turning a payload into its binary expansion in one pass
 _BIT_TABLE = {ord(c): format(v, "06b") for v, c in enumerate(ARMOR_ALPHABET)}
 # deletes every armoring character; whatever survives is invalid
@@ -128,24 +127,11 @@ class Bits:
         self.value = value
         self.nbits = nbits
 
-    def __len__(self) -> int:
-        return self.nbits
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Bits) and self.value == other.value and self.nbits == other.nbits
-
     def uint(self, start: int, width: int) -> int:
         """Unsigned field of `width` bits starting at bit offset `start`."""
         if start + width > self.nbits:
             raise TruncatedBuffer(f"field [{start}:{start + width}) beyond {self.nbits} bits")
         return (self.value >> (self.nbits - start - width)) & ((1 << width) - 1)
-
-    def sint(self, start: int, width: int) -> int:
-        """Two's-complement signed field."""
-        raw = self.uint(start, width)
-        if raw & (1 << (width - 1)):
-            raw -= 1 << width
-        return raw
 
 
 def nmea_checksum(body: str) -> int:

@@ -1,4 +1,4 @@
-"""Geospatial and angular primitives for port-area traffic analysis.
+"""Geospatial primitives for port-area traffic analysis.
 
 Everything works in plain latitude/longitude degrees. Port scenes span a few
 kilometres, so polygons are treated as flat rings in lat/lon space and local
@@ -11,7 +11,6 @@ import json
 import math
 import pathlib
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -19,55 +18,8 @@ _DEG = math.pi / 180.0
 _EDGE_EPS = 1e-9  # degrees; boundary tolerance for point-on-edge tests
 
 
-class UnavailableHeading(ValueError):
-    """Heading field carries the not-available sentinel."""
-
-
-class OutOfExtent(ValueError):
-    """Point is too far from the projection origin for planar math."""
-
-
 class InvalidPolygon(ValueError):
     """Ring fails structural validation (size, duplicates, self-crossing)."""
-
-
-class EncodedHeading(NamedTuple):
-    """Cyclical heading encoding: s is the sine component, c the cosine."""
-
-    s: float
-    c: float
-
-
-def encode_heading(heading: float | None) -> EncodedHeading:
-    """Encode a heading in degrees as (sin, cos) components in [-1, 1].
-
-    The encoding is periodic: h and h + 360 map to the same point on the
-    unit circle. Raises UnavailableHeading when the heading is missing.
-    """
-    if heading is None:
-        raise UnavailableHeading("heading unavailable")
-    angle = 2.0 * math.pi * (heading % 360.0) / 360.0
-    return EncodedHeading(math.sin(angle), math.cos(angle))
-
-
-def resultant_length(headings: Iterable[float]) -> float:
-    """Mean resultant length of a set of headings in degrees.
-
-    1.0 means every heading agrees; values near 0 mean the headings are
-    spread around the whole circle. This is the standard scalar measure of
-    angular concentration.
-    """
-    n = 0
-    sum_s = 0.0
-    sum_c = 0.0
-    for h in headings:
-        s, c = encode_heading(h)
-        sum_s += s
-        sum_c += c
-        n += 1
-    if n == 0:
-        raise UnavailableHeading("no headings to average")
-    return math.hypot(sum_s / n, sum_c / n)
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -80,18 +32,13 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
 
 
-def project_local(origin_lat: float, origin_lon: float, lat: float, lon: float) -> tuple[float, float]:
-    """Project a point to local planar metres around an origin.
+def project_local(origin_lat: float, origin_lon: float, lat, lon):
+    """Project points to local planar metres around an origin.
 
-    Equirectangular: x grows east, y grows north. Only meaningful near the
-    origin; points 2 or more degrees of latitude away are rejected.
+    Equirectangular: x grows east, y grows north, and the longitude
+    difference wraps at the antimeridian. Only meaningful near the origin.
+    lat and lon may be floats or numpy arrays.
     """
-    if abs(lat - origin_lat) >= 2.0:
-        raise OutOfExtent(f"latitude {lat:.4f} too far from origin {origin_lat:.4f}")
-    return _project_unchecked(origin_lat, origin_lon, lat, lon)
-
-
-def _project_unchecked(origin_lat: float, origin_lon: float, lat: float, lon: float) -> tuple[float, float]:
     dlon = (lon - origin_lon + 180.0) % 360.0 - 180.0
     x = EARTH_RADIUS_M * dlon * _DEG * math.cos(origin_lat * _DEG)
     y = EARTH_RADIUS_M * (lat - origin_lat) * _DEG

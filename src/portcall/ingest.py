@@ -11,7 +11,6 @@ timestamps.
 import datetime as dt
 import json
 import pathlib
-import queue
 import random
 import socket
 import threading
@@ -19,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .codec import DecodeOutcome, MessageDecoder, PositionReport, StaticReport
-from .jsonl import dumps, message_from_dict, message_to_dict, read_jsonl
+from .jsonl import dumps, message_from_dict, message_to_dict
 
 UTC = dt.timezone.utc
 
@@ -103,40 +102,6 @@ class MessageStore:
     def __exit__(self, *exc):
         self.close()
 
-    def files(self) -> list[pathlib.Path]:
-        return sorted(self.root.glob("ais-*.jsonl"))
-
-    def iter_messages(self):
-        for path in self.files():
-            for doc in read_jsonl(path):
-                yield message_from_dict(doc)
-
-
-class QueueSink:
-    """Bounded handoff between ingest and a downstream worker.
-
-    put() blocks when the queue is full, so a slow consumer back-pressures
-    the reader instead of dropping messages.
-    """
-
-    _DONE = object()
-
-    def __init__(self, maxsize: int = 65536):
-        self._queue: queue.Queue = queue.Queue(maxsize=maxsize)
-
-    def __call__(self, msg) -> None:
-        self._queue.put(msg)
-
-    def close(self) -> None:
-        self._queue.put(self._DONE)
-
-    def __iter__(self):
-        while True:
-            item = self._queue.get()
-            if item is self._DONE:
-                return
-            yield item
-
 
 def _utcnow_s() -> dt.datetime:
     return dt.datetime.now(tz=UTC).replace(microsecond=0)
@@ -187,7 +152,7 @@ def run_replay(
             if line.startswith("{"):
                 try:
                     msg = message_from_dict(json.loads(line))
-                except (ValueError, KeyError) as exc:
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     outcome = DecodeOutcome("error", error="malformed", detail=str(exc), raw=line)
                     _dispatch([outcome], sink, error_sink, summary)
                     continue

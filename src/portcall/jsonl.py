@@ -56,14 +56,22 @@ def message_to_dict(msg: PositionReport | StaticReport) -> dict:
     }
 
 
+def _coordinate(doc: dict, key: str, limit: float) -> float:
+    """doc[key] when it is a finite number in [-limit, limit], the range the NMEA decoder accepts."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not -limit <= value <= limit:
+        raise ValueError(f"{key} {value!r} is not a number in [-{limit:g}, {limit:g}]")
+    return value
+
+
 def message_from_dict(doc: dict) -> PositionReport | StaticReport:
     kind = doc.get("type")
     if kind == "position":
         return PositionReport(
             mmsi=doc["mmsi"],
             timestamp=parse_ts(doc["ts"]),
-            lat=doc["lat"],
-            lon=doc["lon"],
+            lat=_coordinate(doc, "lat", 90.0),
+            lon=_coordinate(doc, "lon", 180.0),
             sog=doc.get("sog"),
             cog=doc.get("cog"),
             heading=doc.get("heading"),

@@ -9,7 +9,6 @@ mean absolute error.
 
 import csv
 import datetime as dt
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -102,52 +101,29 @@ def anchorage_wait(voyage: Voyage) -> dt.timedelta:
     return total
 
 
-def movement_stats(voyage: Voyage) -> tuple[dt.timedelta, float | None]:
-    """Total underway time and the message-weighted mean underway speed."""
-    total = dt.timedelta(0)
-    weighted = 0.0
-    weight = 0
-    for p in voyage.phases:
-        if p.kind != "underway":
-            continue
-        total += p.duration
-        if p.mean_sog is not None and p.n_sog:
-            weighted += p.mean_sog * p.n_sog
-            weight += p.n_sog
-    return total, (weighted / weight if weight else None)
-
-
 ArrivalTable = dict  # dict[dt.date, dict[str, int]]
 
 
-def daily_arrivals(
-    voyages: Iterable[Voyage],
-    categories: Mapping[int, str],
-    start: dt.date | None = None,
-    end: dt.date | None = None,
-) -> ArrivalTable:
+def daily_arrivals(voyages: Iterable[Voyage], categories: Mapping[int, str]) -> ArrivalTable:
     """Count voyages per UTC arrival date and vessel category.
 
     Vessels without static data fall into "other". The table is dense over
-    [start, end]; without an explicit range it spans the observed arrivals.
+    the observed arrival dates.
     """
     arrivals: list[tuple[dt.date, str]] = [
         (v.arrival.date(), categories.get(v.mmsi, "other")) for v in voyages
     ]
-    if start is None or end is None:
-        if not arrivals:
-            return {}
-        dates = [d for d, _ in arrivals]
-        start = start or min(dates)
-        end = end or max(dates)
+    if not arrivals:
+        return {}
+    dates = [d for d, _ in arrivals]
+    start, end = min(dates), max(dates)
     table: ArrivalTable = {}
     day = start
     while day <= end:
         table[day] = {cat: 0 for cat in CATEGORIES}
         day += dt.timedelta(days=1)
     for date, cat in arrivals:
-        if start <= date <= end:
-            table[date][cat] += 1
+        table[date][cat] += 1
     return table
 
 
@@ -194,25 +170,16 @@ def schedule_table(voyages: Iterable[Voyage], port: PortGeometry | None = None) 
     return sorted((r for r in records if r is not None), key=lambda r: r.arrival)
 
 
-def weekly_aggregate(
-    records: Sequence[TurnaroundRecord], statistic: str = "mean"
-) -> dict[str, dt.timedelta | int]:
-    """Aggregate turnarounds per ISO week: mean, median, or count."""
-    if statistic not in ("mean", "median", "count"):
-        raise ValueError(f"unsupported statistic {statistic!r}")
+def weekly_aggregate(records: Sequence[TurnaroundRecord]) -> dict[str, dt.timedelta]:
+    """Mean turnaround per ISO week."""
     groups: dict[str, list[float]] = {}
     for r in records:
         year, week, _ = r.arrival.isocalendar()
         groups.setdefault(f"{year}-W{week:02d}", []).append(r.turnaround.total_seconds())
-    out: dict[str, dt.timedelta | int] = {}
+    out: dict[str, dt.timedelta] = {}
     for key in sorted(groups):
         values = groups[key]
-        if statistic == "count":
-            out[key] = len(values)
-        elif statistic == "mean":
-            out[key] = dt.timedelta(seconds=sum(values) / len(values))
-        else:
-            out[key] = dt.timedelta(seconds=statistics.median(values))
+        out[key] = dt.timedelta(seconds=sum(values) / len(values))
     return out
 
 

@@ -17,7 +17,7 @@ import datetime as dt
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .codec import ANCHORED, ARMOR_ALPHABET, MOORED, STATUS_KINDS, UNDERWAY, nmea_checksum
@@ -291,10 +291,6 @@ class TruthLog:
             if p.mmsi == mmsi and p.start <= ts < p.end:
                 return _KIND_STATUS[p.kind]
         return None
-
-    def stop_phases(self, min_hours: float = 0.0) -> list[TruthPhase]:
-        floor = dt.timedelta(hours=min_hours)
-        return [p for p in self.phases if p.kind in ("anchored", "moored") and p.duration >= floor]
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:

@@ -12,9 +12,9 @@ underway (0), anchored (1) or moored (5) vessel:
   knn        nearest-neighbour vote over the locations of previously stopped
              vessels, labelled with their reported statuses.
 
-The ensemble uses the geofence as the base answer, lets a sufficient
-kinematic window override it, and asks the knn model to break ties between
-the two. A debounce filter suppresses single-message status flips so that
+The ensemble uses the geofence as the base answer, the kinematic vote
+where there are no polygons, and the knn vote where neither answers or the
+two disagree. A debounce filter suppresses single-message status flips so that
 vessels hovering on a polygon border do not flap between states.
 
 The knn search is exact without scanning every training point: the model
@@ -30,23 +30,13 @@ import bisect
 import datetime as dt
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, PositionReport
-from .geo import PortGeometry, UnavailableHeading, _project_unchecked
-
-UTC = dt.timezone.utc
-
-
-class UnavailableSpeed(ValueError):
-    """Speed over ground carries the not-available sentinel."""
-
-
-class InsufficientWindow(ValueError):
-    """Stopped window is too short for the kinematic classifier."""
+from .geo import PortGeometry, project_local
 
 
 class TooFewPoints(ValueError):
@@ -54,6 +44,17 @@ class TooFewPoints(ValueError):
 
 
 METHODS = ("geofence", "kinematic", "knn", "ensemble")
+
+# The votes each method asks for a stopped report, in order of precedence. A
+# vote is unavailable when its input is: the geofence without port polygons,
+# the kinematic vote on a short or headingless stopped run, knn when too few
+# stopped reports fit the model.
+_VOTE_ORDER = {
+    "geofence": ("geofence",),
+    "kinematic": ("kinematic", "geofence"),
+    "knn": ("knn", "geofence"),
+    "ensemble": ("geofence", "kinematic", "knn"),
+}
 
 
 @dataclass
@@ -72,16 +73,6 @@ class ValidationConfig:
     hysteresis_msgs: int = 2
     hysteresis_min: float = 10.0
 
-    _FIELD_TYPES = {
-        "method": str,
-        "stopped_threshold_kn": float,
-        "knn_k": int,
-        "rotation_window_h": float,
-        "rotation_rbar": float,
-        "hysteresis_msgs": int,
-        "hysteresis_min": float,
-    }
-
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
@@ -90,9 +81,10 @@ class ValidationConfig:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ValidationConfig":
+        casters = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for key, value in mapping.items():
-            caster = cls._FIELD_TYPES.get(key)
+            caster = casters.get(key)
             if caster is None:
                 raise ValueError(f"unknown config key {key!r}")
             kwargs[key] = caster(value)
@@ -118,61 +110,12 @@ def _fallback_status(code: int) -> int:
     return code if code in STATUS_KINDS else UNDERWAY
 
 
-def is_stopped(report: PositionReport, threshold_kn: float = 0.5) -> bool:
-    """True when speed over ground is strictly below the threshold."""
-    if report.sog is None:
-        raise UnavailableSpeed(f"mmsi {report.mmsi}: sog unavailable")
-    return report.sog < threshold_kn
-
-
-def classify_geofence(report: PositionReport, port: PortGeometry, *, stopped_threshold_kn: float = 0.5) -> int:
-    """Status from position and speed against the port polygons."""
-    if not is_stopped(report, stopped_threshold_kn):
-        return UNDERWAY
-    return _geofence_vote(port, report)
-
-
 def _geofence_vote(port: PortGeometry, report: PositionReport) -> int:
     if port.terminal_at(report.lat, report.lon) is not None:
         return MOORED
     if port.anchorage_at(report.lat, report.lon) is not None:
         return ANCHORED
     return UNDERWAY
-
-
-def classify_kinematic(
-    window: Sequence[PositionReport],
-    *,
-    stopped_threshold_kn: float = 0.5,
-    min_window_h: float = 3.0,
-    rbar_threshold: float = 0.98,
-    min_heading_fraction: float = 0.5,
-) -> int:
-    """Status of the window's last report from speed and heading spread.
-
-    Looks at the trailing contiguous run of stopped samples. A rotating
-    heading (low mean resultant length) means the vessel swings at anchor;
-    a frozen heading means it is tied up at a berth.
-    """
-    if not window:
-        raise InsufficientWindow("empty window")
-    if not is_stopped(window[-1], stopped_threshold_kn):
-        return UNDERWAY
-    run = _StopRun()
-    for report in window:
-        if report.sog is None:
-            continue  # missing speed neither extends nor breaks the run
-        if report.sog >= stopped_threshold_kn:
-            run.reset()
-        else:
-            run.add(report.timestamp, report.heading)
-    min_window = dt.timedelta(hours=min_window_h)
-    vote = run.kinematic_vote(min_window, rbar_threshold, min_heading_fraction)
-    if vote is None:
-        if run.span() < min_window:
-            raise InsufficientWindow(f"stopped span {run.span()} < {min_window_h} h")
-        raise UnavailableHeading(f"headings available for {run.n_heading}/{run.n} samples")
-    return vote
 
 
 @dataclass(frozen=True)
@@ -225,7 +168,7 @@ def fit_knn(reports: Iterable[PositionReport], k: int = 300, *, stopped_threshol
     lon_arr = np.asarray(lons, dtype=np.float64)
     lat0 = float(lat_arr.mean())
     lon0 = float(lon_arr.mean())
-    xy = np.column_stack(_project_unchecked(lat0, lon0, lat_arr, lon_arr))
+    xy = np.column_stack(project_local(lat0, lon0, lat_arr, lon_arr))
     return KnnModel(k=k, origin=(lat0, lon0), xy=xy, labels=np.asarray(labels, dtype=np.uint8))
 
 
@@ -309,19 +252,12 @@ class _KnnVotes:
         vote = self.votes.get(key)
         if vote is None:
             model = self.model
-            x, y = _project_unchecked(model.origin[0], model.origin[1], report.lat, report.lon)
+            x, y = project_local(model.origin[0], model.origin[1], report.lat, report.lon)
             idx, dk = _neighbor_indices(model, x, y, self.r)
             self.r = math.sqrt(dk)
             ones = int(np.count_nonzero(model.labels[idx] == ANCHORED))
             vote = self.votes[key] = ANCHORED if ones >= idx.shape[0] - ones else MOORED
         return vote
-
-
-def classify_knn(model: KnnModel, report: PositionReport, *, stopped_threshold_kn: float = 0.5) -> int:
-    """Majority label of the k nearest training points; ties go to anchored."""
-    if not is_stopped(report, stopped_threshold_kn):
-        return UNDERWAY
-    return _KnnVotes(model).vote(report)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +293,16 @@ def _recent_cadence_ok(times: list[dt.datetime], idx: int, max_cadence: dt.timed
     return intervals[len(intervals) // 2] < max_cadence
 
 
-def detect_outages(
-    reports: Iterable[PositionReport],
-    now: dt.datetime | None = None,
-    *,
-    global_gap_min: float = 15.0,
-    vessel_gap_min: float = 60.0,
-    vessel_cadence_min: float = 5.0,
-    area_gap_min: float = 60.0,
-    area_cell_deg: float = 0.05,
-) -> list[Outage]:
+# Silences longer than these are outages at each scope; a vessel or a grid
+# cell must have been reporting at a median interval under _DENSE_CADENCE.
+_GLOBAL_GAP = dt.timedelta(minutes=15)
+_VESSEL_GAP = dt.timedelta(minutes=60)
+_AREA_GAP = dt.timedelta(minutes=60)
+_DENSE_CADENCE = dt.timedelta(minutes=5)
+_AREA_CELL_DEG = 0.05
+
+
+def detect_outages(reports: Iterable[PositionReport]) -> list[Outage]:
     """Find global, per-vessel, and per-area holes in a message stream.
 
     A global outage is silence across all vessels; a vessel outage is a
@@ -378,33 +314,27 @@ def detect_outages(
     msgs = sorted(reports, key=operator.attrgetter("timestamp"))
     if not msgs:
         return []
-    global_gap = dt.timedelta(minutes=global_gap_min)
-    vessel_gap = dt.timedelta(minutes=vessel_gap_min)
-    cadence = dt.timedelta(minutes=vessel_cadence_min)
-    area_gap = dt.timedelta(minutes=area_gap_min)
 
     outages: list[Outage] = []
     all_times = [m.timestamp for m in msgs]
     for i in range(len(all_times) - 1):
-        if all_times[i + 1] - all_times[i] > global_gap:
+        if all_times[i + 1] - all_times[i] > _GLOBAL_GAP:
             outages.append(Outage("global", all_times[i], all_times[i + 1]))
-    if now is not None and now - all_times[-1] > global_gap:
-        outages.append(Outage("global", all_times[-1], now))
 
     by_vessel: dict[int, list[dt.datetime]] = {}
     by_cell: dict[tuple[int, int], list[dt.datetime]] = {}
     for m in msgs:
         by_vessel.setdefault(m.mmsi, []).append(m.timestamp)
-        by_cell.setdefault(_grid_cell(m.lat, m.lon, area_cell_deg), []).append(m.timestamp)
+        by_cell.setdefault(_grid_cell(m.lat, m.lon, _AREA_CELL_DEG), []).append(m.timestamp)
 
     for mmsi, times in by_vessel.items():
         for i in range(len(times) - 1):
-            if times[i + 1] - times[i] > vessel_gap and _recent_cadence_ok(times, i, cadence):
+            if times[i + 1] - times[i] > _VESSEL_GAP and _recent_cadence_ok(times, i, _DENSE_CADENCE):
                 outages.append(Outage("vessel", times[i], times[i + 1], subject=mmsi))
 
     for cell, times in by_cell.items():
         for i in range(len(times) - 1):
-            if times[i + 1] - times[i] > area_gap and _recent_cadence_ok(times, i, cadence):
+            if times[i + 1] - times[i] > _AREA_GAP and _recent_cadence_ok(times, i, _DENSE_CADENCE):
                 # only an area problem if the rest of the stream kept flowing
                 lo = bisect.bisect_right(all_times, times[i])
                 hi = bisect.bisect_left(all_times, times[i + 1])
@@ -415,7 +345,7 @@ def detect_outages(
                             times[i],
                             times[i + 1],
                             subject=f"{cell[0]},{cell[1]}",
-                            cell_deg=area_cell_deg,
+                            cell_deg=_AREA_CELL_DEG,
                         )
                     )
     outages.sort(key=lambda o: (o.start, o.scope, str(o.subject)))
@@ -442,8 +372,16 @@ class ValidatedMessage:
     gap_flag: bool
 
 
+# Share of a stopped run's samples that must carry a heading for a kinematic vote.
+_MIN_HEADING_FRACTION = 0.5
+
+
 class _StopRun:
-    """Incremental view of the trailing contiguous run of stopped samples."""
+    """Incremental view of the trailing contiguous run of stopped samples.
+
+    Each heading h adds (sin, cos) of h on the unit circle, so h and h + 360
+    count the same.
+    """
 
     __slots__ = ("start", "end", "n", "n_heading", "sum_s", "sum_c")
 
@@ -469,23 +407,21 @@ class _StopRun:
             self.sum_c += math.cos(angle)
             self.n_heading += 1
 
-    def span(self) -> dt.timedelta:
-        if self.start is None:
-            return dt.timedelta(0)
-        return self.end - self.start
-
     def rbar(self) -> float:
+        """Mean resultant length of the run's headings: 1 when they all agree."""
         return math.hypot(self.sum_s / self.n_heading, self.sum_c / self.n_heading)
 
-    def kinematic_vote(
-        self, min_window: dt.timedelta, rbar_threshold: float, min_heading_fraction: float = 0.5
-    ) -> int | None:
+    def kinematic_vote(self, min_window: dt.timedelta, rbar_threshold: float) -> int | None:
         """Anchored when the run's headings rotate, moored when they hold still.
 
         None when the run is shorter than min_window or fewer than
-        min_heading_fraction of its samples carry a heading.
+        _MIN_HEADING_FRACTION of its samples carry a heading.
         """
-        if self.n_heading == 0 or self.n_heading < min_heading_fraction * self.n or self.span() < min_window:
+        if (
+            self.n_heading == 0
+            or self.n_heading < _MIN_HEADING_FRACTION * self.n
+            or self.end - self.start < min_window
+        ):
             return None
         return ANCHORED if self.rbar() < rbar_threshold else MOORED
 
@@ -603,42 +539,30 @@ def _stopped_candidate(
     cfg: ValidationConfig,
     min_window: dt.timedelta,
 ) -> tuple[int, str]:
-    """Candidate status for a stopped report under the configured method."""
+    """Candidate status for a stopped report and the vote that gave it.
+
+    The first available vote in the method's order decides, and the reported
+    status stands when none is. When the geofence and kinematic votes
+    disagree, the ensemble asks knn first and keeps the kinematic vote
+    without a knn model.
+    """
     geo_vote = _geofence_vote(port, report) if port is not None else None
     kin_vote = None
     if cfg.method in ("kinematic", "ensemble"):
         kin_vote = run.kinematic_vote(min_window, cfg.rotation_rbar)
-
-    if cfg.method == "geofence":
-        if geo_vote is not None:
-            return geo_vote, "geofence"
-        return _fallback_status(report.navstat), "reported"
-    if cfg.method == "kinematic":
-        if kin_vote is not None:
-            return kin_vote, "kinematic"
-        if geo_vote is not None:
-            return geo_vote, "geofence"
-        return _fallback_status(report.navstat), "reported"
-    if cfg.method == "knn":
-        if knn is not None:
-            return knn.vote(report), "knn"
-        if geo_vote is not None:
-            return geo_vote, "geofence"
-        return _fallback_status(report.navstat), "reported"
-    # ensemble: geofence base, kinematic override, knn breaks disagreements
-    if geo_vote is None and kin_vote is None:
-        if knn is not None:
-            return knn.vote(report), "knn"
-        return _fallback_status(report.navstat), "reported"
-    if kin_vote is None:
-        return geo_vote, "geofence"
-    if geo_vote is None:
-        return kin_vote, "kinematic"
-    if geo_vote == kin_vote:
-        return geo_vote, "geofence"
-    if knn is not None:
-        return knn.vote(report), "knn"
-    return kin_vote, "kinematic"
+    order = _VOTE_ORDER[cfg.method]
+    if cfg.method == "ensemble" and geo_vote is not None and kin_vote is not None and geo_vote != kin_vote:
+        order = ("knn", "kinematic")
+    for name in order:
+        if name == "geofence":
+            vote = geo_vote
+        elif name == "kinematic":
+            vote = kin_vote
+        else:
+            vote = knn.vote(report) if knn is not None else None
+        if vote is not None:
+            return vote, name
+    return _fallback_status(report.navstat), "reported"
 
 
 def validate_stream(
@@ -647,7 +571,6 @@ def validate_stream(
     config: ValidationConfig | None = None,
     *,
     outages: Sequence[Outage] | None = None,
-    knn_model: KnnModel | None = None,
 ) -> list[ValidatedMessage]:
     """Correct the status of every report; nothing is dropped.
 
@@ -660,8 +583,8 @@ def validate_stream(
     msgs = sorted(reports, key=operator.attrgetter("timestamp", "mmsi"))
     if outages is None:
         outages = detect_outages(msgs)
-    model = knn_model
-    if model is None and cfg.method in ("knn", "ensemble"):
+    model = None
+    if cfg.method in ("knn", "ensemble"):
         try:
             model = fit_knn(msgs, cfg.knn_k, stopped_threshold_kn=cfg.stopped_threshold_kn)
         except TooFewPoints:

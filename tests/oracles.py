@@ -157,6 +157,12 @@ def brute_knn(xy, labels, k: int, qx: float, qy: float) -> int:
     return 1 if ones >= len(votes) - ones else 5
 
 
+def resultant_length(headings) -> float:
+    """Mean resultant length of headings in degrees: 1 when they all agree, near 0 when spread evenly."""
+    vectors = [(math.sin(math.radians(h)), math.cos(math.radians(h))) for h in headings]
+    return math.hypot(sum(s for s, _ in vectors) / len(vectors), sum(c for _, c in vectors) / len(vectors))
+
+
 def haversine_ref(lat1, lon1, lat2, lon2) -> float:
     r = 6371000.0
     p1, p2 = math.radians(lat1), math.radians(lat2)

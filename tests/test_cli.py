@@ -1,5 +1,6 @@
 """End-to-end tests of the command line: `run` against the staged commands."""
 
+import hashlib
 import json
 import pathlib
 import shutil
@@ -114,6 +115,34 @@ def test_decode_sends_a_bad_stored_message_to_the_error_channel(tmp_path):
     assert [json.loads(line)["error"] for line in errors.read_text().splitlines()] == ["malformed"]
 
 
+def test_stored_positions_outside_the_coordinate_range_are_malformed(tmp_path, capsys):
+    """A stored lat/lon gets the range check the NMEA decoder makes; it and a non-text time are malformed."""
+    good = ('{"cog":null,"heading":null,"lat":1.0,"lon":2.0,"mmsi":1,"navstat":5,"rot":null,'
+            '"sog":0.0,"ts":"2019-09-01T00:00:00Z","type":"position"}')
+    bad = [good.replace('"lat":1.0', '"lat":NaN'), good.replace('"lat":1.0', '"lat":95.0'),
+           good.replace('"lon":2.0', '"lon":"x"'), good.replace('"2019-09-01T00:00:00Z"', '5')]
+    stored = tmp_path / "stored.jsonl"
+    stored.write_text("".join(line + "\n" for line in bad + [good]))
+    out, errors = tmp_path / "decoded.jsonl", tmp_path / "errors.jsonl"
+    assert cli.main(["decode", "--input", str(stored), "--output", str(out), "--errors", str(errors)]) == cli.EXIT_OK
+    assert out.read_text() == good + "\n"
+    rows = [json.loads(line) for line in errors.read_text().splitlines()]
+    assert [(row["error"], row["raw"]) for row in rows] == [("malformed", line) for line in bad]
+
+    assert cli.main(["run", "--input", str(stored), "--outdir", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert (tmp_path / "run" / "errors.jsonl").read_text() == errors.read_text()
+
+    # a staged command whose input file holds such a line stops with a usage error
+    validated = tmp_path / "validated_in.jsonl"
+    validated.write_text(bad[0].replace('"type":"position"', '"type":"validated","corrected_navstat":5,'
+                                        '"method":"geofence","agreed_with_reported":true,"gap_flag":false') + "\n")
+    capsys.readouterr()
+    for stage, source in (("validate", stored), ("voyages", validated)):
+        rc = cli.main([stage, "--input", str(source), "--output", str(tmp_path / f"{stage}.jsonl")])
+        assert rc == cli.EXIT_USAGE
+        assert "lat nan is not a number" in capsys.readouterr().err
+
+
 def test_missing_input_is_a_usage_error(tmp_path, capsys):
     rc = cli.main(["run", "--input", str(tmp_path / "absent.nmea"), "--outdir", str(tmp_path / "out")])
     assert rc == cli.EXIT_USAGE
@@ -129,6 +158,42 @@ def test_knn_k_zero_in_the_config_is_a_usage_error(inputs, tmp_path, capsys):
     assert rc == cli.EXIT_USAGE
     assert "knn_k" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def pin_inputs(tmp_path_factory):
+    """A scenario in which the ensemble with the port reaches the knn vote on a few messages."""
+    scenario = synth.mixed_port_scenario(n_vessels=4, days=2, error_p=0.3, seed=4)
+    d = tmp_path_factory.mktemp("pin")
+    nmea, port = d / "tagged.nmea", d / "port.geojson"
+    nmea.write_text("".join(line + "\n" for line in synth.generate(scenario)[0]))
+    port.write_text(json.dumps(synth.build_port(scenario.center).geojson()))
+    return nmea, port
+
+
+# sha256 of validated.jsonl for each method with and without the port polygons,
+# and the vote that must label some of its messages; the ensemble's own vote is
+# knn, which only its arbitration between geofence and kinematic reaches
+VALIDATED_PINS = [
+    ("geofence", True, "geofence", "170c91e094685f423cbcb34c4e27fb41d053867651e76c32a7c62855e8b5e446"),
+    ("kinematic", True, "kinematic", "d658c9901fb59acd2bc9902d091125990a415b581d951fcda9226d424458e5d1"),
+    ("knn", True, "knn", "1688bee255789671e2dd405fdd7e61ac3755ac9607ec2a0882925a040491ad63"),
+    ("ensemble", True, "knn", "1270add6f2dfd9c06632bc4b51d340eb3c74e25d38acb57eae34610bba1a598d"),
+    ("kinematic", False, "kinematic", "dccc0556455e429b4937ec91f455330e6a9a4eaa8ba613c1423940933c0e0218"),
+    ("knn", False, "knn", "cb0e250ddca9f16f6a151586c1ad32d4ec7976d8d3117c5cb9de71452fa10e1f"),
+    ("ensemble", False, "knn", "b59d1cdf6ff72c18d31a410309d9e4d9331ffc6163314cc06e8d5eecf2b2b83e"),
+]
+
+
+@pytest.mark.parametrize("method,with_port,vote,sha256", VALIDATED_PINS)
+def test_validated_bytes_are_pinned_per_method(pin_inputs, tmp_path, method, with_port, vote, sha256):
+    nmea, port = pin_inputs
+    argv = ["run", "--input", str(nmea), "--outdir", str(tmp_path), "--method", method]
+    argv += ["--port", str(port)] if with_port else []
+    assert cli.main(argv) == cli.EXIT_OK
+    data = (tmp_path / "validated.jsonl").read_bytes()
+    assert vote in {json.loads(line)["method"] for line in data.splitlines()}
+    assert hashlib.sha256(data).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("command", ["run", "ingest"])

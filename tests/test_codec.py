@@ -205,7 +205,6 @@ class TestDecodePosition:
 
 class TestDecodeStatic:
     def test_ship_type_identity(self):
-        bits = codec.Bits(0, 0)
         line_pair = oracles.static_sentences(mmsi=7, name="FERRY", ship_type=70)
         dec = codec.MessageDecoder()
         outcomes = dec.feed(line_pair[0], RX) + dec.feed(line_pair[1], RX)

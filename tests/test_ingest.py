@@ -1,9 +1,9 @@
 import datetime as dt
+import pathlib
 import random
 import socket
 import socketserver
 import threading
-import time
 
 import pytest
 
@@ -112,26 +112,26 @@ class TestReplay:
         assert sleeps == [pytest.approx(2.0)] * 3  # 10 s gaps at 5x speed
 
 
+def read_store(root) -> list:
+    """Every message in a store, read back the way `portcall decode` reads stored JSONL."""
+    got = []
+    for path in sorted(pathlib.Path(root).glob("ais-*.jsonl")):
+        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append)
+    return got
+
+
+def decode_direct(lines) -> list:
+    dec = MessageDecoder()
+    return [o.message for line in lines for o in dec.feed(line, T0) if o.kind in ("position", "static")]
+
+
 class TestStore:
     def test_roundtrip_equals_direct_decode(self, tmp_path, nmea_fixture):
-        positions, statics, _ = decode_all(nmea_fixture)
+        direct = decode_direct(nmea_fixture)
         with ingest.MessageStore(tmp_path / "store") as store:
-            for line in nmea_fixture:
-                pass
-            dec = MessageDecoder()
-            for line in nmea_fixture:
-                for o in dec.feed(line, T0):
-                    if o.kind in ("position", "static"):
-                        store.append(o.message)
-        store = ingest.MessageStore(tmp_path / "store")
-        loaded = list(store.iter_messages())
-        direct = []
-        dec = MessageDecoder()
-        for line in nmea_fixture:
-            for o in dec.feed(line, T0):
-                if o.kind in ("position", "static"):
-                    direct.append(o.message)
-        assert loaded == direct
+            for msg in direct:
+                store.append(msg)
+        assert read_store(tmp_path / "store") == direct
 
     def test_partitioned_by_date(self, tmp_path):
         store = ingest.MessageStore(tmp_path / "s")
@@ -140,21 +140,21 @@ class TestStore:
                                         lat=0.0, lon=0.0, sog=0.0, cog=None, heading=None,
                                         navstat=0, rot=0))
         store.close()
-        names = [p.name for p in store.files()]
+        names = sorted(p.name for p in (tmp_path / "s").iterdir())
         assert names == ["ais-2019-09-01.jsonl", "ais-2019-09-02.jsonl"]
 
     def test_replay_of_store_preserves_messages(self, tmp_path, nmea_fixture):
-        store = ingest.MessageStore(tmp_path / "s")
-        dec = MessageDecoder()
-        for line in nmea_fixture:
-            for o in dec.feed(line, T0):
-                if o.kind in ("position", "static"):
-                    store.append(o.message)
-        store.close()
+        direct = decode_direct(nmea_fixture)
+        with ingest.MessageStore(tmp_path / "s") as store:
+            for msg in direct:
+                store.append(msg)
         got = []
-        for path in store.files():
-            ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append)
-        assert got == list(store.iter_messages())
+        for path in sorted((tmp_path / "s").glob("ais-*.jsonl")):
+            part = []
+            ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), part.append)
+            assert {f"ais-{m.timestamp:%Y-%m-%d}.jsonl" for m in part} == {path.name}
+            got += part
+        assert got == direct
 
 
 class _LineServer(socketserver.ThreadingTCPServer):
@@ -247,22 +247,3 @@ class TestLive:
         finally:
             server.shutdown()
             thread.join()
-
-
-class TestQueueSink:
-    def test_backpressure_and_order(self):
-        sink = ingest.QueueSink(maxsize=8)
-        items = list(range(50))
-
-        def producer():
-            for i in items:
-                sink(i)
-            sink.close()
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        time.sleep(0.05)  # producer must block on the bounded queue
-        assert thread.is_alive()
-        got = list(sink)
-        thread.join()
-        assert got == items

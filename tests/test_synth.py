@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+import oracles
 from conftest import decode_all
 from portcall import synth, validate
-from portcall.codec import MessageDecoder, parse_sentence
+from portcall.codec import parse_sentence
 
 UTC = dt.timezone.utc
 
@@ -101,8 +102,6 @@ class TestGenerate:
     def test_anchored_vessels_rotate_and_moored_hold(self, clean_scenario):
         _, lines, truth = clean_scenario
         positions, _, _ = decode_all(lines)
-        from portcall.geo import resultant_length
-
         for p in truth.phases:
             if p.duration < dt.timedelta(hours=3):
                 continue
@@ -111,9 +110,9 @@ class TestGenerate:
             if len(headings) < 10:
                 continue
             if p.kind == "moored":
-                assert resultant_length(headings) > 0.99
+                assert oracles.resultant_length(headings) > 0.99
             elif p.kind == "anchored":
-                assert resultant_length(headings) < 0.98
+                assert oracles.resultant_length(headings) < 0.98
 
 
 class TestOutageInjection:

@@ -11,7 +11,7 @@ import oracles
 from conftest import decode_all
 from portcall import synth, validate
 from portcall.codec import PositionReport
-from portcall.geo import PortGeometry, Polygon, UnavailableHeading, _project_unchecked
+from portcall.geo import PortGeometry, Polygon, project_local
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
@@ -29,44 +29,53 @@ def report(ts=T0, mmsi=219000001, lat=10.005, lon=20.01, sog=0.0, heading=90.0, 
                           cog=cog, heading=heading, navstat=navstat, rot=rot)
 
 
+def corrected(msgs, port=PORT, method="geofence"):
+    """(corrected status, deciding vote) of each message through the stream validator."""
+    out = validate.validate_stream(msgs, port, validate.ValidationConfig(method=method))
+    return [(vm.corrected_navstat, vm.method) for vm in out]
+
+
 class TestIsStopped:
+    """A report is stopped when its speed is strictly below stopped_threshold_kn (0.5 kn)."""
+
     def test_zero_speed(self):
-        assert validate.is_stopped(report(sog=0.0))
+        assert corrected([report(sog=0.0)]) == [(5, "geofence")]
 
     def test_moving(self):
-        assert not validate.is_stopped(report(sog=12.3))
+        assert corrected([report(sog=12.3)]) == [(0, "geofence")]
 
     def test_threshold_is_strict(self):
-        assert not validate.is_stopped(report(sog=0.5), 0.5)
-        assert validate.is_stopped(report(sog=0.499), 0.5)
+        assert corrected([report(sog=0.5)]) == [(0, "geofence")]
+        assert corrected([report(sog=0.499)]) == [(5, "geofence")]
 
     def test_unavailable(self):
-        with pytest.raises(validate.UnavailableSpeed):
-            validate.is_stopped(report(sog=None))
+        # no speed means no stopped/moving call: the reported status stands
+        assert corrected([report(sog=None, navstat=1)]) == [(1, "reported")]
 
 
 class TestGeofence:
     def test_stopped_at_terminal_is_moored(self):
-        assert validate.classify_geofence(report(lat=TERMINAL_MID[0], lon=TERMINAL_MID[1], sog=0.1), PORT) == 5
+        assert corrected([report(lat=TERMINAL_MID[0], lon=TERMINAL_MID[1], sog=0.1)]) == [(5, "geofence")]
 
     def test_stopped_in_anchorage_is_anchored(self):
-        assert validate.classify_geofence(report(lat=ANCHORAGE_MID[0], lon=ANCHORAGE_MID[1], sog=0.1), PORT) == 1
+        assert corrected([report(lat=ANCHORAGE_MID[0], lon=ANCHORAGE_MID[1], sog=0.1)]) == [(1, "geofence")]
 
     def test_moving_anywhere_is_underway(self):
-        assert validate.classify_geofence(report(lat=TERMINAL_MID[0], lon=TERMINAL_MID[1], sog=10.0), PORT) == 0
+        assert corrected([report(lat=TERMINAL_MID[0], lon=TERMINAL_MID[1], sog=10.0)]) == [(0, "geofence")]
 
     def test_stopped_outside_polygons_is_underway(self):
-        assert validate.classify_geofence(report(lat=9.90, lon=20.1, sog=0.0), PORT) == 0
+        assert corrected([report(lat=9.90, lon=20.1, sog=0.0)]) == [(0, "geofence")]
 
     def test_never_moored_outside_terminal(self):
         rng = random.Random(5)
-        for _ in range(200):
-            lat = 9.9 + rng.random() * 0.2
-            lon = 19.95 + rng.random() * 0.15
-            out = validate.classify_geofence(report(lat=lat, lon=lon, sog=0.0), PORT)
-            if out == 5:
+        # one vessel each, so the debounce filter sees a single message
+        points = [(9.9 + rng.random() * 0.2, 19.95 + rng.random() * 0.15) for _ in range(200)]
+        msgs = [report(mmsi=i, lat=lat, lon=lon, sog=0.0) for i, (lat, lon) in enumerate(points)]
+        for vm in validate.validate_stream(msgs, PORT, validate.ValidationConfig(method="geofence")):
+            lat, lon = vm.report.lat, vm.report.lon
+            if vm.corrected_navstat == 5:
                 assert TERMINAL.contains(lat, lon)
-            if out == 1:
+            if vm.corrected_navstat == 1:
                 assert ANCHORAGE.contains(lat, lon)
 
 
@@ -79,49 +88,58 @@ def stopped_window(hours, heading_fn, cadence_s=180, sog=0.1, start=T0):
     return msgs
 
 
+def kinematic(window):
+    """(status, vote) the kinematic method gives the window's last report, with no port polygons."""
+    return corrected(window, port=None, method="kinematic")[-1]
+
+
 class TestKinematic:
     def test_constant_heading_is_moored(self):
         window = stopped_window(6.0, lambda h: 45.0)
-        assert validate.classify_kinematic(window) == 5
+        assert kinematic(window) == (5, "kinematic")
 
     def test_sweeping_heading_is_anchored(self):
         # full sweep 0..350 over six hours has a resultant length near zero
         window = stopped_window(6.0, lambda h: (h / 6.0) * 350.0)
-        assert validate.classify_kinematic(window) == 1
+        assert kinematic(window) == (1, "kinematic")
 
     def test_moving_is_underway(self):
         window = stopped_window(6.0, lambda h: 45.0)
+        # two moving reports, so the debounce filter accepts the change
         window.append(report(ts=window[-1].timestamp + dt.timedelta(seconds=10), sog=8.0))
-        assert validate.classify_kinematic(window) == 0
+        window.append(report(ts=window[-1].timestamp + dt.timedelta(seconds=10), sog=8.0))
+        assert kinematic(window)[0] == 0
 
     def test_short_window_insufficient(self):
+        # under rotation_window_h of stopped samples there is no kinematic vote
         window = stopped_window(1.0, lambda h: 45.0)
-        with pytest.raises(validate.InsufficientWindow):
-            validate.classify_kinematic(window)
+        assert {vote for _, vote in corrected(window, port=None, method="kinematic")} == {"reported"}
+        assert {vote for _, vote in corrected(window, method="kinematic")} == {"geofence"}
 
     def test_missing_headings(self):
         window = stopped_window(6.0, lambda h: 45.0)
         for i, m in enumerate(window):
             if i % 3:
                 m.heading = None  # only a third of samples carry a heading
-        with pytest.raises(UnavailableHeading):
-            validate.classify_kinematic(window)
+        assert {vote for _, vote in corrected(window, port=None, method="kinematic")} == {"reported"}
 
     def test_rotation_offset_invariance(self):
         # adding a constant offset to every heading cannot change the call
         for rate in (20.0, 58.0):
             base = stopped_window(4.0, lambda h, r=rate: (r * h) % 360.0)
-            out_base = validate.classify_kinematic(base)
+            out_base = kinematic(base)
             for offset in (37.0, 180.0, 301.0):
                 shifted = stopped_window(4.0, lambda h, r=rate, o=offset: (r * h + o) % 360.0)
-                assert validate.classify_kinematic(shifted) == out_base
+                assert kinematic(shifted) == out_base
 
     def test_threshold_matches_resultant_length(self):
         # window spread just under/over the 0.98 resultant-length threshold
         w_tight = stopped_window(3.5, lambda h: (h * 8.0) % 360.0)   # 28 deg arc -> R > 0.98
         w_loose = stopped_window(3.5, lambda h: (h * 20.0) % 360.0)  # 70 deg arc -> R < 0.98
-        assert validate.classify_kinematic(w_tight) == 5
-        assert validate.classify_kinematic(w_loose) == 1
+        assert oracles.resultant_length(m.heading for m in w_tight) > 0.98
+        assert oracles.resultant_length(m.heading for m in w_loose) < 0.98
+        assert kinematic(w_tight) == (5, "kinematic")
+        assert kinematic(w_loose) == (1, "kinematic")
 
 
 def two_cluster_reports(n_per=500, seed=1):
@@ -138,11 +156,16 @@ def two_cluster_reports(n_per=500, seed=1):
     return reports
 
 
+def knn_vote(model, q):
+    """The stream validator's knn vote for a stopped report."""
+    return validate._KnnVotes(model).vote(q)
+
+
 class TestKnn:
     def test_unanimous_labels(self):
         reports = [report(lat=10.0 + i * 1e-5, lon=20.0, sog=0.1, navstat=5) for i in range(400)]
         model = validate.fit_knn(reports, k=300)
-        assert validate.classify_knn(model, report(lat=10.001, lon=20.0, sog=0.1)) == 5
+        assert knn_vote(model, report(lat=10.001, lon=20.0, sog=0.1)) == 5
 
     def test_too_few_points(self):
         reports = [report(sog=0.1, navstat=1)] * 10
@@ -161,12 +184,16 @@ class TestKnn:
 
     def test_two_clusters_k300(self):
         model = validate.fit_knn(two_cluster_reports(), k=300)
-        assert validate.classify_knn(model, report(lat=ANCHORAGE_MID[0], lon=ANCHORAGE_MID[1], sog=0.2)) == 1
-        assert validate.classify_knn(model, report(lat=TERMINAL_MID[0], lon=TERMINAL_MID[1], sog=0.2)) == 5
+        assert knn_vote(model, report(lat=ANCHORAGE_MID[0], lon=ANCHORAGE_MID[1], sog=0.2)) == 1
+        assert knn_vote(model, report(lat=TERMINAL_MID[0], lon=TERMINAL_MID[1], sog=0.2)) == 5
 
     def test_moving_query_is_underway(self):
-        model = validate.fit_knn(two_cluster_reports(n_per=200), k=50)
-        assert validate.classify_knn(model, report(sog=11.0)) == 0
+        # the model is fitted from the stream; moving reports never reach its vote
+        training = two_cluster_reports(n_per=200)
+        moving = [report(mmsi=2, sog=11.0, navstat=5)]
+        cfg = validate.ValidationConfig(method="knn", knn_k=50)
+        out = validate.validate_stream(training + moving, None, cfg)
+        assert [vm.corrected_navstat for vm in out if vm.report.mmsi == 2] == [0]
 
     def test_matches_brute_force_scan(self):
         rng = random.Random(42)
@@ -183,8 +210,8 @@ class TestKnn:
             labels = list(model.labels)
             for _ in range(10):
                 q = report(lat=10.0 + rng.uniform(-0.06, 0.06), lon=20.0 + rng.uniform(-0.06, 0.06), sog=0.1)
-                qx, qy = _project_unchecked(model.origin[0], model.origin[1], q.lat, q.lon)
-                assert validate.classify_knn(model, q) == oracles.brute_knn(xy, labels, k, qx, qy)
+                qx, qy = project_local(model.origin[0], model.origin[1], q.lat, q.lon)
+                assert knn_vote(model, q) == oracles.brute_knn(xy, labels, k, qx, qy)
 
     def test_ties_match_brute_force_on_duplicate_points(self):
         # duplicated training points force exact distance ties at the kth slot
@@ -197,15 +224,15 @@ class TestKnn:
         labels = list(model.labels)
         for qlat in (10.0, 10.0004, 10.0006, 10.001):
             q = report(lat=qlat, lon=20.0, sog=0.1)
-            qx, qy = _project_unchecked(model.origin[0], model.origin[1], q.lat, q.lon)
-            assert validate.classify_knn(model, q) == oracles.brute_knn(xy, labels, 30, qx, qy)
+            qx, qy = project_local(model.origin[0], model.origin[1], q.lat, q.lon)
+            assert knn_vote(model, q) == oracles.brute_knn(xy, labels, 30, qx, qy)
 
     def test_query_on_a_training_point_is_at_distance_zero(self):
         # training and query points share one projection, so the point itself is a 0 m neighbour
         reports = two_cluster_reports(n_per=100)
         model = validate.fit_knn(reports, k=1)
         q = reports[17]
-        qx, qy = _project_unchecked(model.origin[0], model.origin[1], q.lat, q.lon)
+        qx, qy = project_local(model.origin[0], model.origin[1], q.lat, q.lon)
         idx, dk = validate._neighbor_indices(model, qx, qy, 0.0)
         assert (idx.tolist(), dk) == ([17], 0.0)
 
@@ -259,11 +286,6 @@ class TestOutages:
         globals_ = [o for o in out if o.scope == "global"]
         assert len(globals_) == 1
         assert globals_[0].duration == dt.timedelta(hours=2, minutes=1)
-
-    def test_trailing_global_hole_against_now(self):
-        msgs = cadence_stream(1, T0, minutes=30)
-        out = validate.detect_outages(msgs, now=T0 + dt.timedelta(hours=2))
-        assert any(o.scope == "global" and o.end == T0 + dt.timedelta(hours=2) for o in out)
 
     def test_single_vessel_silence(self):
         # two vessels share a berth cell; one goes silent for three hours
@@ -479,5 +501,5 @@ def test_knn_oracle_equivalence_property(seed, layout, query):
         assert sorted(idx.tolist()) == sorted(expected)
 
     q = report(sog=0.0, lat=10.0 + rng.uniform(-0.05, 0.05), lon=20.0 + rng.uniform(-0.05, 0.05))
-    qx, qy = _project_unchecked(10.0, 20.0, q.lat, q.lon)
-    assert validate.classify_knn(model, q) == oracles.brute_knn(xy, labels, k, qx, qy)
+    qx, qy = project_local(10.0, 20.0, q.lat, q.lon)
+    assert knn_vote(model, q) == oracles.brute_knn(xy, labels, k, qx, qy)
