@@ -6,7 +6,9 @@ function that takes and returns objects and writes that stage's JSONL/CSV
 files and manifest. A staged command loads its inputs from files and calls
 its stage, so stages compose through the filesystem; `run` calls the four
 stages back to back, hands the objects on in memory, and writes the same
-files as the staged commands run one after another.
+files as the staged commands run one after another. `validate` writes the
+outages it found and each message's gap flag; `voyages` reads only the
+validated messages and flags a voyage from their gap flags.
 
 Exit codes: 0 success, 1 data-quality threshold exceeded, 2 usage or I/O
 error.
@@ -114,20 +116,15 @@ def _load_ground_truth(path, exclude_dates) -> tuple[metrics.ArrivalTable | None
     return table, exclude
 
 
-def _load_messages(path: pathlib.Path, kind: str, from_dict) -> list:
-    """The documents of one type in a stage's JSONL input, converted; a bad line is a usage error."""
+def _load_jsonl(path: pathlib.Path, what: str, from_dict, kind: str | None = None) -> list:
+    """The documents in a stage's JSONL input (only those of one type, if given), converted.
+
+    A line that is not JSON or does not convert is a usage error.
+    """
     try:
-        return [from_dict(doc) for doc in jsonl.read_jsonl(path) if doc.get("type") == kind]
+        return [from_dict(doc) for doc in jsonl.read_jsonl(path) if kind is None or doc.get("type") == kind]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise UsageError(f"bad {kind} message in {path}: {exc}") from exc
-
-
-def _load_statics(path: pathlib.Path) -> dict[int, int]:
-    ship_types: dict[int, int] = {}
-    for doc in jsonl.read_jsonl(path):
-        if doc.get("type") == "static":
-            ship_types[doc["mmsi"]] = doc.get("ship_type", 0)
-    return ship_types
+        raise UsageError(f"bad {what} in {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +202,6 @@ def _outage_to_dict(o: validate.Outage) -> dict:
     }
 
 
-def _outage_from_dict(doc: dict) -> validate.Outage:
-    return validate.Outage(
-        scope=doc["scope"],
-        start=parse_ts(doc["start"]),
-        end=parse_ts(doc["end"]),
-        subject=doc.get("subject"),
-        cell_deg=doc.get("cell_deg"),
-    )
-
-
 def validated_to_dict(vm: validate.ValidatedMessage) -> dict:
     doc = message_to_dict(vm.report)
     doc["type"] = "validated"
@@ -243,10 +230,10 @@ def validated_from_dict(doc: dict) -> validate.ValidatedMessage:
 def validate_stage(positions: list[PositionReport], port: PortGeometry | None, cfg: validate.ValidationConfig,
                    out: pathlib.Path, outages_out: pathlib.Path, *, source: pathlib.Path, port_path: str | None,
                    config_path: str | None, min_agreement: float | None):
-    """Correct the statuses and detect outages.
+    """Correct the statuses, detect outages and flag the gaps they silenced.
 
-    Returns the validated messages, the outages, and the exit status of the
-    agreement check.
+    Returns the validated messages and the exit status of the agreement
+    check.
     """
     outages = validate.detect_outages(positions)
     validated = validate.validate_stream(positions, port, cfg, outages=outages)
@@ -268,7 +255,7 @@ def validate_stage(positions: list[PositionReport], port: PortGeometry | None, c
     if min_agreement is not None and agreement < min_agreement:
         print(f"agreement {agreement:.3f} below threshold", file=sys.stderr)
         status = EXIT_QUALITY
-    return validated, outages, status
+    return validated, status
 
 
 def cmd_validate(args) -> int:
@@ -276,9 +263,9 @@ def cmd_validate(args) -> int:
     cfg, port = _load_validation(args.config, args.method, args.port)
     out = pathlib.Path(args.output)
     outages_out = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
-    positions = _load_messages(source, "position", message_from_dict)
-    _, _, status = validate_stage(positions, port, cfg, out, outages_out, source=source,
-                                  port_path=args.port, config_path=args.config, min_agreement=args.min_agreement)
+    positions = _load_jsonl(source, "position message", message_from_dict, "position")
+    _, status = validate_stage(positions, port, cfg, out, outages_out, source=source,
+                               port_path=args.port, config_path=args.config, min_agreement=args.min_agreement)
     return status
 
 
@@ -286,21 +273,25 @@ def cmd_validate(args) -> int:
 # voyages
 
 
-def voyages_stage(messages: list[validate.ValidatedMessage], outages: list[validate.Outage],
-                  area: AreaFilter | None, out: pathlib.Path, *, source: pathlib.Path, outages_path: str | None,
-                  area_path: str | None, center: str | None, radius_m: float) -> list[voyage.Voyage]:
-    """Group the messages inside the area into voyages with phases and gap flags."""
+def voyages_stage(messages: list[validate.ValidatedMessage], area: AreaFilter | None, out: pathlib.Path, *,
+                  source: pathlib.Path, area_path: str | None, center: str | None,
+                  radius_m: float) -> list[voyage.Voyage]:
+    """Group the messages inside the area into voyages with phases.
+
+    A voyage is gap-flagged from its own messages' gap flags, so with an area
+    only the gaps between in-area messages count.
+    """
     if area is not None:
         messages = [m for m in messages if area.contains(m.report.lat, m.report.lon)]
     voyages = [voyage.segment_phases(v) for v in voyage.extract_voyages(messages)]
-    voyages = [voyage.flag_gaps(v, outages) for v in voyages]
+    voyages = [voyage.flag_gaps(v) for v in voyages]
     jsonl.write_jsonl(out, (voyage.voyage_to_dict(v) for v in voyages))
     print(f"extracted {len(voyages)} voyages from {len(messages)} messages")
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         "voyages",
         {"area": area_path or "", "center": center or "", "radius_m": radius_m},
-        [source, outages_path],
+        [source],
         [out],
     )
     return voyages
@@ -309,12 +300,9 @@ def voyages_stage(messages: list[validate.ValidatedMessage], outages: list[valid
 def cmd_voyages(args) -> int:
     source = _existing(args.input)
     area = _area_filter(args.area, args.center, args.radius_m)
-    messages = _load_messages(source, "validated", validated_from_dict)
-    outages = []
-    if args.outages:
-        outages = [_outage_from_dict(doc) for doc in jsonl.read_jsonl(args.outages)]
-    voyages_stage(messages, outages, area, pathlib.Path(args.output), source=source, outages_path=args.outages,
-                  area_path=args.area, center=args.center, radius_m=args.radius_m)
+    messages = _load_jsonl(source, "validated message", validated_from_dict, "validated")
+    voyages_stage(messages, area, pathlib.Path(args.output), source=source, area_path=args.area,
+                  center=args.center, radius_m=args.radius_m)
     return EXIT_OK
 
 
@@ -418,8 +406,11 @@ def cmd_metrics(args) -> int:
     voyages_path = _existing(args.voyages)
     port = _load_port(args.port)
     truth, exclude = _load_ground_truth(args.ground_truth, args.exclude_dates)
-    voyages = [voyage.voyage_from_dict(doc) for doc in jsonl.read_jsonl(voyages_path)]
-    ship_types = _load_statics(args.static) if args.static else {}
+    voyages = _load_jsonl(voyages_path, "voyage", voyage.voyage_from_dict)
+    ship_types = {}
+    if args.static:
+        statics = _load_jsonl(_existing(args.static), "static message", message_from_dict, "static")
+        ship_types = {s.mmsi: s.ship_type for s in statics}
     metrics_stage(voyages, ship_types, port, truth, exclude, pathlib.Path(args.output_dir), vessel=args.vessel,
                   voyages_path=voyages_path, static_path=args.static, truth_path=args.ground_truth,
                   port_path=args.port)
@@ -503,15 +494,14 @@ def cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     decoded = outdir / "decoded.jsonl"
     validated_path = outdir / "validated.jsonl"
-    outages_path = outdir / "outages.jsonl"
     voyages_path = outdir / "voyages.jsonl"
     positions, ship_types, status = decode_stage(source, decoded, outdir / "errors.jsonl", args.raw_start,
                                                  args.raw_cadence_s, args.max_error_rate)
-    validated, outages, _ = validate_stage(positions, port, cfg, validated_path, outages_path, source=decoded,
-                                           port_path=args.port, config_path=args.config, min_agreement=None)
-    voyages = voyages_stage(validated, outages, area, voyages_path, source=validated_path,
-                            outages_path=str(outages_path), area_path=args.area, center=args.center,
-                            radius_m=args.radius_m)
+    validated, _ = validate_stage(positions, port, cfg, validated_path, outdir / "outages.jsonl",
+                                  source=decoded, port_path=args.port, config_path=args.config,
+                                  min_agreement=None)
+    voyages = voyages_stage(validated, area, voyages_path, source=validated_path, area_path=args.area,
+                            center=args.center, radius_m=args.radius_m)
     metrics_stage(voyages, ship_types, port, truth, exclude, outdir / "metrics", vessel=args.vessel,
                   voyages_path=voyages_path, static_path=str(decoded), truth_path=args.ground_truth,
                   port_path=args.port)
@@ -542,10 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-agreement", type=float, default=None)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("voyages", help="group validated messages into voyages")
+    p = sub.add_parser("voyages", help="group validated messages into voyages, flagged by their gap flags")
     p.add_argument("--input", required=True, help="validated JSONL")
     p.add_argument("--output", required=True)
-    p.add_argument("--outages", help="outages JSONL from the validate stage")
     p.add_argument("--area", help="GeoJSON polygon bounding the port area")
     p.add_argument("--center", help="lat,lon of a circular port area")
     p.add_argument("--radius-m", type=float, default=10000.0)

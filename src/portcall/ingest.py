@@ -120,6 +120,15 @@ def _dispatch(outcomes, sink, error_sink, summary: IngestSummary) -> None:
             summary.skipped += 1
 
 
+def _stored_outcome(line: str) -> DecodeOutcome:
+    """A stored JSONL message as the outcome the decoder gives a sentence; one that does not parse is malformed."""
+    try:
+        msg = message_from_dict(json.loads(line))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        return DecodeOutcome("error", error="malformed", detail=str(exc), raw=line)
+    return DecodeOutcome("position" if isinstance(msg, PositionReport) else "static", message=msg)
+
+
 def run_replay(
     cfg: SourceConfig,
     sink,
@@ -150,21 +159,9 @@ def run_replay(
                 continue
             summary.lines += 1
             if line.startswith("{"):
-                try:
-                    msg = message_from_dict(json.loads(line))
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    outcome = DecodeOutcome("error", error="malformed", detail=str(exc), raw=line)
-                    _dispatch([outcome], sink, error_sink, summary)
-                    continue
-                ts = msg.timestamp
-                if cfg.replay_speed > 0 and prev_ts is not None and ts is not None:
-                    sleep(max(0.0, (ts - prev_ts).total_seconds()) / cfg.replay_speed)
-                prev_ts = ts or prev_ts
-                sink(msg)
-                summary.messages += 1
-                continue
-            rx = raw_start + dt.timedelta(seconds=i * raw_cadence_s)
-            outcomes = dec.feed(line, rx)
+                outcomes = [_stored_outcome(line)]
+            else:
+                outcomes = dec.feed(line, raw_start + dt.timedelta(seconds=i * raw_cadence_s))
             if cfg.replay_speed > 0:
                 for outcome in outcomes:
                     if outcome.kind in ("position", "static"):

@@ -8,6 +8,7 @@ bytes.
 
 import datetime as dt
 import json
+import math
 
 from .codec import PositionReport, StaticReport
 
@@ -64,25 +65,40 @@ def _coordinate(doc: dict, key: str, limit: float) -> float:
     return value
 
 
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return value
+
+
+def _optional_number(value, key: str) -> float | None:
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
+                              or not math.isfinite(value)):
+        raise ValueError(f"{key} {value!r} is not null or a finite number")
+    return value
+
+
 def message_from_dict(doc: dict) -> PositionReport | StaticReport:
+    """The message a stored document holds; a field of the wrong type is a ValueError."""
     kind = doc.get("type")
     if kind == "position":
+        rot = doc.get("rot")
         return PositionReport(
-            mmsi=doc["mmsi"],
+            mmsi=_integer(doc["mmsi"], "mmsi"),
             timestamp=parse_ts(doc["ts"]),
             lat=_coordinate(doc, "lat", 90.0),
             lon=_coordinate(doc, "lon", 180.0),
-            sog=doc.get("sog"),
-            cog=doc.get("cog"),
-            heading=doc.get("heading"),
-            navstat=doc["navstat"],
-            rot=doc.get("rot"),
+            sog=_optional_number(doc.get("sog"), "sog"),
+            cog=_optional_number(doc.get("cog"), "cog"),
+            heading=_optional_number(doc.get("heading"), "heading"),
+            navstat=_integer(doc["navstat"], "navstat"),
+            rot=None if rot is None else _integer(rot, "rot"),
         )
     if kind == "static":
         return StaticReport(
-            mmsi=doc["mmsi"],
+            mmsi=_integer(doc["mmsi"], "mmsi"),
             vessel_name=doc.get("name", ""),
-            ship_type=doc.get("ship_type", 0),
+            ship_type=_integer(doc.get("ship_type", 0), "ship_type"),
             length=doc.get("length"),
             width=doc.get("width"),
             timestamp=parse_ts(doc["ts"]) if doc.get("ts") else None,

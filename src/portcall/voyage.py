@@ -3,17 +3,19 @@
 A voyage is everything one vessel does inside the port area during a single
 visit. Consecutive messages of the same vessel stay in one voyage unless the
 gap between them exceeds 24 hours, or exceeds 5 hours while the vessel moved
-more than 100 metres across the gap.
+more than 100 metres across the gap. A voyage is gap-flagged from the
+per-message gap flags the validate stage wrote, so whether an outage
+silenced a vessel is decided once, in `validate`.
 """
 
 import datetime as dt
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .codec import ANCHORED, MOORED, STATUS_KINDS
 from .geo import haversine_m
 from .jsonl import format_ts, parse_ts
-from .validate import Outage, ValidatedMessage, _grid_cell
+from .validate import ValidatedMessage
 
 HARD_GAP = dt.timedelta(hours=24)
 SOFT_GAP = dt.timedelta(hours=5)
@@ -126,67 +128,22 @@ def segment_phases(voyage: Voyage) -> Voyage:
     return replace(voyage, phases=phases)
 
 
-def _straddling(msgs: Sequence[ValidatedMessage], outage: Outage):
-    """Messages around the outage window.
+def flag_gaps(voyage: Voyage) -> Voyage:
+    """Mark a voyage whose timing cannot be trusted across a data outage.
 
-    Returns (before, after, interior): the last message at or before the
-    start, the first at or after the end, and whether the vessel reported
-    inside the window at all.
+    A message's gap_flag says an outage silenced the vessel between it and
+    the vessel's previous message. Such a gap inside the voyage is harmless
+    when the vessel sat stopped on both sides of it without moving more than
+    100 metres; any other flagged gap flags the voyage.
     """
-    before = None
-    after = None
-    interior = False
-    for m in msgs:
-        ts = m.report.timestamp
-        if ts <= outage.start:
-            before = m
-        elif ts < outage.end:
-            interior = True
-            break
-        else:
-            after = m
-            break
-    return before, after, interior
-
-
-def _outage_concerns(outage: Outage, mmsi: int, before, after) -> bool:
-    if outage.scope == "global":
-        return True
-    if outage.scope == "vessel":
-        return outage.subject == mmsi
-    if outage.scope == "area" and outage.cell_deg:
-        cell = tuple(int(v) for v in str(outage.subject).split(","))
-        for m in (before, after):
-            if m is not None and _grid_cell(m.report.lat, m.report.lon, outage.cell_deg) == cell:
-                return True
-    return False
-
-
-def flag_gaps(voyage: Voyage, outages: Sequence[Outage]) -> Voyage:
-    """Mark a voyage whose timing cannot be trusted across an outage.
-
-    An overlapping outage is harmless when the vessel sat stopped on both
-    sides of it without moving more than 100 metres; anything else flags the
-    voyage.
-    """
-    flagged = False
-    for o in outages:
-        if not (o.start < voyage.departure and o.end > voyage.arrival):
+    for prev, cur in zip(voyage.messages, voyage.messages[1:]):
+        if not cur.gap_flag:
             continue
-        before, after, interior = _straddling(voyage.messages, o)
-        if interior:
-            continue  # the vessel kept reporting through the window
-        if not _outage_concerns(o, voyage.mmsi, before, after):
-            continue
-        if before is None or after is None:
-            flagged = True
-            break
-        moved = haversine_m(before.report.lat, before.report.lon, after.report.lat, after.report.lon)
-        stopped_both = before.corrected_navstat in STOPPED_STATUSES and after.corrected_navstat in STOPPED_STATUSES
+        moved = haversine_m(prev.report.lat, prev.report.lon, cur.report.lat, cur.report.lon)
+        stopped_both = prev.corrected_navstat in STOPPED_STATUSES and cur.corrected_navstat in STOPPED_STATUSES
         if moved > SOFT_GAP_MOVE_M or not stopped_both:
-            flagged = True
-            break
-    return replace(voyage, gap_flagged=flagged)
+            return replace(voyage, gap_flagged=True)
+    return replace(voyage, gap_flagged=False)
 
 
 def voyage_to_dict(voyage: Voyage) -> dict:

@@ -201,3 +201,53 @@ def brute_voyage_bounds(messages) -> list[tuple[int, int]]:
             bounds.append((start, pos))
             start = pos
     return [(tuple(ordered[a:b])) for a, b in bounds]
+
+
+def outage_gap_flagged(messages, outages) -> bool:
+    """The voyage gap flag decided from the outage list.
+
+    `messages` are one voyage's validated messages in time order. An outage
+    that overlaps the voyage flags it when the vessel sent nothing strictly
+    inside the outage window, the outage concerns the vessel (global scope,
+    its own MMSI, or the area cell of the last report at or before the window
+    or of the first at or after it), and the vessel was not anchored or
+    moored on both sides within 100 m of where it stopped.
+    """
+    arrival, departure = messages[0].report.timestamp, messages[-1].report.timestamp
+    for o in outages:
+        if not (o.start < departure and o.end > arrival):
+            continue
+        before = after = None
+        interior = False
+        for m in messages:
+            ts = m.report.timestamp
+            if ts <= o.start:
+                before = m
+            elif ts < o.end:
+                interior = True
+                break
+            else:
+                after = m
+                break
+        if interior:
+            continue
+        if o.scope == "vessel":
+            concerns = o.subject == messages[0].report.mmsi
+        elif o.scope == "area":
+            cell = tuple(int(v) for v in o.subject.split(","))
+            concerns = any(
+                m is not None
+                and (math.floor(m.report.lat / o.cell_deg), math.floor(m.report.lon / o.cell_deg)) == cell
+                for m in (before, after)
+            )
+        else:
+            concerns = True
+        if not concerns:
+            continue
+        if before is None or after is None:
+            return True
+        moved = haversine_ref(before.report.lat, before.report.lon, after.report.lat, after.report.lon)
+        stopped = {1, 5}  # anchored, moored
+        if moved > 100.0 or not {before.corrected_navstat, after.corrected_navstat} <= stopped:
+            return True
+    return False

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line: `run` against the staged commands."""
 
+import dataclasses
+import datetime as dt
 import hashlib
 import json
 import pathlib
@@ -9,7 +11,8 @@ import sys
 
 import pytest
 
-from portcall import cli, synth
+from portcall import cli, synth, validate
+from portcall.codec import PositionReport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -50,8 +53,7 @@ def _staged(nmea, outdir: pathlib.Path, *, decode_opts=(), port=None, truth=None
                   *decode_opts]),
         cli.main(["validate", "--input", d["decoded.jsonl"], "--output", d["validated.jsonl"],
                   "--outages-output", d["outages.jsonl"], *port_opt]),
-        cli.main(["voyages", "--input", d["validated.jsonl"], "--output", d["voyages.jsonl"],
-                  "--outages", d["outages.jsonl"]]),
+        cli.main(["voyages", "--input", d["validated.jsonl"], "--output", d["voyages.jsonl"]]),
         cli.main(["metrics", "--voyages", d["voyages.jsonl"], "--output-dir", d["metrics"],
                   "--static", d["decoded.jsonl"], *metrics_opts]),
     ]
@@ -86,6 +88,51 @@ def test_untagged_input_at_a_fractional_cadence(inputs, tmp_path):
     assert _snapshot(outdir) == ran
 
 
+def test_staged_voyages_flag_what_run_flags(tmp_path):
+    """A global outage during a transit flags the voyage; the staged `voyages` reads that from the gap flags."""
+    scenario = synth.mixed_port_scenario(n_vessels=3, days=2, error_p=0.3, seed=5)
+    start = scenario.vessels[0].visits[0].arrive + dt.timedelta(minutes=10)
+    outage = synth.OutagePlan("global", start, start + dt.timedelta(minutes=30))
+    scenario = dataclasses.replace(scenario, outages=(outage,))
+    nmea = tmp_path / "outage.nmea"
+    nmea.write_text("".join(line + "\n" for line in synth.generate(scenario)[0]))
+    outdir = tmp_path / "out"
+    assert cli.main(["run", "--input", str(nmea), "--outdir", str(outdir)]) == cli.EXIT_OK
+    ran = _snapshot(outdir)
+    voyages = [json.loads(line) for line in ran["voyages.jsonl"].splitlines()]
+    assert [v["mmsi"] for v in voyages if v["gap_flagged"]] == [scenario.vessels[0].mmsi]
+    shutil.rmtree(outdir)
+    assert _staged(nmea, outdir) == [cli.EXIT_OK] * 4
+    assert _snapshot(outdir) == ran
+
+
+def test_with_an_area_only_the_gaps_between_in_area_messages_flag(tmp_path):
+    """A silence that fell while the vessel was outside the area does not flag its voyage in the area."""
+    t0 = dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc)
+    outside = 10.0 + 5000.0 / 111195.0  # 5 km north of the area's centre
+
+    def transit(outage_min):
+        """Underway every 3 min: in the area for 30 min, out of it for 1 h, back in for 30 min."""
+        reports = [PositionReport(mmsi=1, timestamp=t0 + dt.timedelta(minutes=m),
+                                  lat=outside if 30 < m < 93 else 10.0, lon=20.0, sog=9.0, cog=None,
+                                  heading=None, navstat=0, rot=None)
+                   for m in range(0, 123, 3) if not outage_min[0] < m < outage_min[1]]
+        outages = [validate.Outage("global", t0 + dt.timedelta(minutes=outage_min[0]),
+                                   t0 + dt.timedelta(minutes=outage_min[1]))]
+        source = tmp_path / "validated.jsonl"
+        source.write_text("".join(json.dumps(cli.validated_to_dict(vm)) + "\n"
+                                  for vm in validate.validate_stream(reports, outages=outages)))
+        flags = []
+        for area in ([], ["--center", "10.0,20.0", "--radius-m", "1000"]):
+            out = tmp_path / "voyages.jsonl"
+            assert cli.main(["voyages", "--input", str(source), "--output", str(out), *area]) == cli.EXIT_OK
+            flags.append([json.loads(line)["gap_flagged"] for line in out.read_text().splitlines()])
+        return flags
+
+    assert transit((40, 80)) == [[True], [False]]  # silent while outside the area
+    assert transit((10, 25)) == [[True], [True]]  # silent while inside it
+
+
 def test_run_over_the_error_rate_still_writes_every_file(inputs, tmp_path):
     nmea = tmp_path / "noisy.nmea"
     nmea.write_text(inputs["tagged.nmea"].read_text() + "garbage\n" * 5)
@@ -116,11 +163,16 @@ def test_decode_sends_a_bad_stored_message_to_the_error_channel(tmp_path):
 
 
 def test_stored_positions_outside_the_coordinate_range_are_malformed(tmp_path, capsys):
-    """A stored lat/lon gets the range check the NMEA decoder makes; it and a non-text time are malformed."""
+    """A stored message gets the range and type checks the NMEA decoder's output meets; a miss is malformed."""
     good = ('{"cog":null,"heading":null,"lat":1.0,"lon":2.0,"mmsi":1,"navstat":5,"rot":null,'
             '"sog":0.0,"ts":"2019-09-01T00:00:00Z","type":"position"}')
     bad = [good.replace('"lat":1.0', '"lat":NaN'), good.replace('"lat":1.0', '"lat":95.0'),
-           good.replace('"lon":2.0', '"lon":"x"'), good.replace('"2019-09-01T00:00:00Z"', '5')]
+           good.replace('"lon":2.0', '"lon":"x"'), good.replace('"2019-09-01T00:00:00Z"', '5'),
+           good.replace('"mmsi":1', '"mmsi":"abc"'), good.replace('"mmsi":1', '"mmsi":true'),
+           good.replace('"navstat":5', '"navstat":5.0'), good.replace('"sog":0.0', '"sog":"fast"'),
+           good.replace('"sog":0.0', '"sog":NaN'), good.replace('"cog":null', '"cog":Infinity'),
+           good.replace('"heading":null', '"heading":true'), good.replace('"rot":null', '"rot":1.5'),
+           '{"mmsi":"abc","ship_type":70,"type":"static"}', '{"mmsi":2,"ship_type":"70","type":"static"}']
     stored = tmp_path / "stored.jsonl"
     stored.write_text("".join(line + "\n" for line in bad + [good]))
     out, errors = tmp_path / "decoded.jsonl", tmp_path / "errors.jsonl"
@@ -141,6 +193,22 @@ def test_stored_positions_outside_the_coordinate_range_are_malformed(tmp_path, c
         rc = cli.main([stage, "--input", str(source), "--output", str(tmp_path / f"{stage}.jsonl")])
         assert rc == cli.EXIT_USAGE
         assert "lat nan is not a number" in capsys.readouterr().err
+
+
+def test_bad_metrics_inputs_are_usage_errors(tmp_path, capsys):
+    empty, voyages, static = tmp_path / "empty.jsonl", tmp_path / "voyages.jsonl", tmp_path / "static.jsonl"
+    empty.write_text("")
+    voyages.write_text('{"mmsi":1}\n')
+    for voyages_in, static_text, message in ((voyages, None, "bad voyage in"),
+                                             (empty, '{"type":"static","ship_type":70}\n', "bad static message in"),
+                                             (empty, "not json\n", "bad static message in")):
+        argv = ["metrics", "--voyages", str(voyages_in), "--output-dir", str(tmp_path / "metrics")]
+        if static_text:
+            static.write_text(static_text)
+            argv += ["--static", str(static)]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
 
 
 def test_missing_input_is_a_usage_error(tmp_path, capsys):

@@ -11,6 +11,7 @@ import oracles
 from conftest import decode_all
 from portcall import ingest, synth
 from portcall.codec import MessageDecoder, PositionReport
+from portcall.jsonl import dumps, message_to_dict
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
@@ -97,11 +98,14 @@ class TestReplay:
         )
         assert [m.timestamp for m in got] == [T0, T0 + dt.timedelta(seconds=2), T0 + dt.timedelta(seconds=4)]
 
-    def test_replay_speed_paces_by_message_time(self, tmp_path):
+    @pytest.mark.parametrize("stored", [False, True], ids=["nmea", "stored"])
+    def test_replay_speed_paces_by_message_time(self, tmp_path, stored):
         lines = [oracles.tag_block(
             oracles.position_sentence(mmsi=1, navstat=0, rot_raw=0, sog_raw=100,
                                       lon_raw=0, lat_raw=0, cog_raw=0, heading_raw=0),
             int(T0.timestamp()) + 10 * i) for i in range(4)]
+        if stored:
+            lines = [dumps(message_to_dict(m)) for m in decode_direct(lines)]
         path = tmp_path / "paced.nmea"
         path.write_text("\n".join(lines) + "\n")
         sleeps = []
@@ -155,6 +159,22 @@ class TestStore:
             assert {f"ais-{m.timestamp:%Y-%m-%d}.jsonl" for m in part} == {path.name}
             got += part
         assert got == direct
+
+
+    def test_torn_last_line_is_one_malformed_error(self, tmp_path, nmea_fixture):
+        direct = decode_direct(nmea_fixture)[:50]
+        with ingest.MessageStore(tmp_path / "s") as store:
+            for msg in direct:
+                store.append(msg)
+        (path,) = (tmp_path / "s").glob("ais-*.jsonl")
+        whole = path.read_text()
+        path.write_text(whole + whole.splitlines()[0][:40])  # a crash mid-append
+        got, errors = [], []
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
+                                    error_sink=errors.append)
+        assert got == direct
+        assert (summary.lines, summary.messages, summary.errors) == (51, 50, 1)
+        assert [e.error for e in errors] == ["malformed"]
 
 
 class _LineServer(socketserver.ThreadingTCPServer):

@@ -1,15 +1,18 @@
 import datetime as dt
+import math
 import random
 
 import pytest
 
 import oracles
-from portcall import voyage
+from portcall import validate, voyage
 from portcall.codec import PositionReport
 from portcall.validate import Outage, ValidatedMessage
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
+KINEMATIC = validate.ValidationConfig(method="kinematic")
+CELL_DEG = 0.05
 
 
 def vmsg(ts, mmsi=219000001, lat=10.0, lon=20.0, sog=0.0, status=0, gap_flag=False):
@@ -188,6 +191,15 @@ def make_voyage(statuses, step_min=3, move_after=None, move_m=0.0):
     return voyage.segment_phases(voyage.extract_voyages(msgs)[0])
 
 
+def flagged(v, outages=()):
+    """flag_gaps on v once validate_stream has set its messages' gap flags for these outages."""
+    out = validate.validate_stream([m.report for m in v.messages], config=KINEMATIC, outages=list(outages))
+    flags = {id(vm.report): vm.gap_flag for vm in out}
+    for m in v.messages:
+        m.gap_flag = flags[id(m.report)]
+    return voyage.flag_gaps(v).gap_flagged
+
+
 class TestFlagGaps:
     def outage(self, start_min, end_min, scope="global", subject=None):
         return Outage(scope, T0 + dt.timedelta(minutes=start_min), T0 + dt.timedelta(minutes=end_min),
@@ -195,16 +207,15 @@ class TestFlagGaps:
 
     def test_no_outages_no_flag(self):
         v = make_voyage([5] * 20)
-        assert not voyage.flag_gaps(v, []).gap_flagged
+        assert not flagged(v)
 
     def test_outage_inside_moored_phase_ignored(self):
         # vessel silent during the window but moored and stationary across it
-        statuses = [5] * 10 + [5] * 10
         msgs = [vmsg(T0 + dt.timedelta(minutes=3 * i), status=5) for i in range(10)]
         msgs += [vmsg(T0 + dt.timedelta(minutes=120 + 3 * i), status=5) for i in range(10)]
         v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
-        o = self.outage(27, 120)
-        assert not voyage.flag_gaps(v, [o]).gap_flagged
+        assert not flagged(v, [self.outage(27, 120)])
+        assert v.messages[10].gap_flag
 
     def test_outage_during_transit_flags(self):
         msgs = [vmsg(T0 + dt.timedelta(minutes=3 * i), status=0, sog=9.0,
@@ -212,8 +223,7 @@ class TestFlagGaps:
         msgs += [vmsg(T0 + dt.timedelta(minutes=120 + 3 * i), status=0, sog=9.0,
                       lat=10.0 + offset_m(6000 + 300.0 * i)) for i in range(10)]
         v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
-        o = self.outage(27, 120)
-        assert voyage.flag_gaps(v, [o]).gap_flagged
+        assert flagged(v, [self.outage(27, 120)])
 
     def test_moved_while_stopped_flags(self):
         # statuses stopped on both sides but the hull shifted 500 m
@@ -221,20 +231,100 @@ class TestFlagGaps:
         msgs += [vmsg(T0 + dt.timedelta(minutes=120 + 3 * i), status=1, sog=0.1,
                       lat=10.0 + offset_m(500)) for i in range(10)]
         v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
-        assert voyage.flag_gaps(v, [self.outage(27, 120)]).gap_flagged
+        assert flagged(v, [self.outage(27, 120)])
 
     def test_vessel_scope_must_match(self):
-        msgs = [vmsg(T0 + dt.timedelta(minutes=3 * i), status=5) for i in range(10)]
-        msgs += [vmsg(T0 + dt.timedelta(minutes=120 + 3 * i), status=5) for i in range(10)]
+        msgs = [vmsg(T0 + dt.timedelta(minutes=3 * i), status=0, sog=9.0) for i in range(10)]
+        msgs += [vmsg(T0 + dt.timedelta(minutes=120 + 3 * i), status=0, sog=9.0) for i in range(10)]
         v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
-        other = self.outage(27, 120, scope="vessel", subject=999999999)
-        assert not voyage.flag_gaps(v, [other]).gap_flagged
+        assert not flagged(v, [self.outage(27, 120, scope="vessel", subject=999999999)])
+        assert flagged(v, [self.outage(27, 120, scope="vessel", subject=v.mmsi)])
 
     def test_vessel_reporting_through_window_not_flagged(self):
-        # an area-style window overlaps the voyage but the vessel kept talking
+        # a window overlaps the voyage but the vessel kept talking
         v = make_voyage([0] * 30)
-        o = self.outage(10, 50)
-        assert not voyage.flag_gaps(v, [o]).gap_flagged
+        assert not flagged(v, [self.outage(10, 50)])
+
+    def test_gap_flag_on_the_first_message_is_not_the_voyages(self):
+        # the silence before the first message lies before the voyage began
+        v = make_voyage([0] * 5)
+        v.messages[0].gap_flag = True
+        assert not voyage.flag_gaps(v).gap_flagged
+        v.messages[1].gap_flag = True
+        assert voyage.flag_gaps(v).gap_flagged
+
+
+def random_outages(rng, msgs, mmsis):
+    """Global, vessel and area outages, some starting or ending on a report's timestamp."""
+    times = [m.timestamp for m in msgs]
+    lo, hi = min(times) - dt.timedelta(hours=1), max(times) + dt.timedelta(hours=1)
+    outages = []
+    for _ in range(rng.randrange(6)):
+        if rng.random() < 0.4:
+            start = rng.choice(times)
+        else:
+            start = lo + (hi - lo) * rng.random()
+        end = start + dt.timedelta(minutes=rng.uniform(1.0, 360.0))
+        if rng.random() < 0.3:
+            later = [t for t in times if t > start]
+            end = rng.choice(later) if later else end
+        scope = rng.choice(("global", "vessel", "area"))
+        if scope == "global":
+            outages.append(Outage("global", start, end))
+        elif scope == "vessel":
+            outages.append(Outage("vessel", start, end, subject=rng.choice(mmsis + [999999999])))
+        else:
+            m = rng.choice(msgs)
+            cell = (math.floor(m.lat / CELL_DEG), math.floor(m.lon / CELL_DEG))
+            outages.append(Outage("area", start, end, subject=f"{cell[0]},{cell[1]}", cell_deg=CELL_DEG))
+    return outages
+
+
+def random_reports(rng):
+    """Reports of a few vessels: ties, short and long silences, hulls that stay put, creep or jump."""
+    mmsis = [219000001 + v for v in range(rng.randrange(1, 4))]
+    reports = []
+    for mmsi in mmsis:
+        ts = T0 + dt.timedelta(minutes=rng.randrange(120))
+        lat, lon = 10.0 + 0.12 * rng.random(), 20.0 + 0.12 * rng.random()
+        for _ in range(rng.randrange(2, 25)):
+            step = rng.random()
+            if step < 0.1:
+                pass  # same timestamp
+            elif step < 0.6:
+                ts += dt.timedelta(seconds=rng.randrange(30, 1200))
+            elif step < 0.9:
+                ts += dt.timedelta(hours=rng.uniform(1.0, 4.0))
+            else:
+                ts += dt.timedelta(hours=rng.uniform(4.5, 26.0))
+            move = rng.random()
+            if move < 0.2:
+                lat += offset_m(rng.uniform(-60.0, 60.0))
+            elif move < 0.5:
+                lat, lon = 10.0 + 0.12 * rng.random(), 20.0 + 0.12 * rng.random()
+            reports.append(PositionReport(mmsi=mmsi, timestamp=ts, lat=lat, lon=lon, sog=rng.choice((0.1, 9.0)),
+                                          cog=None, heading=None, navstat=rng.choice((0, 1, 5)), rot=0))
+    rng.shuffle(reports)
+    return reports, mmsis
+
+
+def test_flag_gaps_matches_the_outage_oracle():
+    """Voyage flags from validate's message gap flags equal the flags decided from the outages."""
+    rng = random.Random(17)
+    n_voyages = n_flagged = n_exempt = 0
+    for _ in range(300):
+        reports, mmsis = random_reports(rng)
+        outages = random_outages(rng, reports, mmsis)
+        validated = validate.validate_stream(reports, config=KINEMATIC, outages=outages)
+        for vm in validated:
+            vm.corrected_navstat = rng.choice((0, 1, 5))
+        for v in voyage.extract_voyages(validated):
+            got = voyage.flag_gaps(v).gap_flagged
+            assert got == oracles.outage_gap_flagged(v.messages, outages)
+            n_voyages += 1
+            n_flagged += got
+            n_exempt += not got and any(m.gap_flag for m in v.messages[1:])
+    assert n_voyages > 500 and n_flagged > 40 and n_exempt > 20
 
 
 class TestSerialization:
