@@ -23,7 +23,7 @@ import sys
 import threading
 
 from . import __version__, jsonl, metrics, synth, validate, voyage
-from .codec import PositionReport
+from .codec import STATUS_KINDS, PositionReport
 from .geo import AreaFilter, InvalidPolygon, PortGeometry, load_port_geometry
 from .ingest import MessageStore, SourceConfig, run_live, run_replay
 from .jsonl import format_ts, message_from_dict, message_to_dict, parse_ts
@@ -198,7 +198,6 @@ def _outage_to_dict(o: validate.Outage) -> dict:
         "start": format_ts(o.start),
         "end": format_ts(o.end),
         "subject": o.subject,
-        "cell_deg": o.cell_deg,
     }
 
 
@@ -216,14 +215,20 @@ _VALIDATED_ONLY = ("type", "corrected_navstat", "method", "agreed_with_reported"
 
 
 def validated_from_dict(doc: dict) -> validate.ValidatedMessage:
+    """The validated message a stored document holds; a field of the wrong type is a ValueError."""
     base = {k: v for k, v in doc.items() if k not in _VALIDATED_ONLY}
     base["type"] = "position"
+    corrected = jsonl.integer(doc["corrected_navstat"], "corrected_navstat")
+    if corrected not in STATUS_KINDS:
+        raise ValueError(f"corrected_navstat {corrected!r} is not one of {sorted(STATUS_KINDS)}")
+    if not isinstance(doc["method"], str):
+        raise ValueError(f"method {doc['method']!r} is not a string")
     return validate.ValidatedMessage(
         report=message_from_dict(base),
-        corrected_navstat=doc["corrected_navstat"],
+        corrected_navstat=corrected,
         method=doc["method"],
-        agreed_with_reported=doc["agreed_with_reported"],
-        gap_flag=doc.get("gap_flag", False),
+        agreed_with_reported=jsonl.boolean(doc["agreed_with_reported"], "agreed_with_reported"),
+        gap_flag=jsonl.boolean(doc.get("gap_flag", False), "gap_flag"),
     )
 
 

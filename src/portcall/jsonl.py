@@ -57,24 +57,33 @@ def message_to_dict(msg: PositionReport | StaticReport) -> dict:
     }
 
 
-def _coordinate(doc: dict, key: str, limit: float) -> float:
-    """doc[key] when it is a finite number in [-limit, limit], the range the NMEA decoder accepts."""
-    value = doc[key]
+# Checkers for the fields of a stored document: each returns the value when
+# it has the right type and raises ValueError naming the field otherwise.
+
+
+def coordinate(value, key: str, limit: float) -> float:
+    """A finite number in [-limit, limit], the range the NMEA decoder accepts."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not -limit <= value <= limit:
         raise ValueError(f"{key} {value!r} is not a number in [-{limit:g}, {limit:g}]")
     return value
 
 
-def _integer(value, key: str) -> int:
+def integer(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} {value!r} is not an integer")
     return value
 
 
-def _optional_number(value, key: str) -> float | None:
+def optional_number(value, key: str) -> float | None:
     if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
                               or not math.isfinite(value)):
         raise ValueError(f"{key} {value!r} is not null or a finite number")
+    return value
+
+
+def boolean(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} {value!r} is not true or false")
     return value
 
 
@@ -84,21 +93,21 @@ def message_from_dict(doc: dict) -> PositionReport | StaticReport:
     if kind == "position":
         rot = doc.get("rot")
         return PositionReport(
-            mmsi=_integer(doc["mmsi"], "mmsi"),
+            mmsi=integer(doc["mmsi"], "mmsi"),
             timestamp=parse_ts(doc["ts"]),
-            lat=_coordinate(doc, "lat", 90.0),
-            lon=_coordinate(doc, "lon", 180.0),
-            sog=_optional_number(doc.get("sog"), "sog"),
-            cog=_optional_number(doc.get("cog"), "cog"),
-            heading=_optional_number(doc.get("heading"), "heading"),
-            navstat=_integer(doc["navstat"], "navstat"),
-            rot=None if rot is None else _integer(rot, "rot"),
+            lat=coordinate(doc["lat"], "lat", 90.0),
+            lon=coordinate(doc["lon"], "lon", 180.0),
+            sog=optional_number(doc.get("sog"), "sog"),
+            cog=optional_number(doc.get("cog"), "cog"),
+            heading=optional_number(doc.get("heading"), "heading"),
+            navstat=integer(doc["navstat"], "navstat"),
+            rot=None if rot is None else integer(rot, "rot"),
         )
     if kind == "static":
         return StaticReport(
-            mmsi=_integer(doc["mmsi"], "mmsi"),
+            mmsi=integer(doc["mmsi"], "mmsi"),
             vessel_name=doc.get("name", ""),
-            ship_type=_integer(doc.get("ship_type", 0), "ship_type"),
+            ship_type=integer(doc.get("ship_type", 0), "ship_type"),
             length=doc.get("length"),
             width=doc.get("width"),
             timestamp=parse_ts(doc["ts"]) if doc.get("ts") else None,

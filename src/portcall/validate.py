@@ -26,7 +26,6 @@ A stream validation asks for one vote per distinct position and starts each
 search from the previous query's k-th distance.
 """
 
-import bisect
 import datetime as dt
 import math
 import operator
@@ -36,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, PositionReport
-from .geo import PortGeometry, project_local
+from .geo import PortGeometry, haversine_m, project_local
 
 
 class TooFewPoints(ValueError):
@@ -263,24 +262,40 @@ class _KnnVotes:
 # ---------------------------------------------------------------------------
 # outage detection
 
+# A vessel silent for longer than HARD_GAP, or for longer than SOFT_GAP while
+# it moved more than SOFT_GAP_MOVE_M, left the port and came back.
+HARD_GAP = dt.timedelta(hours=24)
+SOFT_GAP = dt.timedelta(hours=5)
+SOFT_GAP_MOVE_M = 100.0
+
+
+def left_and_returned(prev: PositionReport, cur: PositionReport) -> bool:
+    """True when the silence between two consecutive reports of one vessel ends a port visit.
+
+    That is a silence of over 24 hours, or of over 5 hours across which the
+    vessel moved more than 100 metres. Voyages split there, and such a
+    silence is the vessel's absence, not a data outage.
+    """
+    gap = cur.timestamp - prev.timestamp
+    return gap > HARD_GAP or (gap > SOFT_GAP and haversine_m(prev.lat, prev.lon, cur.lat, cur.lon) > SOFT_GAP_MOVE_M)
+
 
 @dataclass(frozen=True)
 class Outage:
-    """An interval of missing data at vessel, area, or global scope."""
+    """An interval in which a vessel, or the whole stream, went unheard.
 
-    scope: str  # "global" | "vessel" | "area"
+    A vessel outage names the vessel's MMSI as its subject; a global outage
+    has none.
+    """
+
+    scope: str  # "global" | "vessel"
     start: dt.datetime
     end: dt.datetime
-    subject: int | str | None = None  # mmsi for vessel scope, "i,j" cell for area
-    cell_deg: float | None = None
+    subject: int | None = None
 
     @property
     def duration(self) -> dt.timedelta:
         return self.end - self.start
-
-
-def _grid_cell(lat: float, lon: float, cell_deg: float) -> tuple[int, int]:
-    return (math.floor(lat / cell_deg), math.floor(lon / cell_deg))
 
 
 def _recent_cadence_ok(times: list[dt.datetime], idx: int, max_cadence: dt.timedelta, lookback: int = 5) -> bool:
@@ -293,61 +308,54 @@ def _recent_cadence_ok(times: list[dt.datetime], idx: int, max_cadence: dt.timed
     return intervals[len(intervals) // 2] < max_cadence
 
 
-# Silences longer than these are outages at each scope; a vessel or a grid
-# cell must have been reporting at a median interval under _DENSE_CADENCE.
+# Silences longer than these are outages at each scope; a vessel must have
+# been reporting at a median interval under _DENSE_CADENCE.
 _GLOBAL_GAP = dt.timedelta(minutes=15)
 _VESSEL_GAP = dt.timedelta(minutes=60)
-_AREA_GAP = dt.timedelta(minutes=60)
 _DENSE_CADENCE = dt.timedelta(minutes=5)
-_AREA_CELL_DEG = 0.05
 
 
 def detect_outages(reports: Iterable[PositionReport]) -> list[Outage]:
-    """Find global, per-vessel, and per-area holes in a message stream.
+    """Find the silences in a message stream that data went missing in.
 
-    A global outage is silence across all vessels; a vessel outage is a
-    vessel that was reporting densely (median interval under the cadence
-    threshold) going silent and later reappearing; an area outage is a
-    previously busy grid cell going silent while traffic elsewhere
-    continues.
+    A silence counts only when the vessels did not simply leave, which is
+    what `left_and_returned` decides. A vessel outage is a vessel that was
+    reporting densely (median interval under 5 minutes) going silent for
+    over an hour and reappearing without having left the port. A global
+    outage is a silence of the whole stream over 15 minutes that some vessel
+    sat through without leaving; when every vessel was away, the port may
+    simply have been empty.
     """
     msgs = sorted(reports, key=operator.attrgetter("timestamp"))
-    if not msgs:
-        return []
+    by_vessel: dict[int, list[PositionReport]] = {}
+    for m in msgs:
+        by_vessel.setdefault(m.mmsi, []).append(m)
 
     outages: list[Outage] = []
-    all_times = [m.timestamp for m in msgs]
-    for i in range(len(all_times) - 1):
-        if all_times[i + 1] - all_times[i] > _GLOBAL_GAP:
-            outages.append(Outage("global", all_times[i], all_times[i + 1]))
-
-    by_vessel: dict[int, list[dt.datetime]] = {}
-    by_cell: dict[tuple[int, int], list[dt.datetime]] = {}
-    for m in msgs:
-        by_vessel.setdefault(m.mmsi, []).append(m.timestamp)
-        by_cell.setdefault(_grid_cell(m.lat, m.lon, _AREA_CELL_DEG), []).append(m.timestamp)
-
-    for mmsi, times in by_vessel.items():
-        for i in range(len(times) - 1):
-            if times[i + 1] - times[i] > _VESSEL_GAP and _recent_cadence_ok(times, i, _DENSE_CADENCE):
+    stayed: list[tuple[dt.datetime, dt.datetime]] = []  # silences over _GLOBAL_GAP a vessel did not leave in
+    for mmsi, track in by_vessel.items():
+        times = [m.timestamp for m in track]
+        for i in range(len(track) - 1):
+            gap = times[i + 1] - times[i]
+            if gap <= _GLOBAL_GAP or left_and_returned(track[i], track[i + 1]):
+                continue
+            stayed.append((times[i], times[i + 1]))
+            if gap > _VESSEL_GAP and _recent_cadence_ok(times, i, _DENSE_CADENCE):
                 outages.append(Outage("vessel", times[i], times[i + 1], subject=mmsi))
 
-    for cell, times in by_cell.items():
-        for i in range(len(times) - 1):
-            if times[i + 1] - times[i] > _AREA_GAP and _recent_cadence_ok(times, i, _DENSE_CADENCE):
-                # only an area problem if the rest of the stream kept flowing
-                lo = bisect.bisect_right(all_times, times[i])
-                hi = bisect.bisect_left(all_times, times[i + 1])
-                if hi > lo:
-                    outages.append(
-                        Outage(
-                            "area",
-                            times[i],
-                            times[i + 1],
-                            subject=f"{cell[0]},{cell[1]}",
-                            cell_deg=_AREA_CELL_DEG,
-                        )
-                    )
+    # No report falls inside a global silence, so a stayed silence that
+    # starts at or before it and ends after its start spans all of it.
+    stayed.sort()
+    j, reach = 0, None
+    for prev, cur in zip(msgs, msgs[1:]):
+        start, end = prev.timestamp, cur.timestamp
+        if end - start <= _GLOBAL_GAP:
+            continue
+        while j < len(stayed) and stayed[j][0] <= start:
+            reach = stayed[j][1] if reach is None else max(reach, stayed[j][1])
+            j += 1
+        if reach is not None and reach >= end:
+            outages.append(Outage("global", start, end))
     outages.sort(key=lambda o: (o.start, o.scope, str(o.subject)))
     return outages
 
@@ -459,55 +467,28 @@ def _apply_hysteresis(
     return out
 
 
-class _OutageIndex:
-    """Per-vessel view of the outages a message gap could overlap.
+class _VesselOutages:
+    """The global outages and one vessel's own, for the gaps between its reports.
 
-    Message times are non-decreasing within a vessel, so a moving pointer
-    over the start-sorted global+vessel intervals keeps the per-message
-    check O(1); area outages are grouped by grid cell and only the cells of
-    the two straddling messages are consulted.
+    Report times are non-decreasing within a vessel, so a moving pointer
+    over the start-sorted intervals keeps the per-report check O(1).
     """
 
-    def __init__(self, outages: Sequence[Outage]):
-        self.globals: list[tuple[dt.datetime, dt.datetime]] = []
-        self.by_vessel: dict[int, list[tuple[dt.datetime, dt.datetime]]] = {}
-        self.by_cell: dict[tuple[int, int], list[tuple[dt.datetime, dt.datetime]]] = {}
-        self.cell_deg: float | None = None
-        for o in outages:
-            if o.scope == "global":
-                self.globals.append((o.start, o.end))
-            elif o.scope == "vessel":
-                self.by_vessel.setdefault(o.subject, []).append((o.start, o.end))
-            elif o.scope == "area" and o.cell_deg:
-                cell = tuple(int(v) for v in str(o.subject).split(","))
-                self.by_cell.setdefault(cell, []).append((o.start, o.end))
-                self.cell_deg = o.cell_deg
+    __slots__ = ("intervals", "_idx")
 
-    def for_vessel(self, mmsi: int) -> "_VesselOutages":
-        intervals = sorted(self.globals + self.by_vessel.get(mmsi, []))
-        return _VesselOutages(intervals, self.by_cell, self.cell_deg)
-
-
-class _VesselOutages:
-    __slots__ = ("intervals", "by_cell", "cell_deg", "_idx")
-
-    def __init__(self, intervals, by_cell, cell_deg):
-        self.intervals = intervals
-        self.by_cell = by_cell
-        self.cell_deg = cell_deg
+    def __init__(self, outages: Sequence[Outage], mmsi: int):
+        self.intervals = sorted((o.start, o.end) for o in outages if o.scope == "global" or o.subject == mmsi)
         self._idx = 0
 
-    def gap_flag(self, prev: PositionReport | None, cur: PositionReport) -> bool:
-        """True when the gap before `cur` contains a relevant outage.
+    def gap_flag(self, prev_ts: dt.datetime | None, cur_ts: dt.datetime) -> bool:
+        """True when the gap between the vessel's reports at prev_ts and cur_ts contains an outage.
 
         Containment (not mere overlap) is required: a vessel that kept
         transmitting underneath somebody else's outage window was not
         silenced by it.
         """
-        if prev is None:
+        if prev_ts is None:
             return False
-        prev_ts = prev.timestamp
-        cur_ts = cur.timestamp
         intervals = self.intervals
         n = len(intervals)
         i = self._idx
@@ -519,15 +500,6 @@ class _VesselOutages:
             if intervals[j][0] >= prev_ts and intervals[j][1] <= cur_ts:
                 return True
             j += 1
-        if self.cell_deg is not None:
-            cells = {
-                _grid_cell(prev.lat, prev.lon, self.cell_deg),
-                _grid_cell(cur.lat, cur.lon, self.cell_deg),
-            }
-            for cell in cells:
-                for start, end in self.by_cell.get(cell, ()):
-                    if start >= prev_ts and end <= cur_ts:
-                        return True
         return False
 
 
@@ -601,16 +573,14 @@ def validate_stream(
     gap_flags = [False] * len(msgs)
     threshold = cfg.stopped_threshold_kn
     min_window = dt.timedelta(hours=cfg.rotation_window_h)
-    outage_index = _OutageIndex(outages)
     for mmsi, indices in by_vessel.items():
-        vessel_outages = outage_index.for_vessel(mmsi)
+        vessel_outages = _VesselOutages(outages, mmsi)
         run = _StopRun()
         candidates: list[int] = []
         times: list[dt.datetime] = []
-        prev: PositionReport | None = None
         for i in indices:
             m = msgs[i]
-            gap_flags[i] = vessel_outages.gap_flag(prev, m)
+            gap_flags[i] = vessel_outages.gap_flag(times[-1] if times else None, m.timestamp)
             if m.sog is None:
                 cand, meth = _fallback_status(m.navstat), "reported"
             elif m.sog >= threshold:
@@ -622,7 +592,6 @@ def validate_stream(
             candidates.append(cand)
             times.append(m.timestamp)
             methods[i] = meth
-            prev = m
         final = _apply_hysteresis(candidates, times, cfg.hysteresis_msgs, cfg.hysteresis_min)
         for i, value in zip(indices, final):
             corrected[i] = value

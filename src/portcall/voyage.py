@@ -1,11 +1,12 @@
 """Grouping validated messages into port voyages and navigational phases.
 
 A voyage is everything one vessel does inside the port area during a single
-visit. Consecutive messages of the same vessel stay in one voyage unless the
-gap between them exceeds 24 hours, or exceeds 5 hours while the vessel moved
-more than 100 metres across the gap. A voyage is gap-flagged from the
-per-message gap flags the validate stage wrote, so whether an outage
-silenced a vessel is decided once, in `validate`.
+visit. Consecutive messages of the same vessel stay in one voyage unless
+`validate.left_and_returned` says the vessel left the port between them;
+the outage detector asks the same question, so a silence is either a split
+between voyages or a candidate outage, never both. A voyage is gap-flagged
+from the per-message gap flags the validate stage wrote, so whether an
+outage silenced a vessel is decided once, in `validate`.
 """
 
 import datetime as dt
@@ -14,12 +15,8 @@ from typing import Iterable
 
 from .codec import ANCHORED, MOORED, STATUS_KINDS
 from .geo import haversine_m
-from .jsonl import format_ts, parse_ts
-from .validate import ValidatedMessage
-
-HARD_GAP = dt.timedelta(hours=24)
-SOFT_GAP = dt.timedelta(hours=5)
-SOFT_GAP_MOVE_M = 100.0
+from .jsonl import boolean, coordinate, format_ts, integer, optional_number, parse_ts
+from .validate import SOFT_GAP_MOVE_M, ValidatedMessage, left_and_returned
 
 STOPPED_STATUSES = (ANCHORED, MOORED)
 
@@ -56,17 +53,6 @@ class Voyage:
     gap_flagged: bool = False
 
 
-def _should_split(prev: ValidatedMessage, cur: ValidatedMessage) -> bool:
-    gap = cur.report.timestamp - prev.report.timestamp
-    if gap > HARD_GAP:
-        return True
-    if gap > SOFT_GAP:
-        moved = haversine_m(prev.report.lat, prev.report.lon, cur.report.lat, cur.report.lon)
-        if moved > SOFT_GAP_MOVE_M:
-            return True
-    return False
-
-
 def extract_voyages(messages: Iterable[ValidatedMessage]) -> list[Voyage]:
     """Partition messages into voyages; every message lands in exactly one.
 
@@ -90,7 +76,7 @@ def extract_voyages(messages: Iterable[ValidatedMessage]) -> list[Voyage]:
             current.clear()
 
     for m in ordered:
-        if current and (m.report.mmsi != current[0].report.mmsi or _should_split(current[-1], m)):
+        if current and (m.report.mmsi != current[0].report.mmsi or left_and_returned(current[-1].report, m.report)):
             flush()
         current.append(m)
     flush()
@@ -170,23 +156,28 @@ def voyage_to_dict(voyage: Voyage) -> dict:
 
 
 def voyage_from_dict(doc: dict) -> Voyage:
-    return Voyage(
-        mmsi=doc["mmsi"],
-        arrival=parse_ts(doc["arrival"]),
-        departure=parse_ts(doc["departure"]),
-        messages=[],
-        phases=[
+    """The voyage a stored document holds; a field of the wrong type is a ValueError."""
+    phases = []
+    for p in doc.get("phases", []):
+        if p["kind"] not in STATUS_KINDS.values():
+            raise ValueError(f"phase kind {p['kind']!r} is not one of {sorted(STATUS_KINDS.values())}")
+        phases.append(
             Phase(
                 kind=p["kind"],
                 start=parse_ts(p["start"]),
                 end=parse_ts(p["end"]),
-                mean_sog=p.get("mean_sog"),
-                lat=p["lat"],
-                lon=p["lon"],
-                n_messages=p.get("n_messages", 0),
-                n_sog=p.get("n_sog", 0),
+                mean_sog=optional_number(p.get("mean_sog"), "mean_sog"),
+                lat=coordinate(p["lat"], "lat", 90.0),
+                lon=coordinate(p["lon"], "lon", 180.0),
+                n_messages=integer(p.get("n_messages", 0), "n_messages"),
+                n_sog=integer(p.get("n_sog", 0), "n_sog"),
             )
-            for p in doc.get("phases", [])
-        ],
-        gap_flagged=doc.get("gap_flagged", False),
+        )
+    return Voyage(
+        mmsi=integer(doc["mmsi"], "mmsi"),
+        arrival=parse_ts(doc["arrival"]),
+        departure=parse_ts(doc["departure"]),
+        messages=[],
+        phases=phases,
+        gap_flagged=boolean(doc.get("gap_flagged", False), "gap_flagged"),
     )

@@ -208,10 +208,9 @@ def outage_gap_flagged(messages, outages) -> bool:
 
     `messages` are one voyage's validated messages in time order. An outage
     that overlaps the voyage flags it when the vessel sent nothing strictly
-    inside the outage window, the outage concerns the vessel (global scope,
-    its own MMSI, or the area cell of the last report at or before the window
-    or of the first at or after it), and the vessel was not anchored or
-    moored on both sides within 100 m of where it stopped.
+    inside the outage window, the outage concerns the vessel (global scope
+    or its own MMSI), and the vessel was not anchored or moored on both
+    sides within 100 m of where it stopped.
     """
     arrival, departure = messages[0].report.timestamp, messages[-1].report.timestamp
     for o in outages:
@@ -231,18 +230,7 @@ def outage_gap_flagged(messages, outages) -> bool:
                 break
         if interior:
             continue
-        if o.scope == "vessel":
-            concerns = o.subject == messages[0].report.mmsi
-        elif o.scope == "area":
-            cell = tuple(int(v) for v in o.subject.split(","))
-            concerns = any(
-                m is not None
-                and (math.floor(m.report.lat / o.cell_deg), math.floor(m.report.lon / o.cell_deg)) == cell
-                for m in (before, after)
-            )
-        else:
-            concerns = True
-        if not concerns:
+        if o.scope == "vessel" and o.subject != messages[0].report.mmsi:
             continue
         if before is None or after is None:
             return True

@@ -195,19 +195,44 @@ def test_stored_positions_outside_the_coordinate_range_are_malformed(tmp_path, c
         assert "lat nan is not a number" in capsys.readouterr().err
 
 
+VALIDATED_DOC = {"type": "validated", "mmsi": 1, "ts": "2019-09-01T00:00:00Z", "lat": 1.0, "lon": 2.0, "sog": 9.0,
+                 "cog": None, "heading": None, "navstat": 0, "rot": None, "corrected_navstat": 0, "method": "geofence",
+                 "agreed_with_reported": True, "gap_flag": False}
+
+
+@pytest.mark.parametrize("key,value", [("corrected_navstat", "5"), ("corrected_navstat", 3), ("gap_flag", "no"),
+                                       ("agreed_with_reported", 1), ("method", 5)])
+def test_wrongly_typed_validated_fields_are_usage_errors(tmp_path, capsys, key, value):
+    source, out = tmp_path / "validated.jsonl", tmp_path / "voyages.jsonl"
+    later = dict(VALIDATED_DOC, ts="2019-09-01T00:03:00Z")
+    source.write_text(json.dumps(VALIDATED_DOC) + "\n" + json.dumps(later) + "\n")
+    assert cli.main(["voyages", "--input", str(source), "--output", str(out)]) == cli.EXIT_OK
+    source.write_text(json.dumps(VALIDATED_DOC) + "\n" + json.dumps(dict(later, **{key: value})) + "\n")
+    capsys.readouterr()
+    assert cli.main(["voyages", "--input", str(source), "--output", str(out)]) == cli.EXIT_USAGE
+    assert f"bad validated message in {source}: {key} " in capsys.readouterr().err
+
+
 def test_bad_metrics_inputs_are_usage_errors(tmp_path, capsys):
-    empty, voyages, static = tmp_path / "empty.jsonl", tmp_path / "voyages.jsonl", tmp_path / "static.jsonl"
-    empty.write_text("")
-    voyages.write_text('{"mmsi":1}\n')
-    for voyages_in, static_text, message in ((voyages, None, "bad voyage in"),
-                                             (empty, '{"type":"static","ship_type":70}\n', "bad static message in"),
-                                             (empty, "not json\n", "bad static message in")):
-        argv = ["metrics", "--voyages", str(voyages_in), "--output-dir", str(tmp_path / "metrics")]
+    voyages, static = tmp_path / "voyages.jsonl", tmp_path / "static.jsonl"
+    phase = {"kind": "underway", "start": "2019-09-01T00:00:00Z", "end": "2019-09-01T01:00:00Z", "mean_sog": 9.0,
+             "lat": 1.0, "lon": 2.0, "n_messages": 2, "n_sog": 2}
+    good = {"mmsi": 1, "arrival": phase["start"], "departure": phase["end"], "gap_flagged": False, "n_messages": 2,
+            "phases": [phase]}
+    argv = ["metrics", "--voyages", str(voyages), "--output-dir", str(tmp_path / "metrics")]
+    voyages.write_text(json.dumps(good) + "\n")
+    assert cli.main(argv) == cli.EXIT_OK
+    bad_voyages = [{"mmsi": 1}, dict(good, mmsi="abc"), dict(good, gap_flagged="no"),
+                   dict(good, phases=[dict(phase, lat="x")]), dict(good, phases=[dict(phase, kind="docked")])]
+    cases = [(json.dumps(doc) + "\n", None, "bad voyage in") for doc in bad_voyages]
+    cases += [("", '{"type":"static","ship_type":70}\n', "bad static message in"),
+              ("", "not json\n", "bad static message in")]
+    for voyages_text, static_text, message in cases:
+        voyages.write_text(voyages_text)
         if static_text:
             static.write_text(static_text)
-            argv += ["--static", str(static)]
         capsys.readouterr()
-        assert cli.main(argv) == cli.EXIT_USAGE
+        assert cli.main(argv + (["--static", str(static)] if static_text else [])) == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
 
 

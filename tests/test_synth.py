@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 
@@ -5,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import decode_all
-from portcall import synth, validate
+from portcall import synth, validate, voyage
 from portcall.codec import parse_sentence
 
 UTC = dt.timezone.utc
@@ -120,7 +121,6 @@ class TestOutageInjection:
         base = synth.mixed_port_scenario(n_vessels=4, days=1, error_p=0.0, seed=31)
         start = dt.datetime(2019, 9, 1, 6, 0, tzinfo=UTC)
         end = start + dt.timedelta(hours=2)
-        import dataclasses
         scenario = dataclasses.replace(base, outages=(synth.OutagePlan("global", start, end),))
         lines, truth = synth.generate(scenario)
         positions, _, _ = decode_all(lines)
@@ -133,13 +133,38 @@ class TestOutageInjection:
         target = base.vessels[0].mmsi
         start = dt.datetime(2019, 9, 1, 9, 0, tzinfo=UTC)
         end = start + dt.timedelta(hours=3)
-        import dataclasses
         scenario = dataclasses.replace(base, outages=(synth.OutagePlan("vessel", start, end, mmsi=target),))
         lines, truth = synth.generate(scenario)
         positions, _, _ = decode_all(lines)
         assert not [m for m in positions if m.mmsi == target and start <= m.timestamp < end]
         found = validate.detect_outages(positions)
         assert any(o.scope == "vessel" and o.subject == target for o in found)
+
+    @pytest.mark.parametrize("n_vessels,days,seed", [(3, 2, 1), (4, 2, 5), (8, 3, 3)])
+    def test_clean_stream_has_no_outages_or_gap_flags(self, n_vessels, days, seed):
+        """Silences between visits are the vessels' absence; with none injected there is no outage."""
+        scenario = synth.mixed_port_scenario(n_vessels=n_vessels, days=days, error_p=0.3, seed=seed)
+        positions, _, _ = decode_all(synth.generate(scenario)[0])
+        assert validate.detect_outages(positions) == []
+        validated = validate.validate_stream(positions, config=validate.ValidationConfig(method="kinematic"))
+        assert not any(vm.gap_flag for vm in validated)
+
+    def test_vessel_outage_on_the_inbound_leg_flags_its_voyage(self):
+        """The vessel goes silent underway and reappears stopped elsewhere, without leaving the port."""
+        base = synth.mixed_port_scenario(n_vessels=4, days=1, error_p=0.3, seed=31)
+        target = base.vessels[0]
+        start = target.visits[0].arrive + dt.timedelta(minutes=5)
+        end = start + dt.timedelta(minutes=75)
+        scenario = dataclasses.replace(base, outages=(synth.OutagePlan("vessel", start, end, mmsi=target.mmsi),))
+        lines, truth = synth.generate(scenario)
+        assert truth.status_at(target.mmsi, start) == 0
+        positions, _, _ = decode_all(lines)
+        found = validate.detect_outages(positions)
+        assert [(o.scope, o.subject) for o in found] == [("vessel", target.mmsi)]
+        assert found[0].start <= start and end <= found[0].end
+        port = synth.build_port(scenario.center).geometry
+        voyages = [voyage.flag_gaps(v) for v in voyage.extract_voyages(validate.validate_stream(positions, port))]
+        assert [(v.mmsi, v.arrival < start < v.departure) for v in voyages if v.gap_flagged] == [(target.mmsi, True)]
 
 
 class TestScenarioSerialization:

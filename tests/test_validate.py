@@ -299,13 +299,12 @@ class TestOutages:
         assert vessel[0].subject == 2
         assert not [o for o in out if o.scope == "global"]
 
-    def test_area_outage_needs_other_traffic(self):
-        # cell A is busy then dark for two hours while cell B keeps reporting
-        cell_a = cadence_stream(1, T0, minutes=60, lat=10.005, lon=20.01)
-        cell_a += cadence_stream(1, T0 + dt.timedelta(hours=3), minutes=60, lat=10.005, lon=20.01)
-        cell_b = cadence_stream(2, T0, minutes=300, lat=11.5, lon=21.5)
-        out = validate.detect_outages(cell_a + cell_b)
-        assert any(o.scope == "area" for o in out)
+    def test_departure_and_return_is_not_an_outage(self):
+        # the only vessel leaves and is back 6 h later 5 km away, or a day later at its berth
+        for away, lat in ((dt.timedelta(hours=6), 10.05), (dt.timedelta(hours=26), 10.005)):
+            msgs = cadence_stream(1, T0, minutes=60)
+            msgs += cadence_stream(1, T0 + away, minutes=60, lat=lat)
+            assert validate.detect_outages(msgs) == []
 
     def test_sparse_vessel_not_an_outage(self):
         # 30-minute cadence never qualifies as dense reporting

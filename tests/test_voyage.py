@@ -1,5 +1,4 @@
 import datetime as dt
-import math
 import random
 
 import pytest
@@ -12,7 +11,6 @@ from portcall.validate import Outage, ValidatedMessage
 UTC = dt.timezone.utc
 T0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
 KINEMATIC = validate.ValidationConfig(method="kinematic")
-CELL_DEG = 0.05
 
 
 def vmsg(ts, mmsi=219000001, lat=10.0, lon=20.0, sog=0.0, status=0, gap_flag=False):
@@ -125,14 +123,14 @@ class TestSplitProperties:
         voyages = voyage.extract_voyages(msgs)
         for v in voyages:
             for a, b in zip(v.messages, v.messages[1:]):
-                assert not voyage._should_split(a, b)
+                assert not validate.left_and_returned(a.report, b.report)
         by_vessel = {}
         for v in voyages:
             by_vessel.setdefault(v.mmsi, []).append(v)
         for vs in by_vessel.values():
             vs.sort(key=lambda v: v.arrival)
             for a, b in zip(vs, vs[1:]):
-                assert voyage._should_split(a.messages[-1], b.messages[0])
+                assert validate.left_and_returned(a.messages[-1].report, b.messages[0].report)
 
 
 class TestPhases:
@@ -255,7 +253,7 @@ class TestFlagGaps:
 
 
 def random_outages(rng, msgs, mmsis):
-    """Global, vessel and area outages, some starting or ending on a report's timestamp."""
+    """Global and vessel outages, some starting or ending on a report's timestamp."""
     times = [m.timestamp for m in msgs]
     lo, hi = min(times) - dt.timedelta(hours=1), max(times) + dt.timedelta(hours=1)
     outages = []
@@ -268,15 +266,10 @@ def random_outages(rng, msgs, mmsis):
         if rng.random() < 0.3:
             later = [t for t in times if t > start]
             end = rng.choice(later) if later else end
-        scope = rng.choice(("global", "vessel", "area"))
-        if scope == "global":
+        if rng.choice(("global", "vessel")) == "global":
             outages.append(Outage("global", start, end))
-        elif scope == "vessel":
-            outages.append(Outage("vessel", start, end, subject=rng.choice(mmsis + [999999999])))
         else:
-            m = rng.choice(msgs)
-            cell = (math.floor(m.lat / CELL_DEG), math.floor(m.lon / CELL_DEG))
-            outages.append(Outage("area", start, end, subject=f"{cell[0]},{cell[1]}", cell_deg=CELL_DEG))
+            outages.append(Outage("vessel", start, end, subject=rng.choice(mmsis + [999999999])))
     return outages
 
 
