@@ -147,14 +147,15 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
     ) as fe:
 
         def keep(msg):
-            fo.write(jsonl.dumps(message_to_dict(msg)))
-            fo.write("\n")
             if isinstance(msg, PositionReport):
+                fo.write(jsonl.position_line(msg))
                 if msg.timestamp.microsecond:
                     msg.timestamp = msg.timestamp.replace(microsecond=0)
                 positions.append(msg)
             else:
+                fo.write(jsonl.dumps(message_to_dict(msg)))
                 ship_types[msg.mmsi] = msg.ship_type
+            fo.write("\n")
 
         def reject(outcome):
             fe.write(jsonl.dumps({"error": outcome.error, "detail": outcome.detail, "raw": outcome.raw}))
@@ -201,6 +202,9 @@ def _outage_to_dict(o: validate.Outage) -> dict:
     }
 
 
+# Not on the run path, which writes jsonl.validated_line. Kept as the reference
+# that tests/test_jsonl.py checks validated_line against, and for the tests in
+# tests/test_cli.py that write validated files of their own.
 def validated_to_dict(vm: validate.ValidatedMessage) -> dict:
     doc = message_to_dict(vm.report)
     doc["type"] = "validated"
@@ -242,7 +246,10 @@ def validate_stage(positions: list[PositionReport], port: PortGeometry | None, c
     """
     outages = validate.detect_outages(positions)
     validated = validate.validate_stream(positions, port, cfg, outages=outages)
-    jsonl.write_jsonl(out, (validated_to_dict(vm) for vm in validated))
+    with open(out, "w", encoding="utf-8", newline="\n") as f:
+        for vm in validated:
+            f.write(jsonl.validated_line(vm))
+            f.write("\n")
     jsonl.write_jsonl(outages_out, (_outage_to_dict(o) for o in outages))
     agreement = (
         sum(1 for vm in validated if vm.agreed_with_reported) / len(validated) if validated else 1.0

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .codec import DecodeOutcome, MessageDecoder, PositionReport, StaticReport
-from .jsonl import dumps, message_from_dict, message_to_dict
+from .jsonl import dumps, message_from_dict, message_to_dict, position_line
 
 UTC = dt.timezone.utc
 
@@ -83,12 +83,12 @@ class MessageStore:
 
     def append(self, msg: PositionReport | StaticReport) -> None:
         ts = msg.timestamp or dt.datetime(1970, 1, 1, tzinfo=UTC)
-        name = f"ais-{ts.astimezone(UTC):%Y-%m-%d}.jsonl"
+        name = f"ais-{ts.astimezone(UTC).date().isoformat()}.jsonl"
         f = self._open.get(name)
         if f is None:
             f = open(self.root / name, "a", encoding="utf-8", newline="\n")
             self._open[name] = f
-        f.write(dumps(message_to_dict(msg)))
+        f.write(position_line(msg) if isinstance(msg, PositionReport) else dumps(message_to_dict(msg)))
         f.write("\n")
 
     def close(self) -> None:

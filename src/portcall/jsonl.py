@@ -4,6 +4,15 @@ One JSON document per line, UTF-8, LF endings. Timestamps are second
 precision ISO-8601 with a trailing Z; serialization is deterministic
 (sorted keys, compact separators) so identical runs produce identical
 bytes.
+
+Positions and validated messages are nearly every document a run writes,
+so each has one fixed template, `position_line` and `validated_line`,
+that writes the text `dumps` would write for its dict without building
+the dict: the keys are known and sorted once, every value is a number, a
+bool, null, a timestamp or one of validate's fixed method labels, so
+nothing needs escaping. Statics, errors, outages and voyages are few and
+hold free text (vessel names, raw lines), so they go through their dict
+codecs and `dumps`, which escapes it.
 """
 
 import datetime as dt
@@ -16,7 +25,10 @@ UTC = dt.timezone.utc
 
 
 def format_ts(t: dt.datetime) -> str:
-    return t.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """`t` in UTC as YYYY-MM-DDTHH:MM:SSZ, microseconds cut; a naive `t` is local time."""
+    if t.tzinfo is not UTC:
+        t = t.astimezone(UTC)
+    return t.isoformat()[:19] + "Z"
 
 
 def parse_ts(s: str) -> dt.datetime:
@@ -30,6 +42,32 @@ def parse_ts(s: str) -> dt.datetime:
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _number(value) -> str:
+    """A number or None as `json` writes it: `repr` is what it uses for int and float."""
+    return "null" if value is None else repr(value)
+
+
+def position_line(r: PositionReport) -> str:
+    """The stored document of a position report, equal to `dumps(message_to_dict(r))`."""
+    return (f'{{"cog":{_number(r.cog)},"heading":{_number(r.heading)},"lat":{r.lat!r},"lon":{r.lon!r},'
+            f'"mmsi":{r.mmsi!r},"navstat":{r.navstat!r},"rot":{_number(r.rot)},"sog":{_number(r.sog)},'
+            f'"ts":"{format_ts(r.timestamp)}","type":"position"}}')
+
+
+def validated_line(vm) -> str:
+    """The stored document of a `validate.ValidatedMessage`, equal to `dumps(cli.validated_to_dict(vm))`.
+
+    `vm.method` is written unescaped: it is one of validate's fixed ASCII labels.
+    """
+    r = vm.report
+    return (f'{{"agreed_with_reported":{"true" if vm.agreed_with_reported else "false"},'
+            f'"cog":{_number(r.cog)},"corrected_navstat":{vm.corrected_navstat!r},'
+            f'"gap_flag":{"true" if vm.gap_flag else "false"},"heading":{_number(r.heading)},'
+            f'"lat":{r.lat!r},"lon":{r.lon!r},"method":"{vm.method}","mmsi":{r.mmsi!r},'
+            f'"navstat":{r.navstat!r},"rot":{_number(r.rot)},"sog":{_number(r.sog)},'
+            f'"ts":"{format_ts(r.timestamp)}","type":"validated"}}')
 
 
 def message_to_dict(msg: PositionReport | StaticReport) -> dict:

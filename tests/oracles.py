@@ -239,3 +239,11 @@ def outage_gap_flagged(messages, outages) -> bool:
         if moved > 100.0 or not {before.corrected_navstat, after.corrected_navstat} <= stopped:
             return True
     return False
+
+
+# --- JSONL text ----------------------------------------------------------------
+
+
+def strftime_ts(t: dt.datetime) -> str:
+    """A stored timestamp as strftime writes it: UTC, whole seconds, trailing Z."""
+    return t.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")

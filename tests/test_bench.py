@@ -1,6 +1,7 @@
 """The benchmark's output checks on its tiny inputs, run once each, with no timing."""
 
 import contextlib
+import hashlib
 import io
 import pathlib
 import sys
@@ -14,11 +15,66 @@ import score  # noqa: E402
 import workloads  # noqa: E402
 from portcall import cli  # noqa: E402
 
+# sha256 of every output but the manifests, which hold absolute paths; a change
+# to any of these bytes is a declared change of the program's output
+OUTPUT_PINS = {
+    ("knn_noport", 7): {
+        "decoded.jsonl": "ea5af52fdd70c3d57085739ea4f0083b5566d8dc34a0982c84ce20a2630dc676",
+        "errors.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "metrics/daily_arrivals.csv": "0fd5e8765b16b653168d18a554b6f3b47438014a104c965a1a53f8614c57f624",
+        "metrics/summary.json": "cb98ffaf7f90bc40b12ef7b205c6563d1599d7ae3b73891dd711bfc9fddd042a",
+        "metrics/turnarounds.csv": "87bed5fb00266dbc5c003b880aabbc0075399ec32282047ba5733af0c00d70b6",
+        "metrics/weekly_turnaround.csv": "1a02f76e015e6c624e6d7cb4a9a0b66ccddc0f19e90dd956910eb6c648fe622c",
+        "outages.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "validated.jsonl": "ca19436775fb18fee6210fef8c63a0c94fa00cd3b28b502342012a7f78f43a2e",
+        "voyages.jsonl": "d8d584bc9e8a96cb4cb12f97c65717f4456b03ab977a4fb4e6a1b0ae373c446f",
+    },
+    ("knn_noport", 101): {
+        "decoded.jsonl": "8a0c39e5015193e419d85094929612e7aa3f06ca390cda30657f2a1b4cd3f729",
+        "errors.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "metrics/daily_arrivals.csv": "0fd5e8765b16b653168d18a554b6f3b47438014a104c965a1a53f8614c57f624",
+        "metrics/summary.json": "cb98ffaf7f90bc40b12ef7b205c6563d1599d7ae3b73891dd711bfc9fddd042a",
+        "metrics/turnarounds.csv": "18cfae7e5a15328664d07fa5906e60e7ba53c1ceeed3dd5534995e6d299812f4",
+        "metrics/weekly_turnaround.csv": "1a02f76e015e6c624e6d7cb4a9a0b66ccddc0f19e90dd956910eb6c648fe622c",
+        "outages.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "validated.jsonl": "a1a2c3c8b86d676409e418f389004c452226a90e40d972452f8cf7c6445f9c19",
+        "voyages.jsonl": "5ae9a8a62f984f47bab7ce240dea9470e671f4cad458addb4a8144d5b4d418cd",
+    },
+    ("port_run", 7): {
+        "decoded.jsonl": "f8094a817ee71d07c185129b47354175524f2dbf7e5896e421e8657ba0b82f3a",
+        "errors.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "metrics/daily_arrivals.csv": "0fd5e8765b16b653168d18a554b6f3b47438014a104c965a1a53f8614c57f624",
+        "metrics/summary.json": "cb98ffaf7f90bc40b12ef7b205c6563d1599d7ae3b73891dd711bfc9fddd042a",
+        "metrics/turnarounds.csv": "0a94bc3aace5cc136be99aeb91a7b1048a53b8e56c5907ac90ce856d7e7edfc3",
+        "metrics/weekly_turnaround.csv": "1a02f76e015e6c624e6d7cb4a9a0b66ccddc0f19e90dd956910eb6c648fe622c",
+        "outages.jsonl": "67c456f26b6d9c7375deecba855b04d5ef6287a323d4715b1c4d29ddd3047337",
+        "validated.jsonl": "a2d7b7aa547c6d5fd9c3bd0f2f8d6777d8f0f5ab2fb3f9789f182e6a08600fca",
+        "voyages.jsonl": "dd7fa8f98f2ed89530a2e2d7ec075406242cb47b5e97b5558f3e54774008333b",
+    },
+    ("port_run", 101): {
+        "decoded.jsonl": "0a70b62eb04c3a6896df38ccf32b03224ceacd7a925c8f8d82125ad83a7cf94b",
+        "errors.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "metrics/daily_arrivals.csv": "0fd5e8765b16b653168d18a554b6f3b47438014a104c965a1a53f8614c57f624",
+        "metrics/summary.json": "cb98ffaf7f90bc40b12ef7b205c6563d1599d7ae3b73891dd711bfc9fddd042a",
+        "metrics/turnarounds.csv": "6bdcba85fda5e820cd42850089e9ceee1fc47bf4b50bc594dea338134517af3e",
+        "metrics/weekly_turnaround.csv": "1a02f76e015e6c624e6d7cb4a9a0b66ccddc0f19e90dd956910eb6c648fe622c",
+        "outages.jsonl": "07ad853cf3420fc3f39db691a8b9eea1d4e443dbcca22d66e8e6eaf9a1066f57",
+        "validated.jsonl": "6dd81f310d6970f3260c5695ef4e7c9d742b5b58fa73680a7d0711c13073161e",
+        "voyages.jsonl": "23a67ec39aa1023b6e8682ee3a161d9a2a651e0f84c54a68c8ee688be8a6288d",
+    },
+    ("raw_ingest", 7): {
+        "ais-2000-01-01.jsonl": "eb8e9e87de482ebc29771be83ab4c6883a54c5bb5ef35db252a6c48afd132a92",
+    },
+    ("raw_ingest", 101): {
+        "ais-2000-01-01.jsonl": "4bff281c188581ec9554359ea7f53ba00470b9ac977fdcc4f665da04538d3b11",
+    },
+}
+
 
 @pytest.mark.parametrize("seed", [7, 101])
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_tiny_workload_scores_clean(tmp_path, name, seed):
-    """Every line has its outcome, every status is right, and no outage is missed or made up."""
+    """Every line has its outcome, every status is right, no outage is missed or made up, and the bytes hold."""
     w = workloads.WORKLOADS[name]
     inputs = workloads.make_inputs(w, seed, tmp_path / "inputs", tiny=True)
     out = tmp_path / "out"
@@ -30,3 +86,6 @@ def test_tiny_workload_scores_clean(tmp_path, name, seed):
     assert result.status_accuracy == 1.0
     assert result.quality == dict.fromkeys(result.quality, 0)
     assert result.problems == []
+    outputs = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.rglob("*")) if p.is_file() and not p.name.endswith("manifest.json")}
+    assert outputs == OUTPUT_PINS[name, seed]

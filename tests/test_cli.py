@@ -264,6 +264,9 @@ def pin_inputs(tmp_path_factory):
     return nmea, port
 
 
+# sha256 of decoded.jsonl, the same for every method
+DECODED_SHA256 = "177d327bd5249213ef65a8b041c79f11c4d9210c516bb8ae7a075180b8a8ee32"
+
 # sha256 of validated.jsonl for each method with and without the port polygons,
 # and the vote that must label some of its messages; the ensemble's own vote is
 # knn, which only its arbitration between geofence and kinematic reaches
@@ -278,12 +281,14 @@ VALIDATED_PINS = [
 ]
 
 
-@pytest.mark.parametrize("method,with_port,vote,sha256", VALIDATED_PINS)
+@pytest.mark.parametrize("method,with_port,vote,sha256", VALIDATED_PINS,
+                         ids=[f"{m}-{'port' if p else 'noport'}-{v}" for m, p, v, _ in VALIDATED_PINS])
 def test_validated_bytes_are_pinned_per_method(pin_inputs, tmp_path, method, with_port, vote, sha256):
     nmea, port = pin_inputs
     argv = ["run", "--input", str(nmea), "--outdir", str(tmp_path), "--method", method]
     argv += ["--port", str(port)] if with_port else []
     assert cli.main(argv) == cli.EXIT_OK
+    assert hashlib.sha256((tmp_path / "decoded.jsonl").read_bytes()).hexdigest() == DECODED_SHA256
     data = (tmp_path / "validated.jsonl").read_bytes()
     assert vote in {json.loads(line)["method"] for line in data.splitlines()}
     assert hashlib.sha256(data).hexdigest() == sha256
