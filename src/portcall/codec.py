@@ -6,6 +6,13 @@ reports) and type 5 (static and voyage data). Other message types are
 counted and skipped. Receiver-assigned timestamps are attached at decode
 time; the AIS payload itself only carries a seconds-of-minute field.
 
+MessageDecoder.feed is the general parser, one line at a time.
+MessageDecoder.feed_block gives the same outcomes for a list of lines, but
+decodes the common line shape (a single-sentence position report, tagged
+or bare) for the whole block at once with numpy: checksums by XOR
+reduction, payloads de-armored through a lookup table, fields read as
+integer columns. Every other line goes through feed in its place.
+
 Field offsets follow the standard ITU-R M.1371 layout as documented in the
 public AIVDM/AIVDO protocol notes:
 
@@ -27,6 +34,8 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class BadChecksum(ValueError):
@@ -349,7 +358,11 @@ def split_tag_block(line: str) -> tuple[dt.datetime | None, str]:
     except ValueError:
         raise Malformed("TAG block checksum is not hex") from None
     body = tag[:star]
-    if nmea_checksum(body) != declared:
+    try:
+        computed = nmea_checksum(body)
+    except UnicodeEncodeError:
+        raise Malformed("non-ASCII characters in TAG block") from None
+    if computed != declared:
         raise Malformed("TAG block checksum mismatch")
     rx = None
     parts = (body,) if "," not in body else body.split(",")
@@ -361,7 +374,10 @@ def split_tag_block(line: str) -> tuple[dt.datetime | None, str]:
                 raise Malformed(f"TAG block time {part!r} is not an integer") from None
             if stamp >= 10**12:  # milliseconds
                 stamp //= 1000
-            rx = dt.datetime.fromtimestamp(stamp, tz=UTC)
+            try:
+                rx = dt.datetime.fromtimestamp(stamp, tz=UTC)
+            except (OverflowError, OSError, ValueError):
+                raise Malformed(f"TAG block time {part!r} is out of range") from None
     return rx, rest
 
 
@@ -376,14 +392,49 @@ _ERROR_NAMES = {
     OutOfRangePosition: "out_of_range_position",
 }
 
-# Fast path for the overwhelmingly common line shape: a single c:-tagged,
-# single-sentence AIVDM/AIVDO report. Anything else (untagged lines, other
-# talkers, multi-sentence groups, corrupt lines) falls back to the general
-# parser, which produces the same decode or the proper categorized error.
+# The one fast path, taken by MessageDecoder.feed_block: a single-sentence
+# AIVDM/AIVDO report with a 28-character (168-bit) payload and no fill bits,
+# bare or behind a TAG block that holds only a c: time. Groups: TAG time,
+# TAG checksum, sentence body, payload, sentence checksum. A line of this
+# shape still goes to the general parser when a checksum fails, the type is
+# not 1-3 or the position is out of range; so does every other line.
 _FAST_LINE = re.compile(
-    r"^\\(c:(\d+))\*([0-9A-Fa-f]{2})\\"
-    r"!(AIVD[MO],1,1,,([AB12]?),([0-9:;<=>?@A-W`a-w]+),([0-5]))\*([0-9A-Fa-f]{2})$"
+    r"(?:\\c:([0-9]+)\*([0-9A-Fa-f]{2})\\)?"
+    r"!(AIVD[MO],1,1,,[AB12]?,([0-9:;<=>?@A-W`a-w]{28}),0)\*([0-9A-Fa-f]{2})"
 )
+# byte -> 6-bit value of an armoring character, and byte -> hex digit value;
+# _FAST_LINE admits only bytes these tables define
+_SIXBIT = np.zeros(256, dtype=np.int64)
+_SIXBIT[list(ARMOR_ALPHABET.encode())] = np.arange(64)
+_HEX = np.zeros(256, dtype=np.int64)
+_HEX[list(b"0123456789ABCDEF")] = _HEX[list(b"0123456789abcdef")] = np.arange(16)
+_TAG_PREFIX_XOR = nmea_checksum("c:")
+
+
+def _field(six: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Unsigned field [start, start + width) of each row of 6-bit values."""
+    first, last = start // 6, (start + width - 1) // 6
+    acc = np.zeros(len(six), dtype=np.int64)
+    for c in range(first, last + 1):
+        acc = (acc << 6) | six[:, c]
+    return (acc >> (6 * (last + 1) - start - width)) & ((1 << width) - 1)
+
+
+def _ascii(texts) -> np.ndarray:
+    """The bytes of ASCII texts, joined."""
+    return np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+
+
+def _xor_segments(texts: list[str]) -> np.ndarray:
+    """XOR of the bytes of each non-empty ASCII text."""
+    ends = np.cumsum([len(t) for t in texts])
+    return np.bitwise_xor.reduceat(_ascii(texts), np.r_[0, ends[:-1]])
+
+
+def _hex_values(digit_pairs) -> np.ndarray:
+    """The value of each two-digit hex text."""
+    pairs = _HEX[_ascii(digit_pairs)].reshape(-1, 2)
+    return pairs[:, 0] * 16 + pairs[:, 1]
 
 
 @dataclass(slots=True)
@@ -452,9 +503,11 @@ class MessageDecoder:
     """Stateful line-to-message decoder with fragment reassembly.
 
     feed() returns one outcome per line, preceded by timeout outcomes for
-    any fragment groups that expired before the line arrived. Counters
-    accumulate across the decoder's lifetime. This is the ingest hot path,
-    hence the inlined tag handling and positional constructors.
+    any fragment groups that expired before the line arrived. feed_block()
+    returns what feed() would give for each line of a block in turn, with
+    the common position line decoded for the whole block at once; replay
+    feeds blocks, a live feed feeds lines. Counters accumulate across the
+    decoder's lifetime.
     """
 
     def __init__(self, reassembly_window_s: float = 30.0):
@@ -496,21 +549,6 @@ class MessageDecoder:
         same clock as the line itself (TAG-block time when present)."""
         self.lines += 1
         raw = line if (line and line[-1] not in "\r\n") else line.rstrip("\r\n")
-        m = _FAST_LINE.match(raw)
-        if m is not None:
-            tag_body, stamp, tag_cs, body, _chan, payload, fill, cs = m.groups()
-            if (
-                functools.reduce(operator.xor, body.encode(), 0) == int(cs, 16)
-                and functools.reduce(operator.xor, tag_body.encode(), 0) == int(tag_cs, 16)
-            ):
-                epoch = int(stamp)
-                if epoch >= 10**12:
-                    epoch //= 1000
-                rx = dt.datetime.fromtimestamp(epoch, tz=UTC)
-                outcomes = self._timeout_outcomes(rx) if self.assembler._pending else []
-                outcomes.append(self._decode_bits(payload_to_bits(payload, int(fill)), rx, raw))
-                return outcomes
-            # checksum mismatch: re-run the strict parser for the right error
         rx = rx_time
         sentence_text = raw
         if raw.startswith("\\"):
@@ -539,6 +577,80 @@ class MessageDecoder:
             outcomes.append(self._error(exc, raw))
             return outcomes
         outcomes.append(self._decode_bits(bits, rx, raw))
+        return outcomes
+
+    def feed_block(self, lines: list[str], rx_times: list[dt.datetime]) -> list[DecodeOutcome]:
+        """The outcomes of feed(lines[i], rx_times[i]) for each line in order, as one list.
+
+        Lines of the _FAST_LINE shape are checksummed and decoded together;
+        one that fails a checksum, is not of type 1-3 or lies out of range
+        goes to feed() in its place, as does every line of another shape.
+        """
+        raws = [line if (line and line[-1] not in "\r\n") else line.rstrip("\r\n") for line in lines]
+        fast = [(i, m) for i, m in enumerate(map(_FAST_LINE.fullmatch, raws)) if m is not None]
+        slot = [-1] * len(raws)  # line -> row of the decoded columns, or -1 for feed()
+        if fast:
+            groups = [m.groups() for _, m in fast]  # stamp, tag checksum, body, payload, checksum
+            tagged = [k for k, g in enumerate(groups) if g[0] is not None]
+            xors = _xor_segments([g[2] for g in groups] + [groups[k][0] for k in tagged])
+            ok = xors[: len(groups)] == _hex_values(g[4] for g in groups)
+            if tagged:
+                ok[tagged] &= (xors[len(groups) :] ^ _TAG_PREFIX_XOR) == _hex_values(groups[k][1] for k in tagged)
+            six = _SIXBIT[_ascii(g[3] for g in groups)].reshape(-1, 28)
+            mtype = _field(six, 0, 6)
+            lat_raw = _field(six, 89, 27)
+            lat_raw -= (lat_raw >= 0x4000000) * 0x8000000
+            lon_raw = _field(six, 61, 28)
+            lon_raw -= (lon_raw >= 0x8000000) * 0x10000000
+            lat = lat_raw / 600000.0
+            lon = lon_raw / 600000.0
+            ok &= (mtype >= 1) & (mtype <= 3) & (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
+            rot = _field(six, 42, 8)
+            rot -= (rot >= 128) * 256
+            columns = list(zip(
+                _field(six, 8, 30).tolist(),
+                lat.tolist(),
+                lon.tolist(),
+                _field(six, 50, 10).tolist(),
+                _field(six, 116, 12).tolist(),
+                _field(six, 128, 9).tolist(),
+                _field(six, 38, 4).tolist(),
+                rot.tolist(),
+            ))
+            for row, keep in enumerate(ok.tolist()):
+                if keep:
+                    slot[fast[row][0]] = row
+        outcomes: list[DecodeOutcome] = []
+        for i, row in enumerate(slot):
+            if row < 0:
+                outcomes += self.feed(lines[i], rx_times[i])
+                continue
+            stamp = groups[row][0]
+            if stamp is None:
+                rx = rx_times[i]
+            else:
+                try:
+                    epoch = int(stamp)
+                    rx = dt.datetime.fromtimestamp(epoch // 1000 if epoch >= 10**12 else epoch, tz=UTC)
+                except (OverflowError, OSError, ValueError):
+                    outcomes += self.feed(lines[i], rx_times[i])  # the general parser's error
+                    continue
+            self.lines += 1
+            if self.assembler._pending:
+                outcomes += self._timeout_outcomes(rx)
+            mmsi, lat_deg, lon_deg, sog_raw, cog_raw, hdg_raw, navstat, rot_raw = columns[row]
+            self.positions += 1
+            outcomes.append(DecodeOutcome("position", PositionReport(  # positional, as in decode_position
+                mmsi,
+                rx,
+                lat_deg,
+                lon_deg,
+                None if sog_raw == 1023 else sog_raw / 10.0,
+                None if cog_raw >= 3600 else cog_raw / 10.0,
+                None if hdg_raw > 359 else float(hdg_raw),
+                navstat,
+                None if rot_raw == -128 else rot_raw,
+            ), None, None, raws[i]))
         return outcomes
 
     def _decode_bits(self, bits: Bits, rx: dt.datetime, raw: str) -> DecodeOutcome:

@@ -21,6 +21,8 @@ from .codec import DecodeOutcome, MessageDecoder, PositionReport, StaticReport
 from .jsonl import dumps, message_from_dict, message_to_dict, position_line
 
 UTC = dt.timezone.utc
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=UTC)  # the partition of a message without a timestamp
+_REPLAY_BLOCK = 1024  # NMEA lines decoded together by run_replay
 
 
 @dataclass
@@ -73,21 +75,36 @@ class MessageStore:
     """Append-only JSONL persistence partitioned by UTC date.
 
     Files are named ais-YYYY-MM-DD.jsonl; messages inside one file keep
-    their receive order.
+    their receive order. The last partition used is kept with its UTC
+    [start, end), so a run of messages from one day resolves it once.
     """
 
     def __init__(self, root):
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._open: dict[str, object] = {}
+        self._day = (_EPOCH, _EPOCH)  # empty: nothing resolved yet
+        self._file = None
 
-    def append(self, msg: PositionReport | StaticReport) -> None:
-        ts = msg.timestamp or dt.datetime(1970, 1, 1, tzinfo=UTC)
-        name = f"ais-{ts.astimezone(UTC).date().isoformat()}.jsonl"
+    def _partition(self, ts: dt.datetime | None):
+        day = (ts or _EPOCH).astimezone(UTC).date()
+        name = f"ais-{day.isoformat()}.jsonl"
         f = self._open.get(name)
         if f is None:
             f = open(self.root / name, "a", encoding="utf-8", newline="\n")
             self._open[name] = f
+        if ts is not None and ts.tzinfo is not None:
+            start = dt.datetime(day.year, day.month, day.day, tzinfo=UTC)
+            self._day = (start, start + dt.timedelta(days=1) if day < dt.date.max else start)
+            self._file = f
+        return f
+
+    def append(self, msg: PositionReport | StaticReport) -> None:
+        ts = msg.timestamp
+        if ts is not None and ts.tzinfo is not None and self._day[0] <= ts < self._day[1]:
+            f = self._file
+        else:
+            f = self._partition(ts)
         f.write(position_line(msg) if isinstance(msg, PositionReport) else dumps(message_to_dict(msg)))
         f.write("\n")
 
@@ -95,6 +112,8 @@ class MessageStore:
         for f in self._open.values():
             f.close()
         self._open.clear()
+        self._day = (_EPOCH, _EPOCH)
+        self._file = None
 
     def __enter__(self):
         return self
@@ -142,9 +161,12 @@ def run_replay(
     """Replay a stored JSONL or NMEA file through the decoder into the sink.
 
     Tag-blocked NMEA lines carry their own receiver timestamps; bare lines
-    get synthetic ones at raw_cadence_s intervals. A line that starts with
-    `{` is read as a stored JSONL message; one that does not parse goes to
-    error_sink as a "malformed" error. replay_speed scales the pauses
+    get synthetic ones, raw_start plus raw_cadence_s per line of the file
+    (blank lines count). NMEA lines go to the decoder in blocks of up to
+    _REPLAY_BLOCK lines through feed_block, which gives what feeding them
+    one by one would. A line that starts with `{` is read as a stored JSONL
+    message, after the NMEA lines before it; one that does not parse goes
+    to error_sink as a "malformed" error. replay_speed scales the pauses
     between consecutive message timestamps (0 disables pacing).
     """
     if cfg.path is None or not cfg.path.exists():
@@ -152,6 +174,26 @@ def run_replay(
     dec = decoder or MessageDecoder()
     summary = IngestSummary()
     prev_ts: dt.datetime | None = None
+    block: list[str] = []
+    rx_times: list[dt.datetime] = []
+
+    def emit(outcomes):
+        nonlocal prev_ts
+        if cfg.replay_speed > 0:
+            for outcome in outcomes:
+                if outcome.kind in ("position", "static"):
+                    ts = outcome.message.timestamp
+                    if prev_ts is not None and ts is not None:
+                        sleep(max(0.0, (ts - prev_ts).total_seconds()) / cfg.replay_speed)
+                    prev_ts = ts or prev_ts
+        _dispatch(outcomes, sink, error_sink, summary)
+
+    def flush():
+        if block:
+            emit(dec.feed_block(block, rx_times))
+            block.clear()
+            rx_times.clear()
+
     with open(cfg.path, "r", encoding="utf-8") as f:
         for i, line in enumerate(f):
             line = line.rstrip("\r\n")
@@ -159,17 +201,14 @@ def run_replay(
                 continue
             summary.lines += 1
             if line.startswith("{"):
-                outcomes = [_stored_outcome(line)]
+                flush()
+                emit([_stored_outcome(line)])
             else:
-                outcomes = dec.feed(line, raw_start + dt.timedelta(seconds=i * raw_cadence_s))
-            if cfg.replay_speed > 0:
-                for outcome in outcomes:
-                    if outcome.kind in ("position", "static"):
-                        ts = outcome.message.timestamp
-                        if prev_ts is not None and ts is not None:
-                            sleep(max(0.0, (ts - prev_ts).total_seconds()) / cfg.replay_speed)
-                        prev_ts = ts or prev_ts
-            _dispatch(outcomes, sink, error_sink, summary)
+                block.append(line)
+                rx_times.append(raw_start + dt.timedelta(seconds=i * raw_cadence_s))
+                if len(block) == _REPLAY_BLOCK:
+                    flush()
+        flush()
     _dispatch(dec.finish(), sink, error_sink, summary)
     return summary
 

@@ -13,18 +13,17 @@ RX0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
 
 
 def decode_all(lines, rx=RX0):
-    """Run lines through a fresh decoder; returns (positions, statics, errors)."""
+    """Run lines through a fresh decoder as one block; returns (positions, statics, errors)."""
+    lines = list(lines)
     dec = codec.MessageDecoder()
     positions, statics, errors = [], [], []
-    for line in lines:
-        for o in dec.feed(line, rx):
-            if o.kind == "position":
-                positions.append(o.message)
-            elif o.kind == "static":
-                statics.append(o.message)
-            elif o.kind == "error":
-                errors.append(o)
-    errors.extend(dec.finish())
+    for o in dec.feed_block(lines, [rx] * len(lines)) + dec.finish():
+        if o.kind == "position":
+            positions.append(o.message)
+        elif o.kind == "static":
+            statics.append(o.message)
+        elif o.kind == "error":
+            errors.append(o)
     return positions, statics, errors
 
 

@@ -338,3 +338,146 @@ def test_single_character_corruption_never_silent():
             assert outcome.message != reference
         else:
             assert outcome.kind == "error"
+
+
+# --- the block path ------------------------------------------------------------
+
+
+def _position_payload(rng, **fields):
+    """A 28-character type 1-3 payload with random fields, overridden by `fields`."""
+    values = dict(
+        msg_type=rng.choice((1, 2, 3)),
+        mmsi=rng.randrange(1 << 30),
+        navstat=rng.randrange(16),
+        rot_raw=rng.choice((-128, rng.randrange(-127, 128))),
+        sog_raw=rng.choice((1023, rng.randrange(1023))),
+        lon_raw=rng.choice((-108000000, 108000000, rng.randrange(-108000000, 108000001))),
+        lat_raw=rng.choice((-54000000, 54000000, rng.randrange(-54000000, 54000001))),
+        cog_raw=rng.choice((3600, rng.randrange(4096))),
+        heading_raw=rng.choice((511, rng.randrange(512))),
+    )
+    values.update(fields)
+    payload, fill = oracles.bits_to_payload(oracles.position_bits(**values))
+    assert (len(payload), fill) == (28, 0)
+    return payload
+
+
+def _with_checksum(line: str, cs: int) -> str:
+    return f"{line[:-2]}{cs:02X}"
+
+
+def _block_corpus(seed: int, n: int = 400):
+    """Lines and receive times mixing the block path's shape with everything it must hand to feed."""
+    rng = random.Random(seed)
+    epoch0 = 1568298480
+    lines, rxs = [], []
+    static_id = 0
+    for i in range(n):
+        epoch = epoch0 + 7 * i  # statics left without their second half time out after a few lines
+        rx = dt.datetime.fromtimestamp(epoch, tz=UTC)
+        r = rng.random()
+        channel = rng.choice(("A", "B", "1", "2", ""))
+        payload = _position_payload(rng)
+        line = oracles.sentence(payload, 0, channel=channel, talker=rng.choice(("AIVDM", "AIVDO")))
+        if r < 0.08:
+            line = _with_checksum(line, oracles.xor_checksum(line[1:-3]) ^ rng.randrange(1, 256))
+        elif r < 0.14:
+            k = line.index(payload) + rng.randrange(28)
+            line = line[:k] + rng.choice(codec.ARMOR_ALPHABET.replace(line[k], "")) + line[k + 1 :]
+        elif r < 0.18:
+            line = line[: rng.randrange(1, len(line))]
+        elif r < 0.22:
+            line = oracles.sentence(oracles.bits_to_payload(oracles.pack_bits([(4, 6), (0, 162)]))[0], 0)
+        elif r < 0.26:
+            line = oracles.sentence(oracles.bits_to_payload(oracles.pack_bits([(5, 6), (0, 162)]))[0], 0)
+        elif r < 0.30:
+            line = oracles.sentence(_position_payload(rng, lat_raw=91 * 600000), 0, channel=channel)
+        elif r < 0.32:
+            line = oracles.sentence(_position_payload(rng, lon_raw=-181 * 600000), 0, channel=channel)
+        elif r < 0.36:
+            line = oracles.sentence(payload, rng.randrange(1, 6), channel=channel)
+        elif r < 0.40:
+            line = line[:-2] + line[-2:].lower()
+        elif r < 0.50:
+            static_id = static_id % 9 + 1
+            group = oracles.static_sentences(message_id=static_id, mmsi=rng.randrange(1 << 30),
+                                             name="BLOCK TEST", ship_type=rng.randrange(100))
+            if rng.random() < 0.5:
+                group = group[:1]  # left to time out
+            lines.extend(group[:-1])
+            rxs.extend([rx] * (len(group) - 1))
+            line = group[-1]
+        if rng.random() < 0.5:
+            stamp = epoch * 1000 + rng.randrange(1000) if rng.random() < 0.3 else epoch
+            if rng.random() < 0.02:
+                stamp = rng.choice((99999999999, 999999999999, 10**30))  # far future, out of range
+            line = oracles.tag_block(line, stamp)
+            if rng.random() < 0.05:
+                tag_end = line.index("\\", 1)
+                line = line[: tag_end - 2] + "00" + line[tag_end:] if line[tag_end - 2 : tag_end] != "00" \
+                    else line[: tag_end - 2] + "01" + line[tag_end:]
+        if rng.random() < 0.1:
+            line += rng.choice(("\r\n", "\n", "\r"))
+        lines.append(line)
+        rxs.append(rx)
+    return lines, rxs
+
+
+class TestFeedBlock:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_feeding_each_line(self, seed):
+        lines, rxs = _block_corpus(seed)
+        per_line = codec.MessageDecoder()
+        each = [per_line.feed(line, rx) for line, rx in zip(lines, rxs)]
+        expected = [o for outcomes in each for o in outcomes] + per_line.finish()
+        fed = []
+
+        class Recording(codec.MessageDecoder):
+            def feed(self, line, rx_time):
+                fed.append(line)
+                return super().feed(line, rx_time)
+
+        block = Recording()
+        got = block.feed_block(lines, rxs) + block.finish()
+        assert got == expected
+        assert block.counts == per_line.counts
+        # every line that decodes to a position took the block path, tagged or bare; no other line did
+        positions = [line for line, outcomes in zip(lines, each) if outcomes[-1].kind == "position"]
+        assert set(fed) == set(lines) - set(positions)
+        assert any(line.startswith("\\") for line in positions) and any(line.startswith("!") for line in positions)
+        kinds = {o.kind for o in got}
+        assert kinds == {"position", "static", "buffered", "skipped", "error"}
+        assert {o.error for o in got} >= {"bad_checksum", "malformed", "timeout", "truncated_buffer",
+                                          "out_of_range_position"}
+
+    def test_blocks_of_any_size_agree(self):
+        lines, rxs = _block_corpus(99)
+        whole = codec.MessageDecoder()
+        expected = whole.feed_block(lines, rxs) + whole.finish()
+        for size in (5, 64):  # blocks of one line: TestReplayBlocks
+            dec = codec.MessageDecoder()
+            got = []
+            for k in range(0, len(lines), size):
+                got += dec.feed_block(lines[k : k + size], rxs[k : k + size])
+            assert got + dec.finish() == expected
+            assert dec.counts == whole.counts
+
+    def test_empty_block(self):
+        dec = codec.MessageDecoder()
+        assert dec.feed_block([], []) == []
+        assert dec.counts["lines"] == 0
+
+    @pytest.mark.parametrize("tag", ["c:999999999999*", "c:1\u00e9*", "c:\u0661\u0662*"],
+                             ids=["year-33658", "non-ascii", "arabic-indic-digits"])
+    def test_unreadable_tag_is_malformed(self, tag):
+        """A TAG time out of range or a non-ASCII TAG block is one error, not an exception."""
+        inner = oracles.position_sentence(mmsi=1, navstat=0, rot_raw=0, sog_raw=0,
+                                          lon_raw=0, lat_raw=0, cog_raw=0, heading_raw=0)
+        body = tag[:-1]
+        cs = 0
+        for ch in body.encode():
+            cs ^= ch
+        line = f"\\{body}*{cs:02X}\\{inner}"
+        outcome = feed_one(line)
+        assert (outcome.kind, outcome.error) == ("error", "malformed")
+        assert codec.MessageDecoder().feed_block([line], [RX]) == [outcome]

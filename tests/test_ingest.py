@@ -10,8 +10,8 @@ import pytest
 import oracles
 from conftest import decode_all
 from portcall import ingest, synth
-from portcall.codec import MessageDecoder, PositionReport
-from portcall.jsonl import dumps, message_to_dict
+from portcall.codec import MessageDecoder, PositionReport, StaticReport
+from portcall.jsonl import dumps, message_to_dict, position_line
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
@@ -267,3 +267,85 @@ class TestLive:
         finally:
             server.shutdown()
             thread.join()
+
+
+class TestReplayBlocks:
+    """run_replay decodes NMEA in blocks; the result must not depend on where blocks end."""
+
+    @staticmethod
+    def _file(tmp_path, nmea_fixture):
+        stored = [dumps(message_to_dict(m)) for m in decode_direct(nmea_fixture[:8])[:3]]
+        bare = [line[line.index("\\", 1) + 1 :] for line in nmea_fixture[:40]]
+        first = next(i for i, line in enumerate(bare) if line.startswith("!AIVDM,2,1,"))
+        rows = bare[: first + 1] + ["", stored[0], ""] + bare[first + 1 : 20]  # a group split by a stored line
+        rows += [stored[1], stored[2][:30], ""] + nmea_fixture[40:60] + ["", ""] + bare[20:40]
+        rows.append(bare[5][:25])  # torn last line, no newline
+        path = tmp_path / "mixed.nmea"
+        path.write_text("\n".join(rows))
+        return path, rows
+
+    @staticmethod
+    def _per_line(rows):
+        """The sink and error-sink sequences of decoding each line on its own."""
+        dec = MessageDecoder()
+        outcomes = []
+        for i, line in enumerate(rows):
+            if not line:
+                continue
+            if line.startswith("{"):
+                outcomes.append(ingest._stored_outcome(line))
+            else:
+                outcomes += dec.feed(line, T0 + dt.timedelta(seconds=i * 0.5))
+        outcomes += dec.finish()
+        return ([o.message for o in outcomes if o.kind in ("position", "static")],
+                [o for o in outcomes if o.kind == "error"])
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 4096])
+    def test_same_sequences_as_per_line(self, tmp_path, nmea_fixture, monkeypatch, block):
+        monkeypatch.setattr(ingest, "_REPLAY_BLOCK", block)
+        path, rows = self._file(tmp_path, nmea_fixture)
+        messages, errors = self._per_line(rows)
+        got, got_errors = [], []
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
+                                    error_sink=got_errors.append, raw_start=T0, raw_cadence_s=0.5)
+        assert got == messages
+        assert got_errors == errors
+        assert summary.lines == sum(1 for line in rows if line)
+        assert {e.error for e in errors} == {"malformed"}  # the torn stored and NMEA lines
+        assert len(errors) == 2
+
+
+class TestStorePartitions:
+    def _position(self, ts):
+        return PositionReport(mmsi=1, timestamp=ts, lat=0.0, lon=0.0, sog=0.0, cog=None, heading=None,
+                              navstat=0, rot=0)
+
+    def test_partition_per_utc_day(self, tmp_path):
+        plus2 = dt.timezone(dt.timedelta(hours=2))
+        midnight = dt.datetime(2019, 9, 2, tzinfo=UTC)
+        stamps = [
+            midnight - dt.timedelta(microseconds=1),
+            midnight,
+            midnight - dt.timedelta(seconds=1),  # an earlier day after a later one
+            dt.datetime(2019, 9, 2, 1, 30, tzinfo=plus2),  # 23:30 UTC on the 1st
+            midnight + dt.timedelta(days=1, seconds=5),
+            dt.datetime(2019, 9, 3, 12),  # naive: read as local time
+            midnight + dt.timedelta(hours=3),
+        ]
+        messages = [self._position(ts) for ts in stamps]
+        messages.insert(3, StaticReport(mmsi=2, vessel_name="NO TIME", ship_type=70))
+        expected: dict[str, str] = {}
+        for m in messages:
+            name = "ais-1970-01-01.jsonl" if m.timestamp is None else \
+                f"ais-{m.timestamp.astimezone(UTC).date().isoformat()}.jsonl"
+            line = position_line(m) if isinstance(m, PositionReport) else dumps(message_to_dict(m))
+            expected[name] = expected.get(name, "") + line + "\n"
+        with ingest.MessageStore(tmp_path / "s") as store:
+            for m in messages[:4]:
+                store.append(m)
+            store.close()  # the next append reopens its file and appends
+            for m in messages[4:]:
+                store.append(m)
+        got = {p.name: p.read_text() for p in (tmp_path / "s").iterdir()}
+        assert got == expected
+        assert {"ais-1970-01-01.jsonl", "ais-2019-09-01.jsonl", "ais-2019-09-02.jsonl"} <= set(got)
