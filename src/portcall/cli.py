@@ -37,24 +37,12 @@ class UsageError(Exception):
     """Bad arguments or unreadable inputs; main() reports it and exits 2."""
 
 
-# The sha256 of each file hashed by the current command, keyed by the file's
-# (device, inode, size, mtime_ns): `run` names decoded.jsonl in three
-# manifests and validated.jsonl in two. main() empties it; no command
-# rewrites a file after hashing it.
-_DIGESTS: dict[tuple[int, int, int, int], str] = {}
-
-
 def _sha256(path: pathlib.Path) -> str:
-    st = path.stat()
-    key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-    digest = _DIGESTS.get(key)
-    if digest is None:
-        h = hashlib.sha256()
-        with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                h.update(chunk)
-        digest = _DIGESTS[key] = h.hexdigest()
-    return digest
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _write_manifest(path: pathlib.Path, command: str, config: dict, inputs, outputs) -> None:
@@ -614,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _DIGESTS.clear()
     try:
         return args.func(args)
     except UsageError as exc:

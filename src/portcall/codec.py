@@ -254,8 +254,9 @@ def decode_position(bits: Bits, rx_time: dt.datetime) -> PositionReport:
 
     Latitude/longitude arrive as two's-complement 1/10000-minute integers;
     the "position unavailable" sentinels (91/181 degrees) fail the range
-    check and reject the message. Field extraction is inlined shift/mask
-    arithmetic: this sits on the ingest hot path.
+    check and reject the message. MessageDecoder.feed_block decodes the
+    common single-sentence line column-wise and shares the range check and
+    the sentinel rules below.
     """
     n = bits.nbits
     if n < 6:
@@ -274,23 +275,40 @@ def decode_position(bits: Bits, rx_time: dt.datetime) -> PositionReport:
         lon_raw -= 0x10000000
     lat = lat_raw / 600000.0
     lon = lon_raw / 600000.0
-    if abs(lat) > 90.0 or abs(lon) > 180.0:
+    if not _in_range(lat, lon):
         raise OutOfRangePosition(f"lat={lat:.5f} lon={lon:.5f}")
-    sog_raw = (v >> (n - 60)) & 0x3FF  # [50:60)
-    cog_raw = (v >> (n - 128)) & 0xFFF  # [116:128)
-    hdg_raw = (v >> (n - 137)) & 0x1FF  # [128:137)
     rot_raw = (v >> (n - 50)) & 0xFF  # [42:50)
     if rot_raw >= 128:
         rot_raw -= 256
-    return PositionReport(  # positional: field order as declared
+    return _position_report(
         (v >> (n - 38)) & 0x3FFFFFFF,
+        rx_time,
+        lat,
+        lon,
+        (v >> (n - 60)) & 0x3FF,  # sog [50:60)
+        (v >> (n - 128)) & 0xFFF,  # cog [116:128)
+        (v >> (n - 137)) & 0x1FF,  # heading [128:137)
+        (v >> (n - 42)) & 0xF,  # navstat [38:42)
+        rot_raw,
+    )
+
+
+def _in_range(lat, lon):
+    """Whether degrees lie on the globe, for scalars or numpy columns; the 91/181 sentinels do not."""
+    return (abs(lat) <= 90.0) & (abs(lon) <= 180.0)
+
+
+def _position_report(mmsi, rx_time, lat, lon, sog_raw, cog_raw, hdg_raw, navstat, rot_raw) -> PositionReport:
+    """A position report from its decoded fields, with the "not available" sentinels read as None."""
+    return PositionReport(  # positional: field order as declared
+        mmsi,
         rx_time,
         lat,
         lon,
         None if sog_raw == 1023 else sog_raw / 10.0,
         None if cog_raw >= 3600 else cog_raw / 10.0,
         None if hdg_raw > 359 else float(hdg_raw),
-        (v >> (n - 42)) & 0xF,
+        navstat,
         None if rot_raw == -128 else rot_raw,
     )
 
@@ -604,7 +622,7 @@ class MessageDecoder:
             lon_raw -= (lon_raw >= 0x8000000) * 0x10000000
             lat = lat_raw / 600000.0
             lon = lon_raw / 600000.0
-            ok &= (mtype >= 1) & (mtype <= 3) & (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
+            ok &= (mtype >= 1) & (mtype <= 3) & _in_range(lat, lon)
             rot = _field(six, 42, 8)
             rot -= (rot >= 128) * 256
             columns = list(zip(
@@ -640,17 +658,8 @@ class MessageDecoder:
                 outcomes += self._timeout_outcomes(rx)
             mmsi, lat_deg, lon_deg, sog_raw, cog_raw, hdg_raw, navstat, rot_raw = columns[row]
             self.positions += 1
-            outcomes.append(DecodeOutcome("position", PositionReport(  # positional, as in decode_position
-                mmsi,
-                rx,
-                lat_deg,
-                lon_deg,
-                None if sog_raw == 1023 else sog_raw / 10.0,
-                None if cog_raw >= 3600 else cog_raw / 10.0,
-                None if hdg_raw > 359 else float(hdg_raw),
-                navstat,
-                None if rot_raw == -128 else rot_raw,
-            ), None, None, raws[i]))
+            outcomes.append(DecodeOutcome("position", _position_report(
+                mmsi, rx, lat_deg, lon_deg, sog_raw, cog_raw, hdg_raw, navstat, rot_raw), None, None, raws[i]))
         return outcomes
 
     def _decode_bits(self, bits: Bits, rx: dt.datetime, raw: str) -> DecodeOutcome:

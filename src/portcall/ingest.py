@@ -164,10 +164,12 @@ def run_replay(
     get synthetic ones, raw_start plus raw_cadence_s per line of the file
     (blank lines count). NMEA lines go to the decoder in blocks of up to
     _REPLAY_BLOCK lines through feed_block, which gives what feeding them
-    one by one would. A line that starts with `{` is read as a stored JSONL
-    message, after the NMEA lines before it; one that does not parse goes
-    to error_sink as a "malformed" error. replay_speed scales the pauses
-    between consecutive message timestamps (0 disables pacing).
+    one by one would, also when reading the file fails partway. A line that
+    starts with `{` is read as a stored JSONL message, after the NMEA lines
+    before it; one that does not parse goes to error_sink as a "malformed"
+    error. replay_speed scales the pauses between consecutive message
+    timestamps (0 disables pacing); each message is emitted right after its
+    pause.
     """
     if cfg.path is None or not cfg.path.exists():
         raise FileNotFoundError(f"replay source {cfg.path} does not exist")
@@ -179,36 +181,40 @@ def run_replay(
 
     def emit(outcomes):
         nonlocal prev_ts
-        if cfg.replay_speed > 0:
-            for outcome in outcomes:
-                if outcome.kind in ("position", "static"):
-                    ts = outcome.message.timestamp
-                    if prev_ts is not None and ts is not None:
-                        sleep(max(0.0, (ts - prev_ts).total_seconds()) / cfg.replay_speed)
-                    prev_ts = ts or prev_ts
-        _dispatch(outcomes, sink, error_sink, summary)
+        if cfg.replay_speed <= 0:
+            _dispatch(outcomes, sink, error_sink, summary)
+            return
+        for outcome in outcomes:  # each message reaches the sink right after its pause
+            if outcome.kind in ("position", "static"):
+                ts = outcome.message.timestamp
+                if prev_ts is not None and ts is not None:
+                    sleep(max(0.0, (ts - prev_ts).total_seconds()) / cfg.replay_speed)
+                prev_ts = ts or prev_ts
+            _dispatch((outcome,), sink, error_sink, summary)
 
     def flush():
+        nonlocal block, rx_times
         if block:
-            emit(dec.feed_block(block, rx_times))
-            block.clear()
-            rx_times.clear()
+            lines, rxs, block, rx_times = block, rx_times, [], []  # taken first: a failing sink cannot resend them
+            emit(dec.feed_block(lines, rxs))
 
     with open(cfg.path, "r", encoding="utf-8") as f:
-        for i, line in enumerate(f):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            summary.lines += 1
-            if line.startswith("{"):
-                flush()
-                emit([_stored_outcome(line)])
-            else:
-                block.append(line)
-                rx_times.append(raw_start + dt.timedelta(seconds=i * raw_cadence_s))
-                if len(block) == _REPLAY_BLOCK:
+        try:
+            for i, line in enumerate(f):
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                summary.lines += 1
+                if line.startswith("{"):
                     flush()
-        flush()
+                    emit([_stored_outcome(line)])
+                else:
+                    block.append(line)
+                    rx_times.append(raw_start + dt.timedelta(seconds=i * raw_cadence_s))
+                    if len(block) == _REPLAY_BLOCK:
+                        flush()
+        finally:  # a read that fails partway still delivers the lines read before it
+            flush()
     _dispatch(dec.finish(), sink, error_sink, summary)
     return summary
 

@@ -59,25 +59,15 @@ def _staged(nmea, outdir: pathlib.Path, *, decode_opts=(), port=None, truth=None
     ]
 
 
-def test_run_writes_what_the_staged_commands_write(inputs, tmp_path, monkeypatch):
+def test_run_writes_what_the_staged_commands_write(inputs, tmp_path):
     outdir = tmp_path / "out"
     port, truth, vessel = inputs["port.geojson"], inputs["truth.csv"], inputs["vessel"]
-    real_sha256 = hashlib.sha256
-    hashed = []
-    monkeypatch.setattr(cli.hashlib, "sha256", lambda: hashed.append(1) or real_sha256())
     rc = cli.main(["run", "--input", str(inputs["tagged.nmea"]), "--outdir", str(outdir), "--port", str(port),
                    "--ground-truth", str(truth), "--vessel", str(vessel)])
     assert rc == cli.EXIT_OK
     ran = _snapshot(outdir)
     assert {"decoded.jsonl.manifest.json", "validated.jsonl.manifest.json", "voyages.jsonl.manifest.json",
             "metrics/metrics.manifest.json", f"metrics/schedule_{vessel}.csv"} <= set(ran)
-    # decoded.jsonl is named in three manifests, validated.jsonl and voyages.jsonl in two: each is hashed once
-    named = set()
-    for name, text in ran.items():
-        if name.endswith(".manifest.json"):
-            doc = json.loads(text)
-            named |= set(doc["inputs"]) | set(doc["outputs"])
-    assert len(hashed) == len(named)
     assert json.loads(ran["metrics/summary.json"])["mae"]["macro"] == 0.0
     shutil.rmtree(outdir)
     assert _staged(inputs["tagged.nmea"], outdir, port=port, truth=truth, vessel=vessel) == [cli.EXIT_OK] * 4

@@ -108,12 +108,14 @@ class TestReplay:
             lines = [dumps(message_to_dict(m)) for m in decode_direct(lines)]
         path = tmp_path / "paced.nmea"
         path.write_text("\n".join(lines) + "\n")
-        sleeps = []
+        events = []
         ingest.run_replay(
             ingest.SourceConfig(mode="replay", path=path, replay_speed=5.0),
-            lambda m: None, sleep=sleeps.append,
+            lambda m: events.append(m.timestamp), sleep=lambda s: events.append(s),
         )
-        assert sleeps == [pytest.approx(2.0)] * 3  # 10 s gaps at 5x speed
+        # 10 s gaps at 5x speed, and each message reaches the sink right after its pause
+        t = [T0 + dt.timedelta(seconds=10 * i) for i in range(4)]
+        assert events == [t[0], pytest.approx(2.0), t[1], pytest.approx(2.0), t[2], pytest.approx(2.0), t[3]]
 
 
 def read_store(root) -> list:
@@ -285,7 +287,7 @@ class TestReplayBlocks:
         return path, rows
 
     @staticmethod
-    def _per_line(rows):
+    def _per_line(rows, finish=True):
         """The sink and error-sink sequences of decoding each line on its own."""
         dec = MessageDecoder()
         outcomes = []
@@ -296,7 +298,8 @@ class TestReplayBlocks:
                 outcomes.append(ingest._stored_outcome(line))
             else:
                 outcomes += dec.feed(line, T0 + dt.timedelta(seconds=i * 0.5))
-        outcomes += dec.finish()
+        if finish:
+            outcomes += dec.finish()
         return ([o.message for o in outcomes if o.kind in ("position", "static")],
                 [o for o in outcomes if o.kind == "error"])
 
@@ -313,6 +316,23 @@ class TestReplayBlocks:
         assert summary.lines == sum(1 for line in rows if line)
         assert {e.error for e in errors} == {"malformed"}  # the torn stored and NMEA lines
         assert len(errors) == 2
+
+    def test_unreadable_byte_delivers_the_lines_read_before_it(self, tmp_path, nmea_fixture, monkeypatch):
+        monkeypatch.setattr(ingest, "_REPLAY_BLOCK", 4096)
+        path = tmp_path / "bad.nmea"
+        path.write_bytes(("\n".join(nmea_fixture[:400]) + "\n").encode() + b"\xff\n" + nmea_fixture[0].encode())
+        read = []  # the lines a reader gets before the bad byte stops it
+        with pytest.raises(UnicodeDecodeError), open(path, encoding="utf-8") as f:
+            for line in f:
+                read.append(line.rstrip("\r\n"))
+        assert len(read) > 100
+        messages, errors = self._per_line(read, finish=False)
+        got, got_errors = [], []
+        with pytest.raises(UnicodeDecodeError):
+            ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
+                              error_sink=got_errors.append, raw_start=T0, raw_cadence_s=0.5)
+        assert got == messages
+        assert got_errors == errors
 
 
 class TestStorePartitions:
