@@ -64,10 +64,15 @@ def _write_manifest(path: pathlib.Path, command: str, config: dict, inputs, outp
 # loading the inputs named on the command line
 
 
-def _existing(path) -> pathlib.Path:
+def _readable(path) -> pathlib.Path:
+    """`path`, once it opens for reading; a usage error if it does not."""
     path = pathlib.Path(path)
-    if not path.exists():
-        raise UsageError(f"input {path} does not exist")
+    try:
+        open(path, "rb").close()
+    except FileNotFoundError:
+        raise UsageError(f"input {path} does not exist") from None
+    except OSError as exc:
+        raise UsageError(f"input {path} cannot be read: {exc.strerror}") from exc
     return path
 
 
@@ -182,7 +187,7 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
 
 
 def cmd_decode(args) -> int:
-    source = _existing(args.input)
+    source = _readable(args.input)
     out = pathlib.Path(args.output)
     errors = pathlib.Path(args.errors) if args.errors else out.with_suffix(".errors.jsonl")
     _, _, status = decode_stage(source, out, errors, args.raw_start, args.raw_cadence_s, args.max_error_rate)
@@ -225,12 +230,10 @@ def validated_from_dict(doc: dict) -> validate.ValidatedMessage:
     corrected = jsonl.integer(doc["corrected_navstat"], "corrected_navstat")
     if corrected not in STATUS_KINDS:
         raise ValueError(f"corrected_navstat {corrected!r} is not one of {sorted(STATUS_KINDS)}")
-    if not isinstance(doc["method"], str):
-        raise ValueError(f"method {doc['method']!r} is not a string")
     return validate.ValidatedMessage(
         report=message_from_dict(base),
         corrected_navstat=corrected,
-        method=doc["method"],
+        method=jsonl.text(doc["method"], "method"),
         agreed_with_reported=jsonl.boolean(doc["agreed_with_reported"], "agreed_with_reported"),
         gap_flag=jsonl.boolean(doc.get("gap_flag", False), "gap_flag"),
     )
@@ -271,7 +274,7 @@ def validate_stage(positions: list[PositionReport], port: PortGeometry | None, c
 
 
 def cmd_validate(args) -> int:
-    source = _existing(args.input)
+    source = _readable(args.input)
     cfg, port = _load_validation(args.config, args.method, args.port)
     out = pathlib.Path(args.output)
     outages_out = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
@@ -310,7 +313,7 @@ def voyages_stage(messages: list[validate.ValidatedMessage], area: AreaFilter | 
 
 
 def cmd_voyages(args) -> int:
-    source = _existing(args.input)
+    source = _readable(args.input)
     area = _area_filter(args.area, args.center, args.radius_m)
     messages = _load_jsonl(source, "validated message", validated_from_dict, "validated")
     voyages_stage(messages, area, pathlib.Path(args.output), source=source, area_path=args.area,
@@ -415,13 +418,13 @@ def metrics_stage(voyages: list[voyage.Voyage], ship_types: dict[int, int], port
 
 
 def cmd_metrics(args) -> int:
-    voyages_path = _existing(args.voyages)
+    voyages_path = _readable(args.voyages)
     port = _load_port(args.port)
     truth, exclude = _load_ground_truth(args.ground_truth, args.exclude_dates)
     voyages = _load_jsonl(voyages_path, "voyage", voyage.voyage_from_dict)
     ship_types = {}
     if args.static:
-        statics = _load_jsonl(_existing(args.static), "static message", message_from_dict, "static")
+        statics = _load_jsonl(_readable(args.static), "static message", message_from_dict, "static")
         ship_types = {s.mmsi: s.ship_type for s in statics}
     metrics_stage(voyages, ship_types, port, truth, exclude, pathlib.Path(args.output_dir), vessel=args.vessel,
                   voyages_path=voyages_path, static_path=args.static, truth_path=args.ground_truth,
@@ -475,19 +478,14 @@ def cmd_ingest(args) -> int:
         cfg = SourceConfig.parse_source(args.source, replay_speed=args.replay_speed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if cfg.mode == "replay":
+        _readable(cfg.path)
     store = MessageStore(args.store)
     try:
         if cfg.mode == "replay":
             summary = run_replay(cfg, store.append)
         else:
-            stop = threading.Event()
-            try:
-                summary = run_live(cfg, store.append, stop)
-            except KeyboardInterrupt:
-                stop.set()
-                raise
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from exc
+            summary = run_live(cfg, store.append, threading.Event())
     finally:
         store.close()
     print(
@@ -498,7 +496,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_run(args) -> int:
-    source = _existing(args.input)
+    source = _readable(args.input)
     cfg, port = _load_validation(args.config, args.method, args.port)
     area = _area_filter(args.area, args.center, args.radius_m)
     truth, exclude = _load_ground_truth(args.ground_truth, args.exclude_dates)

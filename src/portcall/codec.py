@@ -6,12 +6,13 @@ reports) and type 5 (static and voyage data). Other message types are
 counted and skipped. Receiver-assigned timestamps are attached at decode
 time; the AIS payload itself only carries a seconds-of-minute field.
 
-MessageDecoder.feed is the general parser, one line at a time.
-MessageDecoder.feed_block gives the same outcomes for a list of lines, but
-decodes the common line shape (a single-sentence position report, tagged
-or bare) for the whole block at once with numpy: checksums by XOR
-reduction, payloads de-armored through a lookup table, fields read as
-integer columns. Every other line goes through feed in its place.
+MessageDecoder.feed_block is the one decode path for live and replayed
+lines alike. It decodes the common line shape (a single-sentence position
+report, tagged or bare) for a whole block of lines at once with numpy:
+checksums by XOR reduction, payloads de-armored through a lookup table,
+fields read as integer columns. Every other line goes in its place to
+MessageDecoder.feed, the general parser of one line, so a block gives what
+feeding its lines one by one would.
 
 Field offsets follow the standard ITU-R M.1371 layout as documented in the
 public AIVDM/AIVDO protocol notes:
@@ -33,7 +34,7 @@ import datetime as dt
 import functools
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,16 +47,8 @@ class Malformed(ValueError):
     """Line does not follow the expected NMEA structure."""
 
 
-class MissingFragment(ValueError):
-    """A multi-sentence group is incomplete."""
-
-
 class DuplicateFragment(ValueError):
     """A fragment index appears twice in one group."""
-
-
-class FragmentTimeout(ValueError):
-    """A multi-sentence group was not completed within the window."""
 
 
 class WrongType(ValueError):
@@ -224,73 +217,64 @@ def payload_to_bits(payload: str, fill_bits: int) -> Bits:
     return Bits(value >> fill_bits, nbits)
 
 
-def assemble_fragments(sentences) -> Bits:
-    """Join the payloads of one multi-sentence group into a bit buffer.
+# The type 1-3 fields _position_fields reads, in the order it returns them:
+# (first bit, width, two's complement).
+_POSITION_LAYOUT = (
+    (0, 6, False),  # message type
+    (8, 30, False),  # MMSI
+    (38, 4, False),  # navigational status
+    (42, 8, True),  # rate of turn
+    (50, 10, False),  # SOG, 1/10 kn
+    (61, 28, True),  # longitude, 1/10000 min
+    (89, 27, True),  # latitude, 1/10000 min
+    (116, 12, False),  # COG, 1/10 deg
+    (128, 9, False),  # true heading
+)
+# Each field lies within one of three 60-bit words of ten 6-bit values, which
+# start at these bits; so one gather, shift and mask reads every field.
+_WORD_FIRST_BITS = (0, 60, 108)
+_WORD_COLUMNS = np.array([range(first // 6, first // 6 + 10) for first in _WORD_FIRST_BITS])
+_WORD_PLACES = 64 ** np.arange(9, -1, -1, dtype=np.int64)
+_FIELD_WORD = np.array([sum(start >= first for first in _WORD_FIRST_BITS[1:]) for start, _, _ in _POSITION_LAYOUT])
+_FIELD_SHIFT = np.array([_WORD_FIRST_BITS[word] + 60 - start - width
+                         for word, (start, width, _) in zip(_FIELD_WORD, _POSITION_LAYOUT)])
+_FIELD_MASK = np.array([(1 << width) - 1 for _, width, _ in _POSITION_LAYOUT])
+_FIELD_SIGN = np.array([1 << width if signed else 0 for _, width, signed in _POSITION_LAYOUT])
 
-    The sentences must share channel and message id; every fragment index
-    1..fragment_count must be present exactly once.
+
+def _position_fields(six: np.ndarray) -> tuple:
+    """The type 1-3 fields of each row of an (n, 28) array of 6-bit values, as columns.
+
+    In the order of _POSITION_LAYOUT, with longitude and latitude in
+    degrees; the other fields stay raw integers, sentinels included.
     """
-    sentences = list(sentences)
-    if not sentences:
-        raise MissingFragment("no fragments")
-    total = sentences[0].fragment_count
-    key = (sentences[0].channel, sentences[0].message_id)
-    by_index: dict[int, RawSentence] = {}
-    for s in sentences:
-        if s.fragment_count != total or (s.channel, s.message_id) != key:
-            raise Malformed("fragments from different groups")
-        if s.fragment_index in by_index:
-            raise DuplicateFragment(f"fragment {s.fragment_index}/{total} repeated")
-        by_index[s.fragment_index] = s
-    missing = [i for i in range(1, total + 1) if i not in by_index]
-    if missing:
-        raise MissingFragment(f"missing fragments {missing} of {total}")
-    payload = "".join(by_index[i].payload for i in range(1, total + 1))
-    return payload_to_bits(payload, by_index[total].fill_bits)
+    words = six[:, _WORD_COLUMNS] @ _WORD_PLACES
+    fields = (words[:, _FIELD_WORD] >> _FIELD_SHIFT) & _FIELD_MASK
+    fields -= (2 * fields >= _FIELD_SIGN) * _FIELD_SIGN  # 0 for unsigned fields
+    mtype, mmsi, navstat, rot, sog, lon, lat, cog, heading = fields.T
+    return mtype, mmsi, navstat, rot, sog, lon / 600000.0, lat / 600000.0, cog, heading
 
 
 def decode_position(bits: Bits, rx_time: dt.datetime) -> PositionReport:
     """Decode a class-A position report (types 1-3) from a bit buffer.
 
-    Latitude/longitude arrive as two's-complement 1/10000-minute integers;
-    the "position unavailable" sentinels (91/181 degrees) fail the range
-    check and reject the message. MessageDecoder.feed_block decodes the
-    common single-sentence line column-wise and shares the range check and
-    the sentinel rules below.
+    The "position unavailable" sentinels (91/181 degrees) fail the range
+    check and reject the message.
     """
     n = bits.nbits
     if n < 6:
         raise TruncatedBuffer("buffer shorter than the type field")
-    v = bits.value
-    mtype = v >> (n - 6)
+    mtype = bits.value >> (n - 6)
     if mtype not in (1, 2, 3):
         raise WrongType(f"expected a type 1/2/3 position report, got type {mtype}")
     if n < 168:
         raise TruncatedBuffer(f"position report needs 168 bits, got {n}")
-    lat_raw = (v >> (n - 116)) & 0x7FFFFFF  # [89:116)
-    if lat_raw >= 0x4000000:
-        lat_raw -= 0x8000000
-    lon_raw = (v >> (n - 89)) & 0xFFFFFFF  # [61:89)
-    if lon_raw >= 0x8000000:
-        lon_raw -= 0x10000000
-    lat = lat_raw / 600000.0
-    lon = lon_raw / 600000.0
+    top = bits.value >> (n - 168)
+    row = np.array([[(top >> shift) & 63 for shift in range(162, -1, -6)]], dtype=np.int64)
+    _, mmsi, navstat, rot, sog, lon, lat, cog, heading = (column.item() for column in _position_fields(row))
     if not _in_range(lat, lon):
         raise OutOfRangePosition(f"lat={lat:.5f} lon={lon:.5f}")
-    rot_raw = (v >> (n - 50)) & 0xFF  # [42:50)
-    if rot_raw >= 128:
-        rot_raw -= 256
-    return _position_report(
-        (v >> (n - 38)) & 0x3FFFFFFF,
-        rx_time,
-        lat,
-        lon,
-        (v >> (n - 60)) & 0x3FF,  # sog [50:60)
-        (v >> (n - 128)) & 0xFFF,  # cog [116:128)
-        (v >> (n - 137)) & 0x1FF,  # heading [128:137)
-        (v >> (n - 42)) & 0xF,  # navstat [38:42)
-        rot_raw,
-    )
+    return _position_report(rx_time, mmsi, navstat, rot, sog, lon, lat, cog, heading)
 
 
 def _in_range(lat, lon):
@@ -298,8 +282,8 @@ def _in_range(lat, lon):
     return (abs(lat) <= 90.0) & (abs(lon) <= 180.0)
 
 
-def _position_report(mmsi, rx_time, lat, lon, sog_raw, cog_raw, hdg_raw, navstat, rot_raw) -> PositionReport:
-    """A position report from its decoded fields, with the "not available" sentinels read as None."""
+def _position_report(rx_time, mmsi, navstat, rot_raw, sog_raw, lon, lat, cog_raw, hdg_raw) -> PositionReport:
+    """A position report from the fields _position_fields reads, with the "not available" sentinels read as None."""
     return PositionReport(  # positional: field order as declared
         mmsi,
         rx_time,
@@ -382,29 +366,31 @@ def split_tag_block(line: str) -> tuple[dt.datetime | None, str]:
         raise Malformed("non-ASCII characters in TAG block") from None
     if computed != declared:
         raise Malformed("TAG block checksum mismatch")
+    return _tag_time(body), rest
+
+
+def _tag_time(body: str) -> dt.datetime | None:
+    """The time of a checked TAG block body's c: field, unix seconds or milliseconds; None without one."""
     rx = None
-    parts = (body,) if "," not in body else body.split(",")
-    for part in parts:
+    for part in (body,) if "," not in body else body.split(","):
         if part.startswith("c:"):
             try:
-                stamp = int(part[2:])
+                epoch = int(part[2:])
             except ValueError:
                 raise Malformed(f"TAG block time {part!r} is not an integer") from None
-            if stamp >= 10**12:  # milliseconds
-                stamp //= 1000
+            if epoch >= 10**12:  # milliseconds
+                epoch //= 1000
             try:
-                rx = dt.datetime.fromtimestamp(stamp, tz=UTC)
+                rx = dt.datetime.fromtimestamp(epoch, tz=UTC)
             except (OverflowError, OSError, ValueError):
                 raise Malformed(f"TAG block time {part!r} is out of range") from None
-    return rx, rest
+    return rx
 
 
 _ERROR_NAMES = {
     BadChecksum: "bad_checksum",
     Malformed: "malformed",
-    MissingFragment: "missing_fragment",
     DuplicateFragment: "duplicate_fragment",
-    FragmentTimeout: "timeout",
     WrongType: "wrong_type",
     TruncatedBuffer: "truncated_buffer",
     OutOfRangePosition: "out_of_range_position",
@@ -412,12 +398,12 @@ _ERROR_NAMES = {
 
 # The one fast path, taken by MessageDecoder.feed_block: a single-sentence
 # AIVDM/AIVDO report with a 28-character (168-bit) payload and no fill bits,
-# bare or behind a TAG block that holds only a c: time. Groups: TAG time,
+# bare or behind a TAG block of printable ASCII. Groups: TAG block body,
 # TAG checksum, sentence body, payload, sentence checksum. A line of this
 # shape still goes to the general parser when a checksum fails, the type is
 # not 1-3 or the position is out of range; so does every other line.
 _FAST_LINE = re.compile(
-    r"(?:\\c:([0-9]+)\*([0-9A-Fa-f]{2})\\)?"
+    r"(?:\\([ -\[\]-~]+)\*([0-9A-Fa-f]{2})\\)?"
     r"!(AIVD[MO],1,1,,[AB12]?,([0-9:;<=>?@A-W`a-w]{28}),0)\*([0-9A-Fa-f]{2})"
 )
 # byte -> 6-bit value of an armoring character, and byte -> hex digit value;
@@ -426,16 +412,6 @@ _SIXBIT = np.zeros(256, dtype=np.int64)
 _SIXBIT[list(ARMOR_ALPHABET.encode())] = np.arange(64)
 _HEX = np.zeros(256, dtype=np.int64)
 _HEX[list(b"0123456789ABCDEF")] = _HEX[list(b"0123456789abcdef")] = np.arange(16)
-_TAG_PREFIX_XOR = nmea_checksum("c:")
-
-
-def _field(six: np.ndarray, start: int, width: int) -> np.ndarray:
-    """Unsigned field [start, start + width) of each row of 6-bit values."""
-    first, last = start // 6, (start + width - 1) // 6
-    acc = np.zeros(len(six), dtype=np.int64)
-    for c in range(first, last + 1):
-        acc = (acc << 6) | six[:, c]
-    return (acc >> (6 * (last + 1) - start - width)) & ((1 << width) - 1)
 
 
 def _ascii(texts) -> np.ndarray:
@@ -462,7 +438,7 @@ class DecodeOutcome:
     kind is one of "position", "static", "buffered", "skipped", "error".
     Every fed line produces exactly one outcome; timeout outcomes for
     expired fragment groups are reported in addition, attributed to the
-    lines that were buffered.
+    first line of the group.
     """
 
     kind: str
@@ -472,64 +448,34 @@ class DecodeOutcome:
     raw: str | None = None
 
 
+# a multi-sentence group not completed within this time of its first
+# fragment is dropped and reported as a timeout
+_REASSEMBLY_WINDOW = dt.timedelta(seconds=30)
+
+
+@dataclass(slots=True)
 class _PendingGroup:
-    __slots__ = ("first_rx", "count", "sentences", "raws")
-
-    def __init__(self, first_rx, count):
-        self.first_rx = first_rx
-        self.count = count
-        self.sentences: dict[int, RawSentence] = {}
-        self.raws: list[str] = []
-
-
-class FragmentAssembler:
-    """Buffers multi-sentence groups keyed by (channel, message id).
-
-    Groups not completed within the window are discarded; the eviction is
-    reported so the stream layer can account for every buffered line.
-    """
-
-    def __init__(self, window_s: float = 30.0):
-        self.window = dt.timedelta(seconds=window_s)
-        self._pending: dict[tuple[str, int | None], _PendingGroup] = {}
-
-    def expire(self, now: dt.datetime) -> list[_PendingGroup]:
-        expired = [key for key, grp in self._pending.items() if now - grp.first_rx > self.window]
-        return [self._pending.pop(key) for key in expired]
-
-    def add(self, sentence: RawSentence, rx_time: dt.datetime, raw: str | None = None) -> Bits | None:
-        key = (sentence.channel, sentence.message_id)
-        group = self._pending.get(key)
-        if group is None:
-            group = self._pending[key] = _PendingGroup(rx_time, sentence.fragment_count)
-        if sentence.fragment_index in group.sentences:
-            raise DuplicateFragment(
-                f"fragment {sentence.fragment_index}/{sentence.fragment_count} repeated for {key}"
-            )
-        if sentence.fragment_count != group.count:
-            raise Malformed(f"fragment count changed mid-group for {key}")
-        group.sentences[sentence.fragment_index] = sentence
-        if raw is not None:
-            group.raws.append(raw)
-        if len(group.sentences) < group.count:
-            return None
-        del self._pending[key]
-        return assemble_fragments(group.sentences.values())
+    first_rx: dt.datetime
+    count: int
+    raw: str  # the first fragment's line, to which a timeout is attributed
+    sentences: dict[int, RawSentence] = field(default_factory=dict)
 
 
 class MessageDecoder:
     """Stateful line-to-message decoder with fragment reassembly.
 
-    feed() returns one outcome per line, preceded by timeout outcomes for
-    any fragment groups that expired before the line arrived. feed_block()
-    returns what feed() would give for each line of a block in turn, with
-    the common position line decoded for the whole block at once; replay
-    feeds blocks, a live feed feeds lines. Counters accumulate across the
-    decoder's lifetime.
+    feed_block() returns one outcome per line of a block, in order, with
+    the common position line decoded for the whole block at once; live and
+    replayed input both arrive this way. feed() is the general parser of
+    one line that feed_block() hands every other line to. Either one
+    precedes a line's outcome with timeout outcomes for the fragment groups
+    that expired before the line arrived. Multi-sentence groups are
+    buffered keyed by (channel, message id). Counters accumulate across
+    the decoder's lifetime.
     """
 
-    def __init__(self, reassembly_window_s: float = 30.0):
-        self.assembler = FragmentAssembler(reassembly_window_s)
+    def __init__(self):
+        self._pending: dict[tuple[str, int | None], _PendingGroup] = {}
         self.lines = 0
         self.positions = 0
         self.statics = 0
@@ -552,15 +498,35 @@ class MessageDecoder:
         self.errors += 1
         return DecodeOutcome("error", None, _ERROR_NAMES.get(type(exc), "error"), str(exc), raw)
 
-    def _timeout_outcomes(self, now: dt.datetime) -> list[DecodeOutcome]:
-        outcomes = []
-        for group in self.assembler.expire(now):
-            self.errors += 1
-            detail = f"{len(group.sentences)}/{group.count} fragments within window"
-            outcomes.append(
-                DecodeOutcome("error", None, "timeout", detail, group.raws[0] if group.raws else None)
+    def _timeouts(self, groups: list[_PendingGroup], when: str) -> list[DecodeOutcome]:
+        """One timeout error for each dropped group."""
+        self.errors += len(groups)
+        return [DecodeOutcome("error", None, "timeout", f"{len(g.sentences)}/{g.count} fragments {when}", g.raw)
+                for g in groups]
+
+    def _expire(self, now: dt.datetime) -> list[DecodeOutcome]:
+        stale = [key for key, group in self._pending.items() if now - group.first_rx > _REASSEMBLY_WINDOW]
+        return self._timeouts([self._pending.pop(key) for key in stale], "within window")
+
+    def _add_fragment(self, sentence: RawSentence, rx: dt.datetime, raw: str) -> Bits | None:
+        """Buffer one fragment; the bits of its group once the group is complete, else None."""
+        key = (sentence.channel, sentence.message_id)
+        group = self._pending.get(key)
+        if group is None:
+            group = self._pending[key] = _PendingGroup(rx, sentence.fragment_count, raw)
+        if sentence.fragment_index in group.sentences:
+            raise DuplicateFragment(
+                f"fragment {sentence.fragment_index}/{sentence.fragment_count} repeated for {key}"
             )
-        return outcomes
+        if sentence.fragment_count != group.count:
+            raise Malformed(f"fragment count changed mid-group for {key}")
+        group.sentences[sentence.fragment_index] = sentence
+        if len(group.sentences) < group.count:
+            return None
+        del self._pending[key]
+        # indices lie in 1..count (_parse_fields) and none repeats, so all are here
+        payload = "".join(group.sentences[i].payload for i in range(1, group.count + 1))
+        return payload_to_bits(payload, group.sentences[group.count].fill_bits)
 
     def feed(self, line: str, rx_time: dt.datetime) -> list[DecodeOutcome]:
         """Process one line; eviction of stale fragment groups runs on the
@@ -576,7 +542,7 @@ class MessageDecoder:
                 return [self._error(exc, raw)]
             if tag_time is not None:
                 rx = tag_time
-        outcomes = self._timeout_outcomes(rx) if self.assembler._pending else []
+        outcomes = self._expire(rx) if self._pending else []
         try:
             fields = _parse_fields(sentence_text)
         except (BadChecksum, Malformed) as exc:
@@ -586,7 +552,7 @@ class MessageDecoder:
             if fields[1] == 1:  # single-sentence message: skip RawSentence
                 bits = payload_to_bits(fields[5], fields[6])
             else:
-                bits = self.assembler.add(RawSentence(*fields), rx, raw=raw)
+                bits = self._add_fragment(RawSentence(*fields), rx, raw)
                 if bits is None:
                     self.buffered += 1
                     outcomes.append(DecodeOutcome("buffered", None, None, None, raw))
@@ -608,33 +574,16 @@ class MessageDecoder:
         fast = [(i, m) for i, m in enumerate(map(_FAST_LINE.fullmatch, raws)) if m is not None]
         slot = [-1] * len(raws)  # line -> row of the decoded columns, or -1 for feed()
         if fast:
-            groups = [m.groups() for _, m in fast]  # stamp, tag checksum, body, payload, checksum
+            groups = [m.groups() for _, m in fast]  # tag body, tag checksum, body, payload, checksum
             tagged = [k for k, g in enumerate(groups) if g[0] is not None]
             xors = _xor_segments([g[2] for g in groups] + [groups[k][0] for k in tagged])
             ok = xors[: len(groups)] == _hex_values(g[4] for g in groups)
             if tagged:
-                ok[tagged] &= (xors[len(groups) :] ^ _TAG_PREFIX_XOR) == _hex_values(groups[k][1] for k in tagged)
-            six = _SIXBIT[_ascii(g[3] for g in groups)].reshape(-1, 28)
-            mtype = _field(six, 0, 6)
-            lat_raw = _field(six, 89, 27)
-            lat_raw -= (lat_raw >= 0x4000000) * 0x8000000
-            lon_raw = _field(six, 61, 28)
-            lon_raw -= (lon_raw >= 0x8000000) * 0x10000000
-            lat = lat_raw / 600000.0
-            lon = lon_raw / 600000.0
+                ok[tagged] &= xors[len(groups) :] == _hex_values(groups[k][1] for k in tagged)
+            mtype, mmsi, navstat, rot, sog, lon, lat, cog, heading = _position_fields(
+                _SIXBIT[_ascii(g[3] for g in groups)].reshape(-1, 28))
             ok &= (mtype >= 1) & (mtype <= 3) & _in_range(lat, lon)
-            rot = _field(six, 42, 8)
-            rot -= (rot >= 128) * 256
-            columns = list(zip(
-                _field(six, 8, 30).tolist(),
-                lat.tolist(),
-                lon.tolist(),
-                _field(six, 50, 10).tolist(),
-                _field(six, 116, 12).tolist(),
-                _field(six, 128, 9).tolist(),
-                _field(six, 38, 4).tolist(),
-                rot.tolist(),
-            ))
+            columns = list(zip(*(c.tolist() for c in (mmsi, navstat, rot, sog, lon, lat, cog, heading))))
             for row, keep in enumerate(ok.tolist()):
                 if keep:
                     slot[fast[row][0]] = row
@@ -643,23 +592,17 @@ class MessageDecoder:
             if row < 0:
                 outcomes += self.feed(lines[i], rx_times[i])
                 continue
-            stamp = groups[row][0]
-            if stamp is None:
-                rx = rx_times[i]
-            else:
-                try:
-                    epoch = int(stamp)
-                    rx = dt.datetime.fromtimestamp(epoch // 1000 if epoch >= 10**12 else epoch, tz=UTC)
-                except (OverflowError, OSError, ValueError):
-                    outcomes += self.feed(lines[i], rx_times[i])  # the general parser's error
-                    continue
+            tag = groups[row][0]
+            try:
+                rx = (_tag_time(tag) if tag is not None else None) or rx_times[i]
+            except Malformed:
+                outcomes += self.feed(lines[i], rx_times[i])  # the general parser's error
+                continue
             self.lines += 1
-            if self.assembler._pending:
-                outcomes += self._timeout_outcomes(rx)
-            mmsi, lat_deg, lon_deg, sog_raw, cog_raw, hdg_raw, navstat, rot_raw = columns[row]
+            if self._pending:
+                outcomes += self._expire(rx)
             self.positions += 1
-            outcomes.append(DecodeOutcome("position", _position_report(
-                mmsi, rx, lat_deg, lon_deg, sog_raw, cog_raw, hdg_raw, navstat, rot_raw), None, None, raws[i]))
+            outcomes.append(DecodeOutcome("position", _position_report(rx, *columns[row]), None, None, raws[i]))
         return outcomes
 
     def _decode_bits(self, bits: Bits, rx: dt.datetime, raw: str) -> DecodeOutcome:
@@ -680,12 +623,6 @@ class MessageDecoder:
 
     def finish(self) -> list[DecodeOutcome]:
         """Flush pending fragment groups at end of input as timeouts."""
-        outcomes = []
-        for group in list(self.assembler._pending.values()):
-            self.errors += 1
-            detail = f"{len(group.sentences)}/{group.count} fragments at end of input"
-            outcomes.append(
-                DecodeOutcome("error", None, "timeout", detail, group.raws[0] if group.raws else None)
-            )
-        self.assembler._pending.clear()
-        return outcomes
+        groups = list(self._pending.values())
+        self._pending.clear()
+        return self._timeouts(groups, "at end of input")

@@ -5,7 +5,10 @@ sentence per line over TCP) and reconnects with exponentially backed-off,
 fully jittered delays. Connection gaps are recorded so they can seed the
 outage detector. Replay reads either raw/tag-blocked NMEA or previously
 stored JSONL messages, optionally pacing emission by the recorded
-timestamps.
+timestamps. Live and replayed NMEA both go to MessageDecoder.feed_block
+in blocks: the complete lines of each chunk received, or up to
+_REPLAY_BLOCK lines of a file. A byte that is not UTF-8 makes its line
+malformed; it does not end the read.
 """
 
 import datetime as dt
@@ -153,7 +156,6 @@ def run_replay(
     sink,
     *,
     error_sink=None,
-    decoder: MessageDecoder | None = None,
     raw_start: dt.datetime = dt.datetime(2000, 1, 1, tzinfo=UTC),
     raw_cadence_s: float = 1.0,
     sleep=time.sleep,
@@ -164,16 +166,15 @@ def run_replay(
     get synthetic ones, raw_start plus raw_cadence_s per line of the file
     (blank lines count). NMEA lines go to the decoder in blocks of up to
     _REPLAY_BLOCK lines through feed_block, which gives what feeding them
-    one by one would, also when reading the file fails partway. A line that
-    starts with `{` is read as a stored JSONL message, after the NMEA lines
-    before it; one that does not parse goes to error_sink as a "malformed"
-    error. replay_speed scales the pauses between consecutive message
-    timestamps (0 disables pacing); each message is emitted right after its
-    pause.
+    one by one would, also when reading the file fails partway. A byte that
+    is not UTF-8 reads as U+FFFD, which makes its line malformed. A line
+    that starts with `{` is read as a stored JSONL message, after the NMEA
+    lines before it; one that does not parse goes to error_sink as a
+    "malformed" error. replay_speed scales the pauses between consecutive
+    message timestamps (0 disables pacing); each message is emitted right
+    after its pause.
     """
-    if cfg.path is None or not cfg.path.exists():
-        raise FileNotFoundError(f"replay source {cfg.path} does not exist")
-    dec = decoder or MessageDecoder()
+    dec = MessageDecoder()
     summary = IngestSummary()
     prev_ts: dt.datetime | None = None
     block: list[str] = []
@@ -198,7 +199,7 @@ def run_replay(
             lines, rxs, block, rx_times = block, rx_times, [], []  # taken first: a failing sink cannot resend them
             emit(dec.feed_block(lines, rxs))
 
-    with open(cfg.path, "r", encoding="utf-8") as f:
+    with open(cfg.path, "r", encoding="utf-8", errors="replace") as f:
         try:
             for i, line in enumerate(f):
                 line = line.rstrip("\r\n")
@@ -225,20 +226,21 @@ def run_live(
     stop: threading.Event,
     *,
     error_sink=None,
-    decoder: MessageDecoder | None = None,
     rng: random.Random | None = None,
-    now_fn=_utcnow_s,
 ) -> IngestSummary:
     """Consume a line-oriented TCP feed until the stop event is set.
 
-    Reconnects with exponential backoff and full jitter (initial 1 s,
-    capped at 60 s by default). A partial line at disconnect is discarded
-    and counted as an error; completed lines are never lost. Connection
-    gaps are returned for outage bookkeeping.
+    The complete lines of each chunk received go to the decoder as one
+    block, all with the chunk's receive time (whole seconds); a TAG-block
+    time overrides it as in replay. Reconnects with exponential backoff
+    and full jitter (initial 1 s, capped at 60 s by default). A partial
+    line at disconnect is discarded and counted as an error; completed
+    lines are never lost. Connection gaps are returned for outage
+    bookkeeping.
     """
     if cfg.endpoint is None:
         raise ValueError("live mode requires an endpoint")
-    dec = decoder or MessageDecoder()
+    dec = MessageDecoder()
     rng = rng or random.Random()
     summary = IngestSummary()
     backoff = cfg.reconnect_initial_s
@@ -252,7 +254,7 @@ def run_live(
             backoff = min(backoff * 2.0, cfg.reconnect_max_s)
             continue
         if disconnected_at is not None:
-            summary.connection_gaps.append((disconnected_at, now_fn()))
+            summary.connection_gaps.append((disconnected_at, _utcnow_s()))
             disconnected_at = None
         backoff = cfg.reconnect_initial_s
         sock.settimeout(0.5)
@@ -268,20 +270,18 @@ def run_live(
                 if not chunk:
                     break
                 buf += chunk
-                while True:
-                    nl = buf.find(b"\n")
-                    if nl == -1:
-                        break
-                    line = buf[:nl].decode("utf-8", errors="replace").rstrip("\r")
-                    buf = buf[nl + 1 :]
-                    if not line:
-                        continue
-                    summary.lines += 1
-                    _dispatch(dec.feed(line, now_fn()), sink, error_sink, summary)
+                nl = buf.rfind(b"\n")
+                if nl == -1:
+                    continue
+                # no multi-byte character holds a newline byte; lines end at \n, \r\n or \r, as in a replayed file
+                text, buf = buf[:nl].decode("utf-8", errors="replace"), buf[nl + 1 :]
+                lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line]
+                summary.lines += len(lines)
+                _dispatch(dec.feed_block(lines, [_utcnow_s()] * len(lines)), sink, error_sink, summary)
         finally:
             sock.close()
         if buf.strip():
             summary.errors += 1  # partial line lost at disconnect
-        disconnected_at = now_fn()
+        disconnected_at = _utcnow_s()
     _dispatch(dec.finish(), sink, error_sink, summary)
     return summary

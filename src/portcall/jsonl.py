@@ -112,6 +112,16 @@ def integer(value, key: str) -> int:
     return value
 
 
+def optional_integer(value, key: str) -> int | None:
+    return None if value is None else integer(value, key)
+
+
+def text(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} {value!r} is not a string")
+    return value
+
+
 def optional_number(value, key: str) -> float | None:
     if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
                               or not math.isfinite(value)):
@@ -129,7 +139,6 @@ def message_from_dict(doc: dict) -> PositionReport | StaticReport:
     """The message a stored document holds; a field of the wrong type is a ValueError."""
     kind = doc.get("type")
     if kind == "position":
-        rot = doc.get("rot")
         return PositionReport(
             mmsi=integer(doc["mmsi"], "mmsi"),
             timestamp=parse_ts(doc["ts"]),
@@ -139,15 +148,15 @@ def message_from_dict(doc: dict) -> PositionReport | StaticReport:
             cog=optional_number(doc.get("cog"), "cog"),
             heading=optional_number(doc.get("heading"), "heading"),
             navstat=integer(doc["navstat"], "navstat"),
-            rot=None if rot is None else integer(rot, "rot"),
+            rot=optional_integer(doc.get("rot"), "rot"),
         )
     if kind == "static":
         return StaticReport(
             mmsi=integer(doc["mmsi"], "mmsi"),
-            vessel_name=doc.get("name", ""),
+            vessel_name=text(doc.get("name", ""), "name"),
             ship_type=integer(doc.get("ship_type", 0), "ship_type"),
-            length=doc.get("length"),
-            width=doc.get("width"),
+            length=optional_integer(doc.get("length"), "length"),
+            width=optional_integer(doc.get("width"), "width"),
             timestamp=parse_ts(doc["ts"]) if doc.get("ts") else None,
         )
     raise ValueError(f"unknown message type {kind!r}")

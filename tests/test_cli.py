@@ -172,7 +172,10 @@ def test_stored_positions_outside_the_coordinate_range_are_malformed(tmp_path, c
            good.replace('"navstat":5', '"navstat":5.0'), good.replace('"sog":0.0', '"sog":"fast"'),
            good.replace('"sog":0.0', '"sog":NaN'), good.replace('"cog":null', '"cog":Infinity'),
            good.replace('"heading":null', '"heading":true'), good.replace('"rot":null', '"rot":1.5'),
-           '{"mmsi":"abc","ship_type":70,"type":"static"}', '{"mmsi":2,"ship_type":"70","type":"static"}']
+           '{"mmsi":"abc","ship_type":70,"type":"static"}', '{"mmsi":2,"ship_type":"70","type":"static"}',
+           '{"mmsi":2,"name":7,"ship_type":70,"type":"static"}',
+           '{"length":"long","mmsi":2,"ship_type":70,"type":"static"}',
+           '{"mmsi":2,"ship_type":70,"type":"static","width":[1]}']
     stored = tmp_path / "stored.jsonl"
     stored.write_text("".join(line + "\n" for line in bad + [good]))
     out, errors = tmp_path / "decoded.jsonl", tmp_path / "errors.jsonl"
@@ -241,6 +244,19 @@ def test_missing_input_is_a_usage_error(tmp_path, capsys):
     assert rc == cli.EXIT_USAGE
     assert "does not exist" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "run", "ingest"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, command):
+    source = tmp_path / "a-directory"
+    source.mkdir()
+    out = tmp_path / "out"
+    argv = {"decode": ["decode", "--input", str(source), "--output", str(out / "decoded.jsonl")],
+            "run": ["run", "--input", str(source), "--outdir", str(out)],
+            "ingest": ["ingest", "--source", f"file:{source}", "--store", str(out)]}[command]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"input {source} cannot be read" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_knn_k_zero_in_the_config_is_a_usage_error(inputs, tmp_path, capsys):

@@ -111,38 +111,58 @@ class TestArmoring:
             assert oracles.armor_char(v) == ch
 
 
+def decode_static_group(**kwargs):
+    """The static report that feeding the two fragments oracles.static_sentences(**kwargs) yields."""
+    dec = codec.MessageDecoder()
+    first, second = oracles.static_sentences(**kwargs)
+    assert feed_one(first, decoder=dec).kind == "buffered"
+    outcome = feed_one(second, decoder=dec)
+    assert outcome.kind == "static", outcome
+    return outcome.message
+
+
 class TestAssembly:
     def _fragments(self):
-        return [codec.parse_sentence(s) for s in
-                oracles.static_sentences(mmsi=219000001, name="BOXSHIP", ship_type=71)]
+        return oracles.static_sentences(mmsi=219000001, name="BOXSHIP", ship_type=71)
 
     def test_two_fragment_static(self):
-        bits = codec.assemble_fragments(self._fragments())
-        report = codec.decode_static(bits)
+        report = decode_static_group(mmsi=219000001, name="BOXSHIP", ship_type=71)
         assert report.mmsi == 219000001
         assert report.vessel_name == "BOXSHIP"
         assert report.ship_type == 71
+        assert report.timestamp == RX
 
     def test_missing_fragment(self):
-        with pytest.raises(codec.MissingFragment):
-            codec.assemble_fragments(self._fragments()[1:])
+        """A group without its first fragment never decodes; it times out at the end of input."""
+        dec = codec.MessageDecoder()
+        second = self._fragments()[1]
+        assert feed_one(second, decoder=dec).kind == "buffered"
+        leftovers = dec.finish()
+        assert [(o.error, o.detail, o.raw) for o in leftovers] == [("timeout", "1/2 fragments at end of input", second)]
+        assert dec.counts["errors"] == 1
 
     def test_duplicate_fragment(self):
-        frags = self._fragments()
-        with pytest.raises(codec.DuplicateFragment):
-            codec.assemble_fragments([frags[0], frags[0], frags[1]])
+        dec = codec.MessageDecoder()
+        first, second = self._fragments()
+        feed_one(first, decoder=dec)
+        outcome = feed_one(first, decoder=dec)
+        assert (outcome.kind, outcome.error) == ("error", "duplicate_fragment")
+        assert feed_one(second, decoder=dec).kind == "static"  # the group still completes
 
     def test_stateful_assembler_times_out(self):
-        dec = codec.MessageDecoder(reassembly_window_s=30.0)
+        dec = codec.MessageDecoder()
         first = oracles.static_sentences(mmsi=1, name="X", ship_type=70)[0]
         outcome = feed_one(first, decoder=dec)
         assert outcome.kind == "buffered"
-        # unrelated line a minute later evicts the group
         lone = oracles.position_sentence(mmsi=2, navstat=0, rot_raw=0, sog_raw=10,
                                          lon_raw=0, lat_raw=0, cog_raw=0, heading_raw=0)
+        # the window is 30 s: a line 30 s later keeps the group, one a minute later evicts it
+        assert [o.kind for o in dec.feed(lone, RX + dt.timedelta(seconds=30))] == ["position"]
         outcomes = dec.feed(lone, RX + dt.timedelta(seconds=60))
         assert [o.kind for o in outcomes] == ["error", "position"]
-        assert outcomes[0].error == "timeout"
+        assert (outcomes[0].error, outcomes[0].detail, outcomes[0].raw) == ("timeout", "1/2 fragments within window",
+                                                                            first)
+        assert dec.finish() == []
 
     def test_finish_flushes_pending(self):
         dec = codec.MessageDecoder()
@@ -191,6 +211,7 @@ class TestDecodePosition:
         outcome = feed_one(line)
         assert outcome.kind == "error"
         assert outcome.error == "out_of_range_position"
+        assert outcome.detail == "lat=91.00000 lon=0.00000"  # errors.jsonl holds this text
 
     def test_wrong_type(self):
         bits = codec.payload_to_bits("5" + "0" * 27, 0)  # type 5 header, position length
@@ -201,6 +222,14 @@ class TestDecodePosition:
         bits = codec.payload_to_bits("10", 0)
         with pytest.raises(codec.TruncatedBuffer):
             codec.decode_position(bits, RX)
+
+    def test_bits_past_the_layout_are_ignored(self):
+        payload, _ = oracles.bits_to_payload(oracles.position_bits(
+            msg_type=1, mmsi=366000001, navstat=5, rot_raw=-3, sog_raw=17, lon_raw=-7000000, lat_raw=2000000,
+            cog_raw=2700, heading_raw=268))
+        expected = codec.decode_position(codec.payload_to_bits(payload, 0), RX)
+        assert codec.decode_position(codec.payload_to_bits(payload + "w0", 4), RX) == expected
+        assert expected.rot == -3 and expected.lon == -7000000 / 600000.0
 
 
 class TestDecodeStatic:
@@ -213,18 +242,11 @@ class TestDecodeStatic:
         assert static[0].message.ship_type == 70
 
     def test_all_padding_name_is_empty(self):
-        bits = codec.assemble_fragments(
-            [codec.parse_sentence(s) for s in oracles.static_sentences(mmsi=7, name="", ship_type=60)]
-        )
-        assert codec.decode_static(bits).vessel_name == ""
+        assert decode_static_group(mmsi=7, name="", ship_type=60).vessel_name == ""
 
     def test_dimensions(self):
-        bits = codec.assemble_fragments(
-            [codec.parse_sentence(s) for s in
-             oracles.static_sentences(mmsi=7, name="A", ship_type=70,
-                                      to_bow=120, to_stern=30, to_port=12, to_starboard=10)]
-        )
-        report = codec.decode_static(bits)
+        report = decode_static_group(mmsi=7, name="A", ship_type=70,
+                                     to_bow=120, to_stern=30, to_port=12, to_starboard=10)
         assert report.length == 150
         assert report.width == 22
 
@@ -411,7 +433,10 @@ def _block_corpus(seed: int, n: int = 400):
             stamp = epoch * 1000 + rng.randrange(1000) if rng.random() < 0.3 else epoch
             if rng.random() < 0.02:
                 stamp = rng.choice((99999999999, 999999999999, 10**30))  # far future, out of range
-            line = oracles.tag_block(line, stamp)
+            # other TAG fields around the time (a `*` among them), or no time
+            body = rng.choice((f"c:{stamp}",) * 3 + (f"s:r{i},c:{stamp}", f"c:{stamp},n:{i}", f"s:r{i}",
+                                                     f"s:r*{i},c:{stamp}"))
+            line = f"\\{body}*{oracles.xor_checksum(body):02X}\\{line}"
             if rng.random() < 0.05:
                 tag_end = line.index("\\", 1)
                 line = line[: tag_end - 2] + "00" + line[tag_end:] if line[tag_end - 2 : tag_end] != "00" \

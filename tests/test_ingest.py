@@ -183,20 +183,21 @@ class _LineServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
 
 
-def _serve_lines(lines, chunk=64, close_mid_line=False):
-    """One-shot TCP server pushing the fixture and closing."""
+def _blob(lines) -> bytes:
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _serve(blob: bytes, chunk=64):
+    """TCP server pushing the blob on each connection, `chunk` bytes at a time, and closing."""
 
     class Handler(socketserver.BaseRequestHandler):
         def handle(self):
-            blob = ("\n".join(lines) + "\n").encode()
-            if close_mid_line:
-                blob += b"!AIVDM,1,1,,A,truncated"  # no newline, then close
             for i in range(0, len(blob), chunk):
                 self.request.sendall(blob[i : i + chunk])
             self.request.shutdown(socket.SHUT_WR)
 
     server = _LineServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)  # shutdown() waits one poll
     thread.start()
     return server, thread
 
@@ -204,7 +205,7 @@ def _serve_lines(lines, chunk=64, close_mid_line=False):
 class TestLive:
     def test_fixture_over_loopback(self, nmea_fixture):
         lines = nmea_fixture[:2000]
-        server, thread = _serve_lines(lines, chunk=1024)
+        server, thread = _serve(_blob(lines), chunk=1024)
         try:
             positions, statics, _ = decode_all(lines)
             expected = len(positions) + len(statics)
@@ -225,11 +226,12 @@ class TestLive:
             assert [m for m in got if isinstance(m, PositionReport)][: len(positions)] == positions
         finally:
             server.shutdown()
+            server.server_close()
             thread.join()
 
     def test_partial_line_at_disconnect_counted(self, nmea_fixture):
         lines = nmea_fixture[:50]
-        server, thread = _serve_lines(lines, close_mid_line=True)
+        server, thread = _serve(_blob(lines) + b"!AIVDM,1,1,,A,truncated")  # no newline, then close
         try:
             got = []
             stop = threading.Event()
@@ -248,11 +250,12 @@ class TestLive:
             assert len(got) >= expected
         finally:
             server.shutdown()
+            server.server_close()
             thread.join()
 
     def test_reconnect_records_gap(self, nmea_fixture):
         lines = nmea_fixture[:20]
-        server, thread = _serve_lines(lines)
+        server, thread = _serve(_blob(lines))
         try:
             stop = threading.Event()
             seen = {"n": 0}
@@ -268,7 +271,50 @@ class TestLive:
             assert summary.connection_gaps  # at least one disconnect/reconnect cycle
         finally:
             server.shutdown()
+            server.server_close()
             thread.join()
+
+    def test_live_delivers_what_replay_delivers(self, tmp_path, nmea_fixture):
+        """The same bytes served in small chunks reach the sinks as replaying them from a file does."""
+        rows = [line.encode() for line in nmea_fixture[:300]]
+        rows[50] = rows[50][:30] + b"\xff" + rows[50][30:]  # not UTF-8
+        rows[120] = rows[120][:40]  # torn position line
+        rows[200] += b"\r" + rows.pop(201)  # a lone carriage return ends a line too
+        last = int(rows[-1][3:13])  # the TAG time of the last fixture line
+        rows.append(oracles.tag_block(oracles.position_sentence(
+            mmsi=999999999, navstat=0, rot_raw=0, sog_raw=0, lon_raw=0, lat_raw=0, cog_raw=0, heading_raw=0),
+            last + 1).encode())
+        blob = b"\n".join(rows) + b"\n"
+        path = tmp_path / "same.nmea"
+        path.write_bytes(blob)
+        replayed, replay_errors = [], []
+        replay = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), replayed.append,
+                                   error_sink=replay_errors.append)
+        assert {"\ufffd" in e.raw for e in replay_errors if e.error == "malformed"} == {True, False}
+
+        server, thread = _serve(blob, chunk=37)
+        stop = threading.Event()
+        guard = threading.Timer(30.0, stop.set)  # a run that never sees the last line fails, not hangs
+        try:
+            got, errors = [], []
+
+            def sink(msg):
+                got.append(msg)
+                if msg.mmsi == 999999999:
+                    stop.set()
+
+            cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
+                                      reconnect_initial_s=0.05, reconnect_max_s=0.1)
+            guard.start()
+            live = ingest.run_live(cfg, sink, stop, error_sink=errors.append, rng=random.Random(3))
+        finally:
+            guard.cancel()
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert got == replayed
+        assert errors == replay_errors
+        assert (live.lines, live.messages, live.errors) == (replay.lines, replay.messages, replay.errors)
 
 
 class TestReplayBlocks:
@@ -287,7 +333,7 @@ class TestReplayBlocks:
         return path, rows
 
     @staticmethod
-    def _per_line(rows, finish=True):
+    def _per_line(rows):
         """The sink and error-sink sequences of decoding each line on its own."""
         dec = MessageDecoder()
         outcomes = []
@@ -298,8 +344,7 @@ class TestReplayBlocks:
                 outcomes.append(ingest._stored_outcome(line))
             else:
                 outcomes += dec.feed(line, T0 + dt.timedelta(seconds=i * 0.5))
-        if finish:
-            outcomes += dec.finish()
+        outcomes += dec.finish()
         return ([o.message for o in outcomes if o.kind in ("position", "static")],
                 [o for o in outcomes if o.kind == "error"])
 
@@ -317,22 +362,24 @@ class TestReplayBlocks:
         assert {e.error for e in errors} == {"malformed"}  # the torn stored and NMEA lines
         assert len(errors) == 2
 
-    def test_unreadable_byte_delivers_the_lines_read_before_it(self, tmp_path, nmea_fixture, monkeypatch):
-        monkeypatch.setattr(ingest, "_REPLAY_BLOCK", 4096)
+    def test_unreadable_byte_is_one_malformed_line(self, tmp_path, nmea_fixture, monkeypatch):
+        """A byte that is not UTF-8 makes the line holding it malformed; the lines after it still decode."""
+        monkeypatch.setattr(ingest, "_REPLAY_BLOCK", 64)
+        rows = [line.encode() for line in nmea_fixture[:400]]
+        rows[300] = rows[300][:30] + b"\xff" + rows[300][30:]
         path = tmp_path / "bad.nmea"
-        path.write_bytes(("\n".join(nmea_fixture[:400]) + "\n").encode() + b"\xff\n" + nmea_fixture[0].encode())
-        read = []  # the lines a reader gets before the bad byte stops it
-        with pytest.raises(UnicodeDecodeError), open(path, encoding="utf-8") as f:
-            for line in f:
-                read.append(line.rstrip("\r\n"))
-        assert len(read) > 100
-        messages, errors = self._per_line(read, finish=False)
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        text = path.read_text(encoding="utf-8", errors="replace").split("\n")
+        messages, errors = self._per_line(text)
         got, got_errors = [], []
-        with pytest.raises(UnicodeDecodeError):
-            ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                              error_sink=got_errors.append, raw_start=T0, raw_cadence_s=0.5)
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
+                                    error_sink=got_errors.append, raw_start=T0, raw_cadence_s=0.5)
         assert got == messages
         assert got_errors == errors
+        assert [(e.error, e.raw) for e in errors] == [("malformed", text[300])]
+        assert "\ufffd" in text[300]
+        assert len(messages) > len(self._per_line(text[:300])[0]) + 50  # the lines after it
+        assert summary.lines == 400
 
 
 class TestStorePartitions:

@@ -69,3 +69,29 @@ def test_private_imports_are_found():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_src_takes_no_private_name_from_another_module(module):
     assert private_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def private_attribute_reads(source: str) -> list[str]:
+    """`line: expr.name` for each read of a `_`-prefixed attribute on an object other than `self` or `cls`.
+
+    Dunder names such as `__class__` are public.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, f"{ast.unparse(node.value)}.{node.attr}"))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_private_attribute_reads_are_found():
+    source = ("self._n += cls._m\nif self.child._pending:\n    other._x = 1\n"
+              "print(geo._project, obj.__class__, self._a._b, f()._c)\n")
+    assert private_attribute_reads(source) == ["2: self.child._pending", "4: f()._c", "4: geo._project",
+                                               "4: self._a._b"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_src_reads_no_private_attribute_of_another_object(module):
+    assert private_attribute_reads((SRC / module).read_text(encoding="utf-8")) == []
