@@ -111,14 +111,25 @@ def _area_filter(area, center, radius_m: float) -> AreaFilter | None:
 
 
 def _load_ground_truth(path, exclude_dates) -> tuple[metrics.ArrivalTable | None, set[dt.date]]:
+    try:
+        exclude = {dt.date.fromisoformat(s) for s in exclude_dates.split(",")} if exclude_dates else set()
+    except ValueError as exc:
+        raise UsageError(f"bad --exclude-dates: {exc}") from None
     if not path:
-        return None, set()
+        return None, exclude
     try:
         table = metrics.load_ground_truth(path)
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad ground truth: {exc}") from exc
-    exclude = {dt.date.fromisoformat(s) for s in exclude_dates.split(",")} if exclude_dates else set()
     return table, exclude
+
+
+def _raw_start(text: str) -> dt.datetime:
+    """The receive time of an untagged line 0, from --raw-start."""
+    try:
+        return parse_ts(text)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"bad --raw-start {text!r}: {exc}") from None
 
 
 def _load_jsonl(path: pathlib.Path, what: str, from_dict, kind: str | None = None) -> list:
@@ -136,7 +147,7 @@ def _load_jsonl(path: pathlib.Path, what: str, from_dict, kind: str | None = Non
 # decode
 
 
-def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, raw_start: str,
+def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, raw_start: dt.datetime,
                  raw_cadence_s: float, max_error_rate: float | None):
     """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
 
@@ -167,7 +178,7 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
             fe.write("\n")
 
         summary = run_replay(SourceConfig(mode="replay", path=source), keep, error_sink=reject,
-                             raw_start=parse_ts(raw_start), raw_cadence_s=raw_cadence_s)
+                             raw_start=raw_start, raw_cadence_s=raw_cadence_s)
     print(
         f"decoded {len(positions)} positions, {summary.messages - len(positions)} statics, "
         f"{summary.errors} errors, {summary.skipped} skipped from {summary.lines} lines"
@@ -175,7 +186,7 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         "decode",
-        {"raw_start": raw_start, "raw_cadence_s": raw_cadence_s},
+        {"raw_start": raw_start.isoformat(), "raw_cadence_s": raw_cadence_s},
         [source],
         [out, errors],
     )
@@ -188,9 +199,10 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
 
 def cmd_decode(args) -> int:
     source = _readable(args.input)
+    raw_start = _raw_start(args.raw_start)
     out = pathlib.Path(args.output)
     errors = pathlib.Path(args.errors) if args.errors else out.with_suffix(".errors.jsonl")
-    _, _, status = decode_stage(source, out, errors, args.raw_start, args.raw_cadence_s, args.max_error_rate)
+    _, _, status = decode_stage(source, out, errors, raw_start, args.raw_cadence_s, args.max_error_rate)
     return status
 
 
@@ -500,12 +512,13 @@ def cmd_run(args) -> int:
     cfg, port = _load_validation(args.config, args.method, args.port)
     area = _area_filter(args.area, args.center, args.radius_m)
     truth, exclude = _load_ground_truth(args.ground_truth, args.exclude_dates)
+    raw_start = _raw_start(args.raw_start)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     decoded = outdir / "decoded.jsonl"
     validated_path = outdir / "validated.jsonl"
     voyages_path = outdir / "voyages.jsonl"
-    positions, ship_types, status = decode_stage(source, decoded, outdir / "errors.jsonl", args.raw_start,
+    positions, ship_types, status = decode_stage(source, decoded, outdir / "errors.jsonl", raw_start,
                                                  args.raw_cadence_s, args.max_error_rate)
     validated, _ = validate_stage(positions, port, cfg, validated_path, outdir / "outages.jsonl",
                                   source=decoded, port_path=args.port, config_path=args.config,

@@ -7,12 +7,18 @@ counted and skipped. Receiver-assigned timestamps are attached at decode
 time; the AIS payload itself only carries a seconds-of-minute field.
 
 MessageDecoder.feed_block is the one decode path for live and replayed
-lines alike. It decodes the common line shape (a single-sentence position
-report, tagged or bare) for a whole block of lines at once with numpy:
-checksums by XOR reduction, payloads de-armored through a lookup table,
-fields read as integer columns. Every other line goes in its place to
-MessageDecoder.feed, the general parser of one line, so a block gives what
-feeding its lines one by one would.
+lines alike. It decodes the common line shapes, tagged or bare, for a whole
+block of lines at once with numpy: single-sentence position reports, and
+two-sentence type 5 reports whose fragments sit on adjacent lines.
+Checksums are an XOR reduction, payloads are de-armored through a lookup
+table, and fields are read as integer columns. Every other line goes in its
+place to MessageDecoder.feed, the general parser of one line, so a block
+gives what feeding its lines one by one would: malformed, orphaned and rare
+lines, and a pair that a block boundary splits.
+
+Each message type's fields are declared once, in _POSITION_LAYOUT and
+_STATIC_LAYOUT. The block reads them as columns (_read_rows); feed reads one
+message's bit buffer (_read_bits).
 
 Field offsets follow the standard ITU-R M.1371 layout as documented in the
 public AIVDM/AIVDO protocol notes:
@@ -217,8 +223,9 @@ def payload_to_bits(payload: str, fill_bits: int) -> Bits:
     return Bits(value >> fill_bits, nbits)
 
 
-# The type 1-3 fields _position_fields reads, in the order it returns them:
-# (first bit, width, two's complement).
+# The fields each decoder reads, in the order it reads them: (first bit,
+# width, two's complement). _read_bits reads a layout from one message's bit
+# buffer, _read_rows from the 6-bit values of a block of payloads.
 _POSITION_LAYOUT = (
     (0, 6, False),  # message type
     (8, 30, False),  # MMSI
@@ -230,29 +237,53 @@ _POSITION_LAYOUT = (
     (116, 12, False),  # COG, 1/10 deg
     (128, 9, False),  # true heading
 )
-# Each field lies within one of three 60-bit words of ten 6-bit values, which
-# start at these bits; so one gather, shift and mask reads every field.
-_WORD_FIRST_BITS = (0, 60, 108)
-_WORD_COLUMNS = np.array([range(first // 6, first // 6 + 10) for first in _WORD_FIRST_BITS])
-_WORD_PLACES = 64 ** np.arange(9, -1, -1, dtype=np.int64)
-_FIELD_WORD = np.array([sum(start >= first for first in _WORD_FIRST_BITS[1:]) for start, _, _ in _POSITION_LAYOUT])
-_FIELD_SHIFT = np.array([_WORD_FIRST_BITS[word] + 60 - start - width
-                         for word, (start, width, _) in zip(_FIELD_WORD, _POSITION_LAYOUT)])
-_FIELD_MASK = np.array([(1 << width) - 1 for _, width, _ in _POSITION_LAYOUT])
-_FIELD_SIGN = np.array([1 << width if signed else 0 for _, width, signed in _POSITION_LAYOUT])
+_STATIC_LAYOUT = (
+    (0, 6, False),  # message type
+    (8, 30, False),  # MMSI
+    *((112 + 6 * k, 6, False) for k in range(20)),  # vessel name, 20 six-bit characters
+    (232, 8, False),  # ship type
+    (240, 9, False),  # dimension to bow
+    (249, 9, False),  # to stern
+    (258, 6, False),  # to port
+    (264, 6, False),  # to starboard
+)
+_STATIC_BITS = 270  # every field of _STATIC_LAYOUT; a report of 240-269 bits lacks the four dimensions
 
 
-def _position_fields(six: np.ndarray) -> tuple:
-    """The type 1-3 fields of each row of an (n, 28) array of 6-bit values, as columns.
+def _read_bits(bits: Bits, layout) -> list[int]:
+    """The fields of `layout` in one bit buffer; TruncatedBuffer for a field past its end."""
+    fields = []
+    for start, width, signed in layout:
+        value = bits.uint(start, width)
+        fields.append(value - (1 << width) if signed and value >> (width - 1) else value)
+    return fields
 
-    In the order of _POSITION_LAYOUT, with longitude and latitude in
-    degrees; the other fields stay raw integers, sentinels included.
+
+def _row_plan(layout) -> tuple:
+    """How _read_rows reads `layout`: for each field, the 6-bit value it starts in, and its shift, mask and sign.
+
+    Every field of these layouts fits in the 36 bits from the 6-bit value it starts in.
     """
-    words = six[:, _WORD_COLUMNS] @ _WORD_PLACES
-    fields = (words[:, _FIELD_WORD] >> _FIELD_SHIFT) & _FIELD_MASK
-    fields -= (2 * fields >= _FIELD_SIGN) * _FIELD_SIGN  # 0 for unsigned fields
-    mtype, mmsi, navstat, rot, sog, lon, lat, cog, heading = fields.T
-    return mtype, mmsi, navstat, rot, sog, lon / 600000.0, lat / 600000.0, cog, heading
+    return (np.array([start // 6 for start, _, _ in layout]),
+            np.array([36 - start % 6 - width for start, width, _ in layout]),
+            np.array([(1 << width) - 1 for _, width, _ in layout]),
+            np.array([1 << width if signed else 0 for _, width, signed in layout]))
+
+
+_POSITION_ROWS = _row_plan(_POSITION_LAYOUT)
+_STATIC_ROWS = _row_plan(_STATIC_LAYOUT)
+
+
+def _read_rows(six: np.ndarray, plan) -> np.ndarray:
+    """The fields of a layout (planned by _row_plan) in each row of an array of 6-bit values, one column each."""
+    columns, shifts, masks, signs = plan
+    padded = np.concatenate((six, np.zeros((len(six), 5), dtype=six.dtype)), axis=1)
+    windows = padded[:, columns] << 30  # the 36 bits from the 6-bit value each field starts in
+    for j in range(1, 6):
+        windows |= padded[:, columns + j] << (30 - 6 * j)
+    fields = (windows >> shifts) & masks
+    fields -= (2 * fields >= signs) * signs  # 0 for unsigned fields
+    return fields
 
 
 def decode_position(bits: Bits, rx_time: dt.datetime) -> PositionReport:
@@ -264,14 +295,13 @@ def decode_position(bits: Bits, rx_time: dt.datetime) -> PositionReport:
     n = bits.nbits
     if n < 6:
         raise TruncatedBuffer("buffer shorter than the type field")
-    mtype = bits.value >> (n - 6)
+    mtype = bits.uint(0, 6)
     if mtype not in (1, 2, 3):
         raise WrongType(f"expected a type 1/2/3 position report, got type {mtype}")
     if n < 168:
         raise TruncatedBuffer(f"position report needs 168 bits, got {n}")
-    top = bits.value >> (n - 168)
-    row = np.array([[(top >> shift) & 63 for shift in range(162, -1, -6)]], dtype=np.int64)
-    _, mmsi, navstat, rot, sog, lon, lat, cog, heading = (column.item() for column in _position_fields(row))
+    _, mmsi, navstat, rot, sog, lon, lat, cog, heading = _read_bits(bits, _POSITION_LAYOUT)
+    lon, lat = lon / 600000.0, lat / 600000.0
     if not _in_range(lat, lon):
         raise OutOfRangePosition(f"lat={lat:.5f} lon={lon:.5f}")
     return _position_report(rx_time, mmsi, navstat, rot, sog, lon, lat, cog, heading)
@@ -283,7 +313,8 @@ def _in_range(lat, lon):
 
 
 def _position_report(rx_time, mmsi, navstat, rot_raw, sog_raw, lon, lat, cog_raw, hdg_raw) -> PositionReport:
-    """A position report from the fields _position_fields reads, with the "not available" sentinels read as None."""
+    """A position report from the fields of _POSITION_LAYOUT after the type, longitude and latitude in
+    degrees, with the "not available" sentinels read as None."""
     return PositionReport(  # positional: field order as declared
         mmsi,
         rx_time,
@@ -297,12 +328,28 @@ def _position_report(rx_time, mmsi, navstat, rot_raw, sog_raw, lon, lat, cog_raw
     )
 
 
-def _sixbit_text(bits: Bits, start: int, nchars: int) -> str:
-    chars = []
-    for i in range(nchars):
-        v = bits.uint(start + 6 * i, 6)
-        chars.append(chr(v + 64) if v < 32 else chr(v))
-    return "".join(chars).rstrip("@ ")
+# bytes.translate table of 6-bit text: values 0-31 are '@' and the letters, 32-63 space, digits and punctuation
+_SIXBIT_TEXT = bytes.maketrans(bytes(range(64)), bytes(v + 64 if v < 32 else v for v in range(64)))
+
+
+def _static_report(rx_time, mmsi, *rest) -> StaticReport:
+    """A static report from the fields of _STATIC_LAYOUT after the type; the four dimensions may be absent."""
+    name, (ship_type, *dimensions) = rest[:20], rest[20:]
+    length = width = None
+    if dimensions:
+        to_bow, to_stern, to_port, to_starboard = dimensions
+        if to_bow or to_stern:
+            length = to_bow + to_stern
+        if to_port or to_starboard:
+            width = to_port + to_starboard
+    return StaticReport(  # positional: field order as declared
+        mmsi,
+        bytes(name).translate(_SIXBIT_TEXT).decode("ascii").rstrip("@ "),
+        ship_type if ship_type <= 99 else 0,  # reserved codes treated as "not available"
+        length,
+        width,
+        rx_time,
+    )
 
 
 def decode_static(bits: Bits, rx_time: dt.datetime | None = None) -> StaticReport:
@@ -315,27 +362,8 @@ def decode_static(bits: Bits, rx_time: dt.datetime | None = None) -> StaticRepor
     if bits.nbits < 240:
         # name ends at bit 232, ship type at 240; dimensions are optional
         raise TruncatedBuffer(f"static report needs at least 240 bits, got {bits.nbits}")
-    ship_type = bits.uint(232, 8)
-    if ship_type > 99:
-        ship_type = 0  # reserved codes treated as "not available"
-    length = width = None
-    if bits.nbits >= 270:
-        to_bow = bits.uint(240, 9)
-        to_stern = bits.uint(249, 9)
-        to_port = bits.uint(258, 6)
-        to_starboard = bits.uint(264, 6)
-        if to_bow or to_stern:
-            length = to_bow + to_stern
-        if to_port or to_starboard:
-            width = to_port + to_starboard
-    return StaticReport(
-        mmsi=bits.uint(8, 30),
-        vessel_name=_sixbit_text(bits, 112, 20),
-        ship_type=ship_type,
-        length=length,
-        width=width,
-        timestamp=rx_time,
-    )
+    layout = _STATIC_LAYOUT if bits.nbits >= _STATIC_BITS else _STATIC_LAYOUT[:-4]
+    return _static_report(rx_time, *_read_bits(bits, layout)[1:])
 
 
 def split_tag_block(line: str) -> tuple[dt.datetime | None, str]:
@@ -396,18 +424,20 @@ _ERROR_NAMES = {
     OutOfRangePosition: "out_of_range_position",
 }
 
-# The one fast path, taken by MessageDecoder.feed_block: a single-sentence
-# AIVDM/AIVDO report with a 28-character (168-bit) payload and no fill bits,
-# bare or behind a TAG block of printable ASCII. Groups: TAG block body,
-# TAG checksum, sentence body, payload, sentence checksum. A line of this
-# shape still goes to the general parser when a checksum fails, the type is
-# not 1-3 or the position is out of range; so does every other line.
-_FAST_LINE = re.compile(
+# The lines MessageDecoder.feed_block reads itself: an AIVDM/AIVDO sentence,
+# bare or behind a TAG block of printable ASCII, that is either a single
+# sentence or a fragment of a two-sentence group with a one-digit message id.
+# Groups: TAG block body, TAG checksum, sentence body, fragment index (None
+# for a single sentence), message id, channel, payload, fill bits, sentence
+# checksum. Of these, feed_block decodes a single sentence with a
+# 28-character (168-bit) payload and no fill bits, and a fragment 1 and 2 of
+# one group on adjacent lines; every other line goes to the general parser.
+_BLOCK_LINE = re.compile(
     r"(?:\\([ -\[\]-~]+)\*([0-9A-Fa-f]{2})\\)?"
-    r"!(AIVD[MO],1,1,,[AB12]?,([0-9:;<=>?@A-W`a-w]{28}),0)\*([0-9A-Fa-f]{2})"
+    r"!(AIVD[MO],(?:1,1,|2,([12]),([0-9])),([AB12]?),([0-9:;<=>?@A-W`a-w]+),([0-5]))\*([0-9A-Fa-f]{2})"
 )
 # byte -> 6-bit value of an armoring character, and byte -> hex digit value;
-# _FAST_LINE admits only bytes these tables define
+# _BLOCK_LINE admits only bytes these tables define
 _SIXBIT = np.zeros(256, dtype=np.int64)
 _SIXBIT[list(ARMOR_ALPHABET.encode())] = np.arange(64)
 _HEX = np.zeros(256, dtype=np.int64)
@@ -429,6 +459,26 @@ def _hex_values(digit_pairs) -> np.ndarray:
     """The value of each two-digit hex text."""
     pairs = _HEX[_ascii(digit_pairs)].reshape(-1, 2)
     return pairs[:, 0] * 16 + pairs[:, 1]
+
+
+def _checksums_hold(groups: list[tuple]) -> list[bool]:
+    """Whether the sentence checksum, and the TAG checksum if any, of each _BLOCK_LINE match holds."""
+    tagged = [k for k, g in enumerate(groups) if g[0] is not None]
+    xors = _xor_segments([g[2] for g in groups] + [groups[k][0] for k in tagged])
+    ok = xors[: len(groups)] == _hex_values(g[8] for g in groups)
+    if tagged:
+        ok[tagged] &= xors[len(groups) :] == _hex_values(groups[k][1] for k in tagged)
+    return ok.tolist()
+
+
+def _sixes(payloads: list[str], width: int) -> np.ndarray:
+    """The 6-bit values of payloads of `width` characters, one row each."""
+    return _SIXBIT[_ascii(payloads)].reshape(-1, width)
+
+
+def _block_time(tag: str | None, rx_time: dt.datetime) -> dt.datetime:
+    """A block line's receive time: its TAG time if it has one; Malformed for an unreadable one."""
+    return (_tag_time(tag) if tag is not None else None) or rx_time
 
 
 @dataclass(slots=True)
@@ -506,7 +556,7 @@ class MessageDecoder:
 
     def _expire(self, now: dt.datetime) -> list[DecodeOutcome]:
         stale = [key for key, group in self._pending.items() if now - group.first_rx > _REASSEMBLY_WINDOW]
-        return self._timeouts([self._pending.pop(key) for key in stale], "within window")
+        return self._timeouts([self._pending.pop(key) for key in stale], "within window") if stale else []
 
     def _add_fragment(self, sentence: RawSentence, rx: dt.datetime, raw: str) -> Bits | None:
         """Buffer one fragment; the bits of its group once the group is complete, else None."""
@@ -566,43 +616,87 @@ class MessageDecoder:
     def feed_block(self, lines: list[str], rx_times: list[dt.datetime]) -> list[DecodeOutcome]:
         """The outcomes of feed(lines[i], rx_times[i]) for each line in order, as one list.
 
-        Lines of the _FAST_LINE shape are checksummed and decoded together;
-        one that fails a checksum, is not of type 1-3 or lies out of range
-        goes to feed() in its place, as does every line of another shape.
+        Single-sentence position lines, and two-sentence type 5 groups whose
+        fragments 1 and 2 sit on adjacent lines, are checksummed and decoded
+        together (_BLOCK_LINE). A position line goes to feed() in its place
+        when a checksum or its TAG time fails, its type is not 1-3 or it
+        lies out of range. A pair goes to feed() when a checksum or TAG time
+        fails, it holds fewer than 270 bits or another type, its (channel,
+        message id) key is still pending after expiring at fragment 1's
+        time, or fragment 2 arrives more than the reassembly window after
+        fragment 1. Every other line goes to feed() too.
         """
         raws = [line if (line and line[-1] not in "\r\n") else line.rstrip("\r\n") for line in lines]
-        fast = [(i, m) for i, m in enumerate(map(_FAST_LINE.fullmatch, raws)) if m is not None]
-        slot = [-1] * len(raws)  # line -> row of the decoded columns, or -1 for feed()
-        if fast:
-            groups = [m.groups() for _, m in fast]  # tag body, tag checksum, body, payload, checksum
-            tagged = [k for k, g in enumerate(groups) if g[0] is not None]
-            xors = _xor_segments([g[2] for g in groups] + [groups[k][0] for k in tagged])
-            ok = xors[: len(groups)] == _hex_values(g[4] for g in groups)
-            if tagged:
-                ok[tagged] &= xors[len(groups) :] == _hex_values(groups[k][1] for k in tagged)
-            mtype, mmsi, navstat, rot, sog, lon, lat, cog, heading = _position_fields(
-                _SIXBIT[_ascii(g[3] for g in groups)].reshape(-1, 28))
-            ok &= (mtype >= 1) & (mtype <= 3) & _in_range(lat, lon)
-            columns = list(zip(*(c.tolist() for c in (mmsi, navstat, rot, sog, lon, lat, cog, heading))))
-            for row, keep in enumerate(ok.tolist()):
-                if keep:
-                    slot[fast[row][0]] = row
+        matches = [(i, m.groups()) for i, m in enumerate(map(_BLOCK_LINE.fullmatch, raws)) if m is not None]
+        # line -> its row of `reports` if a position, -2 if the fragment 2 of a pair, else -1 (a pair's
+        # fragment 1, or feed())
+        slot = [-1] * len(raws)
+        pairs: dict[int, tuple] = {}  # fragment 1's line -> (key, TAG bodies, _static_report fields)
+        if matches:
+            # TAG body, TAG checksum, sentence body, fragment index, message id, channel, payload, fill, checksum
+            groups = [g for _, g in matches]
+            ok = _checksums_hold(groups)
+            singles = [k for k, g in enumerate(groups) if ok[k] and g[3] is None and g[7] == "0" and len(g[6]) == 28]
+            if singles:
+                mtype, mmsi, navstat, rot, sog, lon, lat, cog, heading = _read_rows(
+                    _sixes([groups[k][6] for k in singles], 28), _POSITION_ROWS).T
+                lon, lat = lon / 600000.0, lat / 600000.0
+                keep = ((mtype >= 1) & (mtype <= 3) & _in_range(lat, lon)).tolist()
+                reports = list(zip(*(c.tolist() for c in (mmsi, navstat, rot, sog, lon, lat, cog, heading))))
+                tags = [groups[k][0] for k in singles]
+                for row, (k, kept) in enumerate(zip(singles, keep)):
+                    if kept:
+                        slot[matches[k][0]] = row
+            firsts = [k for k, (g, h) in enumerate(zip(groups, groups[1:]))
+                      if g[3] == "1" and h[3] == "2" and ok[k] and ok[k + 1] and matches[k + 1][0] == matches[k][0] + 1
+                      and g[4:6] == h[4:6] and 6 * (len(g[6]) + len(h[6])) - int(h[7]) >= _STATIC_BITS]
+            if firsts:
+                width = _STATIC_BITS // 6
+                rows = _read_rows(_sixes([(groups[k][6] + groups[k + 1][6])[:width] for k in firsts], width),
+                                  _STATIC_ROWS).tolist()
+                for k, (mtype, *fields) in zip(firsts, rows):
+                    if mtype == 5:
+                        i, g = matches[k]
+                        pairs[i] = ((g[5], int(g[4])), g[0], groups[k + 1][0], fields)
+                        slot[i + 1] = -2
         outcomes: list[DecodeOutcome] = []
         for i, row in enumerate(slot):
-            if row < 0:
-                outcomes += self.feed(lines[i], rx_times[i])
-                continue
-            tag = groups[row][0]
-            try:
-                rx = (_tag_time(tag) if tag is not None else None) or rx_times[i]
-            except Malformed:
-                outcomes += self.feed(lines[i], rx_times[i])  # the general parser's error
-                continue
-            self.lines += 1
-            if self._pending:
-                outcomes += self._expire(rx)
-            self.positions += 1
-            outcomes.append(DecodeOutcome("position", _position_report(rx, *columns[row]), None, None, raws[i]))
+            if row >= 0:
+                try:
+                    rx = _block_time(tags[row], rx_times[i])
+                except Malformed:
+                    outcomes += self.feed(lines[i], rx_times[i])  # the general parser's error
+                    continue
+                self.lines += 1
+                if self._pending:
+                    outcomes += self._expire(rx)
+                self.positions += 1
+                outcomes.append(DecodeOutcome("position", _position_report(rx, *reports[row]), None, None, raws[i]))
+            elif row == -1:
+                pair = pairs.get(i)
+                if pair is None:
+                    outcomes += self.feed(lines[i], rx_times[i])
+                else:
+                    outcomes += self._feed_pair(lines[i : i + 2], rx_times[i : i + 2], raws[i : i + 2], *pair)
+        return outcomes
+
+    def _feed_pair(self, lines, rx_times, raws, key, tag1, tag2, fields) -> list[DecodeOutcome]:
+        """The outcomes of feeding fragments 1 and 2 of a type 5 group, whose fields feed_block read."""
+        try:
+            rx1, rx2 = _block_time(tag1, rx_times[0]), _block_time(tag2, rx_times[1])
+        except Malformed:
+            rx1 = rx2 = None
+        outcomes = self._expire(rx1) if rx1 is not None and self._pending else []
+        if rx1 is None or rx2 - rx1 > _REASSEMBLY_WINDOW or key in self._pending:
+            # the general parser's error, timeout or reassembly with an earlier fragment
+            return outcomes + self.feed(lines[0], rx_times[0]) + self.feed(lines[1], rx_times[1])
+        self.lines += 2
+        self.buffered += 1
+        outcomes.append(DecodeOutcome("buffered", None, None, None, raws[0]))
+        if self._pending:
+            outcomes += self._expire(rx2)
+        self.statics += 1
+        outcomes.append(DecodeOutcome("static", _static_report(rx2, *fields), None, None, raws[1]))
         return outcomes
 
     def _decode_bits(self, bits: Bits, rx: dt.datetime, raw: str) -> DecodeOutcome:

@@ -3,7 +3,9 @@
 One JSON document per line, UTF-8, LF endings. Timestamps are second
 precision ISO-8601 with a trailing Z; serialization is deterministic
 (sorted keys, compact separators) so identical runs produce identical
-bytes.
+bytes. Every stored position's timestamp goes through `format_ts`, so it
+writes the text from the hour, minute and second and a cached text of the
+day rather than through `isoformat`.
 
 Positions and validated messages are nearly every document a run writes,
 so each has one fixed template, `position_line` and `validated_line`,
@@ -16,6 +18,7 @@ codecs and `dumps`, which escapes it.
 """
 
 import datetime as dt
+import functools
 import json
 import math
 
@@ -24,11 +27,20 @@ from .codec import PositionReport, StaticReport
 UTC = dt.timezone.utc
 
 
+_TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
+
+
+@functools.lru_cache(maxsize=1024)
+def _day_text(ordinal: int) -> str:
+    """The "YYYY-MM-DDT" text of a day, by its proleptic Gregorian ordinal."""
+    return dt.date.fromordinal(ordinal).isoformat() + "T"
+
+
 def format_ts(t: dt.datetime) -> str:
     """`t` in UTC as YYYY-MM-DDTHH:MM:SSZ, microseconds cut; a naive `t` is local time."""
     if t.tzinfo is not UTC:
         t = t.astimezone(UTC)
-    return t.isoformat()[:19] + "Z"
+    return f"{_day_text(t.toordinal())}{_TWO_DIGITS[t.hour]}:{_TWO_DIGITS[t.minute]}:{_TWO_DIGITS[t.second]}Z"
 
 
 def parse_ts(s: str) -> dt.datetime:
@@ -44,16 +56,15 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _number(value) -> str:
-    """A number or None as `json` writes it: `repr` is what it uses for int and float."""
-    return "null" if value is None else repr(value)
-
-
 def position_line(r: PositionReport) -> str:
-    """The stored document of a position report, equal to `dumps(message_to_dict(r))`."""
-    return (f'{{"cog":{_number(r.cog)},"heading":{_number(r.heading)},"lat":{r.lat!r},"lon":{r.lon!r},'
-            f'"mmsi":{r.mmsi!r},"navstat":{r.navstat!r},"rot":{_number(r.rot)},"sog":{_number(r.sog)},'
-            f'"ts":"{format_ts(r.timestamp)}","type":"position"}}')
+    """The stored document of a position report, equal to `dumps(message_to_dict(r))`.
+
+    Numbers are written as `repr`, which is what `json` uses for int and float.
+    """
+    return (f'{{"cog":{"null" if r.cog is None else repr(r.cog)},'
+            f'"heading":{"null" if r.heading is None else repr(r.heading)},"lat":{r.lat!r},"lon":{r.lon!r},'
+            f'"mmsi":{r.mmsi!r},"navstat":{r.navstat!r},"rot":{"null" if r.rot is None else repr(r.rot)},'
+            f'"sog":{"null" if r.sog is None else repr(r.sog)},"ts":"{format_ts(r.timestamp)}","type":"position"}}')
 
 
 def validated_line(vm) -> str:
@@ -63,11 +74,12 @@ def validated_line(vm) -> str:
     """
     r = vm.report
     return (f'{{"agreed_with_reported":{"true" if vm.agreed_with_reported else "false"},'
-            f'"cog":{_number(r.cog)},"corrected_navstat":{vm.corrected_navstat!r},'
-            f'"gap_flag":{"true" if vm.gap_flag else "false"},"heading":{_number(r.heading)},'
+            f'"cog":{"null" if r.cog is None else repr(r.cog)},"corrected_navstat":{vm.corrected_navstat!r},'
+            f'"gap_flag":{"true" if vm.gap_flag else "false"},'
+            f'"heading":{"null" if r.heading is None else repr(r.heading)},'
             f'"lat":{r.lat!r},"lon":{r.lon!r},"method":"{vm.method}","mmsi":{r.mmsi!r},'
-            f'"navstat":{r.navstat!r},"rot":{_number(r.rot)},"sog":{_number(r.sog)},'
-            f'"ts":"{format_ts(r.timestamp)}","type":"validated"}}')
+            f'"navstat":{r.navstat!r},"rot":{"null" if r.rot is None else repr(r.rot)},'
+            f'"sog":{"null" if r.sog is None else repr(r.sog)},"ts":"{format_ts(r.timestamp)}","type":"validated"}}')
 
 
 def message_to_dict(msg: PositionReport | StaticReport) -> dict:

@@ -13,7 +13,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfben
 import run as bench  # noqa: E402
 import score  # noqa: E402
 import workloads  # noqa: E402
-from portcall import cli  # noqa: E402
+from portcall import cli, codec, ingest  # noqa: E402
 
 # sha256 of every output but the manifests, which hold absolute paths; a change
 # to any of these bytes is a declared change of the program's output
@@ -89,3 +89,23 @@ def test_tiny_workload_scores_clean(tmp_path, name, seed):
     outputs = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.rglob("*")) if p.is_file() and not p.name.endswith("manifest.json")}
     assert outputs == OUTPUT_PINS[name, seed]
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_only_faulted_lines_and_block_split_statics_take_the_line_parser(tmp_path, monkeypatch, name):
+    """Every clean position line and static pair decodes in the block pass, except a pair a block boundary splits."""
+    w = workloads.WORKLOADS[name]
+    inputs = workloads.make_inputs(w, 7, tmp_path / "inputs", tiny=True)
+    fed = []
+
+    class Recording(codec.MessageDecoder):
+        def feed(self, line, rx_time):
+            fed.append(line)
+            return super().feed(line, rx_time)
+
+    monkeypatch.setattr(ingest, "MessageDecoder", Recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(bench.cli_argv(w, inputs.files, tmp_path / "out")) == cli.EXIT_OK
+    lines, size = inputs.lines, ingest._REPLAY_BLOCK
+    split = sum(",2,1," in lines[j] and ",2,2," in lines[j + 1] for j in range(size - 1, len(lines) - 1, size))
+    assert len(fed) == len(inputs.ledger) + 2 * split

@@ -259,6 +259,35 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["decode", "run"])
+def test_unparseable_raw_start_is_a_usage_error(inputs, tmp_path, capsys, command):
+    """Before any output is opened: decode keeps what its output and error files held."""
+    out = tmp_path / "out"
+    out.mkdir()
+    decoded, errors = out / "decoded.jsonl", out / "errors.jsonl"
+    decoded.write_text("kept\n")
+    errors.write_text("kept\n")
+    argv = {"decode": ["decode", "--output", str(decoded), "--errors", str(errors)],
+            "run": ["run", "--outdir", str(out / "run")]}[command]
+    assert cli.main(argv + ["--input", str(inputs["untagged.nmea"]), "--raw-start", "yesterday"]) == cli.EXIT_USAGE
+    assert "bad --raw-start 'yesterday'" in capsys.readouterr().err
+    assert decoded.read_text() == errors.read_text() == "kept\n"
+    assert sorted(p.name for p in out.iterdir()) == ["decoded.jsonl", "errors.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["run", "metrics"])
+def test_unparseable_exclude_date_is_a_usage_error(inputs, tmp_path, capsys, command):
+    voyages = tmp_path / "voyages.jsonl"
+    voyages.write_text("")
+    out = tmp_path / "out"
+    argv = {"run": ["run", "--input", str(inputs["tagged.nmea"]), "--outdir", str(out)],
+            "metrics": ["metrics", "--voyages", str(voyages), "--output-dir", str(out)]}[command]
+    rc = cli.main(argv + ["--ground-truth", str(inputs["truth.csv"]), "--exclude-dates", "2019-09-02,2019-13-01"])
+    assert rc == cli.EXIT_USAGE
+    assert "bad --exclude-dates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_knn_k_zero_in_the_config_is_a_usage_error(inputs, tmp_path, capsys):
     config = tmp_path / "v.conf"
     config.write_text("method = knn\nknn_k = 0\n")

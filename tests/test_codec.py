@@ -250,6 +250,24 @@ class TestDecodeStatic:
         assert report.length == 150
         assert report.width == 22
 
+    @pytest.mark.parametrize("ship_type, read", [(0, 0), (99, 99), (100, 0), (255, 0)])
+    def test_reserved_ship_types_read_as_zero(self, ship_type, read):
+        assert decode_static_group(mmsi=7, name="A", ship_type=ship_type).ship_type == read
+
+    @pytest.mark.parametrize("sides, length, width", [
+        ((0, 0, 0, 0), None, None), ((0, 30, 0, 0), 30, None), ((120, 0, 0, 0), 120, None),
+        ((0, 0, 0, 10), None, 10), ((0, 0, 12, 0), None, 12), ((511, 511, 63, 63), 1022, 126)])
+    def test_one_side_of_a_dimension_suffices(self, sides, length, width):
+        report = decode_static_group(mmsi=7, name="A", ship_type=70, **dict(zip(
+            ("to_bow", "to_stern", "to_port", "to_starboard"), sides)))
+        assert (report.length, report.width) == (length, width)
+
+    @pytest.mark.parametrize("name, read", [("TRAILING   ", "TRAILING"), ("AT@SIGN", "AT@SIGN"), ("A B@ @", "A B"),
+                                            (" !\"#$%&'()*+,-./0123", " !\"#$%&'()*+,-./0123"), ("[\\]^_", "[\\]^_")])
+    def test_name_text(self, name, read):
+        """Trailing '@' padding and spaces are cut; the 6-bit characters read as themselves."""
+        assert decode_static_group(mmsi=7, name=name, ship_type=70).vessel_name == read
+
     def test_wrong_type(self):
         bits = codec.payload_to_bits("1" + "0" * 70, 0)
         with pytest.raises(codec.WrongType):
@@ -362,6 +380,41 @@ def test_single_character_corruption_never_silent():
             assert outcome.kind == "error"
 
 
+def _field(width: int, signed: bool = False, *specials: int) -> st.SearchStrategy:
+    """Values of a `width`-bit field: its extremes, `specials` (sentinels) and anything between."""
+    low, high = (-(1 << (width - 1)), (1 << (width - 1)) - 1) if signed else (0, (1 << width) - 1)
+    return st.sampled_from((low, high, 0) + specials) | st.integers(low, high)
+
+
+position_bit_strings = st.builds(
+    lambda tail, **fields: oracles.position_bits(**fields) + tail,
+    tail=st.sampled_from(("", "0", "1" * 6)),  # bits past the layout, or fill bits
+    msg_type=st.sampled_from((1, 2, 3)), mmsi=_field(30), navstat=_field(4), rot_raw=_field(8, True, -128),
+    sog_raw=_field(10, False, 1023), lon_raw=_field(28, True, 108000000, -108000000, 181 * 600000),
+    lat_raw=_field(27, True, 54000000, -54000000, 91 * 600000), cog_raw=_field(12, False, 3600),
+    heading_raw=_field(9, False, 511), second=_field(6), radio=_field(19),
+)
+static_bit_strings = st.integers(240, 424).flatmap(
+    lambda n: st.integers(0, (1 << (n - 6)) - 1).map(lambda rest: format(5, "06b") + format(rest, f"0{n - 6}b")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=position_bit_strings | static_bit_strings, cut=st.integers(1, 70), fill=st.integers(0, 5))
+def test_feed_and_feed_block_decode_alike(bits, cut, fill):
+    """The one-message readers (decode_position, decode_static) and the block's columns read the same fields."""
+    payload, true_fill = oracles.bits_to_payload(bits)
+    if bits.startswith(format(5, "06b")):
+        cut = min(cut, len(payload) - 1)
+        lines = [oracles.sentence(payload[:cut], fill, 2, 1, 4), oracles.sentence(payload[cut:], true_fill, 2, 2, 4)]
+    else:
+        lines = [oracles.sentence(payload, true_fill)]
+    per_line = codec.MessageDecoder()
+    expected = [o for line in lines for o in per_line.feed(line, RX)]
+    block = codec.MessageDecoder()
+    assert block.feed_block(lines, [RX] * len(lines)) == expected
+    assert expected[-1].kind in ("position", "static", "error")
+
+
 # --- the block path ------------------------------------------------------------
 
 
@@ -388,19 +441,68 @@ def _with_checksum(line: str, cs: int) -> str:
     return f"{line[:-2]}{cs:02X}"
 
 
+def _static_fragments(rng, bits: str, message_id: int, channel: str = "A") -> list[str]:
+    """A two-sentence group carrying `bits`, split at a random character, with random talkers and fragment 1 fill."""
+    payload, fill = oracles.bits_to_payload(bits)
+    cut = rng.randrange(1, len(payload))
+    talkers = [rng.choice(("AIVDM", "AIVDO")) for _ in range(2)]
+    return [oracles.sentence(payload[:cut], rng.randrange(6), 2, 1, message_id, channel, talkers[0]),
+            oracles.sentence(payload[cut:], fill, 2, 2, message_id, channel, talkers[1])]
+
+
+STATIC_NAMES = ("", "BLOCK TEST", "TRAILING   ", "AT@SIGN", "ABCDEFGHIJKLMNOPQRST", " !\"#$%&'()*+,-./0123", "[\\]^_ 9")
+
+
+def _static_bits(rng) -> str:
+    """A type 5 report with a name from STATIC_NAMES, any ship type and dimensions, zero among them."""
+    dims = {side: rng.choice((0, rng.randrange(1 << width)))
+            for side, width in (("to_bow", 9), ("to_stern", 9), ("to_port", 6), ("to_starboard", 6))}
+    return oracles.static_bits(mmsi=rng.randrange(1 << 30), name=rng.choice(STATIC_NAMES),
+                               ship_type=rng.choice((rng.randrange(100), rng.randrange(100, 256))), **dims)
+
+
+def _static_hazard(rng, message_id: int, channel: str) -> list[tuple[str, int]]:
+    """Static fragments with their receive time offsets in seconds: a pair the block path decodes, or one of
+    the cases it must hand to feed or get right."""
+    first, second = _static_fragments(rng, _static_bits(rng), message_id, channel)
+    case = rng.randrange(10)
+    if case == 0:  # fragment 2 more than the 30 s window after fragment 1
+        return [(first, 0), (second, rng.randrange(31, 90))]
+    if case == 1:  # the key is still pending from an orphan fragment
+        orphan = _static_fragments(rng, _static_bits(rng), message_id, channel)[rng.randrange(2)]
+        return [(orphan, 0), (first, 0), (second, 0)]
+    if case == 2:  # fragments in reverse order
+        return [(second, 0), (first, 0)]
+    if case == 3:  # a line between the fragments, or interleaved with a pair on another channel
+        if rng.random() < 0.5:
+            return [(first, 0), ("!AIVDM", 0), (second, 0)]
+        a, b = _static_fragments(rng, _static_bits(rng), message_id, "B" if channel != "B" else "A")
+        return [(first, 0), (a, 0), (second, 0), (b, 0)]
+    if case == 4:  # fragment 2 with a bad checksum
+        return [(first, 0), (_with_checksum(second, int(second[-2:], 16) ^ rng.randrange(1, 256)), 0)]
+    if case == 5:  # a joined payload of 240-269 bits, or of type 1
+        if rng.random() < 0.5:
+            bits = _static_bits(rng)[: rng.randrange(240, 270)]
+        else:
+            bits = oracles.position_bits(msg_type=1, mmsi=rng.randrange(1 << 30), navstat=0, rot_raw=0, sog_raw=0,
+                                         lon_raw=0, lat_raw=0, cog_raw=0, heading_raw=0) + "0" * rng.randrange(120)
+        return [(line, 0) for line in _static_fragments(rng, bits, message_id, channel)]
+    return [(first, 0), (second, rng.randrange(31))]
+
+
 def _block_corpus(seed: int, n: int = 400):
-    """Lines and receive times mixing the block path's shape with everything it must hand to feed."""
+    """Lines and receive times mixing the block path's shapes with everything it must hand to feed."""
     rng = random.Random(seed)
     epoch0 = 1568298480
     lines, rxs = [], []
     static_id = 0
     for i in range(n):
-        epoch = epoch0 + 7 * i  # statics left without their second half time out after a few lines
-        rx = dt.datetime.fromtimestamp(epoch, tz=UTC)
+        epoch = epoch0 + 7 * i  # statics left without their other half time out after a few lines
         r = rng.random()
         channel = rng.choice(("A", "B", "1", "2", ""))
         payload = _position_payload(rng)
         line = oracles.sentence(payload, 0, channel=channel, talker=rng.choice(("AIVDM", "AIVDO")))
+        emitted = None
         if r < 0.08:
             line = _with_checksum(line, oracles.xor_checksum(line[1:-3]) ^ rng.randrange(1, 256))
         elif r < 0.14:
@@ -420,32 +522,54 @@ def _block_corpus(seed: int, n: int = 400):
             line = oracles.sentence(payload, rng.randrange(1, 6), channel=channel)
         elif r < 0.40:
             line = line[:-2] + line[-2:].lower()
-        elif r < 0.50:
+        elif r < 0.45:
             static_id = static_id % 9 + 1
             group = oracles.static_sentences(message_id=static_id, mmsi=rng.randrange(1 << 30),
                                              name="BLOCK TEST", ship_type=rng.randrange(100))
+            emitted = [(group[0], 0)] if rng.random() < 0.5 else [(line, 0) for line in group]  # alone, it times out
+        elif r < 0.60:
+            static_id = static_id % 9 + 1
+            emitted = _static_hazard(rng, static_id, rng.choice(("A", "B", "1", "2", "")))
+        for line, late in emitted or [(line, 0)]:
+            stamp = epoch + late
+            rx = dt.datetime.fromtimestamp(stamp, tz=UTC)
             if rng.random() < 0.5:
-                group = group[:1]  # left to time out
-            lines.extend(group[:-1])
-            rxs.extend([rx] * (len(group) - 1))
-            line = group[-1]
-        if rng.random() < 0.5:
-            stamp = epoch * 1000 + rng.randrange(1000) if rng.random() < 0.3 else epoch
-            if rng.random() < 0.02:
-                stamp = rng.choice((99999999999, 999999999999, 10**30))  # far future, out of range
-            # other TAG fields around the time (a `*` among them), or no time
-            body = rng.choice((f"c:{stamp}",) * 3 + (f"s:r{i},c:{stamp}", f"c:{stamp},n:{i}", f"s:r{i}",
-                                                     f"s:r*{i},c:{stamp}"))
-            line = f"\\{body}*{oracles.xor_checksum(body):02X}\\{line}"
-            if rng.random() < 0.05:
-                tag_end = line.index("\\", 1)
-                line = line[: tag_end - 2] + "00" + line[tag_end:] if line[tag_end - 2 : tag_end] != "00" \
-                    else line[: tag_end - 2] + "01" + line[tag_end:]
-        if rng.random() < 0.1:
-            line += rng.choice(("\r\n", "\n", "\r"))
-        lines.append(line)
-        rxs.append(rx)
+                if rng.random() < 0.3:
+                    stamp = stamp * 1000 + rng.randrange(1000)
+                if rng.random() < 0.02:
+                    stamp = rng.choice((99999999999, 999999999999, 10**30))  # far future, out of range
+                # other TAG fields around the time (a `*` among them), or no time
+                body = rng.choice((f"c:{stamp}",) * 3 + (f"s:r{i},c:{stamp}", f"c:{stamp},n:{i}", f"s:r{i}",
+                                                         f"s:r*{i},c:{stamp}"))
+                line = f"\\{body}*{oracles.xor_checksum(body):02X}\\{line}"
+                if rng.random() < 0.05:
+                    tag_end = line.index("\\", 1)
+                    line = line[: tag_end - 2] + "00" + line[tag_end:] if line[tag_end - 2 : tag_end] != "00" \
+                        else line[: tag_end - 2] + "01" + line[tag_end:]
+            if rng.random() < 0.1:
+                line += rng.choice(("\r\n", "\n", "\r"))
+            lines.append(line)
+            rxs.append(rx)
     return lines, rxs
+
+
+def _sentence_fields(line: str) -> list[str]:
+    """The comma-separated fields of a line's sentence, checksum cut, behind any TAG block."""
+    return line.rstrip("\r\n").rsplit("\\", 1)[-1][1:-3].split(",")
+
+
+def _block_decoded(lines, each) -> set[int]:
+    """The lines feed_block must decode itself, from what feeding each line gave: a single sentence that decodes
+    to a position, and fragments 1 and 2 of one group on adjacent lines decoding to a static with every field
+    decode_static reads (270 bits)."""
+    decoded = {j for j, outcomes in enumerate(each)
+               if outcomes[-1].kind == "position" and _sentence_fields(lines[j])[1] == "1"}
+    for j in range(1, len(lines)):
+        if (each[j - 1][-1].kind, each[j][-1].kind) == ("buffered", "static"):
+            first, second = _sentence_fields(lines[j - 1]), _sentence_fields(lines[j])
+            if first[2] == "1" and first[3:5] == second[3:5] and 6 * len(first[5] + second[5]) - int(second[6]) >= 270:
+                decoded |= {j - 1, j}
+    return decoded
 
 
 class TestFeedBlock:
@@ -466,10 +590,13 @@ class TestFeedBlock:
         got = block.feed_block(lines, rxs) + block.finish()
         assert got == expected
         assert block.counts == per_line.counts
-        # every line that decodes to a position took the block path, tagged or bare; no other line did
-        positions = [line for line, outcomes in zip(lines, each) if outcomes[-1].kind == "position"]
-        assert set(fed) == set(lines) - set(positions)
-        assert any(line.startswith("\\") for line in positions) and any(line.startswith("!") for line in positions)
+        # the single-sentence positions and the complete adjacent static pairs took the block path, tagged or
+        # bare; every other line went to feed, in order
+        decoded = _block_decoded(lines, each)
+        assert fed == [line for j, line in enumerate(lines) if j not in decoded]
+        for kind in ("position", "static"):
+            took = [lines[j] for j in decoded if each[j][-1].kind == kind]
+            assert any(line.startswith("\\") for line in took) and any(line.startswith("!") for line in took)
         kinds = {o.kind for o in got}
         assert kinds == {"position", "static", "buffered", "skipped", "error"}
         assert {o.error for o in got} >= {"bad_checksum", "malformed", "timeout", "truncated_buffer",

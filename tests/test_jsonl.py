@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +78,17 @@ def test_validated_line_is_the_dict_codec_text(vm):
     line = jsonl.validated_line(vm)
     assert line == jsonl.dumps(cli.validated_to_dict(vm))
     assert cli.validated_from_dict(json.loads(line)) == dataclasses.replace(vm, report=whole_seconds(vm.report))
+
+
+@pytest.mark.parametrize("t, text", [
+    (dt.datetime(2019, 12, 31, 23, 59, 59, 999999, tzinfo=dt.timezone.utc), "2019-12-31T23:59:59Z"),
+    (dt.datetime(1000, 1, 1, tzinfo=dt.timezone.utc), "1000-01-01T00:00:00Z"),
+    (dt.datetime(9999, 12, 31, 23, 59, 59, tzinfo=dt.timezone.utc), "9999-12-31T23:59:59Z"),
+    (dt.datetime(2019, 7, 1, 12, 30, 5), None),  # naive: local time
+    (dt.datetime(2020, 3, 1, 1, 0, 7, tzinfo=dt.timezone(dt.timedelta(hours=5))), "2020-02-29T20:00:07Z"),
+    (dt.datetime(2019, 12, 31, 22, 15, tzinfo=dt.timezone(dt.timedelta(hours=-5))), "2020-01-01T03:15:00Z"),
+], ids=["last-microsecond-of-the-year", "year-1000", "year-9999", "naive", "offset-day-back", "offset-day-forward"])
+def test_format_ts_edges(t, text):
+    """Each edge twice: once filling the cached text of its day, once reading it."""
+    assert jsonl.format_ts(t) == jsonl.format_ts(t) == oracles.strftime_ts(t)
+    assert text is None or jsonl.format_ts(t) == text
