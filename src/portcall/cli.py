@@ -12,21 +12,29 @@ validated messages and flags a voyage from their gap flags.
 
 Exit codes: 0 success, 1 data-quality threshold exceeded, 2 usage or I/O
 error.
+
+`synth` and `metrics` are imported by the commands that use them, so a
+command pays only for the stages it runs.
 """
 
 import argparse
 import datetime as dt
 import hashlib
 import json
+import math
 import pathlib
 import sys
 import threading
+from typing import TYPE_CHECKING
 
-from . import __version__, jsonl, metrics, synth, validate, voyage
-from .codec import STATUS_KINDS, PositionReport
+from . import __version__, jsonl, validate, voyage
+from .codec import STATUS_KINDS, PositionReport, PositionTable
 from .geo import AreaFilter, InvalidPolygon, PortGeometry, load_port_geometry
-from .ingest import MessageStore, SourceConfig, run_live, run_replay
+from .ingest import MessageStore, RawTimeOutOfRange, SourceConfig, run_live, run_replay
 from .jsonl import format_ts, message_from_dict, message_to_dict, parse_ts
+
+if TYPE_CHECKING:
+    from . import metrics
 
 EXIT_OK = 0
 EXIT_QUALITY = 1
@@ -110,13 +118,15 @@ def _area_filter(area, center, radius_m: float) -> AreaFilter | None:
     return None
 
 
-def _load_ground_truth(path, exclude_dates) -> tuple[metrics.ArrivalTable | None, set[dt.date]]:
+def _load_ground_truth(path, exclude_dates) -> "tuple[metrics.ArrivalTable | None, set[dt.date]]":
     try:
         exclude = {dt.date.fromisoformat(s) for s in exclude_dates.split(",")} if exclude_dates else set()
     except ValueError as exc:
         raise UsageError(f"bad --exclude-dates: {exc}") from None
     if not path:
         return None, exclude
+    from . import metrics
+
     try:
         table = metrics.load_ground_truth(path)
     except (OSError, ValueError) as exc:
@@ -130,6 +140,13 @@ def _raw_start(text: str) -> dt.datetime:
         return parse_ts(text)
     except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad --raw-start {text!r}: {exc}") from None
+
+
+def _raw_cadence(seconds: float) -> float:
+    """The receive time spacing of untagged lines, from --raw-cadence-s: a finite number of seconds >= 0."""
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise UsageError(f"bad --raw-cadence-s {seconds!r}: not a finite number of seconds >= 0")
+    return seconds
 
 
 def _load_jsonl(path: pathlib.Path, what: str, from_dict, kind: str | None = None) -> list:
@@ -151,10 +168,13 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
                  raw_cadence_s: float, max_error_rate: float | None):
     """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
 
-    Returns the position reports, the ship type of every MMSI that sent
-    static data, and the exit status of the error-rate check. Timestamps are
-    cut to the whole seconds the JSONL holds, so later stages see the values
-    a staged run reads back from the file.
+    The decoder's position tables are written to `out` from their columns,
+    then turned into the position reports that validate takes, and dropped;
+    stored JSONL positions and statics are written one by one. Returns the
+    position reports, the ship type of every MMSI that sent static data,
+    and the exit status of the error-rate check. Timestamps are cut to the
+    whole seconds the JSONL holds, so later stages see the values a staged
+    run reads back from the file.
     """
     positions: list[PositionReport] = []
     ship_types: dict[int, int] = {}
@@ -173,12 +193,21 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
                 ship_types[msg.mmsi] = msg.ship_type
             fo.write("\n")
 
+        def keep_positions(table, lines):
+            fo.write("\n".join(lines))
+            fo.write("\n")
+            whole_seconds = table.time_us - table.time_us % 1_000_000
+            positions.extend(PositionTable(whole_seconds, *table.columns()[1:]).reports())
+
         def reject(outcome):
             fe.write(jsonl.dumps({"error": outcome.error, "detail": outcome.detail, "raw": outcome.raw}))
             fe.write("\n")
 
-        summary = run_replay(SourceConfig(mode="replay", path=source), keep, error_sink=reject,
-                             raw_start=raw_start, raw_cadence_s=raw_cadence_s)
+        try:
+            summary = run_replay(SourceConfig(mode="replay", path=source), keep, positions_sink=keep_positions,
+                                 error_sink=reject, raw_start=raw_start, raw_cadence_s=raw_cadence_s)
+        except RawTimeOutOfRange as exc:
+            raise UsageError(f"bad --raw-cadence-s {raw_cadence_s!r}: {exc}") from None
     print(
         f"decoded {len(positions)} positions, {summary.messages - len(positions)} statics, "
         f"{summary.errors} errors, {summary.skipped} skipped from {summary.lines} lines"
@@ -200,9 +229,10 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
 def cmd_decode(args) -> int:
     source = _readable(args.input)
     raw_start = _raw_start(args.raw_start)
+    raw_cadence_s = _raw_cadence(args.raw_cadence_s)
     out = pathlib.Path(args.output)
     errors = pathlib.Path(args.errors) if args.errors else out.with_suffix(".errors.jsonl")
-    _, _, status = decode_stage(source, out, errors, raw_start, args.raw_cadence_s, args.max_error_rate)
+    _, _, status = decode_stage(source, out, errors, raw_start, raw_cadence_s, args.max_error_rate)
     return status
 
 
@@ -349,10 +379,12 @@ def _hours(delta: dt.timedelta) -> str:
 
 
 def metrics_stage(voyages: list[voyage.Voyage], ship_types: dict[int, int], port: PortGeometry | None,
-                  truth: metrics.ArrivalTable | None, exclude: set[dt.date], outdir: pathlib.Path, *,
+                  truth: "metrics.ArrivalTable | None", exclude: set[dt.date], outdir: pathlib.Path, *,
                   vessel: int | None, voyages_path: pathlib.Path, static_path: str | None, truth_path: str | None,
                   port_path: str | None) -> None:
     """Write the turnaround, arrival and weekly tables, a summary, and the MAE against the truth if given."""
+    from . import metrics
+
     outdir.mkdir(parents=True, exist_ok=True)
     categories = {mmsi: metrics.vessel_category(st) for mmsi, st in ship_types.items()}
 
@@ -449,6 +481,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     if args.scenario:
         try:
             scenario = synth.Scenario.load(args.scenario)
@@ -495,9 +529,9 @@ def cmd_ingest(args) -> int:
     store = MessageStore(args.store)
     try:
         if cfg.mode == "replay":
-            summary = run_replay(cfg, store.append)
+            summary = run_replay(cfg, store.append, positions_sink=store.append_positions)
         else:
-            summary = run_live(cfg, store.append, threading.Event())
+            summary = run_live(cfg, store.append, threading.Event(), positions_sink=store.append_positions)
     finally:
         store.close()
     print(
@@ -513,13 +547,14 @@ def cmd_run(args) -> int:
     area = _area_filter(args.area, args.center, args.radius_m)
     truth, exclude = _load_ground_truth(args.ground_truth, args.exclude_dates)
     raw_start = _raw_start(args.raw_start)
+    raw_cadence_s = _raw_cadence(args.raw_cadence_s)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     decoded = outdir / "decoded.jsonl"
     validated_path = outdir / "validated.jsonl"
     voyages_path = outdir / "voyages.jsonl"
     positions, ship_types, status = decode_stage(source, decoded, outdir / "errors.jsonl", raw_start,
-                                                 args.raw_cadence_s, args.max_error_rate)
+                                                 raw_cadence_s, args.max_error_rate)
     validated, _ = validate_stage(positions, port, cfg, validated_path, outdir / "outages.jsonl",
                                   source=decoded, port_path=args.port, config_path=args.config,
                                   min_agreement=None)

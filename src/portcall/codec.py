@@ -11,10 +11,13 @@ lines alike. It decodes the common line shapes, tagged or bare, for a whole
 block of lines at once with numpy: single-sentence position reports, and
 two-sentence type 5 reports whose fragments sit on adjacent lines.
 Checksums are an XOR reduction, payloads are de-armored through a lookup
-table, and fields are read as integer columns. Every other line goes in its
-place to MessageDecoder.feed, the general parser of one line, so a block
-gives what feeding its lines one by one would: malformed, orphaned and rare
-lines, and a pair that a block boundary splits.
+table, fields are read as integer columns and TAG times as one integer
+column. The block's positions leave as one PositionTable of columns, with
+receive times in integer microseconds since the epoch; nothing builds an
+object per position until a caller asks for PositionTable.reports. Every
+other line goes in its place to MessageDecoder.feed, the general parser of
+one line, so a block gives what feeding its lines one by one would:
+malformed, orphaned and rare lines, and a pair that a block boundary splits.
 
 Each message type's fields are declared once, in _POSITION_LAYOUT and
 _STATIC_LAYOUT. The block reads them as columns (_read_rows); feed reads one
@@ -77,6 +80,24 @@ _BIT_TABLE = {ord(c): format(v, "06b") for v, c in enumerate(ARMOR_ALPHABET)}
 _ARMOR_DELETE = {ord(c): None for c in ARMOR_ALPHABET}
 
 UTC = dt.timezone.utc
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=UTC)
+_US = dt.timedelta(microseconds=1)
+_UNIX_ORDINAL = _EPOCH.toordinal()  # the proleptic Gregorian ordinal of 1970-01-01
+_DAY_US = 86_400_000_000
+# the last whole second a datetime holds, 9999-12-31T23:59:59, in seconds since the epoch
+_MAX_EPOCH_S = (dt.datetime.max.replace(tzinfo=UTC) - _EPOCH) // dt.timedelta(seconds=1)
+
+
+def epoch_us(t: dt.datetime) -> int:
+    """`t` in microseconds since 1970-01-01 UTC; a naive `t` is local time."""
+    if t.tzinfo is None:
+        t = t.astimezone(UTC)
+    return (t - _EPOCH) // _US
+
+
+def from_epoch_us(us: int) -> dt.datetime:
+    """The UTC datetime `us` microseconds after 1970-01-01."""
+    return _EPOCH + dt.timedelta(0, *divmod(us, 1_000_000))
 
 
 # The AIS navigational status codes this toolkit acts on, and the phase kind
@@ -312,6 +333,15 @@ def _in_range(lat, lon):
     return (abs(lat) <= 90.0) & (abs(lon) <= 180.0)
 
 
+# What each raw field of a position report reads as, by raw value: SOG in 1/10 kn, COG in 1/10 degree
+# (indexed by min(raw, 3600)), heading in degrees and rate of turn (indexed by raw + 128). None is the
+# "not available" sentinel: SOG 1023, COG 3600 and up, heading 360 and up, rate of turn -128.
+SOG_VALUES = tuple(v / 10.0 for v in range(1023)) + (None,)
+COG_VALUES = tuple(v / 10.0 for v in range(3600)) + (None,)
+HEADING_VALUES = tuple(float(v) for v in range(360)) + (None,) * 152
+ROT_VALUES = (None,) + tuple(range(-127, 128))
+
+
 def _position_report(rx_time, mmsi, navstat, rot_raw, sog_raw, lon, lat, cog_raw, hdg_raw) -> PositionReport:
     """A position report from the fields of _POSITION_LAYOUT after the type, longitude and latitude in
     degrees, with the "not available" sentinels read as None."""
@@ -320,12 +350,72 @@ def _position_report(rx_time, mmsi, navstat, rot_raw, sog_raw, lon, lat, cog_raw
         rx_time,
         lat,
         lon,
-        None if sog_raw == 1023 else sog_raw / 10.0,
-        None if cog_raw >= 3600 else cog_raw / 10.0,
-        None if hdg_raw > 359 else float(hdg_raw),
+        SOG_VALUES[sog_raw],
+        COG_VALUES[min(cog_raw, 3600)],
+        HEADING_VALUES[hdg_raw],
         navstat,
-        None if rot_raw == -128 else rot_raw,
+        ROT_VALUES[rot_raw + 128],
     )
+
+
+def _raw_of(values: tuple, first: int = 0) -> dict:
+    """The raw value of each value a field reads as; None is the last sentinel."""
+    return {value: raw for raw, value in enumerate(values, first)}
+
+
+_SOG_RAW, _COG_RAW, _HEADING_RAW = map(_raw_of, (SOG_VALUES, COG_VALUES, HEADING_VALUES))
+_ROT_RAW = _raw_of(ROT_VALUES, -128)
+
+
+@dataclass(slots=True, eq=False)
+class PositionTable:
+    """Decoded position reports as columns, one row per report, in order.
+
+    time_us is the receive time in microseconds since 1970-01-01 UTC and
+    lat/lon are float64 degrees. The other columns are the int64 fields of
+    _POSITION_LAYOUT as sent: SOG, COG, heading and rate of turn hold their
+    raw values, "not available" sentinels included (SOG_VALUES and its
+    siblings say what each reads as). reports() builds the PositionReports.
+    """
+
+    time_us: np.ndarray
+    mmsi: np.ndarray
+    navstat: np.ndarray
+    rot: np.ndarray
+    sog: np.ndarray
+    lon: np.ndarray
+    lat: np.ndarray
+    cog: np.ndarray
+    heading: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.time_us)
+
+    def __getitem__(self, rows) -> "PositionTable":
+        return PositionTable(*(column[rows] for column in self.columns()))
+
+    def columns(self) -> tuple:
+        return (self.time_us, self.mmsi, self.navstat, self.rot, self.sog, self.lon, self.lat, self.cog,
+                self.heading)
+
+    def utc_days(self) -> np.ndarray:
+        """The proleptic Gregorian ordinal of each row's UTC day."""
+        return self.time_us // _DAY_US + _UNIX_ORDINAL
+
+    def reports(self) -> list[PositionReport]:
+        """One PositionReport per row, in order."""
+        times = map(from_epoch_us, self.time_us.tolist())
+        return [_position_report(t, *row) for t, row in zip(times, zip(*(c.tolist() for c in self.columns()[1:])))]
+
+    @classmethod
+    def of_reports(cls, reports: list[PositionReport]) -> "PositionTable":
+        """The table of reports the decoder built, each field back at its raw value."""
+        rows = [(epoch_us(r.timestamp), r.mmsi, r.navstat, _ROT_RAW[r.rot], _SOG_RAW[r.sog], r.lon, r.lat,
+                 _COG_RAW[r.cog], _HEADING_RAW[r.heading]) for r in reports]
+        return cls(*(np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), _TABLE_DTYPES)))
+
+
+_TABLE_DTYPES = (np.int64,) * 5 + (np.float64,) * 2 + (np.int64,) * 2  # the dtype of each column, in order
 
 
 # bytes.translate table of 6-bit text: values 0-31 are '@' and the letters, 32-63 space, digits and punctuation
@@ -427,13 +517,15 @@ _ERROR_NAMES = {
 # The lines MessageDecoder.feed_block reads itself: an AIVDM/AIVDO sentence,
 # bare or behind a TAG block of printable ASCII, that is either a single
 # sentence or a fragment of a two-sentence group with a one-digit message id.
-# Groups: TAG block body, TAG checksum, sentence body, fragment index (None
-# for a single sentence), message id, channel, payload, fill bits, sentence
+# Groups: TAG block body, its time digits when the body is a bare c:<digits>
+# of up to 15 digits (every time a datetime holds, in seconds or
+# milliseconds), TAG checksum, sentence body, fragment index (None for a
+# single sentence), message id, channel, payload, fill bits, sentence
 # checksum. Of these, feed_block decodes a single sentence with a
 # 28-character (168-bit) payload and no fill bits, and a fragment 1 and 2 of
 # one group on adjacent lines; every other line goes to the general parser.
 _BLOCK_LINE = re.compile(
-    r"(?:\\([ -\[\]-~]+)\*([0-9A-Fa-f]{2})\\)?"
+    r"(?:\\(c:([0-9]{1,15})(?=\*[0-9A-Fa-f]{2}\\)|[ -\[\]-~]+)\*([0-9A-Fa-f]{2})\\)?"
     r"!(AIVD[MO],(?:1,1,|2,([12]),([0-9])),([AB12]?),([0-9:;<=>?@A-W`a-w]+),([0-5]))\*([0-9A-Fa-f]{2})"
 )
 # byte -> 6-bit value of an armoring character, and byte -> hex digit value;
@@ -464,10 +556,10 @@ def _hex_values(digit_pairs) -> np.ndarray:
 def _checksums_hold(groups: list[tuple]) -> list[bool]:
     """Whether the sentence checksum, and the TAG checksum if any, of each _BLOCK_LINE match holds."""
     tagged = [k for k, g in enumerate(groups) if g[0] is not None]
-    xors = _xor_segments([g[2] for g in groups] + [groups[k][0] for k in tagged])
-    ok = xors[: len(groups)] == _hex_values(g[8] for g in groups)
+    xors = _xor_segments([g[3] for g in groups] + [groups[k][0] for k in tagged])
+    ok = xors[: len(groups)] == _hex_values(g[9] for g in groups)
     if tagged:
-        ok[tagged] &= xors[len(groups) :] == _hex_values(groups[k][1] for k in tagged)
+        ok[tagged] &= xors[len(groups) :] == _hex_values(groups[k][2] for k in tagged)
     return ok.tolist()
 
 
@@ -476,9 +568,31 @@ def _sixes(payloads: list[str], width: int) -> np.ndarray:
     return _SIXBIT[_ascii(payloads)].reshape(-1, width)
 
 
-def _block_time(tag: str | None, rx_time: dt.datetime) -> dt.datetime:
-    """A block line's receive time: its TAG time if it has one; Malformed for an unreadable one."""
-    return (_tag_time(tag) if tag is not None else None) or rx_time
+def _block_time(tag: str | None, rx_us: int) -> int:
+    """A block line's receive time in microseconds: its TAG time if it has one; Malformed for an unreadable one."""
+    rx = _tag_time(tag) if tag is not None else None
+    return rx_us if rx is None else epoch_us(rx)
+
+
+def _block_times(groups: list[tuple], rx_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The receive time in microseconds of each _BLOCK_LINE match, and whether it reads (_block_time).
+
+    A bare c:<digits> TAG time is read for all matches at once; any other TAG block goes through _tag_time.
+    """
+    times = rx_us.copy()
+    ok = np.ones(len(groups), dtype=bool)
+    bare = [k for k, g in enumerate(groups) if g[1] is not None]
+    if bare:
+        seconds = np.array([groups[k][1] for k in bare]).astype(np.int64)
+        seconds = np.where(seconds >= 10**12, seconds // 1000, seconds)  # milliseconds
+        times[bare] = seconds * 1_000_000
+        ok[bare] = seconds <= _MAX_EPOCH_S
+    for k in [k for k, g in enumerate(groups) if g[0] is not None and g[1] is None]:
+        try:
+            times[k] = _block_time(groups[k][0], times[k])
+        except Malformed:
+            ok[k] = False
+    return times, ok
 
 
 @dataclass(slots=True)
@@ -498,14 +612,30 @@ class DecodeOutcome:
     raw: str | None = None
 
 
+@dataclass(slots=True)
+class DecodedBlock:
+    """What feed_block made of a block of lines.
+
+    positions holds every position the block decoded, one row each, and
+    outcomes every other outcome, in order; rows[j] is the number of
+    positions that come before outcomes[j]. Read in that order, they are
+    the outcomes of feeding the block's lines one by one, each position as a
+    table row.
+    """
+
+    positions: PositionTable
+    outcomes: list[DecodeOutcome]
+    rows: list[int]
+
+
 # a multi-sentence group not completed within this time of its first
 # fragment is dropped and reported as a timeout
-_REASSEMBLY_WINDOW = dt.timedelta(seconds=30)
+_REASSEMBLY_WINDOW_US = 30_000_000
 
 
 @dataclass(slots=True)
 class _PendingGroup:
-    first_rx: dt.datetime
+    first_rx: int  # microseconds since the epoch
     count: int
     raw: str  # the first fragment's line, to which a timeout is attributed
     sentences: dict[int, RawSentence] = field(default_factory=dict)
@@ -514,14 +644,14 @@ class _PendingGroup:
 class MessageDecoder:
     """Stateful line-to-message decoder with fragment reassembly.
 
-    feed_block() returns one outcome per line of a block, in order, with
-    the common position line decoded for the whole block at once; live and
-    replayed input both arrive this way. feed() is the general parser of
-    one line that feed_block() hands every other line to. Either one
-    precedes a line's outcome with timeout outcomes for the fragment groups
-    that expired before the line arrived. Multi-sentence groups are
-    buffered keyed by (channel, message id). Counters accumulate across
-    the decoder's lifetime.
+    feed_block() decodes a block of lines, with the common line shapes
+    decoded for the whole block at once; live and replayed input both
+    arrive this way. feed() is the general parser of one line that
+    feed_block() hands every other line to. Either one precedes a line's
+    outcome with timeout outcomes for the fragment groups that expired
+    before the line arrived. Multi-sentence groups are buffered keyed by
+    (channel, message id). Counters accumulate across the decoder's
+    lifetime.
     """
 
     def __init__(self):
@@ -554,8 +684,8 @@ class MessageDecoder:
         return [DecodeOutcome("error", None, "timeout", f"{len(g.sentences)}/{g.count} fragments {when}", g.raw)
                 for g in groups]
 
-    def _expire(self, now: dt.datetime) -> list[DecodeOutcome]:
-        stale = [key for key, group in self._pending.items() if now - group.first_rx > _REASSEMBLY_WINDOW]
+    def _expire(self, now_us: int) -> list[DecodeOutcome]:
+        stale = [key for key, group in self._pending.items() if now_us - group.first_rx > _REASSEMBLY_WINDOW_US]
         return self._timeouts([self._pending.pop(key) for key in stale], "within window") if stale else []
 
     def _add_fragment(self, sentence: RawSentence, rx: dt.datetime, raw: str) -> Bits | None:
@@ -563,7 +693,7 @@ class MessageDecoder:
         key = (sentence.channel, sentence.message_id)
         group = self._pending.get(key)
         if group is None:
-            group = self._pending[key] = _PendingGroup(rx, sentence.fragment_count, raw)
+            group = self._pending[key] = _PendingGroup(epoch_us(rx), sentence.fragment_count, raw)
         if sentence.fragment_index in group.sentences:
             raise DuplicateFragment(
                 f"fragment {sentence.fragment_index}/{sentence.fragment_count} repeated for {key}"
@@ -592,7 +722,7 @@ class MessageDecoder:
                 return [self._error(exc, raw)]
             if tag_time is not None:
                 rx = tag_time
-        outcomes = self._expire(rx) if self._pending else []
+        outcomes = self._expire(epoch_us(rx)) if self._pending else []
         try:
             fields = _parse_fields(sentence_text)
         except (BadChecksum, Malformed) as exc:
@@ -613,90 +743,123 @@ class MessageDecoder:
         outcomes.append(self._decode_bits(bits, rx, raw))
         return outcomes
 
-    def feed_block(self, lines: list[str], rx_times: list[dt.datetime]) -> list[DecodeOutcome]:
-        """The outcomes of feed(lines[i], rx_times[i]) for each line in order, as one list.
+    def feed_block(self, lines: list[str], rx_us) -> DecodedBlock:
+        """What feed(lines[i], rx_us[i]) for each line in order would give, as a DecodedBlock.
 
-        Single-sentence position lines, and two-sentence type 5 groups whose
-        fragments 1 and 2 sit on adjacent lines, are checksummed and decoded
-        together (_BLOCK_LINE). A position line goes to feed() in its place
-        when a checksum or its TAG time fails, its type is not 1-3 or it
-        lies out of range. A pair goes to feed() when a checksum or TAG time
-        fails, it holds fewer than 270 bits or another type, its (channel,
-        message id) key is still pending after expiring at fragment 1's
-        time, or fragment 2 arrives more than the reassembly window after
-        fragment 1. Every other line goes to feed() too.
+        rx_us holds each line's receive time in microseconds since the
+        epoch. Single-sentence position lines, and two-sentence type 5
+        groups whose fragments 1 and 2 sit on adjacent lines, are
+        checksummed and decoded together (_BLOCK_LINE); their positions
+        become table rows without any per-row object. A position line goes
+        to feed() in its place when a checksum or its TAG time fails, its
+        type is not 1-3 or it lies out of range. A pair goes to feed() when
+        a checksum or TAG time fails, it holds fewer than 270 bits or
+        another type, its (channel, message id) key is still pending after
+        expiring at fragment 1's time, or fragment 2 arrives more than the
+        reassembly window after fragment 1. Every other line goes to feed()
+        too, and the positions feed() decodes join the table at their place.
         """
+        rx_us = np.asarray(rx_us, dtype=np.int64)
         raws = [line if (line and line[-1] not in "\r\n") else line.rstrip("\r\n") for line in lines]
         matches = [(i, m.groups()) for i, m in enumerate(map(_BLOCK_LINE.fullmatch, raws)) if m is not None]
-        # line -> its row of `reports` if a position, -2 if the fragment 2 of a pair, else -1 (a pair's
-        # fragment 1, or feed())
-        slot = [-1] * len(raws)
+        # the block's rows: the line and receive time of each, and its fields (_POSITION_LAYOUT after the type)
+        row_lines, times, *fields = (np.zeros(0, dtype=dtype) for dtype in (np.int64, *_TABLE_DTYPES))
         pairs: dict[int, tuple] = {}  # fragment 1's line -> (key, TAG bodies, _static_report fields)
+        fragment2_lines: list[int] = []  # the fragment 2 lines of those pairs
         if matches:
-            # TAG body, TAG checksum, sentence body, fragment index, message id, channel, payload, fill, checksum
+            # TAG body, TAG digits, TAG checksum, sentence body, fragment index, message id, channel, payload,
+            # fill, checksum
             groups = [g for _, g in matches]
             ok = _checksums_hold(groups)
-            singles = [k for k, g in enumerate(groups) if ok[k] and g[3] is None and g[7] == "0" and len(g[6]) == 28]
+            singles = [k for k, g in enumerate(groups) if ok[k] and g[4] is None and g[8] == "0" and len(g[7]) == 28]
             if singles:
-                mtype, mmsi, navstat, rot, sog, lon, lat, cog, heading = _read_rows(
-                    _sixes([groups[k][6] for k in singles], 28), _POSITION_ROWS).T
-                lon, lat = lon / 600000.0, lat / 600000.0
-                keep = ((mtype >= 1) & (mtype <= 3) & _in_range(lat, lon)).tolist()
-                reports = list(zip(*(c.tolist() for c in (mmsi, navstat, rot, sog, lon, lat, cog, heading))))
-                tags = [groups[k][0] for k in singles]
-                for row, (k, kept) in enumerate(zip(singles, keep)):
-                    if kept:
-                        slot[matches[k][0]] = row
-            firsts = [k for k, (g, h) in enumerate(zip(groups, groups[1:]))
-                      if g[3] == "1" and h[3] == "2" and ok[k] and ok[k + 1] and matches[k + 1][0] == matches[k][0] + 1
-                      and g[4:6] == h[4:6] and 6 * (len(g[6]) + len(h[6])) - int(h[7]) >= _STATIC_BITS]
+                mtype, *fields = _read_rows(_sixes([groups[k][7] for k in singles], 28), _POSITION_ROWS).T
+                fields[4:6] = fields[4] / 600000.0, fields[5] / 600000.0  # longitude and latitude in degrees
+                row_lines = np.array([matches[k][0] for k in singles])
+                times, timed = _block_times([groups[k] for k in singles], rx_us[row_lines])
+                keep = np.flatnonzero((mtype >= 1) & (mtype <= 3) & _in_range(fields[5], fields[4]) & timed)
+                row_lines, times, fields = row_lines[keep], times[keep], [column[keep] for column in fields]
+            firsts = [k for k in [k for k, g in enumerate(groups[:-1]) if g[4] == "1"]
+                      if groups[k + 1][4] == "2" and ok[k] and ok[k + 1] and matches[k + 1][0] == matches[k][0] + 1
+                      and groups[k][5:7] == groups[k + 1][5:7]
+                      and 6 * (len(groups[k][7]) + len(groups[k + 1][7])) - int(groups[k + 1][8]) >= _STATIC_BITS]
             if firsts:
                 width = _STATIC_BITS // 6
-                rows = _read_rows(_sixes([(groups[k][6] + groups[k + 1][6])[:width] for k in firsts], width),
+                rows = _read_rows(_sixes([(groups[k][7] + groups[k + 1][7])[:width] for k in firsts], width),
                                   _STATIC_ROWS).tolist()
-                for k, (mtype, *fields) in zip(firsts, rows):
+                for k, (mtype, *static) in zip(firsts, rows):
                     if mtype == 5:
                         i, g = matches[k]
-                        pairs[i] = ((g[5], int(g[4])), g[0], groups[k + 1][0], fields)
-                        slot[i + 1] = -2
+                        pairs[i] = ((g[6], int(g[5])), g[0], groups[k + 1][0], static)
+                        fragment2_lines.append(i + 1)
+        # every line that is not a row or the fragment 2 of a pair, with the number of rows before it
+        rest = np.ones(len(raws), dtype=bool)
+        rest[row_lines] = rest[fragment2_lines] = False
+        stops = np.flatnonzero(rest)
         outcomes: list[DecodeOutcome] = []
-        for i, row in enumerate(slot):
-            if row >= 0:
-                try:
-                    rx = _block_time(tags[row], rx_times[i])
-                except Malformed:
-                    outcomes += self.feed(lines[i], rx_times[i])  # the general parser's error
-                    continue
-                self.lines += 1
-                if self._pending:
-                    outcomes += self._expire(rx)
-                self.positions += 1
-                outcomes.append(DecodeOutcome("position", _position_report(rx, *reports[row]), None, None, raws[i]))
-            elif row == -1:
-                pair = pairs.get(i)
-                if pair is None:
-                    outcomes += self.feed(lines[i], rx_times[i])
+        at: list[int] = []  # the number of rows before each outcome
+        fed: list[PositionReport] = []  # positions feed() decoded, each with the number of rows before it
+        fed_at: list[int] = []
+        done = 0
+        for i, row in zip(stops.tolist(), np.searchsorted(row_lines, stops).tolist()):
+            self._take_rows(times, done, row, outcomes, at, len(fed))
+            done = row
+            pair = pairs.get(i)
+            if pair is None:
+                got = self.feed(lines[i], from_epoch_us(int(rx_us[i])))
+            else:
+                got = self._feed_pair(lines[i : i + 2], rx_us[i : i + 2].tolist(), raws[i : i + 2], *pair)
+            for outcome in got:
+                if outcome.kind == "position":
+                    fed.append(outcome.message)
+                    fed_at.append(row)
                 else:
-                    outcomes += self._feed_pair(lines[i : i + 2], rx_times[i : i + 2], raws[i : i + 2], *pair)
-        return outcomes
+                    outcomes.append(outcome)
+                    at.append(row + len(fed))
+        self._take_rows(times, done, len(times), outcomes, at, len(fed))
+        table = PositionTable(times, *fields)
+        if fed:
+            table = PositionTable(*(np.insert(column, fed_at, extra)
+                                    for column, extra in zip(table.columns(), PositionTable.of_reports(fed).columns())))
+        return DecodedBlock(table, outcomes, at)
 
-    def _feed_pair(self, lines, rx_times, raws, key, tag1, tag2, fields) -> list[DecodeOutcome]:
+    def _take_rows(self, times: np.ndarray, start: int, stop: int, outcomes: list, at: list, fed: int) -> None:
+        """Count rows start..stop of a block as positions, each after the timeouts its receive time expires.
+
+        The timeouts join `outcomes`, and the number of rows before each (with `fed` positions that feed()
+        decoded before these rows) joins `at`.
+        """
+        self.lines += stop - start
+        self.positions += stop - start
+        while self._pending and start < stop:
+            deadline = min(group.first_rx for group in self._pending.values()) + _REASSEMBLY_WINDOW_US
+            late = np.flatnonzero(times[start:stop] > deadline)
+            if not len(late):
+                return
+            start += int(late[0])
+            expired = self._expire(int(times[start]))
+            outcomes += expired
+            at += [start + fed] * len(expired)
+            start += 1
+
+    def _feed_pair(self, lines, rx_us, raws, key, tag1, tag2, fields) -> list[DecodeOutcome]:
         """The outcomes of feeding fragments 1 and 2 of a type 5 group, whose fields feed_block read."""
         try:
-            rx1, rx2 = _block_time(tag1, rx_times[0]), _block_time(tag2, rx_times[1])
+            rx1, rx2 = _block_time(tag1, rx_us[0]), _block_time(tag2, rx_us[1])
         except Malformed:
             rx1 = rx2 = None
         outcomes = self._expire(rx1) if rx1 is not None and self._pending else []
-        if rx1 is None or rx2 - rx1 > _REASSEMBLY_WINDOW or key in self._pending:
+        if rx1 is None or rx2 - rx1 > _REASSEMBLY_WINDOW_US or key in self._pending:
             # the general parser's error, timeout or reassembly with an earlier fragment
-            return outcomes + self.feed(lines[0], rx_times[0]) + self.feed(lines[1], rx_times[1])
+            return (outcomes + self.feed(lines[0], from_epoch_us(rx_us[0]))
+                    + self.feed(lines[1], from_epoch_us(rx_us[1])))
         self.lines += 2
         self.buffered += 1
         outcomes.append(DecodeOutcome("buffered", None, None, None, raws[0]))
         if self._pending:
             outcomes += self._expire(rx2)
         self.statics += 1
-        outcomes.append(DecodeOutcome("static", _static_report(rx2, *fields), None, None, raws[1]))
+        outcomes.append(DecodeOutcome("static", _static_report(from_epoch_us(rx2), *fields), None, None, raws[1]))
         return outcomes
 
     def _decode_bits(self, bits: Bits, rx: dt.datetime, raw: str) -> DecodeOutcome:

@@ -9,10 +9,19 @@ timestamps. Live and replayed NMEA both go to MessageDecoder.feed_block
 in blocks: the complete lines of each chunk received, or up to
 _REPLAY_BLOCK lines of a file. A byte that is not UTF-8 makes its line
 malformed; it does not end the read.
+
+A block's positions reach a positions_sink as PositionTable slices, each a
+run of positions that no other message or reported error comes between,
+with the stored JSONL document of each row, written for the whole block
+at once; so a sink such as MessageStore.append_positions writes them
+without building an object per position. Without a positions_sink each
+row goes to the sink as a PositionReport.
 """
 
 import datetime as dt
+import itertools
 import json
+import math
 import pathlib
 import random
 import socket
@@ -20,12 +29,19 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .codec import DecodeOutcome, MessageDecoder, PositionReport, StaticReport
-from .jsonl import dumps, message_from_dict, message_to_dict, position_line
+import numpy as np
+
+from .codec import DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport, PositionTable, StaticReport, epoch_us
+from .jsonl import dumps, message_from_dict, message_to_dict, position_line, position_lines
 
 UTC = dt.timezone.utc
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=UTC)  # the partition of a message without a timestamp
+_LAST_US = epoch_us(dt.datetime.max.replace(tzinfo=UTC))  # the last receive time a datetime holds
 _REPLAY_BLOCK = 1024  # NMEA lines decoded together by run_replay
+
+
+class RawTimeOutOfRange(ValueError):
+    """An untagged line's receive time, raw_start plus its line number times the cadence, is past year 9999."""
 
 
 @dataclass
@@ -78,45 +94,40 @@ class MessageStore:
     """Append-only JSONL persistence partitioned by UTC date.
 
     Files are named ais-YYYY-MM-DD.jsonl; messages inside one file keep
-    their receive order. The last partition used is kept with its UTC
-    [start, end), so a run of messages from one day resolves it once.
+    their receive order. append() writes one message; append_positions()
+    writes a table of positions with one write per run of rows from the
+    same UTC day.
     """
 
     def __init__(self, root):
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._open: dict[str, object] = {}
-        self._day = (_EPOCH, _EPOCH)  # empty: nothing resolved yet
-        self._file = None
+        self._open: dict[int, object] = {}  # the file of each UTC day, by its ordinal
 
-    def _partition(self, ts: dt.datetime | None):
-        day = (ts or _EPOCH).astimezone(UTC).date()
-        name = f"ais-{day.isoformat()}.jsonl"
-        f = self._open.get(name)
+    def _file(self, ordinal: int):
+        f = self._open.get(ordinal)
         if f is None:
-            f = open(self.root / name, "a", encoding="utf-8", newline="\n")
-            self._open[name] = f
-        if ts is not None and ts.tzinfo is not None:
-            start = dt.datetime(day.year, day.month, day.day, tzinfo=UTC)
-            self._day = (start, start + dt.timedelta(days=1) if day < dt.date.max else start)
-            self._file = f
+            name = f"ais-{dt.date.fromordinal(ordinal).isoformat()}.jsonl"
+            f = self._open[ordinal] = open(self.root / name, "a", encoding="utf-8", newline="\n")
         return f
 
     def append(self, msg: PositionReport | StaticReport) -> None:
-        ts = msg.timestamp
-        if ts is not None and ts.tzinfo is not None and self._day[0] <= ts < self._day[1]:
-            f = self._file
-        else:
-            f = self._partition(ts)
+        f = self._file((msg.timestamp or _EPOCH).astimezone(UTC).toordinal())
         f.write(position_line(msg) if isinstance(msg, PositionReport) else dumps(message_to_dict(msg)))
         f.write("\n")
+
+    def append_positions(self, table: PositionTable, lines: list[str]) -> None:
+        """Write the rows of a table, given the stored document of each (jsonl.position_lines)."""
+        start = 0
+        for day, rows in itertools.groupby(table.utc_days().tolist()):
+            stop = start + len(list(rows))
+            self._file(day).write("\n".join(lines[start:stop]) + "\n")
+            start = stop
 
     def close(self) -> None:
         for f in self._open.values():
             f.close()
         self._open.clear()
-        self._day = (_EPOCH, _EPOCH)
-        self._file = None
 
     def __enter__(self):
         return self
@@ -129,17 +140,66 @@ def _utcnow_s() -> dt.datetime:
     return dt.datetime.now(tz=UTC).replace(microsecond=0)
 
 
-def _dispatch(outcomes, sink, error_sink, summary: IngestSummary) -> None:
-    for outcome in outcomes:
+@dataclass
+class _Delivery:
+    """Hands decoded messages and errors on to the sinks in order, counting them in `summary`.
+
+    Positions go to positions_sink as table slices with the stored document
+    of each row, or one by one to sink as reports without a positions_sink.
+    With a `pause`, each message reaches its sink right after
+    pause(its receive time in microseconds).
+    """
+
+    sink: object
+    positions_sink: object
+    error_sink: object
+    summary: IngestSummary
+    pause: object = None
+
+    def outcome(self, outcome: DecodeOutcome) -> None:
         if outcome.kind in ("position", "static"):
-            sink(outcome.message)
-            summary.messages += 1
+            if self.pause is not None and outcome.message.timestamp is not None:
+                self.pause(epoch_us(outcome.message.timestamp))
+            self.sink(outcome.message)
+            self.summary.messages += 1
         elif outcome.kind == "error":
-            summary.errors += 1
-            if error_sink is not None:
-                error_sink(outcome)
+            self.summary.errors += 1
+            if self.error_sink is not None:
+                self.error_sink(outcome)
         elif outcome.kind == "skipped":
-            summary.skipped += 1
+            self.summary.skipped += 1
+
+    def block(self, block: DecodedBlock) -> None:
+        """A block's positions and outcomes in order. The documents of its positions are written for the whole
+        block at once, and a run of positions reaches positions_sink as one slice unless an outcome for a sink
+        comes between."""
+        table = block.positions
+        lines = position_lines(table) if self.positions_sink is not None and len(table) else None
+        start = 0
+        for outcome, row in zip(block.outcomes, block.rows):
+            if row > start and (outcome.kind in ("position", "static")
+                                or outcome.kind == "error" and self.error_sink is not None):
+                self._positions(table, lines, start, row)
+                start = row
+            self.outcome(outcome)
+        if start < len(table):
+            self._positions(table, lines, start, len(table))
+
+    def _positions(self, table: PositionTable, lines: list[str] | None, start: int, stop: int) -> None:
+        """Rows start..stop of a table, with their documents if positions_sink takes them."""
+        if self.pause is not None and stop - start > 1:
+            for k in range(start, stop):
+                self._positions(table, lines, k, k + 1)
+            return
+        rows = table[start:stop]
+        if self.pause is not None:
+            self.pause(int(rows.time_us[0]))
+        self.summary.messages += stop - start
+        if self.positions_sink is not None:
+            self.positions_sink(rows, lines[start:stop])
+        else:
+            for report in rows.reports():
+                self.sink(report)
 
 
 def _stored_outcome(line: str) -> DecodeOutcome:
@@ -151,53 +211,71 @@ def _stored_outcome(line: str) -> DecodeOutcome:
     return DecodeOutcome("position" if isinstance(msg, PositionReport) else "static", message=msg)
 
 
+def _raw_times(start_us: int, numbers, cadence_s: float) -> np.ndarray:
+    """start_us plus n × cadence_s for each line number n, in microseconds rounded as
+    dt.timedelta(seconds=n * cadence_s) rounds them; RawTimeOutOfRange past year 9999."""
+    steps = np.array(numbers, dtype=np.float64) * cadence_s
+    late = np.flatnonzero(~(steps <= 4e11))  # ≈ 12,700 years: past any datetime, still exact in int64 microseconds
+    if not late.size:
+        whole = np.trunc(steps)
+        times = start_us + whole.astype(np.int64) * 1_000_000 + np.rint((steps - whole) * 1e6).astype(np.int64)
+        late = np.flatnonzero(times > _LAST_US)
+    if late.size:
+        raise RawTimeOutOfRange(f"line {numbers[late[0]] + 1} would be received after year 9999")
+    return times
+
+
 def run_replay(
     cfg: SourceConfig,
     sink,
     *,
+    positions_sink=None,
     error_sink=None,
     raw_start: dt.datetime = dt.datetime(2000, 1, 1, tzinfo=UTC),
     raw_cadence_s: float = 1.0,
     sleep=time.sleep,
 ) -> IngestSummary:
-    """Replay a stored JSONL or NMEA file through the decoder into the sink.
+    """Replay a stored JSONL or NMEA file through the decoder into the sinks.
 
     Tag-blocked NMEA lines carry their own receiver timestamps; bare lines
     get synthetic ones, raw_start plus raw_cadence_s per line of the file
-    (blank lines count). NMEA lines go to the decoder in blocks of up to
-    _REPLAY_BLOCK lines through feed_block, which gives what feeding them
-    one by one would, also when reading the file fails partway. A byte that
+    (blank lines count), computed for a block at a time in integer
+    microseconds. A cadence that is not finite or is negative is a
+    ValueError; a receive time past year 9999 is RawTimeOutOfRange. NMEA
+    lines go to the decoder in blocks of up to _REPLAY_BLOCK lines through
+    feed_block, which gives what feeding them one by one would, also when
+    reading the file fails partway. Each block's positions go to
+    positions_sink as PositionTable slices in their place among its other
+    messages, or row by row to sink without a positions_sink. A byte that
     is not UTF-8 reads as U+FFFD, which makes its line malformed. A line
     that starts with `{` is read as a stored JSONL message, after the NMEA
     lines before it; one that does not parse goes to error_sink as a
     "malformed" error. replay_speed scales the pauses between consecutive
     message timestamps (0 disables pacing); each message is emitted right
-    after its pause.
+    after its pause, a paced position as a one-row table.
     """
+    if not (math.isfinite(raw_cadence_s) and raw_cadence_s >= 0):
+        raise ValueError(f"raw_cadence_s {raw_cadence_s!r} is not a finite number >= 0")
     dec = MessageDecoder()
     summary = IngestSummary()
-    prev_ts: dt.datetime | None = None
+    start_us = epoch_us(raw_start)
+    prev_us: int | None = None
     block: list[str] = []
-    rx_times: list[dt.datetime] = []
+    numbers: list[int] = []  # the line number in the file of each line of `block`
 
-    def emit(outcomes):
-        nonlocal prev_ts
-        if cfg.replay_speed <= 0:
-            _dispatch(outcomes, sink, error_sink, summary)
-            return
-        for outcome in outcomes:  # each message reaches the sink right after its pause
-            if outcome.kind in ("position", "static"):
-                ts = outcome.message.timestamp
-                if prev_ts is not None and ts is not None:
-                    sleep(max(0.0, (ts - prev_ts).total_seconds()) / cfg.replay_speed)
-                prev_ts = ts or prev_ts
-            _dispatch((outcome,), sink, error_sink, summary)
+    def pause(t_us: int) -> None:
+        nonlocal prev_us
+        if prev_us is not None:
+            sleep(max(0.0, (t_us - prev_us) / 1_000_000) / cfg.replay_speed)
+        prev_us = t_us
+
+    deliver = _Delivery(sink, positions_sink, error_sink, summary, pause if cfg.replay_speed > 0 else None)
 
     def flush():
-        nonlocal block, rx_times
+        nonlocal block, numbers
         if block:
-            lines, rxs, block, rx_times = block, rx_times, [], []  # taken first: a failing sink cannot resend them
-            emit(dec.feed_block(lines, rxs))
+            lines, at, block, numbers = block, numbers, [], []  # taken first: a failing sink cannot resend them
+            deliver.block(dec.feed_block(lines, _raw_times(start_us, at, raw_cadence_s)))
 
     with open(cfg.path, "r", encoding="utf-8", errors="replace") as f:
         try:
@@ -208,15 +286,16 @@ def run_replay(
                 summary.lines += 1
                 if line.startswith("{"):
                     flush()
-                    emit([_stored_outcome(line)])
+                    deliver.outcome(_stored_outcome(line))
                 else:
                     block.append(line)
-                    rx_times.append(raw_start + dt.timedelta(seconds=i * raw_cadence_s))
+                    numbers.append(i)
                     if len(block) == _REPLAY_BLOCK:
                         flush()
         finally:  # a read that fails partway still delivers the lines read before it
             flush()
-    _dispatch(dec.finish(), sink, error_sink, summary)
+    for outcome in dec.finish():
+        deliver.outcome(outcome)
     return summary
 
 
@@ -225,6 +304,7 @@ def run_live(
     sink,
     stop: threading.Event,
     *,
+    positions_sink=None,
     error_sink=None,
     rng: random.Random | None = None,
 ) -> IngestSummary:
@@ -232,7 +312,8 @@ def run_live(
 
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
-    time overrides it as in replay. Reconnects with exponential backoff
+    time overrides it as in replay. Positions go to positions_sink or sink
+    as in run_replay. Reconnects with exponential backoff
     and full jitter (initial 1 s, capped at 60 s by default). A partial
     line at disconnect is discarded and counted as an error; completed
     lines are never lost. Connection gaps are returned for outage
@@ -243,6 +324,7 @@ def run_live(
     dec = MessageDecoder()
     rng = rng or random.Random()
     summary = IngestSummary()
+    deliver = _Delivery(sink, positions_sink, error_sink, summary)
     backoff = cfg.reconnect_initial_s
     disconnected_at: dt.datetime | None = None
 
@@ -277,11 +359,12 @@ def run_live(
                 text, buf = buf[:nl].decode("utf-8", errors="replace"), buf[nl + 1 :]
                 lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line]
                 summary.lines += len(lines)
-                _dispatch(dec.feed_block(lines, [_utcnow_s()] * len(lines)), sink, error_sink, summary)
+                deliver.block(dec.feed_block(lines, np.full(len(lines), epoch_us(_utcnow_s()))))
         finally:
             sock.close()
         if buf.strip():
             summary.errors += 1  # partial line lost at disconnect
         disconnected_at = _utcnow_s()
-    _dispatch(dec.finish(), sink, error_sink, summary)
+    for outcome in dec.finish():
+        deliver.outcome(outcome)
     return summary

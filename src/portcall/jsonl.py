@@ -8,13 +8,17 @@ writes the text from the hour, minute and second and a cached text of the
 day rather than through `isoformat`.
 
 Positions and validated messages are nearly every document a run writes,
-so each has one fixed template, `position_line` and `validated_line`,
-that writes the text `dumps` would write for its dict without building
-the dict: the keys are known and sorted once, every value is a number, a
-bool, null, a timestamp or one of validate's fixed method labels, so
-nothing needs escaping. Statics, errors, outages and voyages are few and
-hold free text (vessel names, raw lines), so they go through their dict
-codecs and `dumps`, which escapes it.
+so each has one fixed template that writes the text `dumps` would write
+for its dict without building the dict: the keys are known and sorted
+once, every value is a number, a bool, null, a timestamp or one of
+validate's fixed method labels, so nothing needs escaping. The position
+template takes the texts of the fields: `position_line` gives it those of
+one report, and `position_lines` those of every row of a decoded
+PositionTable, read from its columns and from tables of the texts of the
+raw SOG, COG, heading and rate of turn. `validated_line` writes a
+validated message. Statics, errors, outages and voyages are few and hold
+free text (vessel names, raw lines), so they go through their dict codecs
+and `dumps`, which escapes it.
 """
 
 import datetime as dt
@@ -22,7 +26,9 @@ import functools
 import json
 import math
 
-from .codec import PositionReport, StaticReport
+import numpy as np
+
+from .codec import COG_VALUES, HEADING_VALUES, ROT_VALUES, SOG_VALUES, PositionReport, PositionTable, StaticReport
 
 UTC = dt.timezone.utc
 
@@ -56,15 +62,44 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def position_line(r: PositionReport) -> str:
-    """The stored document of a position report, equal to `dumps(message_to_dict(r))`.
+def _position_text(cog, heading, lat, lon, mmsi, navstat, rot, sog, ts) -> str:
+    """The stored document of a position from the JSON texts of its fields; an int or float field may be
+    given as the number, which formats as its `repr`, the text `json` writes for it."""
+    return (f'{{"cog":{cog},"heading":{heading},"lat":{lat},"lon":{lon},"mmsi":{mmsi},"navstat":{navstat},'
+            f'"rot":{rot},"sog":{sog},"ts":"{ts}","type":"position"}}')
 
-    Numbers are written as `repr`, which is what `json` uses for int and float.
-    """
-    return (f'{{"cog":{"null" if r.cog is None else repr(r.cog)},'
-            f'"heading":{"null" if r.heading is None else repr(r.heading)},"lat":{r.lat!r},"lon":{r.lon!r},'
-            f'"mmsi":{r.mmsi!r},"navstat":{r.navstat!r},"rot":{"null" if r.rot is None else repr(r.rot)},'
-            f'"sog":{"null" if r.sog is None else repr(r.sog)},"ts":"{format_ts(r.timestamp)}","type":"position"}}')
+
+def _optional(value) -> str:
+    return "null" if value is None else repr(value)
+
+
+def position_line(r: PositionReport) -> str:
+    """The stored document of a position report, equal to `dumps(message_to_dict(r))`."""
+    return _position_text(_optional(r.cog), _optional(r.heading), repr(r.lat), repr(r.lon), repr(r.mmsi),
+                          repr(r.navstat), _optional(r.rot), _optional(r.sog), format_ts(r.timestamp))
+
+
+def _texts(values) -> np.ndarray:
+    return np.array([_optional(v) for v in values], dtype=object)
+
+
+# the text of each raw value, indexed as codec's tables of the values are
+_SOG_TEXT, _COG_TEXT, _HEADING_TEXT, _ROT_TEXT = map(_texts, (SOG_VALUES, COG_VALUES, HEADING_VALUES, ROT_VALUES))
+_MINUTE_TEXT = np.array([f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)], dtype=object)
+_SECOND_TEXT = np.array([f"{s:02d}Z" for s in range(60)], dtype=object)
+
+
+def position_lines(table: PositionTable) -> list[str]:
+    """The stored document of each row of a position table, equal to `position_line` of the row's report."""
+    days = table.utc_days()
+    minutes, seconds = np.divmod(table.time_us // 1_000_000, 60)
+    day_ordinals, day_rows = np.unique(days, return_inverse=True)
+    day_texts = np.array([_day_text(d) for d in day_ordinals.tolist()], dtype=object)
+    ts = day_texts[day_rows] + _MINUTE_TEXT[minutes % 1440] + _SECOND_TEXT[seconds]
+    return list(map(_position_text, _COG_TEXT[np.minimum(table.cog, 3600)].tolist(),
+                    _HEADING_TEXT[table.heading].tolist(), table.lat.tolist(), table.lon.tolist(),
+                    table.mmsi.tolist(), table.navstat.tolist(), _ROT_TEXT[table.rot + 128].tolist(),
+                    _SOG_TEXT[table.sog].tolist(), ts.tolist()))
 
 
 def validated_line(vm) -> str:

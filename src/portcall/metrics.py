@@ -196,10 +196,19 @@ def load_ground_truth(path) -> ArrivalTable:
             raise ValueError(f"{path}: empty ground-truth file")
         header = [h.strip().lower() for h in header]
         table: ArrivalTable = {}
-        if header == ["date", "category", "arrivals"]:
+
+        def rows():
+            """The rows that are not blank; ValueError for one with fewer fields than the header."""
             for row in reader:
                 if not row or not row[0].strip():
                     continue
+                if len(row) < len(header):
+                    raise ValueError(f"{path}: line {reader.line_num} {','.join(row)!r} has {len(row)} of the "
+                                     f"{len(header)} fields {','.join(header)}")
+                yield row
+
+        if header == ["date", "category", "arrivals"]:
+            for row in rows():
                 date = dt.date.fromisoformat(row[0].strip())
                 cat = row[1].strip().lower()
                 count = int(row[2])
@@ -208,9 +217,7 @@ def load_ground_truth(path) -> ArrivalTable:
                 table.setdefault(date, {})
                 table[date][cat] = table[date].get(cat, 0) + count
         elif header == ["timestamp", "mmsi", "category"]:
-            for row in reader:
-                if not row or not row[0].strip():
-                    continue
+            for row in rows():
                 date = parse_ts(row[0].strip()).date()
                 cat = row[2].strip().lower()
                 table.setdefault(date, {})

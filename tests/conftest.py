@@ -12,15 +12,28 @@ UTC = dt.timezone.utc
 RX0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
 
 
+def expanded(block) -> list:
+    """A DecodedBlock in order: each table row as its PositionReport, every other outcome as it is."""
+    reports, items, done = block.positions.reports(), [], 0
+    for outcome, row in zip(block.outcomes, block.rows):
+        items += reports[done:row] + [outcome]
+        done = row
+    return items + reports[done:]
+
+
+def as_fed(outcomes) -> list:
+    """Outcomes of feed as `expanded` gives them: each position as its report."""
+    return [o.message if o.kind == "position" else o for o in outcomes]
+
+
 def decode_all(lines, rx=RX0):
     """Run lines through a fresh decoder as one block; returns (positions, statics, errors)."""
     lines = list(lines)
     dec = codec.MessageDecoder()
-    positions, statics, errors = [], [], []
-    for o in dec.feed_block(lines, [rx] * len(lines)) + dec.finish():
-        if o.kind == "position":
-            positions.append(o.message)
-        elif o.kind == "static":
+    block = dec.feed_block(lines, [codec.epoch_us(rx)] * len(lines))
+    positions, statics, errors = block.positions.reports(), [], []
+    for o in block.outcomes + dec.finish():
+        if o.kind == "static":
             statics.append(o.message)
         elif o.kind == "error":
             errors.append(o)

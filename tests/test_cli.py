@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -11,8 +12,8 @@ import sys
 
 import pytest
 
-from portcall import cli, synth, validate
-from portcall.codec import PositionReport
+from portcall import cli, ingest, jsonl, synth, validate
+from portcall.codec import MessageDecoder, PositionReport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -273,6 +274,101 @@ def test_unparseable_raw_start_is_a_usage_error(inputs, tmp_path, capsys, comman
     assert "bad --raw-start 'yesterday'" in capsys.readouterr().err
     assert decoded.read_text() == errors.read_text() == "kept\n"
     assert sorted(p.name for p in out.iterdir()) == ["decoded.jsonl", "errors.jsonl"]
+
+
+@pytest.mark.parametrize("cadence", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["decode", "run"])
+def test_cadence_not_finite_or_negative_is_a_usage_error(inputs, tmp_path, capsys, command, cadence):
+    """Before any output is opened, as for --raw-start; a negative cadence is refused too."""
+    out = tmp_path / "out"
+    out.mkdir()
+    decoded = out / "decoded.jsonl"
+    decoded.write_text("kept\n")
+    argv = {"decode": ["decode", "--output", str(decoded)], "run": ["run", "--outdir", str(out / "run")]}[command]
+    assert cli.main(argv + ["--input", str(inputs["untagged.nmea"]), "--raw-cadence-s", cadence]) == cli.EXIT_USAGE
+    assert f"bad --raw-cadence-s {float(cadence)!r}" in capsys.readouterr().err
+    assert decoded.read_text() == "kept\n"
+    assert [p.name for p in out.iterdir()] == ["decoded.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["decode", "run"])
+def test_cadence_past_year_9999_is_a_usage_error(inputs, tmp_path, capsys, command):
+    """The receive time of the second untagged line would lie past year 9999."""
+    out = tmp_path / "out"
+    argv = {"decode": ["decode", "--output", str(out / "decoded.jsonl")], "run": ["run", "--outdir", str(out)]}
+    out.mkdir()
+    rc = cli.main(argv[command] + ["--input", str(inputs["untagged.nmea"]), "--raw-cadence-s", "1e300"])
+    assert rc == cli.EXIT_USAGE
+    assert "bad --raw-cadence-s 1e+300: line 2 would be received after year 9999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "metrics"])
+def test_short_ground_truth_row_is_a_usage_error(inputs, tmp_path, capsys, command):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("date,category,arrivals\n2019-09-01,cargo,3\n2019-09-01,cargo\n")
+    voyages = tmp_path / "voyages.jsonl"
+    voyages.write_text("")
+    out = tmp_path / "out"
+    argv = {"run": ["run", "--input", str(inputs["tagged.nmea"]), "--outdir", str(out)],
+            "metrics": ["metrics", "--voyages", str(voyages), "--output-dir", str(out)]}[command]
+    assert cli.main(argv + ["--ground-truth", str(truth)]) == cli.EXIT_USAGE
+    assert f"bad ground truth: {truth}: line 3 '2019-09-01,cargo' has 2 of the 3 fields" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_command_imports_only_the_stages_it_runs():
+    probe = ("import sys; from portcall import cli; "
+             "print(sorted(m for m in ('portcall.synth', 'portcall.metrics') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def mixed_replay(rows: list[str]) -> bytes:
+    """A replay of synthetic traffic mixing TAG-blocked and bare lines, stored JSONL messages (one torn), blank
+    lines and faults: a changed payload character, a cut line, garbage, a byte that is not UTF-8."""
+    dec = MessageDecoder()
+    stored = [jsonl.dumps(jsonl.message_to_dict(o.message)) for line in rows[:40]
+              for o in dec.feed(line, dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc))
+              if o.kind in ("position", "static")]
+    out = []
+    for i, line in enumerate(rows):
+        if i % 3 == 1:
+            line = line.rsplit("\\", 1)[-1]  # bare
+        if i % 97 == 5:
+            k = len(line) - 10
+            line = line[:k] + ("A" if line[k] != "A" else "B") + line[k + 1 :]
+        elif i % 89 == 7:
+            line = line[: len(line) // 2]
+        out.append(line.encode())
+        if i % 61 == 3:
+            out.append(stored[i % len(stored)].encode())
+        if i % 151 == 9:
+            out += [b"", b"garbage", stored[0][:30].encode(), b"!AIVDM,1,1,,A,\xff,0*00"]
+    return b"\n".join(out) + b"\n"
+
+
+# the sha256 of what the store and decode wrote for mixed_replay when they decoded and wrote one message at a time
+MIXED_REPLAY_PINS = {
+    "decoded.errors.jsonl": "357b2885feaa5a463351d39c606d30560d66643d9609f099a582dde5d50ca136",
+    "decoded.jsonl": "ddc1813da28f7d8300d2aef0a818470849a458138f3d56c62d7a9c6ca2285cc2",
+    "store/ais-2000-01-01.jsonl": "d6d66f7d1f78bcabd4e97c6d588dea908132fd7631a25aa7fbfe0186275242f7",
+    "store/ais-2019-09-01.jsonl": "0ddfd13b4786923f571692636d03634d0583fffeb9b9ac0a0ca5095a39468ccb",
+}
+
+
+def test_mixed_replay_writes_the_pinned_bytes(tmp_path, monkeypatch, capsys):
+    """Blocks of 7 lines split static pairs; decode reads untagged lines at 0.5 s from a pre-1970 start."""
+    monkeypatch.setattr(ingest, "_REPLAY_BLOCK", 7)
+    rows = synth.generate(synth.mixed_port_scenario(n_vessels=3, days=1, error_p=0.3, seed=13))[0]
+    source = tmp_path / "mixed.nmea"
+    source.write_bytes(mixed_replay(rows))
+    assert cli.main(["ingest", "--source", f"file:{source}", "--store", str(tmp_path / "store")]) == cli.EXIT_OK
+    assert cli.main(["decode", "--input", str(source), "--output", str(tmp_path / "decoded.jsonl"),
+                     "--raw-start", "1969-12-31T23:30:00Z", "--raw-cadence-s", "0.5"]) == cli.EXIT_OK
+    written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*.jsonl"))}
+    assert written == MIXED_REPLAY_PINS
 
 
 @pytest.mark.parametrize("command", ["run", "metrics"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import as_fed, expanded
 from portcall import codec
 
 UTC = dt.timezone.utc
@@ -411,7 +412,7 @@ def test_feed_and_feed_block_decode_alike(bits, cut, fill):
     per_line = codec.MessageDecoder()
     expected = [o for line in lines for o in per_line.feed(line, RX)]
     block = codec.MessageDecoder()
-    assert block.feed_block(lines, [RX] * len(lines)) == expected
+    assert expanded(block.feed_block(lines, [codec.epoch_us(RX)] * len(lines))) == as_fed(expected)
     assert expected[-1].kind in ("position", "static", "error")
 
 
@@ -530,9 +531,12 @@ def _block_corpus(seed: int, n: int = 400):
         elif r < 0.60:
             static_id = static_id % 9 + 1
             emitted = _static_hazard(rng, static_id, rng.choice(("A", "B", "1", "2", "")))
+        elif r < 0.63:  # a trailing blank: feed decodes the position, which joins the block's table
+            line += " "
         for line, late in emitted or [(line, 0)]:
             stamp = epoch + late
-            rx = dt.datetime.fromtimestamp(stamp, tz=UTC)
+            # receive times between whole seconds, as a fractional --raw-cadence-s gives them
+            rx = dt.datetime.fromtimestamp(stamp, tz=UTC) + dt.timedelta(microseconds=7919 * len(lines) % 10**6)
             if rng.random() < 0.5:
                 if rng.random() < 0.3:
                     stamp = stamp * 1000 + rng.randrange(1000)
@@ -559,11 +563,11 @@ def _sentence_fields(line: str) -> list[str]:
 
 
 def _block_decoded(lines, each) -> set[int]:
-    """The lines feed_block must decode itself, from what feeding each line gave: a single sentence that decodes
-    to a position, and fragments 1 and 2 of one group on adjacent lines decoding to a static with every field
-    decode_static reads (270 bits)."""
-    decoded = {j for j, outcomes in enumerate(each)
-               if outcomes[-1].kind == "position" and _sentence_fields(lines[j])[1] == "1"}
+    """The lines feed_block must decode itself, from what feeding each line gave: a single sentence, ending at
+    its checksum, that decodes to a position, and fragments 1 and 2 of one group on adjacent lines decoding to a
+    static with every field decode_static reads (270 bits)."""
+    decoded = {j for j, outcomes in enumerate(each) if outcomes[-1].kind == "position"
+               and _sentence_fields(lines[j])[1] == "1" and not lines[j].rstrip("\r\n").endswith(" ")}
     for j in range(1, len(lines)):
         if (each[j - 1][-1].kind, each[j][-1].kind) == ("buffered", "static"):
             first, second = _sentence_fields(lines[j - 1]), _sentence_fields(lines[j])
@@ -587,36 +591,40 @@ class TestFeedBlock:
                 return super().feed(line, rx_time)
 
         block = Recording()
-        got = block.feed_block(lines, rxs) + block.finish()
-        assert got == expected
+        got = expanded(block.feed_block(lines, [codec.epoch_us(rx) for rx in rxs])) + block.finish()
+        assert got == as_fed(expected)
         assert block.counts == per_line.counts
         # the single-sentence positions and the complete adjacent static pairs took the block path, tagged or
-        # bare; every other line went to feed, in order
+        # bare; every other line went to feed, in order, and the positions it decoded joined the table
         decoded = _block_decoded(lines, each)
         assert fed == [line for j, line in enumerate(lines) if j not in decoded]
         for kind in ("position", "static"):
             took = [lines[j] for j in decoded if each[j][-1].kind == kind]
             assert any(line.startswith("\\") for line in took) and any(line.startswith("!") for line in took)
-        kinds = {o.kind for o in got}
-        assert kinds == {"position", "static", "buffered", "skipped", "error"}
-        assert {o.error for o in got} >= {"bad_checksum", "malformed", "timeout", "truncated_buffer",
-                                          "out_of_range_position"}
+        assert any(each[j][-1].kind == "position" for j in range(len(lines)) if j not in decoded)
+        outcomes = [o for o in got if isinstance(o, codec.DecodeOutcome)]
+        kinds = {o.kind for o in outcomes}
+        assert kinds == {"static", "buffered", "skipped", "error"}
+        assert {o.error for o in outcomes} >= {"bad_checksum", "malformed", "timeout", "truncated_buffer",
+                                               "out_of_range_position"}
 
     def test_blocks_of_any_size_agree(self):
         lines, rxs = _block_corpus(99)
+        rxs = [codec.epoch_us(rx) for rx in rxs]
         whole = codec.MessageDecoder()
-        expected = whole.feed_block(lines, rxs) + whole.finish()
+        expected = expanded(whole.feed_block(lines, rxs)) + whole.finish()
         for size in (5, 64):  # blocks of one line: TestReplayBlocks
             dec = codec.MessageDecoder()
             got = []
             for k in range(0, len(lines), size):
-                got += dec.feed_block(lines[k : k + size], rxs[k : k + size])
+                got += expanded(dec.feed_block(lines[k : k + size], rxs[k : k + size]))
             assert got + dec.finish() == expected
             assert dec.counts == whole.counts
 
     def test_empty_block(self):
         dec = codec.MessageDecoder()
-        assert dec.feed_block([], []) == []
+        block = dec.feed_block([], [])
+        assert (len(block.positions), block.outcomes, block.rows) == (0, [], [])
         assert dec.counts["lines"] == 0
 
     @pytest.mark.parametrize("tag", ["c:999999999999*", "c:1\u00e9*", "c:\u0661\u0662*"],
@@ -632,4 +640,4 @@ class TestFeedBlock:
         line = f"\\{body}*{cs:02X}\\{inner}"
         outcome = feed_one(line)
         assert (outcome.kind, outcome.error) == ("error", "malformed")
-        assert codec.MessageDecoder().feed_block([line], [RX]) == [outcome]
+        assert expanded(codec.MessageDecoder().feed_block([line], [codec.epoch_us(RX)])) == [outcome]

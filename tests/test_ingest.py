@@ -1,15 +1,19 @@
 import datetime as dt
+import json
 import pathlib
 import random
 import socket
 import socketserver
 import threading
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import decode_all
-from portcall import ingest, synth
+from portcall import codec, ingest, synth
 from portcall.codec import MessageDecoder, PositionReport, StaticReport
 from portcall.jsonl import dumps, message_to_dict, position_line
 
@@ -416,3 +420,71 @@ class TestStorePartitions:
         got = {p.name: p.read_text() for p in (tmp_path / "s").iterdir()}
         assert got == expected
         assert {"ais-1970-01-01.jsonl", "ais-2019-09-01.jsonl", "ais-2019-09-02.jsonl"} <= set(got)
+
+
+class TestColumnPass:
+    def test_clean_block_builds_no_object_per_position(self, tmp_path, monkeypatch, nmea_fixture):
+        """A replayed block of clean position lines, tagged or bare, reaches the store as columns: no outcome,
+        report or datetime per position, and no timedelta per line."""
+        built = {"DecodeOutcome": 0, "_position_report": 0, "from_epoch_us": 0, "_tag_time": 0, "timedelta": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("DecodeOutcome", "_position_report", "from_epoch_us", "_tag_time"):
+            monkeypatch.setattr(codec, name, counted(name, getattr(codec, name)))
+        monkeypatch.setattr(ingest, "dt", SimpleNamespace(**{k: getattr(dt, k) for k in ("date", "datetime")},
+                                                          timedelta=counted("timedelta", dt.timedelta)))
+        tagged = [line for line in nmea_fixture if ",1,1,," in line][:300]
+        lines = tagged[::2] + [line[line.index("\\", 1) + 1 :] for line in tagged[1::2]]  # half of them bare
+        path = tmp_path / "clean.nmea"
+        path.write_text("\n".join(lines) + "\n")
+        with ingest.MessageStore(tmp_path / "s") as store:
+            summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), store.append,
+                                        positions_sink=store.append_positions, raw_start=T0)
+        assert summary.messages == len(lines)
+        assert built == dict.fromkeys(built, 0)
+        monkeypatch.undo()
+        expected = [position_line(m) for m in decode_direct_at(lines, T0)]
+        assert read_lines(tmp_path / "s") == sorted(expected, key=lambda line: json.loads(line)["ts"][:10])
+
+    def test_paced_positions_reach_the_positions_sink_one_by_one(self, tmp_path):
+        lines = [oracles.tag_block(oracles.position_sentence(mmsi=1, navstat=0, rot_raw=0, sog_raw=100, lon_raw=0,
+                                                             lat_raw=0, cog_raw=0, heading_raw=0),
+                                   int(T0.timestamp()) + 10 * i) for i in range(3)]
+        path = tmp_path / "paced.nmea"
+        path.write_text("\n".join(lines) + "\n")
+        events = []
+        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path, replay_speed=10.0), events.append,
+                          positions_sink=lambda table, text: events.append((len(table), text)), sleep=events.append)
+        pause = pytest.approx(1.0)  # 10 s at 10x speed
+        assert [e if isinstance(e, float) else e[0] for e in events] == [1, pause, 1, pause, 1]
+        assert [e[1] for e in events if isinstance(e, tuple)] == [[position_line(m)] for m in decode_direct(lines)]
+
+
+def decode_direct_at(lines, start, cadence_s=1.0) -> list:
+    dec = MessageDecoder()
+    return [o.message for i, line in enumerate(lines)
+            for o in dec.feed(line, start + dt.timedelta(seconds=i * cadence_s)) if o.kind == "position"]
+
+
+def read_lines(root) -> list[str]:
+    return [line for path in sorted(pathlib.Path(root).glob("ais-*.jsonl")) for line in path.read_text().splitlines()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(numbers=st.lists(st.integers(0, 10**6), min_size=1, max_size=20).map(sorted),
+       cadence=st.sampled_from((0.5, 1 / 3, 0.1, 1e-7, 2.5e-7)) | st.floats(0, 1e5),
+       start=st.datetimes(max_value=dt.datetime(9000, 1, 1), timezones=st.just(UTC)))
+def test_raw_times_round_as_timedelta(numbers, cadence, start):
+    """Untagged receive times, as one array, are the microseconds raw_start + timedelta(seconds=n * cadence) gives."""
+    try:
+        expected = [codec.epoch_us(start + dt.timedelta(seconds=n * cadence)) for n in numbers]
+    except OverflowError:  # past year 9999
+        with pytest.raises(ingest.RawTimeOutOfRange):
+            ingest._raw_times(codec.epoch_us(start), numbers, cadence)
+        return
+    assert ingest._raw_times(codec.epoch_us(start), numbers, cadence).tolist() == expected

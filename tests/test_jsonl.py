@@ -4,13 +4,15 @@ import dataclasses
 import datetime as dt
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from portcall import cli, jsonl, validate
-from portcall.codec import STATUS_KINDS, PositionReport
+from conftest import as_fed, expanded
+from portcall import cli, codec, ingest, jsonl, validate
+from portcall.codec import STATUS_KINDS, PositionReport, PositionTable
 
 # floats that json and a hand-rolled formatter are apt to write differently
 AWKWARD = (1e-07, -0.0, 5e-324)
@@ -92,3 +94,60 @@ def test_format_ts_edges(t, text):
     """Each edge twice: once filling the cached text of its day, once reading it."""
     assert jsonl.format_ts(t) == jsonl.format_ts(t) == oracles.strftime_ts(t)
     assert text is None or jsonl.format_ts(t) == text
+
+
+# --- the block writer ------------------------------------------------------------
+
+# raw fields of _POSITION_LAYOUT: each field's extremes and sentinels, the off-globe 91/181 degrees among them
+raw_rows = st.tuples(
+    st.integers(codec.epoch_us(dt.datetime(1, 1, 2, tzinfo=dt.timezone.utc)),
+                codec.epoch_us(dt.datetime(9999, 12, 30, tzinfo=dt.timezone.utc))),  # receive time, pre-1970 too
+    st.integers(0, (1 << 30) - 1),  # MMSI
+    st.integers(0, 15),  # navigational status
+    st.sampled_from((-128, 127, 0)) | st.integers(-128, 127),  # rate of turn
+    st.sampled_from((1023, 1022, 0)) | st.integers(0, 1023),  # SOG
+    st.sampled_from((181 * 600000, -108000000, 0)) | st.integers(-(1 << 27), (1 << 27) - 1),  # longitude
+    st.sampled_from((91 * 600000, -54000000, 0)) | st.integers(-(1 << 26), (1 << 26) - 1),  # latitude
+    st.sampled_from((3600, 3599, 4095)) | st.integers(0, 4095),  # COG
+    st.sampled_from((511, 360, 359)) | st.integers(0, 511),  # heading
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(raw_rows, min_size=1, max_size=30))
+def test_position_lines_are_the_dict_codec_text(rows):
+    time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading = (np.array(c, dtype=np.int64) for c in zip(*rows))
+    table = PositionTable(time_us, mmsi, navstat, rot, sog, lon / 600000.0, lat / 600000.0, cog, heading)
+    assert jsonl.position_lines(table) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in table.reports()]
+
+
+# one line of a replayed file: a position's raw fields, and its TAG time in seconds or milliseconds (None for
+# a bare line), some past the last second a datetime holds
+LAST_S = 253402300799  # 9999-12-31T23:59:59Z
+replayed_lines = st.tuples(
+    st.builds(dict, mmsi=st.integers(0, (1 << 30) - 1), navstat=st.integers(0, 15),
+              rot_raw=st.sampled_from((-128, 5)), sog_raw=st.sampled_from((1023, 0, 123)),
+              lon_raw=st.integers(-108000000, 108000000), lat_raw=st.integers(-54000000, 54000000),
+              cog_raw=st.sampled_from((3600, 4000, 0, 1234)), heading_raw=st.sampled_from((511, 400, 0, 359))),
+    st.none() | st.sampled_from((0, LAST_S, LAST_S + 1, 10**12 - 1, 10**12, LAST_S * 1000 + 999, (LAST_S + 1) * 1000))
+    | st.integers(0, LAST_S) | st.integers(10**12, LAST_S * 1000 + 999),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(replayed_lines, min_size=1, max_size=40),
+       raw_start=st.sampled_from(("1969-12-31T23:59:45Z", "1900-02-28T23:59:59Z", "2000-01-01T00:00:00Z")),
+       cadence=st.sampled_from((0.5, 1.0, 1 / 3)))
+def test_decoded_block_writes_what_feeding_each_line_writes(lines, raw_start, cadence):
+    """The block pass's table and writer against feed's outcomes and the dict codec, with the receive times
+    of untagged lines at a fractional cadence from a pre-1970 start, and TAG times in seconds or milliseconds."""
+    text = [oracles.position_sentence(**fields) if stamp is None
+            else oracles.tag_block(oracles.position_sentence(**fields), stamp) for fields, stamp in lines]
+    start = jsonl.parse_ts(raw_start)
+    per_line = codec.MessageDecoder()
+    expected = [o for i, line in enumerate(text)
+                for o in per_line.feed(line, start + dt.timedelta(seconds=i * cadence))]
+    block = codec.MessageDecoder().feed_block(text, ingest._raw_times(codec.epoch_us(start), range(len(text)), cadence))
+    assert expanded(block) == as_fed(expected)
+    assert jsonl.position_lines(block.positions) == [jsonl.dumps(jsonl.message_to_dict(o.message))
+                                                     for o in expected if o.kind == "position"]

@@ -342,3 +342,13 @@ class TestGroundTruthLoader:
         path.write_text("date,category,arrivals\n2019-09-12,cargo,-1\n")
         with pytest.raises(ValueError):
             metrics.load_ground_truth(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("date,category,arrivals\n2019-09-12,cargo,7\n\n2019-09-12,cargo\n", "line 4 '2019-09-12,cargo' has 2 of"),
+        ("timestamp,mmsi,category\n2019-09-12T06:01:00Z,1\n", "line 2 '2019-09-12T06:01:00Z,1' has 2 of"),
+    ], ids=["count", "event"])
+    def test_short_row_is_named(self, tmp_path, text, line):
+        path = tmp_path / "gt.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=line):
+            metrics.load_ground_truth(path)
