@@ -14,8 +14,7 @@ A block's positions reach a positions_sink as PositionTable slices, each a
 run of positions that no other message or reported error comes between,
 with the stored JSONL document of each row, written for the whole block
 at once; so a sink such as MessageStore.append_positions writes them
-without building an object per position. Without a positions_sink each
-row goes to the sink as a PositionReport.
+without building an object per position.
 """
 
 import datetime as dt
@@ -145,8 +144,7 @@ class _Delivery:
     """Hands decoded messages and errors on to the sinks in order, counting them in `summary`.
 
     Positions go to positions_sink as table slices with the stored document
-    of each row, or one by one to sink as reports without a positions_sink.
-    With a `pause`, each message reaches its sink right after
+    of each row; statics and stored messages go to sink. With a `pause`, each message reaches its sink right after
     pause(its receive time in microseconds).
     """
 
@@ -174,7 +172,7 @@ class _Delivery:
         block at once, and a run of positions reaches positions_sink as one slice unless an outcome for a sink
         comes between."""
         table = block.positions
-        lines = position_lines(table) if self.positions_sink is not None and len(table) else None
+        lines = position_lines(table) if len(table) else []
         start = 0
         for outcome, row in zip(block.outcomes, block.rows):
             if row > start and (outcome.kind in ("position", "static")
@@ -185,8 +183,8 @@ class _Delivery:
         if start < len(table):
             self._positions(table, lines, start, len(table))
 
-    def _positions(self, table: PositionTable, lines: list[str] | None, start: int, stop: int) -> None:
-        """Rows start..stop of a table, with their documents if positions_sink takes them."""
+    def _positions(self, table: PositionTable, lines: list[str], start: int, stop: int) -> None:
+        """Rows start..stop of a table, with their documents."""
         if self.pause is not None and stop - start > 1:
             for k in range(start, stop):
                 self._positions(table, lines, k, k + 1)
@@ -195,11 +193,7 @@ class _Delivery:
         if self.pause is not None:
             self.pause(int(rows.time_us[0]))
         self.summary.messages += stop - start
-        if self.positions_sink is not None:
-            self.positions_sink(rows, lines[start:stop])
-        else:
-            for report in rows.reports():
-                self.sink(report)
+        self.positions_sink(rows, lines[start:stop])
 
 
 def _stored_outcome(line: str) -> DecodeOutcome:
@@ -229,7 +223,7 @@ def run_replay(
     cfg: SourceConfig,
     sink,
     *,
-    positions_sink=None,
+    positions_sink,
     error_sink=None,
     raw_start: dt.datetime = dt.datetime(2000, 1, 1, tzinfo=UTC),
     raw_cadence_s: float = 1.0,
@@ -245,8 +239,8 @@ def run_replay(
     lines go to the decoder in blocks of up to _REPLAY_BLOCK lines through
     feed_block, which gives what feeding them one by one would, also when
     reading the file fails partway. Each block's positions go to
-    positions_sink as PositionTable slices in their place among its other
-    messages, or row by row to sink without a positions_sink. A byte that
+    positions_sink as PositionTable slices with their stored documents, in
+    their place among its other messages, which go to sink. A byte that
     is not UTF-8 reads as U+FFFD, which makes its line malformed. A line
     that starts with `{` is read as a stored JSONL message, after the NMEA
     lines before it; one that does not parse goes to error_sink as a
@@ -304,7 +298,7 @@ def run_live(
     sink,
     stop: threading.Event,
     *,
-    positions_sink=None,
+    positions_sink,
     error_sink=None,
     rng: random.Random | None = None,
 ) -> IngestSummary:
@@ -312,8 +306,8 @@ def run_live(
 
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
-    time overrides it as in replay. Positions go to positions_sink or sink
-    as in run_replay. Reconnects with exponential backoff
+    time overrides it as in replay. Positions go to positions_sink and other
+    messages to sink as in run_replay. Reconnects with exponential backoff
     and full jitter (initial 1 s, capped at 60 s by default). A partial
     line at disconnect is discarded and counted as an error; completed
     lines are never lost. Connection gaps are returned for outage

@@ -21,6 +21,14 @@ def expanded(block) -> list:
     return items + reports[done:]
 
 
+def each_report(sink):
+    """A positions_sink that hands each row of a table slice to `sink` as its PositionReport."""
+    def positions_sink(table, lines):
+        for report in table.reports():
+            sink(report)
+    return positions_sink
+
+
 def as_fed(outcomes) -> list:
     """Outcomes of feed as `expanded` gives them: each position as its report."""
     return [o.message if o.kind == "position" else o for o in outcomes]

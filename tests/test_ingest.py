@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import decode_all
+from conftest import decode_all, each_report
 from portcall import codec, ingest, synth
 from portcall.codec import MessageDecoder, PositionReport, StaticReport
 from portcall.jsonl import dumps, message_to_dict, position_line
@@ -58,7 +58,8 @@ class TestReplay:
         path = tmp_path / "fix.nmea"
         path.write_text("\n".join(nmea_fixture) + "\n")
         got = []
-        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append)
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
+                                    positions_sink=each_report(got.append))
         positions, statics, errors = decode_all(nmea_fixture)
         assert summary.lines == len(nmea_fixture)
         assert summary.messages == len(positions) + len(statics)
@@ -68,12 +69,13 @@ class TestReplay:
     def test_missing_file(self, tmp_path):
         cfg = ingest.SourceConfig(mode="replay", path=tmp_path / "nope.nmea")
         with pytest.raises(FileNotFoundError):
-            ingest.run_replay(cfg, lambda m: None)
+            ingest.run_replay(cfg, lambda m: None, positions_sink=lambda table, lines: None)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.nmea"
         path.write_text("")
-        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), lambda m: None)
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), lambda m: None,
+                                    positions_sink=lambda table, lines: None)
         assert summary.lines == 0
         assert summary.messages == 0
 
@@ -82,7 +84,8 @@ class TestReplay:
         path.write_text(nmea_fixture[0] + "\ngarbage line\n" + nmea_fixture[1] + "\n")
         errors = []
         summary = ingest.run_replay(
-            ingest.SourceConfig(mode="replay", path=path), lambda m: None, error_sink=errors.append
+            ingest.SourceConfig(mode="replay", path=path), lambda m: None,
+            positions_sink=lambda table, lines: None, error_sink=errors.append,
         )
         assert summary.errors == 1
         assert errors[0].raw == "garbage line"
@@ -98,7 +101,7 @@ class TestReplay:
         got = []
         ingest.run_replay(
             ingest.SourceConfig(mode="replay", path=path), got.append,
-            raw_start=T0, raw_cadence_s=2.0,
+            positions_sink=each_report(got.append), raw_start=T0, raw_cadence_s=2.0,
         )
         assert [m.timestamp for m in got] == [T0, T0 + dt.timedelta(seconds=2), T0 + dt.timedelta(seconds=4)]
 
@@ -113,9 +116,13 @@ class TestReplay:
         path = tmp_path / "paced.nmea"
         path.write_text("\n".join(lines) + "\n")
         events = []
+
+        def sink(msg):
+            events.append(msg.timestamp)
+
         ingest.run_replay(
             ingest.SourceConfig(mode="replay", path=path, replay_speed=5.0),
-            lambda m: events.append(m.timestamp), sleep=lambda s: events.append(s),
+            sink, positions_sink=each_report(sink), sleep=lambda s: events.append(s),
         )
         # 10 s gaps at 5x speed, and each message reaches the sink right after its pause
         t = [T0 + dt.timedelta(seconds=10 * i) for i in range(4)]
@@ -126,7 +133,8 @@ def read_store(root) -> list:
     """Every message in a store, read back the way `portcall decode` reads stored JSONL."""
     got = []
     for path in sorted(pathlib.Path(root).glob("ais-*.jsonl")):
-        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append)
+        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
+                          positions_sink=each_report(got.append))
     return got
 
 
@@ -161,7 +169,8 @@ class TestStore:
         got = []
         for path in sorted((tmp_path / "s").glob("ais-*.jsonl")):
             part = []
-            ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), part.append)
+            ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), part.append,
+                              positions_sink=each_report(part.append))
             assert {f"ais-{m.timestamp:%Y-%m-%d}.jsonl" for m in part} == {path.name}
             got += part
         assert got == direct
@@ -177,7 +186,7 @@ class TestStore:
         path.write_text(whole + whole.splitlines()[0][:40])  # a crash mid-append
         got, errors = [], []
         summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    error_sink=errors.append)
+                                    positions_sink=each_report(got.append), error_sink=errors.append)
         assert got == direct
         assert (summary.lines, summary.messages, summary.errors) == (51, 50, 1)
         assert [e.error for e in errors] == ["malformed"]
@@ -225,7 +234,7 @@ class TestLive:
                 mode="live", endpoint=server.server_address,
                 reconnect_initial_s=0.05, reconnect_max_s=0.1,
             )
-            summary = ingest.run_live(cfg, sink, stop, rng=random.Random(1))
+            summary = ingest.run_live(cfg, sink, stop, positions_sink=each_report(sink), rng=random.Random(1))
             assert summary.messages >= expected
             assert [m for m in got if isinstance(m, PositionReport)][: len(positions)] == positions
         finally:
@@ -249,7 +258,7 @@ class TestLive:
 
             cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
                                       reconnect_initial_s=0.05, reconnect_max_s=0.1)
-            summary = ingest.run_live(cfg, sink, stop, rng=random.Random(1))
+            summary = ingest.run_live(cfg, sink, stop, positions_sink=each_report(sink), rng=random.Random(1))
             assert summary.errors >= 1  # the truncated tail
             assert len(got) >= expected
         finally:
@@ -271,7 +280,7 @@ class TestLive:
 
             cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
                                       reconnect_initial_s=0.01, reconnect_max_s=0.05)
-            summary = ingest.run_live(cfg, sink, stop, rng=random.Random(2))
+            summary = ingest.run_live(cfg, sink, stop, positions_sink=each_report(sink), rng=random.Random(2))
             assert summary.connection_gaps  # at least one disconnect/reconnect cycle
         finally:
             server.shutdown()
@@ -293,7 +302,7 @@ class TestLive:
         path.write_bytes(blob)
         replayed, replay_errors = [], []
         replay = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), replayed.append,
-                                   error_sink=replay_errors.append)
+                                   positions_sink=each_report(replayed.append), error_sink=replay_errors.append)
         assert {"\ufffd" in e.raw for e in replay_errors if e.error == "malformed"} == {True, False}
 
         server, thread = _serve(blob, chunk=37)
@@ -310,7 +319,8 @@ class TestLive:
             cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
                                       reconnect_initial_s=0.05, reconnect_max_s=0.1)
             guard.start()
-            live = ingest.run_live(cfg, sink, stop, error_sink=errors.append, rng=random.Random(3))
+            live = ingest.run_live(cfg, sink, stop, positions_sink=each_report(sink), error_sink=errors.append,
+                                   rng=random.Random(3))
         finally:
             guard.cancel()
             server.shutdown()
@@ -359,7 +369,8 @@ class TestReplayBlocks:
         messages, errors = self._per_line(rows)
         got, got_errors = [], []
         summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    error_sink=got_errors.append, raw_start=T0, raw_cadence_s=0.5)
+                                    positions_sink=each_report(got.append), error_sink=got_errors.append,
+                                    raw_start=T0, raw_cadence_s=0.5)
         assert got == messages
         assert got_errors == errors
         assert summary.lines == sum(1 for line in rows if line)
@@ -377,7 +388,8 @@ class TestReplayBlocks:
         messages, errors = self._per_line(text)
         got, got_errors = [], []
         summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    error_sink=got_errors.append, raw_start=T0, raw_cadence_s=0.5)
+                                    positions_sink=each_report(got.append), error_sink=got_errors.append,
+                                    raw_start=T0, raw_cadence_s=0.5)
         assert got == messages
         assert got_errors == errors
         assert [(e.error, e.raw) for e in errors] == [("malformed", text[300])]
