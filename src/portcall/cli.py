@@ -138,7 +138,7 @@ def _raw_start(text: str) -> dt.datetime:
     """The receive time of an untagged line 0, from --raw-start."""
     try:
         return parse_ts(text)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad --raw-start {text!r}: {exc}") from None
 
 
@@ -170,11 +170,11 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
 
     The decoder's position tables are written to `out` from their columns,
     then turned into the position reports that validate takes, and dropped;
-    stored JSONL positions and statics are written one by one. Returns the
-    position reports, the ship type of every MMSI that sent static data,
-    and the exit status of the error-rate check. Timestamps are cut to the
-    whole seconds the JSONL holds, so later stages see the values a staged
-    run reads back from the file.
+    positions the line parser decoded, stored JSONL positions and statics
+    are written one by one. Returns the position reports, the ship type of
+    every MMSI that sent static data, and the exit status of the error-rate
+    check. Timestamps are cut to the whole seconds the JSONL holds, so later
+    stages see the values a staged run reads back from the file.
     """
     positions: list[PositionReport] = []
     ship_types: dict[int, int] = {}

@@ -12,12 +12,14 @@ block of lines at once with numpy: single-sentence position reports, and
 two-sentence type 5 reports whose fragments sit on adjacent lines.
 Checksums are an XOR reduction, payloads are de-armored through a lookup
 table, fields are read as integer columns and TAG times as one integer
-column. The block's positions leave as one PositionTable of columns, with
-receive times in integer microseconds since the epoch; nothing builds an
-object per position until a caller asks for PositionTable.reports. Every
-other line goes in its place to MessageDecoder.feed, the general parser of
-one line, so a block gives what feeding its lines one by one would:
-malformed, orphaned and rare lines, and a pair that a block boundary splits.
+column. The positions this pass decodes leave as one PositionTable of
+columns, with receive times in integer microseconds since the epoch;
+nothing builds an object per position until a caller asks for
+PositionTable.reports. Every other line goes in its place to
+MessageDecoder.feed, the general parser of one line, so a block gives what
+feeding its lines one by one would: malformed, orphaned and rare lines, and
+a pair that a block boundary splits. What feed gives, positions included,
+stays an outcome.
 
 Each message type's fields are declared once, in _POSITION_LAYOUT and
 _STATIC_LAYOUT. The block reads them as columns (_read_rows); feed reads one
@@ -358,15 +360,6 @@ def _position_report(rx_time, mmsi, navstat, rot_raw, sog_raw, lon, lat, cog_raw
     )
 
 
-def _raw_of(values: tuple, first: int = 0) -> dict:
-    """The raw value of each value a field reads as; None is the last sentinel."""
-    return {value: raw for raw, value in enumerate(values, first)}
-
-
-_SOG_RAW, _COG_RAW, _HEADING_RAW = map(_raw_of, (SOG_VALUES, COG_VALUES, HEADING_VALUES))
-_ROT_RAW = _raw_of(ROT_VALUES, -128)
-
-
 @dataclass(slots=True, eq=False)
 class PositionTable:
     """Decoded position reports as columns, one row per report, in order.
@@ -406,13 +399,6 @@ class PositionTable:
         """One PositionReport per row, in order."""
         times = map(from_epoch_us, self.time_us.tolist())
         return [_position_report(t, *row) for t, row in zip(times, zip(*(c.tolist() for c in self.columns()[1:])))]
-
-    @classmethod
-    def of_reports(cls, reports: list[PositionReport]) -> "PositionTable":
-        """The table of reports the decoder built, each field back at its raw value."""
-        rows = [(epoch_us(r.timestamp), r.mmsi, r.navstat, _ROT_RAW[r.rot], _SOG_RAW[r.sog], r.lon, r.lat,
-                 _COG_RAW[r.cog], _HEADING_RAW[r.heading]) for r in reports]
-        return cls(*(np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), _TABLE_DTYPES)))
 
 
 _TABLE_DTYPES = (np.int64,) * 5 + (np.float64,) * 2 + (np.int64,) * 2  # the dtype of each column, in order
@@ -616,11 +602,12 @@ class DecodeOutcome:
 class DecodedBlock:
     """What feed_block made of a block of lines.
 
-    positions holds every position the block decoded, one row each, and
-    outcomes every other outcome, in order; rows[j] is the number of
-    positions that come before outcomes[j]. Read in that order, they are
-    the outcomes of feeding the block's lines one by one, each position as a
-    table row.
+    positions holds the positions that feed_block's own pass decoded, one
+    row each, and outcomes every outcome that feed() or the pass gave
+    otherwise, in order, positions feed() decoded included; rows[j] is the
+    number of table rows that come before outcomes[j]. Read in that order,
+    they are the outcomes of feeding the block's lines one by one, each
+    table row standing for a position outcome.
     """
 
     positions: PositionTable
@@ -757,7 +744,7 @@ class MessageDecoder:
         another type, its (channel, message id) key is still pending after
         expiring at fragment 1's time, or fragment 2 arrives more than the
         reassembly window after fragment 1. Every other line goes to feed()
-        too, and the positions feed() decodes join the table at their place.
+        too, and what feed() gives, positions included, joins the outcomes.
         """
         rx_us = np.asarray(rx_us, dtype=np.int64)
         raws = [line if (line and line[-1] not in "\r\n") else line.rstrip("\r\n") for line in lines]
@@ -798,36 +785,24 @@ class MessageDecoder:
         stops = np.flatnonzero(rest)
         outcomes: list[DecodeOutcome] = []
         at: list[int] = []  # the number of rows before each outcome
-        fed: list[PositionReport] = []  # positions feed() decoded, each with the number of rows before it
-        fed_at: list[int] = []
         done = 0
         for i, row in zip(stops.tolist(), np.searchsorted(row_lines, stops).tolist()):
-            self._take_rows(times, done, row, outcomes, at, len(fed))
+            self._take_rows(times, done, row, outcomes, at)
             done = row
             pair = pairs.get(i)
             if pair is None:
                 got = self.feed(lines[i], from_epoch_us(int(rx_us[i])))
             else:
                 got = self._feed_pair(lines[i : i + 2], rx_us[i : i + 2].tolist(), raws[i : i + 2], *pair)
-            for outcome in got:
-                if outcome.kind == "position":
-                    fed.append(outcome.message)
-                    fed_at.append(row)
-                else:
-                    outcomes.append(outcome)
-                    at.append(row + len(fed))
-        self._take_rows(times, done, len(times), outcomes, at, len(fed))
-        table = PositionTable(times, *fields)
-        if fed:
-            table = PositionTable(*(np.insert(column, fed_at, extra)
-                                    for column, extra in zip(table.columns(), PositionTable.of_reports(fed).columns())))
-        return DecodedBlock(table, outcomes, at)
+            outcomes += got
+            at += [row] * len(got)
+        self._take_rows(times, done, len(times), outcomes, at)
+        return DecodedBlock(PositionTable(times, *fields), outcomes, at)
 
-    def _take_rows(self, times: np.ndarray, start: int, stop: int, outcomes: list, at: list, fed: int) -> None:
+    def _take_rows(self, times: np.ndarray, start: int, stop: int, outcomes: list, at: list) -> None:
         """Count rows start..stop of a block as positions, each after the timeouts its receive time expires.
 
-        The timeouts join `outcomes`, and the number of rows before each (with `fed` positions that feed()
-        decoded before these rows) joins `at`.
+        The timeouts join `outcomes`, and the number of rows before each joins `at`.
         """
         self.lines += stop - start
         self.positions += stop - start
@@ -839,7 +814,7 @@ class MessageDecoder:
             start += int(late[0])
             expired = self._expire(int(times[start]))
             outcomes += expired
-            at += [start + fed] * len(expired)
+            at += [start] * len(expired)
             start += 1
 
     def _feed_pair(self, lines, rx_us, raws, key, tag1, tag2, fields) -> list[DecodeOutcome]:

@@ -10,11 +10,13 @@ in blocks: the complete lines of each chunk received, or up to
 _REPLAY_BLOCK lines of a file. A byte that is not UTF-8 makes its line
 malformed; it does not end the read.
 
-A block's positions reach a positions_sink as PositionTable slices, each a
-run of positions that no other message or reported error comes between,
-with the stored JSONL document of each row, written for the whole block
-at once; so a sink such as MessageStore.append_positions writes them
-without building an object per position.
+A block's table rows, the positions feed_block's own pass decoded, reach a
+positions_sink as PositionTable slices, each a run of rows that no other
+message or reported error comes between, with the stored JSONL document of
+each row, written for the whole block at once; so a sink such as
+MessageStore.append_positions writes them without building an object per
+row. Every other message, a position the line parser decoded or a stored
+JSONL message included, reaches the sink as it is.
 """
 
 import datetime as dt
@@ -143,9 +145,11 @@ def _utcnow_s() -> dt.datetime:
 class _Delivery:
     """Hands decoded messages and errors on to the sinks in order, counting them in `summary`.
 
-    Positions go to positions_sink as table slices with the stored document
-    of each row; statics and stored messages go to sink. With a `pause`, each message reaches its sink right after
-    pause(its receive time in microseconds).
+    A block's table rows go to positions_sink as slices with the stored
+    document of each row; every message outcome, a position the line
+    parser decoded or a stored message included, goes to sink. With a
+    `pause`, each message reaches its sink right after pause(its receive
+    time in microseconds).
     """
 
     sink: object
@@ -168,9 +172,9 @@ class _Delivery:
             self.summary.skipped += 1
 
     def block(self, block: DecodedBlock) -> None:
-        """A block's positions and outcomes in order. The documents of its positions are written for the whole
-        block at once, and a run of positions reaches positions_sink as one slice unless an outcome for a sink
-        comes between."""
+        """A block's table rows and outcomes in order. The documents of its rows are written for the whole block
+        at once, and a run of rows reaches positions_sink as one slice unless an outcome for a sink comes
+        between."""
         table = block.positions
         lines = position_lines(table) if len(table) else []
         start = 0
@@ -238,7 +242,7 @@ def run_replay(
     ValueError; a receive time past year 9999 is RawTimeOutOfRange. NMEA
     lines go to the decoder in blocks of up to _REPLAY_BLOCK lines through
     feed_block, which gives what feeding them one by one would, also when
-    reading the file fails partway. Each block's positions go to
+    reading the file fails partway. Each block's table rows go to
     positions_sink as PositionTable slices with their stored documents, in
     their place among its other messages, which go to sink. A byte that
     is not UTF-8 reads as U+FFFD, which makes its line malformed. A line
@@ -306,7 +310,7 @@ def run_live(
 
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
-    time overrides it as in replay. Positions go to positions_sink and other
+    time overrides it as in replay. Table rows go to positions_sink and other
     messages to sink as in run_replay. Reconnects with exponential backoff
     and full jitter (initial 1 s, capped at 60 s by default). A partial
     line at disconnect is discarded and counted as an error; completed

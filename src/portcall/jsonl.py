@@ -50,12 +50,15 @@ def format_ts(t: dt.datetime) -> str:
 
 
 def parse_ts(s: str) -> dt.datetime:
-    if s.endswith("Z"):
-        s = s[:-1] + "+00:00"
-    t = dt.datetime.fromisoformat(s)
+    """An ISO-8601 time in UTC, a naive one read as UTC; ValueError for one that does not parse or that falls
+    outside the years 1-9999 in UTC."""
+    t = dt.datetime.fromisoformat(s[:-1] + "+00:00" if s.endswith("Z") else s)
     if t.tzinfo is None:
         t = t.replace(tzinfo=UTC)
-    return t.astimezone(UTC)
+    try:
+        return t.astimezone(UTC)
+    except OverflowError:
+        raise ValueError(f"time {s!r} falls outside the years 1-9999 in UTC") from None
 
 
 def dumps(doc: dict) -> str:

@@ -13,10 +13,11 @@ RX0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
 
 
 def expanded(block) -> list:
-    """A DecodedBlock in order: each table row as its PositionReport, every other outcome as it is."""
+    """A DecodedBlock in order: each table row and each position outcome as its PositionReport, every other
+    outcome as it is."""
     reports, items, done = block.positions.reports(), [], 0
     for outcome, row in zip(block.outcomes, block.rows):
-        items += reports[done:row] + [outcome]
+        items += reports[done:row] + [outcome.message if outcome.kind == "position" else outcome]
         done = row
     return items + reports[done:]
 
@@ -39,9 +40,11 @@ def decode_all(lines, rx=RX0):
     lines = list(lines)
     dec = codec.MessageDecoder()
     block = dec.feed_block(lines, [codec.epoch_us(rx)] * len(lines))
-    positions, statics, errors = block.positions.reports(), [], []
-    for o in block.outcomes + dec.finish():
-        if o.kind == "static":
+    positions, statics, errors = [], [], []
+    for o in expanded(block) + dec.finish():
+        if isinstance(o, codec.PositionReport):
+            positions.append(o)
+        elif o.kind == "static":
             statics.append(o.message)
         elif o.kind == "error":
             errors.append(o)

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import oracles
 from portcall import cli, ingest, jsonl, synth, validate
 from portcall.codec import MessageDecoder, PositionReport
 
@@ -199,6 +200,49 @@ def test_stored_positions_outside_the_coordinate_range_are_malformed(tmp_path, c
         assert "lat nan is not a number" in capsys.readouterr().err
 
 
+# offset times that parse but fall outside the years 1-9999 once moved to UTC
+OUT_OF_UTC = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
+
+
+@pytest.mark.parametrize("ts", OUT_OF_UTC)
+def test_a_stored_time_outside_utc_is_malformed(tmp_path, ts):
+    good = ('{"cog":null,"heading":null,"lat":1.0,"lon":2.0,"mmsi":1,"navstat":5,"rot":null,'
+            '"sog":0.0,"ts":"2019-09-01T00:00:00Z","type":"position"}')
+    bad = good.replace("2019-09-01T00:00:00Z", ts)
+    stored = tmp_path / "stored.jsonl"
+    stored.write_text(bad + "\n" + good + "\n")
+    out, errors = tmp_path / "decoded.jsonl", tmp_path / "errors.jsonl"
+    assert cli.main(["decode", "--input", str(stored), "--output", str(out), "--errors", str(errors)]) == cli.EXIT_OK
+    assert out.read_text() == good + "\n"
+    rows = [json.loads(line) for line in errors.read_text().splitlines()]
+    assert [(row["error"], row["raw"]) for row in rows] == [("malformed", bad)]
+    assert ts in rows[0]["detail"]
+    assert cli.main(["ingest", "--source", f"file:{stored}", "--store", str(tmp_path / "store")]) == cli.EXIT_OK
+    assert [p.name for p in (tmp_path / "store").iterdir()] == ["ais-2019-09-01.jsonl"]
+
+
+@pytest.mark.parametrize("ts", OUT_OF_UTC)
+def test_staged_commands_refuse_a_time_outside_utc(tmp_path, capsys, ts):
+    stored, voyages, truth = tmp_path / "stored.jsonl", tmp_path / "voyages.jsonl", tmp_path / "truth.csv"
+    stored.write_text('{"cog":null,"heading":null,"lat":1.0,"lon":2.0,"mmsi":1,"navstat":5,"rot":null,'
+                      f'"sog":0.0,"ts":"{ts}","type":"position"}}\n')
+    phase = {"kind": "moored", "start": ts, "end": ts, "mean_sog": 0.0, "lat": 1.0, "lon": 2.0, "n_messages": 1,
+             "n_sog": 1}
+    voyages.write_text(json.dumps({"mmsi": 1, "arrival": ts, "departure": ts, "gap_flagged": False,
+                                   "n_messages": 1, "phases": [phase]}) + "\n")
+    truth.write_text(f"timestamp,mmsi,category\n{ts},1,cargo\n")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    metrics = ["metrics", "--output-dir", str(tmp_path / "metrics")]
+    for argv, message in ((["validate", "--input", str(stored), "--output", str(tmp_path / "validated.jsonl")],
+                           "bad position message in"),
+                          (metrics + ["--voyages", str(voyages)], "bad voyage in"),
+                          (metrics + ["--voyages", str(empty), "--ground-truth", str(truth)], "bad ground truth")):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and ts in err
+
+
 VALIDATED_DOC = {"type": "validated", "mmsi": 1, "ts": "2019-09-01T00:00:00Z", "lat": 1.0, "lon": 2.0, "sog": 9.0,
                  "cog": None, "heading": None, "navstat": 0, "rot": None, "corrected_navstat": 0, "method": "geofence",
                  "agreed_with_reported": True, "gap_flag": False}
@@ -324,9 +368,26 @@ def test_a_command_imports_only_the_stages_it_runs():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
-def mixed_replay(rows: list[str]) -> bytes:
+def _fed_only(line: str, shape: int) -> list[str]:
+    """A single-sentence position line, TAG block kept, reshaped so that only the line parser decodes it: with a
+    trailing blank, a `$` start, a 29-character payload with 4 fill bits, or split over two fragments."""
+    tag, _, sentence = line.rpartition("\\")
+    tag = tag + "\\" if tag else ""
+    talker, _, _, _, channel, payload, fill = sentence[1:-3].split(",")
+    if shape == 0:
+        return [line + " "]
+    if shape == 1:
+        return [tag + "$" + sentence[1:]]
+    if shape == 2:
+        return [tag + oracles.sentence(payload + "0", 4, channel=channel, talker=talker)]
+    return [tag + oracles.sentence(payload[:14], 0, 2, 1, 9, "B", talker),
+            oracles.sentence(payload[14:], int(fill), 2, 2, 9, "B", talker)]
+
+
+def mixed_replay(rows: list[str], fed: bool = False) -> bytes:
     """A replay of synthetic traffic mixing TAG-blocked and bare lines, stored JSONL messages (one torn), blank
-    lines and faults: a changed payload character, a cut line, garbage, a byte that is not UTF-8."""
+    lines and faults: a changed payload character, a cut line, garbage, a byte that is not UTF-8. With `fed`, some
+    position lines take shapes that only the line parser decodes (_fed_only)."""
     dec = MessageDecoder()
     stored = [jsonl.dumps(jsonl.message_to_dict(o.message)) for line in rows[:40]
               for o in dec.feed(line, dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc))
@@ -340,6 +401,9 @@ def mixed_replay(rows: list[str]) -> bytes:
             line = line[:k] + ("A" if line[k] != "A" else "B") + line[k + 1 :]
         elif i % 89 == 7:
             line = line[: len(line) // 2]
+        elif fed and i % 41 == 20 and ",1,1," in line:
+            out += [text.encode() for text in _fed_only(line, i // 41 % 4)]
+            continue
         out.append(line.encode())
         if i % 61 == 3:
             out.append(stored[i % len(stored)].encode())
@@ -355,20 +419,30 @@ MIXED_REPLAY_PINS = {
     "store/ais-2000-01-01.jsonl": "d6d66f7d1f78bcabd4e97c6d588dea908132fd7631a25aa7fbfe0186275242f7",
     "store/ais-2019-09-01.jsonl": "0ddfd13b4786923f571692636d03634d0583fffeb9b9ac0a0ca5095a39468ccb",
 }
+# the same for mixed_replay with `fed`, as written when the positions the line parser decoded joined the block's
+# position table
+MIXED_REPLAY_FED_PINS = {
+    "decoded.errors.jsonl": "9b9fd13bd05ff07199692f7c3ea72f426206ac055759a55699976bac8a81d252",
+    "decoded.jsonl": "c3b4d29b85a07d36a4b6989766f0f173b207f59d9b5c683711494f1fac037a57",
+    "store/ais-2000-01-01.jsonl": "bed26c7c3a45cf594afb0cea3337d0eabb649d05a9f5bb60fd2c06a3aa176001",
+    "store/ais-2019-09-01.jsonl": "4c9315ebafec7589394957093182e94c56d8b0dc8587886dd261b9a9d38d9807",
+}
 
 
-def test_mixed_replay_writes_the_pinned_bytes(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("fed, pins", [(False, MIXED_REPLAY_PINS), (True, MIXED_REPLAY_FED_PINS)],
+                         ids=["synthetic", "fed"])
+def test_mixed_replay_writes_the_pinned_bytes(tmp_path, monkeypatch, capsys, fed, pins):
     """Blocks of 7 lines split static pairs; decode reads untagged lines at 0.5 s from a pre-1970 start."""
     monkeypatch.setattr(ingest, "_REPLAY_BLOCK", 7)
     rows = synth.generate(synth.mixed_port_scenario(n_vessels=3, days=1, error_p=0.3, seed=13))[0]
     source = tmp_path / "mixed.nmea"
-    source.write_bytes(mixed_replay(rows))
+    source.write_bytes(mixed_replay(rows, fed))
     assert cli.main(["ingest", "--source", f"file:{source}", "--store", str(tmp_path / "store")]) == cli.EXIT_OK
     assert cli.main(["decode", "--input", str(source), "--output", str(tmp_path / "decoded.jsonl"),
                      "--raw-start", "1969-12-31T23:30:00Z", "--raw-cadence-s", "0.5"]) == cli.EXIT_OK
     written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*.jsonl"))}
-    assert written == MIXED_REPLAY_PINS
+    assert written == pins
 
 
 @pytest.mark.parametrize("command", ["run", "metrics"])

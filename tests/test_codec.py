@@ -531,7 +531,7 @@ def _block_corpus(seed: int, n: int = 400):
         elif r < 0.60:
             static_id = static_id % 9 + 1
             emitted = _static_hazard(rng, static_id, rng.choice(("A", "B", "1", "2", "")))
-        elif r < 0.63:  # a trailing blank: feed decodes the position, which joins the block's table
+        elif r < 0.63:  # a trailing blank: feed decodes the position, which stays an outcome
             line += " "
         for line, late in emitted or [(line, 0)]:
             stamp = epoch + late
@@ -591,20 +591,25 @@ class TestFeedBlock:
                 return super().feed(line, rx_time)
 
         block = Recording()
-        got = expanded(block.feed_block(lines, [codec.epoch_us(rx) for rx in rxs])) + block.finish()
+        decoded_block = block.feed_block(lines, [codec.epoch_us(rx) for rx in rxs])
+        got = expanded(decoded_block) + block.finish()
         assert got == as_fed(expected)
         assert block.counts == per_line.counts
         # the single-sentence positions and the complete adjacent static pairs took the block path, tagged or
-        # bare; every other line went to feed, in order, and the positions it decoded joined the table
+        # bare, and only those positions are table rows; every other line went to feed, in order
         decoded = _block_decoded(lines, each)
         assert fed == [line for j, line in enumerate(lines) if j not in decoded]
+        assert len(decoded_block.positions) == sum(_sentence_fields(lines[j])[1] == "1" for j in decoded)
         for kind in ("position", "static"):
             took = [lines[j] for j in decoded if each[j][-1].kind == kind]
             assert any(line.startswith("\\") for line in took) and any(line.startswith("!") for line in took)
-        assert any(each[j][-1].kind == "position" for j in range(len(lines)) if j not in decoded)
+        # each position feed decoded is its whole outcome, raw line included
+        fed_positions = [o for o in decoded_block.outcomes if o.kind == "position"]
+        assert fed_positions == [o for j, outcomes in enumerate(each) if j not in decoded
+                                 for o in outcomes if o.kind == "position"]
+        assert fed_positions and all(o.raw for o in fed_positions)
+        assert {o.kind for o in decoded_block.outcomes} == {"position", "static", "buffered", "skipped", "error"}
         outcomes = [o for o in got if isinstance(o, codec.DecodeOutcome)]
-        kinds = {o.kind for o in outcomes}
-        assert kinds == {"static", "buffered", "skipped", "error"}
         assert {o.error for o in outcomes} >= {"bad_checksum", "malformed", "timeout", "truncated_buffer",
                                                "out_of_range_position"}
 
