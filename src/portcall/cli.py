@@ -10,6 +10,13 @@ files as the staged commands run one after another. `validate` writes the
 outages it found and each message's gap flag; `voyages` reads only the
 validated messages and flags a voyage from their gap flags.
 
+Positions go from decode to voyages as columns: `decode_stage` returns one
+`columnar.Positions`, `validate_stage` one `columnar.Validated`, and no
+stage builds an object per decoded row. The staged `validate` and
+`voyages` commands load their rows as objects, _ROWS_PER_PART at a time,
+and convert each part into the same columns (`Positions.of_reports`,
+`Validated.of_messages`).
+
 Exit codes: 0 success, 1 data-quality threshold exceeded, 2 usage or I/O
 error.
 
@@ -20,6 +27,7 @@ command pays only for the stages it runs.
 import argparse
 import datetime as dt
 import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -27,7 +35,9 @@ import sys
 import threading
 from typing import TYPE_CHECKING
 
-from . import __version__, jsonl, validate, voyage
+import numpy as np
+
+from . import __version__, columnar, jsonl, validate, voyage
 from .codec import STATUS_KINDS, PositionReport, PositionTable
 from .geo import AreaFilter, InvalidPolygon, PortGeometry, load_port_geometry
 from .ingest import MessageStore, RawTimeOutOfRange, SourceConfig, run_live, run_replay
@@ -149,35 +159,69 @@ def _raw_cadence(seconds: float) -> float:
     return seconds
 
 
-def _load_jsonl(path: pathlib.Path, what: str, from_dict, kind: str | None = None) -> list:
-    """The documents in a stage's JSONL input (only those of one type, if given), converted.
+def _load_parts(path: pathlib.Path, what: str, from_dict, kind: str | None = None, size: int | None = None):
+    """The documents in a stage's JSONL input (only those of one type, if given), converted, in lists of up to
+    `size` (all in one without a size).
 
     A line that is not JSON or does not convert is a usage error.
     """
+    rows = (from_dict(doc) for doc in jsonl.read_jsonl(path) if kind is None or doc.get("type") == kind)
     try:
-        return [from_dict(doc) for doc in jsonl.read_jsonl(path) if kind is None or doc.get("type") == kind]
+        while part := list(itertools.islice(rows, size)):
+            yield part
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"bad {what} in {path}: {exc}") from exc
+
+
+def _load_jsonl(path: pathlib.Path, what: str, from_dict, kind: str | None = None) -> list:
+    """The documents of `_load_parts` in one list."""
+    return next(_load_parts(path, what, from_dict, kind), [])
+
+
+# rows a staged command holds as objects before it turns them into columns
+_ROWS_PER_PART = 4096
 
 
 # ---------------------------------------------------------------------------
 # decode
 
 
+# table slices that decode_stage joins into one part of its positions, so that it holds few slice objects
+_SLICES_PER_PART = 256
+
+
 def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, raw_start: dt.datetime,
                  raw_cadence_s: float, max_error_rate: float | None):
     """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
 
-    The decoder's position tables are written to `out` from their columns,
-    then turned into the position reports that validate takes, and dropped;
-    positions the line parser decoded, stored JSONL positions and statics
-    are written one by one. Returns the position reports, the ship type of
-    every MMSI that sent static data, and the exit status of the error-rate
-    check. Timestamps are cut to the whole seconds the JSONL holds, so later
+    The decoder's position table slices are written to `out` with the
+    documents the block writer made for their rows; positions the line
+    parser decoded, stored JSONL positions and statics are written one by
+    one. Returns the positions as one `columnar.Positions` column set in
+    the order they came, the ship type of every MMSI that sent static data,
+    and the exit status of the error-rate check. The table slices are
+    joined _SLICES_PER_PART at a time, each run of positions that came as
+    reports is converted once, and the parts are concatenated after the
+    last line; no text of a table row is kept, as the columns give it back.
+    Timestamps are cut to the whole seconds the JSONL holds, so later
     stages see the values a staged run reads back from the file.
     """
-    positions: list[PositionReport] = []
+    parts: list[columnar.Positions] = []  # the positions so far, in order, a run of rows of one kind each
+    tables: list[PositionTable] = []  # table slices not yet in parts
+    reports: list[PositionReport] = []  # positions that came as reports, not yet in parts
     ship_types: dict[int, int] = {}
+
+    def flush_tables():
+        if tables:
+            time_us, *rest = map(np.concatenate, zip(*(table.columns() for table in tables)))
+            parts.append(columnar.Positions.of_table(PositionTable(time_us - time_us % 1_000_000, *rest)))
+            tables.clear()
+
+    def flush_reports():
+        if reports:
+            parts.append(columnar.Positions.of_reports(reports))
+            reports.clear()
+
     with open(out, "w", encoding="utf-8", newline="\n") as fo, open(
         errors, "w", encoding="utf-8", newline="\n"
     ) as fe:
@@ -187,7 +231,8 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
                 fo.write(jsonl.position_line(msg))
                 if msg.timestamp.microsecond:
                     msg.timestamp = msg.timestamp.replace(microsecond=0)
-                positions.append(msg)
+                flush_tables()
+                reports.append(msg)
             else:
                 fo.write(jsonl.dumps(message_to_dict(msg)))
                 ship_types[msg.mmsi] = msg.ship_type
@@ -196,8 +241,10 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
         def keep_positions(table, lines):
             fo.write("\n".join(lines))
             fo.write("\n")
-            whole_seconds = table.time_us - table.time_us % 1_000_000
-            positions.extend(PositionTable(whole_seconds, *table.columns()[1:]).reports())
+            flush_reports()
+            tables.append(table)
+            if len(tables) == _SLICES_PER_PART:
+                flush_tables()
 
         def reject(outcome):
             fe.write(jsonl.dumps({"error": outcome.error, "detail": outcome.detail, "raw": outcome.raw}))
@@ -208,6 +255,9 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
                                  error_sink=reject, raw_start=raw_start, raw_cadence_s=raw_cadence_s)
         except RawTimeOutOfRange as exc:
             raise UsageError(f"bad --raw-cadence-s {raw_cadence_s!r}: {exc}") from None
+    flush_tables()
+    flush_reports()
+    positions = columnar.Positions.concat(parts)
     print(
         f"decoded {len(positions)} positions, {summary.messages - len(positions)} statics, "
         f"{summary.errors} errors, {summary.skipped} skipped from {summary.lines} lines"
@@ -249,10 +299,11 @@ def _outage_to_dict(o: validate.Outage) -> dict:
     }
 
 
-# Not on the run path, which writes jsonl.validated_line. Kept as the reference
-# that tests/test_jsonl.py checks validated_line against, and for the tests in
-# tests/test_cli.py that write validated files of their own.
-def validated_to_dict(vm: validate.ValidatedMessage) -> dict:
+# Not on the run path, which writes validated lines from the columns
+# (columnar.Validated.lines). Kept as the reference that tests/test_jsonl.py
+# checks those lines against, and for the tests in tests/test_cli.py that
+# write validated files of their own.
+def validated_to_dict(vm: columnar.ValidatedMessage) -> dict:
     doc = message_to_dict(vm.report)
     doc["type"] = "validated"
     doc["corrected_navstat"] = vm.corrected_navstat
@@ -265,14 +316,14 @@ def validated_to_dict(vm: validate.ValidatedMessage) -> dict:
 _VALIDATED_ONLY = ("type", "corrected_navstat", "method", "agreed_with_reported", "gap_flag")
 
 
-def validated_from_dict(doc: dict) -> validate.ValidatedMessage:
+def validated_from_dict(doc: dict) -> columnar.ValidatedMessage:
     """The validated message a stored document holds; a field of the wrong type is a ValueError."""
     base = {k: v for k, v in doc.items() if k not in _VALIDATED_ONLY}
     base["type"] = "position"
     corrected = jsonl.integer(doc["corrected_navstat"], "corrected_navstat")
     if corrected not in STATUS_KINDS:
         raise ValueError(f"corrected_navstat {corrected!r} is not one of {sorted(STATUS_KINDS)}")
-    return validate.ValidatedMessage(
+    return columnar.ValidatedMessage(
         report=message_from_dict(base),
         corrected_navstat=corrected,
         method=jsonl.text(doc["method"], "method"),
@@ -281,7 +332,7 @@ def validated_from_dict(doc: dict) -> validate.ValidatedMessage:
     )
 
 
-def validate_stage(positions: list[PositionReport], port: PortGeometry | None, cfg: validate.ValidationConfig,
+def validate_stage(positions: columnar.Positions, port: PortGeometry | None, cfg: validate.ValidationConfig,
                    out: pathlib.Path, outages_out: pathlib.Path, *, source: pathlib.Path, port_path: str | None,
                    config_path: str | None, min_agreement: float | None):
     """Correct the statuses, detect outages and flag the gaps they silenced.
@@ -292,13 +343,11 @@ def validate_stage(positions: list[PositionReport], port: PortGeometry | None, c
     outages = validate.detect_outages(positions)
     validated = validate.validate_stream(positions, port, cfg, outages=outages)
     with open(out, "w", encoding="utf-8", newline="\n") as f:
-        for vm in validated:
-            f.write(jsonl.validated_line(vm))
+        for line in validated.lines():
+            f.write(line)
             f.write("\n")
     jsonl.write_jsonl(outages_out, (_outage_to_dict(o) for o in outages))
-    agreement = (
-        sum(1 for vm in validated if vm.agreed_with_reported) / len(validated) if validated else 1.0
-    )
+    agreement = np.count_nonzero(validated.agreed_with_reported) / len(validated) if len(validated) else 1.0
     print(f"validated {len(validated)} messages, agreement with reported {agreement:.3f}, "
           f"{len(outages)} outages")
     _write_manifest(
@@ -320,7 +369,9 @@ def cmd_validate(args) -> int:
     cfg, port = _load_validation(args.config, args.method, args.port)
     out = pathlib.Path(args.output)
     outages_out = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
-    positions = _load_jsonl(source, "position message", message_from_dict, "position")
+    positions = columnar.Positions.concat(
+        [columnar.Positions.of_reports(part)
+         for part in _load_parts(source, "position message", message_from_dict, "position", _ROWS_PER_PART)])
     _, status = validate_stage(positions, port, cfg, out, outages_out, source=source,
                                port_path=args.port, config_path=args.config, min_agreement=args.min_agreement)
     return status
@@ -330,7 +381,7 @@ def cmd_validate(args) -> int:
 # voyages
 
 
-def voyages_stage(messages: list[validate.ValidatedMessage], area: AreaFilter | None, out: pathlib.Path, *,
+def voyages_stage(messages: columnar.Validated, area: AreaFilter | None, out: pathlib.Path, *,
                   source: pathlib.Path, area_path: str | None, center: str | None,
                   radius_m: float) -> list[voyage.Voyage]:
     """Group the messages inside the area into voyages with phases.
@@ -339,7 +390,7 @@ def voyages_stage(messages: list[validate.ValidatedMessage], area: AreaFilter | 
     only the gaps between in-area messages count.
     """
     if area is not None:
-        messages = [m for m in messages if area.contains(m.report.lat, m.report.lon)]
+        messages = messages[area.contains(messages.positions.lat, messages.positions.lon)]
     voyages = [voyage.segment_phases(v) for v in voyage.extract_voyages(messages)]
     voyages = [voyage.flag_gaps(v) for v in voyages]
     jsonl.write_jsonl(out, (voyage.voyage_to_dict(v) for v in voyages))
@@ -357,7 +408,9 @@ def voyages_stage(messages: list[validate.ValidatedMessage], area: AreaFilter | 
 def cmd_voyages(args) -> int:
     source = _readable(args.input)
     area = _area_filter(args.area, args.center, args.radius_m)
-    messages = _load_jsonl(source, "validated message", validated_from_dict, "validated")
+    messages = columnar.Validated.concat(
+        [columnar.Validated.of_messages(part)
+         for part in _load_parts(source, "validated message", validated_from_dict, "validated", _ROWS_PER_PART)])
     voyages_stage(messages, area, pathlib.Path(args.output), source=source, area_path=args.area,
                   center=args.center, radius_m=args.radius_m)
     return EXIT_OK
@@ -558,6 +611,7 @@ def cmd_run(args) -> int:
     validated, _ = validate_stage(positions, port, cfg, validated_path, outdir / "outages.jsonl",
                                   source=decoded, port_path=args.port, config_path=args.config,
                                   min_agreement=None)
+    del positions  # the validated columns hold them sorted
     voyages = voyages_stage(validated, area, voyages_path, source=validated_path, area_path=args.area,
                             center=args.center, radius_m=args.radius_m)
     metrics_stage(voyages, ship_types, port, truth, exclude, outdir / "metrics", vessel=args.vessel,

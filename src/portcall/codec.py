@@ -13,9 +13,10 @@ two-sentence type 5 reports whose fragments sit on adjacent lines.
 Checksums are an XOR reduction, payloads are de-armored through a lookup
 table, fields are read as integer columns and TAG times as one integer
 column. The positions this pass decodes leave as one PositionTable of
-columns, with receive times in integer microseconds since the epoch;
-nothing builds an object per position until a caller asks for
-PositionTable.reports. Every other line goes in its place to
+columns, with receive times in integer microseconds since the epoch, and
+no object is built per position (columnar.Positions carries them on as
+columns, and builds a PositionReport of a row only when asked). Every
+other line goes in its place to
 MessageDecoder.feed, the general parser of one line, so a block gives what
 feeding its lines one by one would: malformed, orphaned and rare lines, and
 a pair that a block boundary splits. What feed gives, positions included,
@@ -368,7 +369,7 @@ class PositionTable:
     lat/lon are float64 degrees. The other columns are the int64 fields of
     _POSITION_LAYOUT as sent: SOG, COG, heading and rate of turn hold their
     raw values, "not available" sentinels included (SOG_VALUES and its
-    siblings say what each reads as). reports() builds the PositionReports.
+    siblings say what each reads as).
     """
 
     time_us: np.ndarray
@@ -394,11 +395,6 @@ class PositionTable:
     def utc_days(self) -> np.ndarray:
         """The proleptic Gregorian ordinal of each row's UTC day."""
         return self.time_us // _DAY_US + _UNIX_ORDINAL
-
-    def reports(self) -> list[PositionReport]:
-        """One PositionReport per row, in order."""
-        times = map(from_epoch_us, self.time_us.tolist())
-        return [_position_report(t, *row) for t, row in zip(times, zip(*(c.tolist() for c in self.columns()[1:])))]
 
 
 _TABLE_DTYPES = (np.int64,) * 5 + (np.float64,) * 2 + (np.int64,) * 2  # the dtype of each column, in order

@@ -12,6 +12,8 @@ import math
 import pathlib
 from dataclasses import dataclass
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_000.0
 
 _DEG = math.pi / 180.0
@@ -49,13 +51,12 @@ def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _on_segment(plat, plon, alat, alon, blat, blon) -> bool:
+def _on_segment(plat, plon, alat, alon, blat, blon):
+    """Whether p lies on segment ab within _EDGE_EPS; p may be a float pair or numpy columns, a and b are floats."""
     cross = _orient(alon, alat, blon, blat, plon, plat)
-    if abs(cross) > _EDGE_EPS:
-        return False
-    if not (min(alat, blat) - _EDGE_EPS <= plat <= max(alat, blat) + _EDGE_EPS):
-        return False
-    return min(alon, blon) - _EDGE_EPS <= plon <= max(alon, blon) + _EDGE_EPS
+    return (~(np.abs(cross) > _EDGE_EPS)
+            & (min(alat, blat) - _EDGE_EPS <= plat) & (plat <= max(alat, blat) + _EDGE_EPS)
+            & (min(alon, blon) - _EDGE_EPS <= plon) & (plon <= max(alon, blon) + _EDGE_EPS))
 
 
 def _segments_cross(a, b, c, d) -> bool:
@@ -118,26 +119,38 @@ class Polygon:
         lons = [p[1] for p in ring]
         object.__setattr__(self, "_bbox", (min(lats), min(lons), max(lats), max(lons)))
 
-    def contains(self, lat: float, lon: float) -> bool:
-        """Even-odd ray-crossing test; points on the boundary count as inside."""
+    def contains(self, lat, lon):
+        """Even-odd ray-crossing test; points on the boundary count as inside.
+
+        lat and lon may be floats, giving a bool, or numpy arrays, giving a
+        bool array; for arrays, only the points within the bounding box are
+        tested, one edge at a time over all of them.
+        """
         lat0, lon0, lat1, lon1 = self._bbox
-        if not (lat0 - _EDGE_EPS <= lat <= lat1 + _EDGE_EPS and lon0 - _EDGE_EPS <= lon <= lon1 + _EDGE_EPS):
-            return False
+        near = ((lat0 - _EDGE_EPS <= lat) & (lat <= lat1 + _EDGE_EPS)
+                & (lon0 - _EDGE_EPS <= lon) & (lon <= lon1 + _EDGE_EPS))
+        if not np.ndim(lat):
+            return bool(near and self._crossings(lat, lon))
+        near = np.flatnonzero(near)
+        out = np.zeros(len(lat), dtype=bool)
+        if near.size:
+            out[near] = self._crossings(lat[near], lon[near])
+        return out
+
+    def _crossings(self, lat, lon):
+        """The ray-crossing rule without the bounding box, for floats or for numpy arrays alike."""
+        on_edge = inside = False
         ring = self.ring
-        n = len(ring)
-        inside = False
-        j = n - 1
-        for i in range(n):
+        j = len(ring) - 1
+        for i in range(len(ring)):
             alat, alon = ring[i]
             blat, blon = ring[j]
-            if _on_segment(lat, lon, alat, alon, blat, blon):
-                return True
-            if (alat > lat) != (blat > lat):
+            on_edge = on_edge | _on_segment(lat, lon, alat, alon, blat, blon)
+            if alat != blat:  # a horizontal edge crosses no ray
                 cross_lon = alon + (lat - alat) * (blon - alon) / (blat - alat)
-                if lon < cross_lon:
-                    inside = not inside
+                inside = inside ^ (((alat > lat) != (blat > lat)) & (lon < cross_lon))
             j = i
-        return inside
+        return on_edge | inside
 
 
 @dataclass(frozen=True)
@@ -210,10 +223,14 @@ class AreaFilter:
         if (self.polygon is None) == (self.center is None or self.radius_m is None):
             raise ValueError("provide either a polygon or a center with radius_m")
 
-    def contains(self, lat: float, lon: float) -> bool:
+    def contains(self, lat, lon):
+        """Whether a point lies in the area; for numpy arrays of lat and lon, a bool array."""
         if self.polygon is not None:
             return self.polygon.contains(lat, lon)
         clat, clon = self.center
+        if np.ndim(lat):  # one scalar distance each: numpy's sin and cos may round differently from math's
+            points = zip(np.asarray(lat).tolist(), np.asarray(lon).tolist())
+            return np.array([haversine_m(clat, clon, a, b) <= self.radius_m for a, b in points], dtype=bool)
         return haversine_m(clat, clon, lat, lon) <= self.radius_m
 
     @classmethod

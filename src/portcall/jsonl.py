@@ -15,16 +15,20 @@ validate's fixed method labels, so nothing needs escaping. The position
 template takes the texts of the fields: `position_line` gives it those of
 one report, and `position_lines` those of every row of a decoded
 PositionTable, read from its columns and from tables of the texts of the
-raw SOG, COG, heading and rate of turn. `validated_line` writes a
-validated message. Statics, errors, outages and voyages are few and hold
-free text (vessel names, raw lines), so they go through their dict codecs
-and `dumps`, which escapes it.
+raw SOG, COG, heading and rate of turn. A validated message is written by
+`validated_text` from the texts of its position's fields:
+`position_field_texts` gives those of every row of columns that hold the
+values (formatting each distinct value once), and `validated_line` takes
+them from a stored position document, so a number read as an int keeps
+its text. Statics, errors, outages and voyages are few and hold free text
+(vessel names, raw lines), so they go through their dict codecs and
+`dumps`, which escapes it.
 """
 
 import datetime as dt
 import functools
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -90,34 +94,72 @@ def _texts(values) -> np.ndarray:
 _SOG_TEXT, _COG_TEXT, _HEADING_TEXT, _ROT_TEXT = map(_texts, (SOG_VALUES, COG_VALUES, HEADING_VALUES, ROT_VALUES))
 _MINUTE_TEXT = np.array([f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)], dtype=object)
 _SECOND_TEXT = np.array([f"{s:02d}Z" for s in range(60)], dtype=object)
+_EPOCH_DAY = dt.date(1970, 1, 1).toordinal()
+
+
+def _timestamp_texts(time_us: np.ndarray) -> list[str]:
+    """The stored text of each time given in microseconds since 1970-01-01 UTC, cut to the second."""
+    days, day_us = np.divmod(time_us, 86_400_000_000)
+    minutes, seconds = np.divmod(day_us // 1_000_000, 60)
+    day_ordinals, day_rows = np.unique(days, return_inverse=True)
+    day_texts = np.array([_day_text(d + _EPOCH_DAY) for d in day_ordinals.tolist()], dtype=object)
+    return (day_texts[day_rows] + _MINUTE_TEXT[minutes] + _SECOND_TEXT[seconds]).tolist()
 
 
 def position_lines(table: PositionTable) -> list[str]:
     """The stored document of each row of a position table, equal to `position_line` of the row's report."""
-    days = table.utc_days()
-    minutes, seconds = np.divmod(table.time_us // 1_000_000, 60)
-    day_ordinals, day_rows = np.unique(days, return_inverse=True)
-    day_texts = np.array([_day_text(d) for d in day_ordinals.tolist()], dtype=object)
-    ts = day_texts[day_rows] + _MINUTE_TEXT[minutes % 1440] + _SECOND_TEXT[seconds]
     return list(map(_position_text, _COG_TEXT[np.minimum(table.cog, 3600)].tolist(),
                     _HEADING_TEXT[table.heading].tolist(), table.lat.tolist(), table.lon.tolist(),
                     table.mmsi.tolist(), table.navstat.tolist(), _ROT_TEXT[table.rot + 128].tolist(),
-                    _SOG_TEXT[table.sog].tolist(), ts.tolist()))
+                    _SOG_TEXT[table.sog].tolist(), _timestamp_texts(table.time_us)))
 
 
-def validated_line(vm) -> str:
-    """The stored document of a `validate.ValidatedMessage`, equal to `dumps(cli.validated_to_dict(vm))`.
+def _texts_of(values: np.ndarray, text) -> list[str]:
+    """text(v) for each float64 v, called once per distinct bit pattern (so -0.0 and 0.0 stay apart)."""
+    bits, rows = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([text(v) for v in bits.view(np.float64).tolist()], dtype=object)[rows].tolist()
 
-    `vm.method` is written unescaped: it is one of validate's fixed ASCII labels.
+
+def _number_text(value: float) -> str:
+    return "null" if value != value else repr(value)
+
+
+def _integer_text(value: float) -> str:
+    return "null" if value != value else repr(int(value))
+
+
+def position_field_texts(time_us, mmsi, navstat, lat, lon, sog, cog, heading, rot) -> tuple[list, ...]:
+    """The texts of the fields of each row of position columns that hold the values themselves, NaN for None
+    (as `columnar.Positions` does), in the order `_position_text` takes them: those `position_line` writes for
+    the report of the row's values, a float as its repr and the rate of turn as an int. MMSI and navigational
+    status are left as ints, which format as their repr."""
+    return (_texts_of(cog, _number_text), _texts_of(heading, _number_text), _texts_of(lat, _number_text),
+            _texts_of(lon, _number_text), mmsi.tolist(), navstat.tolist(), _texts_of(rot, _integer_text),
+            _texts_of(sog, _number_text), _timestamp_texts(time_us))
+
+
+def validated_text(agreed_with_reported: bool, cog, corrected_navstat: int, gap_flag: bool, heading, lat, lon,
+                   method: str, mmsi, navstat, rot, sog, ts) -> str:
+    """The stored document of a validated message from the texts of its position's fields (as `_position_text`
+    takes them) and the four fields validate adds; equal to `dumps(cli.validated_to_dict(vm))`.
+
+    `method` is written unescaped: it is one of validate's fixed ASCII labels.
     """
-    r = vm.report
-    return (f'{{"agreed_with_reported":{"true" if vm.agreed_with_reported else "false"},'
-            f'"cog":{"null" if r.cog is None else repr(r.cog)},"corrected_navstat":{vm.corrected_navstat!r},'
-            f'"gap_flag":{"true" if vm.gap_flag else "false"},'
-            f'"heading":{"null" if r.heading is None else repr(r.heading)},'
-            f'"lat":{r.lat!r},"lon":{r.lon!r},"method":"{vm.method}","mmsi":{r.mmsi!r},'
-            f'"navstat":{r.navstat!r},"rot":{"null" if r.rot is None else repr(r.rot)},'
-            f'"sog":{"null" if r.sog is None else repr(r.sog)},"ts":"{format_ts(r.timestamp)}","type":"validated"}}')
+    return (f'{{"agreed_with_reported":{"true" if agreed_with_reported else "false"},"cog":{cog},'
+            f'"corrected_navstat":{corrected_navstat},"gap_flag":{"true" if gap_flag else "false"},'
+            f'"heading":{heading},"lat":{lat},"lon":{lon},"method":"{method}","mmsi":{mmsi},"navstat":{navstat},'
+            f'"rot":{rot},"sog":{sog},"ts":"{ts}","type":"validated"}}')
+
+
+def validated_line(position: str, agreed_with_reported: bool, corrected_navstat: int, gap_flag: bool,
+                   method: str) -> str:
+    """`validated_text` with the field texts taken from the stored document of the message's position, so every
+    number keeps the text it was stored with."""
+    # between '{"' and ',"type":"position"}', each field is `key":text` and the fields are joined by ',"'
+    cog, heading, lat, lon, mmsi, navstat, rot, sog, ts = (
+        field.partition('":')[2] for field in position[2:-19].split(',"'))
+    return validated_text(agreed_with_reported, cog, corrected_navstat, gap_flag, heading, lat, lon, method, mmsi,
+                          navstat, rot, sog, ts[1:-1])
 
 
 def message_to_dict(msg: PositionReport | StaticReport) -> dict:
@@ -148,6 +190,8 @@ def message_to_dict(msg: PositionReport | StaticReport) -> dict:
 # Checkers for the fields of a stored document: each returns the value when
 # it has the right type and raises ValueError naming the field otherwise.
 
+_INT64 = 1 << 63
+
 
 def coordinate(value, key: str, limit: float) -> float:
     """A finite number in [-limit, limit], the range the NMEA decoder accepts."""
@@ -157,8 +201,11 @@ def coordinate(value, key: str, limit: float) -> float:
 
 
 def integer(value, key: str) -> int:
+    """An int that fits the int64 columns the stages hold it in."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} {value!r} is not an integer")
+    if not -_INT64 <= value < _INT64:
+        raise ValueError(f"{key} {value!r} does not fit in 64 bits")
     return value
 
 
@@ -173,8 +220,9 @@ def text(value, key: str) -> str:
 
 
 def optional_number(value, key: str) -> float | None:
+    """None, or a number a float64 holds: an int past the largest float is no finite number either."""
     if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
-                              or not math.isfinite(value)):
+                              or not -sys.float_info.max <= value <= sys.float_info.max):
         raise ValueError(f"{key} {value!r} is not null or a finite number")
     return value
 

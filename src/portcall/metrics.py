@@ -187,7 +187,9 @@ def load_ground_truth(path) -> ArrivalTable:
     """Read port call records from CSV into a daily arrival table.
 
     Two layouts are accepted: `date,category,arrivals` with per-day counts,
-    or `timestamp,mmsi,category` with one row per call event.
+    or `timestamp,mmsi,category` with one row per call event. A row that is
+    short or holds a cell that does not parse is a ValueError naming the
+    file, the line and the row.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -198,32 +200,35 @@ def load_ground_truth(path) -> ArrivalTable:
         table: ArrivalTable = {}
 
         def rows():
-            """The rows that are not blank; ValueError for one with fewer fields than the header."""
+            """The rows that are not blank, each with its line number; ValueError for one with fewer fields than
+            the header."""
             for row in reader:
                 if not row or not row[0].strip():
                     continue
                 if len(row) < len(header):
                     raise ValueError(f"{path}: line {reader.line_num} {','.join(row)!r} has {len(row)} of the "
                                      f"{len(header)} fields {','.join(header)}")
-                yield row
+                yield reader.line_num, row
 
         if header == ["date", "category", "arrivals"]:
-            for row in rows():
-                date = dt.date.fromisoformat(row[0].strip())
-                cat = row[1].strip().lower()
-                count = int(row[2])
+            def parse(row):
+                date, count = dt.date.fromisoformat(row[0].strip()), int(row[2])
                 if count < 0:
-                    raise ValueError(f"{path}: negative arrival count on {date}")
-                table.setdefault(date, {})
-                table[date][cat] = table[date].get(cat, 0) + count
+                    raise ValueError(f"negative arrival count {count}")
+                return date, row[1], count
         elif header == ["timestamp", "mmsi", "category"]:
-            for row in rows():
-                date = parse_ts(row[0].strip()).date()
-                cat = row[2].strip().lower()
-                table.setdefault(date, {})
-                table[date][cat] = table[date].get(cat, 0) + 1
+            def parse(row):
+                return parse_ts(row[0].strip()).date(), row[2], 1
         else:
             raise ValueError(f"{path}: unrecognized header {header}")
+        for line_num, row in rows():
+            try:
+                date, cat, count = parse(row)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_num} {','.join(row)!r}: {exc}") from None
+            day = table.setdefault(date, {})
+            cat = cat.strip().lower()
+            day[cat] = day.get(cat, 0) + count
     if not table:
         raise ValueError(f"{path}: no ground-truth rows")
     return table

@@ -17,6 +17,15 @@ where there are no polygons, and the knn vote where neither answers or the
 two disagree. A debounce filter suppresses single-message status flips so that
 vessels hovering on a polygon border do not flap between states.
 
+The stream is held as columns (`columnar.Positions` in,
+`columnar.Validated` out), never as one object per report: `validate_stream` sorts it once
+with np.lexsort, takes the geofence vote of every stopped report in one
+array pass per polygon, and gives its result as columns in output order.
+Only the trailing stopped run behind the kinematic vote and the debounce
+filter walk each vessel's reports in turn, over plain lists. Times are
+integer microseconds, and the windows from the config are converted with
+the rounding timedelta uses.
+
 The knn search is exact without scanning every training point: the model
 keeps its points sorted by x, and a query computes distances only inside
 the strip |x' - x| <= r, which is certified once its k-th distance is below
@@ -28,13 +37,13 @@ search from the previous query's k-th distance.
 
 import datetime as dt
 import math
-import operator
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, PositionReport
+from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, epoch_us, from_epoch_us
+from .columnar import Positions, Validated
 from .geo import PortGeometry, haversine_m, project_local
 
 
@@ -54,6 +63,12 @@ _VOTE_ORDER = {
     "knn": ("knn", "geofence"),
     "ensemble": ("geofence", "kinematic", "knn"),
 }
+# the label of each vote in the output, by its code in validate_stream; "reported" when none is available
+_LABELS = ("geofence", "kinematic", "knn", "reported")
+_CODE = {name: code for code, name in enumerate(_LABELS)}
+_LABEL_TEXT = np.array(_LABELS, dtype=object)
+
+_US = dt.timedelta(microseconds=1)
 
 
 @dataclass
@@ -104,17 +119,18 @@ class ValidationConfig:
         return cls.from_mapping(mapping)
 
 
-def _fallback_status(code: int) -> int:
-    """Reported status coerced into {0, 1, 5}; anything else means underway."""
-    return code if code in STATUS_KINDS else UNDERWAY
+def _fallback_statuses(navstat: np.ndarray) -> np.ndarray:
+    """Reported statuses coerced into {0, 1, 5}; anything else means underway."""
+    return np.where(np.isin(navstat, tuple(STATUS_KINDS)), navstat, UNDERWAY)
 
 
-def _geofence_vote(port: PortGeometry, report: PositionReport) -> int:
-    if port.terminal_at(report.lat, report.lon) is not None:
-        return MOORED
-    if port.anchorage_at(report.lat, report.lon) is not None:
-        return ANCHORED
-    return UNDERWAY
+def _geofence_votes(port: PortGeometry, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Moored in a terminal, else anchored in an anchorage, else underway, for each point."""
+    votes = np.full(len(lat), UNDERWAY, dtype=np.int64)
+    for status, polygons in ((ANCHORED, port.anchorages), (MOORED, port.terminals)):
+        for poly in polygons:
+            votes[poly.contains(lat, lon)] = status
+    return votes
 
 
 @dataclass(frozen=True)
@@ -147,28 +163,24 @@ class KnnModel:
         object.__setattr__(self, "r0", r0 if r0 > 0.0 else math.inf)
 
 
-def fit_knn(reports: Iterable[PositionReport], k: int = 300, *, stopped_threshold_kn: float = 0.5) -> KnnModel:
-    """Fit the model on stopped reports whose reported status is 1 or 5.
+def fit_knn(positions: Positions, k: int = 300, *, stopped_threshold_kn: float = 0.5) -> KnnModel:
+    """Fit the model on stopped rows whose reported status is 1 or 5.
 
     The reported statuses double as labels; the projection origin is the
     centroid of the training points.
     """
-    lats, lons, labels = [], [], []
-    for r in reports:
-        if r.navstat in (ANCHORED, MOORED) and r.sog is not None and r.sog < stopped_threshold_kn:
-            lats.append(r.lat)
-            lons.append(r.lon)
-            labels.append(r.navstat)
+    navstat = positions.navstat
+    train = np.flatnonzero(((navstat == ANCHORED) | (navstat == MOORED)) & (positions.sog < stopped_threshold_kn))
     if k < 1:
         raise TooFewPoints(f"k must be >= 1, got {k}")
-    if len(labels) < k:
-        raise TooFewPoints(f"{len(labels)} stopped training points, need >= {k}")
-    lat_arr = np.asarray(lats, dtype=np.float64)
-    lon_arr = np.asarray(lons, dtype=np.float64)
+    if len(train) < k:
+        raise TooFewPoints(f"{len(train)} stopped training points, need >= {k}")
+    lat_arr = positions.lat[train]
+    lon_arr = positions.lon[train]
     lat0 = float(lat_arr.mean())
     lon0 = float(lon_arr.mean())
     xy = np.column_stack(project_local(lat0, lon0, lat_arr, lon_arr))
-    return KnnModel(k=k, origin=(lat0, lon0), xy=xy, labels=np.asarray(labels, dtype=np.uint8))
+    return KnnModel(k=k, origin=(lat0, lon0), xy=xy, labels=navstat[train].astype(np.uint8))
 
 
 # Relative widening of the retry strip beyond sqrt(dk): rounding in x -/+ r
@@ -245,13 +257,13 @@ class _KnnVotes:
         self.votes: dict[tuple[float, float], int] = {}
         self.r = model.r0
 
-    def vote(self, report: PositionReport) -> int:
+    def vote(self, lat: float, lon: float) -> int:
         """Majority label of the k nearest training points; ties go to anchored."""
-        key = (report.lat, report.lon)
+        key = (lat, lon)
         vote = self.votes.get(key)
         if vote is None:
             model = self.model
-            x, y = project_local(model.origin[0], model.origin[1], report.lat, report.lon)
+            x, y = project_local(model.origin[0], model.origin[1], lat, lon)
             idx, dk = _neighbor_indices(model, x, y, self.r)
             self.r = math.sqrt(dk)
             ones = int(np.count_nonzero(model.labels[idx] == ANCHORED))
@@ -269,15 +281,21 @@ SOFT_GAP = dt.timedelta(hours=5)
 SOFT_GAP_MOVE_M = 100.0
 
 
-def left_and_returned(prev: PositionReport, cur: PositionReport) -> bool:
-    """True when the silence between two consecutive reports of one vessel ends a port visit.
+def left_and_returned(prev: Positions, cur: Positions) -> np.ndarray:
+    """For each row pair, whether the silence from prev's row to cur's, two consecutive reports of one vessel,
+    ends a port visit.
 
     That is a silence of over 24 hours, or of over 5 hours across which the
     vessel moved more than 100 metres. Voyages split there, and such a
-    silence is the vessel's absence, not a data outage.
+    silence is the vessel's absence, not a data outage. The distance is
+    taken, one pair at a time, only across silences of 5 to 24 hours.
     """
-    gap = cur.timestamp - prev.timestamp
-    return gap > HARD_GAP or (gap > SOFT_GAP and haversine_m(prev.lat, prev.lon, cur.lat, cur.lon) > SOFT_GAP_MOVE_M)
+    gap = cur.time_us - prev.time_us
+    left = gap > HARD_GAP // _US
+    for i in np.flatnonzero(~left & (gap > SOFT_GAP // _US)).tolist():
+        moved = haversine_m(float(prev.lat[i]), float(prev.lon[i]), float(cur.lat[i]), float(cur.lon[i]))
+        left[i] = moved > SOFT_GAP_MOVE_M
+    return left
 
 
 @dataclass(frozen=True)
@@ -298,13 +316,11 @@ class Outage:
         return self.end - self.start
 
 
-def _recent_cadence_ok(times: list[dt.datetime], idx: int, max_cadence: dt.timedelta, lookback: int = 5) -> bool:
-    """True when the up-to-`lookback` intervals ending at times[idx] are dense."""
-    start = max(0, idx - lookback)
-    intervals = [times[i + 1] - times[i] for i in range(start, idx)]
+def _recent_cadence_ok(times: np.ndarray, first: int, idx: int, max_cadence: int, lookback: int = 5) -> bool:
+    """True when the up-to-`lookback` intervals ending at times[idx], none before times[first], are dense."""
+    intervals = sorted(np.diff(times[max(first, idx - lookback):idx + 1]).tolist())
     if len(intervals) < 2:
         return False
-    intervals.sort()
     return intervals[len(intervals) // 2] < max_cadence
 
 
@@ -315,7 +331,19 @@ _VESSEL_GAP = dt.timedelta(minutes=60)
 _DENSE_CADENCE = dt.timedelta(minutes=5)
 
 
-def detect_outages(reports: Iterable[PositionReport]) -> list[Outage]:
+def _vessel_order(positions: Positions) -> tuple[np.ndarray, np.ndarray]:
+    """The row order of each vessel's reports in time order, and where each vessel's run starts in it.
+
+    Sorted by MMSI, then time; rows that tie on both keep their order.
+    """
+    order = np.lexsort((positions.time_us, positions.mmsi))
+    mmsi = positions.mmsi[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = mmsi[1:] != mmsi[:-1]
+    return order, starts
+
+
+def detect_outages(positions: Positions) -> list[Outage]:
     """Find the silences in a message stream that data went missing in.
 
     A silence counts only when the vessels did not simply leave, which is
@@ -326,58 +354,40 @@ def detect_outages(reports: Iterable[PositionReport]) -> list[Outage]:
     sat through without leaving; when every vessel was away, the port may
     simply have been empty.
     """
-    msgs = sorted(reports, key=operator.attrgetter("timestamp"))
-    by_vessel: dict[int, list[PositionReport]] = {}
-    for m in msgs:
-        by_vessel.setdefault(m.mmsi, []).append(m)
+    order, starts = _vessel_order(positions)
+    times = positions.time_us[order]
+    silent = np.flatnonzero(~starts[1:] & (np.diff(times) > _GLOBAL_GAP // _US))
+    stayed_at = silent[~left_and_returned(positions[order[silent]], positions[order[silent + 1]])].tolist()
+    first = np.flatnonzero(starts)
+    firsts = first[np.searchsorted(first, stayed_at, side="right") - 1].tolist()
 
     outages: list[Outage] = []
-    stayed: list[tuple[dt.datetime, dt.datetime]] = []  # silences over _GLOBAL_GAP a vessel did not leave in
-    for mmsi, track in by_vessel.items():
-        times = [m.timestamp for m in track]
-        for i in range(len(track) - 1):
-            gap = times[i + 1] - times[i]
-            if gap <= _GLOBAL_GAP or left_and_returned(track[i], track[i + 1]):
-                continue
-            stayed.append((times[i], times[i + 1]))
-            if gap > _VESSEL_GAP and _recent_cadence_ok(times, i, _DENSE_CADENCE):
-                outages.append(Outage("vessel", times[i], times[i + 1], subject=mmsi))
+    stayed: list[tuple[int, int]] = []  # silences over _GLOBAL_GAP a vessel did not leave in
+    for i, track_start in zip(stayed_at, firsts):
+        start, end = int(times[i]), int(times[i + 1])
+        stayed.append((start, end))
+        if end - start > _VESSEL_GAP // _US and _recent_cadence_ok(times, track_start, i, _DENSE_CADENCE // _US):
+            outages.append(Outage("vessel", from_epoch_us(start), from_epoch_us(end),
+                                  subject=int(positions.mmsi[order[i]])))
 
     # No report falls inside a global silence, so a stayed silence that
     # starts at or before it and ends after its start spans all of it.
     stayed.sort()
+    stream = np.sort(positions.time_us)
     j, reach = 0, None
-    for prev, cur in zip(msgs, msgs[1:]):
-        start, end = prev.timestamp, cur.timestamp
-        if end - start <= _GLOBAL_GAP:
-            continue
+    for i in np.flatnonzero(np.diff(stream) > _GLOBAL_GAP // _US).tolist():
+        start, end = int(stream[i]), int(stream[i + 1])
         while j < len(stayed) and stayed[j][0] <= start:
             reach = stayed[j][1] if reach is None else max(reach, stayed[j][1])
             j += 1
         if reach is not None and reach >= end:
-            outages.append(Outage("global", start, end))
+            outages.append(Outage("global", from_epoch_us(start), from_epoch_us(end)))
     outages.sort(key=lambda o: (o.start, o.scope, str(o.subject)))
     return outages
 
 
 # ---------------------------------------------------------------------------
 # stream validation
-
-
-@dataclass(slots=True)
-class ValidatedMessage:
-    """A position report plus the corrected status and its provenance.
-
-    method names the classifier whose vote produced the candidate status for
-    this message; corrected_navstat is the value after debouncing, so a
-    suppressed single-message flip keeps the surrounding status.
-    """
-
-    report: PositionReport
-    corrected_navstat: int
-    method: str
-    agreed_with_reported: bool
-    gap_flag: bool
 
 
 # Share of a stopped run's samples that must carry a heading for a kinematic vote.
@@ -404,7 +414,7 @@ class _StopRun:
         self.sum_s = 0.0
         self.sum_c = 0.0
 
-    def add(self, ts: dt.datetime, heading: float | None):
+    def add(self, ts: int, heading: float | None):
         if self.start is None:
             self.start = ts
         self.end = ts
@@ -419,7 +429,7 @@ class _StopRun:
         """Mean resultant length of the run's headings: 1 when they all agree."""
         return math.hypot(self.sum_s / self.n_heading, self.sum_c / self.n_heading)
 
-    def kinematic_vote(self, min_window: dt.timedelta, rbar_threshold: float) -> int | None:
+    def kinematic_vote(self, min_window: int, rbar_threshold: float) -> int | None:
         """Anchored when the run's headings rotate, moored when they hold still.
 
         None when the run is shorter than min_window or fewer than
@@ -434,22 +444,19 @@ class _StopRun:
         return ANCHORED if self.rbar() < rbar_threshold else MOORED
 
 
-def _apply_hysteresis(
-    candidates: list[int], times: list[dt.datetime], min_msgs: int, min_minutes: float
-) -> list[int]:
+def _apply_hysteresis(candidates: list[int], times: list, min_msgs: int, min_span) -> list[int]:
     """Debounce a per-vessel candidate status sequence.
 
     A new value becomes the accepted status once it persists for min_msgs
-    consecutive messages or min_minutes of elapsed time; a confirmed change
-    applies from its first message, so clean transitions are reproduced
-    exactly. Shorter excursions are rewritten to the previously accepted
-    status.
+    consecutive messages or min_span of elapsed time (in the unit of
+    `times`); a confirmed change applies from its first message, so clean
+    transitions are reproduced exactly. Shorter excursions are rewritten to
+    the previously accepted status.
     """
     n = len(candidates)
     out = list(candidates)
     if n == 0:
         return out
-    min_span = dt.timedelta(minutes=min_minutes)
     accepted = out[0]
     i = 0
     while i < n:
@@ -467,136 +474,134 @@ def _apply_hysteresis(
     return out
 
 
-class _VesselOutages:
-    """The global outages and one vessel's own, for the gaps between its reports.
+def _gap_flags(times: np.ndarray, mmsi: np.ndarray, starts: np.ndarray, outages: Sequence[Outage]) -> np.ndarray:
+    """For each row of vessel-ordered reports, whether an outage lies within the gap since the vessel's previous
+    report: a global outage or the vessel's own.
 
-    Report times are non-decreasing within a vessel, so a moving pointer
-    over the start-sorted intervals keeps the per-report check O(1).
+    Containment (not mere overlap) is required: a vessel that kept
+    transmitting underneath somebody else's outage window was not silenced
+    by it.
     """
-
-    __slots__ = ("intervals", "_idx")
-
-    def __init__(self, outages: Sequence[Outage], mmsi: int):
-        self.intervals = sorted((o.start, o.end) for o in outages if o.scope == "global" or o.subject == mmsi)
-        self._idx = 0
-
-    def gap_flag(self, prev_ts: dt.datetime | None, cur_ts: dt.datetime) -> bool:
-        """True when the gap between the vessel's reports at prev_ts and cur_ts contains an outage.
-
-        Containment (not mere overlap) is required: a vessel that kept
-        transmitting underneath somebody else's outage window was not
-        silenced by it.
-        """
-        if prev_ts is None:
-            return False
-        intervals = self.intervals
-        n = len(intervals)
-        i = self._idx
-        while i < n and intervals[i][1] <= prev_ts:
-            i += 1
-        self._idx = i
-        j = i
-        while j < n and intervals[j][0] < cur_ts:
-            if intervals[j][0] >= prev_ts and intervals[j][1] <= cur_ts:
-                return True
-            j += 1
-        return False
+    flags = np.zeros(len(times), dtype=bool)
+    prev, cur, pair = times[:-1], times[1:], ~starts[1:]
+    for o in outages:
+        start, end = epoch_us(o.start), epoch_us(o.end)
+        inside = pair & (prev <= start) & (start < cur) & (end <= cur)
+        if o.scope != "global":
+            inside &= mmsi[1:] == o.subject
+        flags[1:] |= inside
+    return flags
 
 
-def _stopped_candidate(
-    report: PositionReport,
-    run: _StopRun,
-    port: PortGeometry | None,
-    knn: _KnnVotes | None,
-    cfg: ValidationConfig,
-    min_window: dt.timedelta,
-) -> tuple[int, str]:
-    """Candidate status for a stopped report and the vote that gave it.
+def _kinematic_votes(times: list[int], headings: list[float], runs: list[int], min_window: int,
+                     rbar_threshold: float) -> np.ndarray:
+    """The kinematic vote of each stopped report, -1 where there is none.
+
+    The reports are given in vessel order with the number of the stopped
+    run each belongs to; each vote reads the run up to its report.
+    """
+    votes = []
+    run, current = _StopRun(), None
+    for t, heading, number in zip(times, headings, runs):
+        if number != current:
+            run.reset()
+            current = number
+        run.add(t, None if heading != heading else heading)
+        vote = run.kinematic_vote(min_window, rbar_threshold)
+        votes.append(-1 if vote is None else vote)
+    return np.array(votes, dtype=np.int64)
+
+
+def _stopped_candidates(stopped: Positions, runs: np.ndarray, port: PortGeometry | None, model: KnnModel | None,
+                        cfg: ValidationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate status of each stopped report, in vessel order, and the code of the vote that gave it.
 
     The first available vote in the method's order decides, and the reported
     status stands when none is. When the geofence and kinematic votes
     disagree, the ensemble asks knn first and keeps the kinematic vote
-    without a knn model.
+    without a knn model. Knn votes only the reports it decides.
     """
-    geo_vote = _geofence_vote(port, report) if port is not None else None
-    kin_vote = None
+    votes = {}
+    if port is not None:
+        votes["geofence"] = _geofence_votes(port, stopped.lat, stopped.lon)
     if cfg.method in ("kinematic", "ensemble"):
-        kin_vote = run.kinematic_vote(min_window, cfg.rotation_rbar)
-    order = _VOTE_ORDER[cfg.method]
-    if cfg.method == "ensemble" and geo_vote is not None and kin_vote is not None and geo_vote != kin_vote:
-        order = ("knn", "kinematic")
-    for name in order:
-        if name == "geofence":
-            vote = geo_vote
-        elif name == "kinematic":
-            vote = kin_vote
-        else:
-            vote = knn.vote(report) if knn is not None else None
-        if vote is not None:
-            return vote, name
-    return _fallback_status(report.navstat), "reported"
+        votes["kinematic"] = _kinematic_votes(stopped.time_us.tolist(), stopped.heading.tolist(), runs.tolist(),
+                                              dt.timedelta(hours=cfg.rotation_window_h) // _US, cfg.rotation_rbar)
+    status = _fallback_statuses(stopped.navstat)
+    code = np.full(len(stopped), _CODE["reported"])
+    todo = np.ones(len(stopped), dtype=bool)
+    orders = [(_VOTE_ORDER[cfg.method], todo)]
+    if cfg.method == "ensemble" and len(votes) == 2:
+        geo, kin = votes["geofence"], votes["kinematic"]
+        disagree = (kin >= 0) & (geo != kin)
+        orders = [(("knn", "kinematic"), disagree), (_VOTE_ORDER[cfg.method], ~disagree)]
+    knn = _KnnVotes(model) if model is not None else None
+    for order, rows in orders:
+        for name in order:
+            if name == "knn":
+                if knn is None:
+                    continue
+                decided = np.flatnonzero(rows & todo)
+                status[decided] = [knn.vote(lat, lon) for lat, lon in zip(stopped.lat[decided].tolist(),
+                                                                             stopped.lon[decided].tolist())]
+            elif name in votes:
+                decided = np.flatnonzero(rows & todo & (votes[name] >= 0))
+                status[decided] = votes[name][decided]
+            else:
+                continue
+            code[decided] = _CODE[name]
+            todo[decided] = False
+    return status, code
 
 
 def validate_stream(
-    reports: Iterable[PositionReport],
+    positions: Positions,
     port: PortGeometry | None = None,
     config: ValidationConfig | None = None,
     *,
     outages: Sequence[Outage] | None = None,
-) -> list[ValidatedMessage]:
+) -> Validated:
     """Correct the status of every report; nothing is dropped.
 
     The input is processed per vessel in timestamp order; the output is the
-    whole stream sorted by (timestamp, mmsi). Outages are detected on the
-    stream itself unless supplied, and the knn model is fitted from the
-    stream's own stopped reports when the method needs one.
+    whole stream sorted by (timestamp, mmsi), rows that tie on both in input
+    order. Outages are detected on the stream itself unless supplied, and
+    the knn model is fitted from the stream's own stopped reports when the
+    method needs one.
     """
     cfg = config or ValidationConfig()
-    msgs = sorted(reports, key=operator.attrgetter("timestamp", "mmsi"))
+    positions = positions[np.lexsort((positions.mmsi, positions.time_us))]
     if outages is None:
-        outages = detect_outages(msgs)
+        outages = detect_outages(positions)
     model = None
     if cfg.method in ("knn", "ensemble"):
         try:
-            model = fit_knn(msgs, cfg.knn_k, stopped_threshold_kn=cfg.stopped_threshold_kn)
+            model = fit_knn(positions, cfg.knn_k, stopped_threshold_kn=cfg.stopped_threshold_kn)
         except TooFewPoints:
             model = None
-    knn = _KnnVotes(model) if model is not None else None
 
-    base_label = "geofence" if port is not None else cfg.method if cfg.method != "ensemble" else "kinematic"
-    by_vessel: dict[int, list[int]] = {}
-    for i, m in enumerate(msgs):
-        by_vessel.setdefault(m.mmsi, []).append(i)
-
-    corrected = [0] * len(msgs)
-    methods = [""] * len(msgs)
-    gap_flags = [False] * len(msgs)
+    order, starts = _vessel_order(positions)
+    sog, times = positions.sog[order], positions.time_us[order]
     threshold = cfg.stopped_threshold_kn
-    min_window = dt.timedelta(hours=cfg.rotation_window_h)
-    for mmsi, indices in by_vessel.items():
-        vessel_outages = _VesselOutages(outages, mmsi)
-        run = _StopRun()
-        candidates: list[int] = []
-        times: list[dt.datetime] = []
-        for i in indices:
-            m = msgs[i]
-            gap_flags[i] = vessel_outages.gap_flag(times[-1] if times else None, m.timestamp)
-            if m.sog is None:
-                cand, meth = _fallback_status(m.navstat), "reported"
-            elif m.sog >= threshold:
-                run.reset()
-                cand, meth = UNDERWAY, base_label
-            else:
-                run.add(m.timestamp, m.heading)
-                cand, meth = _stopped_candidate(m, run, port, knn, cfg, min_window)
-            candidates.append(cand)
-            times.append(m.timestamp)
-            methods[i] = meth
-        final = _apply_hysteresis(candidates, times, cfg.hysteresis_msgs, cfg.hysteresis_min)
-        for i, value in zip(indices, final):
-            corrected[i] = value
+    moving = sog >= threshold
+    stopped = np.flatnonzero(sog < threshold)
+    base_label = "geofence" if port is not None else cfg.method if cfg.method != "ensemble" else "kinematic"
+    candidates = np.where(moving, UNDERWAY, _fallback_statuses(positions.navstat[order]))
+    codes = np.where(moving, _CODE[base_label], _CODE["reported"])
+    # a stopped run ends at a moving report or a new vessel; a report without SOG neither extends nor ends it
+    runs = np.cumsum(moving | starts)[stopped]
+    candidates[stopped], codes[stopped] = _stopped_candidates(positions[order[stopped]], runs, port, model, cfg)
 
-    return [
-        ValidatedMessage(m, corrected[i], methods[i], corrected[i] == m.navstat, gap_flags[i])
-        for i, m in enumerate(msgs)
-    ]
+    corrected = []
+    if len(order):
+        min_span = dt.timedelta(minutes=cfg.hysteresis_min) // _US
+        candidates = candidates.tolist()
+        bounds = np.flatnonzero(starts).tolist() + [len(order)]
+        for a, b in zip(bounds, bounds[1:]):
+            corrected += _apply_hysteresis(candidates[a:b], times[a:b], cfg.hysteresis_msgs, min_span)
+    gap_flags = _gap_flags(times, positions.mmsi[order], starts, outages)
+
+    out = np.empty(len(order), dtype=np.int64)  # each output row's place in vessel order
+    out[order] = np.arange(len(order))
+    corrected = np.array(corrected, dtype=np.int64)[out]
+    return Validated(positions, corrected, _LABEL_TEXT[codes[out]], corrected == positions.navstat, gap_flags[out])

@@ -7,16 +7,24 @@ the outage detector asks the same question, so a silence is either a split
 between voyages or a candidate outage, never both. A voyage is gap-flagged
 from the per-message gap flags the validate stage wrote, so whether an
 outage silenced a vessel is decided once, in `validate`.
+
+The messages stay columns (`columnar.Validated`): `extract_voyages` sorts
+them once by (mmsi, time), finds every split from the shifted columns, and
+gives each voyage its range of the sorted rows. Phases are run lengths of
+the corrected status over that range, and only the few flagged gaps are
+looked at one by one.
 """
 
 import datetime as dt
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
-from .codec import ANCHORED, MOORED, STATUS_KINDS
+import numpy as np
+
+from .codec import ANCHORED, MOORED, STATUS_KINDS, from_epoch_us
 from .geo import haversine_m
 from .jsonl import boolean, coordinate, format_ts, integer, optional_number, parse_ts
-from .validate import SOFT_GAP_MOVE_M, ValidatedMessage, left_and_returned
+from .columnar import Validated
+from .validate import SOFT_GAP_MOVE_M, left_and_returned
 
 STOPPED_STATUSES = (ANCHORED, MOORED)
 
@@ -45,69 +53,58 @@ class Phase:
 
 @dataclass
 class Voyage:
+    """One vessel's visit. messages is its range of the rows extract_voyages sorted, as columns; a voyage
+    read back from its file has none."""
+
     mmsi: int
     arrival: dt.datetime
     departure: dt.datetime
-    messages: list[ValidatedMessage] = field(default_factory=list, repr=False)
+    messages: Validated | list = field(default_factory=list, repr=False)
     phases: list[Phase] = field(default_factory=list)
     gap_flagged: bool = False
 
 
-def extract_voyages(messages: Iterable[ValidatedMessage]) -> list[Voyage]:
+def extract_voyages(messages: Validated) -> list[Voyage]:
     """Partition messages into voyages; every message lands in exactly one.
 
-    The input is sorted by (mmsi, timestamp) internally, so feeding an
-    unsorted stream gives the same result.
+    The input is sorted by (mmsi, timestamp) internally, rows that tie on
+    both in input order, so feeding an unsorted stream gives the same result.
     """
-    ordered = sorted(messages, key=lambda m: (m.report.mmsi, m.report.timestamp))
-    voyages: list[Voyage] = []
-    current: list[ValidatedMessage] = []
-
-    def flush():
-        if current:
-            voyages.append(
-                Voyage(
-                    mmsi=current[0].report.mmsi,
-                    arrival=current[0].report.timestamp,
-                    departure=current[-1].report.timestamp,
-                    messages=list(current),
-                )
-            )
-            current.clear()
-
-    for m in ordered:
-        if current and (m.report.mmsi != current[0].report.mmsi or left_and_returned(current[-1].report, m.report)):
-            flush()
-        current.append(m)
-    flush()
-    return voyages
+    rows = messages[np.lexsort((messages.positions.time_us, messages.positions.mmsi))]
+    p = rows.positions
+    if not len(p):
+        return []
+    starts = np.ones(len(p), dtype=bool)
+    starts[1:] = (p.mmsi[1:] != p.mmsi[:-1]) | left_and_returned(p[:-1], p[1:])
+    bounds = np.flatnonzero(starts).tolist() + [len(p)]
+    return [Voyage(mmsi=int(p.mmsi[a]), arrival=from_epoch_us(int(p.time_us[a])),
+                   departure=from_epoch_us(int(p.time_us[b - 1])), messages=rows[a:b])
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def segment_phases(voyage: Voyage) -> Voyage:
     """Split a voyage into status phases by run-length over corrected status."""
-    msgs = voyage.messages
-    if not msgs:
+    rows = voyage.messages
+    n = len(rows)
+    if not n:
         return replace(voyage, phases=[])
-    runs: list[list[ValidatedMessage]] = []
-    for m in msgs:
-        if runs and runs[-1][0].corrected_navstat == m.corrected_navstat:
-            runs[-1].append(m)
-        else:
-            runs.append([m])
+    status = rows.corrected_navstat
+    bounds = [0] + (np.flatnonzero(status[1:] != status[:-1]) + 1).tolist() + [n]
+    p = rows.positions
+    times, kinds = p.time_us.tolist(), status.tolist()
     phases: list[Phase] = []
-    for i, run in enumerate(runs):
-        start = run[0].report.timestamp
-        end = runs[i + 1][0].report.timestamp if i + 1 < len(runs) else msgs[-1].report.timestamp
-        sogs = [m.report.sog for m in run if m.report.sog is not None]
+    for a, b in zip(bounds, bounds[1:]):
+        sogs = p.sog[a:b]
+        sogs = sogs[~np.isnan(sogs)].tolist()
         phases.append(
             Phase(
-                kind=STATUS_KINDS[run[0].corrected_navstat],
-                start=start,
-                end=end,
+                kind=STATUS_KINDS[kinds[a]],
+                start=from_epoch_us(times[a]),
+                end=from_epoch_us(times[min(b, n - 1)]),
                 mean_sog=sum(sogs) / len(sogs) if sogs else None,
-                lat=sum(m.report.lat for m in run) / len(run),
-                lon=sum(m.report.lon for m in run) / len(run),
-                n_messages=len(run),
+                lat=sum(p.lat[a:b].tolist()) / (b - a),
+                lon=sum(p.lon[a:b].tolist()) / (b - a),
+                n_messages=b - a,
                 n_sog=len(sogs),
             )
         )
@@ -122,11 +119,11 @@ def flag_gaps(voyage: Voyage) -> Voyage:
     when the vessel sat stopped on both sides of it without moving more than
     100 metres; any other flagged gap flags the voyage.
     """
-    for prev, cur in zip(voyage.messages, voyage.messages[1:]):
-        if not cur.gap_flag:
-            continue
-        moved = haversine_m(prev.report.lat, prev.report.lon, cur.report.lat, cur.report.lon)
-        stopped_both = prev.corrected_navstat in STOPPED_STATUSES and cur.corrected_navstat in STOPPED_STATUSES
+    rows = voyage.messages
+    lat, lon, status = rows.positions.lat, rows.positions.lon, rows.corrected_navstat
+    for i in (np.flatnonzero(rows.gap_flag[1:]) + 1).tolist():
+        moved = haversine_m(float(lat[i - 1]), float(lon[i - 1]), float(lat[i]), float(lon[i]))
+        stopped_both = status[i - 1] in STOPPED_STATUSES and status[i] in STOPPED_STATUSES
         if moved > SOFT_GAP_MOVE_M or not stopped_both:
             return replace(voyage, gap_flagged=True)
     return replace(voyage, gap_flagged=False)

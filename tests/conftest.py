@@ -7,15 +7,21 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from portcall import codec, synth
+from portcall.columnar import Positions, Validated
 
 UTC = dt.timezone.utc
 RX0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
 
 
+def table_reports(table) -> list:
+    """The PositionReport of each row of a decoded position table, in order."""
+    return list(Positions.of_table(table))
+
+
 def expanded(block) -> list:
     """A DecodedBlock in order: each table row and each position outcome as its PositionReport, every other
     outcome as it is."""
-    reports, items, done = block.positions.reports(), [], 0
+    reports, items, done = table_reports(block.positions), [], 0
     for outcome, row in zip(block.outcomes, block.rows):
         items += reports[done:row] + [outcome.message if outcome.kind == "position" else outcome]
         done = row
@@ -25,9 +31,19 @@ def expanded(block) -> list:
 def each_report(sink):
     """A positions_sink that hands each row of a table slice to `sink` as its PositionReport."""
     def positions_sink(table, lines):
-        for report in table.reports():
+        for report in table_reports(table):
             sink(report)
     return positions_sink
+
+
+def columns(reports) -> Positions:
+    """Position reports as the column set that validate takes, in order."""
+    return Positions.of_reports(list(reports))
+
+
+def validated_columns(messages) -> Validated:
+    """Validated messages as the column set that voyages take, in order."""
+    return Validated.of_messages(list(messages))
 
 
 def as_fed(outcomes) -> list:

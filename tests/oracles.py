@@ -163,6 +163,29 @@ def resultant_length(headings) -> float:
     return math.hypot(sum(s for s, _ in vectors) / len(vectors), sum(c for _, c in vectors) / len(vectors))
 
 
+def polygon_contains(ring, lat: float, lon: float, eps: float = 1e-9) -> bool:
+    """The even-odd ray-crossing rule for one point and a ring of (lat, lon) vertices, one edge after the other.
+
+    A point within eps of an edge, by the cross product and the edge's box widened by eps, is inside at once;
+    so is nothing outside the ring's box widened by eps.
+    """
+    lats, lons = [p[0] for p in ring], [p[1] for p in ring]
+    if not (min(lats) - eps <= lat <= max(lats) + eps and min(lons) - eps <= lon <= max(lons) + eps):
+        return False
+    inside = False
+    for i in range(len(ring)):
+        alat, alon = ring[i]
+        blat, blon = ring[i - 1]
+        cross = (blon - alon) * (lat - alat) - (blat - alat) * (lon - alon)
+        if (not abs(cross) > eps and min(alat, blat) - eps <= lat <= max(alat, blat) + eps
+                and min(alon, blon) - eps <= lon <= max(alon, blon) + eps):
+            return True
+        if (alat > lat) != (blat > lat):
+            if lon < alon + (lat - alat) * (blon - alon) / (blat - alat):
+                inside = not inside
+    return inside
+
+
 def haversine_ref(lat1, lon1, lat2, lon2) -> float:
     r = 6371000.0
     p1, p2 = math.radians(lat1), math.radians(lat2)

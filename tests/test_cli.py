@@ -13,8 +13,9 @@ import sys
 import pytest
 
 import oracles
-from portcall import cli, ingest, jsonl, synth, validate
-from portcall.codec import MessageDecoder, PositionReport
+from conftest import columns
+from portcall import cli, codec, columnar, ingest, jsonl, synth, validate, voyage
+from portcall.codec import MessageDecoder, PositionReport, from_epoch_us
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -123,7 +124,7 @@ def test_with_an_area_only_the_gaps_between_in_area_messages_flag(tmp_path):
                                    t0 + dt.timedelta(minutes=outage_min[1]))]
         source = tmp_path / "validated.jsonl"
         source.write_text("".join(json.dumps(cli.validated_to_dict(vm)) + "\n"
-                                  for vm in validate.validate_stream(reports, outages=outages)))
+                                  for vm in validate.validate_stream(columns(reports), outages=outages)))
         flags = []
         for area in ([], ["--center", "10.0,20.0", "--radius-m", "1000"]):
             out = tmp_path / "voyages.jsonl"
@@ -174,6 +175,7 @@ def test_stored_positions_outside_the_coordinate_range_are_malformed(tmp_path, c
            good.replace('"navstat":5', '"navstat":5.0'), good.replace('"sog":0.0', '"sog":"fast"'),
            good.replace('"sog":0.0', '"sog":NaN'), good.replace('"cog":null', '"cog":Infinity'),
            good.replace('"heading":null', '"heading":true'), good.replace('"rot":null', '"rot":1.5'),
+           good.replace('"sog":0.0', '"sog":' + "9" * 400), good.replace('"mmsi":1', '"mmsi":' + "9" * 20),
            '{"mmsi":"abc","ship_type":70,"type":"static"}', '{"mmsi":2,"ship_type":"70","type":"static"}',
            '{"mmsi":2,"name":7,"ship_type":70,"type":"static"}',
            '{"length":"long","mmsi":2,"ship_type":70,"type":"static"}',
@@ -360,6 +362,67 @@ def test_short_ground_truth_row_is_a_usage_error(inputs, tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, bad", [
+    ("date,category,arrivals\n2019-09-01,cargo,3\n2019-13-01,cargo,1\n", "2019-13-01,cargo,1"),
+    ("date,category,arrivals\n2019-09-01,cargo,3\n2019-09-02,cargo,many\n", "2019-09-02,cargo,many"),
+    ("date,category,arrivals\n2019-09-01,cargo,3\n2019-09-02,cargo,-1\n", "2019-09-02,cargo,-1"),
+    ("timestamp,mmsi,category\n2019-09-01T00:00:00Z,1,cargo\nyesterday,1,cargo\n", "yesterday,1,cargo"),
+    ("timestamp,mmsi,category\n2019-09-01T00:00:00Z,1,cargo\n9999-12-31T23:59:59-01:00,1,cargo\n",
+     "9999-12-31T23:59:59-01:00,1,cargo"),
+], ids=["date", "arrivals", "negative-arrivals", "timestamp", "timestamp-outside-utc"])
+@pytest.mark.parametrize("command", ["run", "metrics"])
+def test_unparseable_ground_truth_cell_is_a_usage_error(inputs, tmp_path, capsys, command, text, bad):
+    """The message names the file, the line and the row, in both layouts."""
+    truth = tmp_path / "truth.csv"
+    truth.write_text(text)
+    voyages = tmp_path / "voyages.jsonl"
+    voyages.write_text("")
+    out = tmp_path / "out"
+    argv = {"run": ["run", "--input", str(inputs["tagged.nmea"]), "--outdir", str(out)],
+            "metrics": ["metrics", "--voyages", str(voyages), "--output-dir", str(out)]}[command]
+    assert cli.main(argv + ["--ground-truth", str(truth)]) == cli.EXIT_USAGE
+    assert f"bad ground truth: {truth}: line 3 {bad!r}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_builds_no_row_object_per_block_row(inputs, tmp_path, monkeypatch):
+    """On a clean tagged input every position comes from the block pass, and `run` carries them as columns to
+    its files: no PositionReport, ValidatedMessage or datetime per row. The datetimes are the receive time of
+    each static report and one for each end of each voyage, phase and outage."""
+    built = {"PositionReport": 0, "ValidatedMessage": 0, "datetime": 0}
+
+    def counted_init(name, cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    def counted_times(module):
+        def wrapper(us):
+            built["datetime"] += 1
+            return from_epoch_us(us)
+        monkeypatch.setattr(module, "from_epoch_us", wrapper)
+
+    counted_init("PositionReport", PositionReport)
+    counted_init("ValidatedMessage", columnar.ValidatedMessage)
+    for module in (codec, columnar, validate, voyage):
+        counted_times(module)
+    outdir = tmp_path / "out"
+    argv = ["run", "--input", str(inputs["tagged.nmea"]), "--outdir", str(outdir), "--port",
+            str(inputs["port.geojson"])]
+    assert cli.main(argv) == cli.EXIT_OK
+    monkeypatch.undo()
+    voyages = [json.loads(line) for line in (outdir / "voyages.jsonl").read_text().splitlines()]
+    n_outages = len((outdir / "outages.jsonl").read_text().splitlines())
+    decoded = (outdir / "decoded.jsonl").read_text()
+    n_statics = decoded.count('"type":"static"')
+    assert decoded.count('"type":"position"') > 1000 and voyages
+    assert built == {"PositionReport": 0, "ValidatedMessage": 0,
+                     "datetime": n_statics + 2 * (len(voyages) + sum(len(v["phases"]) for v in voyages) + n_outages)}
+
+
 def test_a_command_imports_only_the_stages_it_runs():
     probe = ("import sys; from portcall import cli; "
              "print(sorted(m for m in ('portcall.synth', 'portcall.metrics') if m in sys.modules))")
@@ -443,6 +506,72 @@ def test_mixed_replay_writes_the_pinned_bytes(tmp_path, monkeypatch, capsys, fed
     written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*.jsonl"))}
     assert written == pins
+
+
+def stored_variants(rows: list[str]) -> list[str]:
+    """Stored position lines that the block pass never writes, each at the MMSI and time of a decoded report of
+    `rows`, so some tie with a table row: integer SOG, COG and heading; -0.0 in each; null in every optional
+    field; and a fractional-second time, in UTC or at an offset."""
+    dec = MessageDecoder()
+    reports = [o.message for line in rows for o in dec.feed(line, dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc))
+               if o.kind == "position"]
+    out = []
+    for k, r in enumerate(reports[::23]):
+        doc = jsonl.message_to_dict(r)
+        shape = k % 5
+        if shape == 0:
+            doc.update(sog=int(r.sog or 0), cog=int(r.cog or 0), heading=int(r.heading or 0))
+        elif shape == 1:
+            doc.update(sog=-0.0, cog=-0.0, heading=-0.0)
+        elif shape == 2:
+            doc.update(sog=None, cog=None, heading=None, rot=None)
+        elif shape == 3:
+            doc["ts"] = (r.timestamp + dt.timedelta(microseconds=750_000)).isoformat()
+        else:
+            doc["ts"] = (r.timestamp + dt.timedelta(seconds=1, microseconds=250)).astimezone(
+                dt.timezone(dt.timedelta(hours=1))).isoformat()
+        out.append(json.dumps(doc))
+    return out
+
+
+# sha256 of what `run --port` wrote for the fed mixed replay with stored_variants, when decode handed validate one
+# PositionReport per position
+NON_BLOCK_PINS = {
+    "metrics/daily_arrivals.csv": "72585b884ca5c7bfbe41c2d9205029dc237c92efe6044972b9986a7ae9e2101b",
+    "metrics/summary.json": "009a72997a1d8c95bd011d6ff6efe0a5ad708ea8238a7ea19f0a621a105b81d9",
+    "metrics/turnarounds.csv": "e0b3e35dc50354dc60db82fffd6cc508269b216e567096e50f4d74049ecfcec3",
+    "metrics/weekly_turnaround.csv": "a1b9a8aed6abdc8e67b7e19f4ef7897a8300d3f478582dd4d9249f6489ec3995",
+    "outages.jsonl": "e833746c7b296822cb1d7d7ba7ba8f1f47d71025cf9cabffcd51f4dd740c7d27",
+    "validated.jsonl": "662b80817ed7f7493b50a7d5e7d6735e9cd107414d4477fc2b37116187a8e3b9",
+    "voyages.jsonl": "1ca032babb0bc6d1baeedf3c0239100668af3b468688eec2e17cbd91027fe01a",
+}
+
+
+def test_run_on_non_block_rows_writes_the_pinned_bytes(tmp_path, monkeypatch):
+    """Positions from the line parser and stored lines with integer, -0.0 and null fields and fractional times,
+    among table rows, through `run --port`; the staged commands write the same bytes."""
+    monkeypatch.setattr(ingest, "_REPLAY_BLOCK", 7)
+    scenario = synth.mixed_port_scenario(n_vessels=3, days=1, error_p=0.3, seed=13)
+    rows = synth.generate(scenario)[0]
+    lines = mixed_replay(rows, fed=True).splitlines()
+    for k, stored in enumerate(stored_variants(rows)):
+        lines.insert(1 + 37 * k, stored.encode())
+    source, port = tmp_path / "mixed.nmea", tmp_path / "port.geojson"
+    source.write_bytes(b"\n".join(lines) + b"\n")
+    port.write_text(json.dumps(synth.build_port(scenario.center).geojson()))
+    opts = ["--raw-start", "2019-09-01T00:00:00Z", "--raw-cadence-s", "0.5"]
+    outdir = tmp_path / "out"
+    assert cli.main(["run", "--input", str(source), "--outdir", str(outdir), "--port", str(port), *opts]) == 0
+    ran = _snapshot(outdir)
+    pinned = {name: hashlib.sha256(data).hexdigest() for name, data in ran.items()
+              if name in ("validated.jsonl", "outages.jsonl", "voyages.jsonl")
+              or name.startswith("metrics/") and not name.endswith(".manifest.json")}
+    assert pinned == NON_BLOCK_PINS
+    assert b'"sog":0,' in ran["validated.jsonl"] and b'"sog":-0.0,' in ran["validated.jsonl"]
+    shutil.rmtree(outdir)
+    monkeypatch.setattr(cli, "_ROWS_PER_PART", 100)  # the staged commands join their rows from many parts
+    assert _staged(source, outdir, decode_opts=opts, port=port) == [cli.EXIT_OK] * 4
+    assert _snapshot(outdir) == ran
 
 
 @pytest.mark.parametrize("command", ["run", "metrics"])

@@ -2,8 +2,9 @@ import datetime as dt
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -179,6 +180,78 @@ class TestPolygon:
         bowtie = ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
         with pytest.raises(geo.InvalidPolygon):
             geo.Polygon("p", "anchorage", bowtie)
+
+
+EDGE_EPS = 1e-9  # the boundary tolerance of the polygon test, in degrees
+
+
+def _star(lat, lon, scale, spokes, grid):
+    """A ring around (lat, lon) through one vertex per spoke (angle as a fraction of a turn, radius as a fraction
+    of scale), in angle order, so it does not cross itself; with a grid, every vertex snapped to it."""
+    ring = []
+    for turn, radius in sorted(spokes):
+        a, b = lat + scale * radius * math.sin(2 * math.pi * turn), lon + scale * radius * math.cos(2 * math.pi * turn)
+        ring.append((round(a / grid) * grid, round(b / grid) * grid) if grid else (a, b))
+    return ring
+
+
+coordinates = st.tuples(st.floats(-80.0, 80.0), st.floats(-179.0, 179.0))
+sizes = st.sampled_from((1e-4, 1e-3, 0.01, 0.5)) | st.floats(1e-4, 1.0)
+rings = (
+    st.builds(lambda c, h, w: [c, (c[0], c[1] + w), (c[0] + h, c[1] + w), (c[0] + h, c[1])], coordinates, sizes, sizes)
+    | st.builds(_star, st.floats(-80.0, 80.0), st.floats(-179.0, 179.0), sizes,
+                st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.1, 1.0)), min_size=3,
+                         max_size=8, unique_by=lambda spoke: spoke[0]),
+                st.sampled_from((None, 1e-3, 0.25)))
+)
+NUDGES = (0.0, 0.5, 0.999, 1.0, 1.001, 2.0, -0.5, -1.0, -1.001, -2.0)  # in units of EDGE_EPS
+
+
+def _edge_point(data, ring):
+    """A vertex, a point on an edge, or a point a few EDGE_EPS off an edge, by distance or by cross product."""
+    i = data.draw(st.integers(0, len(ring) - 1))
+    (alat, alon), (blat, blon) = ring[i], ring[i - 1]
+    t = data.draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
+    lat, lon = alat + t * (blat - alat), alon + t * (blon - alon)
+    length = math.hypot(blat - alat, blon - alon)
+    k = data.draw(st.sampled_from(NUDGES))
+    unit = data.draw(st.sampled_from((1.0, 1.0 / length)))  # a distance, or a cross product, of k EDGE_EPS
+    return lat - k * EDGE_EPS * unit * (blon - alon) / length, lon + k * EDGE_EPS * unit * (blat - alat) / length
+
+
+def _box_point(data, ring):
+    """A point on, or a few EDGE_EPS beside, an edge of the ring's bounding box, or anywhere near the box."""
+    lats, lons = [p[0] for p in ring], [p[1] for p in ring]
+    lat = data.draw(st.floats(min(lats) - 2 * EDGE_EPS, max(lats) + 2 * EDGE_EPS))
+    lon = data.draw(st.floats(min(lons) - 2 * EDGE_EPS, max(lons) + 2 * EDGE_EPS))
+    side = data.draw(st.sampled_from(("lat", "lon", None)))
+    edge = data.draw(st.sampled_from((min, max))) if side else None
+    k = data.draw(st.sampled_from(NUDGES))
+    if side == "lat":
+        lat = edge(lats) + k * EDGE_EPS
+    elif side == "lon":
+        lon = edge(lons) + k * EDGE_EPS
+    return lat, lon
+
+
+@settings(max_examples=150, deadline=None)
+@given(rings, st.data())
+def test_polygon_test_is_the_scalar_rule(ring, data):
+    """One array test against the even-odd rule one point and one edge at a time: vertices, points on edges and
+    within EDGE_EPS of them, the box edges and the horizontal edges of rectangles and snapped rings."""
+    try:
+        poly = geo.Polygon("p", "terminal", tuple(ring))
+    except geo.InvalidPolygon:
+        assume(False)
+    points = [data.draw(st.sampled_from((_edge_point, _box_point)))(data, poly.ring) for _ in range(12)]
+    points.append(poly.ring[data.draw(st.integers(0, len(poly.ring) - 1))])
+    expected = [oracles.polygon_contains(poly.ring, lat, lon) for lat, lon in points]
+    lats, lons = np.array([p[0] for p in points]), np.array([p[1] for p in points])
+    assert poly.contains(lats, lons).tolist() == expected
+    assert [poly.contains(lat, lon) for lat, lon in points] == expected
+    assert geo.AreaFilter(polygon=poly).contains(lats, lons).tolist() == expected
+    port = geo.PortGeometry(anchorages=(poly,), terminals=())
+    assert [port.anchorage_at(lat, lon) is poly for lat, lon in points] == expected
 
 
 def _feature(name, kind, ring_latlon):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_fed, expanded
-from portcall import cli, codec, ingest, jsonl, validate
+from conftest import as_fed, expanded, table_reports
+from portcall import cli, codec, columnar, ingest, jsonl
 from portcall.codec import STATUS_KINDS, PositionReport, PositionTable
 
 # floats that json and a hand-rolled formatter are apt to write differently
@@ -46,13 +46,19 @@ reports = st.builds(
 )
 
 validated = st.builds(
-    validate.ValidatedMessage,
+    columnar.ValidatedMessage,
     report=reports,
     corrected_navstat=st.sampled_from(sorted(STATUS_KINDS)),
     method=st.sampled_from(("geofence", "kinematic", "knn", "reported")),
     agreed_with_reported=st.booleans(),
     gap_flag=st.booleans(),
 )
+
+
+# what validate adds to a position: corrected status, method, agreement and gap flag
+validated_fields = st.tuples(st.sampled_from(sorted(STATUS_KINDS)),
+                             st.sampled_from(("geofence", "kinematic", "knn", "reported")), st.booleans(),
+                             st.booleans())
 
 
 def whole_seconds(r: PositionReport) -> PositionReport:
@@ -77,7 +83,7 @@ def test_position_line_is_the_dict_codec_text(r):
 @settings(max_examples=500, deadline=None)
 @given(validated)
 def test_validated_line_is_the_dict_codec_text(vm):
-    line = jsonl.validated_line(vm)
+    (line,) = columnar.Validated.of_messages([vm]).lines()
     assert line == jsonl.dumps(cli.validated_to_dict(vm))
     assert cli.validated_from_dict(json.loads(line)) == dataclasses.replace(vm, report=whole_seconds(vm.report))
 
@@ -118,7 +124,33 @@ raw_rows = st.tuples(
 def test_position_lines_are_the_dict_codec_text(rows):
     time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading = (np.array(c, dtype=np.int64) for c in zip(*rows))
     table = PositionTable(time_us, mmsi, navstat, rot, sog, lon / 600000.0, lat / 600000.0, cog, heading)
-    assert jsonl.position_lines(table) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in table.reports()]
+    assert jsonl.position_lines(table) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in table_reports(table)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(raw_rows, validated_fields), min_size=1, max_size=30))
+def test_block_rows_are_written_from_their_columns(rows):
+    """A table's rows keep no document of their own: the texts of their values give the lines the block writer
+    wrote, and the validated lines that the dict codec writes for each row's ValidatedMessage."""
+    raw, fields = zip(*rows)
+    time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading = (np.array(c, dtype=np.int64) for c in zip(*raw))
+    table = PositionTable(time_us, mmsi, navstat, rot, sog, lon / 600000.0, lat / 600000.0, cog, heading)
+    positions = columnar.Positions.of_table(table)
+    assert positions.own_lines.tolist() == [None] * len(table)
+    corrected, method, agreed, gap_flag = zip(*fields)
+    rows = columnar.Validated(positions, np.array(corrected), np.array(method, dtype=object), np.array(agreed),
+                              np.array(gap_flag))
+    assert list(rows.lines()) == [jsonl.dumps(cli.validated_to_dict(vm)) for vm in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(reports, max_size=8))
+def test_report_rows_keep_the_documents_their_values_do_not_give(rs):
+    """A row keeps its report's document where the row's values, as float64, would write another one."""
+    positions = columnar.Positions.of_reports(rs)
+    lines = [jsonl.position_line(r) for r in rs]
+    assert positions.own_lines.tolist() == [
+        None if line == jsonl.position_line(positions[i]) else line for i, line in enumerate(lines)]
 
 
 # one line of a replayed file: a position's raw fields, and its TAG time in seconds or milliseconds (None for

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import oracles
-from conftest import decode_all
+from conftest import columns, decode_all
 from portcall import synth, validate, voyage
 from portcall.codec import parse_sentence
 
@@ -125,7 +125,7 @@ class TestOutageInjection:
         lines, truth = synth.generate(scenario)
         positions, _, _ = decode_all(lines)
         assert not [m for m in positions if start <= m.timestamp < end]
-        found = validate.detect_outages(positions)
+        found = validate.detect_outages(columns(positions))
         assert any(o.scope == "global" and o.start < end and o.end > start for o in found)
 
     def test_vessel_outage_detected(self):
@@ -137,7 +137,7 @@ class TestOutageInjection:
         lines, truth = synth.generate(scenario)
         positions, _, _ = decode_all(lines)
         assert not [m for m in positions if m.mmsi == target and start <= m.timestamp < end]
-        found = validate.detect_outages(positions)
+        found = validate.detect_outages(columns(positions))
         assert any(o.scope == "vessel" and o.subject == target for o in found)
 
     @pytest.mark.parametrize("n_vessels,days,seed", [(3, 2, 1), (4, 2, 5), (8, 3, 3)])
@@ -145,8 +145,8 @@ class TestOutageInjection:
         """Silences between visits are the vessels' absence; with none injected there is no outage."""
         scenario = synth.mixed_port_scenario(n_vessels=n_vessels, days=days, error_p=0.3, seed=seed)
         positions, _, _ = decode_all(synth.generate(scenario)[0])
-        assert validate.detect_outages(positions) == []
-        validated = validate.validate_stream(positions, config=validate.ValidationConfig(method="kinematic"))
+        assert validate.detect_outages(columns(positions)) == []
+        validated = validate.validate_stream(columns(positions), config=validate.ValidationConfig(method="kinematic"))
         assert not any(vm.gap_flag for vm in validated)
 
     def test_vessel_outage_on_the_inbound_leg_flags_its_voyage(self):
@@ -159,11 +159,12 @@ class TestOutageInjection:
         lines, truth = synth.generate(scenario)
         assert truth.status_at(target.mmsi, start) == 0
         positions, _, _ = decode_all(lines)
-        found = validate.detect_outages(positions)
+        found = validate.detect_outages(columns(positions))
         assert [(o.scope, o.subject) for o in found] == [("vessel", target.mmsi)]
         assert found[0].start <= start and end <= found[0].end
         port = synth.build_port(scenario.center).geometry
-        voyages = [voyage.flag_gaps(v) for v in voyage.extract_voyages(validate.validate_stream(positions, port))]
+        validated = validate.validate_stream(columns(positions), port)
+        voyages = [voyage.flag_gaps(v) for v in voyage.extract_voyages(validated)]
         assert [(v.mmsi, v.arrival < start < v.departure) for v in voyages if v.gap_flagged] == [(target.mmsi, True)]
 
 

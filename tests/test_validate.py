@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import decode_all
+from conftest import columns, decode_all
 from portcall import synth, validate
 from portcall.codec import PositionReport
 from portcall.geo import PortGeometry, Polygon, project_local
@@ -31,7 +31,7 @@ def report(ts=T0, mmsi=219000001, lat=10.005, lon=20.01, sog=0.0, heading=90.0, 
 
 def corrected(msgs, port=PORT, method="geofence"):
     """(corrected status, deciding vote) of each message through the stream validator."""
-    out = validate.validate_stream(msgs, port, validate.ValidationConfig(method=method))
+    out = validate.validate_stream(columns(msgs), port, validate.ValidationConfig(method=method))
     return [(vm.corrected_navstat, vm.method) for vm in out]
 
 
@@ -71,7 +71,7 @@ class TestGeofence:
         # one vessel each, so the debounce filter sees a single message
         points = [(9.9 + rng.random() * 0.2, 19.95 + rng.random() * 0.15) for _ in range(200)]
         msgs = [report(mmsi=i, lat=lat, lon=lon, sog=0.0) for i, (lat, lon) in enumerate(points)]
-        for vm in validate.validate_stream(msgs, PORT, validate.ValidationConfig(method="geofence")):
+        for vm in validate.validate_stream(columns(msgs), PORT, validate.ValidationConfig(method="geofence")):
             lat, lon = vm.report.lat, vm.report.lon
             if vm.corrected_navstat == 5:
                 assert TERMINAL.contains(lat, lon)
@@ -158,32 +158,32 @@ def two_cluster_reports(n_per=500, seed=1):
 
 def knn_vote(model, q):
     """The stream validator's knn vote for a stopped report."""
-    return validate._KnnVotes(model).vote(q)
+    return validate._KnnVotes(model).vote(q.lat, q.lon)
 
 
 class TestKnn:
     def test_unanimous_labels(self):
         reports = [report(lat=10.0 + i * 1e-5, lon=20.0, sog=0.1, navstat=5) for i in range(400)]
-        model = validate.fit_knn(reports, k=300)
+        model = validate.fit_knn(columns(reports), k=300)
         assert knn_vote(model, report(lat=10.001, lon=20.0, sog=0.1)) == 5
 
     def test_too_few_points(self):
         reports = [report(sog=0.1, navstat=1)] * 10
         with pytest.raises(validate.TooFewPoints):
-            validate.fit_knn(reports, k=300)
+            validate.fit_knn(columns(reports), k=300)
 
     def test_moving_training_points_excluded(self):
         moving = [report(sog=9.0, navstat=1)] * 500
         with pytest.raises(validate.TooFewPoints):
-            validate.fit_knn(moving, k=100)
+            validate.fit_knn(columns(moving), k=100)
 
     def test_wrong_status_training_points_excluded(self):
         odd = [report(sog=0.1, navstat=3)] * 500
         with pytest.raises(validate.TooFewPoints):
-            validate.fit_knn(odd, k=100)
+            validate.fit_knn(columns(odd), k=100)
 
     def test_two_clusters_k300(self):
-        model = validate.fit_knn(two_cluster_reports(), k=300)
+        model = validate.fit_knn(columns(two_cluster_reports()), k=300)
         assert knn_vote(model, report(lat=ANCHORAGE_MID[0], lon=ANCHORAGE_MID[1], sog=0.2)) == 1
         assert knn_vote(model, report(lat=TERMINAL_MID[0], lon=TERMINAL_MID[1], sog=0.2)) == 5
 
@@ -192,7 +192,7 @@ class TestKnn:
         training = two_cluster_reports(n_per=200)
         moving = [report(mmsi=2, sog=11.0, navstat=5)]
         cfg = validate.ValidationConfig(method="knn", knn_k=50)
-        out = validate.validate_stream(training + moving, None, cfg)
+        out = validate.validate_stream(columns(training + moving), None, cfg)
         assert [vm.corrected_navstat for vm in out if vm.report.mmsi == 2] == [0]
 
     def test_matches_brute_force_scan(self):
@@ -205,7 +205,7 @@ class TestKnn:
                 reports.append(report(lat=10.0 + rng.uniform(-0.05, 0.05),
                                       lon=20.0 + rng.uniform(-0.05, 0.05),
                                       sog=0.0, navstat=rng.choice([1, 5])))
-            model = validate.fit_knn(reports, k=k)
+            model = validate.fit_knn(columns(reports), k=k)
             xy = [tuple(p) for p in model.xy]
             labels = list(model.labels)
             for _ in range(10):
@@ -219,7 +219,7 @@ class TestKnn:
         for i in range(40):
             reports.append(report(lat=10.0, lon=20.0, sog=0.0, navstat=1 if i % 2 else 5))
             reports.append(report(lat=10.001, lon=20.0, sog=0.0, navstat=5))
-        model = validate.fit_knn(reports, k=30)
+        model = validate.fit_knn(columns(reports), k=30)
         xy = [tuple(p) for p in model.xy]
         labels = list(model.labels)
         for qlat in (10.0, 10.0004, 10.0006, 10.001):
@@ -230,7 +230,7 @@ class TestKnn:
     def test_query_on_a_training_point_is_at_distance_zero(self):
         # training and query points share one projection, so the point itself is a 0 m neighbour
         reports = two_cluster_reports(n_per=100)
-        model = validate.fit_knn(reports, k=1)
+        model = validate.fit_knn(columns(reports), k=1)
         q = reports[17]
         qx, qy = project_local(model.origin[0], model.origin[1], q.lat, q.lon)
         idx, dk = validate._neighbor_indices(model, qx, qy, 0.0)
@@ -247,7 +247,7 @@ class TestKnn:
     def test_nan_query_ends_with_no_neighbours(self):
         # stored JSONL may carry NaN coordinates; no strip certifies, so the
         # search must stop at the whole set instead of widening forever
-        model = validate.fit_knn(two_cluster_reports(n_per=50), k=5)
+        model = validate.fit_knn(columns(two_cluster_reports(n_per=50)), k=5)
         for qx, qy in ((math.nan, 0.0), (0.0, math.nan)):
             idx, _ = validate._neighbor_indices(model, qx, qy, 1.0)
             assert idx.tolist() == []
@@ -256,7 +256,7 @@ class TestKnn:
         scenario = synth.mixed_port_scenario(n_vessels=3, days=1, error_p=0.3, seed=3)
         positions, _, _ = decode_all(synth.generate(scenario)[0])
         cfg = validate.ValidationConfig(method="knn", knn_k=30)
-        fast = validate.validate_stream(positions, None, cfg)
+        fast = validate.validate_stream(columns(positions), None, cfg)
         assert any(vm.method == "knn" for vm in fast)
 
         def oracle(model, x, y, r):
@@ -266,7 +266,7 @@ class TestKnn:
             return np.array(idx), dx * dx + dy * dy
 
         monkeypatch.setattr(validate, "_neighbor_indices", oracle)
-        assert validate.validate_stream(positions, None, cfg) == fast
+        assert validate.validate_stream(columns(positions), None, cfg) == fast
 
 
 def cadence_stream(mmsi, start, minutes, step_s=60, lat=10.005, lon=20.01, sog=0.0):
@@ -277,12 +277,12 @@ def cadence_stream(mmsi, start, minutes, step_s=60, lat=10.005, lon=20.01, sog=0
 class TestOutages:
     def test_continuous_stream_is_clean(self):
         msgs = cadence_stream(1, T0, minutes=120)
-        assert validate.detect_outages(msgs) == []
+        assert validate.detect_outages(columns(msgs)) == []
 
     def test_global_hole(self):
         msgs = cadence_stream(1, T0, minutes=60)
         msgs += cadence_stream(1, T0 + dt.timedelta(hours=3), minutes=60)
-        out = validate.detect_outages(msgs)
+        out = validate.detect_outages(columns(msgs))
         globals_ = [o for o in out if o.scope == "global"]
         assert len(globals_) == 1
         assert globals_[0].duration == dt.timedelta(hours=2, minutes=1)
@@ -293,7 +293,7 @@ class TestOutages:
         quiet = cadence_stream(2, T0, minutes=60, step_s=120, lat=10.0051, lon=20.0101)
         quiet += cadence_stream(2, T0 + dt.timedelta(hours=4), minutes=60, step_s=120,
                                 lat=10.0051, lon=20.0101)
-        out = validate.detect_outages(busy + quiet)
+        out = validate.detect_outages(columns(busy + quiet))
         vessel = [o for o in out if o.scope == "vessel"]
         assert len(vessel) == 1
         assert vessel[0].subject == 2
@@ -304,19 +304,19 @@ class TestOutages:
         for away, lat in ((dt.timedelta(hours=6), 10.05), (dt.timedelta(hours=26), 10.005)):
             msgs = cadence_stream(1, T0, minutes=60)
             msgs += cadence_stream(1, T0 + away, minutes=60, lat=lat)
-            assert validate.detect_outages(msgs) == []
+            assert validate.detect_outages(columns(msgs)) == []
 
     def test_sparse_vessel_not_an_outage(self):
         # 30-minute cadence never qualifies as dense reporting
         msgs = [report(mmsi=1, ts=T0 + dt.timedelta(minutes=30 * i)) for i in range(20)]
         msgs += cadence_stream(2, T0, minutes=600)
-        assert [o for o in validate.detect_outages(msgs) if o.scope == "vessel"] == []
+        assert [o for o in validate.detect_outages(columns(msgs)) if o.scope == "vessel"] == []
 
 
 class TestHysteresis:
     def run(self, candidates, cadence_s=180, min_msgs=2, min_minutes=10.0):
         times = [T0 + dt.timedelta(seconds=i * cadence_s) for i in range(len(candidates))]
-        return validate._apply_hysteresis(list(candidates), times, min_msgs, min_minutes)
+        return validate._apply_hysteresis(list(candidates), times, min_msgs, dt.timedelta(minutes=min_minutes))
 
     def test_clean_stream_unchanged(self):
         seq = [0, 0, 0, 1, 1, 1, 5, 5, 5, 0, 0]
@@ -344,7 +344,7 @@ class TestValidateStream:
     def test_moored_while_moving_corrected(self):
         msgs = [report(ts=T0 + dt.timedelta(seconds=10 * i), sog=14.0, navstat=5, lat=10.05 + i * 1e-4)
                 for i in range(10)]
-        out = validate.validate_stream(msgs, PORT, validate.ValidationConfig(method="geofence"))
+        out = validate.validate_stream(columns(msgs), PORT, validate.ValidationConfig(method="geofence"))
         assert all(vm.corrected_navstat == 0 for vm in out)
         assert not any(vm.agreed_with_reported for vm in out)
 
@@ -358,47 +358,47 @@ class TestValidateStream:
             spot = outside if i % 4 == 3 else inside
             msgs.append(report(ts=T0 + dt.timedelta(seconds=180 * i), lat=spot[0], lon=spot[1],
                                sog=0.1, navstat=1))
-        out = validate.validate_stream(msgs, PORT, validate.ValidationConfig(method="geofence"))
+        out = validate.validate_stream(columns(msgs), PORT, validate.ValidationConfig(method="geofence"))
         assert {vm.corrected_navstat for vm in out} == {1}
 
     def test_all_correct_stream_reproduced(self, clean_scenario, port_layout):
         from conftest import decode_all
         _, lines, _ = clean_scenario
         positions, _, _ = decode_all(lines)
-        out = validate.validate_stream(positions, port_layout.geometry, validate.ValidationConfig())
+        out = validate.validate_stream(columns(positions), port_layout.geometry, validate.ValidationConfig())
         assert all(vm.corrected_navstat == vm.report.navstat for vm in out)
         assert all(vm.agreed_with_reported for vm in out)
 
     def test_deterministic_output(self, mixed_positions, port_layout):
         positions, _ = mixed_positions
         cfg = validate.ValidationConfig()
-        a = validate.validate_stream(positions, port_layout.geometry, cfg)
-        b = validate.validate_stream(list(reversed(positions)), port_layout.geometry, cfg)
+        a = validate.validate_stream(columns(positions), port_layout.geometry, cfg)
+        b = validate.validate_stream(columns(reversed(positions)), port_layout.geometry, cfg)
         assert a == b
 
     def test_never_drops_messages(self, mixed_positions, port_layout):
         positions, _ = mixed_positions
-        out = validate.validate_stream(positions, port_layout.geometry, validate.ValidationConfig())
+        out = validate.validate_stream(columns(positions), port_layout.geometry, validate.ValidationConfig())
         assert len(out) == len(positions)
         assert all(vm.corrected_navstat in (0, 1, 5) for vm in out)
         assert all(vm.method in ("geofence", "kinematic", "knn", "reported") for vm in out)
 
     def test_speed_unavailable_falls_back_to_reported(self):
         msgs = [report(ts=T0 + dt.timedelta(seconds=180 * i), sog=None, navstat=1) for i in range(5)]
-        out = validate.validate_stream(msgs, PORT, validate.ValidationConfig(method="geofence"))
+        out = validate.validate_stream(columns(msgs), PORT, validate.ValidationConfig(method="geofence"))
         assert all(vm.corrected_navstat == 1 for vm in out)
         assert all(vm.method == "reported" for vm in out)
 
     def test_unknown_reported_status_falls_back_to_underway(self):
         msgs = [report(ts=T0 + dt.timedelta(seconds=180 * i), sog=None, navstat=15) for i in range(5)]
-        out = validate.validate_stream(msgs, None, validate.ValidationConfig(method="kinematic"))
+        out = validate.validate_stream(columns(msgs), None, validate.ValidationConfig(method="kinematic"))
         assert all(vm.corrected_navstat == 0 for vm in out)
 
     def test_gap_flag_set_after_vessel_outage(self):
         msgs = cadence_stream(1, T0, minutes=60, step_s=120)
         msgs += cadence_stream(1, T0 + dt.timedelta(hours=4), minutes=60, step_s=120)
         msgs += cadence_stream(2, T0, minutes=360, step_s=120, lat=10.0, lon=20.0)
-        out = validate.validate_stream(msgs, PORT, validate.ValidationConfig(method="geofence"))
+        out = validate.validate_stream(columns(msgs), PORT, validate.ValidationConfig(method="geofence"))
         flagged = [vm for vm in out if vm.gap_flag]
         assert len(flagged) == 1
         assert flagged[0].report.mmsi == 1

@@ -4,9 +4,11 @@ import random
 import pytest
 
 import oracles
+from conftest import columns, validated_columns
 from portcall import validate, voyage
 from portcall.codec import PositionReport
-from portcall.validate import Outage, ValidatedMessage
+from portcall.columnar import ValidatedMessage
+from portcall.validate import Outage
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
@@ -27,33 +29,33 @@ def offset_m(meters):
 class TestSplitRules:
     def test_26h_gap_splits_even_when_stationary(self):
         msgs = [vmsg(T0), vmsg(T0 + dt.timedelta(hours=26))]
-        assert len(voyage.extract_voyages(msgs)) == 2
+        assert len(voyage.extract_voyages(validated_columns(msgs))) == 2
 
     def test_6h_gap_50m_moved_stays_one_voyage(self):
         msgs = [vmsg(T0), vmsg(T0 + dt.timedelta(hours=6), lat=10.0 + offset_m(50))]
-        assert len(voyage.extract_voyages(msgs)) == 1
+        assert len(voyage.extract_voyages(validated_columns(msgs))) == 1
 
     def test_6h_gap_5km_moved_splits(self):
         msgs = [vmsg(T0), vmsg(T0 + dt.timedelta(hours=6), lat=10.0 + offset_m(5000))]
-        assert len(voyage.extract_voyages(msgs)) == 2
+        assert len(voyage.extract_voyages(validated_columns(msgs))) == 2
 
     def test_short_gap_large_move_stays(self):
         msgs = [vmsg(T0), vmsg(T0 + dt.timedelta(hours=4), lat=10.0 + offset_m(5000))]
-        assert len(voyage.extract_voyages(msgs)) == 1
+        assert len(voyage.extract_voyages(validated_columns(msgs))) == 1
 
     def test_continuous_visit_is_one_voyage(self):
         msgs = [vmsg(T0 + dt.timedelta(minutes=i)) for i in range(600)]
-        out = voyage.extract_voyages(msgs)
+        out = voyage.extract_voyages(validated_columns(msgs))
         assert len(out) == 1
         assert out[0].arrival == T0
         assert out[0].departure == T0 + dt.timedelta(minutes=599)
 
     def test_different_vessels_never_merge(self):
         msgs = [vmsg(T0, mmsi=1), vmsg(T0 + dt.timedelta(seconds=1), mmsi=2)]
-        assert len(voyage.extract_voyages(msgs)) == 2
+        assert len(voyage.extract_voyages(validated_columns(msgs))) == 2
 
     def test_empty_input(self):
-        assert voyage.extract_voyages([]) == []
+        assert voyage.extract_voyages(validated_columns([])) == []
 
 
 def random_stream(rng, n_msgs, n_vessels=4):
@@ -79,11 +81,16 @@ def random_stream(rng, n_msgs, n_vessels=4):
     return msgs
 
 
+def left_and_returned(a, b) -> bool:
+    """validate.left_and_returned on the pair of two validated messages' reports."""
+    return bool(validate.left_and_returned(columns([a.report]), columns([b.report]))[0])
+
+
 class TestSplitProperties:
     def test_partition_no_loss_no_duplication(self):
         rng = random.Random(7)
         msgs = random_stream(rng, 400)
-        voyages = voyage.extract_voyages(msgs)
+        voyages = voyage.extract_voyages(validated_columns(msgs))
         total = sum(len(v.messages) for v in voyages)
         assert total == len(msgs)
         seen = set()
@@ -97,22 +104,23 @@ class TestSplitProperties:
         rng = random.Random(13)
         for _ in range(10):
             msgs = random_stream(rng, rng.randrange(50, 500))
-            voyages = voyage.extract_voyages(msgs)
+            voyages = voyage.extract_voyages(validated_columns(msgs))
             expected = oracles.brute_voyage_bounds(msgs)
             got = []
-            ordered = sorted(range(len(msgs)), key=lambda i: (msgs[i].report.mmsi, msgs[i].report.timestamp))
-            index_of = {id(msgs[i]): i for i in range(len(msgs))}
+            # a message is known by its vessel, time and latitude, as the partition test finds
+            index_of = {(m.report.mmsi, m.report.timestamp, m.report.lat): i for i, m in enumerate(msgs)}
+            assert len(index_of) == len(msgs)
             for v in voyages:
-                got.append(tuple(index_of[id(m)] for m in v.messages))
+                got.append(tuple(index_of[m.report.mmsi, m.report.timestamp, m.report.lat] for m in v.messages))
             assert sorted(got) == sorted(expected)
 
     def test_shuffle_invariance(self):
         rng = random.Random(3)
         msgs = random_stream(rng, 300)
-        a = voyage.extract_voyages(msgs)
+        a = voyage.extract_voyages(validated_columns(msgs))
         shuffled = list(msgs)
         rng.shuffle(shuffled)
-        b = voyage.extract_voyages(shuffled)
+        b = voyage.extract_voyages(validated_columns(shuffled))
         assert [(v.mmsi, v.arrival, v.departure, len(v.messages)) for v in a] == [
             (v.mmsi, v.arrival, v.departure, len(v.messages)) for v in b
         ]
@@ -120,17 +128,17 @@ class TestSplitProperties:
     def test_no_internal_splits_and_boundaries_justified(self):
         rng = random.Random(21)
         msgs = random_stream(rng, 400)
-        voyages = voyage.extract_voyages(msgs)
+        voyages = voyage.extract_voyages(validated_columns(msgs))
         for v in voyages:
             for a, b in zip(v.messages, v.messages[1:]):
-                assert not validate.left_and_returned(a.report, b.report)
+                assert not left_and_returned(a, b)
         by_vessel = {}
         for v in voyages:
             by_vessel.setdefault(v.mmsi, []).append(v)
         for vs in by_vessel.values():
             vs.sort(key=lambda v: v.arrival)
             for a, b in zip(vs, vs[1:]):
-                assert validate.left_and_returned(a.messages[-1].report, b.messages[0].report)
+                assert left_and_returned(a.messages[-1], b.messages[0])
 
 
 class TestPhases:
@@ -138,12 +146,12 @@ class TestPhases:
         statuses = [0, 0, 1, 1, 1, 5, 5, 0]
         msgs = [vmsg(T0 + dt.timedelta(minutes=3 * i), status=s, sog=(8.0 if s == 0 else 0.1))
                 for i, s in enumerate(statuses)]
-        v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
+        v = voyage.segment_phases(voyage.extract_voyages(validated_columns(msgs))[0])
         assert [p.kind for p in v.phases] == ["underway", "anchored", "moored", "underway"]
 
     def test_all_moored_single_phase(self):
         msgs = [vmsg(T0 + dt.timedelta(minutes=3 * i), status=5) for i in range(20)]
-        v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
+        v = voyage.segment_phases(voyage.extract_voyages(validated_columns(msgs))[0])
         assert len(v.phases) == 1
         assert v.phases[0].kind == "moored"
         assert v.phases[0].duration == dt.timedelta(minutes=57)
@@ -154,7 +162,7 @@ class TestPhases:
         for block in range(12):
             statuses += [rng.choice([0, 1, 5])] * rng.randrange(1, 9)
         msgs = [vmsg(T0 + dt.timedelta(minutes=2 * i), status=s) for i, s in enumerate(statuses)]
-        v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
+        v = voyage.segment_phases(voyage.extract_voyages(validated_columns(msgs))[0])
         assert v.phases[0].start == v.arrival
         assert v.phases[-1].end == v.departure
         for a, b in zip(v.phases, v.phases[1:]):
@@ -163,7 +171,7 @@ class TestPhases:
     def test_mean_sog_and_location(self):
         msgs = [vmsg(T0 + dt.timedelta(minutes=i), status=0, sog=10.0 + i, lat=10.0 + i, lon=20.0)
                 for i in range(3)]
-        v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
+        v = voyage.segment_phases(voyage.extract_voyages(validated_columns(msgs))[0])
         phase = v.phases[0]
         assert phase.mean_sog == pytest.approx(11.0)
         assert phase.lat == pytest.approx(11.0)
@@ -173,7 +181,7 @@ class TestPhases:
         msgs = [vmsg(T0 + dt.timedelta(minutes=i), status=5) for i in range(3)]
         for m in msgs:
             m.report.sog = None
-        v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
+        v = voyage.segment_phases(voyage.extract_voyages(validated_columns(msgs))[0])
         assert v.phases[0].mean_sog is None
         assert v.phases[0].n_sog == 0
 
@@ -186,15 +194,16 @@ def make_voyage(statuses, step_min=3, move_after=None, move_m=0.0):
             lat = 10.0 + offset_m(move_m)
         msgs.append(vmsg(T0 + dt.timedelta(minutes=step_min * i), status=s, lat=lat,
                          sog=(8.0 if s == 0 else 0.1)))
-    return voyage.segment_phases(voyage.extract_voyages(msgs)[0])
+    return voyage.segment_phases(voyage.extract_voyages(validated_columns(msgs))[0])
 
 
 def flagged(v, outages=()):
-    """flag_gaps on v once validate_stream has set its messages' gap flags for these outages."""
-    out = validate.validate_stream([m.report for m in v.messages], config=KINEMATIC, outages=list(outages))
-    flags = {id(vm.report): vm.gap_flag for vm in out}
-    for m in v.messages:
-        m.gap_flag = flags[id(m.report)]
+    """flag_gaps on v once validate_stream has set its messages' gap flags for these outages.
+
+    The voyage is one vessel's messages in time order, which validate_stream keeps.
+    """
+    out = validate.validate_stream(v.messages.positions, config=KINEMATIC, outages=list(outages))
+    v.messages.gap_flag[:] = out.gap_flag
     return voyage.flag_gaps(v).gap_flagged
 
 
@@ -211,7 +220,7 @@ class TestFlagGaps:
         # vessel silent during the window but moored and stationary across it
         msgs = [vmsg(T0 + dt.timedelta(minutes=3 * i), status=5) for i in range(10)]
         msgs += [vmsg(T0 + dt.timedelta(minutes=120 + 3 * i), status=5) for i in range(10)]
-        v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
+        v = voyage.segment_phases(voyage.extract_voyages(validated_columns(msgs))[0])
         assert not flagged(v, [self.outage(27, 120)])
         assert v.messages[10].gap_flag
 
@@ -220,7 +229,7 @@ class TestFlagGaps:
                      lat=10.0 + offset_m(300.0 * i)) for i in range(10)]
         msgs += [vmsg(T0 + dt.timedelta(minutes=120 + 3 * i), status=0, sog=9.0,
                       lat=10.0 + offset_m(6000 + 300.0 * i)) for i in range(10)]
-        v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
+        v = voyage.segment_phases(voyage.extract_voyages(validated_columns(msgs))[0])
         assert flagged(v, [self.outage(27, 120)])
 
     def test_moved_while_stopped_flags(self):
@@ -228,13 +237,13 @@ class TestFlagGaps:
         msgs = [vmsg(T0 + dt.timedelta(minutes=3 * i), status=1, sog=0.1) for i in range(10)]
         msgs += [vmsg(T0 + dt.timedelta(minutes=120 + 3 * i), status=1, sog=0.1,
                       lat=10.0 + offset_m(500)) for i in range(10)]
-        v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
+        v = voyage.segment_phases(voyage.extract_voyages(validated_columns(msgs))[0])
         assert flagged(v, [self.outage(27, 120)])
 
     def test_vessel_scope_must_match(self):
         msgs = [vmsg(T0 + dt.timedelta(minutes=3 * i), status=0, sog=9.0) for i in range(10)]
         msgs += [vmsg(T0 + dt.timedelta(minutes=120 + 3 * i), status=0, sog=9.0) for i in range(10)]
-        v = voyage.segment_phases(voyage.extract_voyages(msgs)[0])
+        v = voyage.segment_phases(voyage.extract_voyages(validated_columns(msgs))[0])
         assert not flagged(v, [self.outage(27, 120, scope="vessel", subject=999999999)])
         assert flagged(v, [self.outage(27, 120, scope="vessel", subject=v.mmsi)])
 
@@ -246,9 +255,9 @@ class TestFlagGaps:
     def test_gap_flag_on_the_first_message_is_not_the_voyages(self):
         # the silence before the first message lies before the voyage began
         v = make_voyage([0] * 5)
-        v.messages[0].gap_flag = True
+        v.messages.gap_flag[0] = True
         assert not voyage.flag_gaps(v).gap_flagged
-        v.messages[1].gap_flag = True
+        v.messages.gap_flag[1] = True
         assert voyage.flag_gaps(v).gap_flagged
 
 
@@ -308,9 +317,8 @@ def test_flag_gaps_matches_the_outage_oracle():
     for _ in range(300):
         reports, mmsis = random_reports(rng)
         outages = random_outages(rng, reports, mmsis)
-        validated = validate.validate_stream(reports, config=KINEMATIC, outages=outages)
-        for vm in validated:
-            vm.corrected_navstat = rng.choice((0, 1, 5))
+        validated = validate.validate_stream(columns(reports), config=KINEMATIC, outages=outages)
+        validated.corrected_navstat[:] = [rng.choice((0, 1, 5)) for _ in range(len(validated))]
         for v in voyage.extract_voyages(validated):
             got = voyage.flag_gaps(v).gap_flagged
             assert got == oracles.outage_gap_flagged(v.messages, outages)
