@@ -63,15 +63,29 @@ def _sha256(path: pathlib.Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path: pathlib.Path, command: str, config: dict, inputs, outputs) -> None:
-    """Record the stage's config and the sha256 of each given file that exists."""
+def _write_manifest(path: pathlib.Path, command: str, config: dict, inputs, outputs,
+                    digests: dict[pathlib.Path, str]) -> None:
+    """Record the stage's config and the sha256 of each given file that exists.
+
+    `digests` holds the sha256 of every file this command has hashed, by
+    path, so a file that several manifests name is read once: a stage
+    hashes its outputs after closing them, and no stage writes a file
+    another one has hashed.
+    """
+
+    def digest(p) -> str:
+        p = pathlib.Path(p)
+        if p not in digests:
+            digests[p] = _sha256(p)
+        return digests[p]
+
     doc = {
         "tool": "portcall",
         "version": __version__,
         "command": command,
         "config": config,
-        "inputs": {str(p): _sha256(pathlib.Path(p)) for p in inputs if p and pathlib.Path(p).exists()},
-        "outputs": {str(p): _sha256(pathlib.Path(p)) for p in outputs if pathlib.Path(p).exists()},
+        "inputs": {str(p): digest(p) for p in inputs if p and pathlib.Path(p).exists()},
+        "outputs": {str(p): digest(p) for p in outputs if pathlib.Path(p).exists()},
     }
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
@@ -191,7 +205,7 @@ _SLICES_PER_PART = 256
 
 
 def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, raw_start: dt.datetime,
-                 raw_cadence_s: float, max_error_rate: float | None):
+                 raw_cadence_s: float, max_error_rate: float | None, *, digests: dict[pathlib.Path, str]):
     """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
 
     The decoder's position table slices are written to `out` with the
@@ -268,6 +282,7 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
         {"raw_start": raw_start.isoformat(), "raw_cadence_s": raw_cadence_s},
         [source],
         [out, errors],
+        digests,
     )
     status = EXIT_OK
     if max_error_rate is not None and summary.lines and summary.errors / summary.lines > max_error_rate:
@@ -282,7 +297,7 @@ def cmd_decode(args) -> int:
     raw_cadence_s = _raw_cadence(args.raw_cadence_s)
     out = pathlib.Path(args.output)
     errors = pathlib.Path(args.errors) if args.errors else out.with_suffix(".errors.jsonl")
-    _, _, status = decode_stage(source, out, errors, raw_start, raw_cadence_s, args.max_error_rate)
+    _, _, status = decode_stage(source, out, errors, raw_start, raw_cadence_s, args.max_error_rate, digests={})
     return status
 
 
@@ -334,7 +349,7 @@ def validated_from_dict(doc: dict) -> columnar.ValidatedMessage:
 
 def validate_stage(positions: columnar.Positions, port: PortGeometry | None, cfg: validate.ValidationConfig,
                    out: pathlib.Path, outages_out: pathlib.Path, *, source: pathlib.Path, port_path: str | None,
-                   config_path: str | None, min_agreement: float | None):
+                   config_path: str | None, min_agreement: float | None, digests: dict[pathlib.Path, str]):
     """Correct the statuses, detect outages and flag the gaps they silenced.
 
     Returns the validated messages and the exit status of the agreement
@@ -356,6 +371,7 @@ def validate_stage(positions: columnar.Positions, port: PortGeometry | None, cfg
         {"method": cfg.method, "config": config_path or "", "port": port_path or ""},
         [source, port_path, config_path],
         [out, outages_out],
+        digests,
     )
     status = EXIT_OK
     if min_agreement is not None and agreement < min_agreement:
@@ -373,7 +389,8 @@ def cmd_validate(args) -> int:
         [columnar.Positions.of_reports(part)
          for part in _load_parts(source, "position message", message_from_dict, "position", _ROWS_PER_PART)])
     _, status = validate_stage(positions, port, cfg, out, outages_out, source=source,
-                               port_path=args.port, config_path=args.config, min_agreement=args.min_agreement)
+                               port_path=args.port, config_path=args.config, min_agreement=args.min_agreement,
+                               digests={})
     return status
 
 
@@ -383,7 +400,7 @@ def cmd_validate(args) -> int:
 
 def voyages_stage(messages: columnar.Validated, area: AreaFilter | None, out: pathlib.Path, *,
                   source: pathlib.Path, area_path: str | None, center: str | None,
-                  radius_m: float) -> list[voyage.Voyage]:
+                  radius_m: float, digests: dict[pathlib.Path, str]) -> list[voyage.Voyage]:
     """Group the messages inside the area into voyages with phases.
 
     A voyage is gap-flagged from its own messages' gap flags, so with an area
@@ -401,6 +418,7 @@ def voyages_stage(messages: columnar.Validated, area: AreaFilter | None, out: pa
         {"area": area_path or "", "center": center or "", "radius_m": radius_m},
         [source],
         [out],
+        digests,
     )
     return voyages
 
@@ -412,7 +430,7 @@ def cmd_voyages(args) -> int:
         [columnar.Validated.of_messages(part)
          for part in _load_parts(source, "validated message", validated_from_dict, "validated", _ROWS_PER_PART)])
     voyages_stage(messages, area, pathlib.Path(args.output), source=source, area_path=args.area,
-                  center=args.center, radius_m=args.radius_m)
+                  center=args.center, radius_m=args.radius_m, digests={})
     return EXIT_OK
 
 
@@ -434,7 +452,7 @@ def _hours(delta: dt.timedelta) -> str:
 def metrics_stage(voyages: list[voyage.Voyage], ship_types: dict[int, int], port: PortGeometry | None,
                   truth: "metrics.ArrivalTable | None", exclude: set[dt.date], outdir: pathlib.Path, *,
                   vessel: int | None, voyages_path: pathlib.Path, static_path: str | None, truth_path: str | None,
-                  port_path: str | None) -> None:
+                  port_path: str | None, digests: dict[pathlib.Path, str]) -> None:
     """Write the turnaround, arrival and weekly tables, a summary, and the MAE against the truth if given."""
     from . import metrics
 
@@ -511,6 +529,7 @@ def metrics_stage(voyages: list[voyage.Voyage], ship_types: dict[int, int], port
         {"vessel": vessel, "ground_truth": truth_path or "", "static": static_path or ""},
         [voyages_path, static_path, truth_path, port_path],
         outputs,
+        digests,
     )
 
 
@@ -525,7 +544,7 @@ def cmd_metrics(args) -> int:
         ship_types = {s.mmsi: s.ship_type for s in statics}
     metrics_stage(voyages, ship_types, port, truth, exclude, pathlib.Path(args.output_dir), vessel=args.vessel,
                   voyages_path=voyages_path, static_path=args.static, truth_path=args.ground_truth,
-                  port_path=args.port)
+                  port_path=args.port, digests={})
     return EXIT_OK
 
 
@@ -568,6 +587,7 @@ def cmd_synth(args) -> int:
         {"preset": args.preset, "seed": args.seed, "days": args.days, "error_p": args.error_p},
         [args.scenario],
         outputs,
+        {},
     )
     return EXIT_OK
 
@@ -606,17 +626,18 @@ def cmd_run(args) -> int:
     decoded = outdir / "decoded.jsonl"
     validated_path = outdir / "validated.jsonl"
     voyages_path = outdir / "voyages.jsonl"
+    digests: dict[pathlib.Path, str] = {}  # each file is hashed once for all four manifests
     positions, ship_types, status = decode_stage(source, decoded, outdir / "errors.jsonl", raw_start,
-                                                 raw_cadence_s, args.max_error_rate)
+                                                 raw_cadence_s, args.max_error_rate, digests=digests)
     validated, _ = validate_stage(positions, port, cfg, validated_path, outdir / "outages.jsonl",
                                   source=decoded, port_path=args.port, config_path=args.config,
-                                  min_agreement=None)
+                                  min_agreement=None, digests=digests)
     del positions  # the validated columns hold them sorted
     voyages = voyages_stage(validated, area, voyages_path, source=validated_path, area_path=args.area,
-                            center=args.center, radius_m=args.radius_m)
+                            center=args.center, radius_m=args.radius_m, digests=digests)
     metrics_stage(voyages, ship_types, port, truth, exclude, outdir / "metrics", vessel=args.vessel,
                   voyages_path=voyages_path, static_path=str(decoded), truth_path=args.ground_truth,
-                  port_path=args.port)
+                  port_path=args.port, digests=digests)
     return status
 
 

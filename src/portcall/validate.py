@@ -26,18 +26,23 @@ filter walk each vessel's reports in turn, over plain lists. Times are
 integer microseconds, and the windows from the config are converted with
 the rounding timedelta uses.
 
-The knn search is exact without scanning every training point: the model
-keeps its points sorted by x, and a query computes distances only inside
-the strip |x' - x| <= r, which is certified once its k-th distance is below
-the x-distance to the nearest point left out (Friedman, Baskett & Shustek,
-"An algorithm for finding nearest neighbors", IEEE Trans. Computers, 1975).
-A stream validation asks for one vote per distinct position and starts each
-search from the previous query's k-th distance.
+The knn vote is exact without scanning every training point for every
+report. `_stopped_candidates` asks it once, for all the reports it
+decides, and each distinct position is searched once, in batches
+(`knn.KnnIndex`): queries in one spatial cell share a box and one matrix
+of squared distances to the distinct training positions inside it. A
+row's k-th distance is certified when it is below the distance to the
+nearest box edge; the other rows are searched again in a box just wider
+than that k-th distance (Bentley, Stanat & Williams, "The complexity of
+finding fixed-radius near neighbors", Inf. Process. Lett., 1977). Points
+tied at the k-th distance are taken in training index order, as an
+exhaustive scan sorted by (distance, index) takes them.
 """
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,6 +50,7 @@ import numpy as np
 from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, epoch_us, from_epoch_us
 from .columnar import Positions, Validated
 from .geo import PortGeometry, haversine_m, project_local
+from .knn import KnnIndex
 
 
 class TooFewPoints(ValueError):
@@ -92,6 +98,14 @@ class ValidationConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number, got {getattr(self, f.name)!r}")
+        for name, unit in (("rotation_window_h", "hours"), ("hysteresis_min", "minutes")):
+            try:
+                dt.timedelta(**{unit: getattr(self, name)})
+            except OverflowError:
+                raise ValueError(f"{name} must be at most 999999999 days, got {getattr(self, name)!r}") from None
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ValidationConfig":
@@ -137,30 +151,20 @@ def _geofence_votes(port: PortGeometry, lat: np.ndarray, lon: np.ndarray) -> np.
 class KnnModel:
     """Location-only k-nearest-neighbour status model for stopped vessels.
 
-    The x-sorted view the search scans is derived from xy here, so a model
-    built from its four fields directly searches like one from `fit_knn`.
+    The index the search reads is derived from xy and labels on first use,
+    so a model built from its four fields directly searches like one from
+    `fit_knn`.
     """
 
     k: int
     origin: tuple[float, float]
     xy: np.ndarray  # (n, 2) planar metres around origin
     labels: np.ndarray  # (n,) uint8 with values 1 (anchored) and 5 (moored)
-    order: np.ndarray = field(init=False, repr=False, compare=False)  # index into xy of each x-sorted point
-    xs: np.ndarray = field(init=False, repr=False, compare=False)  # x of the points in x order
-    ys: np.ndarray = field(init=False, repr=False, compare=False)  # y of the points in x order
-    r0: float = field(init=False, repr=False, compare=False)  # first strip half-width
 
-    def __post_init__(self):
-        order = np.argsort(self.xy[:, 0])
-        xs = self.xy[order, 0]
-        n = xs.shape[0]
-        # the half-width at which a strip would hold about k points if the
-        # training points were spread evenly along x
-        r0 = float(xs[-1] - xs[0]) * self.k / (2 * n) if n else 0.0
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", self.xy[order, 1])
-        object.__setattr__(self, "r0", r0 if r0 > 0.0 else math.inf)
+    @cached_property
+    def index(self) -> KnnIndex:
+        """The training points, marked where anchored, as the batched search reads them."""
+        return KnnIndex(self.xy, self.labels == ANCHORED)
 
 
 def fit_knn(positions: Positions, k: int = 300, *, stopped_threshold_kn: float = 0.5) -> KnnModel:
@@ -183,92 +187,20 @@ def fit_knn(positions: Positions, k: int = 300, *, stopped_threshold_kn: float =
     return KnnModel(k=k, origin=(lat0, lon0), xy=xy, labels=navstat[train].astype(np.uint8))
 
 
-# Relative widening of the retry strip beyond sqrt(dk): rounding in x -/+ r
-# then cannot leave a point at the k-th distance outside, so the retry
-# certifies at once.
-_STRIP_EPS = 1e-9
+def knn_votes(model: KnnModel, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """The majority label of the k nearest training points of each (lat, lon); a tie goes to anchored.
 
-
-def _neighbor_indices(model: KnnModel, x: float, y: float, r: float) -> tuple[np.ndarray, float]:
-    """Indices of the k nearest training points, ties broken by index, and
-    the squared distance of the k-th.
-
-    Equivalent to sorting every point by (squared distance, index) and
-    taking the first k, which keeps the vote identical to an exhaustive scan
-    even with duplicate training points. Only the strip of x-sorted points
-    with |x' - x| <= r is scanned. Its k-th squared distance dk is certified
-    when it is below the squared x-distance to the nearest point left out on
-    either side: every point outside the strip is at least that far, so none
-    can tie or beat dk. That bound is computed with the same float operations
-    as the distances, so rounding at the strip edge cannot drop a point.
-    Otherwise the search retries with r just above sqrt(dk), an upper bound
-    on the true k-th distance, so the retry certifies; a strip with fewer
-    than k points doubles r (from model.r0 when r is 0). r is only a
-    starting guess and does not change the result. When k >= n every point
-    is returned and dk reads 0.
+    Each distinct position is projected and searched once.
     """
-    xs, k = model.xs, model.k
-    n = xs.shape[0]
-    if k >= n:
-        return np.arange(n), 0.0
-    while True:
-        if r < math.inf:
-            lo = int(np.searchsorted(xs, x - r, "left"))
-            hi = int(np.searchsorted(xs, x + r, "right"))
-        else:
-            lo, hi = 0, n
-        if hi - lo >= k:
-            d2 = (xs[lo:hi] - x) ** 2 + (model.ys[lo:hi] - y) ** 2
-            dk = float(np.partition(d2, k - 1)[k - 1])
-            gap2 = math.inf
-            if lo > 0:
-                dx = float(xs[lo - 1]) - x
-                gap2 = dx * dx
-            if hi < n:
-                dx = float(xs[hi]) - x
-                gap2 = min(gap2, dx * dx)
-            if dk < gap2 or (lo == 0 and hi == n):
-                break
-            r_next = math.sqrt(dk) * (1.0 + _STRIP_EPS)
-            if r_next > r:
-                r = r_next
-                continue
-        # fewer than k points in the strip, or rounding left one at dk outside
-        r = 2.0 * r if r > 0.0 else model.r0
-    window = model.order[lo:hi]
-    strict = window[d2 < dk]
-    ties = np.sort(window[d2 == dk])
-    return np.concatenate([strict, ties[: k - strict.shape[0]]]), dk
-
-
-class _KnnVotes:
-    """Knn votes for one stream, with one neighbour search per distinct position.
-
-    A vote is a pure function of the position and the fixed model, so it is
-    kept by (lat, lon) for the voter's lifetime. Each search starts from the
-    previous one's k-th distance: consecutive queries come from the same
-    vessel and usually from the same spot.
-    """
-
-    __slots__ = ("model", "votes", "r")
-
-    def __init__(self, model: KnnModel):
-        self.model = model
-        self.votes: dict[tuple[float, float], int] = {}
-        self.r = model.r0
-
-    def vote(self, lat: float, lon: float) -> int:
-        """Majority label of the k nearest training points; ties go to anchored."""
-        key = (lat, lon)
-        vote = self.votes.get(key)
-        if vote is None:
-            model = self.model
-            x, y = project_local(model.origin[0], model.origin[1], lat, lon)
-            idx, dk = _neighbor_indices(model, x, y, self.r)
-            self.r = math.sqrt(dk)
-            ones = int(np.count_nonzero(model.labels[idx] == ANCHORED))
-            vote = self.votes[key] = ANCHORED if ones >= idx.shape[0] - ones else MOORED
-        return vote
+    order = np.lexsort((lon, lat))
+    lat, lon = lat[order], lon[order]
+    new = np.ones(order.shape[0], dtype=bool)
+    new[1:] = (lat[1:] != lat[:-1]) | (lon[1:] != lon[:-1])
+    ones, total = model.index.neighbour_counts(*project_local(model.origin[0], model.origin[1], lat[new], lon[new]),
+                                               model.k)
+    votes = np.empty(order.shape[0], dtype=np.int64)
+    votes[order] = np.where(2 * ones >= total, ANCHORED, MOORED)[np.cumsum(new) - 1]
+    return votes
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +451,7 @@ def _stopped_candidates(stopped: Positions, runs: np.ndarray, port: PortGeometry
     The first available vote in the method's order decides, and the reported
     status stands when none is. When the geofence and kinematic votes
     disagree, the ensemble asks knn first and keeps the kinematic vote
-    without a knn model. Knn votes only the reports it decides.
+    without a knn model. Knn is asked once, for the reports it decides.
     """
     votes = {}
     if port is not None:
@@ -535,15 +467,10 @@ def _stopped_candidates(stopped: Positions, runs: np.ndarray, port: PortGeometry
         geo, kin = votes["geofence"], votes["kinematic"]
         disagree = (kin >= 0) & (geo != kin)
         orders = [(("knn", "kinematic"), disagree), (_VOTE_ORDER[cfg.method], ~disagree)]
-    knn = _KnnVotes(model) if model is not None else None
     for order, rows in orders:
         for name in order:
-            if name == "knn":
-                if knn is None:
-                    continue
+            if name == "knn" and model is not None:
                 decided = np.flatnonzero(rows & todo)
-                status[decided] = [knn.vote(lat, lon) for lat, lon in zip(stopped.lat[decided].tolist(),
-                                                                             stopped.lon[decided].tolist())]
             elif name in votes:
                 decided = np.flatnonzero(rows & todo & (votes[name] >= 0))
                 status[decided] = votes[name][decided]
@@ -551,6 +478,9 @@ def _stopped_candidates(stopped: Positions, runs: np.ndarray, port: PortGeometry
                 continue
             code[decided] = _CODE[name]
             todo[decided] = False
+    knn = np.flatnonzero(code == _CODE["knn"])
+    if knn.size:
+        status[knn] = knn_votes(model, stopped.lat[knn], stopped.lon[knn])
     return status, code
 
 

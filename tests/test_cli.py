@@ -77,6 +77,23 @@ def test_run_writes_what_the_staged_commands_write(inputs, tmp_path):
     assert _snapshot(outdir) == ran
 
 
+def test_run_hashes_each_file_once(inputs, tmp_path, monkeypatch):
+    """decoded.jsonl, validated.jsonl and voyages.jsonl are each named by two or three manifests but read once."""
+    hashed = []
+    sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+    outdir = tmp_path / "out"
+    rc = cli.main(["run", "--input", str(inputs["tagged.nmea"]), "--outdir", str(outdir),
+                   "--port", str(inputs["port.geojson"]), "--ground-truth", str(inputs["truth.csv"])])
+    assert rc == cli.EXIT_OK
+    named = set()
+    for manifest in outdir.rglob("*.manifest.json"):
+        doc = json.loads(manifest.read_text())
+        named |= {pathlib.Path(p) for p in (*doc["inputs"], *doc["outputs"])}
+    assert outdir / "decoded.jsonl" in named
+    assert sorted(map(str, hashed)) == sorted(map(str, named))
+
+
 def test_untagged_input_at_a_fractional_cadence(inputs, tmp_path):
     """Half the receive times fall between seconds; both paths see them cut to the second."""
     outdir = tmp_path / "out"
@@ -595,6 +612,23 @@ def test_knn_k_zero_in_the_config_is_a_usage_error(inputs, tmp_path, capsys):
     assert rc == cli.EXIT_USAGE
     assert "knn_k" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting", ["hysteresis_min = inf", "rotation_window_h = 1e300", "hysteresis_min = nan",
+                                     "rotation_window_h = nan", "stopped_threshold_kn = nan"])
+def test_a_window_or_threshold_out_of_range_in_the_config_is_a_usage_error(setting, inputs, tmp_path, capsys):
+    # each once ended run in a traceback after decode, or marked nothing stopped
+    config = tmp_path / "v.conf"
+    config.write_text(setting + "\n")
+    decoded = tmp_path / "decoded.jsonl"
+    decoded.write_text("")
+    for argv in (["run", "--input", str(inputs["tagged.nmea"]), "--outdir", str(tmp_path / "out")],
+                 ["validate", "--input", str(decoded), "--output", str(tmp_path / "validated.jsonl")]):
+        assert cli.main(argv + ["--config", str(config)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bad config" in err and setting.split()[0] in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "validated.jsonl").exists()
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from conftest import columns, decode_all
 from portcall import synth, validate
 from portcall.codec import PositionReport
 from portcall.geo import PortGeometry, Polygon, project_local
+from portcall.knn import KnnIndex
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
@@ -158,7 +159,19 @@ def two_cluster_reports(n_per=500, seed=1):
 
 def knn_vote(model, q):
     """The stream validator's knn vote for a stopped report."""
-    return validate._KnnVotes(model).vote(q.lat, q.lon)
+    return int(validate.knn_votes(model, np.array([q.lat]), np.array([q.lon]))[0])
+
+
+def oracle_counts(xy, marked, k, qx, qy):
+    """(marked, total) over the exhaustive scan's k nearest points."""
+    idx = oracles.brute_neighbors(xy, k, qx, qy)
+    return sum(1 for i in idx if marked[i]), len(idx)
+
+
+def neighbour_counts(index, k, qx, qy, r=None):
+    """(marked, total) of each query from the batched search."""
+    marked, total = index.neighbour_counts(np.array(qx, dtype=float), np.array(qy, dtype=float), k, r)
+    return list(zip(marked.tolist(), total.tolist()))
 
 
 class TestKnn:
@@ -208,10 +221,11 @@ class TestKnn:
             model = validate.fit_knn(columns(reports), k=k)
             xy = [tuple(p) for p in model.xy]
             labels = list(model.labels)
-            for _ in range(10):
-                q = report(lat=10.0 + rng.uniform(-0.06, 0.06), lon=20.0 + rng.uniform(-0.06, 0.06), sog=0.1)
-                qx, qy = project_local(model.origin[0], model.origin[1], q.lat, q.lon)
-                assert knn_vote(model, q) == oracles.brute_knn(xy, labels, k, qx, qy)
+            lat = [10.0 + rng.uniform(-0.06, 0.06) for _ in range(10)]
+            lon = [20.0 + rng.uniform(-0.06, 0.06) for _ in range(10)]
+            expected = [oracles.brute_knn(xy, labels, k, *project_local(model.origin[0], model.origin[1], a, b))
+                        for a, b in zip(lat, lon)]
+            assert validate.knn_votes(model, np.array(lat), np.array(lon)).tolist() == expected
 
     def test_ties_match_brute_force_on_duplicate_points(self):
         # duplicated training points force exact distance ties at the kth slot
@@ -231,26 +245,50 @@ class TestKnn:
         # training and query points share one projection, so the point itself is a 0 m neighbour
         reports = two_cluster_reports(n_per=100)
         model = validate.fit_knn(columns(reports), k=1)
+        only_17 = np.arange(len(reports)) == 17
         q = reports[17]
         qx, qy = project_local(model.origin[0], model.origin[1], q.lat, q.lon)
-        idx, dk = validate._neighbor_indices(model, qx, qy, 0.0)
-        assert (idx.tolist(), dk) == ([17], 0.0)
+        assert neighbour_counts(KnnIndex(model.xy, only_17), 1, [qx], [qy]) == [(1, 1)]
 
-    def test_tie_at_the_strip_edge_goes_to_the_lower_index(self):
-        # point 1 fills a zero-width strip, but point 0 just outside it ties at
-        # the same distance and wins on index, so the strip must widen
-        model = validate.KnnModel(k=1, origin=(10.0, 20.0), xy=np.array([(1.0, 0.0), (0.0, 1.0), (5.0, 5.0)]),
+    def test_tie_at_the_box_edge_goes_to_the_lower_index(self):
+        # point 1 fills a box of half-width 4.5, but point 0 just outside it ties
+        # at the same distance and wins on index, so the box must widen
+        model = validate.KnnModel(k=1, origin=(10.0, 20.0), xy=np.array([(5.0, 0.0), (3.0, 4.0), (50.0, 50.0)]),
                                   labels=np.array([1, 5, 5], dtype=np.uint8))
-        idx, dk = validate._neighbor_indices(model, 0.0, 0.0, 0.0)
-        assert (idx.tolist(), dk) == ([0], 1.0)
+        for r in (None, 0.0, 4.5, 5.0, math.inf):
+            assert neighbour_counts(model.index, 1, [0.0], [0.0], r) == [(1, 1)]
+
+    def test_tie_shared_by_two_positions_goes_by_index(self):
+        # one point at the query, then three positions 5 m away: (5, 0) holds
+        # points 1 and 5, (0, 5) point 2, (3, 4) points 3 and 4
+        xy = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (3.0, 4.0), (3.0, 4.0), (5.0, 0.0), (40.0, 0.0)]
+        for marked in ([False, True, False, True, True, False, True], [True, False, True, False, False, True, False]):
+            index = KnnIndex(np.array(xy), np.array(marked))
+            for k in range(1, len(xy)):
+                for r in (None, 0.0, 5.0):
+                    assert neighbour_counts(index, k, [0.0], [0.0], r) == [oracle_counts(xy, marked, k, 0.0, 0.0)]
+
+    def test_many_queries_from_clusters_far_apart(self):
+        # clusters 100 km apart, with queries from each in one call: every
+        # query's box must hold its own cluster and no other
+        rng = random.Random(5)
+        centres = [(0.0, 0.0), (1e5, 0.0), (0.0, -1e5), (2e5, 3e5)]
+        xy = [(cx + rng.gauss(0, 50), cy + rng.gauss(0, 50)) for cx, cy in centres for _ in range(60)]
+        marked = [rng.random() < 0.5 for _ in xy]
+        queries = [(cx + rng.gauss(0, 80), cy + rng.gauss(0, 80)) for cx, cy in centres for _ in range(15)]
+        queries += [(5e4, 0.0), (1e6, 1e6)]  # between two clusters, and far from all
+        index = KnnIndex(np.array(xy), np.array(marked))
+        qx, qy = zip(*queries)
+        for k in (1, 20, 60, 61, 150):
+            assert neighbour_counts(index, k, qx, qy) == [oracle_counts(xy, marked, k, x, y) for x, y in queries]
 
     def test_nan_query_ends_with_no_neighbours(self):
-        # stored JSONL may carry NaN coordinates; no strip certifies, so the
-        # search must stop at the whole set instead of widening forever
+        # stored JSONL may carry NaN coordinates; such a query has no
+        # neighbours, and so votes anchored, instead of widening forever
         model = validate.fit_knn(columns(two_cluster_reports(n_per=50)), k=5)
-        for qx, qy in ((math.nan, 0.0), (0.0, math.nan)):
-            idx, _ = validate._neighbor_indices(model, qx, qy, 1.0)
-            assert idx.tolist() == []
+        for r in (None, 1.0):
+            assert neighbour_counts(model.index, 5, [math.nan, 0.0], [0.0, math.nan], r) == [(0, 0), (0, 0)]
+        assert validate.knn_votes(model, np.array([math.nan]), np.array([20.0])).tolist() == [1]
 
     def test_stream_votes_match_the_oracle(self, monkeypatch):
         scenario = synth.mixed_port_scenario(n_vessels=3, days=1, error_p=0.3, seed=3)
@@ -259,13 +297,15 @@ class TestKnn:
         fast = validate.validate_stream(columns(positions), None, cfg)
         assert any(vm.method == "knn" for vm in fast)
 
-        def oracle(model, x, y, r):
-            xy = model.xy.tolist()
-            idx = oracles.brute_neighbors(xy, model.k, x, y)
-            dx, dy = xy[idx[-1]][0] - x, xy[idx[-1]][1] - y
-            return np.array(idx), dx * dx + dy * dy
+        class BruteIndex:
+            def __init__(self, xy, marked):
+                self.xy, self.marked = xy.tolist(), marked.tolist()
 
-        monkeypatch.setattr(validate, "_neighbor_indices", oracle)
+            def neighbour_counts(self, x, y, k):
+                counts = [oracle_counts(self.xy, self.marked, k, qx, qy) for qx, qy in zip(x.tolist(), y.tolist())]
+                return np.array([c[0] for c in counts]), np.array([c[1] for c in counts])
+
+        monkeypatch.setattr(validate, "KnnIndex", BruteIndex)
         assert validate.validate_stream(columns(positions), None, cfg) == fast
 
 
@@ -487,17 +527,23 @@ def test_knn_oracle_equivalence_property(seed, layout, query):
     xy = _training_layout(rng, layout, n)
     labels = [rng.choice([1, 5]) for _ in range(n)]
     model = validate.KnnModel(k=k, origin=(10.0, 20.0), xy=np.array(xy), labels=np.array(labels, dtype=np.uint8))
-    if query == "on_point":
-        qx, qy = rng.choice(xy)
-    elif query == "far":  # well outside the extent: the strip has to grow
-        qx, qy = rng.choice([-1, 1]) * rng.uniform(2e4, 1e6), rng.uniform(-1e6, 1e6)
-    else:
-        qx, qy = round(2 * rng.uniform(-3500, 3500)) / 2, round(2 * rng.uniform(-3500, 3500)) / 2
-    expected = oracles.brute_neighbors(xy, k, qx, qy)
-    # the starting half-width is only a guess: every value gives the same neighbours
-    for r in (0.0, 1e-3, rng.uniform(0.0, 500.0), 1e7, math.inf):
-        idx, _ = validate._neighbor_indices(model, qx, qy, r)
-        assert sorted(idx.tolist()) == sorted(expected)
+    queries = []
+    for _ in range(rng.randrange(1, 6)):  # one search for all of them
+        if query == "on_point":
+            queries.append(rng.choice(xy))
+        elif query == "far":  # well outside the extent: the box has to grow
+            queries.append((rng.choice([-1, 1]) * rng.uniform(2e4, 1e6), rng.uniform(-1e6, 1e6)))
+        else:
+            queries.append((round(2 * rng.uniform(-3500, 3500)) / 2, round(2 * rng.uniform(-3500, 3500)) / 2))
+    qx, qy = (list(c) for c in zip(*queries))
+    # the first half-width only changes the cost: every value gives the
+    # neighbours of the exhaustive scan, seen through the anchored labels
+    # and through a random marking
+    for marked in ([label == 1 for label in labels], [rng.random() < 0.5 for _ in range(n)]):
+        index = KnnIndex(np.array(xy), np.array(marked))
+        expected = [oracle_counts(xy, marked, k, x, y) for x, y in zip(qx, qy)]
+        for r in (None, 0.0, 1e-3, rng.uniform(0.0, 500.0), 1e7, math.inf):
+            assert neighbour_counts(index, k, qx, qy, r) == expected
 
     q = report(sog=0.0, lat=10.0 + rng.uniform(-0.05, 0.05), lon=20.0 + rng.uniform(-0.05, 0.05))
     qx, qy = project_local(10.0, 20.0, q.lat, q.lon)
