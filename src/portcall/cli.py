@@ -315,7 +315,7 @@ def _outage_to_dict(o: validate.Outage) -> dict:
 
 
 # Not on the run path, which writes validated lines from the columns
-# (columnar.Validated.lines). Kept as the reference that tests/test_jsonl.py
+# (columnar.Validated.line_chunks). Kept as the reference that tests/test_jsonl.py
 # checks those lines against, and for the tests in tests/test_cli.py that
 # write validated files of their own.
 def validated_to_dict(vm: columnar.ValidatedMessage) -> dict:
@@ -358,9 +358,8 @@ def validate_stage(positions: columnar.Positions, port: PortGeometry | None, cfg
     outages = validate.detect_outages(positions)
     validated = validate.validate_stream(positions, port, cfg, outages=outages)
     with open(out, "w", encoding="utf-8", newline="\n") as f:
-        for line in validated.lines():
-            f.write(line)
-            f.write("\n")
+        for lines in validated.line_chunks():
+            f.write("\n".join(lines) + "\n")
     jsonl.write_jsonl(outages_out, (_outage_to_dict(o) for o in outages))
     agreement = np.count_nonzero(validated.agreed_with_reported) / len(validated) if len(validated) else 1.0
     print(f"validated {len(validated)} messages, agreement with reported {agreement:.3f}, "

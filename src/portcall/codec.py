@@ -565,7 +565,7 @@ def _block_times(groups: list[tuple], rx_us: np.ndarray) -> tuple[np.ndarray, np
     ok = np.ones(len(groups), dtype=bool)
     bare = [k for k, g in enumerate(groups) if g[1] is not None]
     if bare:
-        seconds = np.array([groups[k][1] for k in bare]).astype(np.int64)
+        seconds = np.fromiter(map(int, [groups[k][1] for k in bare]), dtype=np.int64, count=len(bare))
         seconds = np.where(seconds >= 10**12, seconds // 1000, seconds)  # milliseconds
         times[bare] = seconds * 1_000_000
         ok[bare] = seconds <= _MAX_EPOCH_S

@@ -5,13 +5,14 @@ values, with NaN where the report has None. `Validated` adds the four
 columns validate gives each row. Decode builds the positions from the
 block pass's tables (`Positions.of_table`) and from the few reports the
 line parser or a stored line gave (`Positions.of_reports`); validate and
-voyages read the columns, and `Validated.lines` writes validated.jsonl
-from them. No text and no object is held per row: a row's stored
-document is the template over the texts of its values, and only a stored
-row whose numbers the float64 columns cannot retell (an int `"sog":5`)
-keeps its own line. PositionReport and ValidatedMessage are the row
-types: indexing or iterating a column set builds them, _CHUNK rows at a
-time.
+voyages read the columns, and `Validated.line_chunks` makes the lines
+of validated.jsonl from them. No text and no object is held per row: a
+row's stored document is the template over the texts of its values, and
+only a stored row whose numbers the float64 columns cannot retell (an
+int `"sog":5`) keeps its own line. The texts come from `jsonl`'s memo,
+which holds one text per distinct value, not per row. PositionReport and
+ValidatedMessage are the row types: indexing or iterating a column set
+builds them, _CHUNK rows at a time.
 """
 
 import math
@@ -184,8 +185,8 @@ class Validated:
     def __eq__(self, other) -> bool:
         return isinstance(other, Validated) and list(self) == list(other)
 
-    def lines(self):
-        """The stored document of each row, made _CHUNK rows at a time.
+    def line_chunks(self):
+        """The stored document of each row, as one list for each _CHUNK rows in turn.
 
         A row with a line of its own takes its field texts from that line.
         """
@@ -199,7 +200,7 @@ class Validated:
                              navstat, rot, sog, ts))
             for i in np.flatnonzero(p.own_lines != None).tolist():  # noqa: E711 (elementwise)
                 lines[i] = validated_line(p.own_lines[i], agreed[i], corrected[i], gap_flag[i], method[i])
-            yield from lines
+            yield lines
 
     @classmethod
     def concat(cls, parts: Sequence["Validated"]) -> "Validated":

@@ -591,6 +591,23 @@ def test_run_on_non_block_rows_writes_the_pinned_bytes(tmp_path, monkeypatch):
     assert _snapshot(outdir) == ran
 
 
+def test_run_writes_the_dict_codec_text_across_chunks_and_blocks(tmp_path):
+    """More positions than two of the writers' chunks and many replay blocks: every stored line is the text the
+    dict codecs write for the message it holds."""
+    scenario = synth.mixed_port_scenario(n_vessels=5, days=4, error_p=0.3, seed=5)
+    nmea = tmp_path / "input.nmea"
+    nmea.write_text("".join(line + "\n" for line in synth.generate(scenario)[0]))
+    outdir = tmp_path / "out"
+    assert cli.main(["run", "--input", str(nmea), "--outdir", str(outdir)]) == cli.EXIT_OK
+    decoded = (outdir / "decoded.jsonl").read_text().splitlines()
+    validated = (outdir / "validated.jsonl").read_text().splitlines()
+    assert len(validated) > 2 * columnar._CHUNK and len(decoded) > 2 * ingest._REPLAY_BLOCK
+    assert decoded == [jsonl.dumps(jsonl.message_to_dict(jsonl.message_from_dict(json.loads(line))))
+                       for line in decoded]
+    assert validated == [jsonl.dumps(cli.validated_to_dict(cli.validated_from_dict(json.loads(line))))
+                         for line in validated]
+
+
 @pytest.mark.parametrize("command", ["run", "metrics"])
 def test_unparseable_exclude_date_is_a_usage_error(inputs, tmp_path, capsys, command):
     voyages = tmp_path / "voyages.jsonl"
