@@ -359,7 +359,8 @@ def validate_stage(positions: columnar.Positions, port: PortGeometry | None, cfg
     validated = validate.validate_stream(positions, port, cfg, outages=outages)
     with open(out, "w", encoding="utf-8", newline="\n") as f:
         for lines in validated.line_chunks():
-            f.write("\n".join(lines) + "\n")
+            f.write("\n".join(lines))
+            f.write("\n")
     jsonl.write_jsonl(outages_out, (_outage_to_dict(o) for o in outages))
     agreement = np.count_nonzero(validated.agreed_with_reported) / len(validated) if len(validated) else 1.0
     print(f"validated {len(validated)} messages, agreement with reported {agreement:.3f}, "

@@ -9,8 +9,8 @@ voyages read the columns, and `Validated.line_chunks` makes the lines
 of validated.jsonl from them. No text and no object is held per row: a
 row's stored document is the template over the texts of its values, and
 only a stored row whose numbers the float64 columns cannot retell (an
-int `"sog":5`) keeps its own line. The texts come from `jsonl`'s memo,
-which holds one text per distinct value, not per row. PositionReport and
+int `"sog":5`) keeps its own line. A chunk's texts are made once per
+distinct value in it, not once per row. PositionReport and
 ValidatedMessage are the row types: indexing or iterating a column set
 builds them, _CHUNK rows at a time.
 """

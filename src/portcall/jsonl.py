@@ -11,29 +11,21 @@ Positions and validated messages are nearly every document a run writes,
 so each has one fixed template that writes the text `dumps` would write
 for its dict without building the dict: the keys are known and sorted
 once, every value is a number, a bool, null, a timestamp or one of
-validate's fixed method labels, so nothing needs escaping. The template
-takes the text of every field. `position_line` gives it those of one
-report, through `repr` as `json` does, so a number read as an int keeps
-its text. The writers of many rows at once, `position_lines` for a
-decoded PositionTable and `position_field_texts` for columns that hold
-the values (from which `validated_text` writes validated messages), look
-texts up instead of formatting each row's:
-
-- a decoded table's raw SOG, COG, heading and rate of turn index tables
-  of their texts;
-- MMSI and navigational status are formatted once per distinct value of
-  the rows (`np.unique`);
-- every other number goes through a memo of the text of each float64
-  value, keyed by its bit pattern, so -0.0 and 0.0, and NaNs, stay apart
-  (a rate of turn, written as an int, has a memo of its own). The memo
-  lasts for the whole process, so a coordinate that decode wrote is not
-  formatted again when validate writes it. It holds at most
-  _TEXT_MEMO_CAP entries and is emptied when it would hold more.
-
-`validated_line` takes the field texts from a stored position document.
-Statics, errors, outages and voyages are few and hold free text (vessel
-names, raw lines), so they go through their dict codecs and `dumps`,
-which escapes it.
+validate's fixed method labels, so nothing needs escaping. The position
+template takes the texts of the fields: `position_line` gives it those of
+one report, and `position_lines` those of every row of a decoded
+PositionTable, read from its columns and from tables of the texts of the
+raw SOG, COG, heading and rate of turn. A validated message is written by
+`validated_text` from the texts of its position's fields:
+`position_field_texts` gives those of every row of columns that hold the
+values, and `validated_line` takes them from a stored position document,
+so a number read as an int keeps its text. The two column writers make
+each text once per distinct value of the rows they are given, not once
+per row: a float once per float64 bit pattern, so -0.0 and 0.0, and
+NaNs, stay apart, and MMSI and navigational status with `str` once per
+distinct integer (`np.unique`). Statics, errors, outages and voyages
+are few and hold free text (vessel names, raw lines), so they go through
+their dict codecs and `dumps`, which escapes it.
 """
 
 import datetime as dt
@@ -122,6 +114,20 @@ def _integer_texts(values: np.ndarray) -> list[str]:
     return np.array(list(map(str, distinct.tolist())), dtype=object)[rows].tolist()
 
 
+def position_lines(table: PositionTable) -> list[str]:
+    """The stored document of each row of a position table, equal to `position_line` of the row's report."""
+    return list(map(_position_text, _COG_TEXT[np.minimum(table.cog, 3600)].tolist(),
+                    _HEADING_TEXT[table.heading].tolist(), _texts_of(table.lat, repr), _texts_of(table.lon, repr),
+                    _integer_texts(table.mmsi), _integer_texts(table.navstat), _ROT_TEXT[table.rot + 128].tolist(),
+                    _SOG_TEXT[table.sog].tolist(), _timestamp_texts(table.time_us)))
+
+
+def _texts_of(values: np.ndarray, text) -> list[str]:
+    """text(v) for each float64 v, called once per distinct bit pattern (so -0.0 and 0.0 stay apart)."""
+    bits, rows = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([text(v) for v in bits.view(np.float64).tolist()], dtype=object)[rows].tolist()
+
+
 def _number_text(value: float) -> str:
     return "null" if value != value else repr(value)
 
@@ -130,51 +136,13 @@ def _integer_text(value: float) -> str:
     return "null" if value != value else repr(int(value))
 
 
-# The text of each float64 value made so far, by its bit pattern: _number_text in _NUMBER_TEXTS, _integer_text
-# in _ROT_TEXTS. A text depends on its key alone, so every writer of the process can share them. An entry takes
-# about 140 bytes, so a full memo holds about 9 MB; the cap is above the distinct values of a 20-vessel, 6-day
-# run (38,000 in 57,000 positions), which a smaller memo would empty before validate reads them.
-_TEXT_MEMO_CAP = 1 << 16
-_NUMBER_TEXTS: dict[int, str] = {}
-_ROT_TEXTS: dict[int, str] = {}
-
-
-def _texts_of(values: np.ndarray, text, memo: dict[int, str]) -> list[str]:
-    """text(v) for each float64 v, looked up in memo by its bit pattern; text is called once for each distinct
-    value that memo lacks, and memo keeps what it made."""
-    bits, rows = np.unique(values.view(np.int64), return_inverse=True)
-    keys = bits.tolist()
-    texts = list(map(memo.get, keys))
-    missing = [i for i, t in enumerate(texts) if t is None]
-    if missing:
-        for i, value in zip(missing, bits.view(np.float64)[missing].tolist()):
-            texts[i] = text(value)
-        if len(memo) + len(missing) > _TEXT_MEMO_CAP:
-            memo.clear()
-        memo.update((keys[i], texts[i]) for i in missing[:_TEXT_MEMO_CAP])
-    return np.array(texts, dtype=object)[rows].tolist()
-
-
-def _number_texts(values: np.ndarray) -> list[str]:
-    """The text of each float64 value as `position_line` writes the float, null for NaN."""
-    return _texts_of(values, _number_text, _NUMBER_TEXTS)
-
-
-def position_lines(table: PositionTable) -> list[str]:
-    """The stored document of each row of a position table, equal to `position_line` of the row's report."""
-    return list(map(_position_text, _COG_TEXT[np.minimum(table.cog, 3600)].tolist(),
-                    _HEADING_TEXT[table.heading].tolist(), _number_texts(table.lat), _number_texts(table.lon),
-                    _integer_texts(table.mmsi), _integer_texts(table.navstat), _ROT_TEXT[table.rot + 128].tolist(),
-                    _SOG_TEXT[table.sog].tolist(), _timestamp_texts(table.time_us)))
-
-
 def position_field_texts(time_us, mmsi, navstat, lat, lon, sog, cog, heading, rot) -> tuple[list, ...]:
     """The texts of the fields of each row of position columns that hold the values themselves, NaN for None
     (as `columnar.Positions` does), in the order `_position_text` takes them: those `position_line` writes for
     the report of the row's values, a float as its repr and the rate of turn as an int."""
-    return (_number_texts(cog), _number_texts(heading), _number_texts(lat), _number_texts(lon),
-            _integer_texts(mmsi), _integer_texts(navstat), _texts_of(rot, _integer_text, _ROT_TEXTS),
-            _number_texts(sog), _timestamp_texts(time_us))
+    return (_texts_of(cog, _number_text), _texts_of(heading, _number_text), _texts_of(lat, _number_text),
+            _texts_of(lon, _number_text), _integer_texts(mmsi), _integer_texts(navstat), _texts_of(rot, _integer_text),
+            _texts_of(sog, _number_text), _timestamp_texts(time_us))
 
 
 def validated_text(agreed_with_reported: bool, cog, corrected_navstat: int, gap_flag: bool, heading, lat, lon,

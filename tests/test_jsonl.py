@@ -185,44 +185,9 @@ def test_decoded_block_writes_what_feeding_each_line_writes(lines, raw_start, ca
                                                      for o in expected if o.kind == "position"]
 
 
-# --- the memo of number texts ------------------------------------------------------
-
-
-@pytest.fixture
-def small_memo(monkeypatch):
-    """The writers' memos, empty and capped at 8 entries, so that a few rows fill and empty them."""
-    monkeypatch.setattr(jsonl, "_TEXT_MEMO_CAP", 8)
-    monkeypatch.setattr(jsonl, "_NUMBER_TEXTS", {})
-    monkeypatch.setattr(jsonl, "_ROT_TEXTS", {})
-
-
-def memo_sizes() -> list[int]:
-    return [len(jsonl._NUMBER_TEXTS), len(jsonl._ROT_TEXTS)]
-
-
-def test_texts_stay_the_dict_codec_text_as_the_memo_empties(small_memo):
-    """Tables and validated rows written in turn through a memo that empties several times, with values met
-    before and after it did."""
-    rng = np.random.default_rng(3)
-    for block in range(12):
-        n = int(rng.integers(1, 20))
-        raw = [rng.integers(lo, hi, n) for lo, hi in ((0, 10**15), (0, 5), (0, 16), (-128, 128), (0, 1024),
-                                                       (-30, 30), (-20, 20), (0, 3601), (0, 512))]
-        time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading = raw
-        table = PositionTable(time_us, mmsi, navstat, rot, sog, lon / 600000.0, lat / 600000.0, cog, heading)
-        assert jsonl.position_lines(table) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in table_reports(table)]
-        assert max(memo_sizes()) <= 8
-        corrected = np.array(sorted(STATUS_KINDS))[rng.integers(0, len(STATUS_KINDS), n)]
-        rows = columnar.Validated(columnar.Positions.of_table(table), corrected, np.full(n, "knn", dtype=object),
-                                  rng.integers(0, 2, n).astype(bool), rng.integers(0, 2, n).astype(bool))
-        assert list(rows.line_chunks()) == [[jsonl.dumps(cli.validated_to_dict(vm)) for vm in rows]]
-        assert max(memo_sizes()) <= 8
-    assert min(memo_sizes()) > 0
-
-
-def test_the_memo_keeps_signed_zeros_and_null_apart(small_memo):
-    """Stored rows holding 0.0 and -0.0 in every number and None in every optional field, written in one chunk
-    and again one row at a time, so that each value is looked up in a memo that holds the other."""
+def test_the_writers_keep_signed_zeros_and_null_apart():
+    """Stored rows holding 0.0 and -0.0 in every number and None in every optional field, written in one chunk,
+    where each value's text is made once for the rows that share its bit pattern, and again one row at a time."""
     t = dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc)
     reports = [PositionReport(1, t, zero, zero, sog, sog, sog, 0, rot)
                for zero in (0.0, -0.0) for sog, rot in ((zero, 0), (None, None))]
@@ -231,7 +196,6 @@ def test_the_memo_keeps_signed_zeros_and_null_apart(small_memo):
     assert {'"lat":0.0', '"lat":-0.0', '"sog":null', '"sog":-0.0'} <= set(",".join(expected).split(","))
     rows = columnar.Validated.of_messages(messages)
     assert list(rows.line_chunks()) == [expected]
-    for _ in range(2):
-        assert [line for k in range(len(rows)) for (line,) in rows[k:k + 1].line_chunks()] == expected
-        assert [jsonl.position_field_texts(*rows.positions[k:k + 1].columns()[:-1])[2] for k in range(len(rows))] \
-            == [["0.0"], ["0.0"], ["-0.0"], ["-0.0"]]
+    assert [line for k in range(len(rows)) for (line,) in rows[k:k + 1].line_chunks()] == expected
+    assert [jsonl.position_field_texts(*rows.positions[k:k + 1].columns()[:-1])[2] for k in range(len(rows))] \
+        == [["0.0"], ["0.0"], ["-0.0"], ["-0.0"]]
