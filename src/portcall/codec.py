@@ -1,4 +1,4 @@
-"""NMEA 0183 AIVDM/AIVDO decoding for class-A AIS traffic.
+"""NMEA 0183 AIVDM/AIVDO decoding and encoding for class-A AIS traffic.
 
 Covers checksum verification, 6-bit payload de-armoring, multi-sentence
 reassembly, and bit-level field extraction for message types 1-3 (position
@@ -23,8 +23,12 @@ a pair that a block boundary splits. What feed gives, positions included,
 stays an outcome.
 
 Each message type's fields are declared once, in _POSITION_LAYOUT and
-_STATIC_LAYOUT. The block reads them as columns (_read_rows); feed reads one
-message's bit buffer (_read_bits).
+_STATIC_LAYOUT, and this module owns both directions of each layout. The
+block reads them as columns (_read_rows); feed reads one message's bit
+buffer (_read_bits). encode_positions and encode_statics write them for a
+batch of messages at once (_write_rows, the inverse of _read_rows), TAG
+blocks and checksums included, as whole lines; synth makes its streams with
+them.
 
 Field offsets follow the standard ITU-R M.1371 layout as documented in the
 public AIVDM/AIVDO protocol notes:
@@ -310,6 +314,18 @@ def _read_rows(six: np.ndarray, plan) -> np.ndarray:
     return fields
 
 
+def _write_rows(fields: np.ndarray, plan, width: int) -> np.ndarray:
+    """The inverse of _read_rows: rows of `width` 6-bit values, one for each row of `fields`, that hold its
+    fields (one column each of a layout planned by _row_plan) modulo 2**field width, and 0 in every other bit."""
+    columns, shifts, masks, _ = plan
+    windows = (fields & masks) << shifts  # each field in the 36 bits from the 6-bit value it starts in
+    six = np.zeros((len(fields), width + 5), dtype=np.int64)
+    for j, column in enumerate(columns.tolist()):
+        for k in range(6):
+            six[:, column + k] |= (windows[:, j] >> (30 - 6 * k)) & 63
+    return six[:, :width]
+
+
 def decode_position(bits: Bits, rx_time: dt.datetime) -> PositionReport:
     """Decode a class-A position report (types 1-3) from a bit buffer.
 
@@ -436,6 +452,92 @@ def decode_static(bits: Bits, rx_time: dt.datetime | None = None) -> StaticRepor
         raise TruncatedBuffer(f"static report needs at least 240 bits, got {bits.nbits}")
     layout = _STATIC_LAYOUT if bits.nbits >= _STATIC_BITS else _STATIC_LAYOUT[:-4]
     return _static_report(rx_time, *_read_bits(bits, layout)[1:])
+
+
+# The encoder writes the fields of _POSITION_LAYOUT and _STATIC_LAYOUT, and besides them a position report's UTC
+# second and a static report's EPFD type, which no decoder reads. Every other bit it leaves 0.
+_POSITION_WRITE = _row_plan(_POSITION_LAYOUT + ((137, 6, False),))  # UTC second
+_STATIC_WRITE = _row_plan(_STATIC_LAYOUT + ((270, 4, False),))  # EPFD type
+_STATIC_CHARS = 71  # the 424 bits of a type 5 report and 2 fill bits
+_ARMOR_BYTES = np.frombuffer(ARMOR_ALPHABET.encode(), dtype=np.uint8)
+_HEX_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+
+
+def encode_positions(table: PositionTable) -> list[str]:
+    """The line of each row of a position table, in order: the inverse of feed_block's position rows.
+
+    Each line is a type 1 report in one sentence on channel A, behind a TAG
+    block whose c: field is the row's receive time in whole seconds (time_us
+    rounded down). The payload holds the row's
+    fields, latitude and longitude rounded to 1/600000 degree and every field
+    modulo 2**width, and the UTC second of the receive time.
+    """
+    seconds = table.time_us // 1_000_000
+    fields = np.stack((np.ones(len(table), dtype=np.int64), table.mmsi, table.navstat, table.rot, table.sog,
+                       np.rint(table.lon * 600000).astype(np.int64), np.rint(table.lat * 600000).astype(np.int64),
+                       table.cog, table.heading, seconds % 60), axis=1)
+    payloads = _ARMOR_BYTES[_write_rows(fields, _POSITION_WRITE, 28)]
+    return _texts(len(table), [*_tag(seconds), b"!", *_checked(b"AIVDM,1,1,,A,", payloads, b",0"), b"\n"])
+
+
+def encode_statics(reports: list[StaticReport], message_ids) -> list[str]:
+    """The two lines of each static report, in order: the inverse of feed_block's type 5 pairs.
+
+    Each report becomes a type 5 message in two sentences on channel A with
+    its one-digit message id (0-9), the first holding 36 payload characters
+    and the second the other 35 and 2 fill bits, each behind a TAG block whose
+    c: field is the report's timestamp in whole seconds. The name is written
+    in upper case, cut or padded with '@' to 20 characters, with '@' for a
+    character 6-bit text cannot hold. Length and width are split evenly
+    between the dimensions to bow and stern and to port and starboard, None
+    as 0. The EPFD type is 1 (GPS).
+    """
+    ids = np.asarray(message_ids, dtype=np.int64)
+    if ((ids < 0) | (ids > 9)).any():
+        raise ValueError("message ids must be single digits")
+    rows = []
+    for r in reports:
+        length, width = r.length or 0, r.width or 0
+        name = [ord(u) & 63 if len(u := c.upper()) == 1 and 32 <= ord(u) <= 95 else 0 for c in r.vessel_name[:20]]
+        rows.append([5, r.mmsi, *name, *[0] * (20 - len(name)), r.ship_type, length // 2, length - length // 2,
+                     width // 2, width - width // 2, 1])
+    fields = np.array(rows, dtype=np.int64).reshape(-1, len(_STATIC_WRITE[0]))
+    seconds = np.array([epoch_us(r.timestamp) for r in reports], dtype=np.int64) // 1_000_000
+    payloads = _ARMOR_BYTES[_write_rows(fields, _STATIC_WRITE, _STATIC_CHARS)]
+    ids = (ids + ord("0")).astype(np.uint8).reshape(-1, 1)
+    tag = _tag(seconds)
+    return _texts(len(reports), [*tag, b"!", *_checked(b"AIVDM,2,1,", ids, b",A,", payloads[:, :36], b",0"), b"\n",
+                                 *tag, b"!", *_checked(b"AIVDM,2,2,", ids, b",A,", payloads[:, 36:], b",2"), b"\n"])
+
+
+def _tag(seconds: np.ndarray) -> list:
+    """The parts (_texts) of a TAG block holding each c: time in whole seconds."""
+    size = np.abs(seconds)
+    powers = 10 ** np.arange(len(str(int(size.max(initial=0)))) - 1, -1, -1, dtype=np.int64)
+    digits = ((size[:, None] // powers) % 10 + ord("0")).astype(np.uint8)
+    digits[:, :-1][size[:, None] < powers[:-1]] = 0  # leading zeros, dropped
+    sign = np.where(seconds < 0, ord("-"), 0).astype(np.uint8).reshape(-1, 1)
+    return [b"\\", *_checked(b"c:", sign, digits), b"\\"]
+
+
+def _checked(*parts) -> list:
+    """The parts (_texts) of an NMEA body followed by '*' and the two hex digits of its XOR checksum."""
+    xor = 0
+    for part in parts:
+        xor = xor ^ (functools.reduce(operator.xor, part, 0) if isinstance(part, bytes)
+                     else np.bitwise_xor.reduce(part, axis=1))
+    return [*parts, b"*", _HEX_DIGITS[np.stack((xor >> 4, xor & 15), axis=1)]]
+
+
+def _texts(n: int, parts: list) -> list[str]:
+    """The lines that n rows of parts side by side hold, each ended by a b"\\n" part.
+
+    A part is bytes, the same in every row, or an array of one row of bytes
+    each, in which 0 bytes are dropped.
+    """
+    rows = np.concatenate([np.broadcast_to(np.frombuffer(p, dtype=np.uint8), (n, len(p))) if isinstance(p, bytes)
+                           else p for p in parts], axis=1).ravel()
+    return rows[rows != 0].tobytes().decode("ascii").split("\n")[:-1]
 
 
 def split_tag_block(line: str) -> tuple[dt.datetime | None, str]:

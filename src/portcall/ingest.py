@@ -311,8 +311,10 @@ def run_live(
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
     time overrides it as in replay. Table rows go to positions_sink and other
-    messages to sink as in run_replay. Reconnects with exponential backoff
-    and full jitter (initial 1 s, capped at 60 s by default). A partial
+    messages to sink as in run_replay. Waits a backoff with full jitter after
+    a failed connect and after every disconnect, doubling from 1 s to a cap
+    of 60 s by default and starting over once a connection delivers a
+    complete line. A partial
     line at disconnect is discarded and counted as an error; completed
     lines are never lost. Connection gaps are returned for outage
     bookkeeping.
@@ -330,39 +332,41 @@ def run_live(
         try:
             sock = socket.create_connection(cfg.endpoint, timeout=5.0)
         except OSError:
-            stop.wait(rng.uniform(0.0, backoff))
-            backoff = min(backoff * 2.0, cfg.reconnect_max_s)
-            continue
-        if disconnected_at is not None:
-            summary.connection_gaps.append((disconnected_at, _utcnow_s()))
-            disconnected_at = None
-        backoff = cfg.reconnect_initial_s
-        sock.settimeout(0.5)
-        buf = b""
-        try:
-            while not stop.is_set():
-                try:
-                    chunk = sock.recv(65536)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                buf += chunk
-                nl = buf.rfind(b"\n")
-                if nl == -1:
-                    continue
-                # no multi-byte character holds a newline byte; lines end at \n, \r\n or \r, as in a replayed file
-                text, buf = buf[:nl].decode("utf-8", errors="replace"), buf[nl + 1 :]
-                lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line]
-                summary.lines += len(lines)
-                deliver.block(dec.feed_block(lines, np.full(len(lines), epoch_us(_utcnow_s()))))
-        finally:
-            sock.close()
-        if buf.strip():
-            summary.errors += 1  # partial line lost at disconnect
-        disconnected_at = _utcnow_s()
+            sock = None
+        if sock is not None:
+            if disconnected_at is not None:
+                summary.connection_gaps.append((disconnected_at, _utcnow_s()))
+            sock.settimeout(0.5)
+            buf = b""
+            try:
+                while not stop.is_set():
+                    try:
+                        chunk = sock.recv(65536)
+                    except socket.timeout:
+                        continue
+                    except OSError:
+                        break
+                    if not chunk:
+                        break
+                    buf += chunk
+                    nl = buf.rfind(b"\n")
+                    if nl == -1:
+                        continue
+                    # no multi-byte character holds a newline byte; lines end at \n, \r\n or \r, as in a replayed file
+                    text, buf = buf[:nl].decode("utf-8", errors="replace"), buf[nl + 1 :]
+                    lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line]
+                    if lines:
+                        backoff = cfg.reconnect_initial_s  # the feed works again
+                    summary.lines += len(lines)
+                    deliver.block(dec.feed_block(lines, np.full(len(lines), epoch_us(_utcnow_s()))))
+            finally:
+                sock.close()
+            if buf.strip():
+                summary.errors += 1  # partial line lost at disconnect
+            disconnected_at = _utcnow_s()
+        # after a failed connect and after every disconnect alike, so a feed that accepts and closes cannot spin
+        stop.wait(rng.uniform(0.0, backoff))
+        backoff = min(backoff * 2.0, cfg.reconnect_max_s)
     for outcome in dec.finish():
         deliver.outcome(outcome)
     return summary

@@ -5,12 +5,16 @@ waypoint, optionally swing at anchor (heading slowly rotating, position
 jittering a few tens of metres), berth at a terminal (heading frozen within
 a couple of degrees), and leave. Reported navigational statuses can be
 corrupted with a configurable per-message probability, and scheduled outages
-drop messages at global, vessel, or area scope.
+drop messages at global or vessel scope.
 
 Every generated sentence carries its receiver timestamp in a NMEA TAG block
 so the stream replays deterministically. The truth log records vessel
 identities, exact phase boundaries, daily arrival counts, and the injected
 outages, which makes it the oracle for the validation and metrics tests.
+
+Synth declares no message layout. Its emitter records the values of each
+message as the generator draws them, and codec, which owns both directions
+of each layout, encodes them a few thousand messages at a time.
 """
 
 import datetime as dt
@@ -18,9 +22,11 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .codec import ANCHORED, ARMOR_ALPHABET, MOORED, STATUS_KINDS, UNDERWAY, nmea_checksum
+import numpy as np
+
+from .codec import (ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, PositionTable, StaticReport, encode_positions,
+                    encode_statics)
 from .geo import AreaFilter, EARTH_RADIUS_M, PortGeometry, Polygon
 from .jsonl import format_ts, parse_ts
 from .metrics import vessel_category
@@ -355,116 +361,6 @@ class TruthLog:
 
 
 # ---------------------------------------------------------------------------
-# AIS encoding (production side; the test suite keeps its own encoder)
-
-
-def _pack(fields: Iterable[tuple[int, int]]) -> str:
-    return "".join(format(value & ((1 << width) - 1), f"0{width}b") for value, width in fields)
-
-
-def _armor(bitstr: str) -> tuple[str, int]:
-    fill = (6 - len(bitstr) % 6) % 6
-    bitstr += "0" * fill
-    payload = "".join(ARMOR_ALPHABET[int(bitstr[i : i + 6], 2)] for i in range(0, len(bitstr), 6))
-    return payload, fill
-
-
-def _sentence(payload: str, fill: int, frag_count: int = 1, frag_index: int = 1, message_id: int | None = None) -> str:
-    mid = "" if message_id is None else str(message_id)
-    body = f"AIVDM,{frag_count},{frag_index},{mid},A,{payload},{fill}"
-    return f"!{body}*{nmea_checksum(body):02X}"
-
-
-def _tagged(line: str, ts: dt.datetime) -> str:
-    tag = f"c:{int(ts.timestamp())}"
-    return f"\\{tag}*{nmea_checksum(tag):02X}\\{line}"
-
-
-def encode_position_line(
-    ts: dt.datetime,
-    mmsi: int,
-    navstat: int,
-    sog_kn: float | None,
-    lat: float,
-    lon: float,
-    cog_deg: float | None,
-    heading_deg: float | None,
-    rot: int | None = 0,
-) -> str:
-    """Build one tag-blocked type 1 position report sentence."""
-    sog_raw = 1023 if sog_kn is None else max(0, min(1022, round(sog_kn * 10)))
-    cog_raw = 3600 if cog_deg is None else round(cog_deg * 10) % 3600
-    hdg_raw = 511 if heading_deg is None else round(heading_deg) % 360
-    rot_raw = -128 if rot is None else max(-126, min(126, rot))
-    bits = _pack(
-        [
-            (1, 6),  # message type
-            (0, 2),  # repeat indicator
-            (mmsi, 30),
-            (navstat, 4),
-            (rot_raw, 8),
-            (sog_raw, 10),
-            (0, 1),  # position accuracy
-            (round(lon * 600000), 28),
-            (round(lat * 600000), 27),
-            (cog_raw, 12),
-            (hdg_raw, 9),
-            (ts.second, 6),
-            (0, 2),  # maneuver indicator
-            (0, 3),  # spare
-            (0, 1),  # RAIM
-            (0, 19),  # radio status
-        ]
-    )
-    payload, fill = _armor(bits)
-    return _tagged(_sentence(payload, fill), ts)
-
-
-def _sixbit_value(ch: str) -> int:
-    o = ord(ch.upper())
-    if 64 <= o <= 95:
-        return o - 64
-    if 32 <= o <= 63:
-        return o
-    return 0  # unrepresentable characters become '@' padding
-
-
-def encode_static_lines(ts: dt.datetime, mmsi: int, name: str, ship_type: int, message_id: int) -> list[str]:
-    """Build a two-sentence type 5 static report (name, ship type, dims)."""
-    name_bits = []
-    padded = (name[:20] + "@" * 20)[:20]
-    for ch in padded:
-        name_bits.append((_sixbit_value(ch), 6))
-    bits = _pack(
-        [
-            (5, 6),  # message type
-            (0, 2),
-            (mmsi, 30),
-            (0, 2),  # AIS version
-            (0, 30),  # IMO
-            *[(_sixbit_value(ch), 6) for ch in ("@" * 7)],  # call sign
-            *name_bits,
-            (ship_type, 8),
-            (60, 9),  # to bow
-            (60, 9),  # to stern
-            (10, 6),  # to port
-            (10, 6),  # to starboard
-            (1, 4),  # EPFD
-            (0, 20),  # ETA
-            (0, 8),  # draught
-            *[(_sixbit_value(ch), 6) for ch in ("@" * 20)],  # destination
-            (0, 1),  # DTE
-            (0, 1),  # spare
-        ]
-    )
-    payload, fill = _armor(bits)
-    split = 36
-    first = _sentence(payload[:split], 0, frag_count=2, frag_index=1, message_id=message_id)
-    second = _sentence(payload[split:], fill, frag_count=2, frag_index=2, message_id=message_id)
-    return [_tagged(first, ts), _tagged(second, ts)]
-
-
-# ---------------------------------------------------------------------------
 # track generation
 
 
@@ -479,14 +375,26 @@ def _lerp(a: tuple[float, float], b: tuple[float, float], f: float) -> tuple[flo
     return (a[0] + (b[0] - a[0]) * f, a[1] + (b[1] - a[1]) * f)
 
 
+# positions encoded together; a chunk's columns and texts stay a few hundred kB
+_CHUNK = 4096
+
+
 class _Emitter:
-    """Collects (epoch, sequence, line) triples and applies outage drops."""
+    """Collects the lines in chunks, each with its (epoch, sequence) sort key, and applies outage drops.
+
+    Positions and statics are recorded as the generator makes them and
+    encoded by codec a chunk at a time, so no per-line text is built in Python.
+    """
 
     def __init__(self, scenario: Scenario, rng: random.Random):
         self.scenario = scenario
         self.rng = rng
-        self.events: list[tuple[int, int, str]] = []
         self._seq = 0
+        # (epoch, sequence, mmsi, reported status, sog, lat, lon, cog, heading) of each position not yet encoded
+        self._positions: list[tuple] = []
+        self._statics: list[tuple[int, StaticReport]] = []  # (sequence, report) of each static not yet encoded
+        self._lines: list[str] = []
+        self._keys: list[tuple[np.ndarray, np.ndarray]] = []  # (epochs, sequences) of each encoded run of _lines
 
     def _dropped(self, ts: dt.datetime, mmsi: int) -> bool:
         for o in self.scenario.outages:
@@ -505,17 +413,44 @@ class _Emitter:
             reported = self.rng.choice(others)
         if self._dropped(ts, vessel.mmsi):
             return
-        line = encode_position_line(ts, vessel.mmsi, reported, sog, lat, lon, cog, heading)
-        self.events.append((int(ts.timestamp()), self._seq, line))
+        self._positions.append((int(ts.timestamp()), self._seq, vessel.mmsi, reported, sog, lat, lon, cog, heading))
         self._seq += 1
+        if len(self._positions) == _CHUNK:
+            self._encode()
 
     def static(self, ts: dt.datetime, vessel: VesselPlan):
         if self._dropped(ts, vessel.mmsi):
             return
-        message_id = vessel.mmsi % 10
-        for line in encode_static_lines(ts, vessel.mmsi, vessel.name, vessel.ship_type, message_id):
-            self.events.append((int(ts.timestamp()), self._seq, line))
-            self._seq += 1
+        report = StaticReport(vessel.mmsi, vessel.name, vessel.ship_type, length=120, width=20, timestamp=ts)
+        self._statics.append((self._seq, report))
+        self._seq += 2
+
+    def _encode(self) -> None:
+        """Encode the positions and statics recorded since the last call."""
+        if self._positions:
+            epoch, seq, mmsi, status, sog, lat, lon, cog, heading = map(np.array, zip(*self._positions))
+            self._positions = []
+            # SOG in 1/10 kn below the 1023 "not available", COG in 1/10 degree, heading in whole degrees
+            table = PositionTable(epoch * 1_000_000, mmsi, status, np.zeros_like(mmsi),
+                                  np.clip(np.rint(sog * 10), 0, 1022).astype(np.int64), lon, lat,
+                                  np.rint(cog * 10).astype(np.int64) % 3600, np.rint(heading).astype(np.int64) % 360)
+            self._lines += encode_positions(table)
+            self._keys.append((epoch, seq))
+        if self._statics:
+            seq, reports = zip(*self._statics)
+            self._statics = []
+            self._lines += encode_statics(list(reports), [r.mmsi % 10 for r in reports])
+            # both lines of a static carry its time, and the sequence numbers seq and seq + 1
+            epoch = np.repeat([int(r.timestamp.timestamp()) for r in reports], 2)
+            self._keys.append((epoch, np.repeat(seq, 2) + np.tile([0, 1], len(seq))))
+
+    def lines(self) -> list[str]:
+        """Every line recorded, ordered by time and then by the order they were made in."""
+        self._encode()
+        if not self._keys:
+            return []
+        epochs, seqs = (np.concatenate(column) for column in zip(*self._keys))
+        return [self._lines[i] for i in np.lexsort((seqs, epochs)).tolist()]
 
 
 def _random_point_in_box(rng: random.Random, box, margin: float = 0.8) -> tuple[float, float]:
@@ -623,9 +558,8 @@ def generate(scenario: Scenario) -> tuple[list[str], TruthLog]:
         }
         for visit in vessel.visits:
             _generate_visit(emitter, truth, layout, vessel, visit, rng)
-    emitter.events.sort(key=lambda e: (e[0], e[1]))
     truth.phases.sort(key=lambda p: (p.mmsi, p.start))
-    return [line for _, _, line in emitter.events], truth
+    return emitter.lines(), truth
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def sixbit_char(ch: str) -> int:
     raise ValueError(f"{ch!r} not representable in 6-bit ASCII")
 
 
-def static_bits(*, mmsi, name, ship_type, to_bow=0, to_stern=0, to_port=0, to_starboard=0) -> str:
+def static_bits(*, mmsi, name, ship_type, to_bow=0, to_stern=0, to_port=0, to_starboard=0, epfd=0) -> str:
     padded = (name + "@" * 20)[:20]
     fields = [(5, 6), (0, 2), (mmsi, 30), (0, 2), (0, 30)]
     fields += [(sixbit_char("@"), 6)] * 7  # call sign
@@ -113,7 +113,7 @@ def static_bits(*, mmsi, name, ship_type, to_bow=0, to_stern=0, to_port=0, to_st
         (to_stern, 9),
         (to_port, 6),
         (to_starboard, 6),
-        (0, 4),
+        (epfd, 4),
         (0, 20),
         (0, 8),
     ]
@@ -122,12 +122,13 @@ def static_bits(*, mmsi, name, ship_type, to_bow=0, to_stern=0, to_port=0, to_st
     return pack_bits(fields)
 
 
-def static_sentences(message_id=1, **kwargs) -> list[str]:
+def static_sentences(message_id=1, first_chars=None, **kwargs) -> list[str]:
+    """Two fragments; the first holds `first_chars` payload characters, half of them by default."""
     payload, fill = bits_to_payload(static_bits(**kwargs))
-    half = len(payload) // 2
+    cut = len(payload) // 2 if first_chars is None else first_chars
     return [
-        sentence(payload[:half], 0, frag_count=2, frag_index=1, message_id=message_id),
-        sentence(payload[half:], fill, frag_count=2, frag_index=2, message_id=message_id),
+        sentence(payload[:cut], 0, frag_count=2, frag_index=1, message_id=message_id),
+        sentence(payload[cut:], fill, frag_count=2, frag_index=2, message_id=message_id),
     ]
 
 

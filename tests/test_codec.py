@@ -1,12 +1,13 @@
 import datetime as dt
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_fed, expanded
+from conftest import as_fed, expanded, table_reports
 from portcall import codec
 
 UTC = dt.timezone.utc
@@ -414,6 +415,75 @@ def test_feed_and_feed_block_decode_alike(bits, cut, fill):
     block = codec.MessageDecoder()
     assert expanded(block.feed_block(lines, [codec.epoch_us(RX)] * len(lines))) == as_fed(expected)
     assert expected[-1].kind in ("position", "static", "error")
+
+
+# --- the encoder ---------------------------------------------------------------
+
+# TAG times in whole seconds: 9 and 10 digits, and a few shorter or before 1970
+tag_seconds = (st.sampled_from((0, 7, -1, -10**9, 10**8, 10**9 - 1, 10**9, 10**10 - 1))
+               | st.integers(10**8, 10**10 - 1))
+# (TAG time, then the fields of _POSITION_LAYOUT after the type, as sent), latitude and longitude on the globe
+position_rows = st.tuples(tag_seconds, _field(30), _field(4), _field(8, True, -128), _field(10, False, 1023),
+                          st.integers(-108000000, 108000000), st.integers(-54000000, 54000000),
+                          _field(12, False, 3600), _field(9, False, 511))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(position_rows, max_size=30))
+def test_encoded_positions_decode_to_their_table(rows):
+    """encode_positions is the inverse of the block's position rows and of feed, and writes the oracle's lines."""
+    seconds, mmsi, navstat, rot, sog, lon, lat, cog, heading = np.array(rows, dtype=np.int64).reshape(-1, 9).T
+    table = codec.PositionTable(seconds * 1_000_000, mmsi, navstat, rot, sog, lon / 600000.0, lat / 600000.0, cog,
+                                heading)
+    lines = codec.encode_positions(table)
+    assert lines == [oracles.tag_block(oracles.position_sentence(
+        mmsi=row[1], navstat=row[2], rot_raw=row[3], sog_raw=row[4], lon_raw=row[5], lat_raw=row[6], cog_raw=row[7],
+        heading_raw=row[8], second=row[0] % 60), row[0]) for row in rows]
+    block = codec.MessageDecoder().feed_block(lines, np.zeros(len(lines), dtype=np.int64))
+    assert block.outcomes == []
+    assert [column.tolist() for column in block.positions.columns()] == [c.tolist() for c in table.columns()]
+    fed = codec.MessageDecoder()
+    assert [o.message for line in lines for o in fed.feed(line, RX)] == table_reports(table)
+
+
+def written_name(name: str) -> str:
+    """A vessel name as a type 5 report carries it and the decoder reads it back: upper case, at most 20
+    characters, '@' for a character 6-bit text cannot hold, trailing '@' and spaces dropped."""
+    return "".join(u if len(u := c.upper()) == 1 and " " <= u <= "_" else "@" for c in name[:20]).rstrip("@ ")
+
+
+static_rows = st.tuples(tag_seconds, st.integers(0, 9), _field(30), st.text(max_size=24), st.integers(0, 99),
+                        st.none() | st.integers(0, 1022), st.none() | st.integers(0, 126))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(static_rows, max_size=12))
+def test_encoded_statics_decode_to_their_reports(rows):
+    """encode_statics is the inverse of the block's type 5 pairs and of feed."""
+    reports = [codec.StaticReport(mmsi, name, ship_type, length, width, codec.from_epoch_us(seconds * 1_000_000))
+               for seconds, _, mmsi, name, ship_type, length, width in rows]
+    lines = codec.encode_statics(reports, [row[1] for row in rows])
+    want = [codec.StaticReport(r.mmsi, written_name(r.vessel_name), r.ship_type, r.length or None, r.width or None,
+                               r.timestamp) for r in reports]
+    block = codec.MessageDecoder().feed_block(lines, np.zeros(len(lines), dtype=np.int64))
+    assert [o.kind for o in block.outcomes] == ["buffered", "static"] * len(rows)
+    assert [o.message for o in block.outcomes if o.kind == "static"] == want
+    fed = codec.MessageDecoder()
+    assert [o.message for line in lines for o in fed.feed(line, RX) if o.kind == "static"] == want
+
+
+def test_encoded_statics_are_the_oracles():
+    report = codec.StaticReport(219000001, "Testbed 1", 70, 120, 20, RX)
+    assert codec.encode_statics([report], [3]) == [
+        oracles.tag_block(sentence, int(RX.timestamp())) for sentence in oracles.static_sentences(
+            message_id=3, first_chars=36, mmsi=219000001, name="TESTBED 1", ship_type=70, to_bow=60, to_stern=60,
+            to_port=10, to_starboard=10, epfd=1)]
+
+
+def test_static_encoder_takes_only_one_digit_message_ids():
+    report = codec.StaticReport(1, "X", 70, None, None, RX)
+    with pytest.raises(ValueError):
+        codec.encode_statics([report], [10])
 
 
 # --- the block path ------------------------------------------------------------

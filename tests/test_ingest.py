@@ -5,6 +5,7 @@ import random
 import socket
 import socketserver
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -286,6 +287,45 @@ class TestLive:
             server.shutdown()
             server.server_close()
             thread.join()
+
+    def test_feed_that_accepts_and_closes_is_retried_on_the_backoff_schedule(self):
+        """Every disconnect waits its full-jitter draw, and a connection that delivers no line keeps the backoff
+        doubling, so connections in a window are bounded by the schedule, not by how fast loopback accepts."""
+        accepted = []
+
+        class Handler(socketserver.BaseRequestHandler):
+            def handle(self):
+                accepted.append(time.monotonic())  # then return, which closes the connection
+
+        server = _LineServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address, reconnect_initial_s=0.01,
+                                  reconnect_max_s=0.08)
+        stop = threading.Event()
+        timer = threading.Timer(0.5, stop.set)
+        try:
+            start = time.monotonic()
+            timer.start()
+            summary = ingest.run_live(cfg, lambda msg: None, stop, positions_sink=lambda table, lines: None,
+                                      rng=random.Random(4))
+            elapsed = time.monotonic() - start
+        finally:
+            timer.cancel()
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        # connection k + 1 comes after k waits, drawn from the same seeded schedule
+        schedule, backoff, waited, bound = random.Random(4), cfg.reconnect_initial_s, 0.0, 1
+        while True:
+            waited += schedule.uniform(0.0, backoff)
+            backoff = min(backoff * 2.0, cfg.reconnect_max_s)
+            if waited > elapsed:
+                break
+            bound += 1
+        assert bound < 30  # a spin makes thousands in the same window
+        assert 2 <= len(accepted) <= bound
+        assert len(summary.connection_gaps) <= bound - 1
 
     def test_live_delivers_what_replay_delivers(self, tmp_path, nmea_fixture):
         """The same bytes served in small chunks reach the sinks as replaying them from a file does."""

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import json
+import random
 
 import pytest
 
@@ -114,6 +115,58 @@ class TestGenerate:
                 assert oracles.resultant_length(headings) > 0.99
             elif p.kind == "anchored":
                 assert oracles.resultant_length(headings) < 0.98
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("chunk", [4096, 97])
+    def test_lines_are_the_oracle_encoders(self, monkeypatch, chunk):
+        """Every line generate writes is what the independent encoder makes of the fields the emitter was handed,
+        in (time, emission) order, wherever the emitter's chunks end."""
+        monkeypatch.setattr(synth, "_CHUNK", chunk)
+        start = dt.datetime(2019, 9, 1, tzinfo=UTC)
+        outages = (synth.OutagePlan("global", start + dt.timedelta(hours=20), start + dt.timedelta(hours=21)),
+                   synth.OutagePlan("vessel", start + dt.timedelta(hours=6), start + dt.timedelta(hours=30),
+                                    mmsi=219000002))
+        scenario = synth.mixed_port_scenario(n_vessels=5, days=3, error_p=0.3, seed=11, outages=outages)
+        made = []  # (epoch, line) of each line, in the order the emitter was handed them
+        dropped = []
+        position, static = synth._Emitter.position, synth._Emitter.static
+
+        def kept(ts, mmsi) -> bool:
+            if any(o.start <= ts < o.end and (o.scope == "global" or o.mmsi == mmsi) for o in outages):
+                dropped.append(ts)
+                return False
+            return True
+
+        def record_position(emitter, ts, vessel, true_status, sog, lat, lon, cog, heading):
+            rng = random.Random()
+            rng.setstate(emitter.rng.getstate())  # the draws the emitter is about to make
+            reported = true_status
+            if rng.random() < scenario.error_p:
+                reported = rng.choice([s for s in (0, 1, 5) if s != true_status])
+            if kept(ts, vessel.mmsi):
+                sentence = oracles.position_sentence(
+                    mmsi=vessel.mmsi, navstat=reported, rot_raw=0, sog_raw=max(0, min(1022, round(sog * 10))),
+                    lon_raw=round(lon * 600000), lat_raw=round(lat * 600000), cog_raw=round(cog * 10) % 3600,
+                    heading_raw=round(heading) % 360, second=ts.second)
+                made.append((int(ts.timestamp()), oracles.tag_block(sentence, int(ts.timestamp()))))
+            position(emitter, ts, vessel, true_status, sog, lat, lon, cog, heading)
+
+        def record_static(emitter, ts, vessel):
+            if kept(ts, vessel.mmsi):
+                made.extend((int(ts.timestamp()), oracles.tag_block(sentence, int(ts.timestamp())))
+                            for sentence in oracles.static_sentences(
+                                message_id=vessel.mmsi % 10, first_chars=36, mmsi=vessel.mmsi, name=vessel.name,
+                                ship_type=vessel.ship_type, to_bow=60, to_stern=60, to_port=10, to_starboard=10,
+                                epfd=1))
+            static(emitter, ts, vessel)
+
+        monkeypatch.setattr(synth._Emitter, "position", record_position)
+        monkeypatch.setattr(synth._Emitter, "static", record_static)
+        lines, _ = synth.generate(scenario)
+        assert sum(line.count(",1,1,") for line in lines) > 4096  # positions enough to cross a default chunk
+        assert len(dropped) > 100
+        assert lines == [line for _, line in sorted(made, key=lambda m: m[0])]  # a stable sort keeps emission order
 
 
 class TestOutageInjection:
