@@ -11,11 +11,11 @@ outages it found and each message's gap flag; `voyages` reads only the
 validated messages and flags a voyage from their gap flags.
 
 Positions go from decode to voyages as columns: `decode_stage` returns one
-`columnar.Positions`, `validate_stage` one `columnar.Validated`, and no
-stage builds an object per decoded row. The staged `validate` and
-`voyages` commands load their rows as objects, _ROWS_PER_PART at a time,
-and convert each part into the same columns (`Positions.of_reports`,
-`Validated.of_messages`).
+`codec.Positions`, the column set that the decoder gives, and
+`validate_stage` one `columnar.Validated`; no stage builds an object per
+decoded row. The staged `validate` and `voyages` commands load their rows
+as objects, _ROWS_PER_PART at a time, and convert each part into the same
+columns (`Positions.of_reports`, `Validated.of_messages`).
 
 Exit codes: 0 success, 1 data-quality threshold exceeded, 2 usage or I/O
 error.
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__, columnar, jsonl, validate, voyage
-from .codec import STATUS_KINDS, PositionReport, PositionTable
+from .codec import STATUS_KINDS, PositionReport, Positions
 from .geo import AreaFilter, InvalidPolygon, PortGeometry, load_port_geometry
 from .ingest import MessageStore, RawTimeOutOfRange, SourceConfig, run_live, run_replay
 from .jsonl import format_ts, message_from_dict, message_to_dict, parse_ts
@@ -131,6 +131,8 @@ def _load_validation(config_path, method, port_path) -> tuple[validate.Validatio
 
 
 def _area_filter(area, center, radius_m: float) -> AreaFilter | None:
+    if not (math.isfinite(radius_m) and radius_m > 0):
+        raise UsageError(f"bad --radius-m {radius_m!r}: not a finite number of metres > 0")
     try:
         if area:
             return AreaFilter.from_geojson(area)
@@ -200,7 +202,7 @@ _ROWS_PER_PART = 4096
 # decode
 
 
-# table slices that decode_stage joins into one part of its positions, so that it holds few slice objects
+# slices that decode_stage joins into one part of its positions, so that it holds few slice objects
 _SLICES_PER_PART = 256
 
 
@@ -208,32 +210,31 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
                  raw_cadence_s: float, max_error_rate: float | None, *, digests: dict[pathlib.Path, str]):
     """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
 
-    The decoder's position table slices are written to `out` with the
-    documents the block writer made for their rows; positions the line
+    The decoder's column set slices are written to `out` with the
+    documents the column writer made for their rows; positions the line
     parser decoded, stored JSONL positions and statics are written one by
-    one. Returns the positions as one `columnar.Positions` column set in
-    the order they came, the ship type of every MMSI that sent static data,
-    and the exit status of the error-rate check. The table slices are
-    joined _SLICES_PER_PART at a time, each run of positions that came as
-    reports is converted once, and the parts are concatenated after the
-    last line; no text of a table row is kept, as the columns give it back.
-    Timestamps are cut to the whole seconds the JSONL holds, so later
-    stages see the values a staged run reads back from the file.
+    one. Returns the positions as one `codec.Positions` column set in the
+    order they came, the ship type of every MMSI that sent static data, and
+    the exit status of the error-rate check. The slices are joined
+    _SLICES_PER_PART at a time, each run of positions that came as reports
+    is converted once, and the parts are concatenated after the last line;
+    no text of a row is kept, as the columns give it back. Times are cut to
+    the whole seconds the JSONL holds, so later stages see the values a
+    staged run reads back from the file.
     """
-    parts: list[columnar.Positions] = []  # the positions so far, in order, a run of rows of one kind each
-    tables: list[PositionTable] = []  # table slices not yet in parts
+    parts: list[Positions] = []  # the positions so far, in order, a run of rows of one kind each
+    slices: list[Positions] = []  # slices not yet in parts
     reports: list[PositionReport] = []  # positions that came as reports, not yet in parts
     ship_types: dict[int, int] = {}
 
-    def flush_tables():
-        if tables:
-            time_us, *rest = map(np.concatenate, zip(*(table.columns() for table in tables)))
-            parts.append(columnar.Positions.of_table(PositionTable(time_us - time_us % 1_000_000, *rest)))
-            tables.clear()
+    def flush_slices():
+        if slices:
+            parts.append(Positions.concat(slices))
+            slices.clear()
 
     def flush_reports():
         if reports:
-            parts.append(columnar.Positions.of_reports(reports))
+            parts.append(Positions.of_reports(reports))
             reports.clear()
 
     with open(out, "w", encoding="utf-8", newline="\n") as fo, open(
@@ -243,22 +244,20 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
         def keep(msg):
             if isinstance(msg, PositionReport):
                 fo.write(jsonl.position_line(msg))
-                if msg.timestamp.microsecond:
-                    msg.timestamp = msg.timestamp.replace(microsecond=0)
-                flush_tables()
+                flush_slices()
                 reports.append(msg)
             else:
                 fo.write(jsonl.dumps(message_to_dict(msg)))
                 ship_types[msg.mmsi] = msg.ship_type
             fo.write("\n")
 
-        def keep_positions(table, lines):
+        def keep_positions(rows, lines):
             fo.write("\n".join(lines))
             fo.write("\n")
             flush_reports()
-            tables.append(table)
-            if len(tables) == _SLICES_PER_PART:
-                flush_tables()
+            slices.append(rows)
+            if len(slices) == _SLICES_PER_PART:
+                flush_slices()
 
         def reject(outcome):
             fe.write(jsonl.dumps({"error": outcome.error, "detail": outcome.detail, "raw": outcome.raw}))
@@ -269,9 +268,10 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
                                  error_sink=reject, raw_start=raw_start, raw_cadence_s=raw_cadence_s)
         except RawTimeOutOfRange as exc:
             raise UsageError(f"bad --raw-cadence-s {raw_cadence_s!r}: {exc}") from None
-    flush_tables()
+    flush_slices()
     flush_reports()
-    positions = columnar.Positions.concat(parts)
+    positions = Positions.concat(parts)
+    positions.time_us = positions.time_us - positions.time_us % 1_000_000
     print(
         f"decoded {len(positions)} positions, {summary.messages - len(positions)} statics, "
         f"{summary.errors} errors, {summary.skipped} skipped from {summary.lines} lines"
@@ -347,7 +347,7 @@ def validated_from_dict(doc: dict) -> columnar.ValidatedMessage:
     )
 
 
-def validate_stage(positions: columnar.Positions, port: PortGeometry | None, cfg: validate.ValidationConfig,
+def validate_stage(positions: Positions, port: PortGeometry | None, cfg: validate.ValidationConfig,
                    out: pathlib.Path, outages_out: pathlib.Path, *, source: pathlib.Path, port_path: str | None,
                    config_path: str | None, min_agreement: float | None, digests: dict[pathlib.Path, str]):
     """Correct the statuses, detect outages and flag the gaps they silenced.
@@ -385,8 +385,8 @@ def cmd_validate(args) -> int:
     cfg, port = _load_validation(args.config, args.method, args.port)
     out = pathlib.Path(args.output)
     outages_out = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
-    positions = columnar.Positions.concat(
-        [columnar.Positions.of_reports(part)
+    positions = Positions.concat(
+        [Positions.of_reports(part)
          for part in _load_parts(source, "position message", message_from_dict, "position", _ROWS_PER_PART)])
     _, status = validate_stage(positions, port, cfg, out, outages_out, source=source,
                                port_path=args.port, config_path=args.config, min_agreement=args.min_agreement,
@@ -646,41 +646,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"portcall {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decode", help="NMEA lines to typed JSONL messages")
+    # the flags of each stage that `run` takes as well, declared once in a parent parser
+    decoding = argparse.ArgumentParser(add_help=False)
+    decoding.add_argument("--raw-start", default="2000-01-01T00:00:00Z", help="rx time of untagged line 0")
+    decoding.add_argument("--raw-cadence-s", type=float, default=1.0, help="rx spacing for untagged lines")
+    decoding.add_argument("--max-error-rate", type=float, default=None)
+    port = argparse.ArgumentParser(add_help=False)
+    port.add_argument("--port", help="GeoJSON with anchorage/terminal polygons")
+    validation = argparse.ArgumentParser(add_help=False)
+    validation.add_argument("--config", help="key = value config file")
+    validation.add_argument("--method", choices=validate.METHODS)
+    area = argparse.ArgumentParser(add_help=False)
+    area.add_argument("--area", help="GeoJSON polygon bounding the port area")
+    area.add_argument("--center", help="lat,lon of a circular port area")
+    area.add_argument("--radius-m", type=float, default=10000.0)
+    reports = argparse.ArgumentParser(add_help=False)
+    reports.add_argument("--ground-truth", help="CSV of port call records")
+    reports.add_argument("--exclude-dates", help="comma-separated ISO dates to skip in MAE")
+    reports.add_argument("--vessel", type=int, help="emit a per-vessel schedule table")
+
+    p = sub.add_parser("decode", parents=[decoding], help="NMEA lines to typed JSONL messages")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--errors", help="error-channel JSONL (default: <output>.errors.jsonl)")
-    p.add_argument("--raw-start", default="2000-01-01T00:00:00Z", help="rx time of untagged line 0")
-    p.add_argument("--raw-cadence-s", type=float, default=1.0, help="rx spacing for untagged lines")
-    p.add_argument("--max-error-rate", type=float, default=None)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("validate", help="correct navigational statuses")
+    p = sub.add_parser("validate", parents=[port, validation], help="correct navigational statuses")
     p.add_argument("--input", required=True, help="decoded JSONL")
     p.add_argument("--output", required=True)
     p.add_argument("--outages-output", default=None)
-    p.add_argument("--port", help="GeoJSON with anchorage/terminal polygons")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--method", choices=validate.METHODS)
     p.add_argument("--min-agreement", type=float, default=None)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("voyages", help="group validated messages into voyages, flagged by their gap flags")
+    p = sub.add_parser("voyages", parents=[area],
+                       help="group validated messages into voyages, flagged by their gap flags")
     p.add_argument("--input", required=True, help="validated JSONL")
     p.add_argument("--output", required=True)
-    p.add_argument("--area", help="GeoJSON polygon bounding the port area")
-    p.add_argument("--center", help="lat,lon of a circular port area")
-    p.add_argument("--radius-m", type=float, default=10000.0)
     p.set_defaults(func=cmd_voyages)
 
-    p = sub.add_parser("metrics", help="turnaround/wait/arrival reports")
+    p = sub.add_parser("metrics", parents=[port, reports], help="turnaround/wait/arrival reports")
     p.add_argument("--voyages", required=True)
     p.add_argument("--output-dir", required=True)
     p.add_argument("--static", help="decoded JSONL supplying ship types")
-    p.add_argument("--ground-truth", help="CSV of port call records")
-    p.add_argument("--exclude-dates", help="comma-separated ISO dates to skip in MAE")
-    p.add_argument("--vessel", type=int, help="emit a per-vessel schedule table")
-    p.add_argument("--port", help="GeoJSON for terminal attribution")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario")
@@ -701,21 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay-speed", type=float, default=0.0)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("run", help="decode + validate + voyages + metrics in one go")
+    p = sub.add_parser("run", parents=[decoding, port, validation, area, reports],
+                       help="decode + validate + voyages + metrics in one go")
     p.add_argument("--input", required=True, help="NMEA file")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--port", help="GeoJSON with anchorage/terminal polygons")
-    p.add_argument("--config")
-    p.add_argument("--method", choices=validate.METHODS)
-    p.add_argument("--area")
-    p.add_argument("--center")
-    p.add_argument("--radius-m", type=float, default=10000.0)
-    p.add_argument("--ground-truth")
-    p.add_argument("--exclude-dates")
-    p.add_argument("--vessel", type=int)
-    p.add_argument("--raw-start", default="2000-01-01T00:00:00Z")
-    p.add_argument("--raw-cadence-s", type=float, default=1.0)
-    p.add_argument("--max-error-rate", type=float, default=None)
     p.set_defaults(func=cmd_run)
 
     return parser

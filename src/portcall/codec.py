@@ -12,15 +12,18 @@ block of lines at once with numpy: single-sentence position reports, and
 two-sentence type 5 reports whose fragments sit on adjacent lines.
 Checksums are an XOR reduction, payloads are de-armored through a lookup
 table, fields are read as integer columns and TAG times as one integer
-column. The positions this pass decodes leave as one PositionTable of
-columns, with receive times in integer microseconds since the epoch, and
-no object is built per position (columnar.Positions carries them on as
-columns, and builds a PositionReport of a row only when asked). Every
-other line goes in its place to
-MessageDecoder.feed, the general parser of one line, so a block gives what
-feeding its lines one by one would: malformed, orphaned and rare lines, and
-a pair that a block boundary splits. What feed gives, positions included,
-stays an outcome.
+column. The positions this pass decodes leave as one Positions column
+set, and no object is built per position. Every other line goes in its
+place to MessageDecoder.feed, the general parser of one line, so a block
+gives what feeding its lines one by one would: malformed, orphaned and rare
+lines, and a pair that a block boundary splits. What feed gives, positions
+included, stays an outcome.
+
+Positions is the one column set of decoded positions that every stage
+carries: receive times in integer microseconds since the epoch, MMSI and
+status as integers, and every other field as the float64 value it reads
+as, NaN for "not available" (_field_values maps the raw fields). Its row
+type is PositionReport, which a row gives only when asked.
 
 Each message type's fields are declared once, in _POSITION_LAYOUT and
 _STATIC_LAYOUT, and this module owns both directions of each layout. The
@@ -48,9 +51,11 @@ public AIVDM/AIVDO protocol notes:
 
 import datetime as dt
 import functools
+import math
 import operator
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -344,7 +349,7 @@ def decode_position(bits: Bits, rx_time: dt.datetime) -> PositionReport:
     lon, lat = lon / 600000.0, lat / 600000.0
     if not _in_range(lat, lon):
         raise OutOfRangePosition(f"lat={lat:.5f} lon={lon:.5f}")
-    return _position_report(rx_time, mmsi, navstat, rot, sog, lon, lat, cog, heading)
+    return _report(rx_time, mmsi, navstat, lat, lon, *map(float, _field_values(sog, cog, heading, rot)))
 
 
 def _in_range(lat, lon):
@@ -352,68 +357,109 @@ def _in_range(lat, lon):
     return (abs(lat) <= 90.0) & (abs(lon) <= 180.0)
 
 
-# What each raw field of a position report reads as, by raw value: SOG in 1/10 kn, COG in 1/10 degree
-# (indexed by min(raw, 3600)), heading in degrees and rate of turn (indexed by raw + 128). None is the
-# "not available" sentinel: SOG 1023, COG 3600 and up, heading 360 and up, rate of turn -128.
-SOG_VALUES = tuple(v / 10.0 for v in range(1023)) + (None,)
-COG_VALUES = tuple(v / 10.0 for v in range(3600)) + (None,)
-HEADING_VALUES = tuple(float(v) for v in range(360)) + (None,) * 152
-ROT_VALUES = (None,) + tuple(range(-127, 128))
+# What the SOG, COG, heading and rate of turn fields read as, by raw value: SOG and COG in tenths, heading in
+# degrees, rate of turn as sent, and NaN for "not available": SOG 1023, COG 3600 and up (indexed by
+# min(raw, 3600)), heading 360 and up, rate of turn -128 (indexed by raw + 128).
+_SOG = np.append(np.arange(1023) / 10.0, np.nan)
+_COG = np.append(np.arange(3600) / 10.0, np.nan)
+_HEADING = np.append(np.arange(360.0), np.full(152, np.nan))
+_ROT = np.append(np.nan, np.arange(-127.0, 128.0))
 
 
-def _position_report(rx_time, mmsi, navstat, rot_raw, sog_raw, lon, lat, cog_raw, hdg_raw) -> PositionReport:
-    """A position report from the fields of _POSITION_LAYOUT after the type, longitude and latitude in
-    degrees, with the "not available" sentinels read as None."""
-    return PositionReport(  # positional: field order as declared
-        mmsi,
-        rx_time,
-        lat,
-        lon,
-        SOG_VALUES[sog_raw],
-        COG_VALUES[min(cog_raw, 3600)],
-        HEADING_VALUES[hdg_raw],
-        navstat,
-        ROT_VALUES[rot_raw + 128],
-    )
+def _field_values(sog, cog, heading, rot) -> tuple:
+    """SOG, COG, heading and rate of turn as float64, NaN where not available, from their raw values (ints or
+    int64 columns)."""
+    return _SOG[sog], _COG[np.minimum(cog, 3600)], _HEADING[heading], _ROT[rot + 128]
 
 
-@dataclass(slots=True, eq=False)
-class PositionTable:
-    """Decoded position reports as columns, one row per report, in order.
+def _optional(value: float):
+    return None if value != value else value
 
-    time_us is the receive time in microseconds since 1970-01-01 UTC and
-    lat/lon are float64 degrees. The other columns are the int64 fields of
-    _POSITION_LAYOUT as sent: SOG, COG, heading and rate of turn hold their
-    raw values, "not available" sentinels included (SOG_VALUES and its
-    siblings say what each reads as).
+
+def _report(timestamp: dt.datetime, mmsi: int, navstat: int, lat: float, lon: float, sog: float, cog: float,
+            heading: float, rot: float) -> PositionReport:
+    """The PositionReport of one row's values as Python numbers, NaN for None."""
+    return PositionReport(mmsi, timestamp, lat, lon, _optional(sog), _optional(cog), _optional(heading), navstat,
+                          None if rot != rot else int(rot))
+
+
+# rows that a column set turns into Python objects at a time, when it is iterated or written
+CHUNK_ROWS = 4096
+
+
+@dataclass(eq=False)
+class Positions:
+    """Position reports as columns, one row per report, in order: the form in which a run carries them.
+
+    time_us holds the receive time in int64 microseconds since 1970-01-01
+    UTC, mmsi and navstat int64; lat, lon, sog, cog, heading and rot hold
+    float64 values, NaN where the report has None. feed_block gives the
+    positions it decodes as one column set, validate and voyages read the
+    columns, and jsonl writes each row's stored document from them. An int
+    index gives the row's PositionReport; a slice, mask or index array gives
+    the column set of those rows.
     """
 
     time_us: np.ndarray
     mmsi: np.ndarray
     navstat: np.ndarray
-    rot: np.ndarray
-    sog: np.ndarray
-    lon: np.ndarray
     lat: np.ndarray
+    lon: np.ndarray
+    sog: np.ndarray
     cog: np.ndarray
     heading: np.ndarray
+    rot: np.ndarray
+
+    def columns(self) -> tuple:
+        return (self.time_us, self.mmsi, self.navstat, self.lat, self.lon, self.sog, self.cog, self.heading,
+                self.rot)
 
     def __len__(self) -> int:
         return len(self.time_us)
 
-    def __getitem__(self, rows) -> "PositionTable":
-        return PositionTable(*(column[rows] for column in self.columns()))
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            time_us, *values = (c[rows].item() for c in self.columns())
+            return _report(from_epoch_us(time_us), *values)
+        return Positions(*(c[rows] for c in self.columns()))
 
-    def columns(self) -> tuple:
-        return (self.time_us, self.mmsi, self.navstat, self.rot, self.sog, self.lon, self.lat, self.cog,
-                self.heading)
+    def __iter__(self):
+        """The PositionReport of each row, in order."""
+        for a in range(0, len(self), CHUNK_ROWS):
+            time_us, *values = (c[a:a + CHUNK_ROWS].tolist() for c in self.columns())
+            yield from map(_report, map(from_epoch_us, time_us), *values)
 
     def utc_days(self) -> np.ndarray:
         """The proleptic Gregorian ordinal of each row's UTC day."""
         return self.time_us // _DAY_US + _UNIX_ORDINAL
 
+    @classmethod
+    def concat(cls, parts: Sequence["Positions"]) -> "Positions":
+        """The rows of every part, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(*map(np.concatenate, zip(*(part.columns() for part in parts)))) if parts else cls.of_reports([])
 
-_TABLE_DTYPES = (np.int64,) * 5 + (np.float64,) * 2 + (np.int64,) * 2  # the dtype of each column, in order
+    @classmethod
+    def of_reports(cls, reports: Sequence[PositionReport]) -> "Positions":
+        """The rows of the given reports, in order: positions the line parser decoded, or loaded from a file."""
+        def column(values, dtype=np.float64):
+            return np.fromiter(values, dtype=dtype, count=len(reports))
+
+        def numbers(name):
+            return column(math.nan if v is None else v for v in map(operator.attrgetter(name), reports))
+
+        return cls(column((epoch_us(r.timestamp) for r in reports), np.int64),
+                   column(map(operator.attrgetter("mmsi"), reports), np.int64),
+                   column(map(operator.attrgetter("navstat"), reports), np.int64),
+                   *map(numbers, ("lat", "lon", "sog", "cog", "heading", "rot")))
+
+
+def _position_rows(time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading) -> Positions:
+    """The column set of position fields as _read_rows reads them (_POSITION_LAYOUT after the type), longitude and
+    latitude in 1/10000 minute."""
+    sog, cog, heading, rot = _field_values(sog, cog, heading, rot)
+    return Positions(time_us, mmsi, navstat, lat / 600000.0, lon / 600000.0, sog, cog, heading, rot)
 
 
 # bytes.translate table of 6-bit text: values 0-31 are '@' and the letters, 32-63 space, digits and punctuation
@@ -463,21 +509,30 @@ _ARMOR_BYTES = np.frombuffer(ARMOR_ALPHABET.encode(), dtype=np.uint8)
 _HEX_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
 
 
-def encode_positions(table: PositionTable) -> list[str]:
-    """The line of each row of a position table, in order: the inverse of feed_block's position rows.
+def encode_positions(positions: Positions) -> list[str]:
+    """The line of each row of a column set, in order: the inverse of feed_block's position rows.
 
     Each line is a type 1 report in one sentence on channel A, behind a TAG
     block whose c: field is the row's receive time in whole seconds (time_us
-    rounded down). The payload holds the row's
-    fields, latitude and longitude rounded to 1/600000 degree and every field
-    modulo 2**width, and the UTC second of the receive time.
+    rounded down). The payload holds the row's fields as sent: latitude and
+    longitude rounded to 1/600000 degree, SOG and COG rounded to tenths,
+    heading and rate of turn rounded, NaN as the "not available" sentinel
+    (SOG 1023, COG 3600, heading 511, rate of turn -128), and every field
+    modulo 2**width; and the UTC second of the receive time.
     """
-    seconds = table.time_us // 1_000_000
-    fields = np.stack((np.ones(len(table), dtype=np.int64), table.mmsi, table.navstat, table.rot, table.sog,
-                       np.rint(table.lon * 600000).astype(np.int64), np.rint(table.lat * 600000).astype(np.int64),
-                       table.cog, table.heading, seconds % 60), axis=1)
+    p = positions
+    seconds = p.time_us // 1_000_000
+    fields = np.stack((np.ones(len(p), dtype=np.int64), p.mmsi, p.navstat, _sent(p.rot, 1, -128),
+                       _sent(p.sog, 10, 1023), np.rint(p.lon * 600000).astype(np.int64),
+                       np.rint(p.lat * 600000).astype(np.int64),
+                       _sent(p.cog, 10, 3600), _sent(p.heading, 1, 511), seconds % 60), axis=1)
     payloads = _ARMOR_BYTES[_write_rows(fields, _POSITION_WRITE, 28)]
-    return _texts(len(table), [*_tag(seconds), b"!", *_checked(b"AIVDM,1,1,,A,", payloads, b",0"), b"\n"])
+    return _texts(len(p), [*_tag(seconds), b"!", *_checked(b"AIVDM,1,1,,A,", payloads, b",0"), b"\n"])
+
+
+def _sent(values: np.ndarray, scale: int, sentinel: int) -> np.ndarray:
+    """The raw field of each float64 value: the value times `scale`, rounded, and `sentinel` for NaN."""
+    return np.where(np.isnan(values), sentinel, np.rint(values * scale)).astype(np.int64)
 
 
 def encode_statics(reports: list[StaticReport], message_ids) -> list[str]:
@@ -703,12 +758,12 @@ class DecodedBlock:
     positions holds the positions that feed_block's own pass decoded, one
     row each, and outcomes every outcome that feed() or the pass gave
     otherwise, in order, positions feed() decoded included; rows[j] is the
-    number of table rows that come before outcomes[j]. Read in that order,
-    they are the outcomes of feeding the block's lines one by one, each
-    table row standing for a position outcome.
+    number of rows of positions that come before outcomes[j]. Read in that
+    order, they are the outcomes of feeding the block's lines one by one,
+    each row standing for a position outcome.
     """
 
-    positions: PositionTable
+    positions: Positions
     outcomes: list[DecodeOutcome]
     rows: list[int]
 
@@ -835,7 +890,7 @@ class MessageDecoder:
         epoch. Single-sentence position lines, and two-sentence type 5
         groups whose fragments 1 and 2 sit on adjacent lines, are
         checksummed and decoded together (_BLOCK_LINE); their positions
-        become table rows without any per-row object. A position line goes
+        become rows of a Positions column set without any per-row object. A position line goes
         to feed() in its place when a checksum or its TAG time fails, its
         type is not 1-3 or it lies out of range. A pair goes to feed() when
         a checksum or TAG time fails, it holds fewer than 270 bits or
@@ -848,7 +903,7 @@ class MessageDecoder:
         raws = [line if (line and line[-1] not in "\r\n") else line.rstrip("\r\n") for line in lines]
         matches = [(i, m.groups()) for i, m in enumerate(map(_BLOCK_LINE.fullmatch, raws)) if m is not None]
         # the block's rows: the line and receive time of each, and its fields (_POSITION_LAYOUT after the type)
-        row_lines, times, *fields = (np.zeros(0, dtype=dtype) for dtype in (np.int64, *_TABLE_DTYPES))
+        row_lines, times, *fields = (np.zeros(0, dtype=np.int64) for _ in range(10))
         pairs: dict[int, tuple] = {}  # fragment 1's line -> (key, TAG bodies, _static_report fields)
         fragment2_lines: list[int] = []  # the fragment 2 lines of those pairs
         if matches:
@@ -859,10 +914,10 @@ class MessageDecoder:
             singles = [k for k, g in enumerate(groups) if ok[k] and g[4] is None and g[8] == "0" and len(g[7]) == 28]
             if singles:
                 mtype, *fields = _read_rows(_sixes([groups[k][7] for k in singles], 28), _POSITION_ROWS).T
-                fields[4:6] = fields[4] / 600000.0, fields[5] / 600000.0  # longitude and latitude in degrees
                 row_lines = np.array([matches[k][0] for k in singles])
                 times, timed = _block_times([groups[k] for k in singles], rx_us[row_lines])
-                keep = np.flatnonzero((mtype >= 1) & (mtype <= 3) & _in_range(fields[5], fields[4]) & timed)
+                on_globe = _in_range(fields[5] / 600000.0, fields[4] / 600000.0)
+                keep = np.flatnonzero((mtype >= 1) & (mtype <= 3) & on_globe & timed)
                 row_lines, times, fields = row_lines[keep], times[keep], [column[keep] for column in fields]
             firsts = [k for k in [k for k, g in enumerate(groups[:-1]) if g[4] == "1"]
                       if groups[k + 1][4] == "2" and ok[k] and ok[k + 1] and matches[k + 1][0] == matches[k][0] + 1
@@ -895,7 +950,7 @@ class MessageDecoder:
             outcomes += got
             at += [row] * len(got)
         self._take_rows(times, done, len(times), outcomes, at)
-        return DecodedBlock(PositionTable(times, *fields), outcomes, at)
+        return DecodedBlock(_position_rows(times, *fields), outcomes, at)
 
     def _take_rows(self, times: np.ndarray, start: int, stop: int, outcomes: list, at: list) -> None:
         """Count rows start..stop of a block as positions, each after the timeouts its receive time expires.

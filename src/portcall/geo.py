@@ -173,12 +173,33 @@ class PortGeometry:
         return None
 
 
-def _feature_polygon(feature: dict, require_kind: bool = True) -> Polygon:
+def _geojson(source) -> dict:
+    """The GeoJSON object a dict or a file holds; InvalidPolygon for JSON of another shape."""
+    data = source if isinstance(source, dict) else json.loads(pathlib.Path(source).read_text())
+    if not isinstance(data, dict):
+        raise InvalidPolygon(f"expected a GeoJSON object, got a JSON {type(data).__name__}")
+    return data
+
+
+def _features(data: dict) -> list:
+    features = data.get("features", [])
+    if not isinstance(features, list):
+        raise InvalidPolygon("the features of a FeatureCollection must be a list")
+    return features
+
+
+def _feature_polygon(feature, require_kind: bool = True) -> Polygon:
+    if not isinstance(feature, dict):
+        raise InvalidPolygon(f"expected a GeoJSON Feature, got a JSON {type(feature).__name__}")
     props = feature.get("properties") or {}
     geom = feature.get("geometry") or {}
+    if not isinstance(props, dict) or not isinstance(geom, dict):
+        raise InvalidPolygon("a feature's properties and geometry must be JSON objects")
     if geom.get("type") != "Polygon":
         raise InvalidPolygon(f"unsupported geometry type {geom.get('type')!r}")
-    coords = geom.get("coordinates") or []
+    coords = geom.get("coordinates")
+    if not isinstance(coords, list) or not coords:
+        raise InvalidPolygon("a Polygon's coordinates must be a list of its rings")
     if len(coords) != 1:
         raise InvalidPolygon("polygons with holes are not supported")
     name = props.get("name")
@@ -188,7 +209,10 @@ def _feature_polygon(feature: dict, require_kind: bool = True) -> Polygon:
     if require_kind and kind not in ("anchorage", "terminal"):
         raise InvalidPolygon(f"feature {name!r}: kind must be 'anchorage' or 'terminal', got {kind!r}")
     # GeoJSON stores [lon, lat]
-    ring = tuple((float(lat), float(lon)) for lon, lat in coords[0])
+    try:
+        ring = tuple((float(lat), float(lon)) for lon, lat in coords[0])
+    except (TypeError, ValueError):
+        raise InvalidPolygon(f"feature {name!r}: coordinates must be [lon, lat] pairs of numbers") from None
     return Polygon(name=name, kind=kind or "area", ring=ring)
 
 
@@ -198,12 +222,12 @@ def load_port_geometry(source) -> PortGeometry:
     Every feature must be a simple Polygon carrying `name` and `kind`
     ("anchorage" or "terminal") properties.
     """
-    data = source if isinstance(source, dict) else json.loads(pathlib.Path(source).read_text())
+    data = _geojson(source)
     if data.get("type") != "FeatureCollection":
         raise InvalidPolygon("expected a GeoJSON FeatureCollection")
     anchorages = []
     terminals = []
-    for feature in data.get("features", []):
+    for feature in _features(data):
         poly = _feature_polygon(feature)
         (anchorages if poly.kind == "anchorage" else terminals).append(poly)
     if not anchorages and not terminals:
@@ -240,9 +264,9 @@ class AreaFilter:
     @classmethod
     def from_geojson(cls, source) -> "AreaFilter":
         """Build a polygon filter from the first polygon feature in a file."""
-        data = source if isinstance(source, dict) else json.loads(pathlib.Path(source).read_text())
+        data = _geojson(source)
         if data.get("type") == "FeatureCollection":
-            features = data.get("features", [])
+            features = _features(data)
         elif data.get("type") == "Feature":
             features = [data]
         else:

@@ -10,13 +10,14 @@ in blocks: the complete lines of each chunk received, or up to
 _REPLAY_BLOCK lines of a file. A byte that is not UTF-8 makes its line
 malformed; it does not end the read.
 
-A block's table rows, the positions feed_block's own pass decoded, reach a
-positions_sink as PositionTable slices, each a run of rows that no other
-message or reported error comes between, with the stored JSONL document of
-each row, written for the whole block at once; so a sink such as
-MessageStore.append_positions writes them without building an object per
-row. Every other message, a position the line parser decoded or a stored
-JSONL message included, reaches the sink as it is.
+A block's rows, the positions feed_block's own pass decoded, reach a
+positions_sink as slices of its Positions column set, each a run of rows
+that no other message or reported error comes between, with the stored
+JSONL document of each row, written for the whole block at once by jsonl's
+column writer; so a sink such as MessageStore.append_positions writes them
+without building an object per row. Every other message, a position the
+line parser decoded or a stored JSONL message included, reaches the sink as
+it is.
 """
 
 import datetime as dt
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport, PositionTable, StaticReport, epoch_us
+from .codec import DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport, Positions, StaticReport, epoch_us
 from .jsonl import dumps, message_from_dict, message_to_dict, position_line, position_lines
 
 UTC = dt.timezone.utc
@@ -70,12 +71,12 @@ class SourceConfig:
 
     @classmethod
     def parse_source(cls, source: str, **kwargs) -> "SourceConfig":
-        """Build from a CLI-style source string: tcp://host:port or file:path."""
+        """Build from a CLI-style source string: tcp://host:port, the port in 1-65535, or file:path."""
         if source.startswith("tcp://"):
             hostport = source[len("tcp://") :]
             host, _, port = hostport.rpartition(":")
-            if not host or not port.isdigit():
-                raise ValueError(f"bad tcp source {source!r}")
+            if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
+                raise ValueError(f"bad tcp source {source!r}: needs a host and a port in 1-65535")
             return cls(mode="live", endpoint=(host, int(port)), **kwargs)
         if source.startswith("file:"):
             return cls(mode="replay", path=pathlib.Path(source[len("file:") :]), **kwargs)
@@ -96,8 +97,8 @@ class MessageStore:
 
     Files are named ais-YYYY-MM-DD.jsonl; messages inside one file keep
     their receive order. append() writes one message; append_positions()
-    writes a table of positions with one write per run of rows from the
-    same UTC day.
+    writes a column set of positions with one write per run of rows from
+    the same UTC day.
     """
 
     def __init__(self, root):
@@ -117,10 +118,10 @@ class MessageStore:
         f.write(position_line(msg) if isinstance(msg, PositionReport) else dumps(message_to_dict(msg)))
         f.write("\n")
 
-    def append_positions(self, table: PositionTable, lines: list[str]) -> None:
-        """Write the rows of a table, given the stored document of each (jsonl.position_lines)."""
+    def append_positions(self, positions: Positions, lines: list[str]) -> None:
+        """Write the rows of a column set, given the stored document of each (jsonl.position_lines)."""
         start = 0
-        for day, rows in itertools.groupby(table.utc_days().tolist()):
+        for day, rows in itertools.groupby(positions.utc_days().tolist()):
             stop = start + len(list(rows))
             self._file(day).write("\n".join(lines[start:stop]) + "\n")
             start = stop
@@ -145,7 +146,7 @@ def _utcnow_s() -> dt.datetime:
 class _Delivery:
     """Hands decoded messages and errors on to the sinks in order, counting them in `summary`.
 
-    A block's table rows go to positions_sink as slices with the stored
+    A block's rows go to positions_sink as slices with the stored
     document of each row; every message outcome, a position the line
     parser decoded or a stored message included, goes to sink. With a
     `pause`, each message reaches its sink right after pause(its receive
@@ -172,28 +173,27 @@ class _Delivery:
             self.summary.skipped += 1
 
     def block(self, block: DecodedBlock) -> None:
-        """A block's table rows and outcomes in order. The documents of its rows are written for the whole block
-        at once, and a run of rows reaches positions_sink as one slice unless an outcome for a sink comes
-        between."""
-        table = block.positions
-        lines = position_lines(table) if len(table) else []
+        """A block's rows and outcomes in order. The documents of its rows are written for the whole block at
+        once, and a run of rows reaches positions_sink as one slice unless an outcome for a sink comes between."""
+        positions = block.positions
+        lines = position_lines(positions) if len(positions) else []
         start = 0
         for outcome, row in zip(block.outcomes, block.rows):
             if row > start and (outcome.kind in ("position", "static")
                                 or outcome.kind == "error" and self.error_sink is not None):
-                self._positions(table, lines, start, row)
+                self._positions(positions, lines, start, row)
                 start = row
             self.outcome(outcome)
-        if start < len(table):
-            self._positions(table, lines, start, len(table))
+        if start < len(positions):
+            self._positions(positions, lines, start, len(positions))
 
-    def _positions(self, table: PositionTable, lines: list[str], start: int, stop: int) -> None:
-        """Rows start..stop of a table, with their documents."""
+    def _positions(self, positions: Positions, lines: list[str], start: int, stop: int) -> None:
+        """Rows start..stop of a block's column set, with their documents."""
         if self.pause is not None and stop - start > 1:
             for k in range(start, stop):
-                self._positions(table, lines, k, k + 1)
+                self._positions(positions, lines, k, k + 1)
             return
-        rows = table[start:stop]
+        rows = positions[start:stop]
         if self.pause is not None:
             self.pause(int(rows.time_us[0]))
         self.summary.messages += stop - start
@@ -242,15 +242,15 @@ def run_replay(
     ValueError; a receive time past year 9999 is RawTimeOutOfRange. NMEA
     lines go to the decoder in blocks of up to _REPLAY_BLOCK lines through
     feed_block, which gives what feeding them one by one would, also when
-    reading the file fails partway. Each block's table rows go to
-    positions_sink as PositionTable slices with their stored documents, in
+    reading the file fails partway. Each block's rows go to positions_sink
+    as slices of its Positions column set with their stored documents, in
     their place among its other messages, which go to sink. A byte that
     is not UTF-8 reads as U+FFFD, which makes its line malformed. A line
     that starts with `{` is read as a stored JSONL message, after the NMEA
     lines before it; one that does not parse goes to error_sink as a
     "malformed" error. replay_speed scales the pauses between consecutive
     message timestamps (0 disables pacing); each message is emitted right
-    after its pause, a paced position as a one-row table.
+    after its pause, a paced position as a one-row slice.
     """
     if not (math.isfinite(raw_cadence_s) and raw_cadence_s >= 0):
         raise ValueError(f"raw_cadence_s {raw_cadence_s!r} is not a finite number >= 0")
@@ -310,7 +310,7 @@ def run_live(
 
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
-    time overrides it as in replay. Table rows go to positions_sink and other
+    time overrides it as in replay. Block rows go to positions_sink and other
     messages to sink as in run_replay. Waits a backoff with full jitter after
     a failed connect and after every disconnect, doubling from 1 s to a cap
     of 60 s by default and starting over once a connection delivers a

@@ -11,21 +11,23 @@ Positions and validated messages are nearly every document a run writes,
 so each has one fixed template that writes the text `dumps` would write
 for its dict without building the dict: the keys are known and sorted
 once, every value is a number, a bool, null, a timestamp or one of
-validate's fixed method labels, so nothing needs escaping. The position
-template takes the texts of the fields: `position_line` gives it those of
-one report, and `position_lines` those of every row of a decoded
-PositionTable, read from its columns and from tables of the texts of the
-raw SOG, COG, heading and rate of turn. A validated message is written by
-`validated_text` from the texts of its position's fields:
-`position_field_texts` gives those of every row of columns that hold the
-values, and `validated_line` takes them from a stored position document,
-so a number read as an int keeps its text. The two column writers make
-each text once per distinct value of the rows they are given, not once
-per row: a float once per float64 bit pattern, so -0.0 and 0.0, and
-NaNs, stay apart, and MMSI and navigational status with `str` once per
-distinct integer (`np.unique`). Statics, errors, outages and voyages
-are few and hold free text (vessel names, raw lines), so they go through
-their dict codecs and `dumps`, which escapes it.
+validate's fixed method labels, so nothing needs escaping. Both templates
+take the texts of a position's fields. `position_line` gives them for one
+report. The one column writer, `position_field_texts`, gives them for every
+row of a `codec.Positions` column set; `position_lines` fills the position
+template with them (the store and decoded.jsonl), and
+`columnar.Validated.line_chunks` the validated one. It makes each text
+once per distinct value of the rows it is given, not once per row: a float
+once per float64 bit pattern, so -0.0 and 0.0, and NaNs, stay apart, and
+MMSI and navigational status with `str` once per distinct integer
+(`np.unique`). Statics, errors, outages and voyages are few and hold free
+text (vessel names, raw lines), so they go through their dict codecs and
+`dumps`, which escapes it.
+
+A stored position's lat, lon, sog, cog and heading are read as floats, so a
+number another tool wrote as an int (`"sog":5`) is written back as `5.0`,
+as the columns hold it; a rate of turn past 2**53, which a float64 column
+cannot hold exactly, does not read.
 """
 
 import datetime as dt
@@ -35,7 +37,7 @@ import sys
 
 import numpy as np
 
-from .codec import COG_VALUES, HEADING_VALUES, ROT_VALUES, SOG_VALUES, PositionReport, PositionTable, StaticReport
+from .codec import PositionReport, Positions, StaticReport
 
 UTC = dt.timezone.utc
 
@@ -88,12 +90,6 @@ def position_line(r: PositionReport) -> str:
                           repr(r.navstat), _optional(r.rot), _optional(r.sog), format_ts(r.timestamp))
 
 
-def _texts(values) -> np.ndarray:
-    return np.array([_optional(v) for v in values], dtype=object)
-
-
-# the text of each raw value, indexed as codec's tables of the values are
-_SOG_TEXT, _COG_TEXT, _HEADING_TEXT, _ROT_TEXT = map(_texts, (SOG_VALUES, COG_VALUES, HEADING_VALUES, ROT_VALUES))
 _MINUTE_TEXT = np.array([f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)], dtype=object)
 _SECOND_TEXT = np.array([f"{s:02d}Z" for s in range(60)], dtype=object)
 _EPOCH_DAY = dt.date(1970, 1, 1).toordinal()
@@ -114,14 +110,6 @@ def _integer_texts(values: np.ndarray) -> list[str]:
     return np.array(list(map(str, distinct.tolist())), dtype=object)[rows].tolist()
 
 
-def position_lines(table: PositionTable) -> list[str]:
-    """The stored document of each row of a position table, equal to `position_line` of the row's report."""
-    return list(map(_position_text, _COG_TEXT[np.minimum(table.cog, 3600)].tolist(),
-                    _HEADING_TEXT[table.heading].tolist(), _texts_of(table.lat, repr), _texts_of(table.lon, repr),
-                    _integer_texts(table.mmsi), _integer_texts(table.navstat), _ROT_TEXT[table.rot + 128].tolist(),
-                    _SOG_TEXT[table.sog].tolist(), _timestamp_texts(table.time_us)))
-
-
 def _texts_of(values: np.ndarray, text) -> list[str]:
     """text(v) for each float64 v, called once per distinct bit pattern (so -0.0 and 0.0 stay apart)."""
     bits, rows = np.unique(values.view(np.int64), return_inverse=True)
@@ -136,13 +124,18 @@ def _integer_text(value: float) -> str:
     return "null" if value != value else repr(int(value))
 
 
-def position_field_texts(time_us, mmsi, navstat, lat, lon, sog, cog, heading, rot) -> tuple[list, ...]:
-    """The texts of the fields of each row of position columns that hold the values themselves, NaN for None
-    (as `columnar.Positions` does), in the order `_position_text` takes them: those `position_line` writes for
-    the report of the row's values, a float as its repr and the rate of turn as an int."""
-    return (_texts_of(cog, _number_text), _texts_of(heading, _number_text), _texts_of(lat, _number_text),
-            _texts_of(lon, _number_text), _integer_texts(mmsi), _integer_texts(navstat), _texts_of(rot, _integer_text),
-            _texts_of(sog, _number_text), _timestamp_texts(time_us))
+def position_field_texts(positions: Positions) -> tuple[list, ...]:
+    """The texts of the fields of each row of a column set, in the order `_position_text` takes them: those
+    `position_line` writes for the row's report, a float as its repr, the rate of turn as an int and NaN as null."""
+    p = positions
+    return (_texts_of(p.cog, _number_text), _texts_of(p.heading, _number_text), _texts_of(p.lat, _number_text),
+            _texts_of(p.lon, _number_text), _integer_texts(p.mmsi), _integer_texts(p.navstat),
+            _texts_of(p.rot, _integer_text), _texts_of(p.sog, _number_text), _timestamp_texts(p.time_us))
+
+
+def position_lines(positions: Positions) -> list[str]:
+    """The stored document of each row of a column set, equal to `position_line` of the row's report."""
+    return list(map(_position_text, *position_field_texts(positions)))
 
 
 def validated_text(agreed_with_reported: bool, cog, corrected_navstat: int, gap_flag: bool, heading, lat, lon,
@@ -156,17 +149,6 @@ def validated_text(agreed_with_reported: bool, cog, corrected_navstat: int, gap_
             f'"corrected_navstat":{corrected_navstat},"gap_flag":{"true" if gap_flag else "false"},'
             f'"heading":{heading},"lat":{lat},"lon":{lon},"method":"{method}","mmsi":{mmsi},"navstat":{navstat},'
             f'"rot":{rot},"sog":{sog},"ts":"{ts}","type":"validated"}}')
-
-
-def validated_line(position: str, agreed_with_reported: bool, corrected_navstat: int, gap_flag: bool,
-                   method: str) -> str:
-    """`validated_text` with the field texts taken from the stored document of the message's position, so every
-    number keeps the text it was stored with."""
-    # between '{"' and ',"type":"position"}', each field is `key":text` and the fields are joined by ',"'
-    cog, heading, lat, lon, mmsi, navstat, rot, sog, ts = (
-        field.partition('":')[2] for field in position[2:-19].split(',"'))
-    return validated_text(agreed_with_reported, cog, corrected_navstat, gap_flag, heading, lat, lon, method, mmsi,
-                          navstat, rot, sog, ts[1:-1])
 
 
 def message_to_dict(msg: PositionReport | StaticReport) -> dict:
@@ -198,13 +180,14 @@ def message_to_dict(msg: PositionReport | StaticReport) -> dict:
 # it has the right type and raises ValueError naming the field otherwise.
 
 _INT64 = 1 << 63
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer up to this magnitude exactly, and not the next one
 
 
 def coordinate(value, key: str, limit: float) -> float:
-    """A finite number in [-limit, limit], the range the NMEA decoder accepts."""
+    """A finite number in [-limit, limit], the range the NMEA decoder accepts, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not -limit <= value <= limit:
         raise ValueError(f"{key} {value!r} is not a number in [-{limit:g}, {limit:g}]")
-    return value
+    return float(value)
 
 
 def integer(value, key: str) -> int:
@@ -227,10 +210,20 @@ def text(value, key: str) -> str:
 
 
 def optional_number(value, key: str) -> float | None:
-    """None, or a number a float64 holds: an int past the largest float is no finite number either."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
-                              or not -sys.float_info.max <= value <= sys.float_info.max):
+    """None, or a number a float64 holds, as a float: an int past the largest float is no finite number either."""
+    if value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
         raise ValueError(f"{key} {value!r} is not null or a finite number")
+    return float(value)
+
+
+def rate_of_turn(value, key: str) -> int | None:
+    """None, or an int a float64 holds exactly, as the columns hold the rate of turn."""
+    value = optional_integer(value, key)
+    if value is not None and abs(value) > _FLOAT_EXACT:
+        raise ValueError(f"{key} {value!r} is past the integers a float64 holds exactly")
     return value
 
 
@@ -241,7 +234,11 @@ def boolean(value, key: str) -> bool:
 
 
 def message_from_dict(doc: dict) -> PositionReport | StaticReport:
-    """The message a stored document holds; a field of the wrong type is a ValueError."""
+    """The message a stored document holds; a field of the wrong type is a ValueError.
+
+    A position's lat, lon, sog, cog and heading read as floats, as the columns hold them, whether stored as an int
+    or a float.
+    """
     kind = doc.get("type")
     if kind == "position":
         return PositionReport(
@@ -253,7 +250,7 @@ def message_from_dict(doc: dict) -> PositionReport | StaticReport:
             cog=optional_number(doc.get("cog"), "cog"),
             heading=optional_number(doc.get("heading"), "heading"),
             navstat=integer(doc["navstat"], "navstat"),
-            rot=optional_integer(doc.get("rot"), "rot"),
+            rot=rate_of_turn(doc.get("rot"), "rot"),
         )
     if kind == "static":
         return StaticReport(

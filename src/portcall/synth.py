@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, PositionTable, StaticReport, encode_positions,
+from .codec import (ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, Positions, StaticReport, encode_positions,
                     encode_statics)
 from .geo import AreaFilter, EARTH_RADIUS_M, PortGeometry, Polygon
 from .jsonl import format_ts, parse_ts
@@ -430,11 +430,14 @@ class _Emitter:
         if self._positions:
             epoch, seq, mmsi, status, sog, lat, lon, cog, heading = map(np.array, zip(*self._positions))
             self._positions = []
-            # SOG in 1/10 kn below the 1023 "not available", COG in 1/10 degree, heading in whole degrees
-            table = PositionTable(epoch * 1_000_000, mmsi, status, np.zeros_like(mmsi),
-                                  np.clip(np.rint(sog * 10), 0, 1022).astype(np.int64), lon, lat,
-                                  np.rint(cog * 10).astype(np.int64) % 3600, np.rint(heading).astype(np.int64) % 360)
-            self._lines += encode_positions(table)
+            # the values the report's fields can send: SOG in whole 1/10 kn below the 1023 "not available", COG in
+            # whole 1/10 degree, heading in whole degrees, and a rate of turn of 0
+            sog_raw = np.clip(np.rint(sog * 10), 0, 1022).astype(np.int64)
+            cog_raw = np.rint(cog * 10).astype(np.int64) % 3600
+            heading_raw = np.rint(heading).astype(np.int64) % 360
+            self._lines += encode_positions(Positions(epoch * 1_000_000, mmsi, status, lat, lon, sog_raw / 10.0,
+                                                      cog_raw / 10.0, heading_raw.astype(np.float64),
+                                                      np.zeros(len(mmsi))))
             self._keys.append((epoch, seq))
         if self._statics:
             seq, reports = zip(*self._statics)

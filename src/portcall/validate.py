@@ -17,7 +17,7 @@ where there are no polygons, and the knn vote where neither answers or the
 two disagree. A debounce filter suppresses single-message status flips so that
 vessels hovering on a polygon border do not flap between states.
 
-The stream is held as columns (`columnar.Positions` in,
+The stream is held as columns (`codec.Positions` in,
 `columnar.Validated` out), never as one object per report: `validate_stream` sorts it once
 with np.lexsort, takes the geofence vote of every stopped report in one
 array pass per polygon, and gives its result as columns in output order.
@@ -47,8 +47,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, epoch_us, from_epoch_us
-from .columnar import Positions, Validated
+from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, Positions, epoch_us, from_epoch_us
+from .columnar import Validated
 from .geo import PortGeometry, haversine_m, project_local
 from .knn import KnnIndex
 

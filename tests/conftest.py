@@ -7,21 +7,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from portcall import codec, synth
-from portcall.columnar import Positions, Validated
+from portcall.codec import Positions
+from portcall.columnar import Validated
 
 UTC = dt.timezone.utc
 RX0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
 
 
-def table_reports(table) -> list:
-    """The PositionReport of each row of a decoded position table, in order."""
-    return list(Positions.of_table(table))
-
-
 def expanded(block) -> list:
-    """A DecodedBlock in order: each table row and each position outcome as its PositionReport, every other
-    outcome as it is."""
-    reports, items, done = table_reports(block.positions), [], 0
+    """A DecodedBlock in order: each row of its positions and each position outcome as its PositionReport, every
+    other outcome as it is."""
+    reports, items, done = list(block.positions), [], 0
     for outcome, row in zip(block.outcomes, block.rows):
         items += reports[done:row] + [outcome.message if outcome.kind == "position" else outcome]
         done = row
@@ -29,9 +25,9 @@ def expanded(block) -> list:
 
 
 def each_report(sink):
-    """A positions_sink that hands each row of a table slice to `sink` as its PositionReport."""
-    def positions_sink(table, lines):
-        for report in table_reports(table):
+    """A positions_sink that hands each row of a slice to `sink` as its PositionReport."""
+    def positions_sink(rows, lines):
+        for report in rows:
             sink(report)
     return positions_sink
 

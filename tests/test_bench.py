@@ -3,12 +3,15 @@
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import run as bench  # noqa: E402
 import score  # noqa: E402
@@ -109,3 +112,27 @@ def test_only_faulted_lines_and_block_split_statics_take_the_line_parser(tmp_pat
     lines, size = inputs.lines, ingest._REPLAY_BLOCK
     split = sum(",2,1," in lines[j] and ",2,2," in lines[j + 1] for j in range(size - 1, len(lines) - 1, size))
     assert len(fed) == len(inputs.ledger) + 2 * split
+
+
+def _outputs(out: pathlib.Path) -> dict[str, bytes]:
+    """Every file a run wrote but the manifests, which hold absolute paths."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file() and not p.name.endswith("manifest.json")}
+
+
+def test_traced_run_writes_what_an_untraced_run_writes(tmp_path):
+    """The tracer wraps names in the package from outside: a refactor that drops one must fail here, and tracing
+    must not change a byte of the output."""
+    w = workloads.WORKLOADS["port_run"]
+    inputs = workloads.make_inputs(w, 7, tmp_path / "inputs", tiny=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(bench.cli_argv(w, inputs.files, tmp_path / "plain")) == cli.EXIT_OK
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "trace_child.py"), str(trace),
+                           *bench.cli_argv(w, inputs.files, tmp_path / "traced")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    plain = _outputs(tmp_path / "plain")
+    assert "validated.jsonl" in plain and _outputs(tmp_path / "traced") == plain
+    spans = {span["name"] for span in json.loads(trace.read_text())["spans"]}
+    assert {"cli.cmd_run", "ingest.run_replay", "validate.validate_stream", "voyage.extract_voyages"} <= spans

@@ -3,6 +3,7 @@
 import dataclasses
 import datetime as dt
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -219,6 +220,50 @@ def test_stored_positions_outside_the_coordinate_range_are_malformed(tmp_path, c
         assert "lat nan is not a number" in capsys.readouterr().err
 
 
+def test_stored_ints_in_float_fields_are_written_as_floats(tmp_path):
+    """A stored position with ints in its float fields reads as the floats the columns hold, and every writer
+    writes them as floats: decode, validate, the staged commands and the store."""
+    stored = tmp_path / "stored.jsonl"
+    stored.write_text('{"cog":90,"heading":7,"lat":34,"lon":18,"mmsi":1,"navstat":5,"rot":-3,"sog":5,'
+                      '"ts":"2019-09-01T00:00:00Z","type":"position"}\n')
+    decoded = ('{"cog":90.0,"heading":7.0,"lat":34.0,"lon":18.0,"mmsi":1,"navstat":5,"rot":-3,"sog":5.0,'
+               '"ts":"2019-09-01T00:00:00Z","type":"position"}\n')
+    outdir = tmp_path / "run"
+    assert cli.main(["run", "--input", str(stored), "--outdir", str(outdir)]) == cli.EXIT_OK
+    assert (outdir / "decoded.jsonl").read_text() == decoded
+    validated = (outdir / "validated.jsonl").read_text()
+    assert all(f'"{key}":{text},' in validated for key, text in (
+        ("cog", "90.0"), ("heading", "7.0"), ("lat", "34.0"), ("lon", "18.0"), ("rot", "-3"), ("sog", "5.0")))
+    staged = tmp_path / "staged.jsonl"
+    assert cli.main(["validate", "--input", str(stored), "--output", str(staged)]) == cli.EXIT_OK
+    assert staged.read_text() == validated
+    assert cli.main(["ingest", "--source", f"file:{stored}", "--store", str(tmp_path / "store")]) == cli.EXIT_OK
+    assert (tmp_path / "store" / "ais-2019-09-01.jsonl").read_text() == decoded
+
+
+@pytest.mark.parametrize("rot", [(1 << 53) + 1, -(1 << 53) - 1])
+def test_a_stored_rate_of_turn_past_what_float64_holds_is_malformed(tmp_path, capsys, rot):
+    """A rate of turn is held as a float64, which holds every integer up to 2**53 either way and not the next."""
+    good = ('{"cog":null,"heading":null,"lat":1.0,"lon":2.0,"mmsi":1,"navstat":5,"rot":null,'
+            '"sog":0.0,"ts":"2019-09-01T00:00:00Z","type":"position"}')
+    last = rot - 1 if rot > 0 else rot + 1  # 2**53 either way
+    edge = good.replace('"rot":null', f'"rot":{last}')
+    bad = good.replace('"rot":null', f'"rot":{rot}')
+    stored = tmp_path / "stored.jsonl"
+    stored.write_text(bad + "\n" + edge + "\n")
+    out, errors = tmp_path / "decoded.jsonl", tmp_path / "errors.jsonl"
+    assert cli.main(["decode", "--input", str(stored), "--output", str(out), "--errors", str(errors)]) == cli.EXIT_OK
+    assert out.read_text() == edge + "\n"
+    assert [(row["error"], row["raw"]) for row in map(json.loads, errors.read_text().splitlines())] \
+        == [("malformed", bad)]
+    validated = tmp_path / "validated.jsonl"
+    assert cli.main(["validate", "--input", str(out), "--output", str(validated)]) == cli.EXIT_OK
+    assert f'"rot":{last},' in validated.read_text()
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", str(stored), "--output", str(validated)]) == cli.EXIT_USAGE
+    assert f"rot {rot}" in capsys.readouterr().err
+
+
 # offset times that parse but fall outside the years 1-9999 once moved to UTC
 OUT_OF_UTC = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
 
@@ -424,7 +469,7 @@ def test_run_builds_no_row_object_per_block_row(inputs, tmp_path, monkeypatch):
 
     counted_init("PositionReport", PositionReport)
     counted_init("ValidatedMessage", columnar.ValidatedMessage)
-    for module in (codec, columnar, validate, voyage):
+    for module in (codec, validate, voyage):
         counted_times(module)
     outdir = tmp_path / "out"
     argv = ["run", "--input", str(inputs["tagged.nmea"]), "--outdir", str(outdir), "--port",
@@ -552,14 +597,15 @@ def stored_variants(rows: list[str]) -> list[str]:
 
 
 # sha256 of what `run --port` wrote for the fed mixed replay with stored_variants, when decode handed validate one
-# PositionReport per position
+# PositionReport per position; validated.jsonl as written since stored float fields read as floats, so an int
+# `"sog":0` is written `0.0`
 NON_BLOCK_PINS = {
     "metrics/daily_arrivals.csv": "72585b884ca5c7bfbe41c2d9205029dc237c92efe6044972b9986a7ae9e2101b",
     "metrics/summary.json": "009a72997a1d8c95bd011d6ff6efe0a5ad708ea8238a7ea19f0a621a105b81d9",
     "metrics/turnarounds.csv": "e0b3e35dc50354dc60db82fffd6cc508269b216e567096e50f4d74049ecfcec3",
     "metrics/weekly_turnaround.csv": "a1b9a8aed6abdc8e67b7e19f4ef7897a8300d3f478582dd4d9249f6489ec3995",
     "outages.jsonl": "e833746c7b296822cb1d7d7ba7ba8f1f47d71025cf9cabffcd51f4dd740c7d27",
-    "validated.jsonl": "662b80817ed7f7493b50a7d5e7d6735e9cd107414d4477fc2b37116187a8e3b9",
+    "validated.jsonl": "a3e29ba443bec0fbac3595c3cb5f88583729aee1bcad6ab89ee093fe12111629",
     "voyages.jsonl": "1ca032babb0bc6d1baeedf3c0239100668af3b468688eec2e17cbd91027fe01a",
 }
 
@@ -584,7 +630,7 @@ def test_run_on_non_block_rows_writes_the_pinned_bytes(tmp_path, monkeypatch):
               if name in ("validated.jsonl", "outages.jsonl", "voyages.jsonl")
               or name.startswith("metrics/") and not name.endswith(".manifest.json")}
     assert pinned == NON_BLOCK_PINS
-    assert b'"sog":0,' in ran["validated.jsonl"] and b'"sog":-0.0,' in ran["validated.jsonl"]
+    assert b'"sog":0,' not in ran["validated.jsonl"] and b'"sog":-0.0,' in ran["validated.jsonl"]
     shutil.rmtree(outdir)
     monkeypatch.setattr(cli, "_ROWS_PER_PART", 100)  # the staged commands join their rows from many parts
     assert _staged(source, outdir, decode_opts=opts, port=port) == [cli.EXIT_OK] * 4
@@ -601,7 +647,7 @@ def test_run_writes_the_dict_codec_text_across_chunks_and_blocks(tmp_path):
     assert cli.main(["run", "--input", str(nmea), "--outdir", str(outdir)]) == cli.EXIT_OK
     decoded = (outdir / "decoded.jsonl").read_text().splitlines()
     validated = (outdir / "validated.jsonl").read_text().splitlines()
-    assert len(validated) > 2 * columnar._CHUNK and len(decoded) > 2 * ingest._REPLAY_BLOCK
+    assert len(validated) > 2 * codec.CHUNK_ROWS and len(decoded) > 2 * ingest._REPLAY_BLOCK
     assert decoded == [jsonl.dumps(jsonl.message_to_dict(jsonl.message_from_dict(json.loads(line))))
                        for line in decoded]
     assert validated == [jsonl.dumps(cli.validated_to_dict(cli.validated_from_dict(json.loads(line))))
@@ -619,6 +665,70 @@ def test_unparseable_exclude_date_is_a_usage_error(inputs, tmp_path, capsys, com
     assert rc == cli.EXIT_USAGE
     assert "bad --exclude-dates" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("geojson", [
+    "[]",
+    json.dumps({"type": "FeatureCollection", "features": [{"type": "Feature", "properties": {
+        "name": "berth", "kind": "terminal"}, "geometry": {"type": "Polygon", "coordinates": [
+            [[18.3, 34.4], None, [18.31, 34.41], [18.3, 34.4]]]}}]}),
+], ids=["top-level-list", "null-vertex"])
+def test_port_or_area_geojson_of_another_shape_is_a_usage_error(tmp_path, capsys, geojson):
+    """Each once ended in a traceback: an AttributeError on a list, a TypeError on a null vertex."""
+    geometry, empty = tmp_path / "bad.geojson", tmp_path / "empty.jsonl"
+    geometry.write_text(geojson)
+    empty.write_text("")
+    out = tmp_path / "out"
+    for argv, message in ((["run", "--input", str(empty), "--outdir", str(out), "--port", str(geometry)],
+                           "bad port geometry"),
+                          (["run", "--input", str(empty), "--outdir", str(out), "--area", str(geometry)], "bad area"),
+                          (["validate", "--input", str(empty), "--output", str(out), "--port", str(geometry)],
+                           "bad port geometry"),
+                          (["voyages", "--input", str(empty), "--output", str(out), "--area", str(geometry)],
+                           "bad area"),
+                          (["metrics", "--voyages", str(empty), "--output-dir", str(out), "--port", str(geometry)],
+                           "bad port geometry")):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0", "-5"])
+def test_a_radius_that_is_not_a_finite_positive_number_is_a_usage_error(tmp_path, capsys, radius):
+    """`--radius-m nan` once gave an area that held no message, and `run` exited 0 with no voyage."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out"
+    for argv in (["run", "--input", str(empty), "--outdir", str(out)],
+                 ["voyages", "--input", str(empty), "--output", str(out)]):
+        assert cli.main(argv + ["--center", "34.45,18.30", f"--radius-m={radius}"]) == cli.EXIT_USAGE
+        assert "bad --radius-m" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_run_parses_each_flag_as_its_staged_command_does():
+    """The flags `run` shares with a staged command parse alike, given or by default, and keep their defaults."""
+    parser = cli.build_parser()
+    staged = {"decode": ["--input", "i", "--output", "o"], "validate": ["--input", "i", "--output", "o"],
+              "voyages": ["--input", "i", "--output", "o"], "metrics": ["--voyages", "v", "--output-dir", "o"]}
+    defaults = {"raw_start": "2000-01-01T00:00:00Z", "raw_cadence_s": 1.0, "max_error_rate": None, "port": None,
+                "config": None, "method": None, "area": None, "center": None, "radius_m": 10000.0,
+                "ground_truth": None, "exclude_dates": None, "vessel": None}
+    given = {"--raw-start": "2019-09-01T00:00:00Z", "--raw-cadence-s": "0.5", "--max-error-rate": "0.1",
+             "--port": "p.geojson", "--config": "v.conf", "--method": "knn", "--area": "a.geojson",
+             "--center": "34.4,18.3", "--radius-m": "500", "--ground-truth": "t.csv", "--exclude-dates": "2019-09-02",
+             "--vessel": "219000001"}
+    assert vars(parser.parse_args(["run", "--input", "i", "--outdir", "o"])).items() >= defaults.items()
+    for flags in ({}, given):
+        ran = vars(parser.parse_args(["run", "--input", "i", "--outdir", "o", *itertools.chain(*flags.items())]))
+        shared = set()
+        for command, argv in staged.items():
+            keys = vars(parser.parse_args([command, *argv])).keys() & defaults.keys()
+            own = {flag: value for flag, value in flags.items() if flag[2:].replace("-", "_") in keys}
+            parsed = vars(parser.parse_args([command, *argv, *itertools.chain(*own.items())]))
+            assert {key: parsed[key] for key in keys} == {key: ran[key] for key in keys}
+            shared |= keys
+        assert shared == defaults.keys()
 
 
 def test_knn_k_zero_in_the_config_is_a_usage_error(inputs, tmp_path, capsys):

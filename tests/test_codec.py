@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_fed, expanded, table_reports
+from conftest import as_fed, expanded
 from portcall import codec
 
 UTC = dt.timezone.utc
@@ -422,28 +422,28 @@ def test_feed_and_feed_block_decode_alike(bits, cut, fill):
 # TAG times in whole seconds: 9 and 10 digits, and a few shorter or before 1970
 tag_seconds = (st.sampled_from((0, 7, -1, -10**9, 10**8, 10**9 - 1, 10**9, 10**10 - 1))
                | st.integers(10**8, 10**10 - 1))
-# (TAG time, then the fields of _POSITION_LAYOUT after the type, as sent), latitude and longitude on the globe
+# (TAG time, then the fields of _POSITION_LAYOUT after the type, as sent), latitude and longitude on the globe,
+# and COG and heading "not available" as the one sentinel the encoder writes for each (3600 and 511)
 position_rows = st.tuples(tag_seconds, _field(30), _field(4), _field(8, True, -128), _field(10, False, 1023),
                           st.integers(-108000000, 108000000), st.integers(-54000000, 54000000),
-                          _field(12, False, 3600), _field(9, False, 511))
+                          st.sampled_from((0, 3599, 3600)) | st.integers(0, 3600),
+                          st.sampled_from((0, 359, 511)) | st.integers(0, 359))
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(position_rows, max_size=30))
 def test_encoded_positions_decode_to_their_table(rows):
-    """encode_positions is the inverse of the block's position rows and of feed, and writes the oracle's lines."""
-    seconds, mmsi, navstat, rot, sog, lon, lat, cog, heading = np.array(rows, dtype=np.int64).reshape(-1, 9).T
-    table = codec.PositionTable(seconds * 1_000_000, mmsi, navstat, rot, sog, lon / 600000.0, lat / 600000.0, cog,
-                                heading)
-    lines = codec.encode_positions(table)
-    assert lines == [oracles.tag_block(oracles.position_sentence(
+    """encode_positions writes back the oracle's lines from the rows the block decodes of them, NaN fields
+    included, and feed reads the lines as the rows' reports."""
+    lines = [oracles.tag_block(oracles.position_sentence(
         mmsi=row[1], navstat=row[2], rot_raw=row[3], sog_raw=row[4], lon_raw=row[5], lat_raw=row[6], cog_raw=row[7],
         heading_raw=row[8], second=row[0] % 60), row[0]) for row in rows]
     block = codec.MessageDecoder().feed_block(lines, np.zeros(len(lines), dtype=np.int64))
     assert block.outcomes == []
-    assert [column.tolist() for column in block.positions.columns()] == [c.tolist() for c in table.columns()]
+    assert block.positions.time_us.tolist() == [row[0] * 1_000_000 for row in rows]
+    assert codec.encode_positions(block.positions) == lines
     fed = codec.MessageDecoder()
-    assert [o.message for line in lines for o in fed.feed(line, RX)] == table_reports(table)
+    assert [o.message for line in lines for o in fed.feed(line, RX)] == list(block.positions)
 
 
 def written_name(name: str) -> str:

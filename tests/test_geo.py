@@ -299,6 +299,31 @@ class TestGeoJson:
         with pytest.raises(geo.InvalidPolygon):
             geo.load_port_geometry({"type": "FeatureCollection", "features": [f]})
 
+    @pytest.mark.parametrize("data", [
+        [], "port", {"type": "FeatureCollection", "features": {"a": 1}},
+        {"type": "FeatureCollection", "features": [[1, 2]]},
+        {"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": [], "properties": {}}]},
+        {"type": "FeatureCollection", "features": [{"type": "Feature", "properties": {"name": "x", "kind": "terminal"},
+                                                    "geometry": {"type": "Polygon", "coordinates": None}}]},
+    ], ids=["list", "string", "features-object", "feature-list", "geometry-list", "no-rings"])
+    def test_json_of_another_shape_is_invalid(self, data, tmp_path):
+        path = tmp_path / "port.geojson"
+        path.write_text(json.dumps(data))
+        with pytest.raises(geo.InvalidPolygon):
+            geo.load_port_geometry(path)
+        with pytest.raises(geo.InvalidPolygon):
+            geo.AreaFilter.from_geojson(path)
+
+    @pytest.mark.parametrize("point", [None, [None, 1.0], [1.0], [1.0, "x"], "ab", 5],
+                             ids=["null", "null-lon", "one-number", "text-lat", "text", "number"])
+    def test_a_vertex_that_is_not_a_number_pair_is_invalid(self, point):
+        f = _feature("x", "terminal", [(0, 0), (0, 1), (1, 1), (1, 0)])
+        f["geometry"]["coordinates"][0][1] = point
+        with pytest.raises(geo.InvalidPolygon, match="pairs of numbers"):
+            geo.load_port_geometry({"type": "FeatureCollection", "features": [f]})
+        with pytest.raises(geo.InvalidPolygon, match="pairs of numbers"):
+            geo.AreaFilter.from_geojson(f)
+
     def test_area_filter_circle_and_polygon(self):
         circle = geo.AreaFilter.circle(34.0, 18.0, 5000.0)
         assert circle.contains(34.0, 18.0)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import decode_all, each_report
-from portcall import codec, ingest, synth
+from portcall import cli, codec, ingest, synth
 from portcall.codec import MessageDecoder, PositionReport, StaticReport
 from portcall.jsonl import dumps, message_to_dict, position_line
 
@@ -46,6 +46,20 @@ class TestSourceConfig:
     def test_bad_tcp(self):
         with pytest.raises(ValueError):
             ingest.SourceConfig.parse_source("tcp://nohost")
+
+    @pytest.mark.parametrize("port", [1, 65535])
+    def test_tcp_port_range_edges(self, port):
+        assert ingest.SourceConfig.parse_source(f"tcp://127.0.0.1:{port}").endpoint == ("127.0.0.1", port)
+
+    @pytest.mark.parametrize("port", ["0", "65536", "70000"])
+    def test_tcp_port_out_of_range_is_a_usage_error(self, port, tmp_path, capsys):
+        """Once a port past 65535 was accepted, and ingest retried its connection until stopped."""
+        with pytest.raises(ValueError, match="1-65535"):
+            ingest.SourceConfig.parse_source(f"tcp://127.0.0.1:{port}")
+        store = tmp_path / "store"
+        assert cli.main(["ingest", "--source", f"tcp://127.0.0.1:{port}", "--store", str(store)]) == cli.EXIT_USAGE
+        assert "1-65535" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_mode_consistency(self):
         with pytest.raises(ValueError):
@@ -478,7 +492,7 @@ class TestColumnPass:
     def test_clean_block_builds_no_object_per_position(self, tmp_path, monkeypatch, nmea_fixture):
         """A replayed block of clean position lines, tagged or bare, reaches the store as columns: no outcome,
         report or datetime per position, and no timedelta per line."""
-        built = {"DecodeOutcome": 0, "_position_report": 0, "from_epoch_us": 0, "_tag_time": 0, "timedelta": 0}
+        built = {"DecodeOutcome": 0, "_report": 0, "from_epoch_us": 0, "_tag_time": 0, "timedelta": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -486,7 +500,7 @@ class TestColumnPass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("DecodeOutcome", "_position_report", "from_epoch_us", "_tag_time"):
+        for name in ("DecodeOutcome", "_report", "from_epoch_us", "_tag_time"):
             monkeypatch.setattr(codec, name, counted(name, getattr(codec, name)))
         monkeypatch.setattr(ingest, "dt", SimpleNamespace(**{k: getattr(dt, k) for k in ("date", "datetime")},
                                                           timedelta=counted("timedelta", dt.timedelta)))

@@ -10,18 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_fed, expanded, table_reports
+from conftest import as_fed, expanded
 from portcall import cli, codec, columnar, ingest, jsonl
-from portcall.codec import STATUS_KINDS, PositionReport, PositionTable
+from portcall.codec import STATUS_KINDS, PositionReport, Positions
 
 # floats that json and a hand-rolled formatter are apt to write differently
 AWKWARD = (1e-07, -0.0, 5e-324)
 
 
+def floats(limit: float) -> st.SearchStrategy:
+    """Finite floats in [-limit, limit], as the decoder and the stored-document reader give them."""
+    return st.floats(-limit, limit) | st.sampled_from(AWKWARD + (-limit, limit))
+
+
 def numbers(limit: float) -> st.SearchStrategy:
-    """Finite numbers in [-limit, limit], ints among them, as stored JSONL can hold."""
-    return (st.floats(-limit, limit) | st.integers(-int(limit), int(limit))
-            | st.sampled_from(AWKWARD + (-limit, limit)))
+    """Finite numbers in [-limit, limit], ints among them, as stored JSONL from another tool can hold."""
+    return floats(limit) | st.integers(-int(limit), int(limit))
 
 
 # fixed UTC offsets up to a day either way; the bounds keep the UTC year in 1000-9999
@@ -32,18 +36,24 @@ timestamps = st.datetimes(
                                    max_value=dt.timedelta(hours=23, minutes=59))),
 )
 
-reports = st.builds(
-    PositionReport,
-    mmsi=st.integers(0, 999999999),
-    timestamp=timestamps,
-    lat=numbers(90.0),
-    lon=numbers(180.0),
-    sog=st.none() | numbers(1e16),
-    cog=st.none() | numbers(1e16),
-    heading=st.none() | numbers(1e16),
-    navstat=st.integers(0, 15),
-    rot=st.none() | st.integers(-720, 720),
-)
+def position_reports(number) -> st.SearchStrategy:
+    """Position reports whose lat, lon, sog, cog and heading are drawn by number(limit)."""
+    return st.builds(
+        PositionReport,
+        mmsi=st.integers(0, 999999999),
+        timestamp=timestamps,
+        lat=number(90.0),
+        lon=number(180.0),
+        sog=st.none() | number(1e16),
+        cog=st.none() | number(1e16),
+        heading=st.none() | number(1e16),
+        navstat=st.integers(0, 15),
+        # the rates of turn a float64 column holds exactly reach 2**53 either way
+        rot=st.none() | st.integers(-720, 720) | st.sampled_from((-(1 << 53), 1 << 53)),
+    )
+
+
+reports = position_reports(floats)
 
 validated = st.builds(
     columnar.ValidatedMessage,
@@ -80,6 +90,16 @@ def test_position_line_is_the_dict_codec_text(r):
     assert jsonl.message_from_dict(json.loads(line)) == whole_seconds(r)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(position_reports(numbers), max_size=8))
+def test_position_line_is_the_column_writers_line_for_stored_reports(rs):
+    """A report as message_from_dict reads it from a stored document, ints in its float fields among them, is
+    written alike one at a time and by the column writer from its row."""
+    read = [jsonl.message_from_dict(json.loads(json.dumps(jsonl.message_to_dict(r)))) for r in rs]
+    assert [jsonl.position_line(r) for r in read] == jsonl.position_lines(Positions.of_reports(read))
+    assert all(type(v) is float for r in read for v in (r.lat, r.lon, r.sog, r.cog, r.heading) if v is not None)
+
+
 @settings(max_examples=500, deadline=None)
 @given(validated)
 def test_validated_line_is_the_dict_codec_text(vm):
@@ -104,7 +124,8 @@ def test_format_ts_edges(t, text):
 
 # --- the block writer ------------------------------------------------------------
 
-# raw fields of _POSITION_LAYOUT: each field's extremes and sentinels, the off-globe 91/181 degrees among them
+# receive times and the raw fields of _POSITION_LAYOUT after the type, as codec._position_rows takes them: each
+# field's extremes and sentinels, the off-globe 91/181 degrees among them
 raw_rows = st.tuples(
     st.integers(codec.epoch_us(dt.datetime(1, 1, 2, tzinfo=dt.timezone.utc)),
                 codec.epoch_us(dt.datetime(9999, 12, 30, tzinfo=dt.timezone.utc))),  # receive time, pre-1970 too
@@ -122,35 +143,21 @@ raw_rows = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(raw_rows, min_size=1, max_size=30))
 def test_position_lines_are_the_dict_codec_text(rows):
-    time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading = (np.array(c, dtype=np.int64) for c in zip(*rows))
-    table = PositionTable(time_us, mmsi, navstat, rot, sog, lon / 600000.0, lat / 600000.0, cog, heading)
-    assert jsonl.position_lines(table) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in table_reports(table)]
+    positions = codec._position_rows(*(np.array(c, dtype=np.int64) for c in zip(*rows)))
+    assert jsonl.position_lines(positions) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in positions]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(raw_rows, validated_fields), min_size=1, max_size=30))
 def test_block_rows_are_written_from_their_columns(rows):
-    """A table's rows keep no document of their own: the texts of their values give the lines the block writer
-    wrote, and the validated lines that the dict codec writes for each row's ValidatedMessage."""
+    """A block's rows keep no document of their own: the texts of their values give the validated lines that the
+    dict codec writes for each row's ValidatedMessage."""
     raw, fields = zip(*rows)
-    time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading = (np.array(c, dtype=np.int64) for c in zip(*raw))
-    table = PositionTable(time_us, mmsi, navstat, rot, sog, lon / 600000.0, lat / 600000.0, cog, heading)
-    positions = columnar.Positions.of_table(table)
-    assert positions.own_lines.tolist() == [None] * len(table)
+    positions = codec._position_rows(*(np.array(c, dtype=np.int64) for c in zip(*raw)))
     corrected, method, agreed, gap_flag = zip(*fields)
     rows = columnar.Validated(positions, np.array(corrected), np.array(method, dtype=object), np.array(agreed),
                               np.array(gap_flag))
     assert list(rows.line_chunks()) == [[jsonl.dumps(cli.validated_to_dict(vm)) for vm in rows]]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(reports, max_size=8))
-def test_report_rows_keep_the_documents_their_values_do_not_give(rs):
-    """A row keeps its report's document where the row's values, as float64, would write another one."""
-    positions = columnar.Positions.of_reports(rs)
-    lines = [jsonl.position_line(r) for r in rs]
-    assert positions.own_lines.tolist() == [
-        None if line == jsonl.position_line(positions[i]) else line for i, line in enumerate(lines)]
 
 
 # one line of a replayed file: a position's raw fields, and its TAG time in seconds or milliseconds (None for
@@ -197,5 +204,5 @@ def test_the_writers_keep_signed_zeros_and_null_apart():
     rows = columnar.Validated.of_messages(messages)
     assert list(rows.line_chunks()) == [expected]
     assert [line for k in range(len(rows)) for (line,) in rows[k:k + 1].line_chunks()] == expected
-    assert [jsonl.position_field_texts(*rows.positions[k:k + 1].columns()[:-1])[2] for k in range(len(rows))] \
+    assert [jsonl.position_field_texts(rows.positions[k:k + 1])[2] for k in range(len(rows))] \
         == [["0.0"], ["0.0"], ["-0.0"], ["-0.0"]]
