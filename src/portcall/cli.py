@@ -210,17 +210,18 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
                  raw_cadence_s: float, max_error_rate: float | None, *, digests: dict[pathlib.Path, str]):
     """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
 
-    The decoder's column set slices are written to `out` with the
-    documents the column writer made for their rows; positions the line
-    parser decoded, stored JSONL positions and statics are written one by
-    one. Returns the positions as one `codec.Positions` column set in the
-    order they came, the ship type of every MMSI that sent static data, and
-    the exit status of the error-rate check. The slices are joined
-    _SLICES_PER_PART at a time, each run of positions that came as reports
-    is converted once, and the parts are concatenated after the last line;
-    no text of a row is kept, as the columns give it back. Times are cut to
-    the whole seconds the JSONL holds, so later stages see the values a
-    staged run reads back from the file.
+    Each run of block rows (positions and statics) is written to `out` in
+    one write, with the documents the column writers made for its rows, and
+    its statics' ship types are read from their columns; messages the line
+    parser decoded and stored JSONL messages are written one by one.
+    Returns the positions as one `codec.Positions` column set in the order
+    they came, the ship type of every MMSI that sent static data (its
+    last), and the exit status of the error-rate check. The runs' position
+    slices are joined _SLICES_PER_PART at a time, each run of positions
+    that came as reports is converted once, and the parts are concatenated
+    after the last line; no text of a row is kept, as the columns give it
+    back. Times are cut to the whole seconds the JSONL holds, so later
+    stages see the values a staged run reads back from the file.
     """
     parts: list[Positions] = []  # the positions so far, in order, a run of rows of one kind each
     slices: list[Positions] = []  # slices not yet in parts
@@ -251,20 +252,21 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
                 ship_types[msg.mmsi] = msg.ship_type
             fo.write("\n")
 
-        def keep_positions(rows, lines):
-            fo.write("\n".join(lines))
-            fo.write("\n")
-            flush_reports()
-            slices.append(rows)
-            if len(slices) == _SLICES_PER_PART:
-                flush_slices()
+        def keep_rows(run, lines):
+            fo.write("\n".join(lines) + "\n")
+            if len(run.positions):
+                flush_reports()
+                slices.append(run.positions)
+                if len(slices) == _SLICES_PER_PART:
+                    flush_slices()
+            ship_types.update(zip(run.statics.mmsi.tolist(), run.statics.ship_type.tolist()))
 
         def reject(outcome):
             fe.write(jsonl.dumps({"error": outcome.error, "detail": outcome.detail, "raw": outcome.raw}))
             fe.write("\n")
 
         try:
-            summary = run_replay(SourceConfig(mode="replay", path=source), keep, positions_sink=keep_positions,
+            summary = run_replay(SourceConfig(mode="replay", path=source), keep, rows_sink=keep_rows,
                                  error_sink=reject, raw_start=raw_start, raw_cadence_s=raw_cadence_s)
         except RawTimeOutOfRange as exc:
             raise UsageError(f"bad --raw-cadence-s {raw_cadence_s!r}: {exc}") from None
@@ -602,9 +604,9 @@ def cmd_ingest(args) -> int:
     store = MessageStore(args.store)
     try:
         if cfg.mode == "replay":
-            summary = run_replay(cfg, store.append, positions_sink=store.append_positions)
+            summary = run_replay(cfg, store.append, rows_sink=store.append_rows)
         else:
-            summary = run_live(cfg, store.append, threading.Event(), positions_sink=store.append_positions)
+            summary = run_live(cfg, store.append, threading.Event(), rows_sink=store.append_rows)
     finally:
         store.close()
     print(

@@ -12,18 +12,20 @@ block of lines at once with numpy: single-sentence position reports, and
 two-sentence type 5 reports whose fragments sit on adjacent lines.
 Checksums are an XOR reduction, payloads are de-armored through a lookup
 table, fields are read as integer columns and TAG times as one integer
-column. The positions this pass decodes leave as one Positions column
-set, and no object is built per position. Every other line goes in its
-place to MessageDecoder.feed, the general parser of one line, so a block
-gives what feeding its lines one by one would: malformed, orphaned and rare
-lines, and a pair that a block boundary splits. What feed gives, positions
-included, stays an outcome.
+column. The positions and type 5 pairs this pass decodes leave as one
+Positions and one Statics column set, placed among the block's outcomes
+(DecodedBlock), and no object is built per position or pair. Every other
+line goes in its place to MessageDecoder.feed, the general parser of one
+line, so a block gives what feeding its lines one by one would: malformed,
+orphaned and rare lines, and a pair that a block boundary splits. What feed
+gives, positions and statics included, stays an outcome.
 
 Positions is the one column set of decoded positions that every stage
 carries: receive times in integer microseconds since the epoch, MMSI and
 status as integers, and every other field as the float64 value it reads
 as, NaN for "not available" (_field_values maps the raw fields). Its row
-type is PositionReport, which a row gives only when asked.
+type is PositionReport, which a row gives only when asked. Statics holds
+the block's static reports the same way; its row type is StaticReport.
 
 Each message type's fields are declared once, in _POSITION_LAYOUT and
 _STATIC_LAYOUT, and this module owns both directions of each layout. The
@@ -462,8 +464,66 @@ def _position_rows(time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading) -> 
     return Positions(time_us, mmsi, navstat, lat / 600000.0, lon / 600000.0, sog, cog, heading, rot)
 
 
+# a Statics row's time_us where its report has no timestamp; no datetime lies this far before 1970
+NO_TIME = np.iinfo(np.int64).min
+
+
+@dataclass(eq=False)
+class Statics:
+    """Static reports (type 5) as columns, one row per report, in order.
+
+    time_us holds the receive time in int64 microseconds since 1970-01-01
+    UTC, NO_TIME where the report has none; mmsi, ship_type, length and
+    width are int64, length and width 0 where the report has None (a
+    decoded length or width of 0 is "not available"); name is an object
+    array of str. feed_block gives the type 5 pairs it decodes as one column
+    set, and jsonl writes each row's stored document from the columns. An
+    int index gives the row's StaticReport; a slice, mask or index array
+    gives the column set of those rows.
+    """
+
+    time_us: np.ndarray
+    mmsi: np.ndarray
+    ship_type: np.ndarray
+    length: np.ndarray
+    width: np.ndarray
+    name: np.ndarray
+
+    def columns(self) -> tuple:
+        return self.time_us, self.mmsi, self.ship_type, self.length, self.width, self.name
+
+    def __len__(self) -> int:
+        return len(self.time_us)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            time_us, mmsi, ship_type, length, width = (c[rows].item() for c in self.columns()[:-1])
+            return StaticReport(mmsi, self.name[rows], ship_type, length or None, width or None,
+                                None if time_us == NO_TIME else from_epoch_us(time_us))
+        return Statics(*(c[rows] for c in self.columns()))
+
+    def __iter__(self):
+        """The StaticReport of each row, in order."""
+        return map(self.__getitem__, range(len(self)))
+
+    def utc_days(self) -> np.ndarray:
+        """The proleptic Gregorian ordinal of each row's UTC day; 1970-01-01 for a row without a time."""
+        return np.where(self.time_us == NO_TIME, 0, self.time_us) // _DAY_US + _UNIX_ORDINAL
+
+
 # bytes.translate table of 6-bit text: values 0-31 are '@' and the letters, 32-63 space, digits and punctuation
 _SIXBIT_TEXT = bytes.maketrans(bytes(range(64)), bytes(v + 64 if v < 32 else v for v in range(64)))
+_NAME_CHARS = 20
+
+
+def _static_rows(time_us: np.ndarray, fields: np.ndarray) -> Statics:
+    """The column set of static fields as _read_rows reads them, one row each: _STATIC_LAYOUT after the type."""
+    mmsi, ship_type, to_bow, to_stern, to_port, to_starboard = fields[:, [0, *range(21, 26)]].T
+    text = fields[:, 1:21].astype(np.uint8).tobytes().translate(_SIXBIT_TEXT).decode("ascii")
+    names = np.array([text[k : k + _NAME_CHARS].rstrip("@ ") for k in range(0, len(text), _NAME_CHARS)],
+                     dtype=object)
+    return Statics(time_us, mmsi, np.where(ship_type <= 99, ship_type, 0),  # reserved codes: "not available"
+                   to_bow + to_stern, to_port + to_starboard, names)
 
 
 def _static_report(rx_time, mmsi, *rest) -> StaticReport:
@@ -751,21 +811,52 @@ class DecodeOutcome:
     raw: str | None = None
 
 
+@dataclass(eq=False)
+class BlockRun:
+    """A run of a block's rows in receive order: position rows and static rows, static[k] telling which one the
+    k-th row is."""
+
+    positions: Positions
+    statics: Statics
+    static: np.ndarray  # bool, one per row
+
+    def __len__(self) -> int:
+        return len(self.static)
+
+    def utc_days(self) -> np.ndarray:
+        """The proleptic Gregorian ordinal of each row's UTC day, in order."""
+        days = np.empty(len(self), dtype=np.int64)
+        days[~self.static] = self.positions.utc_days()
+        days[self.static] = self.statics.utc_days()
+        return days
+
+
 @dataclass(slots=True)
 class DecodedBlock:
     """What feed_block made of a block of lines.
 
-    positions holds the positions that feed_block's own pass decoded, one
-    row each, and outcomes every outcome that feed() or the pass gave
-    otherwise, in order, positions feed() decoded included; rows[j] is the
-    number of rows of positions that come before outcomes[j]. Read in that
-    order, they are the outcomes of feeding the block's lines one by one,
-    each row standing for a position outcome.
+    Its rows are the messages that feed_block's own pass decoded, in order:
+    the rows of positions and of statics, static[k] telling which one the
+    k-th row is (run gives a run of them). outcomes holds every outcome that
+    feed() or the pass gave otherwise, in order, the positions and statics
+    feed() decoded included; rows[j] is the number of rows that come before
+    outcomes[j]. Read in that order, they are the outcomes of feeding the
+    block's lines one by one: a position row stands for a position outcome,
+    and a static row for fragment 1's buffered outcome followed by fragment
+    2's static outcome.
     """
 
     positions: Positions
+    statics: Statics
+    static: np.ndarray  # bool, one per row
     outcomes: list[DecodeOutcome]
     rows: list[int]
+
+    def run(self, start: int, stop: int) -> BlockRun:
+        """Rows start..stop."""
+        first, last = (int(np.count_nonzero(self.static[:k])) for k in (start, stop))
+        return BlockRun(self.positions[start - first : stop - last], self.statics[first:last],
+                        self.static[start:stop])
 
 
 # a multi-sentence group not completed within this time of its first
@@ -889,23 +980,28 @@ class MessageDecoder:
         rx_us holds each line's receive time in microseconds since the
         epoch. Single-sentence position lines, and two-sentence type 5
         groups whose fragments 1 and 2 sit on adjacent lines, are
-        checksummed and decoded together (_BLOCK_LINE); their positions
-        become rows of a Positions column set without any per-row object. A position line goes
-        to feed() in its place when a checksum or its TAG time fails, its
-        type is not 1-3 or it lies out of range. A pair goes to feed() when
-        a checksum or TAG time fails, it holds fewer than 270 bits or
-        another type, its (channel, message id) key is still pending after
-        expiring at fragment 1's time, or fragment 2 arrives more than the
-        reassembly window after fragment 1. Every other line goes to feed()
-        too, and what feed() gives, positions included, joins the outcomes.
+        checksummed and decoded together (_BLOCK_LINE), TAG times included;
+        they become rows of a Positions and a Statics column set without
+        any per-row object. A position line goes to feed() in its place
+        when a checksum or its TAG time fails, its type is not 1-3 or it
+        lies out of range. A pair goes to feed() when a checksum or TAG
+        time fails, it holds fewer than 270 bits or another type, or
+        fragment 2 arrives more than the reassembly window after fragment 1;
+        and, checked pair by pair only while a group is pending, when its
+        (channel, message id) key is still pending after expiring at
+        fragment 1's time, or a group would expire at fragment 2's. Every
+        other line goes to feed() too, and what feed() gives, positions and
+        statics included, joins the outcomes.
         """
         rx_us = np.asarray(rx_us, dtype=np.int64)
         raws = [line if (line and line[-1] not in "\r\n") else line.rstrip("\r\n") for line in lines]
         matches = [(i, m.groups()) for i, m in enumerate(map(_BLOCK_LINE.fullmatch, raws)) if m is not None]
-        # the block's rows: the line and receive time of each, and its fields (_POSITION_LAYOUT after the type)
-        row_lines, times, *fields = (np.zeros(0, dtype=np.int64) for _ in range(10))
-        pairs: dict[int, tuple] = {}  # fragment 1's line -> (key, TAG bodies, _static_report fields)
-        fragment2_lines: list[int] = []  # the fragment 2 lines of those pairs
+        # the position rows: the line and receive time of each, and its fields (_POSITION_LAYOUT after the type)
+        position_lines, position_times, *fields = (np.zeros(0, dtype=np.int64) for _ in range(10))
+        # the type 5 pairs: fragment 1's line and match, each fragment's receive time, and the fields of each
+        # (_STATIC_LAYOUT after the type)
+        pair_lines, pair_matches, first_times, static_times = (np.zeros(0, dtype=np.int64) for _ in range(4))
+        static_fields = np.zeros((0, len(_STATIC_LAYOUT) - 1), dtype=np.int64)
         if matches:
             # TAG body, TAG digits, TAG checksum, sentence body, fragment index, message id, channel, payload,
             # fill, checksum
@@ -914,81 +1010,92 @@ class MessageDecoder:
             singles = [k for k, g in enumerate(groups) if ok[k] and g[4] is None and g[8] == "0" and len(g[7]) == 28]
             if singles:
                 mtype, *fields = _read_rows(_sixes([groups[k][7] for k in singles], 28), _POSITION_ROWS).T
-                row_lines = np.array([matches[k][0] for k in singles])
-                times, timed = _block_times([groups[k] for k in singles], rx_us[row_lines])
+                position_lines = np.array([matches[k][0] for k in singles])
+                times, timed = _block_times([groups[k] for k in singles], rx_us[position_lines])
                 on_globe = _in_range(fields[5] / 600000.0, fields[4] / 600000.0)
                 keep = np.flatnonzero((mtype >= 1) & (mtype <= 3) & on_globe & timed)
-                row_lines, times, fields = row_lines[keep], times[keep], [column[keep] for column in fields]
+                position_lines, position_times = position_lines[keep], times[keep]
+                fields = [column[keep] for column in fields]
             firsts = [k for k in [k for k, g in enumerate(groups[:-1]) if g[4] == "1"]
                       if groups[k + 1][4] == "2" and ok[k] and ok[k + 1] and matches[k + 1][0] == matches[k][0] + 1
                       and groups[k][5:7] == groups[k + 1][5:7]
                       and 6 * (len(groups[k][7]) + len(groups[k + 1][7])) - int(groups[k + 1][8]) >= _STATIC_BITS]
             if firsts:
                 width = _STATIC_BITS // 6
-                rows = _read_rows(_sixes([(groups[k][7] + groups[k + 1][7])[:width] for k in firsts], width),
-                                  _STATIC_ROWS).tolist()
-                for k, (mtype, *static) in zip(firsts, rows):
-                    if mtype == 5:
-                        i, g = matches[k]
-                        pairs[i] = ((g[6], int(g[5])), g[0], groups[k + 1][0], static)
-                        fragment2_lines.append(i + 1)
-        # every line that is not a row or the fragment 2 of a pair, with the number of rows before it
-        rest = np.ones(len(raws), dtype=bool)
-        rest[row_lines] = rest[fragment2_lines] = False
-        stops = np.flatnonzero(rest)
+                read = _read_rows(_sixes([(groups[k][7] + groups[k + 1][7])[:width] for k in firsts], width),
+                                  _STATIC_ROWS)
+                first_lines = np.array([matches[k][0] for k in firsts])
+                times, timed = _block_times([groups[k] for k in firsts] + [groups[k + 1] for k in firsts],
+                                            rx_us[np.concatenate((first_lines, first_lines + 1))])
+                (first, second), (timed1, timed2) = np.split(times, 2), np.split(timed, 2)
+                keep = np.flatnonzero((read[:, 0] == 5) & timed1 & timed2 & (second - first <= _REASSEMBLY_WINDOW_US))
+                pair_lines, pair_matches = first_lines[keep], np.array(firsts)[keep]
+                first_times, static_times, static_fields = first[keep], second[keep], read[keep, 1:]
+        # the rows in line order, and the time of each one's first line
+        order = np.argsort(np.concatenate((position_lines, pair_lines)), kind="stable")
+        static = order >= len(position_lines)
+        row_lines = np.concatenate((position_lines, pair_lines))[order]
+        times = np.concatenate((position_times, first_times))[order]
+        kept = np.ones(len(order), dtype=bool)  # False for a pair that goes to feed() after all
         outcomes: list[DecodeOutcome] = []
         at: list[int] = []  # the number of rows before each outcome
+
+        def put(got: list[DecodeOutcome], row: int) -> None:
+            """Outcomes that come after `row` rows."""
+            outcomes.extend(got)
+            at.extend([row] * len(got))
+
+        def fed(i: int) -> list[DecodeOutcome]:
+            return self.feed(lines[i], from_epoch_us(int(rx_us[i])))
+
+        def take(start: int, stop: int) -> None:
+            """Rows start..stop, each after the timeouts its first line's time expires. While a group is pending, a
+            pair whose key is pending then goes to feed() instead, and a pair at whose fragment 2 a group expires
+            gives its outcomes, as the rows cannot hold the timeouts between them."""
+            while self._pending and start < stop:
+                deadline = min(group.first_rx for group in self._pending.values()) + _REASSEMBLY_WINDOW_US
+                late = np.flatnonzero(static[start:stop] | (times[start:stop] > deadline))
+                if not len(late):
+                    return
+                start += int(late[0])
+                put(self._expire(int(times[start])), start)
+                if static[start] and self._pending:
+                    pair = int(np.count_nonzero(static[:start]))
+                    i, rx2 = int(pair_lines[pair]), int(static_times[pair])
+                    g = matches[pair_matches[pair]][1]
+                    if (g[6], int(g[5])) in self._pending:
+                        kept[start] = False
+                        put(fed(i) + fed(i + 1), start)
+                    elif rx2 - _REASSEMBLY_WINDOW_US > min(group.first_rx for group in self._pending.values()):
+                        kept[start] = False
+                        self.lines += 2
+                        self.buffered += 1
+                        self.statics += 1
+                        report = _static_report(from_epoch_us(rx2), *static_fields[pair].tolist())
+                        put([DecodeOutcome("buffered", None, None, None, raws[i]), *self._expire(rx2),
+                             DecodeOutcome("static", report, None, None, raws[i + 1])], start)
+                start += 1
+
+        # every line that is not in a row, with the number of rows before it
+        rest = np.ones(len(raws), dtype=bool)
+        rest[row_lines] = rest[pair_lines + 1] = False
+        stops = np.flatnonzero(rest)
         done = 0
         for i, row in zip(stops.tolist(), np.searchsorted(row_lines, stops).tolist()):
-            self._take_rows(times, done, row, outcomes, at)
+            take(done, row)
             done = row
-            pair = pairs.get(i)
-            if pair is None:
-                got = self.feed(lines[i], from_epoch_us(int(rx_us[i])))
-            else:
-                got = self._feed_pair(lines[i : i + 2], rx_us[i : i + 2].tolist(), raws[i : i + 2], *pair)
-            outcomes += got
-            at += [row] * len(got)
-        self._take_rows(times, done, len(times), outcomes, at)
-        return DecodedBlock(_position_rows(times, *fields), outcomes, at)
-
-    def _take_rows(self, times: np.ndarray, start: int, stop: int, outcomes: list, at: list) -> None:
-        """Count rows start..stop of a block as positions, each after the timeouts its receive time expires.
-
-        The timeouts join `outcomes`, and the number of rows before each joins `at`.
-        """
-        self.lines += stop - start
-        self.positions += stop - start
-        while self._pending and start < stop:
-            deadline = min(group.first_rx for group in self._pending.values()) + _REASSEMBLY_WINDOW_US
-            late = np.flatnonzero(times[start:stop] > deadline)
-            if not len(late):
-                return
-            start += int(late[0])
-            expired = self._expire(int(times[start]))
-            outcomes += expired
-            at += [start] * len(expired)
-            start += 1
-
-    def _feed_pair(self, lines, rx_us, raws, key, tag1, tag2, fields) -> list[DecodeOutcome]:
-        """The outcomes of feeding fragments 1 and 2 of a type 5 group, whose fields feed_block read."""
-        try:
-            rx1, rx2 = _block_time(tag1, rx_us[0]), _block_time(tag2, rx_us[1])
-        except Malformed:
-            rx1 = rx2 = None
-        outcomes = self._expire(rx1) if rx1 is not None and self._pending else []
-        if rx1 is None or rx2 - rx1 > _REASSEMBLY_WINDOW_US or key in self._pending:
-            # the general parser's error, timeout or reassembly with an earlier fragment
-            return (outcomes + self.feed(lines[0], from_epoch_us(rx_us[0]))
-                    + self.feed(lines[1], from_epoch_us(rx_us[1])))
-        self.lines += 2
-        self.buffered += 1
-        outcomes.append(DecodeOutcome("buffered", None, None, None, raws[0]))
-        if self._pending:
-            outcomes += self._expire(rx2)
-        self.statics += 1
-        outcomes.append(DecodeOutcome("static", _static_report(from_epoch_us(rx2), *fields), None, None, raws[1]))
-        return outcomes
+            put(fed(i), row)
+        take(done, len(order))
+        if not kept.all():
+            at = np.concatenate(([0], np.cumsum(kept)))[at].tolist()
+            static, pairs_kept = static[kept], kept[static]
+            static_times, static_fields = static_times[pairs_kept], static_fields[pairs_kept]
+        self.lines += len(position_times) + 2 * len(static_times)
+        self.positions += len(position_times)
+        self.statics += len(static_times)
+        self.buffered += len(static_times)
+        return DecodedBlock(_position_rows(position_times, *fields), _static_rows(static_times, static_fields),
+                            static, outcomes, at)
 
     def _decode_bits(self, bits: Bits, rx: dt.datetime, raw: str) -> DecodeOutcome:
         try:

@@ -10,14 +10,15 @@ in blocks: the complete lines of each chunk received, or up to
 _REPLAY_BLOCK lines of a file. A byte that is not UTF-8 makes its line
 malformed; it does not end the read.
 
-A block's rows, the positions feed_block's own pass decoded, reach a
-positions_sink as slices of its Positions column set, each a run of rows
-that no other message or reported error comes between, with the stored
-JSONL document of each row, written for the whole block at once by jsonl's
-column writer; so a sink such as MessageStore.append_positions writes them
-without building an object per row. Every other message, a position the
-line parser decoded or a stored JSONL message included, reaches the sink as
-it is.
+A block's rows, the positions and type 5 statics feed_block's own pass
+decoded, reach a rows_sink as runs (codec.BlockRun), each a run of rows in
+receive order that no other message or reported error comes between, with
+the stored JSONL document of each row. jsonl's column writers write the
+documents for the whole block at once, positions with position_lines and
+statics with static_lines; so a sink such as MessageStore.append_rows
+writes a run without building an object per row. Every other message, a
+position or static the line parser decoded or a stored JSONL message
+included, reaches the sink as it is.
 """
 
 import datetime as dt
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport, Positions, StaticReport, epoch_us
-from .jsonl import dumps, message_from_dict, message_to_dict, position_line, position_lines
+from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport, StaticReport, epoch_us
+from .jsonl import dumps, message_from_dict, message_to_dict, position_line, position_lines, static_lines
 
 UTC = dt.timezone.utc
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=UTC)  # the partition of a message without a timestamp
@@ -71,12 +72,15 @@ class SourceConfig:
 
     @classmethod
     def parse_source(cls, source: str, **kwargs) -> "SourceConfig":
-        """Build from a CLI-style source string: tcp://host:port, the port in 1-65535, or file:path."""
+        """Build from a CLI-style source string: tcp://host:port, the port in 1-65535 and an IPv6 host in
+        brackets or bare (tcp://[::1]:4001), or file:path."""
         if source.startswith("tcp://"):
-            hostport = source[len("tcp://") :]
-            host, _, port = hostport.rpartition(":")
-            if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
-                raise ValueError(f"bad tcp source {source!r}: needs a host and a port in 1-65535")
+            host, _, port = source[len("tcp://") :].rpartition(":")
+            if host.startswith("[") and host.endswith("]"):
+                host = host[1:-1]  # the address getaddrinfo takes
+            if not host or "[" in host or "]" in host or not port.isdigit() or not 1 <= int(port) <= 65535:
+                raise ValueError(f"bad tcp source {source!r}: needs a host, an IPv6 one in balanced brackets "
+                                 "or bare, and a port in 1-65535")
             return cls(mode="live", endpoint=(host, int(port)), **kwargs)
         if source.startswith("file:"):
             return cls(mode="replay", path=pathlib.Path(source[len("file:") :]), **kwargs)
@@ -96,9 +100,9 @@ class MessageStore:
     """Append-only JSONL persistence partitioned by UTC date.
 
     Files are named ais-YYYY-MM-DD.jsonl; messages inside one file keep
-    their receive order. append() writes one message; append_positions()
-    writes a column set of positions with one write per run of rows from
-    the same UTC day.
+    their receive order. append() writes one message; append_rows() writes
+    a run of a block's rows with one write per stretch of rows from the
+    same UTC day.
     """
 
     def __init__(self, root):
@@ -118,11 +122,11 @@ class MessageStore:
         f.write(position_line(msg) if isinstance(msg, PositionReport) else dumps(message_to_dict(msg)))
         f.write("\n")
 
-    def append_positions(self, positions: Positions, lines: list[str]) -> None:
-        """Write the rows of a column set, given the stored document of each (jsonl.position_lines)."""
+    def append_rows(self, rows: BlockRun, lines: list[str]) -> None:
+        """Write a run of a block's rows, given the stored document of each in order."""
         start = 0
-        for day, rows in itertools.groupby(positions.utc_days().tolist()):
-            stop = start + len(list(rows))
+        for day, same_day in itertools.groupby(rows.utc_days().tolist()):
+            stop = start + len(list(same_day))
             self._file(day).write("\n".join(lines[start:stop]) + "\n")
             start = stop
 
@@ -146,15 +150,15 @@ def _utcnow_s() -> dt.datetime:
 class _Delivery:
     """Hands decoded messages and errors on to the sinks in order, counting them in `summary`.
 
-    A block's rows go to positions_sink as slices with the stored
-    document of each row; every message outcome, a position the line
-    parser decoded or a stored message included, goes to sink. With a
-    `pause`, each message reaches its sink right after pause(its receive
-    time in microseconds).
+    A block's rows go to rows_sink as runs with the stored document of each
+    row; every message outcome, a message the line parser decoded or a
+    stored message included, goes to sink. With a `pause`, each message
+    reaches its sink right after pause(its receive time in microseconds),
+    a row as a run of one.
     """
 
     sink: object
-    positions_sink: object
+    rows_sink: object
     error_sink: object
     summary: IngestSummary
     pause: object = None
@@ -174,30 +178,40 @@ class _Delivery:
 
     def block(self, block: DecodedBlock) -> None:
         """A block's rows and outcomes in order. The documents of its rows are written for the whole block at
-        once, and a run of rows reaches positions_sink as one slice unless an outcome for a sink comes between."""
-        positions = block.positions
-        lines = position_lines(positions) if len(positions) else []
+        once, and a run of rows reaches rows_sink in one call unless an outcome for a sink comes between."""
+        lines = _documents(block)
         start = 0
         for outcome, row in zip(block.outcomes, block.rows):
             if row > start and (outcome.kind in ("position", "static")
                                 or outcome.kind == "error" and self.error_sink is not None):
-                self._positions(positions, lines, start, row)
+                self._rows(block, lines, start, row)
                 start = row
             self.outcome(outcome)
-        if start < len(positions):
-            self._positions(positions, lines, start, len(positions))
+        if start < len(lines):
+            self._rows(block, lines, start, len(lines))
 
-    def _positions(self, positions: Positions, lines: list[str], start: int, stop: int) -> None:
-        """Rows start..stop of a block's column set, with their documents."""
+    def _rows(self, block: DecodedBlock, lines: list[str], start: int, stop: int) -> None:
+        """Rows start..stop of a block, with their documents."""
         if self.pause is not None and stop - start > 1:
             for k in range(start, stop):
-                self._positions(positions, lines, k, k + 1)
+                self._rows(block, lines, k, k + 1)
             return
-        rows = positions[start:stop]
+        run = block.run(start, stop)
         if self.pause is not None:
-            self.pause(int(rows.time_us[0]))
+            self.pause(int((run.statics if run.static[0] else run.positions).time_us[0]))
         self.summary.messages += stop - start
-        self.positions_sink(rows, lines[start:stop])
+        self.rows_sink(run, lines[start:stop])
+
+
+def _documents(block: DecodedBlock) -> list[str]:
+    """The stored document of each row of a block, in order."""
+    positions = position_lines(block.positions) if len(block.positions) else []
+    if not len(block.statics):
+        return positions
+    lines = np.empty(len(block.static), dtype=object)
+    lines[~block.static] = np.array(positions, dtype=object)
+    lines[block.static] = np.array(static_lines(block.statics), dtype=object)
+    return lines.tolist()
 
 
 def _stored_outcome(line: str) -> DecodeOutcome:
@@ -227,7 +241,7 @@ def run_replay(
     cfg: SourceConfig,
     sink,
     *,
-    positions_sink,
+    rows_sink,
     error_sink=None,
     raw_start: dt.datetime = dt.datetime(2000, 1, 1, tzinfo=UTC),
     raw_cadence_s: float = 1.0,
@@ -242,15 +256,15 @@ def run_replay(
     ValueError; a receive time past year 9999 is RawTimeOutOfRange. NMEA
     lines go to the decoder in blocks of up to _REPLAY_BLOCK lines through
     feed_block, which gives what feeding them one by one would, also when
-    reading the file fails partway. Each block's rows go to positions_sink
-    as slices of its Positions column set with their stored documents, in
-    their place among its other messages, which go to sink. A byte that
-    is not UTF-8 reads as U+FFFD, which makes its line malformed. A line
-    that starts with `{` is read as a stored JSONL message, after the NMEA
-    lines before it; one that does not parse goes to error_sink as a
-    "malformed" error. replay_speed scales the pauses between consecutive
-    message timestamps (0 disables pacing); each message is emitted right
-    after its pause, a paced position as a one-row slice.
+    reading the file fails partway. Each block's rows go to rows_sink as
+    runs with their stored documents, in their place among its other
+    messages, which go to sink. A byte that is not UTF-8 reads as U+FFFD,
+    which makes its line malformed. A line that starts with `{` is read as
+    a stored JSONL message, after the NMEA lines before it; one that does
+    not parse goes to error_sink as a "malformed" error. replay_speed scales
+    the pauses between consecutive message timestamps (0 disables pacing);
+    each message is emitted right after its pause, a paced row as a run of
+    one.
     """
     if not (math.isfinite(raw_cadence_s) and raw_cadence_s >= 0):
         raise ValueError(f"raw_cadence_s {raw_cadence_s!r} is not a finite number >= 0")
@@ -267,7 +281,7 @@ def run_replay(
             sleep(max(0.0, (t_us - prev_us) / 1_000_000) / cfg.replay_speed)
         prev_us = t_us
 
-    deliver = _Delivery(sink, positions_sink, error_sink, summary, pause if cfg.replay_speed > 0 else None)
+    deliver = _Delivery(sink, rows_sink, error_sink, summary, pause if cfg.replay_speed > 0 else None)
 
     def flush():
         nonlocal block, numbers
@@ -302,7 +316,7 @@ def run_live(
     sink,
     stop: threading.Event,
     *,
-    positions_sink,
+    rows_sink,
     error_sink=None,
     rng: random.Random | None = None,
 ) -> IngestSummary:
@@ -310,7 +324,7 @@ def run_live(
 
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
-    time overrides it as in replay. Block rows go to positions_sink and other
+    time overrides it as in replay. Block rows go to rows_sink and other
     messages to sink as in run_replay. Waits a backoff with full jitter after
     a failed connect and after every disconnect, doubling from 1 s to a cap
     of 60 s by default and starting over once a connection delivers a
@@ -324,7 +338,7 @@ def run_live(
     dec = MessageDecoder()
     rng = rng or random.Random()
     summary = IngestSummary()
-    deliver = _Delivery(sink, positions_sink, error_sink, summary)
+    deliver = _Delivery(sink, rows_sink, error_sink, summary)
     backoff = cfg.reconnect_initial_s
     disconnected_at: dt.datetime | None = None
 

@@ -20,9 +20,11 @@ template with them (the store and decoded.jsonl), and
 once per distinct value of the rows it is given, not once per row: a float
 once per float64 bit pattern, so -0.0 and 0.0, and NaNs, stay apart, and
 MMSI and navigational status with `str` once per distinct integer
-(`np.unique`). Statics, errors, outages and voyages are few and hold free
-text (vessel names, raw lines), so they go through their dict codecs and
-`dumps`, which escapes it.
+(`np.unique`). The static column writer, `static_lines`, writes the
+document of each row of a `codec.Statics` column set in one template too,
+escaping the vessel name as `dumps` does. Other statics, errors, outages
+and voyages are few and hold free text (vessel names, raw lines), so they
+go through their dict codecs and `dumps`, which escapes it.
 
 A stored position's lat, lon, sog, cog and heading are read as floats, so a
 number another tool wrote as an int (`"sog":5`) is written back as `5.0`,
@@ -34,10 +36,11 @@ import datetime as dt
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .codec import PositionReport, Positions, StaticReport
+from .codec import NO_TIME, PositionReport, Positions, StaticReport, Statics
 
 UTC = dt.timezone.utc
 
@@ -136,6 +139,28 @@ def position_field_texts(positions: Positions) -> tuple[list, ...]:
 def position_lines(positions: Positions) -> list[str]:
     """The stored document of each row of a column set, equal to `position_line` of the row's report."""
     return list(map(_position_text, *position_field_texts(positions)))
+
+
+def _static_text(length, mmsi, name, ship_type, ts, width) -> str:
+    """The stored document of a static report from the JSON texts of its fields."""
+    return (f'{{"length":{length},"mmsi":{mmsi},"name":{name},"ship_type":{ship_type},"ts":{ts},"type":"static",'
+            f'"width":{width}}}')
+
+
+def _dimension_text(value: int) -> str:
+    return "null" if value == 0 else str(value)
+
+
+def static_lines(statics: Statics) -> list[str]:
+    """The stored document of each row of a static column set, equal to `dumps(message_to_dict(r))` of the row's
+    report: the name escaped as `dumps` escapes it, a length or width of 0 and a row without a time as null."""
+    s = statics
+    timed = s.time_us != NO_TIME
+    ts = np.full(len(s), "null", dtype=object)
+    ts[timed] = [f'"{text}"' for text in _timestamp_texts(s.time_us[timed])]
+    return list(map(_static_text, map(_dimension_text, s.length.tolist()), map(str, s.mmsi.tolist()),
+                    map(encode_basestring_ascii, s.name.tolist()), map(str, s.ship_type.tolist()), ts.tolist(),
+                    map(_dimension_text, s.width.tolist())))
 
 
 def validated_text(agreed_with_reported: bool, cog, corrected_navstat: int, gap_flag: bool, heading, lat, lon,

@@ -2,34 +2,56 @@ import datetime as dt
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from portcall import codec, synth
-from portcall.codec import Positions
+from portcall.codec import Positions, Statics
 from portcall.columnar import Validated
 
 UTC = dt.timezone.utc
 RX0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
 
 
+# a buffered outcome as `expanded` and `as_fed` give it: without its raw line, which a static row does not keep
+BUFFERED = codec.DecodeOutcome("buffered")
+
+
+def messages(run) -> list:
+    """The report of each row of a BlockRun, in order: a PositionReport or a StaticReport."""
+    positions, statics = iter(run.positions), iter(run.statics)
+    return [next(statics) if static else next(positions) for static in run.static.tolist()]
+
+
 def expanded(block) -> list:
-    """A DecodedBlock in order: each row of its positions and each position outcome as its PositionReport, every
-    other outcome as it is."""
-    reports, items, done = list(block.positions), [], 0
+    """A DecodedBlock in order as `as_fed` gives outcomes: each position row as its PositionReport, each static
+    row as BUFFERED and its StaticReport, and each outcome as `as_fed` gives it."""
+    rows = [[BUFFERED, m] if isinstance(m, codec.StaticReport) else [m]
+            for m in messages(block.run(0, len(block.static)))]
+    items, done = [], 0
     for outcome, row in zip(block.outcomes, block.rows):
-        items += reports[done:row] + [outcome.message if outcome.kind == "position" else outcome]
+        items += [item for row_items in rows[done:row] for item in row_items] + as_fed([outcome])
         done = row
-    return items + reports[done:]
+    return items + [item for row_items in rows[done:] for item in row_items]
 
 
 def each_report(sink):
-    """A positions_sink that hands each row of a slice to `sink` as its PositionReport."""
-    def positions_sink(rows, lines):
-        for report in rows:
+    """A rows_sink that hands each row of a run to `sink` as its PositionReport or StaticReport."""
+    def rows_sink(run, lines):
+        for report in messages(run):
             sink(report)
-    return positions_sink
+    return rows_sink
+
+
+def static_columns(reports) -> Statics:
+    """Static reports as a Statics column set, in order."""
+    return Statics(np.array([codec.NO_TIME if r.timestamp is None else codec.epoch_us(r.timestamp) for r in reports],
+                            dtype=np.int64),
+                   *(np.array([getattr(r, name) or 0 for r in reports], dtype=np.int64)
+                     for name in ("mmsi", "ship_type", "length", "width")),
+                   np.array([r.vessel_name for r in reports], dtype=object))
 
 
 def columns(reports) -> Positions:
@@ -43,8 +65,10 @@ def validated_columns(messages) -> Validated:
 
 
 def as_fed(outcomes) -> list:
-    """Outcomes of feed as `expanded` gives them: each position as its report."""
-    return [o.message if o.kind == "position" else o for o in outcomes]
+    """Outcomes of feed as `expanded` gives them: each position and static as its report, each buffered outcome as
+    BUFFERED."""
+    return [o.message if o.kind in ("position", "static") else BUFFERED if o.kind == "buffered" else o
+            for o in outcomes]
 
 
 def decode_all(lines, rx=RX0):
@@ -56,8 +80,8 @@ def decode_all(lines, rx=RX0):
     for o in expanded(block) + dec.finish():
         if isinstance(o, codec.PositionReport):
             positions.append(o)
-        elif o.kind == "static":
-            statics.append(o.message)
+        elif isinstance(o, codec.StaticReport):
+            statics.append(o)
         elif o.kind == "error":
             errors.append(o)
     return positions, statics, errors

@@ -136,3 +136,24 @@ def test_traced_run_writes_what_an_untraced_run_writes(tmp_path):
     assert "validated.jsonl" in plain and _outputs(tmp_path / "traced") == plain
     spans = {span["name"] for span in json.loads(trace.read_text())["spans"]}
     assert {"cli.cmd_run", "ingest.run_replay", "validate.validate_stream", "voyage.extract_voyages"} <= spans
+
+
+def test_traced_ingest_writes_what_an_untraced_ingest_writes(tmp_path):
+    """The same for `ingest`, through which the tracer reaches the store's names (MessageStore.append, and the
+    dumps and message_to_dict it calls): a refactor that drops one must fail here too, and tracing must not change
+    a byte of the store."""
+    w = workloads.WORKLOADS["raw_ingest"]
+    inputs = workloads.make_inputs(w, 7, tmp_path / "inputs", tiny=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(bench.cli_argv(w, inputs.files, tmp_path / "plain")) == cli.EXIT_OK
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "trace_child.py"), str(trace),
+                           *bench.cli_argv(w, inputs.files, tmp_path / "traced")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    plain = _outputs(tmp_path / "plain")
+    assert plain.keys() == OUTPUT_PINS["raw_ingest", 7].keys() and _outputs(tmp_path / "traced") == plain
+    traced = json.loads(trace.read_text())
+    assert {"cli.cmd_ingest", "ingest.run_replay"} <= {span["name"] for span in traced["spans"]}
+    # the statics the line parser decodes reach the store through the wrapped names
+    assert traced["aggs"]["ingest.MessageStore.append"][0] > 0 and traced["aggs"]["jsonl.dumps"][0] > 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_fed, expanded
+from conftest import BUFFERED, as_fed, expanded
 from portcall import codec
 
 UTC = dt.timezone.utc
@@ -466,8 +466,8 @@ def test_encoded_statics_decode_to_their_reports(rows):
     want = [codec.StaticReport(r.mmsi, written_name(r.vessel_name), r.ship_type, r.length or None, r.width or None,
                                r.timestamp) for r in reports]
     block = codec.MessageDecoder().feed_block(lines, np.zeros(len(lines), dtype=np.int64))
-    assert [o.kind for o in block.outcomes] == ["buffered", "static"] * len(rows)
-    assert [o.message for o in block.outcomes if o.kind == "static"] == want
+    assert (block.outcomes, list(block.statics)) == ([], want)
+    assert expanded(block) == [item for report in want for item in (BUFFERED, report)]
     fed = codec.MessageDecoder()
     assert [o.message for line in lines for o in fed.feed(line, RX) if o.kind == "static"] == want
 

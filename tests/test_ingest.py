@@ -61,6 +61,23 @@ class TestSourceConfig:
         assert "1-65535" in capsys.readouterr().err
         assert not store.exists()
 
+    @pytest.mark.parametrize("source, endpoint", [("tcp://[::1]:5000", ("::1", 5000)),
+                                                  ("tcp://[2001:db8::7]:4001", ("2001:db8::7", 4001)),
+                                                  ("tcp://::1:5000", ("::1", 5000))])
+    def test_ipv6_host_is_the_address_without_brackets(self, source, endpoint):
+        """A bracketed IPv6 host was kept with its brackets, which getaddrinfo cannot resolve."""
+        assert ingest.SourceConfig.parse_source(source).endpoint == endpoint
+
+    @pytest.mark.parametrize("source", ["tcp://[::1:5000", "tcp://::1]:5000", "tcp://[::1]", "tcp://[]:5000",
+                                        "tcp://[[::1]]:5000", "tcp://[::1]x:5000"])
+    def test_unbalanced_or_empty_brackets_are_a_usage_error(self, source, tmp_path, capsys):
+        with pytest.raises(ValueError, match="brackets"):
+            ingest.SourceConfig.parse_source(source)
+        store = tmp_path / "store"
+        assert cli.main(["ingest", "--source", source, "--store", str(store)]) == cli.EXIT_USAGE
+        assert "brackets" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_mode_consistency(self):
         with pytest.raises(ValueError):
             ingest.SourceConfig(mode="live")
@@ -74,7 +91,7 @@ class TestReplay:
         path.write_text("\n".join(nmea_fixture) + "\n")
         got = []
         summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    positions_sink=each_report(got.append))
+                                    rows_sink=each_report(got.append))
         positions, statics, errors = decode_all(nmea_fixture)
         assert summary.lines == len(nmea_fixture)
         assert summary.messages == len(positions) + len(statics)
@@ -84,13 +101,13 @@ class TestReplay:
     def test_missing_file(self, tmp_path):
         cfg = ingest.SourceConfig(mode="replay", path=tmp_path / "nope.nmea")
         with pytest.raises(FileNotFoundError):
-            ingest.run_replay(cfg, lambda m: None, positions_sink=lambda table, lines: None)
+            ingest.run_replay(cfg, lambda m: None, rows_sink=lambda run, lines: None)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.nmea"
         path.write_text("")
         summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), lambda m: None,
-                                    positions_sink=lambda table, lines: None)
+                                    rows_sink=lambda run, lines: None)
         assert summary.lines == 0
         assert summary.messages == 0
 
@@ -100,7 +117,7 @@ class TestReplay:
         errors = []
         summary = ingest.run_replay(
             ingest.SourceConfig(mode="replay", path=path), lambda m: None,
-            positions_sink=lambda table, lines: None, error_sink=errors.append,
+            rows_sink=lambda run, lines: None, error_sink=errors.append,
         )
         assert summary.errors == 1
         assert errors[0].raw == "garbage line"
@@ -116,7 +133,7 @@ class TestReplay:
         got = []
         ingest.run_replay(
             ingest.SourceConfig(mode="replay", path=path), got.append,
-            positions_sink=each_report(got.append), raw_start=T0, raw_cadence_s=2.0,
+            rows_sink=each_report(got.append), raw_start=T0, raw_cadence_s=2.0,
         )
         assert [m.timestamp for m in got] == [T0, T0 + dt.timedelta(seconds=2), T0 + dt.timedelta(seconds=4)]
 
@@ -137,7 +154,7 @@ class TestReplay:
 
         ingest.run_replay(
             ingest.SourceConfig(mode="replay", path=path, replay_speed=5.0),
-            sink, positions_sink=each_report(sink), sleep=lambda s: events.append(s),
+            sink, rows_sink=each_report(sink), sleep=lambda s: events.append(s),
         )
         # 10 s gaps at 5x speed, and each message reaches the sink right after its pause
         t = [T0 + dt.timedelta(seconds=10 * i) for i in range(4)]
@@ -149,7 +166,7 @@ def read_store(root) -> list:
     got = []
     for path in sorted(pathlib.Path(root).glob("ais-*.jsonl")):
         ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                          positions_sink=each_report(got.append))
+                          rows_sink=each_report(got.append))
     return got
 
 
@@ -185,7 +202,7 @@ class TestStore:
         for path in sorted((tmp_path / "s").glob("ais-*.jsonl")):
             part = []
             ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), part.append,
-                              positions_sink=each_report(part.append))
+                              rows_sink=each_report(part.append))
             assert {f"ais-{m.timestamp:%Y-%m-%d}.jsonl" for m in part} == {path.name}
             got += part
         assert got == direct
@@ -201,7 +218,7 @@ class TestStore:
         path.write_text(whole + whole.splitlines()[0][:40])  # a crash mid-append
         got, errors = [], []
         summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    positions_sink=each_report(got.append), error_sink=errors.append)
+                                    rows_sink=each_report(got.append), error_sink=errors.append)
         assert got == direct
         assert (summary.lines, summary.messages, summary.errors) == (51, 50, 1)
         assert [e.error for e in errors] == ["malformed"]
@@ -249,7 +266,7 @@ class TestLive:
                 mode="live", endpoint=server.server_address,
                 reconnect_initial_s=0.05, reconnect_max_s=0.1,
             )
-            summary = ingest.run_live(cfg, sink, stop, positions_sink=each_report(sink), rng=random.Random(1))
+            summary = ingest.run_live(cfg, sink, stop, rows_sink=each_report(sink), rng=random.Random(1))
             assert summary.messages >= expected
             assert [m for m in got if isinstance(m, PositionReport)][: len(positions)] == positions
         finally:
@@ -273,7 +290,7 @@ class TestLive:
 
             cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
                                       reconnect_initial_s=0.05, reconnect_max_s=0.1)
-            summary = ingest.run_live(cfg, sink, stop, positions_sink=each_report(sink), rng=random.Random(1))
+            summary = ingest.run_live(cfg, sink, stop, rows_sink=each_report(sink), rng=random.Random(1))
             assert summary.errors >= 1  # the truncated tail
             assert len(got) >= expected
         finally:
@@ -295,7 +312,7 @@ class TestLive:
 
             cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
                                       reconnect_initial_s=0.01, reconnect_max_s=0.05)
-            summary = ingest.run_live(cfg, sink, stop, positions_sink=each_report(sink), rng=random.Random(2))
+            summary = ingest.run_live(cfg, sink, stop, rows_sink=each_report(sink), rng=random.Random(2))
             assert summary.connection_gaps  # at least one disconnect/reconnect cycle
         finally:
             server.shutdown()
@@ -321,7 +338,7 @@ class TestLive:
         try:
             start = time.monotonic()
             timer.start()
-            summary = ingest.run_live(cfg, lambda msg: None, stop, positions_sink=lambda table, lines: None,
+            summary = ingest.run_live(cfg, lambda msg: None, stop, rows_sink=lambda run, lines: None,
                                       rng=random.Random(4))
             elapsed = time.monotonic() - start
         finally:
@@ -356,7 +373,7 @@ class TestLive:
         path.write_bytes(blob)
         replayed, replay_errors = [], []
         replay = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), replayed.append,
-                                   positions_sink=each_report(replayed.append), error_sink=replay_errors.append)
+                                   rows_sink=each_report(replayed.append), error_sink=replay_errors.append)
         assert {"\ufffd" in e.raw for e in replay_errors if e.error == "malformed"} == {True, False}
 
         server, thread = _serve(blob, chunk=37)
@@ -373,7 +390,7 @@ class TestLive:
             cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
                                       reconnect_initial_s=0.05, reconnect_max_s=0.1)
             guard.start()
-            live = ingest.run_live(cfg, sink, stop, positions_sink=each_report(sink), error_sink=errors.append,
+            live = ingest.run_live(cfg, sink, stop, rows_sink=each_report(sink), error_sink=errors.append,
                                    rng=random.Random(3))
         finally:
             guard.cancel()
@@ -423,7 +440,7 @@ class TestReplayBlocks:
         messages, errors = self._per_line(rows)
         got, got_errors = [], []
         summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    positions_sink=each_report(got.append), error_sink=got_errors.append,
+                                    rows_sink=each_report(got.append), error_sink=got_errors.append,
                                     raw_start=T0, raw_cadence_s=0.5)
         assert got == messages
         assert got_errors == errors
@@ -442,7 +459,7 @@ class TestReplayBlocks:
         messages, errors = self._per_line(text)
         got, got_errors = [], []
         summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    positions_sink=each_report(got.append), error_sink=got_errors.append,
+                                    rows_sink=each_report(got.append), error_sink=got_errors.append,
                                     raw_start=T0, raw_cadence_s=0.5)
         assert got == messages
         assert got_errors == errors
@@ -490,9 +507,11 @@ class TestStorePartitions:
 
 class TestColumnPass:
     def test_clean_block_builds_no_object_per_position(self, tmp_path, monkeypatch, nmea_fixture):
-        """A replayed block of clean position lines, tagged or bare, reaches the store as columns: no outcome,
-        report or datetime per position, and no timedelta per line."""
-        built = {"DecodeOutcome": 0, "_report": 0, "from_epoch_us": 0, "_tag_time": 0, "timedelta": 0}
+        """Replayed blocks of clean position lines and type 5 pairs, tagged or bare, reach the store as columns:
+        no outcome, report or datetime per position or static, no timedelta per line, and one sink call per
+        block."""
+        built = {"DecodeOutcome": 0, "_report": 0, "_static_report": 0, "from_epoch_us": 0, "_tag_time": 0,
+                 "timedelta": 0, "append": 0, "append_rows": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -500,41 +519,59 @@ class TestColumnPass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("DecodeOutcome", "_report", "from_epoch_us", "_tag_time"):
+        for name in ("DecodeOutcome", "_report", "_static_report", "from_epoch_us", "_tag_time"):
             monkeypatch.setattr(codec, name, counted(name, getattr(codec, name)))
         monkeypatch.setattr(ingest, "dt", SimpleNamespace(**{k: getattr(dt, k) for k in ("date", "datetime")},
                                                           timedelta=counted("timedelta", dt.timedelta)))
-        tagged = [line for line in nmea_fixture if ",1,1,," in line][:300]
-        lines = tagged[::2] + [line[line.index("\\", 1) + 1 :] for line in tagged[1::2]]  # half of them bare
+        messages, k = [], 0  # each a position line or the two lines of a type 5 pair
+        while k < len(nmea_fixture):
+            messages.append(nmea_fixture[k : k + (2 if "AIVDM,2,1," in nmea_fixture[k] else 1)])
+            k += len(messages[-1])
+        lines = [line if m % 2 else line[line.index("\\", 1) + 1 :]  # every other message bare
+                 for m, message in enumerate(messages[:1400]) for line in message]
+        statics = sum("AIVDM,2,1," in line for line in lines)
+        assert statics > 50 and len(lines) > ingest._REPLAY_BLOCK
+        assert "AIVDM,2,1," not in lines[ingest._REPLAY_BLOCK - 1]  # no pair split between blocks
         path = tmp_path / "clean.nmea"
         path.write_text("\n".join(lines) + "\n")
         with ingest.MessageStore(tmp_path / "s") as store:
-            summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), store.append,
-                                        positions_sink=store.append_positions, raw_start=T0)
-        assert summary.messages == len(lines)
-        assert built == dict.fromkeys(built, 0)
+            summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
+                                        counted("append", store.append),
+                                        rows_sink=counted("append_rows", store.append_rows), raw_start=T0)
+        assert summary.messages == len(lines) - statics
+        assert built == {**dict.fromkeys(built, 0), "append_rows": -(-len(lines) // ingest._REPLAY_BLOCK)}
         monkeypatch.undo()
-        expected = [position_line(m) for m in decode_direct_at(lines, T0)]
+        expected = [position_line(m) if isinstance(m, PositionReport) else dumps(message_to_dict(m))
+                    for m in decode_direct_at(lines, T0)]
+        assert sum('"type":"static"' in line for line in expected) == statics
         assert read_lines(tmp_path / "s") == sorted(expected, key=lambda line: json.loads(line)["ts"][:10])
 
-    def test_paced_positions_reach_the_positions_sink_one_by_one(self, tmp_path):
-        lines = [oracles.tag_block(oracles.position_sentence(mmsi=1, navstat=0, rot_raw=0, sog_raw=100, lon_raw=0,
-                                                             lat_raw=0, cog_raw=0, heading_raw=0),
-                                   int(T0.timestamp()) + 10 * i) for i in range(3)]
+    def test_paced_rows_reach_the_rows_sink_one_by_one(self, tmp_path):
+        """A paced block's positions and statics each reach the rows sink as a run of one, after its pause."""
+        t0 = int(T0.timestamp())
+        positions = [oracles.tag_block(oracles.position_sentence(mmsi=1, navstat=0, rot_raw=0, sog_raw=100, lon_raw=0,
+                                                                 lat_raw=0, cog_raw=0, heading_raw=0), t0 + 10 * i)
+                     for i in range(3)]
+        pair = [oracles.tag_block(line, t0 + 15) for line in oracles.static_sentences(
+            message_id=2, mmsi=1, name="PACED", ship_type=70, to_bow=60, to_stern=60, to_port=10, to_starboard=10)]
+        lines = positions[:2] + pair + positions[2:]
         path = tmp_path / "paced.nmea"
         path.write_text("\n".join(lines) + "\n")
         events = []
         ingest.run_replay(ingest.SourceConfig(mode="replay", path=path, replay_speed=10.0), events.append,
-                          positions_sink=lambda table, text: events.append((len(table), text)), sleep=events.append)
-        pause = pytest.approx(1.0)  # 10 s at 10x speed
-        assert [e if isinstance(e, float) else e[0] for e in events] == [1, pause, 1, pause, 1]
-        assert [e[1] for e in events if isinstance(e, tuple)] == [[position_line(m)] for m in decode_direct(lines)]
+                          rows_sink=lambda run, text: events.append((len(run), text)), sleep=events.append)
+        # 10 s and then 5 s twice, at 10x speed
+        assert [e if isinstance(e, float) else e[0] for e in events] == [1, pytest.approx(1.0), 1, pytest.approx(0.5),
+                                                                         1, pytest.approx(0.5), 1]
+        assert [e[1] for e in events if isinstance(e, tuple)] == [
+            [position_line(m) if isinstance(m, PositionReport) else dumps(message_to_dict(m))]
+            for m in decode_direct(lines)]
 
 
 def decode_direct_at(lines, start, cadence_s=1.0) -> list:
     dec = MessageDecoder()
     return [o.message for i, line in enumerate(lines)
-            for o in dec.feed(line, start + dt.timedelta(seconds=i * cadence_s)) if o.kind == "position"]
+            for o in dec.feed(line, start + dt.timedelta(seconds=i * cadence_s)) if o.kind in ("position", "static")]
 
 
 def read_lines(root) -> list[str]:

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_fed, expanded
+from conftest import as_fed, expanded, static_columns
 from portcall import cli, codec, columnar, ingest, jsonl
-from portcall.codec import STATUS_KINDS, PositionReport, Positions
+from portcall.codec import STATUS_KINDS, PositionReport, Positions, StaticReport
 
 # floats that json and a hand-rolled formatter are apt to write differently
 AWKWARD = (1e-07, -0.0, 5e-324)
@@ -158,6 +158,28 @@ def test_block_rows_are_written_from_their_columns(rows):
     rows = columnar.Validated(positions, np.array(corrected), np.array(method, dtype=object), np.array(agreed),
                               np.array(gap_flag))
     assert list(rows.line_chunks()) == [[jsonl.dumps(cli.validated_to_dict(vm)) for vm in rows]]
+
+
+# names holding what a JSON string escapes: quotes, backslashes, control characters and characters past ASCII,
+# astral ones included, among any others
+INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+statics = st.builds(
+    StaticReport,
+    mmsi=INT64,
+    vessel_name=st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f6a2 @Z') | st.characters(), max_size=24),
+    ship_type=INT64,
+    # a Statics row holds None as 0, the length or width the decoder reads as "not available"
+    length=st.none() | st.integers(1, (1 << 63) - 1),
+    width=st.none() | st.integers(1, (1 << 63) - 1),
+    timestamp=st.none() | timestamps,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(statics, max_size=12))
+def test_static_lines_are_the_dict_codec_text(rs):
+    """The static column writer writes each row as `dumps` writes its report's dict, the name escaped alike."""
+    assert jsonl.static_lines(static_columns(rs)) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
 
 
 # one line of a replayed file: a position's raw fields, and its TAG time in seconds or milliseconds (None for
