@@ -464,19 +464,14 @@ def _position_rows(time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading) -> 
     return Positions(time_us, mmsi, navstat, lat / 600000.0, lon / 600000.0, sog, cog, heading, rot)
 
 
-# a Statics row's time_us where its report has no timestamp; no datetime lies this far before 1970
-NO_TIME = np.iinfo(np.int64).min
-
-
 @dataclass(eq=False)
 class Statics:
     """Static reports (type 5) as columns, one row per report, in order.
 
     time_us holds the receive time in int64 microseconds since 1970-01-01
-    UTC, NO_TIME where the report has none; mmsi, ship_type, length and
-    width are int64, length and width 0 where the report has None (a
-    decoded length or width of 0 is "not available"); name is an object
-    array of str. feed_block gives the type 5 pairs it decodes as one column
+    UTC; mmsi, ship_type, length and width are int64, length and width 0
+    where the report has None (a decoded length or width of 0 is "not
+    available"); name is an object array of str. feed_block gives the type 5 pairs it decodes as one column
     set, and jsonl writes each row's stored document from the columns. An
     int index gives the row's StaticReport; a slice, mask or index array
     gives the column set of those rows.
@@ -499,7 +494,7 @@ class Statics:
         if isinstance(rows, (int, np.integer)):
             time_us, mmsi, ship_type, length, width = (c[rows].item() for c in self.columns()[:-1])
             return StaticReport(mmsi, self.name[rows], ship_type, length or None, width or None,
-                                None if time_us == NO_TIME else from_epoch_us(time_us))
+                                from_epoch_us(time_us))
         return Statics(*(c[rows] for c in self.columns()))
 
     def __iter__(self):
@@ -507,8 +502,8 @@ class Statics:
         return map(self.__getitem__, range(len(self)))
 
     def utc_days(self) -> np.ndarray:
-        """The proleptic Gregorian ordinal of each row's UTC day; 1970-01-01 for a row without a time."""
-        return np.where(self.time_us == NO_TIME, 0, self.time_us) // _DAY_US + _UNIX_ORDINAL
+        """The proleptic Gregorian ordinal of each row's UTC day."""
+        return self.time_us // _DAY_US + _UNIX_ORDINAL
 
 
 # bytes.translate table of 6-bit text: values 0-31 are '@' and the letters, 32-63 space, digits and punctuation
@@ -830,33 +825,28 @@ class BlockRun:
         days[self.static] = self.statics.utc_days()
         return days
 
-
-@dataclass(slots=True)
-class DecodedBlock:
-    """What feed_block made of a block of lines.
-
-    Its rows are the messages that feed_block's own pass decoded, in order:
-    the rows of positions and of statics, static[k] telling which one the
-    k-th row is (run gives a run of them). outcomes holds every outcome that
-    feed() or the pass gave otherwise, in order, the positions and statics
-    feed() decoded included; rows[j] is the number of rows that come before
-    outcomes[j]. Read in that order, they are the outcomes of feeding the
-    block's lines one by one: a position row stands for a position outcome,
-    and a static row for fragment 1's buffered outcome followed by fragment
-    2's static outcome.
-    """
-
-    positions: Positions
-    statics: Statics
-    static: np.ndarray  # bool, one per row
-    outcomes: list[DecodeOutcome]
-    rows: list[int]
-
-    def run(self, start: int, stop: int) -> BlockRun:
+    def run(self, start: int, stop: int) -> "BlockRun":
         """Rows start..stop."""
         first, last = (int(np.count_nonzero(self.static[:k])) for k in (start, stop))
         return BlockRun(self.positions[start - first : stop - last], self.statics[first:last],
                         self.static[start:stop])
+
+
+@dataclass(eq=False)
+class DecodedBlock(BlockRun):
+    """What feed_block made of a block of lines.
+
+    Its rows are the messages that feed_block's own pass decoded, in order,
+    as a BlockRun. outcomes holds every outcome that feed() or the pass gave
+    otherwise, in order, the positions and statics feed() decoded included;
+    rows[j] is the number of rows that come before outcomes[j]. Read in that
+    order, they are the outcomes of feeding the block's lines one by one: a
+    position row stands for a position outcome, and a static row for
+    fragment 1's buffered outcome followed by fragment 2's static outcome.
+    """
+
+    outcomes: list[DecodeOutcome]
+    rows: list[int]
 
 
 # a multi-sentence group not completed within this time of its first
@@ -954,11 +944,15 @@ class MessageDecoder:
             if tag_time is not None:
                 rx = tag_time
         outcomes = self._expire(epoch_us(rx)) if self._pending else []
+        outcomes.append(self._sentence(sentence_text, rx, raw))
+        return outcomes
+
+    def _sentence(self, text: str, rx: dt.datetime, raw: str) -> DecodeOutcome:
+        """The outcome of a line's sentence, the text behind its TAG block, received at rx."""
         try:
-            fields = _parse_fields(sentence_text)
+            fields = _parse_fields(text)
         except (BadChecksum, Malformed) as exc:
-            outcomes.append(self._error(exc, raw))
-            return outcomes
+            return self._error(exc, raw)
         try:
             if fields[1] == 1:  # single-sentence message: skip RawSentence
                 bits = payload_to_bits(fields[5], fields[6])
@@ -966,13 +960,10 @@ class MessageDecoder:
                 bits = self._add_fragment(RawSentence(*fields), rx, raw)
                 if bits is None:
                     self.buffered += 1
-                    outcomes.append(DecodeOutcome("buffered", None, None, None, raw))
-                    return outcomes
+                    return DecodeOutcome("buffered", None, None, None, raw)
         except (DuplicateFragment, Malformed) as exc:
-            outcomes.append(self._error(exc, raw))
-            return outcomes
-        outcomes.append(self._decode_bits(bits, rx, raw))
-        return outcomes
+            return self._error(exc, raw)
+        return self._decode_bits(bits, rx, raw)
 
     def feed_block(self, lines: list[str], rx_us) -> DecodedBlock:
         """What feed(lines[i], rx_us[i]) for each line in order would give, as a DecodedBlock.
@@ -1051,7 +1042,8 @@ class MessageDecoder:
         def take(start: int, stop: int) -> None:
             """Rows start..stop, each after the timeouts its first line's time expires. While a group is pending, a
             pair whose key is pending then goes to feed() instead, and a pair at whose fragment 2 a group expires
-            gives its outcomes, as the rows cannot hold the timeouts between them."""
+            gives the outcomes feed() would, its sentences taking feed()'s own steps after the line parse: the rows
+            cannot hold the timeouts between its fragments."""
             while self._pending and start < stop:
                 deadline = min(group.first_rx for group in self._pending.values()) + _REASSEMBLY_WINDOW_US
                 late = np.flatnonzero(static[start:stop] | (times[start:stop] > deadline))
@@ -1060,7 +1052,7 @@ class MessageDecoder:
                 start += int(late[0])
                 put(self._expire(int(times[start])), start)
                 if static[start] and self._pending:
-                    pair = int(np.count_nonzero(static[:start]))
+                    pair = int(order[start]) - len(position_lines)
                     i, rx2 = int(pair_lines[pair]), int(static_times[pair])
                     g = matches[pair_matches[pair]][1]
                     if (g[6], int(g[5])) in self._pending:
@@ -1069,11 +1061,9 @@ class MessageDecoder:
                     elif rx2 - _REASSEMBLY_WINDOW_US > min(group.first_rx for group in self._pending.values()):
                         kept[start] = False
                         self.lines += 2
-                        self.buffered += 1
-                        self.statics += 1
-                        report = _static_report(from_epoch_us(rx2), *static_fields[pair].tolist())
-                        put([DecodeOutcome("buffered", None, None, None, raws[i]), *self._expire(rx2),
-                             DecodeOutcome("static", report, None, None, raws[i + 1])], start)
+                        first, second = (raws[j].rpartition("\\")[2] for j in (i, i + 1))
+                        put([self._sentence(first, from_epoch_us(int(times[start])), raws[i]), *self._expire(rx2),
+                             self._sentence(second, from_epoch_us(rx2), raws[i + 1])], start)
                 start += 1
 
         # every line that is not in a row, with the number of rows before it

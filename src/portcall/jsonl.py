@@ -40,7 +40,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .codec import NO_TIME, PositionReport, Positions, StaticReport, Statics
+from .codec import PositionReport, Positions, StaticReport, Statics
 
 UTC = dt.timezone.utc
 
@@ -153,13 +153,11 @@ def _dimension_text(value: int) -> str:
 
 def static_lines(statics: Statics) -> list[str]:
     """The stored document of each row of a static column set, equal to `dumps(message_to_dict(r))` of the row's
-    report: the name escaped as `dumps` escapes it, a length or width of 0 and a row without a time as null."""
+    report: the name escaped as `dumps` escapes it, a length or width of 0 as null."""
     s = statics
-    timed = s.time_us != NO_TIME
-    ts = np.full(len(s), "null", dtype=object)
-    ts[timed] = [f'"{text}"' for text in _timestamp_texts(s.time_us[timed])]
+    ts = [f'"{text}"' for text in _timestamp_texts(s.time_us)]
     return list(map(_static_text, map(_dimension_text, s.length.tolist()), map(str, s.mmsi.tolist()),
-                    map(encode_basestring_ascii, s.name.tolist()), map(str, s.ship_type.tolist()), ts.tolist(),
+                    map(encode_basestring_ascii, s.name.tolist()), map(str, s.ship_type.tolist()), ts,
                     map(_dimension_text, s.width.tolist())))
 
 

@@ -25,16 +25,27 @@ def messages(run) -> list:
     return [next(statics) if static else next(positions) for static in run.static.tolist()]
 
 
+def _items(block) -> list:
+    """Each item of `expanded(block)`, with True where a row gave it and False where an outcome did."""
+    rows = [[BUFFERED, m] if isinstance(m, codec.StaticReport) else [m] for m in messages(block)]
+    items, done = [], 0
+    for outcome, row in zip(block.outcomes, block.rows):
+        items += [(item, True) for row_items in rows[done:row] for item in row_items] + [(*as_fed([outcome]), False)]
+        done = row
+    return items + [(item, True) for row_items in rows[done:] for item in row_items]
+
+
 def expanded(block) -> list:
     """A DecodedBlock in order as `as_fed` gives outcomes: each position row as its PositionReport, each static
     row as BUFFERED and its StaticReport, and each outcome as `as_fed` gives it."""
-    rows = [[BUFFERED, m] if isinstance(m, codec.StaticReport) else [m]
-            for m in messages(block.run(0, len(block.static)))]
-    items, done = [], 0
-    for outcome, row in zip(block.outcomes, block.rows):
-        items += [item for row_items in rows[done:row] for item in row_items] + as_fed([outcome])
-        done = row
-    return items + [item for row_items in rows[done:] for item in row_items]
+    return [item for item, _ in _items(block)]
+
+
+def kept(block, fed) -> list:
+    """The outcomes among `fed`, those of feeding a block's lines one by one, that the block keeps as outcomes
+    rather than as rows; `expanded(block)` must read as `as_fed(fed)`. They equal block.outcomes, raw lines
+    included."""
+    return [outcome for outcome, (_, row) in zip(fed, _items(block)) if not row]
 
 
 def each_report(sink):
@@ -47,8 +58,7 @@ def each_report(sink):
 
 def static_columns(reports) -> Statics:
     """Static reports as a Statics column set, in order."""
-    return Statics(np.array([codec.NO_TIME if r.timestamp is None else codec.epoch_us(r.timestamp) for r in reports],
-                            dtype=np.int64),
+    return Statics(np.array([codec.epoch_us(r.timestamp) for r in reports], dtype=np.int64),
                    *(np.array([getattr(r, name) or 0 for r in reports], dtype=np.int64)
                      for name in ("mmsi", "ship_type", "length", "width")),
                    np.array([r.vessel_name for r in reports], dtype=object))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BUFFERED, as_fed, expanded
+from conftest import BUFFERED, as_fed, expanded, kept
 from portcall import codec
 
 UTC = dt.timezone.utc
@@ -678,6 +678,8 @@ class TestFeedBlock:
         assert fed_positions == [o for j, outcomes in enumerate(each) if j not in decoded
                                  for o in outcomes if o.kind == "position"]
         assert fed_positions and all(o.raw for o in fed_positions)
+        # and every outcome the block keeps is feed's in full, the raw lines that `expanded` drops included
+        assert decoded_block.outcomes == kept(decoded_block, expected)
         assert {o.kind for o in decoded_block.outcomes} == {"position", "static", "buffered", "skipped", "error"}
         outcomes = [o for o in got if isinstance(o, codec.DecodeOutcome)]
         assert {o.error for o in outcomes} >= {"bad_checksum", "malformed", "timeout", "truncated_buffer",

@@ -171,7 +171,8 @@ statics = st.builds(
     # a Statics row holds None as 0, the length or width the decoder reads as "not available"
     length=st.none() | st.integers(1, (1 << 63) - 1),
     width=st.none() | st.integers(1, (1 << 63) - 1),
-    timestamp=st.none() | timestamps,
+    # every Statics row has a receive time: feed_block gives each pair fragment 2's
+    timestamp=timestamps,
 )
 
 
