@@ -12,9 +12,20 @@ so the stream replays deterministically. The truth log records vessel
 identities, exact phase boundaries, daily arrival counts, and the injected
 outages, which makes it the oracle for the validation and metrics tests.
 
-Synth declares no message layout. Its emitter records the values of each
-message as the generator draws them, and codec, which owns both directions
-of each layout, encodes them a few thousand messages at a time.
+A visit is a few track segments (underway legs, an anchorage stay, a berth
+stay), each with one report every cadence seconds. The only work done per
+report is the random draws, in the order a report makes them: the segment
+kind's `rng.random()` uniforms, then, when `error_p` is above 0, the error
+draw and, for a wrong status, an `rng.choice` of the other statuses. Each
+segment's times, positions, headings and speeds are then computed as numpy
+columns, with the same float operations a per-report loop of `rng.uniform`
+and `math` calls makes, so the lines are byte-identical to that loop's;
+the sha256 pins in the tests hold that contract. The emitter drops a
+segment's reports that an outage covers with one mask.
+
+Synth declares no message layout. Its emitter keeps the columns of each
+segment, and codec, which owns both directions of each layout, encodes
+them a few thousand messages at a time.
 """
 
 import datetime as dt
@@ -25,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, Positions, StaticReport, encode_positions,
-                    encode_statics)
+from .codec import (STATUS_KINDS, Positions, StaticReport, encode_positions, encode_statics, epoch_us,
+                    from_epoch_us)
 from .geo import AreaFilter, EARTH_RADIUS_M, PortGeometry, Polygon
 from .jsonl import format_ts, parse_ts
 from .metrics import vessel_category
@@ -171,15 +182,22 @@ class Scenario:
             raise InvalidScenario(f"error_p {self.error_p} outside [0, 1]")
         if self.cadence_underway_s < 1 or self.cadence_stopped_s < 1:
             raise InvalidScenario("cadences must be at least 1 s")
+        if not all(float(s).is_integer() for s in (self.cadence_underway_s, self.cadence_stopped_s,
+                                                   self.static_interval_s)):
+            raise InvalidScenario("cadences and the static interval must be whole seconds")
         for vessel in self.vessels:
             last_end = None
             for visit in vessel.visits:
+                if visit.arrive.utcoffset() is None:
+                    raise InvalidScenario(f"mmsi {vessel.mmsi}: arrival {visit.arrive} has no time zone")
                 if visit.anchor_h < 0 or visit.moor_h < 0:
                     raise InvalidScenario(f"mmsi {vessel.mmsi}: negative dwell time")
                 if last_end is not None and visit.arrive <= last_end:
                     raise InvalidScenario(f"mmsi {vessel.mmsi}: overlapping visits")
                 last_end = visit.arrive + dt.timedelta(hours=visit.anchor_h + visit.moor_h + 3)
         for o in self.outages:
+            if o.start.utcoffset() is None or o.end.utcoffset() is None:
+                raise InvalidScenario(f"outage {o.start} to {o.end} has no time zone")
             if o.end <= o.start:
                 raise InvalidScenario("outage end must be after start")
             if o.scope not in ("global", "vessel"):
@@ -227,42 +245,48 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Scenario":
-        return cls(
-            seed=doc["seed"],
-            center=tuple(doc.get("center", (34.45, 18.30))),
-            error_p=doc.get("error_p", 0.0),
-            cadence_underway_s=doc.get("cadence_underway_s", 10),
-            cadence_stopped_s=doc.get("cadence_stopped_s", 180),
-            static_interval_s=doc.get("static_interval_s", 1800),
-            vessels=tuple(
-                VesselPlan(
-                    mmsi=v["mmsi"],
-                    name=v.get("name", f"VESSEL {v['mmsi']}"),
-                    ship_type=v.get("ship_type", 70),
-                    cruise_kn=v.get("cruise_kn", 11.0),
-                    visits=tuple(
-                        VisitPlan(
-                            arrive=parse_ts(visit["arrive"]),
-                            anchor_h=visit.get("anchor_h", 0.0),
-                            moor_h=visit.get("moor_h", 12.0),
-                            terminal=visit.get("terminal", 0),
-                            anchor_rate_deg_h=visit.get("anchor_rate_deg_h"),
-                        )
-                        for visit in v["visits"]
-                    ),
-                )
-                for v in doc["vessels"]
-            ),
-            outages=tuple(
-                OutagePlan(
-                    scope=o["scope"],
-                    start=parse_ts(o["start"]),
-                    end=parse_ts(o["end"]),
-                    mmsi=o.get("mmsi"),
-                )
-                for o in doc.get("outages", ())
-            ),
-        )
+        """The scenario a JSON document describes; InvalidScenario for one that is not a scenario."""
+        if not isinstance(doc, dict):
+            raise InvalidScenario(f"a scenario is a JSON object, not {type(doc).__name__}")
+        try:
+            return cls(
+                seed=doc["seed"],
+                center=tuple(doc.get("center", (34.45, 18.30))),
+                error_p=doc.get("error_p", 0.0),
+                cadence_underway_s=doc.get("cadence_underway_s", 10),
+                cadence_stopped_s=doc.get("cadence_stopped_s", 180),
+                static_interval_s=doc.get("static_interval_s", 1800),
+                vessels=tuple(
+                    VesselPlan(
+                        mmsi=v["mmsi"],
+                        name=v.get("name", f"VESSEL {v['mmsi']}"),
+                        ship_type=v.get("ship_type", 70),
+                        cruise_kn=v.get("cruise_kn", 11.0),
+                        visits=tuple(
+                            VisitPlan(
+                                arrive=parse_ts(visit["arrive"]),
+                                anchor_h=visit.get("anchor_h", 0.0),
+                                moor_h=visit.get("moor_h", 12.0),
+                                terminal=visit.get("terminal", 0),
+                                anchor_rate_deg_h=visit.get("anchor_rate_deg_h"),
+                            )
+                            for visit in v["visits"]
+                        ),
+                    )
+                    for v in doc["vessels"]
+                ),
+                outages=tuple(
+                    OutagePlan(
+                        scope=o["scope"],
+                        start=parse_ts(o["start"]),
+                        end=parse_ts(o["end"]),
+                        mmsi=o.get("mmsi"),
+                    )
+                    for o in doc.get("outages", ())
+                ),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InvalidScenario(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "Scenario":
@@ -371,8 +395,16 @@ def leg_seconds(a: tuple[float, float], b: tuple[float, float], speed_kn: float)
     return max(1, math.ceil(meters / mps))
 
 
-def _lerp(a: tuple[float, float], b: tuple[float, float], f: float) -> tuple[float, float]:
-    return (a[0] + (b[0] - a[0]) * f, a[1] + (b[1] - a[1]) * f)
+def _uniform(lo: float, hi: float, r):
+    """What rng.uniform(lo, hi) returns when its rng.random() draw is r, a float or an array of them."""
+    return lo + (hi - lo) * r
+
+
+def _offsets(point: tuple[float, float], north_m: np.ndarray, east_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_offset of one point by arrays of offsets, with the same float operations."""
+    lat, lon = point
+    return (lat + np.degrees(north_m / EARTH_RADIUS_M),
+            lon + np.degrees(east_m / (EARTH_RADIUS_M * math.cos(math.radians(lat)))))
 
 
 # positions encoded together; a chunk's columns and texts stay a few hundred kB
@@ -382,54 +414,51 @@ _CHUNK = 4096
 class _Emitter:
     """Collects the lines in chunks, each with its (epoch, sequence) sort key, and applies outage drops.
 
-    Positions and statics are recorded as the generator makes them and
-    encoded by codec a chunk at a time, so no per-line text is built in Python.
+    Each track segment is handed over as columns, and its positions and
+    statics are encoded by codec a chunk at a time, so no per-line text is
+    built in Python.
     """
 
-    def __init__(self, scenario: Scenario, rng: random.Random):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.rng = rng
-        self._seq = 0
-        # (epoch, sequence, mmsi, reported status, sog, lat, lon, cog, heading) of each position not yet encoded
-        self._positions: list[tuple] = []
-        self._statics: list[tuple[int, StaticReport]] = []  # (sequence, report) of each static not yet encoded
+        self._slots = 0  # reports handed over so far
+        # (start, end, mmsi or None for every vessel) of each outage, in epoch microseconds
+        self._outages = [(epoch_us(o.start), epoch_us(o.end), o.mmsi if o.scope == "vessel" else None)
+                         for o in scenario.outages]
+        # (epoch, sequence, mmsi, reported status, sog, lat, lon, cog, heading) columns of each segment not yet encoded
+        self._positions: list[tuple[np.ndarray, ...]] = []
+        self._pending = 0  # rows in _positions
+        self._statics: list[tuple[int, int, VesselPlan]] = []  # (epoch, sequence, vessel) of each static not yet encoded
         self._lines: list[str] = []
         self._keys: list[tuple[np.ndarray, np.ndarray]] = []  # (epochs, sequences) of each encoded run of _lines
 
-    def _dropped(self, ts: dt.datetime, mmsi: int) -> bool:
-        for o in self.scenario.outages:
-            if not (o.start <= ts < o.end):
-                continue
-            if o.scope == "global":
-                return True
-            if o.scope == "vessel" and o.mmsi == mmsi:
-                return True
-        return False
+    def segment(self, vessel: VesselPlan, epochs: np.ndarray, statics: list[int], status, sog, lat, lon, cog,
+                heading) -> None:
+        """Record one track segment of a vessel: its report times in epoch seconds and their values as columns,
+        and the rows at which a static report falls due.
 
-    def position(self, ts: dt.datetime, vessel: VesselPlan, true_status: int, sog, lat, lon, cog, heading):
-        reported = true_status
-        if self.scenario.error_p > 0 and self.rng.random() < self.scenario.error_p:
-            others = [s for s in STATUS_KINDS if s != true_status]
-            reported = self.rng.choice(others)
-        if self._dropped(ts, vessel.mmsi):
-            return
-        self._positions.append((int(ts.timestamp()), self._seq, vessel.mmsi, reported, sog, lat, lon, cog, heading))
-        self._seq += 1
-        if len(self._positions) == _CHUNK:
+        Each report takes three sequence numbers in the order reports are handed over: the first two for the
+        lines of a static due at it, and the third for its position. A report or static that an outage covers
+        is dropped.
+        """
+        seq = 3 * np.arange(self._slots, self._slots + len(epochs))
+        self._slots += len(epochs)
+        time_us = epochs * 1_000_000
+        kept = np.ones(len(epochs), dtype=bool)
+        for start_us, end_us, mmsi in self._outages:
+            if mmsi is None or mmsi == vessel.mmsi:
+                kept &= (time_us < start_us) | (end_us <= time_us)
+        self._statics += [(int(epochs[row]), int(seq[row]), vessel) for row in statics if kept[row]]
+        columns = (epochs, seq + 2, np.full(len(epochs), vessel.mmsi), status, sog, lat, lon, cog, heading)
+        self._positions.append(tuple(column[kept] for column in columns))
+        self._pending += int(np.count_nonzero(kept))
+        if self._pending >= _CHUNK:
             self._encode()
-
-    def static(self, ts: dt.datetime, vessel: VesselPlan):
-        if self._dropped(ts, vessel.mmsi):
-            return
-        report = StaticReport(vessel.mmsi, vessel.name, vessel.ship_type, length=120, width=20, timestamp=ts)
-        self._statics.append((self._seq, report))
-        self._seq += 2
 
     def _encode(self) -> None:
         """Encode the positions and statics recorded since the last call."""
-        if self._positions:
-            epoch, seq, mmsi, status, sog, lat, lon, cog, heading = map(np.array, zip(*self._positions))
-            self._positions = []
+        if self._pending:
+            epoch, seq, mmsi, status, sog, lat, lon, cog, heading = map(np.concatenate, zip(*self._positions))
             # the values the report's fields can send: SOG in whole 1/10 kn below the 1023 "not available", COG in
             # whole 1/10 degree, heading in whole degrees, and a rate of turn of 0
             sog_raw = np.clip(np.rint(sog * 10), 0, 1022).astype(np.int64)
@@ -439,13 +468,16 @@ class _Emitter:
                                                       cog_raw / 10.0, heading_raw.astype(np.float64),
                                                       np.zeros(len(mmsi))))
             self._keys.append((epoch, seq))
+        self._positions, self._pending = [], 0
         if self._statics:
-            seq, reports = zip(*self._statics)
+            epoch, seq, vessels = zip(*self._statics)
             self._statics = []
-            self._lines += encode_statics(list(reports), [r.mmsi % 10 for r in reports])
+            self._lines += encode_statics(
+                [StaticReport(v.mmsi, v.name, v.ship_type, length=120, width=20, timestamp=from_epoch_us(e * 1_000_000))
+                 for e, v in zip(epoch, vessels)],
+                [v.mmsi % 10 for v in vessels])
             # both lines of a static carry its time, and the sequence numbers seq and seq + 1
-            epoch = np.repeat([int(r.timestamp.timestamp()) for r in reports], 2)
-            self._keys.append((epoch, np.repeat(seq, 2) + np.tile([0, 1], len(seq))))
+            self._keys.append((np.repeat(epoch, 2), np.repeat(seq, 2) + np.tile([0, 1], len(seq))))
 
     def lines(self) -> list[str]:
         """Every line recorded, ordered by time and then by the order they were made in."""
@@ -463,6 +495,27 @@ def _random_point_in_box(rng: random.Random, box, margin: float = 0.8) -> tuple[
     return _offset(clat, clon, north, east)
 
 
+def _static_rows(start: int, end: int, cadence: int, due: int, interval: int) -> tuple[list[int], int]:
+    """The rows of the reports at start, start + cadence, ... before end at which a static report falls due, and
+    the time the next one falls due: the first due at the first report at or after `due`, and each next one at
+    the first report at least `interval` seconds after the last."""
+    rows = []
+    row = max(0, -((start - due) // cadence))
+    while start + row * cadence < end:
+        rows.append(row)
+        due = start + row * cadence + interval
+        row = max(row + 1, -((start - due) // cadence))
+    return rows, due
+
+
+# the rng.random() draws each report of a segment kind makes, before its status error draw: the uniforms of the
+# SOG and heading underway; of the north and east offsets, heading and SOG at anchor; of the offsets and heading
+# at a berth
+_DRAWS = {"underway": 2, "anchored": 4, "moored": 3}
+# the statuses an error can report in place of each true one
+_WRONG = {status: tuple(other for other in STATUS_KINDS if other != status) for status in STATUS_KINDS}
+
+
 def _generate_visit(
     emitter: _Emitter,
     truth: TruthLog,
@@ -476,32 +529,34 @@ def _generate_visit(
     berth_pos = (berth[0], berth[1])
     anchor_spot = _random_point_in_box(rng, layout.anchorage_box) if visit.anchor_h > 0 else None
 
-    # waypoint schedule, whole seconds throughout
-    t = visit.arrive.replace(microsecond=0)
-    segments: list[tuple[str, dt.datetime, dt.datetime, tuple, tuple]] = []
+    # waypoint schedule, in whole epoch seconds throughout
+    arrive = epoch_us(visit.arrive) // 1_000_000
+    t = arrive
+    segments: list[tuple[str, int, int, tuple, tuple]] = []
     pos = layout.entry
     if anchor_spot is not None:
-        t_leg = dt.timedelta(seconds=leg_seconds(pos, anchor_spot, vessel.cruise_kn))
+        t_leg = leg_seconds(pos, anchor_spot, vessel.cruise_kn)
         segments.append(("underway", t, t + t_leg, pos, anchor_spot))
         t += t_leg
-        t_anchor = dt.timedelta(seconds=round(visit.anchor_h * 3600))
+        t_anchor = round(visit.anchor_h * 3600)
         segments.append(("anchored", t, t + t_anchor, anchor_spot, anchor_spot))
         t += t_anchor
         pos = anchor_spot
-    t_leg = dt.timedelta(seconds=leg_seconds(pos, berth_pos, vessel.cruise_kn))
+    t_leg = leg_seconds(pos, berth_pos, vessel.cruise_kn)
     segments.append(("underway", t, t + t_leg, pos, berth_pos))
     t += t_leg
-    t_moor = dt.timedelta(seconds=round(visit.moor_h * 3600))
+    t_moor = round(visit.moor_h * 3600)
     segments.append(("moored", t, t + t_moor, berth_pos, berth_pos))
     t += t_moor
-    t_leg = dt.timedelta(seconds=leg_seconds(berth_pos, layout.exit, vessel.cruise_kn))
+    t_leg = leg_seconds(berth_pos, layout.exit, vessel.cruise_kn)
     segments.append(("underway", t, t + t_leg, berth_pos, layout.exit))
     t += t_leg
 
     for kind, start, end, _, _ in segments:
         if end > start:
-            truth.phases.append(TruthPhase(vessel.mmsi, kind, start, end))
-    date = visit.arrive.date()
+            truth.phases.append(TruthPhase(vessel.mmsi, kind, from_epoch_us(start * 1_000_000),
+                                           from_epoch_us(end * 1_000_000)))
+    date = from_epoch_us(arrive * 1_000_000).date()
     category = vessel_category(vessel.ship_type)
     truth.arrivals.setdefault(date, {})
     truth.arrivals[date][category] = truth.arrivals[date].get(category, 0) + 1
@@ -511,36 +566,49 @@ def _generate_visit(
     if rate is None:
         rate = rng.uniform(10.0, 60.0)
     rate *= rng.choice((-1.0, 1.0))
-    next_static = visit.arrive.replace(microsecond=0)
+    next_static = arrive
+    draw, choice, error_p = rng.random, rng.choice, scenario.error_p
 
     for kind, start, end, p_from, p_to in segments:
-        cadence = scenario.cadence_underway_s if kind == "underway" else scenario.cadence_stopped_s
-        total = (end - start).total_seconds()
-        ts = start
-        while ts < end:
-            if next_static <= ts:
-                emitter.static(ts, vessel)
-                next_static = ts + dt.timedelta(seconds=scenario.static_interval_s)
-            if kind == "underway":
-                f = (ts - start).total_seconds() / total
-                lat, lon = _lerp(p_from, p_to, f)
-                bearing = _bearing_deg(p_from, p_to)
-                sog = vessel.cruise_kn + rng.uniform(-0.4, 0.4)
-                heading = (bearing + rng.uniform(-1.5, 1.5)) % 360.0
-                emitter.position(ts, vessel, UNDERWAY, sog, lat, lon, bearing, heading)
-            elif kind == "anchored":
-                lat, lon = _offset(
-                    p_from[0], p_from[1], rng.uniform(-25.0, 25.0), rng.uniform(-25.0, 25.0)
-                )
-                elapsed_h = (ts - start).total_seconds() / 3600.0
-                heading = (anchor_heading + rate * elapsed_h + rng.uniform(-1.5, 1.5)) % 360.0
-                sog = rng.uniform(0.0, 0.25)
-                emitter.position(ts, vessel, ANCHORED, sog, lat, lon, heading, heading)
-            else:  # moored
-                lat, lon = _offset(p_from[0], p_from[1], rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-                heading = (berth[2] + rng.uniform(-2.0, 2.0)) % 360.0
-                emitter.position(ts, vessel, MOORED, 0.0, lat, lon, heading, heading)
-            ts += dt.timedelta(seconds=cadence)
+        cadence = int(scenario.cadence_underway_s if kind == "underway" else scenario.cadence_stopped_s)
+        epochs = np.arange(start, end, cadence, dtype=np.int64)
+        statics, next_static = _static_rows(start, end, cadence, next_static, int(scenario.static_interval_s))
+        # the sequential part: every report's draws, in the order the reports make them
+        status, n, per_report = _KIND_STATUS[kind], len(epochs), range(_DRAWS[kind])
+        if error_p > 0:
+            draws, reported = [], []
+            add, report = draws.append, reported.append
+            wrong = _WRONG[status]
+            for _ in range(n):
+                for _ in per_report:
+                    add(draw())
+                report(choice(wrong) if draw() < error_p else status)
+            reported = np.array(reported, dtype=np.int64)
+        else:
+            draws = [draw() for _ in range(n * len(per_report))]
+            reported = np.full(n, status)
+        u = np.array(draws, dtype=np.float64).reshape(n, len(per_report)).T
+
+        # the columns, with the float operations of one report at a time
+        elapsed = (epochs - start).astype(np.float64)
+        if kind == "underway":
+            f = elapsed / float(end - start)
+            lat = p_from[0] + (p_to[0] - p_from[0]) * f
+            lon = p_from[1] + (p_to[1] - p_from[1]) * f
+            cog = np.full(n, _bearing_deg(p_from, p_to))
+            sog = vessel.cruise_kn + _uniform(-0.4, 0.4, u[0])
+            heading = np.remainder(cog + _uniform(-1.5, 1.5, u[1]), 360.0)
+        elif kind == "anchored":
+            lat, lon = _offsets(p_from, _uniform(-25.0, 25.0, u[0]), _uniform(-25.0, 25.0, u[1]))
+            heading = np.remainder(anchor_heading + rate * (elapsed / 3600.0) + _uniform(-1.5, 1.5, u[2]), 360.0)
+            sog = _uniform(0.0, 0.25, u[3])
+            cog = heading
+        else:  # moored
+            lat, lon = _offsets(p_from, _uniform(-3.0, 3.0, u[0]), _uniform(-3.0, 3.0, u[1]))
+            heading = np.remainder(berth[2] + _uniform(-2.0, 2.0, u[2]), 360.0)
+            sog = np.zeros(n)
+            cog = heading
+        emitter.segment(vessel, epochs, statics, reported, sog, lat, lon, cog, heading)
 
 
 def generate(scenario: Scenario) -> tuple[list[str], TruthLog]:
@@ -552,7 +620,7 @@ def generate(scenario: Scenario) -> tuple[list[str], TruthLog]:
     rng = random.Random(scenario.seed)
     layout = build_port(scenario.center)
     truth = TruthLog(outages=list(scenario.outages))
-    emitter = _Emitter(scenario, rng)
+    emitter = _Emitter(scenario)
     for vessel in scenario.vessels:
         truth.vessels[vessel.mmsi] = {
             "name": vessel.name,

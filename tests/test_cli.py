@@ -813,3 +813,16 @@ def test_traced_bench_child_runs(inputs, tmp_path, command):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert any(span["name"] == f"cli.cmd_{command}" for span in json.loads(trace.read_text())["spans"])
+
+
+@pytest.mark.parametrize("doc", [[], {"seed": 1, "vessels": [1]},
+                                 {"seed": 1, "vessels": [{"mmsi": 1, "visits": [{"arrive": 5}]}]}],
+                         ids=["list", "vessel-number", "arrive-number"])
+def test_synth_refuses_a_malformed_scenario_file(tmp_path, capsys, doc):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    argv = ["synth", "--scenario", str(scenario), "--out-nmea", str(tmp_path / "out.nmea"),
+            "--out-truth", str(tmp_path / "truth.jsonl")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "bad scenario" in capsys.readouterr().err
+    assert not (tmp_path / "out.nmea").exists()

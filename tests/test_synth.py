@@ -1,7 +1,7 @@
 import dataclasses
 import datetime as dt
+import hashlib
 import json
-import random
 
 import pytest
 
@@ -120,8 +120,8 @@ class TestGenerate:
 class TestEncoding:
     @pytest.mark.parametrize("chunk", [4096, 97])
     def test_lines_are_the_oracle_encoders(self, monkeypatch, chunk):
-        """Every line generate writes is what the independent encoder makes of the fields the emitter was handed,
-        in (time, emission) order, wherever the emitter's chunks end."""
+        """Every line generate writes is what the independent encoder makes of the fields each track segment hands
+        the emitter, in (time, hand-over) order, wherever the emitter's chunks end."""
         monkeypatch.setattr(synth, "_CHUNK", chunk)
         start = dt.datetime(2019, 9, 1, tzinfo=UTC)
         outages = (synth.OutagePlan("global", start + dt.timedelta(hours=20), start + dt.timedelta(hours=21)),
@@ -130,7 +130,7 @@ class TestEncoding:
         scenario = synth.mixed_port_scenario(n_vessels=5, days=3, error_p=0.3, seed=11, outages=outages)
         made = []  # (epoch, line) of each line, in the order the emitter was handed them
         dropped = []
-        position, static = synth._Emitter.position, synth._Emitter.static
+        segment = synth._Emitter.segment
 
         def kept(ts, mmsi) -> bool:
             if any(o.start <= ts < o.end and (o.scope == "global" or o.mmsi == mmsi) for o in outages):
@@ -138,35 +138,78 @@ class TestEncoding:
                 return False
             return True
 
-        def record_position(emitter, ts, vessel, true_status, sog, lat, lon, cog, heading):
-            rng = random.Random()
-            rng.setstate(emitter.rng.getstate())  # the draws the emitter is about to make
-            reported = true_status
-            if rng.random() < scenario.error_p:
-                reported = rng.choice([s for s in (0, 1, 5) if s != true_status])
-            if kept(ts, vessel.mmsi):
+        def record_segment(emitter, vessel, epochs, statics, status, sog, lat, lon, cog, heading):
+            rows = zip(epochs.tolist(), status.tolist(), sog.tolist(), lat.tolist(), lon.tolist(), cog.tolist(),
+                       heading.tolist())
+            for row, (epoch, reported, sog_, lat_, lon_, cog_, heading_) in enumerate(rows):
+                ts = dt.datetime.fromtimestamp(epoch, UTC)
+                if not kept(ts, vessel.mmsi):
+                    continue
+                if row in statics:
+                    made.extend((epoch, oracles.tag_block(sentence, epoch))
+                                for sentence in oracles.static_sentences(
+                                    message_id=vessel.mmsi % 10, first_chars=36, mmsi=vessel.mmsi, name=vessel.name,
+                                    ship_type=vessel.ship_type, to_bow=60, to_stern=60, to_port=10, to_starboard=10,
+                                    epfd=1))
                 sentence = oracles.position_sentence(
-                    mmsi=vessel.mmsi, navstat=reported, rot_raw=0, sog_raw=max(0, min(1022, round(sog * 10))),
-                    lon_raw=round(lon * 600000), lat_raw=round(lat * 600000), cog_raw=round(cog * 10) % 3600,
-                    heading_raw=round(heading) % 360, second=ts.second)
-                made.append((int(ts.timestamp()), oracles.tag_block(sentence, int(ts.timestamp()))))
-            position(emitter, ts, vessel, true_status, sog, lat, lon, cog, heading)
+                    mmsi=vessel.mmsi, navstat=reported, rot_raw=0, sog_raw=max(0, min(1022, round(sog_ * 10))),
+                    lon_raw=round(lon_ * 600000), lat_raw=round(lat_ * 600000), cog_raw=round(cog_ * 10) % 3600,
+                    heading_raw=round(heading_) % 360, second=ts.second)
+                made.append((epoch, oracles.tag_block(sentence, epoch)))
+            segment(emitter, vessel, epochs, statics, status, sog, lat, lon, cog, heading)
 
-        def record_static(emitter, ts, vessel):
-            if kept(ts, vessel.mmsi):
-                made.extend((int(ts.timestamp()), oracles.tag_block(sentence, int(ts.timestamp())))
-                            for sentence in oracles.static_sentences(
-                                message_id=vessel.mmsi % 10, first_chars=36, mmsi=vessel.mmsi, name=vessel.name,
-                                ship_type=vessel.ship_type, to_bow=60, to_stern=60, to_port=10, to_starboard=10,
-                                epfd=1))
-            static(emitter, ts, vessel)
-
-        monkeypatch.setattr(synth._Emitter, "position", record_position)
-        monkeypatch.setattr(synth._Emitter, "static", record_static)
+        monkeypatch.setattr(synth._Emitter, "segment", record_segment)
         lines, _ = synth.generate(scenario)
         assert sum(line.count(",1,1,") for line in lines) > 4096  # positions enough to cross a default chunk
         assert len(dropped) > 100
         assert lines == [line for _, line in sorted(made, key=lambda m: m[0])]  # a stable sort keeps emission order
+
+
+def _pinned_scenarios() -> dict[str, synth.Scenario]:
+    """Scenarios whose streams the bench fingerprints do not cover: a fast ferry, every status wrong, given anchor
+    rotation rates (0 among them) under a global and a vessel outage with a fractional-second bound, and
+    non-default cadences with a static interval that carries statics across segment boundaries."""
+    start = dt.datetime(2019, 9, 1, tzinfo=UTC)
+    rated = synth.mixed_port_scenario(n_vessels=5, days=3, error_p=0.3, seed=29)
+    rates = (37.5, 0.0, -12.0)
+    arrive = rated.vessels[1].visits[0].arrive  # a report falls on each bound of the vessel outage
+    vessels = tuple(dataclasses.replace(v, visits=tuple(dataclasses.replace(visit, anchor_rate_deg_h=rates[(i + j) % 3])
+                                                         for j, visit in enumerate(v.visits)))
+                    for i, v in enumerate(rated.vessels))
+    outages = (synth.OutagePlan("global", start + dt.timedelta(hours=10, microseconds=500_000),
+                                start + dt.timedelta(hours=10, minutes=40)),
+               synth.OutagePlan("vessel", arrive + dt.timedelta(seconds=300), arrive + dt.timedelta(seconds=600),
+                                mmsi=rated.vessels[1].mmsi))
+    base = synth.mixed_port_scenario(n_vessels=3, days=2, error_p=0.2, seed=37)
+    return {
+        "ferry": synth.ferry_scenario(),
+        "every_status_wrong": synth.mixed_port_scenario(n_vessels=3, days=2, error_p=1.0, seed=17),
+        "anchor_rates_and_outages": dataclasses.replace(rated, vessels=vessels, outages=outages),
+        "cadences_and_statics": dataclasses.replace(base, cadence_underway_s=7, cadence_stopped_s=240,
+                                                    static_interval_s=1111),
+    }
+
+
+# sha256 of generate's lines (each ended by a newline) and of TruthLog.write_jsonl, recorded from the per-report
+# generator that the per-segment columns replaced: the columns must make the same bytes
+STREAM_PINS = {
+    "ferry": ("a2552c55b6d26ecf9687dac8132bcf32656fc2f4e00103e6efc6cffe046a859a",
+              "fd8c408f04e1859bea45b69389a181d8ed9797742aebed16aa3ca64d6ec05fc1"),
+    "every_status_wrong": ("1bbbae270d957f7b2cf65492b2cdd3ab336df7ef65742b0f08fc2d43fe7af722",
+                           "f4b9df44858eb0c466e432d18cb9e114c814b3ce87dcea7996de290d00c0e7bc"),
+    "anchor_rates_and_outages": ("66159da7f6a0c07b8c7b3cd03331839928b135f352124c063dd9c097f8d1b127",
+                                 "a0488f08c553cd2e488eb75ca1d74cf0f30b9a25c095f056d17cbc2fe2971b9b"),
+    "cadences_and_statics": ("162a69ffab506b0bbeccc891c5f341e27a1ffe6aca5cc5c22ea3f6f370a543ac",
+                             "d2d136c804341382ae44a411c007d2705a02be1527ad786c9245a56610341f23"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_streams_are_pinned(tmp_path, name):
+    lines, truth = synth.generate(_pinned_scenarios()[name])
+    truth.write_jsonl(tmp_path / "truth.jsonl")
+    assert (hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest(),
+            hashlib.sha256((tmp_path / "truth.jsonl").read_bytes()).hexdigest()) == STREAM_PINS[name]
 
 
 class TestOutageInjection:
@@ -245,6 +288,39 @@ class TestScenarioSerialization:
         )
         with pytest.raises(synth.InvalidScenario):
             synth.Scenario(seed=1, vessels=(vessel,))
+
+    def test_naive_arrival_rejected(self):
+        """A naive time would be read as local time by the stream and as a calendar day by the arrival counts."""
+        vessel = synth.VesselPlan(mmsi=1, name="X", ship_type=70,
+                                  visits=(synth.VisitPlan(arrive=dt.datetime(2019, 9, 1, 2), anchor_h=0.0, moor_h=5.0),))
+        with pytest.raises(synth.InvalidScenario, match="no time zone"):
+            synth.Scenario(seed=1, vessels=(vessel,))
+        with pytest.raises(synth.InvalidScenario, match="no time zone"):
+            synth.mixed_port_scenario(start=dt.datetime(2019, 9, 1))
+
+    @pytest.mark.parametrize("naive", ["start", "end"])
+    def test_naive_outage_bound_rejected(self, naive):
+        bounds = {"start": dt.datetime(2019, 9, 1, tzinfo=UTC), "end": dt.datetime(2019, 9, 1, 1, tzinfo=UTC)}
+        bounds[naive] = bounds[naive].replace(tzinfo=None)
+        with pytest.raises(synth.InvalidScenario, match="no time zone"):
+            synth.Scenario(seed=1, vessels=(), outages=(synth.OutagePlan("global", **bounds),))
+
+    def test_arrival_counted_on_its_utc_day(self):
+        """An arrival at 02:00 in UTC+05:30 is 20:30 the day before in UTC, in the stream and in the truth."""
+        arrive = dt.datetime(2019, 9, 1, 2, tzinfo=dt.timezone(dt.timedelta(hours=5, minutes=30)))
+        vessel = synth.VesselPlan(mmsi=219000001, name="X", ship_type=70,
+                                  visits=(synth.VisitPlan(arrive=arrive, anchor_h=0.0, moor_h=2.0),))
+        lines, truth = synth.generate(synth.Scenario(seed=1, vessels=(vessel,)))
+        positions, _, _ = decode_all(lines)
+        assert positions[0].timestamp == arrive == dt.datetime(2019, 8, 31, 20, 30, tzinfo=UTC)
+        assert truth.phases[0].start == arrive
+        assert truth.arrivals == {dt.date(2019, 8, 31): {truth.vessels[219000001]["category"]: 1}}
+
+    @pytest.mark.parametrize("field,value", [("cadence_underway_s", 10.5), ("cadence_stopped_s", float("inf")),
+                                             ("static_interval_s", 0.25)])
+    def test_fractional_cadences_rejected(self, field, value):
+        with pytest.raises(synth.InvalidScenario, match="whole seconds"):
+            synth.Scenario(seed=1, vessels=(), **{field: value})
 
     def test_vessel_outage_requires_mmsi(self):
         t0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
