@@ -243,14 +243,13 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
     ) as fe:
 
         def keep(msg):
+            fo.write(jsonl.dumps(message_to_dict(msg)))
+            fo.write("\n")
             if isinstance(msg, PositionReport):
-                fo.write(jsonl.position_line(msg))
                 flush_slices()
                 reports.append(msg)
             else:
-                fo.write(jsonl.dumps(message_to_dict(msg)))
                 ship_types[msg.mmsi] = msg.ship_type
-            fo.write("\n")
 
         def keep_rows(run, lines):
             fo.write("\n".join(lines) + "\n")

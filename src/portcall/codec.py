@@ -28,12 +28,12 @@ type is PositionReport, which a row gives only when asked. Statics holds
 the block's static reports the same way; its row type is StaticReport.
 
 Each message type's fields are declared once, in _POSITION_LAYOUT and
-_STATIC_LAYOUT, and this module owns both directions of each layout. The
-block reads them as columns (_read_rows); feed reads one message's bit
-buffer (_read_bits). encode_positions and encode_statics write them for a
-batch of messages at once (_write_rows, the inverse of _read_rows), TAG
-blocks and checksums included, as whole lines; synth makes its streams with
-them.
+_STATIC_LAYOUT, and this module owns both directions of each layout. One
+reader, _read_rows, reads them from rows of 6-bit values: the block's
+payloads as columns, and the one complete payload feed decodes as a row of
+its own. encode_positions and encode_statics write them for a batch of
+messages at once (_write_rows, the inverse of _read_rows), TAG blocks and
+checksums included, as whole lines; synth makes its streams with them.
 
 Field offsets follow the standard ITU-R M.1371 layout as documented in the
 public AIVDM/AIVDO protocol notes:
@@ -74,12 +74,8 @@ class DuplicateFragment(ValueError):
     """A fragment index appears twice in one group."""
 
 
-class WrongType(ValueError):
-    """Buffer holds a different message type than the decoder expects."""
-
-
 class TruncatedBuffer(ValueError):
-    """Buffer is too short for the message type's mandatory fields."""
+    """Payload is too short for the message type's mandatory fields."""
 
 
 class OutOfRangePosition(ValueError):
@@ -88,8 +84,6 @@ class OutOfRangePosition(ValueError):
 
 # 6-bit armoring alphabet: values 0-39 map to ASCII 48-87, 40-63 to 96-119.
 ARMOR_ALPHABET = "".join(chr(v + 48) if v < 40 else chr(v + 56) for v in range(64))
-# str.translate table turning a payload into its binary expansion in one pass
-_BIT_TABLE = {ord(c): format(v, "06b") for v, c in enumerate(ARMOR_ALPHABET)}
 # deletes every armoring character; whatever survives is invalid
 _ARMOR_DELETE = {ord(c): None for c in ARMOR_ALPHABET}
 
@@ -161,22 +155,6 @@ class StaticReport:
     timestamp: dt.datetime | None = None
 
 
-class Bits:
-    """Fixed-width big-endian bit buffer backed by a single Python int."""
-
-    __slots__ = ("value", "nbits")
-
-    def __init__(self, value: int, nbits: int):
-        self.value = value
-        self.nbits = nbits
-
-    def uint(self, start: int, width: int) -> int:
-        """Unsigned field of `width` bits starting at bit offset `start`."""
-        if start + width > self.nbits:
-            raise TruncatedBuffer(f"field [{start}:{start + width}) beyond {self.nbits} bits")
-        return (self.value >> (self.nbits - start - width)) & ((1 << width) - 1)
-
-
 def nmea_checksum(body: str) -> int:
     """XOR of all characters between the leading '!'/'$' and the '*'."""
     return functools.reduce(operator.xor, body.encode("ascii"), 0)
@@ -240,27 +218,9 @@ def _parse_fields(line: str) -> tuple:
     return (talker, fragment_count, fragment_index, message_id, channel, payload, fill_bits, declared)
 
 
-def parse_sentence(line: str) -> RawSentence:
-    """Split one NMEA line into its AIVDM fields and verify the checksum."""
-    return RawSentence(*_parse_fields(line))
-
-
-def payload_to_bits(payload: str, fill_bits: int) -> Bits:
-    """De-armor a payload string into a bit buffer, dropping fill bits."""
-    try:
-        bitstr = payload.translate(_BIT_TABLE)
-        value = int(bitstr, 2)
-    except ValueError:
-        raise Malformed("payload contains characters outside the armoring alphabet") from None
-    nbits = 6 * len(payload) - fill_bits
-    if nbits <= 0:
-        raise Malformed("payload shorter than its fill bits")
-    return Bits(value >> fill_bits, nbits)
-
-
-# The fields each decoder reads, in the order it reads them: (first bit,
-# width, two's complement). _read_bits reads a layout from one message's bit
-# buffer, _read_rows from the 6-bit values of a block of payloads.
+# The fields the decoder reads, in the order it reads them: (first bit,
+# width, two's complement). _read_rows reads a layout from rows of 6-bit
+# values, a block's payloads or the one payload feed decodes.
 _POSITION_LAYOUT = (
     (0, 6, False),  # message type
     (8, 30, False),  # MMSI
@@ -283,15 +243,6 @@ _STATIC_LAYOUT = (
     (264, 6, False),  # to starboard
 )
 _STATIC_BITS = 270  # every field of _STATIC_LAYOUT; a report of 240-269 bits lacks the four dimensions
-
-
-def _read_bits(bits: Bits, layout) -> list[int]:
-    """The fields of `layout` in one bit buffer; TruncatedBuffer for a field past its end."""
-    fields = []
-    for start, width, signed in layout:
-        value = bits.uint(start, width)
-        fields.append(value - (1 << width) if signed and value >> (width - 1) else value)
-    return fields
 
 
 def _row_plan(layout) -> tuple:
@@ -331,27 +282,6 @@ def _write_rows(fields: np.ndarray, plan, width: int) -> np.ndarray:
         for k in range(6):
             six[:, column + k] |= (windows[:, j] >> (30 - 6 * k)) & 63
     return six[:, :width]
-
-
-def decode_position(bits: Bits, rx_time: dt.datetime) -> PositionReport:
-    """Decode a class-A position report (types 1-3) from a bit buffer.
-
-    The "position unavailable" sentinels (91/181 degrees) fail the range
-    check and reject the message.
-    """
-    n = bits.nbits
-    if n < 6:
-        raise TruncatedBuffer("buffer shorter than the type field")
-    mtype = bits.uint(0, 6)
-    if mtype not in (1, 2, 3):
-        raise WrongType(f"expected a type 1/2/3 position report, got type {mtype}")
-    if n < 168:
-        raise TruncatedBuffer(f"position report needs 168 bits, got {n}")
-    _, mmsi, navstat, rot, sog, lon, lat, cog, heading = _read_bits(bits, _POSITION_LAYOUT)
-    lon, lat = lon / 600000.0, lat / 600000.0
-    if not _in_range(lat, lon):
-        raise OutOfRangePosition(f"lat={lat:.5f} lon={lon:.5f}")
-    return _report(rx_time, mmsi, navstat, lat, lon, *map(float, _field_values(sog, cog, heading, rot)))
 
 
 def _in_range(lat, lon):
@@ -521,40 +451,6 @@ def _static_rows(time_us: np.ndarray, fields: np.ndarray) -> Statics:
                    to_bow + to_stern, to_port + to_starboard, names)
 
 
-def _static_report(rx_time, mmsi, *rest) -> StaticReport:
-    """A static report from the fields of _STATIC_LAYOUT after the type; the four dimensions may be absent."""
-    name, (ship_type, *dimensions) = rest[:20], rest[20:]
-    length = width = None
-    if dimensions:
-        to_bow, to_stern, to_port, to_starboard = dimensions
-        if to_bow or to_stern:
-            length = to_bow + to_stern
-        if to_port or to_starboard:
-            width = to_port + to_starboard
-    return StaticReport(  # positional: field order as declared
-        mmsi,
-        bytes(name).translate(_SIXBIT_TEXT).decode("ascii").rstrip("@ "),
-        ship_type if ship_type <= 99 else 0,  # reserved codes treated as "not available"
-        length,
-        width,
-        rx_time,
-    )
-
-
-def decode_static(bits: Bits, rx_time: dt.datetime | None = None) -> StaticReport:
-    """Decode static/voyage data (type 5): name, ship type, dimensions."""
-    if bits.nbits < 6:
-        raise TruncatedBuffer("buffer shorter than the type field")
-    mtype = bits.uint(0, 6)
-    if mtype != 5:
-        raise WrongType(f"expected a type 5 static report, got type {mtype}")
-    if bits.nbits < 240:
-        # name ends at bit 232, ship type at 240; dimensions are optional
-        raise TruncatedBuffer(f"static report needs at least 240 bits, got {bits.nbits}")
-    layout = _STATIC_LAYOUT if bits.nbits >= _STATIC_BITS else _STATIC_LAYOUT[:-4]
-    return _static_report(rx_time, *_read_bits(bits, layout)[1:])
-
-
 # The encoder writes the fields of _POSITION_LAYOUT and _STATIC_LAYOUT, and besides them a position report's UTC
 # second and a static report's EPFD type, which no decoder reads. Every other bit it leaves 0.
 _POSITION_WRITE = _row_plan(_POSITION_LAYOUT + ((137, 6, False),))  # UTC second
@@ -605,13 +501,16 @@ def encode_statics(reports: list[StaticReport], message_ids) -> list[str]:
     ids = np.asarray(message_ids, dtype=np.int64)
     if ((ids < 0) | (ids > 9)).any():
         raise ValueError("message ids must be single digits")
-    rows = []
-    for r in reports:
-        length, width = r.length or 0, r.width or 0
-        name = [ord(u) & 63 if len(u := c.upper()) == 1 and 32 <= ord(u) <= 95 else 0 for c in r.vessel_name[:20]]
-        rows.append([5, r.mmsi, *name, *[0] * (20 - len(name)), r.ship_type, length // 2, length - length // 2,
-                     width // 2, width - width // 2, 1])
-    fields = np.array(rows, dtype=np.int64).reshape(-1, len(_STATIC_WRITE[0]))
+    names = {name: k for k, name in enumerate(dict.fromkeys(r.vessel_name for r in reports))}
+    name_fields = np.zeros((len(names), _NAME_CHARS), dtype=np.int64)  # each distinct name's 6-bit values, made once
+    for k, name in enumerate(names):
+        values = [ord(u) & 63 if len(u := c.upper()) == 1 and 32 <= ord(u) <= 95 else 0 for c in name[:_NAME_CHARS]]
+        name_fields[k, : len(values)] = values
+    mmsi, name_row, ship_type, length, width = np.array(
+        [(r.mmsi, names[r.vessel_name], r.ship_type, r.length or 0, r.width or 0) for r in reports],
+        dtype=np.int64).reshape(-1, 5).T
+    fields = np.column_stack((np.full(len(reports), 5), mmsi, name_fields[name_row], ship_type, length // 2,
+                              length - length // 2, width // 2, width - width // 2, np.ones(len(reports), np.int64)))
     seconds = np.array([epoch_us(r.timestamp) for r in reports], dtype=np.int64) // 1_000_000
     payloads = _ARMOR_BYTES[_write_rows(fields, _STATIC_WRITE, _STATIC_CHARS)]
     ids = (ids + ord("0")).astype(np.uint8).reshape(-1, 1)
@@ -703,7 +602,6 @@ _ERROR_NAMES = {
     BadChecksum: "bad_checksum",
     Malformed: "malformed",
     DuplicateFragment: "duplicate_fragment",
-    WrongType: "wrong_type",
     TruncatedBuffer: "truncated_buffer",
     OutOfRangePosition: "out_of_range_position",
 }
@@ -909,8 +807,8 @@ class MessageDecoder:
         stale = [key for key, group in self._pending.items() if now_us - group.first_rx > _REASSEMBLY_WINDOW_US]
         return self._timeouts([self._pending.pop(key) for key in stale], "within window") if stale else []
 
-    def _add_fragment(self, sentence: RawSentence, rx: dt.datetime, raw: str) -> Bits | None:
-        """Buffer one fragment; the bits of its group once the group is complete, else None."""
+    def _add_fragment(self, sentence: RawSentence, rx: dt.datetime, raw: str) -> tuple[str, int] | None:
+        """Buffer one fragment; its group's joined payload and fill bits once the group is complete, else None."""
         key = (sentence.channel, sentence.message_id)
         group = self._pending.get(key)
         if group is None:
@@ -927,7 +825,7 @@ class MessageDecoder:
         del self._pending[key]
         # indices lie in 1..count (_parse_fields) and none repeats, so all are here
         payload = "".join(group.sentences[i].payload for i in range(1, group.count + 1))
-        return payload_to_bits(payload, group.sentences[group.count].fill_bits)
+        return payload, group.sentences[group.count].fill_bits
 
     def feed(self, line: str, rx_time: dt.datetime) -> list[DecodeOutcome]:
         """Process one line; eviction of stale fragment groups runs on the
@@ -953,17 +851,16 @@ class MessageDecoder:
             fields = _parse_fields(text)
         except (BadChecksum, Malformed) as exc:
             return self._error(exc, raw)
+        if fields[1] == 1:  # single-sentence message: skip RawSentence
+            return self._decode(fields[5], fields[6], rx, raw)
         try:
-            if fields[1] == 1:  # single-sentence message: skip RawSentence
-                bits = payload_to_bits(fields[5], fields[6])
-            else:
-                bits = self._add_fragment(RawSentence(*fields), rx, raw)
-                if bits is None:
-                    self.buffered += 1
-                    return DecodeOutcome("buffered", None, None, None, raw)
+            joined = self._add_fragment(RawSentence(*fields), rx, raw)
         except (DuplicateFragment, Malformed) as exc:
             return self._error(exc, raw)
-        return self._decode_bits(bits, rx, raw)
+        if joined is None:
+            self.buffered += 1
+            return DecodeOutcome("buffered", None, None, None, raw)
+        return self._decode(*joined, rx, raw)
 
     def feed_block(self, lines: list[str], rx_us) -> DecodedBlock:
         """What feed(lines[i], rx_us[i]) for each line in order would give, as a DecodedBlock.
@@ -1087,21 +984,39 @@ class MessageDecoder:
         return DecodedBlock(_position_rows(position_times, *fields), _static_rows(static_times, static_fields),
                             static, outcomes, at)
 
-    def _decode_bits(self, bits: Bits, rx: dt.datetime, raw: str) -> DecodeOutcome:
-        try:
-            mtype = bits.value >> (bits.nbits - 6) if bits.nbits >= 6 else -1
-            if mtype in (1, 2, 3):
-                msg = decode_position(bits, rx)
-                self.positions += 1
-                return DecodeOutcome("position", msg, None, None, raw)
-            if mtype == 5:
-                msg = decode_static(bits, rx)
-                self.statics += 1
-                return DecodeOutcome("static", msg, None, None, raw)
-            self.skipped += 1
-            return DecodeOutcome("skipped", None, None, f"unsupported message type {mtype}", raw)
-        except (WrongType, TruncatedBuffer, OutOfRangePosition) as exc:
-            return self._error(exc, raw)
+    def _decode(self, payload: str, fill: int, rx: dt.datetime, raw: str) -> DecodeOutcome:
+        """The outcome of a complete, checked payload whose last `fill` bits are fill, received at rx.
+
+        Its fields are read as a row of the block's (_read_rows). A position
+        must lie on the globe, which the "position unavailable" sentinels
+        (91/181 degrees) do not; a static of 240-269 bits reads no dimensions.
+        """
+        nbits = 6 * len(payload) - fill
+        six = _sixes([payload], len(payload))
+        mtype = int(six[0, 0]) if nbits >= 6 else -1
+        if mtype in (1, 2, 3):
+            if nbits < 168:
+                return self._error(TruncatedBuffer(f"position report needs 168 bits, got {nbits}"), raw)
+            _, mmsi, navstat, rot, sog, lon, lat, cog, heading = _read_rows(six, _POSITION_ROWS)[0].tolist()
+            lon, lat = lon / 600000.0, lat / 600000.0
+            if not _in_range(lat, lon):
+                return self._error(OutOfRangePosition(f"lat={lat:.5f} lon={lon:.5f}"), raw)
+            self.positions += 1
+            msg = _report(rx, mmsi, navstat, lat, lon, *map(float, _field_values(sog, cog, heading, rot)))
+            return DecodeOutcome("position", msg, None, None, raw)
+        if mtype == 5:
+            # the name ends at bit 232 and the ship type at 240; the dimensions are optional
+            if nbits < 240:
+                return self._error(TruncatedBuffer(f"static report needs at least 240 bits, got {nbits}"), raw)
+            whole = _STATIC_BITS // 6 if nbits >= _STATIC_BITS else 40  # the 6-bit values of the fields it holds
+            padded = np.zeros((1, _STATIC_BITS // 6), dtype=np.int64)
+            padded[:, :whole] = six[:, :whole]
+            self.statics += 1
+            msg = _static_rows(np.zeros(1, dtype=np.int64), _read_rows(padded, _STATIC_ROWS)[:, 1:])[0]
+            msg.timestamp = rx
+            return DecodeOutcome("static", msg, None, None, raw)
+        self.skipped += 1
+        return DecodeOutcome("skipped", None, None, f"unsupported message type {mtype}", raw)
 
     def finish(self) -> list[DecodeOutcome]:
         """Flush pending fragment groups at end of input as timeouts."""

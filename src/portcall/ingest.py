@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport, StaticReport, epoch_us
-from .jsonl import dumps, message_from_dict, message_to_dict, position_line, position_lines, static_lines
+from .jsonl import dumps, message_from_dict, message_to_dict, position_lines, static_lines
 
 UTC = dt.timezone.utc
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=UTC)  # the partition of a message without a timestamp
@@ -119,7 +119,7 @@ class MessageStore:
 
     def append(self, msg: PositionReport | StaticReport) -> None:
         f = self._file((msg.timestamp or _EPOCH).astimezone(UTC).toordinal())
-        f.write(position_line(msg) if isinstance(msg, PositionReport) else dumps(message_to_dict(msg)))
+        f.write(dumps(message_to_dict(msg)))
         f.write("\n")
 
     def append_rows(self, rows: BlockRun, lines: list[str]) -> None:

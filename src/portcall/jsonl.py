@@ -12,19 +12,19 @@ so each has one fixed template that writes the text `dumps` would write
 for its dict without building the dict: the keys are known and sorted
 once, every value is a number, a bool, null, a timestamp or one of
 validate's fixed method labels, so nothing needs escaping. Both templates
-take the texts of a position's fields. `position_line` gives them for one
-report. The one column writer, `position_field_texts`, gives them for every
-row of a `codec.Positions` column set; `position_lines` fills the position
-template with them (the store and decoded.jsonl), and
-`columnar.Validated.line_chunks` the validated one. It makes each text
-once per distinct value of the rows it is given, not once per row: a float
-once per float64 bit pattern, so -0.0 and 0.0, and NaNs, stay apart, and
-MMSI and navigational status with `str` once per distinct integer
-(`np.unique`). The static column writer, `static_lines`, writes the
+take the texts of a position's fields, which the one column writer,
+`position_field_texts`, gives for every row of a `codec.Positions` column
+set; `position_lines` fills the position template with them (the store and
+decoded.jsonl), and `columnar.Validated.line_chunks` the validated one. It
+makes each text once per distinct value of the rows it is given, not once
+per row: a float once per float64 bit pattern, so -0.0 and 0.0, and NaNs,
+stay apart, and MMSI and navigational status with `str` once per distinct
+integer (`np.unique`). The static column writer, `static_lines`, writes the
 document of each row of a `codec.Statics` column set in one template too,
-escaping the vessel name as `dumps` does. Other statics, errors, outages
-and voyages are few and hold free text (vessel names, raw lines), so they
-go through their dict codecs and `dumps`, which escapes it.
+escaping the vessel name as `dumps` does. A single message, one the line
+parser decoded or a stored one read back, and errors, outages and voyages
+are few and may hold free text (vessel names, raw lines), so they go
+through their dict codecs and `dumps`, which escapes it.
 
 A stored position's lat, lon, sog, cog and heading are read as floats, so a
 number another tool wrote as an int (`"sog":5`) is written back as `5.0`,
@@ -83,16 +83,6 @@ def _position_text(cog, heading, lat, lon, mmsi, navstat, rot, sog, ts) -> str:
             f'"rot":{rot},"sog":{sog},"ts":"{ts}","type":"position"}}')
 
 
-def _optional(value) -> str:
-    return "null" if value is None else repr(value)
-
-
-def position_line(r: PositionReport) -> str:
-    """The stored document of a position report, equal to `dumps(message_to_dict(r))`."""
-    return _position_text(_optional(r.cog), _optional(r.heading), repr(r.lat), repr(r.lon), repr(r.mmsi),
-                          repr(r.navstat), _optional(r.rot), _optional(r.sog), format_ts(r.timestamp))
-
-
 _MINUTE_TEXT = np.array([f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)], dtype=object)
 _SECOND_TEXT = np.array([f"{s:02d}Z" for s in range(60)], dtype=object)
 _EPOCH_DAY = dt.date(1970, 1, 1).toordinal()
@@ -129,7 +119,8 @@ def _integer_text(value: float) -> str:
 
 def position_field_texts(positions: Positions) -> tuple[list, ...]:
     """The texts of the fields of each row of a column set, in the order `_position_text` takes them: those
-    `position_line` writes for the row's report, a float as its repr, the rate of turn as an int and NaN as null."""
+    `dumps(message_to_dict(r))` writes for the row's report r, a float as its repr, the rate of turn as an int and
+    NaN as null."""
     p = positions
     return (_texts_of(p.cog, _number_text), _texts_of(p.heading, _number_text), _texts_of(p.lat, _number_text),
             _texts_of(p.lon, _number_text), _integer_texts(p.mmsi), _integer_texts(p.navstat),
@@ -137,7 +128,7 @@ def position_field_texts(positions: Positions) -> tuple[list, ...]:
 
 
 def position_lines(positions: Positions) -> list[str]:
-    """The stored document of each row of a column set, equal to `position_line` of the row's report."""
+    """The stored document of each row of a column set, equal to `dumps(message_to_dict(r))` of the row's report."""
     return list(map(_position_text, *position_field_texts(positions)))
 
 

@@ -22,95 +22,94 @@ def feed_one(line, rx=RX, decoder=None):
 
 
 class TestParseSentence:
+    """What feed makes of a line's sentence fields: the error name and detail it gives, or no error."""
+
     def test_valid_sentence(self):
         line = oracles.position_sentence(mmsi=123456789, navstat=0, rot_raw=0, sog_raw=0,
                                          lon_raw=0, lat_raw=0, cog_raw=0, heading_raw=0)
-        s = codec.parse_sentence(line)
-        assert s.talker == "AIVDM"
-        assert s.fragment_count == 1
-        assert s.fragment_index == 1
-        assert s.message_id is None
-        assert s.channel == "A"
-        assert s.fill_bits == 0
+        outcome = feed_one(line)
+        assert (outcome.kind, outcome.error, outcome.detail) == ("position", None, None)
+        assert outcome.message.mmsi == 123456789
 
     def test_checksum_computed_by_hand(self):
         body = "AIVDM,1,1,,A,13@ndh@01W1CwHhCcK4t=Ih00000,0"
         byhand = 0
         for ch in body:
             byhand ^= ord(ch)
-        line = f"!{body}*{byhand:02X}"
-        assert codec.parse_sentence(line).payload == "13@ndh@01W1CwHhCcK4t=Ih00000"
+        outcome = feed_one(f"!{body}*{byhand:02X}")
+        assert (outcome.kind, outcome.error) == ("position", None)
+        assert outcome.message.mmsi == 219000001
 
     def test_bad_checksum(self):
         line = oracles.position_sentence(mmsi=1, navstat=0, rot_raw=0, sog_raw=0,
                                          lon_raw=0, lat_raw=0, cog_raw=0, heading_raw=0)
         declared = int(line[-2:], 16)
-        corrupted = line[:-2] + f"{declared ^ 1:02X}"
-        with pytest.raises(codec.BadChecksum):
-            codec.parse_sentence(corrupted)
+        outcome = feed_one(line[:-2] + f"{declared ^ 1:02X}")
+        assert outcome.error == "bad_checksum"
+        assert outcome.detail == f"computed {declared:02X}, declared {declared ^ 1:02X}"
 
     def test_empty_line(self):
-        with pytest.raises(codec.Malformed):
-            codec.parse_sentence("")
+        outcome = feed_one("")
+        assert (outcome.error, outcome.detail) == ("malformed", "empty line")
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "AIVDM,1,1,,A,0",  # six fields
-            "AIVDM,0,1,,A,0,0",  # zero fragment count
-            "AIVDM,1,2,,A,0,0",  # index beyond count
-            "AIVDM,1,1,,A,0,7",  # fill bits out of range
-            "AIVDM,2,1,,A,0,0",  # multipart without message id
-            "AIVDM,1,1,,A,,0",  # empty payload
-            "AIVDM,x,1,,A,0,0",  # non-integer fragment count
-        ],
-    )
+    MALFORMED_BODIES = {
+        "AIVDM,1,1,,A,0": "expected 7 comma-separated fields, got 6",
+        "AIVDM,0,1,,A,0,0": "fragment numbers must be >= 1",
+        "AIVDM,1,2,,A,0,0": "fragment index 2 > count 1",
+        "AIVDM,1,1,,A,0,7": "fill bits 7 outside 0..5",
+        "AIVDM,2,1,,A,0,0": "multi-sentence group without a message id",
+        "AIVDM,1,1,,A,,0": "empty payload",
+        "AIVDM,x,1,,A,0,0": "non-integer fragment/fill field",
+    }
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
     def test_malformed_with_valid_checksum(self, body):
-        line = f"!{body}*{oracles.xor_checksum(body):02X}"
-        with pytest.raises(codec.Malformed):
-            codec.parse_sentence(line)
+        outcome = feed_one(f"!{body}*{oracles.xor_checksum(body):02X}")
+        assert (outcome.error, outcome.detail) == ("malformed", self.MALFORMED_BODIES[body])
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "AIVDM,1,1,,A,0,0*23",  # no start delimiter
-            "!AIVDM,1,1,,A,0,0",  # no checksum
-            "!AIVDM,1,1,,A,0,0*ZZ",  # non-hex checksum
-        ],
-    )
+    MALFORMED_LINES = {
+        "AIVDM,1,1,,A,0,0*23": "line does not start with '!' or '$'",
+        "!AIVDM,1,1,,A,0,0": "missing or short checksum field",
+        "!AIVDM,1,1,,A,0,0*ZZ": "checksum 'ZZ' is not hex",
+    }
+
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_malformed_structure(self, line):
-        with pytest.raises(codec.Malformed):
-            codec.parse_sentence(line)
+        outcome = feed_one(line)
+        assert (outcome.error, outcome.detail) == ("malformed", self.MALFORMED_LINES[line])
 
     def test_invalid_armor_character(self):
         body = "AIVDM,1,1,,A,xyz,0"  # 'x' is outside the alphabet
-        line = f"!{body}*{oracles.xor_checksum(body):02X}"
-        with pytest.raises(codec.Malformed):
-            codec.parse_sentence(line)
+        outcome = feed_one(f"!{body}*{oracles.xor_checksum(body):02X}")
+        assert (outcome.error, outcome.detail) == ("malformed", "payload character 'x' outside the armoring alphabet")
 
 
 class TestArmoring:
     def test_char_zero_is_six_zero_bits(self):
-        bits = codec.payload_to_bits("0", 0)
-        assert bits.nbits == 6
-        assert bits.value == 0
+        assert codec._SIXBIT[ord("0")] == 0
 
     def test_char_w_is_six_one_bits(self):
         # ord('w')=119 -> 71 -> 71-8 = 63 = 0b111111
-        bits = codec.payload_to_bits("w", 0)
-        assert bits.value == 0b111111
+        assert codec._SIXBIT[ord("w")] == 0b111111
 
     def test_fill_bits_dropped(self):
-        bits = codec.payload_to_bits("w0", 4)
-        assert bits.nbits == 8
-        assert bits.value == 0b11111100
+        """A position's 28 characters with one fill bit hold 167 bits, one short of the layout."""
+        payload, _ = oracles.bits_to_payload(oracles.position_bits(
+            mmsi=1, navstat=0, rot_raw=0, sog_raw=0, lon_raw=0, lat_raw=0, cog_raw=0, heading_raw=0))
+        outcome = feed_one(oracles.sentence(payload, 1))
+        assert (outcome.error, outcome.detail) == ("truncated_buffer", "position report needs 168 bits, got 167")
 
     def test_bijection(self):
         assert len(codec.ARMOR_ALPHABET) == 64
         assert len(set(codec.ARMOR_ALPHABET)) == 64
         for v, ch in enumerate(codec.ARMOR_ALPHABET):
-            assert codec.payload_to_bits(ch, 0).value == v
+            assert codec._SIXBIT[ord(ch)] == v
             assert oracles.armor_char(v) == ch
+
+    def test_under_six_bits_has_no_type(self):
+        """A payload of one character and a fill bit holds no whole type field."""
+        outcome = feed_one(oracles.sentence("w", 1))
+        assert (outcome.kind, outcome.detail) == ("skipped", "unsupported message type -1")
 
 
 def decode_static_group(**kwargs):
@@ -215,22 +214,17 @@ class TestDecodePosition:
         assert outcome.error == "out_of_range_position"
         assert outcome.detail == "lat=91.00000 lon=0.00000"  # errors.jsonl holds this text
 
-    def test_wrong_type(self):
-        bits = codec.payload_to_bits("5" + "0" * 27, 0)  # type 5 header, position length
-        with pytest.raises(codec.WrongType):
-            codec.decode_position(bits, RX)
-
     def test_truncated(self):
-        bits = codec.payload_to_bits("10", 0)
-        with pytest.raises(codec.TruncatedBuffer):
-            codec.decode_position(bits, RX)
+        outcome = feed_one(oracles.sentence("10", 0))
+        assert (outcome.error, outcome.detail) == ("truncated_buffer", "position report needs 168 bits, got 12")
 
     def test_bits_past_the_layout_are_ignored(self):
+        """Bits past a position's 168, the two set bits of "w0" with 4 fill bits among them, read as nothing."""
         payload, _ = oracles.bits_to_payload(oracles.position_bits(
             msg_type=1, mmsi=366000001, navstat=5, rot_raw=-3, sog_raw=17, lon_raw=-7000000, lat_raw=2000000,
             cog_raw=2700, heading_raw=268))
-        expected = codec.decode_position(codec.payload_to_bits(payload, 0), RX)
-        assert codec.decode_position(codec.payload_to_bits(payload + "w0", 4), RX) == expected
+        expected = feed_one(oracles.sentence(payload, 0)).message
+        assert feed_one(oracles.sentence(payload + "w0", 4)).message == expected
         assert expected.rot == -3 and expected.lon == -7000000 / 600000.0
 
 
@@ -270,10 +264,22 @@ class TestDecodeStatic:
         """Trailing '@' padding and spaces are cut; the 6-bit characters read as themselves."""
         assert decode_static_group(mmsi=7, name=name, ship_type=70).vessel_name == read
 
-    def test_wrong_type(self):
-        bits = codec.payload_to_bits("1" + "0" * 70, 0)
-        with pytest.raises(codec.WrongType):
-            codec.decode_static(bits)
+    @pytest.mark.parametrize("nbits", [240, 257, 269])
+    def test_short_static_reads_no_dimensions(self, nbits):
+        """A type 5 of 240-269 bits lacks a whole set of dimensions, so its set bits past bit 240 read as none."""
+        bits = (oracles.static_bits(mmsi=7, name="SHORT", ship_type=70, to_bow=120, to_stern=30, to_port=12,
+                                    to_starboard=10)[:240] + "1" * 30)[:nbits]
+        payload, fill = oracles.bits_to_payload(bits)
+        dec = codec.MessageDecoder()
+        assert feed_one(oracles.sentence(payload[:20], 0, 2, 1, 3), decoder=dec).kind == "buffered"
+        report = feed_one(oracles.sentence(payload[20:], fill, 2, 2, 3), decoder=dec).message
+        assert (report.mmsi, report.vessel_name, report.ship_type) == (7, "SHORT", 70)
+        assert (report.length, report.width) == (None, None)
+
+    def test_truncated(self):
+        payload = oracles.bits_to_payload(oracles.static_bits(mmsi=7, name="A", ship_type=70)[:239])[0]
+        outcome = feed_one(oracles.sentence(payload, 1))
+        assert (outcome.error, outcome.detail) == ("truncated_buffer", "static report needs at least 240 bits, got 239")
 
 
 class TestTagBlock:
@@ -403,7 +409,9 @@ static_bit_strings = st.integers(240, 424).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(bits=position_bit_strings | static_bit_strings, cut=st.integers(1, 70), fill=st.integers(0, 5))
 def test_feed_and_feed_block_decode_alike(bits, cut, fill):
-    """The one-message readers (decode_position, decode_static) and the block's columns read the same fields."""
+    """feed and feed_block give the same outcomes for a position, or for a type 5 split in two fragments, of any
+    length and fill: feed reads its one payload through the block's own reader (_read_rows), so this checks what
+    each path does around it, the length checks, the static's missing dimensions and the fill bits."""
     payload, true_fill = oracles.bits_to_payload(bits)
     if bits.startswith(format(5, "06b")):
         cut = min(cut, len(payload) - 1)
@@ -635,7 +643,7 @@ def _sentence_fields(line: str) -> list[str]:
 def _block_decoded(lines, each) -> set[int]:
     """The lines feed_block must decode itself, from what feeding each line gave: a single sentence, ending at
     its checksum, that decodes to a position, and fragments 1 and 2 of one group on adjacent lines decoding to a
-    static with every field decode_static reads (270 bits)."""
+    static with every field of _STATIC_LAYOUT (270 bits)."""
     decoded = {j for j, outcomes in enumerate(each) if outcomes[-1].kind == "position"
                and _sentence_fields(lines[j])[1] == "1" and not lines[j].rstrip("\r\n").endswith(" ")}
     for j in range(1, len(lines)):

@@ -16,7 +16,7 @@ import oracles
 from conftest import decode_all, each_report
 from portcall import cli, codec, ingest, synth
 from portcall.codec import MessageDecoder, PositionReport, StaticReport
-from portcall.jsonl import dumps, message_to_dict, position_line
+from portcall.jsonl import dumps, message_to_dict
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
@@ -492,8 +492,7 @@ class TestStorePartitions:
         for m in messages:
             name = "ais-1970-01-01.jsonl" if m.timestamp is None else \
                 f"ais-{m.timestamp.astimezone(UTC).date().isoformat()}.jsonl"
-            line = position_line(m) if isinstance(m, PositionReport) else dumps(message_to_dict(m))
-            expected[name] = expected.get(name, "") + line + "\n"
+            expected[name] = expected.get(name, "") + dumps(message_to_dict(m)) + "\n"
         with ingest.MessageStore(tmp_path / "s") as store:
             for m in messages[:4]:
                 store.append(m)
@@ -510,7 +509,7 @@ class TestColumnPass:
         """Replayed blocks of clean position lines and type 5 pairs, tagged or bare, reach the store as columns:
         no outcome, report or datetime per position or static, no timedelta per line, and one sink call per
         block."""
-        built = {"DecodeOutcome": 0, "_report": 0, "_static_report": 0, "from_epoch_us": 0, "_tag_time": 0,
+        built = {"DecodeOutcome": 0, "_report": 0, "StaticReport": 0, "from_epoch_us": 0, "_tag_time": 0,
                  "timedelta": 0, "append": 0, "append_rows": 0}
 
         def counted(name, fn):
@@ -519,7 +518,7 @@ class TestColumnPass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("DecodeOutcome", "_report", "_static_report", "from_epoch_us", "_tag_time"):
+        for name in ("DecodeOutcome", "_report", "StaticReport", "from_epoch_us", "_tag_time"):
             monkeypatch.setattr(codec, name, counted(name, getattr(codec, name)))
         monkeypatch.setattr(ingest, "dt", SimpleNamespace(**{k: getattr(dt, k) for k in ("date", "datetime")},
                                                           timedelta=counted("timedelta", dt.timedelta)))
@@ -541,8 +540,7 @@ class TestColumnPass:
         assert summary.messages == len(lines) - statics
         assert built == {**dict.fromkeys(built, 0), "append_rows": -(-len(lines) // ingest._REPLAY_BLOCK)}
         monkeypatch.undo()
-        expected = [position_line(m) if isinstance(m, PositionReport) else dumps(message_to_dict(m))
-                    for m in decode_direct_at(lines, T0)]
+        expected = [dumps(message_to_dict(m)) for m in decode_direct_at(lines, T0)]
         assert sum('"type":"static"' in line for line in expected) == statics
         assert read_lines(tmp_path / "s") == sorted(expected, key=lambda line: json.loads(line)["ts"][:10])
 
@@ -564,8 +562,7 @@ class TestColumnPass:
         assert [e if isinstance(e, float) else e[0] for e in events] == [1, pytest.approx(1.0), 1, pytest.approx(0.5),
                                                                          1, pytest.approx(0.5), 1]
         assert [e[1] for e in events if isinstance(e, tuple)] == [
-            [position_line(m) if isinstance(m, PositionReport) else dumps(message_to_dict(m))]
-            for m in decode_direct(lines)]
+            [dumps(message_to_dict(m))] for m in decode_direct(lines)]
 
 
 def decode_direct_at(lines, start, cadence_s=1.0) -> list:

@@ -84,19 +84,20 @@ def test_format_ts_is_the_strftime_text(t):
 
 @settings(max_examples=500, deadline=None)
 @given(reports)
-def test_position_line_is_the_dict_codec_text(r):
-    line = jsonl.position_line(r)
-    assert line == jsonl.dumps(jsonl.message_to_dict(r))
-    assert jsonl.message_from_dict(json.loads(line)) == whole_seconds(r)
+def test_position_dict_codec_round_trips(r):
+    """A report's stored document reads back as the report, its time cut to the second."""
+    assert jsonl.message_from_dict(json.loads(jsonl.dumps(jsonl.message_to_dict(r)))) == whole_seconds(r)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(position_reports(numbers), max_size=8))
-def test_position_line_is_the_column_writers_line_for_stored_reports(rs):
+def test_stored_reports_round_trip_to_the_column_writers_line(rs):
     """A report as message_from_dict reads it from a stored document, ints in its float fields among them, is
-    written alike one at a time and by the column writer from its row."""
+    written alike by the dict codec and by the column writer from its row."""
     read = [jsonl.message_from_dict(json.loads(json.dumps(jsonl.message_to_dict(r)))) for r in rs]
-    assert [jsonl.position_line(r) for r in read] == jsonl.position_lines(Positions.of_reports(read))
+    written = [jsonl.dumps(jsonl.message_to_dict(r)) for r in read]
+    assert written == jsonl.position_lines(Positions.of_reports(read))
+    assert [jsonl.message_from_dict(json.loads(line)) for line in written] == read
     assert all(type(v) is float for r in read for v in (r.lat, r.lon, r.sog, r.cog, r.heading) if v is not None)
 
 
