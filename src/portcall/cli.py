@@ -11,11 +11,12 @@ outages it found and each message's gap flag; `voyages` reads only the
 validated messages and flags a voyage from their gap flags.
 
 Positions go from decode to voyages as columns: `decode_stage` returns one
-`codec.Positions`, the column set that the decoder gives, and
-`validate_stage` one `columnar.Validated`; no stage builds an object per
-decoded row. The staged `validate` and `voyages` commands load their rows
-as objects, _ROWS_PER_PART at a time, and convert each part into the same
-columns (`Positions.of_reports`, `Validated.of_messages`).
+`codec.Positions`, the table that the decoder gives, and `validate_stage`
+one `columnar.Validated`; no stage builds an object per decoded row. The
+staged `validate`, `voyages` and `metrics --static` commands read their
+stored lines into the same tables, _ROWS_PER_PART lines at a time, through
+each table's checked reader (`table.Table.read`), and build no object per
+line either.
 
 Exit codes: 0 success, 1 data-quality threshold exceeded, 2 usage or I/O
 error.
@@ -38,10 +39,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__, columnar, jsonl, validate, voyage
-from .codec import STATUS_KINDS, PositionReport, Positions
+from .codec import PositionReport, Positions, Statics
 from .geo import AreaFilter, InvalidPolygon, PortGeometry, load_port_geometry
 from .ingest import MessageStore, RawTimeOutOfRange, SourceConfig, run_live, run_replay
-from .jsonl import format_ts, message_from_dict, message_to_dict, parse_ts
+from .jsonl import message_from_dict, message_to_dict
+from .table import CHUNK_ROWS, Table, format_ts, parse_ts
 
 if TYPE_CHECKING:
     from . import metrics
@@ -175,27 +177,32 @@ def _raw_cadence(seconds: float) -> float:
     return seconds
 
 
-def _load_parts(path: pathlib.Path, what: str, from_dict, kind: str | None = None, size: int | None = None):
-    """The documents in a stage's JSONL input (only those of one type, if given), converted, in lists of up to
-    `size` (all in one without a size).
+def _load_parts(path: pathlib.Path, what: str, convert, kind: str | None = None, size: int | None = None):
+    """convert(documents) of the documents in a stage's JSONL input (only those of one type, if given), in lists
+    of up to `size` (all in one without a size).
 
     A line that is not JSON or does not convert is a usage error.
     """
-    rows = (from_dict(doc) for doc in jsonl.read_jsonl(path) if kind is None or doc.get("type") == kind)
+    docs = (doc for doc in jsonl.read_jsonl(path) if kind is None or doc.get("type") == kind)
     try:
-        while part := list(itertools.islice(rows, size)):
-            yield part
+        while part := list(itertools.islice(docs, size)):
+            yield convert(part)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"bad {what} in {path}: {exc}") from exc
 
 
-def _load_jsonl(path: pathlib.Path, what: str, from_dict, kind: str | None = None) -> list:
-    """The documents of `_load_parts` in one list."""
-    return next(_load_parts(path, what, from_dict, kind), [])
+def _load_jsonl(path: pathlib.Path, what: str, from_dict) -> list:
+    """from_dict(document) of each document of a stage's JSONL input, in one list."""
+    return next(_load_parts(path, what, lambda docs: list(map(from_dict, docs))), [])
 
 
-# rows a staged command holds as objects before it turns them into columns
+# stored lines a staged command holds as documents before it reads them into columns
 _ROWS_PER_PART = 4096
+
+
+def _load_table(path: pathlib.Path, what: str, table: type[Table]) -> Table:
+    """The rows of the documents of the table's type in a stage's JSONL input, read _ROWS_PER_PART at a time."""
+    return table.concat(list(_load_parts(path, what, table.read, table.kind, _ROWS_PER_PART)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +218,10 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
     """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
 
     Each run of block rows (positions and statics) is written to `out` in
-    one write, with the documents the column writers made for its rows, and
+    one write, with the documents the tables' line writers made for its rows, and
     its statics' ship types are read from their columns; messages the line
     parser decoded and stored JSONL messages are written one by one.
-    Returns the positions as one `codec.Positions` column set in the order
+    Returns the positions as one `codec.Positions` table in the order
     they came, the ship type of every MMSI that sent static data (its
     last), and the exit status of the error-rate check. The runs' position
     slices are joined _SLICES_PER_PART at a time, each run of positions
@@ -235,7 +242,7 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
 
     def flush_reports():
         if reports:
-            parts.append(Positions.of_reports(reports))
+            parts.append(Positions.of_rows(reports))
             reports.clear()
 
     with open(out, "w", encoding="utf-8", newline="\n") as fo, open(
@@ -315,37 +322,19 @@ def _outage_to_dict(o: validate.Outage) -> dict:
     }
 
 
-# Not on the run path, which writes validated lines from the columns
-# (columnar.Validated.line_chunks). Kept as the reference that tests/test_jsonl.py
-# checks those lines against, and for the tests in tests/test_cli.py that
-# write validated files of their own.
+# The dict codec of one validated message: its position's document with the
+# fields validate adds. Not on the run path, which writes and reads
+# validated lines as a table (columnar.Validated); kept as the reference
+# that the tests check those lines against.
 def validated_to_dict(vm: columnar.ValidatedMessage) -> dict:
-    doc = message_to_dict(vm.report)
-    doc["type"] = "validated"
-    doc["corrected_navstat"] = vm.corrected_navstat
-    doc["method"] = vm.method
-    doc["agreed_with_reported"] = vm.agreed_with_reported
-    doc["gap_flag"] = vm.gap_flag
-    return doc
-
-
-_VALIDATED_ONLY = ("type", "corrected_navstat", "method", "agreed_with_reported", "gap_flag")
+    return {**message_to_dict(vm.report), **columnar.Validated.to_dict(vm)}
 
 
 def validated_from_dict(doc: dict) -> columnar.ValidatedMessage:
-    """The validated message a stored document holds; a field of the wrong type is a ValueError."""
-    base = {k: v for k, v in doc.items() if k not in _VALIDATED_ONLY}
-    base["type"] = "position"
-    corrected = jsonl.integer(doc["corrected_navstat"], "corrected_navstat")
-    if corrected not in STATUS_KINDS:
-        raise ValueError(f"corrected_navstat {corrected!r} is not one of {sorted(STATUS_KINDS)}")
-    return columnar.ValidatedMessage(
-        report=message_from_dict(base),
-        corrected_navstat=corrected,
-        method=jsonl.text(doc["method"], "method"),
-        agreed_with_reported=jsonl.boolean(doc["agreed_with_reported"], "agreed_with_reported"),
-        gap_flag=jsonl.boolean(doc.get("gap_flag", False), "gap_flag"),
-    )
+    """The validated message a stored document holds; a field it lacks or holds a value of the wrong type of is a
+    ValueError that starts with the field's key."""
+    return columnar.ValidatedMessage(message_from_dict({**doc, "type": Positions.kind}),
+                                     **columnar.Validated.values(doc))
 
 
 def validate_stage(positions: Positions, port: PortGeometry | None, cfg: validate.ValidationConfig,
@@ -359,8 +348,8 @@ def validate_stage(positions: Positions, port: PortGeometry | None, cfg: validat
     outages = validate.detect_outages(positions)
     validated = validate.validate_stream(positions, port, cfg, outages=outages)
     with open(out, "w", encoding="utf-8", newline="\n") as f:
-        for lines in validated.line_chunks():
-            f.write("\n".join(lines))
+        for a in range(0, len(validated), CHUNK_ROWS):
+            f.write("\n".join(validated[a:a + CHUNK_ROWS].lines()))
             f.write("\n")
     jsonl.write_jsonl(outages_out, (_outage_to_dict(o) for o in outages))
     agreement = np.count_nonzero(validated.agreed_with_reported) / len(validated) if len(validated) else 1.0
@@ -386,9 +375,7 @@ def cmd_validate(args) -> int:
     cfg, port = _load_validation(args.config, args.method, args.port)
     out = pathlib.Path(args.output)
     outages_out = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
-    positions = Positions.concat(
-        [Positions.of_reports(part)
-         for part in _load_parts(source, "position message", message_from_dict, "position", _ROWS_PER_PART)])
+    positions = _load_table(source, "position message", Positions)
     _, status = validate_stage(positions, port, cfg, out, outages_out, source=source,
                                port_path=args.port, config_path=args.config, min_agreement=args.min_agreement,
                                digests={})
@@ -427,9 +414,7 @@ def voyages_stage(messages: columnar.Validated, area: AreaFilter | None, out: pa
 def cmd_voyages(args) -> int:
     source = _readable(args.input)
     area = _area_filter(args.area, args.center, args.radius_m)
-    messages = columnar.Validated.concat(
-        [columnar.Validated.of_messages(part)
-         for part in _load_parts(source, "validated message", validated_from_dict, "validated", _ROWS_PER_PART)])
+    messages = _load_table(source, "validated message", columnar.Validated)
     voyages_stage(messages, area, pathlib.Path(args.output), source=source, area_path=args.area,
                   center=args.center, radius_m=args.radius_m, digests={})
     return EXIT_OK
@@ -541,8 +526,8 @@ def cmd_metrics(args) -> int:
     voyages = _load_jsonl(voyages_path, "voyage", voyage.voyage_from_dict)
     ship_types = {}
     if args.static:
-        statics = _load_jsonl(_readable(args.static), "static message", message_from_dict, "static")
-        ship_types = {s.mmsi: s.ship_type for s in statics}
+        statics = _load_table(_readable(args.static), "static message", Statics)
+        ship_types = dict(zip(statics.mmsi.tolist(), statics.ship_type.tolist()))
     metrics_stage(voyages, ship_types, port, truth, exclude, pathlib.Path(args.output_dir), vessel=args.vessel,
                   voyages_path=voyages_path, static_path=args.static, truth_path=args.ground_truth,
                   port_path=args.port, digests={})

@@ -13,19 +13,20 @@ two-sentence type 5 reports whose fragments sit on adjacent lines.
 Checksums are an XOR reduction, payloads are de-armored through a lookup
 table, fields are read as integer columns and TAG times as one integer
 column. The positions and type 5 pairs this pass decodes leave as one
-Positions and one Statics column set, placed among the block's outcomes
+Positions and one Statics table, placed among the block's outcomes
 (DecodedBlock), and no object is built per position or pair. Every other
 line goes in its place to MessageDecoder.feed, the general parser of one
 line, so a block gives what feeding its lines one by one would: malformed,
 orphaned and rare lines, and a pair that a block boundary splits. What feed
 gives, positions and statics included, stays an outcome.
 
-Positions is the one column set of decoded positions that every stage
-carries: receive times in integer microseconds since the epoch, MMSI and
-status as integers, and every other field as the float64 value it reads
-as, NaN for "not available" (_field_values maps the raw fields). Its row
-type is PositionReport, which a row gives only when asked. Statics holds
-the block's static reports the same way; its row type is StaticReport.
+Positions is the one table (`table.Table`) of decoded positions that
+every stage carries, and Statics holds the block's static reports; each
+declares its fields once, with their JSON keys and checks. A receive time
+is integer microseconds since the epoch, MMSI and status are integers, and
+every other position field is the float64 value it reads as, NaN for "not
+available" (_field_values maps the raw fields). Their row types,
+PositionReport and StaticReport, are built only when a row is asked for.
 
 Each message type's fields are declared once, in _POSITION_LAYOUT and
 _STATIC_LAYOUT, and this module owns both directions of each layout. One
@@ -53,13 +54,14 @@ public AIVDM/AIVDO protocol notes:
 
 import datetime as dt
 import functools
-import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
+
+from .table import (DIMENSION, EPOCH, INTEGER, LATITUDE, LONGITUDE, NUMBER, RATE, TEXT, TIME, UTC,
+                    Field, Table, epoch_us, from_epoch_us)
 
 
 class BadChecksum(ValueError):
@@ -87,25 +89,8 @@ ARMOR_ALPHABET = "".join(chr(v + 48) if v < 40 else chr(v + 56) for v in range(6
 # deletes every armoring character; whatever survives is invalid
 _ARMOR_DELETE = {ord(c): None for c in ARMOR_ALPHABET}
 
-UTC = dt.timezone.utc
-_EPOCH = dt.datetime(1970, 1, 1, tzinfo=UTC)
-_US = dt.timedelta(microseconds=1)
-_UNIX_ORDINAL = _EPOCH.toordinal()  # the proleptic Gregorian ordinal of 1970-01-01
-_DAY_US = 86_400_000_000
 # the last whole second a datetime holds, 9999-12-31T23:59:59, in seconds since the epoch
-_MAX_EPOCH_S = (dt.datetime.max.replace(tzinfo=UTC) - _EPOCH) // dt.timedelta(seconds=1)
-
-
-def epoch_us(t: dt.datetime) -> int:
-    """`t` in microseconds since 1970-01-01 UTC; a naive `t` is local time."""
-    if t.tzinfo is None:
-        t = t.astimezone(UTC)
-    return (t - _EPOCH) // _US
-
-
-def from_epoch_us(us: int) -> dt.datetime:
-    """The UTC datetime `us` microseconds after 1970-01-01."""
-    return _EPOCH + dt.timedelta(0, *divmod(us, 1_000_000))
+_MAX_EPOCH_S = (dt.datetime.max.replace(tzinfo=UTC) - EPOCH) // dt.timedelta(seconds=1)
 
 
 # The AIS navigational status codes this toolkit acts on, and the phase kind
@@ -315,125 +300,60 @@ def _report(timestamp: dt.datetime, mmsi: int, navstat: int, lat: float, lon: fl
                           None if rot != rot else int(rot))
 
 
-# rows that a column set turns into Python objects at a time, when it is iterated or written
-CHUNK_ROWS = 4096
-
-
-@dataclass(eq=False)
-class Positions:
+class Positions(Table, kind="position"):
     """Position reports as columns, one row per report, in order: the form in which a run carries them.
 
     time_us holds the receive time in int64 microseconds since 1970-01-01
     UTC, mmsi and navstat int64; lat, lon, sog, cog, heading and rot hold
     float64 values, NaN where the report has None. feed_block gives the
-    positions it decodes as one column set, validate and voyages read the
-    columns, and jsonl writes each row's stored document from them. An int
-    index gives the row's PositionReport; a slice, mask or index array gives
-    the column set of those rows.
+    positions it decodes as one table, validate and voyages read the
+    columns, and each row's stored document is written from them. An int
+    index gives the row's PositionReport.
     """
 
-    time_us: np.ndarray
-    mmsi: np.ndarray
-    navstat: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
-    sog: np.ndarray
-    cog: np.ndarray
-    heading: np.ndarray
-    rot: np.ndarray
+    time_us = Field(TIME, key="ts", row="timestamp")
+    mmsi = Field(INTEGER)
+    navstat = Field(INTEGER)
+    lat = Field(LATITUDE)
+    lon = Field(LONGITUDE)
+    sog = Field(NUMBER, default=None)
+    cog = Field(NUMBER, default=None)
+    heading = Field(NUMBER, default=None)
+    rot = Field(RATE, default=None)
 
-    def columns(self) -> tuple:
-        return (self.time_us, self.mmsi, self.navstat, self.lat, self.lon, self.sog, self.cog, self.heading,
-                self.rot)
-
-    def __len__(self) -> int:
-        return len(self.time_us)
-
-    def __getitem__(self, rows):
-        if isinstance(rows, (int, np.integer)):
-            time_us, *values = (c[rows].item() for c in self.columns())
-            return _report(from_epoch_us(time_us), *values)
-        return Positions(*(c[rows] for c in self.columns()))
-
-    def __iter__(self):
-        """The PositionReport of each row, in order."""
-        for a in range(0, len(self), CHUNK_ROWS):
-            time_us, *values = (c[a:a + CHUNK_ROWS].tolist() for c in self.columns())
-            yield from map(_report, map(from_epoch_us, time_us), *values)
-
-    def utc_days(self) -> np.ndarray:
-        """The proleptic Gregorian ordinal of each row's UTC day."""
-        return self.time_us // _DAY_US + _UNIX_ORDINAL
-
-    @classmethod
-    def concat(cls, parts: Sequence["Positions"]) -> "Positions":
-        """The rows of every part, in order."""
-        if len(parts) == 1:
-            return parts[0]
-        return cls(*map(np.concatenate, zip(*(part.columns() for part in parts)))) if parts else cls.of_reports([])
-
-    @classmethod
-    def of_reports(cls, reports: Sequence[PositionReport]) -> "Positions":
-        """The rows of the given reports, in order: positions the line parser decoded, or loaded from a file."""
-        def column(values, dtype=np.float64):
-            return np.fromiter(values, dtype=dtype, count=len(reports))
-
-        def numbers(name):
-            return column(math.nan if v is None else v for v in map(operator.attrgetter(name), reports))
-
-        return cls(column((epoch_us(r.timestamp) for r in reports), np.int64),
-                   column(map(operator.attrgetter("mmsi"), reports), np.int64),
-                   column(map(operator.attrgetter("navstat"), reports), np.int64),
-                   *map(numbers, ("lat", "lon", "sog", "cog", "heading", "rot")))
+    @staticmethod
+    def row(time_us: int, *values) -> PositionReport:
+        return _report(from_epoch_us(time_us), *values)
 
 
 def _position_rows(time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading) -> Positions:
-    """The column set of position fields as _read_rows reads them (_POSITION_LAYOUT after the type), longitude and
+    """The table of position fields as _read_rows reads them (_POSITION_LAYOUT after the type), longitude and
     latitude in 1/10000 minute."""
     sog, cog, heading, rot = _field_values(sog, cog, heading, rot)
     return Positions(time_us, mmsi, navstat, lat / 600000.0, lon / 600000.0, sog, cog, heading, rot)
 
 
-@dataclass(eq=False)
-class Statics:
+class Statics(Table, kind="static"):
     """Static reports (type 5) as columns, one row per report, in order.
 
     time_us holds the receive time in int64 microseconds since 1970-01-01
     UTC; mmsi, ship_type, length and width are int64, length and width 0
     where the report has None (a decoded length or width of 0 is "not
-    available"); name is an object array of str. feed_block gives the type 5 pairs it decodes as one column
-    set, and jsonl writes each row's stored document from the columns. An
-    int index gives the row's StaticReport; a slice, mask or index array
-    gives the column set of those rows.
+    available"); name is an object array of str. feed_block gives the type 5
+    pairs it decodes as one table, and each row's stored document is written
+    from the columns. An int index gives the row's StaticReport.
     """
 
-    time_us: np.ndarray
-    mmsi: np.ndarray
-    ship_type: np.ndarray
-    length: np.ndarray
-    width: np.ndarray
-    name: np.ndarray
+    time_us = Field(TIME, key="ts", row="timestamp", default=None)
+    mmsi = Field(INTEGER)
+    ship_type = Field(INTEGER, default=0)
+    length = Field(DIMENSION, default=None)
+    width = Field(DIMENSION, default=None)
+    name = Field(TEXT, row="vessel_name", default="")
 
-    def columns(self) -> tuple:
-        return self.time_us, self.mmsi, self.ship_type, self.length, self.width, self.name
-
-    def __len__(self) -> int:
-        return len(self.time_us)
-
-    def __getitem__(self, rows):
-        if isinstance(rows, (int, np.integer)):
-            time_us, mmsi, ship_type, length, width = (c[rows].item() for c in self.columns()[:-1])
-            return StaticReport(mmsi, self.name[rows], ship_type, length or None, width or None,
-                                from_epoch_us(time_us))
-        return Statics(*(c[rows] for c in self.columns()))
-
-    def __iter__(self):
-        """The StaticReport of each row, in order."""
-        return map(self.__getitem__, range(len(self)))
-
-    def utc_days(self) -> np.ndarray:
-        """The proleptic Gregorian ordinal of each row's UTC day."""
-        return self.time_us // _DAY_US + _UNIX_ORDINAL
+    @staticmethod
+    def row(time_us: int, mmsi: int, ship_type: int, length: int, width: int, name: str) -> StaticReport:
+        return StaticReport(mmsi, name, ship_type, length or None, width or None, from_epoch_us(time_us))
 
 
 # bytes.translate table of 6-bit text: values 0-31 are '@' and the letters, 32-63 space, digits and punctuation
@@ -442,7 +362,7 @@ _NAME_CHARS = 20
 
 
 def _static_rows(time_us: np.ndarray, fields: np.ndarray) -> Statics:
-    """The column set of static fields as _read_rows reads them, one row each: _STATIC_LAYOUT after the type."""
+    """The table of static fields as _read_rows reads them, one row each: _STATIC_LAYOUT after the type."""
     mmsi, ship_type, to_bow, to_stern, to_port, to_starboard = fields[:, [0, *range(21, 26)]].T
     text = fields[:, 1:21].astype(np.uint8).tobytes().translate(_SIXBIT_TEXT).decode("ascii")
     names = np.array([text[k : k + _NAME_CHARS].rstrip("@ ") for k in range(0, len(text), _NAME_CHARS)],
@@ -461,7 +381,7 @@ _HEX_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
 
 
 def encode_positions(positions: Positions) -> list[str]:
-    """The line of each row of a column set, in order: the inverse of feed_block's position rows.
+    """The line of each row of a table, in order: the inverse of feed_block's position rows.
 
     Each line is a type 1 report in one sentence on channel A, behind a TAG
     block whose c: field is the row's receive time in whole seconds (time_us
@@ -869,7 +789,7 @@ class MessageDecoder:
         epoch. Single-sentence position lines, and two-sentence type 5
         groups whose fragments 1 and 2 sit on adjacent lines, are
         checksummed and decoded together (_BLOCK_LINE), TAG times included;
-        they become rows of a Positions and a Statics column set without
+        they become rows of a Positions and a Statics table without
         any per-row object. A position line goes to feed() in its place
         when a checksum or its TAG time fails, its type is not 1-3 or it
         lies out of range. A pair goes to feed() when a checksum or TAG

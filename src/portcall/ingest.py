@@ -13,12 +13,11 @@ malformed; it does not end the read.
 A block's rows, the positions and type 5 statics feed_block's own pass
 decoded, reach a rows_sink as runs (codec.BlockRun), each a run of rows in
 receive order that no other message or reported error comes between, with
-the stored JSONL document of each row. jsonl's column writers write the
-documents for the whole block at once, positions with position_lines and
-statics with static_lines; so a sink such as MessageStore.append_rows
-writes a run without building an object per row. Every other message, a
-position or static the line parser decoded or a stored JSONL message
-included, reaches the sink as it is.
+the stored JSONL document of each row. The Positions and Statics tables
+write the documents for the whole block at once (`lines`); so a sink such
+as MessageStore.append_rows writes a run without building an object per
+row. Every other message, a position or static the line parser decoded or a
+stored JSONL message included, reaches the sink as it is.
 """
 
 import datetime as dt
@@ -34,11 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport, StaticReport, epoch_us
-from .jsonl import dumps, message_from_dict, message_to_dict, position_lines, static_lines
+from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport, StaticReport
+from .jsonl import dumps, message_from_dict, message_to_dict
+from .table import EPOCH, UTC, epoch_us
 
-UTC = dt.timezone.utc
-_EPOCH = dt.datetime(1970, 1, 1, tzinfo=UTC)  # the partition of a message without a timestamp
 _LAST_US = epoch_us(dt.datetime.max.replace(tzinfo=UTC))  # the last receive time a datetime holds
 _REPLAY_BLOCK = 1024  # NMEA lines decoded together by run_replay
 
@@ -118,7 +116,7 @@ class MessageStore:
         return f
 
     def append(self, msg: PositionReport | StaticReport) -> None:
-        f = self._file((msg.timestamp or _EPOCH).astimezone(UTC).toordinal())
+        f = self._file((msg.timestamp or EPOCH).astimezone(UTC).toordinal())  # a message without a time: 1970
         f.write(dumps(message_to_dict(msg)))
         f.write("\n")
 
@@ -205,12 +203,12 @@ class _Delivery:
 
 def _documents(block: DecodedBlock) -> list[str]:
     """The stored document of each row of a block, in order."""
-    positions = position_lines(block.positions) if len(block.positions) else []
+    positions = block.positions.lines()
     if not len(block.statics):
         return positions
     lines = np.empty(len(block.static), dtype=object)
     lines[~block.static] = np.array(positions, dtype=object)
-    lines[block.static] = np.array(static_lines(block.statics), dtype=object)
+    lines[block.static] = np.array(block.statics.lines(), dtype=object)
     return lines.tolist()
 
 

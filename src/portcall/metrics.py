@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .geo import PortGeometry
-from .jsonl import parse_ts
+from .table import parse_ts
 from .voyage import Voyage
 
 CATEGORIES = ("cargo", "tanker", "passenger", "other")

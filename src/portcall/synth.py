@@ -36,13 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (STATUS_KINDS, Positions, StaticReport, encode_positions, encode_statics, epoch_us,
-                    from_epoch_us)
+from .codec import STATUS_KINDS, Positions, StaticReport, encode_positions, encode_statics
 from .geo import AreaFilter, EARTH_RADIUS_M, PortGeometry, Polygon
-from .jsonl import format_ts, parse_ts
 from .metrics import vessel_category
-
-UTC = dt.timezone.utc
+from .table import UTC, epoch_us, format_ts, from_epoch_us, parse_ts
 
 _KIND_STATUS = {kind: code for code, kind in STATUS_KINDS.items()}
 

@@ -47,10 +47,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, Positions, epoch_us, from_epoch_us
+from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, Positions
 from .columnar import Validated
 from .geo import PortGeometry, haversine_m, project_local
 from .knn import KnnIndex
+from .table import epoch_us, from_epoch_us
 
 
 class TooFewPoints(ValueError):
@@ -534,4 +535,5 @@ def validate_stream(
     out = np.empty(len(order), dtype=np.int64)  # each output row's place in vessel order
     out[order] = np.arange(len(order))
     corrected = np.array(corrected, dtype=np.int64)[out]
-    return Validated(positions, corrected, _LABEL_TEXT[codes[out]], corrected == positions.navstat, gap_flags[out])
+    return Validated(*positions.columns(), corrected, _LABEL_TEXT[codes[out]], corrected == positions.navstat,
+                     gap_flags[out])

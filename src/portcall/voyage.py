@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .codec import ANCHORED, MOORED, STATUS_KINDS, from_epoch_us
+from .codec import ANCHORED, MOORED, STATUS_KINDS
 from .geo import haversine_m
-from .jsonl import boolean, coordinate, format_ts, integer, optional_number, parse_ts
+from .table import boolean, coordinate, format_ts, from_epoch_us, integer, optional_number, parse_ts
 from .columnar import Validated
 from .validate import SOFT_GAP_MOVE_M, left_and_returned
 

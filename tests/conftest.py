@@ -66,12 +66,14 @@ def static_columns(reports) -> Statics:
 
 def columns(reports) -> Positions:
     """Position reports as the column set that validate takes, in order."""
-    return Positions.of_reports(list(reports))
+    return Positions.of_rows(list(reports))
 
 
 def validated_columns(messages) -> Validated:
-    """Validated messages as the column set that voyages take, in order."""
-    return Validated.of_messages(list(messages))
+    """Validated messages as the table that voyages take, in order."""
+    messages = list(messages)
+    return Validated(*columns(m.report for m in messages).columns(),
+                     *(f.rule.column([getattr(m, f.row) for m in messages]) for f in Validated.own))
 
 
 def as_fed(outcomes) -> list:

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from conftest import columns
-from portcall import cli, codec, columnar, ingest, jsonl, synth, validate, voyage
+from portcall import cli, codec, columnar, ingest, jsonl, synth, table, validate, voyage
 from portcall.codec import MessageDecoder, PositionReport, from_epoch_us
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -312,17 +312,50 @@ VALIDATED_DOC = {"type": "validated", "mmsi": 1, "ts": "2019-09-01T00:00:00Z", "
                  "agreed_with_reported": True, "gap_flag": False}
 
 
+MISSING = object()  # a field left out of a stored document
+
+
+def _with(doc: dict, key: str, value) -> dict:
+    """`doc` with `key` set to `value`, or left out for MISSING."""
+    return {k: v for k, v in dict(doc, **{key: value}).items() if v is not MISSING}
+
+
+def _missing_id(value):
+    return "missing" if value is MISSING else None
+
+
 @pytest.mark.parametrize("key,value", [("corrected_navstat", "5"), ("corrected_navstat", 3), ("gap_flag", "no"),
-                                       ("agreed_with_reported", 1), ("method", 5)])
+                                       ("agreed_with_reported", 1), ("method", 5), ("lat", MISSING), ("ts", 5),
+                                       ("ts", None), ("method", MISSING)], ids=_missing_id)
 def test_wrongly_typed_validated_fields_are_usage_errors(tmp_path, capsys, key, value):
     source, out = tmp_path / "validated.jsonl", tmp_path / "voyages.jsonl"
     later = dict(VALIDATED_DOC, ts="2019-09-01T00:03:00Z")
     source.write_text(json.dumps(VALIDATED_DOC) + "\n" + json.dumps(later) + "\n")
     assert cli.main(["voyages", "--input", str(source), "--output", str(out)]) == cli.EXIT_OK
-    source.write_text(json.dumps(VALIDATED_DOC) + "\n" + json.dumps(dict(later, **{key: value})) + "\n")
+    source.write_text(json.dumps(VALIDATED_DOC) + "\n" + json.dumps(_with(later, key, value)) + "\n")
     capsys.readouterr()
     assert cli.main(["voyages", "--input", str(source), "--output", str(out)]) == cli.EXIT_USAGE
     assert f"bad validated message in {source}: {key} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("lat", MISSING), ("ts", 5), ("ts", None), ("mmsi", MISSING), ("rot", 1.5)],
+                         ids=_missing_id)
+def test_wrongly_typed_position_fields_are_usage_errors(tmp_path, capsys, key, value):
+    """validate, and decode in its error detail, name the field of a stored position that is missing or of the wrong
+    type."""
+    position = dict({f.key: VALIDATED_DOC[f.key] for f in codec.Positions.fields}, type="position")
+    source, out = tmp_path / "decoded.jsonl", tmp_path / "validated.jsonl"
+    source.write_text(json.dumps(position) + "\n")
+    assert cli.main(["validate", "--input", str(source), "--output", str(out)]) == cli.EXIT_OK
+    source.write_text(json.dumps(_with(position, key, value)) + "\n")
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", str(source), "--output", str(out)]) == cli.EXIT_USAGE
+    assert f"bad position message in {source}: {key} " in capsys.readouterr().err
+    # decode's replay of the stored line gives the same text as the detail of its error
+    errors = tmp_path / "errors.jsonl"
+    assert cli.main(["decode", "--input", str(source), "--output", str(tmp_path / "out.jsonl"), "--errors",
+                     str(errors)]) == cli.EXIT_OK
+    assert json.loads(errors.read_text())["detail"].startswith(f"{key} ")
 
 
 def test_bad_metrics_inputs_are_usage_errors(tmp_path, capsys):
@@ -337,7 +370,9 @@ def test_bad_metrics_inputs_are_usage_errors(tmp_path, capsys):
     bad_voyages = [{"mmsi": 1}, dict(good, mmsi="abc"), dict(good, gap_flagged="no"),
                    dict(good, phases=[dict(phase, lat="x")]), dict(good, phases=[dict(phase, kind="docked")])]
     cases = [(json.dumps(doc) + "\n", None, "bad voyage in") for doc in bad_voyages]
-    cases += [("", '{"type":"static","ship_type":70}\n', "bad static message in"),
+    cases += [("", '{"type":"static","ship_type":70}\n', f"bad static message in {static}: mmsi "),
+              ("", '{"mmsi":1,"ship_type":70,"ts":5,"type":"static"}\n', f"bad static message in {static}: ts "),
+              ("", '{"mmsi":1,"ship_type":"70","type":"static"}\n', f"bad static message in {static}: ship_type "),
               ("", "not json\n", "bad static message in")]
     for voyages_text, static_text, message in cases:
         voyages.write_text(voyages_text)
@@ -447,11 +482,10 @@ def test_unparseable_ground_truth_cell_is_a_usage_error(inputs, tmp_path, capsys
     assert not out.exists()
 
 
-def test_run_builds_no_row_object_per_block_row(inputs, tmp_path, monkeypatch):
-    """On a clean tagged input every position and static comes from the block pass, and `run` carries them as
-    columns to its files: no PositionReport, ValidatedMessage or datetime per row. The datetimes are one for each
-    end of each voyage, phase and outage."""
-    built = {"PositionReport": 0, "ValidatedMessage": 0, "datetime": 0}
+def count_built(monkeypatch) -> dict[str, int]:
+    """Counts, until monkeypatch.undo(), the PositionReport, StaticReport and ValidatedMessage objects built, and
+    the datetimes that codec, validate and voyage make from epoch microseconds."""
+    built = {"PositionReport": 0, "StaticReport": 0, "ValidatedMessage": 0, "datetime": 0}
 
     def counted_init(name, cls):
         init = cls.__init__
@@ -467,10 +501,18 @@ def test_run_builds_no_row_object_per_block_row(inputs, tmp_path, monkeypatch):
             return from_epoch_us(us)
         monkeypatch.setattr(module, "from_epoch_us", wrapper)
 
-    counted_init("PositionReport", PositionReport)
-    counted_init("ValidatedMessage", columnar.ValidatedMessage)
+    for cls in (PositionReport, codec.StaticReport, columnar.ValidatedMessage):
+        counted_init(cls.__name__, cls)
     for module in (codec, validate, voyage):
         counted_times(module)
+    return built
+
+
+def test_run_builds_no_row_object_per_block_row(inputs, tmp_path, monkeypatch):
+    """On a clean tagged input every position and static comes from the block pass, and `run` carries them as
+    columns to its files: no PositionReport, StaticReport, ValidatedMessage or datetime per row. The datetimes are
+    one for each end of each voyage, phase and outage."""
+    built = count_built(monkeypatch)
     outdir = tmp_path / "out"
     argv = ["run", "--input", str(inputs["tagged.nmea"]), "--outdir", str(outdir), "--port",
             str(inputs["port.geojson"])]
@@ -481,8 +523,43 @@ def test_run_builds_no_row_object_per_block_row(inputs, tmp_path, monkeypatch):
     decoded = (outdir / "decoded.jsonl").read_text()
     n_statics = decoded.count('"type":"static"')
     assert decoded.count('"type":"position"') > 1000 and n_statics > 100 and voyages
-    assert built == {"PositionReport": 0, "ValidatedMessage": 0,
+    assert built == {"PositionReport": 0, "StaticReport": 0, "ValidatedMessage": 0,
                      "datetime": 2 * (len(voyages) + sum(len(v["phases"]) for v in voyages) + n_outages)}
+
+
+def test_staged_commands_build_no_row_object_per_stored_line(inputs, tmp_path, monkeypatch):
+    """The staged validate, voyages and metrics --static read their stored lines straight into tables."""
+    d = tmp_path / "out"
+    d.mkdir()
+    assert cli.main(["decode", "--input", str(inputs["tagged.nmea"]), "--output", str(d / "decoded.jsonl")]) == 0
+    built = count_built(monkeypatch)
+    for argv in (["validate", "--input", str(d / "decoded.jsonl"), "--output", str(d / "validated.jsonl"),
+                  "--port", str(inputs["port.geojson"])],
+                 ["voyages", "--input", str(d / "validated.jsonl"), "--output", str(d / "voyages.jsonl")],
+                 ["metrics", "--voyages", str(d / "voyages.jsonl"), "--output-dir", str(d / "metrics"),
+                  "--static", str(d / "decoded.jsonl")]):
+        assert cli.main(argv) == cli.EXIT_OK
+    monkeypatch.undo()
+    assert len((d / "validated.jsonl").read_text().splitlines()) > 1000
+    assert json.loads((d / "metrics" / "summary.json").read_text())["n_voyages"] > 0
+    assert {name: n for name, n in built.items() if name != "datetime"} \
+        == {"PositionReport": 0, "StaticReport": 0, "ValidatedMessage": 0}
+
+
+def test_replayed_stored_lines_keep_their_bytes(tmp_path):
+    """A stored static is replayed as a message, so its length of 0 stays 0 where a Statics row would write null;
+    a stored position's ints in float fields are written as floats."""
+    static = ('{"length":0,"mmsi":2,"name":"A \\"B\\"","ship_type":70,"ts":"2019-09-01T00:00:00Z","type":"static",'
+              '"width":null}')
+    position = ('{"cog":null,"heading":null,"lat":34,"lon":18.5,"mmsi":1,"navstat":5,"rot":null,"sog":5,'
+                '"ts":"2019-09-01T00:00:01Z","type":"position"}')
+    stored, out = tmp_path / "stored.jsonl", tmp_path / "decoded.jsonl"
+    stored.write_text(static + "\n" + position + "\n")
+    assert cli.main(["decode", "--input", str(stored), "--output", str(out)]) == cli.EXIT_OK
+    written = static + "\n" + position.replace('"lat":34,', '"lat":34.0,').replace('"sog":5,', '"sog":5.0,') + "\n"
+    assert out.read_text() == written
+    assert cli.main(["ingest", "--source", f"file:{stored}", "--store", str(tmp_path / "store")]) == cli.EXIT_OK
+    assert (tmp_path / "store" / "ais-2019-09-01.jsonl").read_text() == written
 
 
 def test_a_command_imports_only_the_stages_it_runs():
@@ -647,7 +724,7 @@ def test_run_writes_the_dict_codec_text_across_chunks_and_blocks(tmp_path):
     assert cli.main(["run", "--input", str(nmea), "--outdir", str(outdir)]) == cli.EXIT_OK
     decoded = (outdir / "decoded.jsonl").read_text().splitlines()
     validated = (outdir / "validated.jsonl").read_text().splitlines()
-    assert len(validated) > 2 * codec.CHUNK_ROWS and len(decoded) > 2 * ingest._REPLAY_BLOCK
+    assert len(validated) > 2 * table.CHUNK_ROWS and len(decoded) > 2 * ingest._REPLAY_BLOCK
     assert decoded == [jsonl.dumps(jsonl.message_to_dict(jsonl.message_from_dict(json.loads(line))))
                        for line in decoded]
     assert validated == [jsonl.dumps(cli.validated_to_dict(cli.validated_from_dict(json.loads(line))))

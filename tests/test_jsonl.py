@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_fed, expanded, static_columns
-from portcall import cli, codec, columnar, ingest, jsonl
+from conftest import as_fed, expanded, static_columns, validated_columns
+from portcall import cli, codec, columnar, ingest, jsonl, table
 from portcall.codec import STATUS_KINDS, PositionReport, Positions, StaticReport
 
 # floats that json and a hand-rolled formatter are apt to write differently
@@ -79,7 +79,7 @@ def whole_seconds(r: PositionReport) -> PositionReport:
 @settings(max_examples=500, deadline=None)
 @given(timestamps)
 def test_format_ts_is_the_strftime_text(t):
-    assert jsonl.format_ts(t) == oracles.strftime_ts(t)
+    assert table.format_ts(t) == oracles.strftime_ts(t)
 
 
 @settings(max_examples=500, deadline=None)
@@ -93,10 +93,10 @@ def test_position_dict_codec_round_trips(r):
 @given(st.lists(position_reports(numbers), max_size=8))
 def test_stored_reports_round_trip_to_the_column_writers_line(rs):
     """A report as message_from_dict reads it from a stored document, ints in its float fields among them, is
-    written alike by the dict codec and by the column writer from its row."""
+    written alike by the dict codec and by the line writer from its row."""
     read = [jsonl.message_from_dict(json.loads(json.dumps(jsonl.message_to_dict(r)))) for r in rs]
     written = [jsonl.dumps(jsonl.message_to_dict(r)) for r in read]
-    assert written == jsonl.position_lines(Positions.of_reports(read))
+    assert written == Positions.of_rows(read).lines()
     assert [jsonl.message_from_dict(json.loads(line)) for line in written] == read
     assert all(type(v) is float for r in read for v in (r.lat, r.lon, r.sog, r.cog, r.heading) if v is not None)
 
@@ -104,7 +104,7 @@ def test_stored_reports_round_trip_to_the_column_writers_line(rs):
 @settings(max_examples=500, deadline=None)
 @given(validated)
 def test_validated_line_is_the_dict_codec_text(vm):
-    ((line,),) = columnar.Validated.of_messages([vm]).line_chunks()
+    (line,) = validated_columns([vm]).lines()
     assert line == jsonl.dumps(cli.validated_to_dict(vm))
     assert cli.validated_from_dict(json.loads(line)) == dataclasses.replace(vm, report=whole_seconds(vm.report))
 
@@ -119,8 +119,8 @@ def test_validated_line_is_the_dict_codec_text(vm):
 ], ids=["last-microsecond-of-the-year", "year-1000", "year-9999", "naive", "offset-day-back", "offset-day-forward"])
 def test_format_ts_edges(t, text):
     """Each edge twice: once filling the cached text of its day, once reading it."""
-    assert jsonl.format_ts(t) == jsonl.format_ts(t) == oracles.strftime_ts(t)
-    assert text is None or jsonl.format_ts(t) == text
+    assert table.format_ts(t) == table.format_ts(t) == oracles.strftime_ts(t)
+    assert text is None or table.format_ts(t) == text
 
 
 # --- the block writer ------------------------------------------------------------
@@ -145,7 +145,7 @@ raw_rows = st.tuples(
 @given(st.lists(raw_rows, min_size=1, max_size=30))
 def test_position_lines_are_the_dict_codec_text(rows):
     positions = codec._position_rows(*(np.array(c, dtype=np.int64) for c in zip(*rows)))
-    assert jsonl.position_lines(positions) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in positions]
+    assert positions.lines() == [jsonl.dumps(jsonl.message_to_dict(r)) for r in positions]
 
 
 @settings(max_examples=200, deadline=None)
@@ -156,9 +156,9 @@ def test_block_rows_are_written_from_their_columns(rows):
     raw, fields = zip(*rows)
     positions = codec._position_rows(*(np.array(c, dtype=np.int64) for c in zip(*raw)))
     corrected, method, agreed, gap_flag = zip(*fields)
-    rows = columnar.Validated(positions, np.array(corrected), np.array(method, dtype=object), np.array(agreed),
-                              np.array(gap_flag))
-    assert list(rows.line_chunks()) == [[jsonl.dumps(cli.validated_to_dict(vm)) for vm in rows]]
+    rows = columnar.Validated(*positions.columns(), np.array(corrected), np.array(method, dtype=object),
+                              np.array(agreed), np.array(gap_flag))
+    assert rows.lines() == [jsonl.dumps(cli.validated_to_dict(vm)) for vm in rows]
 
 
 # names holding what a JSON string escapes: quotes, backslashes, control characters and characters past ASCII,
@@ -180,8 +180,8 @@ statics = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(statics, max_size=12))
 def test_static_lines_are_the_dict_codec_text(rs):
-    """The static column writer writes each row as `dumps` writes its report's dict, the name escaped alike."""
-    assert jsonl.static_lines(static_columns(rs)) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
+    """The static line writer writes each row as `dumps` writes its report's dict, the name escaped alike."""
+    assert static_columns(rs).lines() == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
 
 
 # one line of a replayed file: a position's raw fields, and its TAG time in seconds or milliseconds (None for
@@ -206,13 +206,13 @@ def test_decoded_block_writes_what_feeding_each_line_writes(lines, raw_start, ca
     of untagged lines at a fractional cadence from a pre-1970 start, and TAG times in seconds or milliseconds."""
     text = [oracles.position_sentence(**fields) if stamp is None
             else oracles.tag_block(oracles.position_sentence(**fields), stamp) for fields, stamp in lines]
-    start = jsonl.parse_ts(raw_start)
+    start = table.parse_ts(raw_start)
     per_line = codec.MessageDecoder()
     expected = [o for i, line in enumerate(text)
                 for o in per_line.feed(line, start + dt.timedelta(seconds=i * cadence))]
     block = codec.MessageDecoder().feed_block(text, ingest._raw_times(codec.epoch_us(start), range(len(text)), cadence))
     assert expanded(block) == as_fed(expected)
-    assert jsonl.position_lines(block.positions) == [jsonl.dumps(jsonl.message_to_dict(o.message))
+    assert block.positions.lines() == [jsonl.dumps(jsonl.message_to_dict(o.message))
                                                      for o in expected if o.kind == "position"]
 
 
@@ -225,8 +225,8 @@ def test_the_writers_keep_signed_zeros_and_null_apart():
     messages = [columnar.ValidatedMessage(r, 0, "reported", True, False) for r in reports]
     expected = [jsonl.dumps(cli.validated_to_dict(vm)) for vm in messages]
     assert {'"lat":0.0', '"lat":-0.0', '"sog":null', '"sog":-0.0'} <= set(",".join(expected).split(","))
-    rows = columnar.Validated.of_messages(messages)
-    assert list(rows.line_chunks()) == [expected]
-    assert [line for k in range(len(rows)) for (line,) in rows[k:k + 1].line_chunks()] == expected
-    assert [jsonl.position_field_texts(rows.positions[k:k + 1])[2] for k in range(len(rows))] \
+    rows = validated_columns(messages)
+    assert rows.lines() == expected
+    assert [line for k in range(len(rows)) for line in rows[k:k + 1].lines()] == expected
+    assert [Positions.lat.rule.texts(rows.lat[k:k + 1]) for k in range(len(rows))] \
         == [["0.0"], ["0.0"], ["-0.0"], ["-0.0"]]
