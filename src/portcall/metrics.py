@@ -50,15 +50,14 @@ class TurnaroundRecord:
         return self.departure - self.arrival
 
 
-def turnaround(
-    voyage: Voyage,
-    port: PortGeometry | None = None,
-    *,
-    merge_gap: dt.timedelta = dt.timedelta(hours=1),
-) -> TurnaroundRecord | None:
+# moored phases closer together than this are one terminal stay
+MERGE_GAP = dt.timedelta(hours=1)
+
+
+def turnaround(voyage: Voyage, port: PortGeometry | None = None) -> TurnaroundRecord | None:
     """Turnaround of the voyage's first terminal stay, or None if it never moored.
 
-    Moored phases separated by less than merge_gap are treated as one stay;
+    Moored phases separated by less than MERGE_GAP are treated as one stay;
     with port geometry available the merge additionally requires both phases
     to sit in the same terminal polygon.
     """
@@ -75,7 +74,7 @@ def turnaround(
     stay = [moored[0]]
     first_name = terminal_name(moored[0])
     for p in moored[1:]:
-        if p.start - stay[-1].end >= merge_gap:
+        if p.start - stay[-1].end >= MERGE_GAP:
             break
         if port is not None:
             name = terminal_name(p)

@@ -17,14 +17,15 @@ where there are no polygons, and the knn vote where neither answers or the
 two disagree. A debounce filter suppresses single-message status flips so that
 vessels hovering on a polygon border do not flap between states.
 
-The stream is held as columns (`codec.Positions` in,
-`columnar.Validated` out), never as one object per report: `validate_stream` sorts it once
-with np.lexsort, takes the geofence vote of every stopped report in one
-array pass per polygon, and gives its result as columns in output order.
-Only the trailing stopped run behind the kinematic vote and the debounce
-filter walk each vessel's reports in turn, over plain lists. Times are
-integer microseconds, and the windows from the config are converted with
-the rounding timedelta uses.
+The stream is held as columns (`codec.Positions` in, `columnar.Validated`
+out), never as one object per report: `validate_stream` sorts it once with
+np.lexsort, takes the geofence vote of every stopped report in one array
+pass per polygon, and gives its result as columns in output order. The
+kinematic vote and the debounce filter work on runs of rows, not on single
+reports: the vote takes running counts and sums within each stopped run,
+one pass per run, and the filter keeps or overwrites each run of one
+candidate status whole. Times are integer microseconds, and the windows
+from the config are converted with the rounding timedelta uses.
 
 The knn vote is exact without scanning every training point for every
 report. `_stopped_candidates` asks it once, for all the reports it
@@ -249,19 +250,21 @@ class Outage:
         return self.end - self.start
 
 
-def _recent_cadence_ok(times: np.ndarray, first: int, idx: int, max_cadence: int, lookback: int = 5) -> bool:
-    """True when the up-to-`lookback` intervals ending at times[idx], none before times[first], are dense."""
-    intervals = sorted(np.diff(times[max(first, idx - lookback):idx + 1]).tolist())
+def _recent_cadence_ok(times: np.ndarray, first: int, idx: int, max_cadence: int) -> bool:
+    """True when the up to _CADENCE_LOOKBACK intervals ending at times[idx], none before times[first], are dense."""
+    intervals = sorted(np.diff(times[max(first, idx - _CADENCE_LOOKBACK):idx + 1]).tolist())
     if len(intervals) < 2:
         return False
     return intervals[len(intervals) // 2] < max_cadence
 
 
 # Silences longer than these are outages at each scope; a vessel must have
-# been reporting at a median interval under _DENSE_CADENCE.
+# been reporting at a median interval under _DENSE_CADENCE over its last
+# _CADENCE_LOOKBACK intervals.
 _GLOBAL_GAP = dt.timedelta(minutes=15)
 _VESSEL_GAP = dt.timedelta(minutes=60)
 _DENSE_CADENCE = dt.timedelta(minutes=5)
+_CADENCE_LOOKBACK = 5
 
 
 def _vessel_order(positions: Positions) -> tuple[np.ndarray, np.ndarray]:
@@ -327,84 +330,24 @@ def detect_outages(positions: Positions) -> list[Outage]:
 _MIN_HEADING_FRACTION = 0.5
 
 
-class _StopRun:
-    """Incremental view of the trailing contiguous run of stopped samples.
+def _debounce(candidates: np.ndarray, times: np.ndarray, starts: np.ndarray, min_msgs: int,
+              min_span: int) -> np.ndarray:
+    """Debounce each vessel's candidate statuses, in vessel order with each vessel's first row marked in starts.
 
-    Each heading h adds (sin, cos) of h on the unit circle, so h and h + 360
-    count the same.
+    A run is a vessel's consecutive rows with one candidate value. It is
+    accepted when it is the vessel's first run, at least min_msgs rows long,
+    or spans at least min_span from its first row's time to its last; an
+    accepted change applies from its first row, so clean transitions are
+    reproduced exactly. Every other run takes the value of the vessel's last
+    accepted run, so short excursions are suppressed.
     """
-
-    __slots__ = ("start", "end", "n", "n_heading", "sum_s", "sum_c")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.start = None
-        self.end = None
-        self.n = 0
-        self.n_heading = 0
-        self.sum_s = 0.0
-        self.sum_c = 0.0
-
-    def add(self, ts: int, heading: float | None):
-        if self.start is None:
-            self.start = ts
-        self.end = ts
-        self.n += 1
-        if heading is not None:
-            angle = 2.0 * math.pi * (heading % 360.0) / 360.0
-            self.sum_s += math.sin(angle)
-            self.sum_c += math.cos(angle)
-            self.n_heading += 1
-
-    def rbar(self) -> float:
-        """Mean resultant length of the run's headings: 1 when they all agree."""
-        return math.hypot(self.sum_s / self.n_heading, self.sum_c / self.n_heading)
-
-    def kinematic_vote(self, min_window: int, rbar_threshold: float) -> int | None:
-        """Anchored when the run's headings rotate, moored when they hold still.
-
-        None when the run is shorter than min_window or fewer than
-        _MIN_HEADING_FRACTION of its samples carry a heading.
-        """
-        if (
-            self.n_heading == 0
-            or self.n_heading < _MIN_HEADING_FRACTION * self.n
-            or self.end - self.start < min_window
-        ):
-            return None
-        return ANCHORED if self.rbar() < rbar_threshold else MOORED
-
-
-def _apply_hysteresis(candidates: list[int], times: list, min_msgs: int, min_span) -> list[int]:
-    """Debounce a per-vessel candidate status sequence.
-
-    A new value becomes the accepted status once it persists for min_msgs
-    consecutive messages or min_span of elapsed time (in the unit of
-    `times`); a confirmed change applies from its first message, so clean
-    transitions are reproduced exactly. Shorter excursions are rewritten to
-    the previously accepted status.
-    """
-    n = len(candidates)
-    out = list(candidates)
-    if n == 0:
-        return out
-    accepted = out[0]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and out[j + 1] == out[i]:
-            j += 1
-        value = out[i]
-        if value != accepted:
-            if (j - i + 1) >= min_msgs or (times[j] - times[i]) >= min_span:
-                accepted = value
-            else:
-                for idx in range(i, j + 1):
-                    out[idx] = accepted
-        i = j + 1
-    return out
+    first = starts.copy()
+    first[1:] |= candidates[1:] != candidates[:-1]
+    begin = np.flatnonzero(first)
+    length = np.diff(begin, append=len(candidates))
+    accepted = starts[begin] | (length >= min_msgs) | (times[begin + length - 1] - times[begin] >= min_span)
+    last = np.maximum.accumulate(np.where(accepted, np.arange(len(begin)), 0))
+    return np.repeat(candidates[begin[last]], length)
 
 
 def _gap_flags(times: np.ndarray, mmsi: np.ndarray, starts: np.ndarray, outages: Sequence[Outage]) -> np.ndarray:
@@ -426,26 +369,48 @@ def _gap_flags(times: np.ndarray, mmsi: np.ndarray, starts: np.ndarray, outages:
     return flags
 
 
-def _kinematic_votes(times: list[int], headings: list[float], runs: list[int], min_window: int,
+def _heading_sums(headings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running counts over a stopped run's headings, in report order, and running sums of their unit vectors.
+
+    Each heading h adds its (sin, cos) point on the unit circle, so h and h + 360 add the same one, and a NaN
+    heading adds nothing. math's sin and cos make the points, added one after the other, so the sums do not
+    depend on the CPU's vector math.
+    """
+    has = ~np.isnan(headings)
+    angles = (2.0 * math.pi * (headings[has] % 360.0) / 360.0).tolist()
+    sums = []
+    for f in (math.sin, math.cos):
+        points = np.zeros(len(headings))
+        points[has] = np.fromiter(map(f, angles), float, len(angles))
+        sums.append(np.cumsum(points))
+    return np.cumsum(has), *sums
+
+
+def _rbar(n_heading: np.ndarray, sum_s: np.ndarray, sum_c: np.ndarray) -> np.ndarray:
+    """Mean resultant length of each row's headings from their count and sums: 1 when they all agree."""
+    return np.fromiter(map(math.hypot, (sum_s / n_heading).tolist(), (sum_c / n_heading).tolist()), float)
+
+
+def _kinematic_votes(times: np.ndarray, headings: np.ndarray, bounds: np.ndarray, min_window: int,
                      rbar_threshold: float) -> np.ndarray:
     """The kinematic vote of each stopped report, -1 where there is none.
 
-    The reports are given in vessel order with the number of the stopped
-    run each belongs to; each vote reads the run up to its report.
+    The reports are given in vessel order, and bounds holds where each stopped run starts, then their count. A
+    report's vote reads its run up to itself: anchored when the headings rotate (rbar below rbar_threshold),
+    moored when they hold still. There is none until the run spans min_window, nor while fewer than
+    _MIN_HEADING_FRACTION of its reports so far carry a heading.
     """
-    votes = []
-    run, current = _StopRun(), None
-    for t, heading, number in zip(times, headings, runs):
-        if number != current:
-            run.reset()
-            current = number
-        run.add(t, None if heading != heading else heading)
-        vote = run.kinematic_vote(min_window, rbar_threshold)
-        votes.append(-1 if vote is None else vote)
-    return np.array(votes, dtype=np.int64)
+    votes = np.full(len(times), -1, dtype=np.int64)
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        n_heading, sum_s, sum_c = _heading_sums(headings[a:b])
+        ok = (times[a:b] - times[a] >= min_window) & (n_heading > 0)
+        ok &= n_heading >= _MIN_HEADING_FRACTION * np.arange(1, b - a + 1)
+        rbar = _rbar(n_heading[ok], sum_s[ok], sum_c[ok])
+        votes[a + np.flatnonzero(ok)] = np.where(rbar < rbar_threshold, ANCHORED, MOORED)
+    return votes
 
 
-def _stopped_candidates(stopped: Positions, runs: np.ndarray, port: PortGeometry | None, model: KnnModel | None,
+def _stopped_candidates(stopped: Positions, bounds: np.ndarray, port: PortGeometry | None, model: KnnModel | None,
                         cfg: ValidationConfig) -> tuple[np.ndarray, np.ndarray]:
     """The candidate status of each stopped report, in vessel order, and the code of the vote that gave it.
 
@@ -458,7 +423,7 @@ def _stopped_candidates(stopped: Positions, runs: np.ndarray, port: PortGeometry
     if port is not None:
         votes["geofence"] = _geofence_votes(port, stopped.lat, stopped.lon)
     if cfg.method in ("kinematic", "ensemble"):
-        votes["kinematic"] = _kinematic_votes(stopped.time_us.tolist(), stopped.heading.tolist(), runs.tolist(),
+        votes["kinematic"] = _kinematic_votes(stopped.time_us, stopped.heading, bounds,
                                               dt.timedelta(hours=cfg.rotation_window_h) // _US, cfg.rotation_rbar)
     status = _fallback_statuses(stopped.navstat)
     code = np.full(len(stopped), _CODE["reported"])
@@ -521,19 +486,14 @@ def validate_stream(
     codes = np.where(moving, _CODE[base_label], _CODE["reported"])
     # a stopped run ends at a moving report or a new vessel; a report without SOG neither extends nor ends it
     runs = np.cumsum(moving | starts)[stopped]
-    candidates[stopped], codes[stopped] = _stopped_candidates(positions[order[stopped]], runs, port, model, cfg)
-
-    corrected = []
-    if len(order):
-        min_span = dt.timedelta(minutes=cfg.hysteresis_min) // _US
-        candidates = candidates.tolist()
-        bounds = np.flatnonzero(starts).tolist() + [len(order)]
-        for a, b in zip(bounds, bounds[1:]):
-            corrected += _apply_hysteresis(candidates[a:b], times[a:b], cfg.hysteresis_msgs, min_span)
+    bounds = np.flatnonzero(np.diff(runs, prepend=-1, append=-1))  # where each stopped run starts, then the count
+    candidates[stopped], codes[stopped] = _stopped_candidates(positions[order[stopped]], bounds, port, model, cfg)
+    corrected = _debounce(candidates, times, starts, cfg.hysteresis_msgs,
+                          dt.timedelta(minutes=cfg.hysteresis_min) // _US)
     gap_flags = _gap_flags(times, positions.mmsi[order], starts, outages)
 
     out = np.empty(len(order), dtype=np.int64)  # each output row's place in vessel order
     out[order] = np.arange(len(order))
-    corrected = np.array(corrected, dtype=np.int64)[out]
+    corrected = corrected[out]
     return Validated(*positions.columns(), corrected, _LABEL_TEXT[codes[out]], corrected == positions.navstat,
                      gap_flags[out])

@@ -164,6 +164,113 @@ def resultant_length(headings) -> float:
     return math.hypot(sum(s for s, _ in vectors) / len(vectors), sum(c for _, c in vectors) / len(vectors))
 
 
+class StopRun:
+    """The trailing contiguous run of a vessel's stopped reports, added one report at a time.
+
+    Each heading h adds (sin, cos) of h on the unit circle, so h and h + 360
+    count the same.
+    """
+
+    def __init__(self):
+        self.start = self.end = None
+        self.n = self.n_heading = 0
+        self.sum_s = self.sum_c = 0.0
+
+    def add(self, ts, heading):
+        """Extend the run by a report at time ts, heading None when it has none."""
+        if self.start is None:
+            self.start = ts
+        self.end = ts
+        self.n += 1
+        if heading is not None:
+            angle = 2.0 * math.pi * (heading % 360.0) / 360.0
+            self.sum_s += math.sin(angle)
+            self.sum_c += math.cos(angle)
+            self.n_heading += 1
+
+    def rbar(self) -> float:
+        """Mean resultant length of the run's headings: 1 when they all agree."""
+        return math.hypot(self.sum_s / self.n_heading, self.sum_c / self.n_heading)
+
+    def kinematic_vote(self, min_window, rbar_threshold) -> int | None:
+        """Anchored (1) when the run's headings rotate, moored (5) when they hold still.
+
+        None when the run spans less than min_window or fewer than half of
+        its reports carry a heading.
+        """
+        if self.n_heading == 0 or self.n_heading < 0.5 * self.n or self.end - self.start < min_window:
+            return None
+        return 1 if self.rbar() < rbar_threshold else 5
+
+
+def apply_hysteresis(candidates, times, min_msgs, min_span) -> list:
+    """Debounce one vessel's candidate status sequence, one run of equal values after the other.
+
+    A new value becomes the accepted status once it persists for min_msgs
+    consecutive messages or min_span of elapsed time (in the unit of
+    `times`); a confirmed change applies from its first message. Shorter
+    excursions are rewritten to the previously accepted status.
+    """
+    n = len(candidates)
+    out = list(candidates)
+    if n == 0:
+        return out
+    accepted = out[0]
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and out[j + 1] == out[i]:
+            j += 1
+        value = out[i]
+        if value != accepted:
+            if (j - i + 1) >= min_msgs or (times[j] - times[i]) >= min_span:
+                accepted = value
+            else:
+                for idx in range(i, j + 1):
+                    out[idx] = accepted
+        i = j + 1
+    return out
+
+
+def kinematic_statuses(rows, stopped_kn, min_window, rbar_threshold, min_msgs, min_span) -> list:
+    """(corrected status, deciding vote) of each row by the kinematic method without port polygons, in row order.
+
+    rows are (mmsi, time, sog, heading, navstat) tuples, sog and heading None
+    when missing. Each vessel's rows are walked in time order, rows that tie
+    on both in row order. A moving row is underway and ends the vessel's
+    stopped run; a row without SOG keeps its reported status and leaves the
+    run as it is; a stopped row extends the run and takes its kinematic
+    vote, or its reported status where there is none. A reported status
+    other than 0, 1 or 5 reads as underway. Each vessel's statuses are then
+    debounced.
+    """
+    order = sorted(range(len(rows)), key=lambda i: (rows[i][0], rows[i][1]))
+    out = [None] * len(rows)
+    vessels = {}
+    for i in order:
+        vessels.setdefault(rows[i][0], []).append(i)
+    for indices in vessels.values():
+        run, candidates, votes = StopRun(), [], []
+        for i in indices:
+            _, ts, sog, heading, navstat = rows[i]
+            reported = navstat if navstat in (0, 1, 5) else 0
+            if sog is None:
+                status, vote = reported, "reported"
+            elif sog >= stopped_kn:
+                run = StopRun()
+                status, vote = 0, "kinematic"
+            else:
+                run.add(ts, heading)
+                status = run.kinematic_vote(min_window, rbar_threshold)
+                status, vote = (reported, "reported") if status is None else (status, "kinematic")
+            candidates.append(status)
+            votes.append(vote)
+        times = [rows[i][1] for i in indices]
+        for i, status, vote in zip(indices, apply_hysteresis(candidates, times, min_msgs, min_span), votes):
+            out[i] = (status, vote)
+    return out
+
+
 def polygon_contains(ring, lat: float, lon: float, eps: float = 1e-9) -> bool:
     """The even-odd ray-crossing rule for one point and a ring of (lat, lon) vertices, one edge after the other.
 

@@ -1,4 +1,3 @@
-import datetime as dt
 import json
 import math
 
@@ -8,76 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from portcall import geo, validate
-
-T0 = dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc)
+from portcall import geo
 
 SQUARE = geo.Polygon("square", "terminal", ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)))
-
-
-def stop_run(headings):
-    """The stream validator's stopped run after the given headings, one minute apart."""
-    run = validate._StopRun()
-    for i, h in enumerate(headings):
-        run.add(T0 + dt.timedelta(minutes=i), h)
-    return run
-
-
-class TestEncodeHeading:
-    """A stopped run adds each heading as its (sin, cos) point on the unit circle."""
-
-    def test_cardinal_points(self):
-        for heading, (s, c) in ((0.0, (0.0, 1.0)), (90.0, (1.0, 0.0)), (180.0, (0.0, -1.0))):
-            run = stop_run([heading])
-            assert run.sum_s == pytest.approx(s, abs=1e-12)
-            assert run.sum_c == pytest.approx(c, abs=1e-12)
-
-    def test_bounds(self):
-        for h in range(0, 360, 7):
-            run = stop_run([float(h)])
-            assert -1.0 <= run.sum_s <= 1.0
-            assert -1.0 <= run.sum_c <= 1.0
-
-    def test_unavailable(self):
-        # a missing heading extends the run but adds no point
-        run = stop_run([None])
-        assert (run.n, run.n_heading, run.sum_s, run.sum_c) == (1, 0, 0.0, 0.0)
-
-    @given(st.floats(min_value=0.0, max_value=360.0, exclude_max=True))
-    def test_unit_norm(self, heading):
-        run = stop_run([heading])
-        assert abs(run.sum_s**2 + run.sum_c**2 - 1.0) < 1e-9
-
-    @given(st.integers(min_value=0, max_value=359))
-    def test_periodic_integral(self, heading):
-        # AIS headings are whole degrees, where h + 360 is exactly representable
-        a, b = stop_run([float(heading)]), stop_run([float(heading + 360)])
-        assert (a.sum_s, a.sum_c) == (b.sum_s, b.sum_c)
-
-    @given(st.floats(min_value=0.0, max_value=360.0, exclude_max=True))
-    def test_periodic_float(self, heading):
-        a, b = stop_run([heading]), stop_run([(heading + 360.0) % 360.0])
-        assert a.sum_s == pytest.approx(b.sum_s, abs=1e-12)
-        assert a.sum_c == pytest.approx(b.sum_c, abs=1e-12)
-
-
-class TestResultantLength:
-    """The stopped run's rbar against closed forms and the oracle."""
-
-    def test_constant_heading_is_one(self):
-        assert stop_run([45.0] * 20).rbar() == pytest.approx(1.0)
-
-    def test_uniform_circle_is_zero(self):
-        headings = [i * 360.0 / 36 for i in range(36)]
-        assert stop_run(headings).rbar() == pytest.approx(0.0, abs=1e-12)
-
-    def test_arc_matches_analytic(self):
-        # dense uniform samples over an arc of width w have R ~ sinc(w/2)
-        w = math.radians(120.0)
-        headings = [math.degrees(-w / 2 + w * i / 2000) for i in range(2001)]
-        expect = math.sin(w / 2) / (w / 2)
-        assert stop_run(headings).rbar() == pytest.approx(expect, abs=1e-3)
-        assert stop_run(headings).rbar() == pytest.approx(oracles.resultant_length(headings), abs=1e-12)
 
 
 class TestHaversine:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import columns, decode_all
 from portcall import synth, validate
-from portcall.codec import PositionReport
+from portcall.codec import PositionReport, Positions
 from portcall.geo import PortGeometry, Polygon, project_local
 from portcall.knn import KnnIndex
 
@@ -92,6 +92,73 @@ def stopped_window(hours, heading_fn, cadence_s=180, sog=0.1, start=T0):
 def kinematic(window):
     """(status, vote) the kinematic method gives the window's last report, with no port polygons."""
     return corrected(window, port=None, method="kinematic")[-1]
+
+
+def heading_sums(headings):
+    """(reports, reports with a heading, sum of sin, sum of cos) of a stopped run after the given headings, None
+    where a report has none."""
+    n_heading, sum_s, sum_c = validate._heading_sums(np.array([np.nan if h is None else h for h in headings]))
+    return len(n_heading), int(n_heading[-1]), float(sum_s[-1]), float(sum_c[-1])
+
+
+def rbar(headings):
+    """The kinematic vote's mean resultant length of a stopped run after the given headings."""
+    return float(validate._rbar(*(a[-1:] for a in validate._heading_sums(np.array(headings, dtype=float))))[0])
+
+
+class TestEncodeHeading:
+    """A stopped run adds each heading as its (sin, cos) point on the unit circle."""
+
+    def test_cardinal_points(self):
+        for heading, (s, c) in ((0.0, (0.0, 1.0)), (90.0, (1.0, 0.0)), (180.0, (0.0, -1.0))):
+            _, _, sum_s, sum_c = heading_sums([heading])
+            assert sum_s == pytest.approx(s, abs=1e-12)
+            assert sum_c == pytest.approx(c, abs=1e-12)
+
+    def test_bounds(self):
+        for h in range(0, 360, 7):
+            _, _, sum_s, sum_c = heading_sums([float(h)])
+            assert -1.0 <= sum_s <= 1.0
+            assert -1.0 <= sum_c <= 1.0
+
+    def test_unavailable(self):
+        # a missing heading extends the run but adds no point
+        assert heading_sums([None]) == (1, 0, 0.0, 0.0)
+
+    @given(st.floats(min_value=0.0, max_value=360.0, exclude_max=True))
+    def test_unit_norm(self, heading):
+        _, _, sum_s, sum_c = heading_sums([heading])
+        assert abs(sum_s**2 + sum_c**2 - 1.0) < 1e-9
+
+    @given(st.integers(min_value=0, max_value=359))
+    def test_periodic_integral(self, heading):
+        # AIS headings are whole degrees, where h + 360 is exactly representable
+        assert heading_sums([float(heading)]) == heading_sums([float(heading + 360)])
+
+    @given(st.floats(min_value=0.0, max_value=360.0, exclude_max=True))
+    def test_periodic_float(self, heading):
+        a, b = heading_sums([heading]), heading_sums([(heading + 360.0) % 360.0])
+        assert a[2] == pytest.approx(b[2], abs=1e-12)
+        assert a[3] == pytest.approx(b[3], abs=1e-12)
+
+
+class TestResultantLength:
+    """The stopped run's rbar against closed forms and the oracle."""
+
+    def test_constant_heading_is_one(self):
+        assert rbar([45.0] * 20) == pytest.approx(1.0)
+
+    def test_uniform_circle_is_zero(self):
+        headings = [i * 360.0 / 36 for i in range(36)]
+        assert rbar(headings) == pytest.approx(0.0, abs=1e-12)
+
+    def test_arc_matches_analytic(self):
+        # dense uniform samples over an arc of width w have R ~ sinc(w/2)
+        w = math.radians(120.0)
+        headings = [math.degrees(-w / 2 + w * i / 2000) for i in range(2001)]
+        expect = math.sin(w / 2) / (w / 2)
+        assert rbar(headings) == pytest.approx(expect, abs=1e-3)
+        assert rbar(headings) == pytest.approx(oracles.resultant_length(headings), abs=1e-12)
 
 
 class TestKinematic:
@@ -355,8 +422,10 @@ class TestOutages:
 
 class TestHysteresis:
     def run(self, candidates, cadence_s=180, min_msgs=2, min_minutes=10.0):
-        times = [T0 + dt.timedelta(seconds=i * cadence_s) for i in range(len(candidates))]
-        return validate._apply_hysteresis(list(candidates), times, min_msgs, dt.timedelta(minutes=min_minutes))
+        """The debounced statuses of one vessel's candidates, cadence_s apart."""
+        times = np.arange(len(candidates), dtype=np.int64) * cadence_s * 10**6
+        starts = np.arange(len(candidates)) == 0
+        return validate._debounce(np.array(candidates), times, starts, min_msgs, int(min_minutes * 60 * 10**6)).tolist()
 
     def test_clean_stream_unchanged(self):
         seq = [0, 0, 0, 1, 1, 1, 5, 5, 5, 0, 0]
@@ -443,6 +512,61 @@ class TestValidateStream:
         assert len(flagged) == 1
         assert flagged[0].report.mmsi == 1
         assert flagged[0].report.timestamp == T0 + dt.timedelta(hours=4)
+
+    @pytest.mark.parametrize("port", [PORT, None], ids=["port", "no_port"])
+    @pytest.mark.parametrize("method", validate.METHODS)
+    def test_empty_stream(self, method, port):
+        out = validate.validate_stream(columns([]), port, validate.ValidationConfig(method=method))
+        assert len(out) == 0
+
+    @pytest.mark.parametrize("port", [PORT, None], ids=["port", "no_port"])
+    @pytest.mark.parametrize("method", validate.METHODS)
+    def test_stream_without_a_stopped_report(self, method, port):
+        # one vessel always moving, another heard once without a speed
+        msgs = [report(ts=T0 + dt.timedelta(seconds=180 * i), sog=8.0, navstat=5) for i in range(4)]
+        msgs.append(report(mmsi=219000002, ts=T0, sog=None, navstat=1))
+        out = validate.validate_stream(columns(msgs), port, validate.ValidationConfig(method=method))
+        moving = "geofence" if port else "kinematic" if method == "ensemble" else method
+        assert [(vm.report.mmsi, vm.corrected_navstat, vm.method) for vm in out] == (
+            [(219000001, 0, moving), (219000002, 1, "reported")] + [(219000001, 0, moving)] * 3)
+
+
+# Rows of (mmsi, minute, sog, heading, navstat): few vessels and times, so that vessels interleave and rows tie;
+# speeds on both sides of the 0.5 kn threshold and missing; headings missing, negative, from 360 up and fractional.
+_STREAM_ROWS = st.lists(st.tuples(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=60).map(lambda m: 5 * m),
+    st.sampled_from([None, 0.0, 0.3, 0.5, 4.0]),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=359).map(float),
+              st.floats(min_value=-720.0, max_value=1080.0, allow_nan=False)),
+    st.sampled_from([0, 1, 5, 15]),
+), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _STREAM_ROWS,
+    st.integers(min_value=-1, max_value=4),
+    st.sampled_from([0.0, 10.0, 1e6]),
+    st.sampled_from([0.0, 0.25, 3.0]),
+    st.sampled_from([0.5, 0.98]),
+)
+def test_kinematic_stream_matches_the_per_report_walk(rows, min_msgs, min_minutes, window_h, rbar_threshold):
+    # the column passes over runs give each report the status the per-report walk gives it
+    cfg = validate.ValidationConfig(method="kinematic", rotation_window_h=window_h, rotation_rbar=rbar_threshold,
+                                    hysteresis_msgs=min_msgs, hysteresis_min=min_minutes)
+    rows = [(mmsi, minute * 60 * 10**6, sog, heading, navstat) for mmsi, minute, sog, heading, navstat in rows]
+    n = len(rows)
+    mmsi, time_us, sog, heading, navstat = ([r[i] for r in rows] for i in range(5))
+    sog, heading = (np.array([np.nan if v is None else v for v in c], dtype=float) for c in (sog, heading))
+    positions = Positions(np.array(time_us, dtype=np.int64), np.array(mmsi, dtype=np.int64),
+                          np.array(navstat, dtype=np.int64), np.full(n, 10.0), np.full(n, 20.0), sog,
+                          np.full(n, np.nan), heading, np.zeros(n))
+    out = validate.validate_stream(positions, None, cfg, outages=[])
+    expected = oracles.kinematic_statuses(rows, cfg.stopped_threshold_kn, int(window_h * 3600 * 10**6),
+                                          rbar_threshold, min_msgs, int(min_minutes * 60 * 10**6))
+    in_output_order = sorted(range(n), key=lambda i: (rows[i][1], rows[i][0]))
+    assert list(zip(out.corrected_navstat.tolist(), out.method.tolist())) == [expected[i] for i in in_output_order]
 
 
 class TestConfig:
