@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__, columnar, jsonl, validate, voyage
-from .codec import PositionReport, Positions, Statics
+from .codec import Positions, Statics
 from .geo import AreaFilter, InvalidPolygon, PortGeometry, load_port_geometry
 from .ingest import MessageStore, RawTimeOutOfRange, SourceConfig, run_live, run_replay
 from .jsonl import message_from_dict, message_to_dict
@@ -209,7 +209,7 @@ def _load_table(path: pathlib.Path, what: str, table: type[Table]) -> Table:
 # decode
 
 
-# slices that decode_stage joins into one part of its positions, so that it holds few slice objects
+# runs whose positions decode_stage joins into one part, so that it holds few slice objects
 _SLICES_PER_PART = 256
 
 
@@ -217,54 +217,30 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
                  raw_cadence_s: float, max_error_rate: float | None, *, digests: dict[pathlib.Path, str]):
     """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
 
-    Each run of block rows (positions and statics) is written to `out` in
-    one write, with the documents the tables' line writers made for its rows, and
-    its statics' ship types are read from their columns; messages the line
-    parser decoded and stored JSONL messages are written one by one.
-    Returns the positions as one `codec.Positions` table in the order
-    they came, the ship type of every MMSI that sent static data (its
-    last), and the exit status of the error-rate check. The runs' position
-    slices are joined _SLICES_PER_PART at a time, each run of positions
-    that came as reports is converted once, and the parts are concatenated
-    after the last line; no text of a row is kept, as the columns give it
-    back. Times are cut to the whole seconds the JSONL holds, so later
-    stages see the values a staged run reads back from the file.
+    Each run of messages that run_replay hands on is written to `out` in
+    one write, with the stored document it gives for each row, and its
+    statics' ship types are read from their columns. Returns the positions
+    as one `codec.Positions` table in the order they came, the ship type of
+    every MMSI that sent static data (its last), and the exit status of the
+    error-rate check. The runs' position slices are joined _SLICES_PER_PART
+    at a time and the parts concatenated after the last line; no text of a
+    row is kept, as the columns give it back. Times are cut to the whole
+    seconds the JSONL holds, so later stages see the values a staged run
+    reads back from the file.
     """
-    parts: list[Positions] = []  # the positions so far, in order, a run of rows of one kind each
+    parts: list[Positions] = []  # the positions so far, in order
     slices: list[Positions] = []  # slices not yet in parts
-    reports: list[PositionReport] = []  # positions that came as reports, not yet in parts
     ship_types: dict[int, int] = {}
-
-    def flush_slices():
-        if slices:
-            parts.append(Positions.concat(slices))
-            slices.clear()
-
-    def flush_reports():
-        if reports:
-            parts.append(Positions.of_rows(reports))
-            reports.clear()
-
     with open(out, "w", encoding="utf-8", newline="\n") as fo, open(
         errors, "w", encoding="utf-8", newline="\n"
     ) as fe:
 
-        def keep(msg):
-            fo.write(jsonl.dumps(message_to_dict(msg)))
-            fo.write("\n")
-            if isinstance(msg, PositionReport):
-                flush_slices()
-                reports.append(msg)
-            else:
-                ship_types[msg.mmsi] = msg.ship_type
-
-        def keep_rows(run, lines):
+        def keep(run, lines):
             fo.write("\n".join(lines) + "\n")
-            if len(run.positions):
-                flush_reports()
-                slices.append(run.positions)
-                if len(slices) == _SLICES_PER_PART:
-                    flush_slices()
+            slices.append(run.positions)
+            if len(slices) == _SLICES_PER_PART:
+                parts.append(Positions.concat(slices))
+                slices.clear()
             ship_types.update(zip(run.statics.mmsi.tolist(), run.statics.ship_type.tolist()))
 
         def reject(outcome):
@@ -272,13 +248,11 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
             fe.write("\n")
 
         try:
-            summary = run_replay(SourceConfig(mode="replay", path=source), keep, rows_sink=keep_rows,
-                                 error_sink=reject, raw_start=raw_start, raw_cadence_s=raw_cadence_s)
+            summary = run_replay(SourceConfig(mode="replay", path=source), keep, error_sink=reject,
+                                 raw_start=raw_start, raw_cadence_s=raw_cadence_s)
         except RawTimeOutOfRange as exc:
             raise UsageError(f"bad --raw-cadence-s {raw_cadence_s!r}: {exc}") from None
-    flush_slices()
-    flush_reports()
-    positions = Positions.concat(parts)
+    positions = Positions.concat(parts + slices)
     positions.time_us = positions.time_us - positions.time_us % 1_000_000
     print(
         f"decoded {len(positions)} positions, {summary.messages - len(positions)} statics, "
@@ -588,9 +562,9 @@ def cmd_ingest(args) -> int:
     store = MessageStore(args.store)
     try:
         if cfg.mode == "replay":
-            summary = run_replay(cfg, store.append, rows_sink=store.append_rows)
+            summary = run_replay(cfg, store.append)
         else:
-            summary = run_live(cfg, store.append, threading.Event(), rows_sink=store.append_rows)
+            summary = run_live(cfg, store.append, threading.Event())
     finally:
         store.close()
     print(
@@ -707,7 +681,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # an input or output a command cannot read or write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

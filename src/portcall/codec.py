@@ -643,6 +643,13 @@ class BlockRun:
         days[self.static] = self.statics.utc_days()
         return days
 
+    @staticmethod
+    def of_messages(messages: list[PositionReport | StaticReport]) -> "BlockRun":
+        """The run of the given reports, in order."""
+        static = [isinstance(m, StaticReport) for m in messages]
+        return BlockRun(Positions.of_rows([m for m, s in zip(messages, static) if not s]),
+                        Statics.of_rows([m for m, s in zip(messages, static) if s]), np.array(static, dtype=bool))
+
     def run(self, start: int, stop: int) -> "BlockRun":
         """Rows start..stop."""
         first, last = (int(np.count_nonzero(self.static[:k])) for k in (start, stop))

@@ -10,14 +10,16 @@ in blocks: the complete lines of each chunk received, or up to
 _REPLAY_BLOCK lines of a file. A byte that is not UTF-8 makes its line
 malformed; it does not end the read.
 
-A block's rows, the positions and type 5 statics feed_block's own pass
-decoded, reach a rows_sink as runs (codec.BlockRun), each a run of rows in
-receive order that no other message or reported error comes between, with
-the stored JSONL document of each row. The Positions and Statics tables
-write the documents for the whole block at once (`lines`); so a sink such
-as MessageStore.append_rows writes a run without building an object per
-row. Every other message, a position or static the line parser decoded or a
-stored JSONL message included, reaches the sink as it is.
+Every decoded message leaves this module as a row of a run: the sink is
+called as sink(run, lines) with a codec.BlockRun, rows in receive order, and
+the stored JSONL document of each row. A block's rows, the positions and
+type 5 statics feed_block's own pass decoded, come as runs whose documents
+the Positions and Statics tables write for the whole block at once. Every
+other message, a position or static the line parser decoded or a stored
+JSONL message, is gathered with the ones next to it into one run
+(BlockRun.of_messages), each document written by the dict codec. So a sink
+such as MessageStore.append writes a run without building an object per
+row, and no message or reported error comes between the rows of a run.
 """
 
 import datetime as dt
@@ -33,12 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport, StaticReport
+from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport
 from .jsonl import dumps, message_from_dict, message_to_dict
-from .table import EPOCH, UTC, epoch_us
+from .table import UTC, epoch_us
 
 _LAST_US = epoch_us(dt.datetime.max.replace(tzinfo=UTC))  # the last receive time a datetime holds
-_REPLAY_BLOCK = 1024  # NMEA lines decoded together by run_replay
+_REPLAY_BLOCK = 1024  # NMEA lines decoded together by run_replay, and other messages gathered into one run
+_OPEN_DAYS = 64  # day files a MessageStore keeps open
 
 
 class RawTimeOutOfRange(ValueError):
@@ -98,30 +101,27 @@ class MessageStore:
     """Append-only JSONL persistence partitioned by UTC date.
 
     Files are named ais-YYYY-MM-DD.jsonl; messages inside one file keep
-    their receive order. append() writes one message; append_rows() writes
-    a run of a block's rows with one write per stretch of rows from the
-    same UTC day.
+    their receive order. append() writes a run of rows with one write per
+    stretch of rows from the same UTC day. At most _OPEN_DAYS day files stay
+    open: a day not among them closes the one opened longest ago.
     """
 
     def __init__(self, root):
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._open: dict[int, object] = {}  # the file of each UTC day, by its ordinal
+        self._open: dict[int, object] = {}  # the file of each UTC day, by its ordinal, in the order opened
 
     def _file(self, ordinal: int):
         f = self._open.get(ordinal)
         if f is None:
+            if len(self._open) >= _OPEN_DAYS:
+                self._open.pop(next(iter(self._open))).close()
             name = f"ais-{dt.date.fromordinal(ordinal).isoformat()}.jsonl"
             f = self._open[ordinal] = open(self.root / name, "a", encoding="utf-8", newline="\n")
         return f
 
-    def append(self, msg: PositionReport | StaticReport) -> None:
-        f = self._file((msg.timestamp or EPOCH).astimezone(UTC).toordinal())  # a message without a time: 1970
-        f.write(dumps(message_to_dict(msg)))
-        f.write("\n")
-
-    def append_rows(self, rows: BlockRun, lines: list[str]) -> None:
-        """Write a run of a block's rows, given the stored document of each in order."""
+    def append(self, rows: BlockRun, lines: list[str]) -> None:
+        """Write a run of rows, given the stored document of each in order; a row without a time goes to 1970."""
         start = 0
         for day, same_day in itertools.groupby(rows.utc_days().tolist()):
             stop = start + len(list(same_day))
@@ -148,35 +148,46 @@ def _utcnow_s() -> dt.datetime:
 class _Delivery:
     """Hands decoded messages and errors on to the sinks in order, counting them in `summary`.
 
-    A block's rows go to rows_sink as runs with the stored document of each
-    row; every message outcome, a message the line parser decoded or a
-    stored message included, goes to sink. With a `pause`, each message
-    reaches its sink right after pause(its receive time in microseconds),
-    a row as a run of one.
+    A block's rows reach sink as runs with the stored document of each row.
+    Every other message is gathered into `_messages`, and flush() hands them
+    on as one run: before the next block rows, before an error for
+    error_sink, at _REPLAY_BLOCK messages, and whenever the source calls it.
+    With a `pause`, each message reaches sink as a run of one right after
+    pause(its receive time in microseconds); a message without a time does
+    not pause.
     """
 
     sink: object
-    rows_sink: object
     error_sink: object
     summary: IngestSummary
     pause: object = None
+    _messages: list = field(default_factory=list)  # messages not yet handed on
 
     def outcome(self, outcome: DecodeOutcome) -> None:
         if outcome.kind in ("position", "static"):
             if self.pause is not None and outcome.message.timestamp is not None:
                 self.pause(epoch_us(outcome.message.timestamp))
-            self.sink(outcome.message)
             self.summary.messages += 1
+            self._messages.append(outcome.message)
+            if self.pause is not None or len(self._messages) >= _REPLAY_BLOCK:
+                self.flush()
         elif outcome.kind == "error":
             self.summary.errors += 1
             if self.error_sink is not None:
+                self.flush()
                 self.error_sink(outcome)
         elif outcome.kind == "skipped":
             self.summary.skipped += 1
 
+    def flush(self) -> None:
+        """The gathered messages as one run, with the dict codec's document of each."""
+        if self._messages:
+            messages, self._messages = self._messages, []  # taken first: a failing sink cannot resend them
+            self.sink(BlockRun.of_messages(messages), [dumps(message_to_dict(m)) for m in messages])
+
     def block(self, block: DecodedBlock) -> None:
         """A block's rows and outcomes in order. The documents of its rows are written for the whole block at
-        once, and a run of rows reaches rows_sink in one call unless an outcome for a sink comes between."""
+        once, and a run of rows reaches sink in one call unless a message or an error for a sink comes between."""
         lines = _documents(block)
         start = 0
         for outcome, row in zip(block.outcomes, block.rows):
@@ -189,7 +200,8 @@ class _Delivery:
             self._rows(block, lines, start, len(lines))
 
     def _rows(self, block: DecodedBlock, lines: list[str], start: int, stop: int) -> None:
-        """Rows start..stop of a block, with their documents."""
+        """Rows start..stop of a block, with their documents, after the messages gathered before them."""
+        self.flush()
         if self.pause is not None and stop - start > 1:
             for k in range(start, stop):
                 self._rows(block, lines, k, k + 1)
@@ -198,7 +210,7 @@ class _Delivery:
         if self.pause is not None:
             self.pause(int((run.statics if run.static[0] else run.positions).time_us[0]))
         self.summary.messages += stop - start
-        self.rows_sink(run, lines[start:stop])
+        self.sink(run, lines[start:stop])
 
 
 def _documents(block: DecodedBlock) -> list[str]:
@@ -239,7 +251,6 @@ def run_replay(
     cfg: SourceConfig,
     sink,
     *,
-    rows_sink,
     error_sink=None,
     raw_start: dt.datetime = dt.datetime(2000, 1, 1, tzinfo=UTC),
     raw_cadence_s: float = 1.0,
@@ -254,15 +265,16 @@ def run_replay(
     ValueError; a receive time past year 9999 is RawTimeOutOfRange. NMEA
     lines go to the decoder in blocks of up to _REPLAY_BLOCK lines through
     feed_block, which gives what feeding them one by one would, also when
-    reading the file fails partway. Each block's rows go to rows_sink as
-    runs with their stored documents, in their place among its other
-    messages, which go to sink. A byte that is not UTF-8 reads as U+FFFD,
-    which makes its line malformed. A line that starts with `{` is read as
-    a stored JSONL message, after the NMEA lines before it; one that does
-    not parse goes to error_sink as a "malformed" error. replay_speed scales
-    the pauses between consecutive message timestamps (0 disables pacing);
-    each message is emitted right after its pause, a paced row as a run of
-    one.
+    reading the file fails partway. Every message reaches sink(run, lines)
+    in order, in runs: a block's rows, and runs of up to _REPLAY_BLOCK of
+    the other messages between them. A byte that is not UTF-8 reads as
+    U+FFFD, which makes its line malformed. A line that starts with `{` is
+    read as a stored JSONL message, after the NMEA lines before it; one
+    that does not parse goes to error_sink as a "malformed" error.
+    replay_speed scales the pauses between consecutive message timestamps
+    (0 disables pacing); each message is emitted as a run of one right after
+    its pause, and a message without a time neither pauses nor moves the
+    pacing clock.
     """
     if not (math.isfinite(raw_cadence_s) and raw_cadence_s >= 0):
         raise ValueError(f"raw_cadence_s {raw_cadence_s!r} is not a finite number >= 0")
@@ -279,9 +291,9 @@ def run_replay(
             sleep(max(0.0, (t_us - prev_us) / 1_000_000) / cfg.replay_speed)
         prev_us = t_us
 
-    deliver = _Delivery(sink, rows_sink, error_sink, summary, pause if cfg.replay_speed > 0 else None)
+    deliver = _Delivery(sink, error_sink, summary, pause if cfg.replay_speed > 0 else None)
 
-    def flush():
+    def feed():
         nonlocal block, numbers
         if block:
             lines, at, block, numbers = block, numbers, [], []  # taken first: a failing sink cannot resend them
@@ -295,16 +307,17 @@ def run_replay(
                     continue
                 summary.lines += 1
                 if line.startswith("{"):
-                    flush()
+                    feed()
                     deliver.outcome(_stored_outcome(line))
                 else:
                     block.append(line)
                     numbers.append(i)
                     if len(block) == _REPLAY_BLOCK:
-                        flush()
+                        feed()
         finally:  # a read that fails partway still delivers the lines read before it
-            flush()
-    for outcome in dec.finish():
+            feed()
+            deliver.flush()
+    for outcome in dec.finish():  # timeouts only
         deliver.outcome(outcome)
     return summary
 
@@ -314,7 +327,6 @@ def run_live(
     sink,
     stop: threading.Event,
     *,
-    rows_sink,
     error_sink=None,
     rng: random.Random | None = None,
 ) -> IngestSummary:
@@ -322,11 +334,11 @@ def run_live(
 
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
-    time overrides it as in replay. Block rows go to rows_sink and other
-    messages to sink as in run_replay. Waits a backoff with full jitter after
-    a failed connect and after every disconnect, doubling from 1 s to a cap
-    of 60 s by default and starting over once a connection delivers a
-    complete line. A partial
+    time overrides it as in replay. Messages reach sink in runs as in
+    run_replay, and every message of a block before the next chunk is
+    read. Waits a backoff with full jitter after a failed connect and after
+    every disconnect, doubling from 1 s to a cap of 60 s by default and
+    starting over once a connection delivers a complete line. A partial
     line at disconnect is discarded and counted as an error; completed
     lines are never lost. Connection gaps are returned for outage
     bookkeeping.
@@ -336,7 +348,7 @@ def run_live(
     dec = MessageDecoder()
     rng = rng or random.Random()
     summary = IngestSummary()
-    deliver = _Delivery(sink, rows_sink, error_sink, summary)
+    deliver = _Delivery(sink, error_sink, summary)
     backoff = cfg.reconnect_initial_s
     disconnected_at: dt.datetime | None = None
 
@@ -371,6 +383,7 @@ def run_live(
                         backoff = cfg.reconnect_initial_s  # the feed works again
                     summary.lines += len(lines)
                     deliver.block(dec.feed_block(lines, np.full(len(lines), epoch_us(_utcnow_s()))))
+                    deliver.flush()
             finally:
                 sock.close()
             if buf.strip():

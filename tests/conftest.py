@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from portcall import codec, synth
+from portcall import codec, jsonl, synth
 from portcall.codec import Positions, Statics
 from portcall.columnar import Validated
 
@@ -49,11 +49,17 @@ def kept(block, fed) -> list:
 
 
 def each_report(sink):
-    """A rows_sink that hands each row of a run to `sink` as its PositionReport or StaticReport."""
-    def rows_sink(run, lines):
+    """A sink of runs that hands each row of a run to `sink` as its PositionReport or StaticReport."""
+    def run_sink(run, lines):
         for report in messages(run):
             sink(report)
-    return rows_sink
+    return run_sink
+
+
+def as_run(reports) -> tuple:
+    """Reports as a sink of runs receives them: their BlockRun and the stored document of each."""
+    reports = list(reports)
+    return codec.BlockRun.of_messages(reports), [jsonl.dumps(jsonl.message_to_dict(r)) for r in reports]
 
 
 def static_columns(reports) -> Statics:

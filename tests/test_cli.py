@@ -562,6 +562,19 @@ def test_replayed_stored_lines_keep_their_bytes(tmp_path):
     assert (tmp_path / "store" / "ais-2019-09-01.jsonl").read_text() == written
 
 
+def test_an_output_that_cannot_be_written_is_an_io_error(tmp_path, capsys):
+    """An OSError writing an output exits 2 with one error line, not 1 with a traceback."""
+    stored = tmp_path / "stored.jsonl"
+    stored.write_text('{"mmsi":2,"name":"A","ship_type":70,"ts":"2019-09-01T00:00:00Z","type":"static"}\n')
+    assert cli.main(["decode", "--input", str(stored), "--output", str(tmp_path / "missing" / "decoded.jsonl")]) \
+        == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ") and not (tmp_path / "missing").exists()
+    (tmp_path / "file").write_text("")
+    assert cli.main(["ingest", "--source", f"file:{stored}", "--store", str(tmp_path / "file")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_a_command_imports_only_the_stages_it_runs():
     probe = ("import sys; from portcall import cli; "
              "print(sorted(m for m in ('portcall.synth', 'portcall.metrics') if m in sys.modules))")

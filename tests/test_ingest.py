@@ -1,4 +1,6 @@
+import dataclasses
 import datetime as dt
+import itertools
 import json
 import pathlib
 import random
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import decode_all, each_report
+from conftest import as_run, decode_all, each_report
 from portcall import cli, codec, ingest, synth
 from portcall.codec import MessageDecoder, PositionReport, StaticReport
 from portcall.jsonl import dumps, message_to_dict
@@ -90,8 +92,7 @@ class TestReplay:
         path = tmp_path / "fix.nmea"
         path.write_text("\n".join(nmea_fixture) + "\n")
         got = []
-        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    rows_sink=each_report(got.append))
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), each_report(got.append))
         positions, statics, errors = decode_all(nmea_fixture)
         assert summary.lines == len(nmea_fixture)
         assert summary.messages == len(positions) + len(statics)
@@ -101,13 +102,12 @@ class TestReplay:
     def test_missing_file(self, tmp_path):
         cfg = ingest.SourceConfig(mode="replay", path=tmp_path / "nope.nmea")
         with pytest.raises(FileNotFoundError):
-            ingest.run_replay(cfg, lambda m: None, rows_sink=lambda run, lines: None)
+            ingest.run_replay(cfg, lambda run, lines: None)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.nmea"
         path.write_text("")
-        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), lambda m: None,
-                                    rows_sink=lambda run, lines: None)
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), lambda run, lines: None)
         assert summary.lines == 0
         assert summary.messages == 0
 
@@ -116,8 +116,7 @@ class TestReplay:
         path.write_text(nmea_fixture[0] + "\ngarbage line\n" + nmea_fixture[1] + "\n")
         errors = []
         summary = ingest.run_replay(
-            ingest.SourceConfig(mode="replay", path=path), lambda m: None,
-            rows_sink=lambda run, lines: None, error_sink=errors.append,
+            ingest.SourceConfig(mode="replay", path=path), lambda run, lines: None, error_sink=errors.append,
         )
         assert summary.errors == 1
         assert errors[0].raw == "garbage line"
@@ -131,10 +130,8 @@ class TestReplay:
         path = tmp_path / "raw.nmea"
         path.write_text("\n".join(lines) + "\n")
         got = []
-        ingest.run_replay(
-            ingest.SourceConfig(mode="replay", path=path), got.append,
-            rows_sink=each_report(got.append), raw_start=T0, raw_cadence_s=2.0,
-        )
+        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), each_report(got.append), raw_start=T0,
+                          raw_cadence_s=2.0)
         assert [m.timestamp for m in got] == [T0, T0 + dt.timedelta(seconds=2), T0 + dt.timedelta(seconds=4)]
 
     @pytest.mark.parametrize("stored", [False, True], ids=["nmea", "stored"])
@@ -152,21 +149,79 @@ class TestReplay:
         def sink(msg):
             events.append(msg.timestamp)
 
-        ingest.run_replay(
-            ingest.SourceConfig(mode="replay", path=path, replay_speed=5.0),
-            sink, rows_sink=each_report(sink), sleep=lambda s: events.append(s),
-        )
+        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path, replay_speed=5.0), each_report(sink),
+                          sleep=lambda s: events.append(s))
         # 10 s gaps at 5x speed, and each message reaches the sink right after its pause
         t = [T0 + dt.timedelta(seconds=10 * i) for i in range(4)]
         assert events == [t[0], pytest.approx(2.0), t[1], pytest.approx(2.0), t[2], pytest.approx(2.0), t[3]]
+
+    def test_a_message_without_a_time_neither_pauses_nor_moves_the_pacing_clock(self, tmp_path):
+        position = PositionReport(mmsi=1, timestamp=T0, lat=0.0, lon=0.0, sog=1.0, cog=None, heading=None, navstat=0,
+                                  rot=None)
+        lines = [dumps(message_to_dict(position)),
+                 '{"length":null,"mmsi":2,"name":"NO TIME","ship_type":70,"ts":null,"type":"static","width":null}',
+                 dumps(message_to_dict(dataclasses.replace(position, timestamp=T0 + dt.timedelta(seconds=10))))]
+        path = tmp_path / "paced.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        events = []
+        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path, replay_speed=5.0),
+                          lambda run, text: events.append(text), sleep=events.append)
+        assert events == [[lines[0]], [lines[1]], pytest.approx(2.0), [lines[2]]]
+
+
+class TestMessageRuns:
+    """Messages that are not block rows, such as stored lines, reach the sink gathered into runs."""
+
+    @staticmethod
+    def _stored(tmp_path, nmea_fixture, n):
+        lines = [dumps(message_to_dict(m)) for m in decode_direct(nmea_fixture)[:n]]
+        path = tmp_path / "stored.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path, lines
+
+    def test_stored_lines_reach_the_sink_in_runs(self, tmp_path, nmea_fixture, monkeypatch):
+        monkeypatch.setattr(ingest, "_REPLAY_BLOCK", 7)
+        path, lines = self._stored(tmp_path, nmea_fixture, 25)
+        calls, got = [], []
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
+                                    lambda run, text: calls.append(text) or each_report(got.append)(run, text))
+        assert len(calls) <= -(-len(lines) // 7)
+        assert [line for text in calls for line in text] == lines
+        assert got == [ingest._stored_outcome(line).message for line in lines]
+        assert summary.messages == len(lines)
+
+    def test_a_failing_read_still_delivers_the_stored_lines_before_it(self, tmp_path, nmea_fixture, monkeypatch):
+        path, lines = self._stored(tmp_path, nmea_fixture, 30)
+
+        class FailingFile:
+            """The file, whose read fails after its first 12 lines."""
+
+            def __init__(self, *args, **kwargs):
+                self.f = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __iter__(self):
+                yield from itertools.islice(self.f, 12)
+                raise OSError("read failed")
+
+        monkeypatch.setattr(ingest, "open", FailingFile, raising=False)
+        got = []
+        with pytest.raises(OSError, match="read failed"):
+            ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
+                              lambda run, text: got.extend(text))
+        assert got == lines[:12]
 
 
 def read_store(root) -> list:
     """Every message in a store, read back the way `portcall decode` reads stored JSONL."""
     got = []
     for path in sorted(pathlib.Path(root).glob("ais-*.jsonl")):
-        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                          rows_sink=each_report(got.append))
+        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), each_report(got.append))
     return got
 
 
@@ -179,16 +234,13 @@ class TestStore:
     def test_roundtrip_equals_direct_decode(self, tmp_path, nmea_fixture):
         direct = decode_direct(nmea_fixture)
         with ingest.MessageStore(tmp_path / "store") as store:
-            for msg in direct:
-                store.append(msg)
+            store.append(*as_run(direct))
         assert read_store(tmp_path / "store") == direct
 
     def test_partitioned_by_date(self, tmp_path):
         store = ingest.MessageStore(tmp_path / "s")
-        for day in (1, 1, 2):
-            store.append(PositionReport(mmsi=1, timestamp=dt.datetime(2019, 9, day, tzinfo=UTC),
-                                        lat=0.0, lon=0.0, sog=0.0, cog=None, heading=None,
-                                        navstat=0, rot=0))
+        store.append(*as_run(PositionReport(mmsi=1, timestamp=dt.datetime(2019, 9, day, tzinfo=UTC), lat=0.0, lon=0.0,
+                                            sog=0.0, cog=None, heading=None, navstat=0, rot=0) for day in (1, 1, 2)))
         store.close()
         names = sorted(p.name for p in (tmp_path / "s").iterdir())
         assert names == ["ais-2019-09-01.jsonl", "ais-2019-09-02.jsonl"]
@@ -196,29 +248,51 @@ class TestStore:
     def test_replay_of_store_preserves_messages(self, tmp_path, nmea_fixture):
         direct = decode_direct(nmea_fixture)
         with ingest.MessageStore(tmp_path / "s") as store:
-            for msg in direct:
-                store.append(msg)
+            store.append(*as_run(direct))
         got = []
         for path in sorted((tmp_path / "s").glob("ais-*.jsonl")):
             part = []
-            ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), part.append,
-                              rows_sink=each_report(part.append))
+            ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), each_report(part.append))
             assert {f"ais-{m.timestamp:%Y-%m-%d}.jsonl" for m in part} == {path.name}
             got += part
         assert got == direct
 
+    def test_keeps_at_most_open_days_files_open(self, tmp_path, monkeypatch):
+        """Past _OPEN_DAYS day files, a day not open closes the file opened longest ago; reopened, it appends."""
+        monkeypatch.setattr(ingest, "_OPEN_DAYS", 2)
+        handles = []
+
+        def tracked_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(ingest, "open", tracked_open, raising=False)
+        days = [1, 2, 3, 1, 3, 2, 4, 1]
+        reports = [PositionReport(mmsi=k, timestamp=dt.datetime(2019, 9, day, tzinfo=UTC), lat=0.0, lon=0.0,
+                                  sog=0.0, cog=None, heading=None, navstat=0, rot=None) for k, day in enumerate(days)]
+        with ingest.MessageStore(tmp_path / "s") as store:
+            for r in reports:
+                store.append(*as_run([r]))
+                assert sum(not f.closed for f in handles) <= 2
+            store.append(*as_run(reports))  # one run that goes back and forth between days
+            assert sum(not f.closed for f in handles) <= 2
+        assert len(handles) > 4 and all(f.closed for f in handles)
+        expected = {}
+        for r in reports + reports:
+            name = f"ais-{r.timestamp.date().isoformat()}.jsonl"
+            expected[name] = expected.get(name, "") + dumps(message_to_dict(r)) + "\n"
+        assert {p.name: p.read_text() for p in (tmp_path / "s").iterdir()} == expected
 
     def test_torn_last_line_is_one_malformed_error(self, tmp_path, nmea_fixture):
         direct = decode_direct(nmea_fixture)[:50]
         with ingest.MessageStore(tmp_path / "s") as store:
-            for msg in direct:
-                store.append(msg)
+            store.append(*as_run(direct))
         (path,) = (tmp_path / "s").glob("ais-*.jsonl")
         whole = path.read_text()
         path.write_text(whole + whole.splitlines()[0][:40])  # a crash mid-append
         got, errors = [], []
-        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    rows_sink=each_report(got.append), error_sink=errors.append)
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), each_report(got.append),
+                                    error_sink=errors.append)
         assert got == direct
         assert (summary.lines, summary.messages, summary.errors) == (51, 50, 1)
         assert [e.error for e in errors] == ["malformed"]
@@ -266,7 +340,7 @@ class TestLive:
                 mode="live", endpoint=server.server_address,
                 reconnect_initial_s=0.05, reconnect_max_s=0.1,
             )
-            summary = ingest.run_live(cfg, sink, stop, rows_sink=each_report(sink), rng=random.Random(1))
+            summary = ingest.run_live(cfg, each_report(sink), stop, rng=random.Random(1))
             assert summary.messages >= expected
             assert [m for m in got if isinstance(m, PositionReport)][: len(positions)] == positions
         finally:
@@ -290,7 +364,7 @@ class TestLive:
 
             cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
                                       reconnect_initial_s=0.05, reconnect_max_s=0.1)
-            summary = ingest.run_live(cfg, sink, stop, rows_sink=each_report(sink), rng=random.Random(1))
+            summary = ingest.run_live(cfg, each_report(sink), stop, rng=random.Random(1))
             assert summary.errors >= 1  # the truncated tail
             assert len(got) >= expected
         finally:
@@ -312,7 +386,7 @@ class TestLive:
 
             cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
                                       reconnect_initial_s=0.01, reconnect_max_s=0.05)
-            summary = ingest.run_live(cfg, sink, stop, rows_sink=each_report(sink), rng=random.Random(2))
+            summary = ingest.run_live(cfg, each_report(sink), stop, rng=random.Random(2))
             assert summary.connection_gaps  # at least one disconnect/reconnect cycle
         finally:
             server.shutdown()
@@ -338,7 +412,7 @@ class TestLive:
         try:
             start = time.monotonic()
             timer.start()
-            summary = ingest.run_live(cfg, lambda msg: None, stop, rows_sink=lambda run, lines: None,
+            summary = ingest.run_live(cfg, lambda run, lines: None, stop,
                                       rng=random.Random(4))
             elapsed = time.monotonic() - start
         finally:
@@ -372,8 +446,8 @@ class TestLive:
         path = tmp_path / "same.nmea"
         path.write_bytes(blob)
         replayed, replay_errors = [], []
-        replay = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), replayed.append,
-                                   rows_sink=each_report(replayed.append), error_sink=replay_errors.append)
+        replay = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), each_report(replayed.append),
+                                   error_sink=replay_errors.append)
         assert {"\ufffd" in e.raw for e in replay_errors if e.error == "malformed"} == {True, False}
 
         server, thread = _serve(blob, chunk=37)
@@ -390,7 +464,7 @@ class TestLive:
             cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
                                       reconnect_initial_s=0.05, reconnect_max_s=0.1)
             guard.start()
-            live = ingest.run_live(cfg, sink, stop, rows_sink=each_report(sink), error_sink=errors.append,
+            live = ingest.run_live(cfg, each_report(sink), stop, error_sink=errors.append,
                                    rng=random.Random(3))
         finally:
             guard.cancel()
@@ -439,9 +513,8 @@ class TestReplayBlocks:
         path, rows = self._file(tmp_path, nmea_fixture)
         messages, errors = self._per_line(rows)
         got, got_errors = [], []
-        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    rows_sink=each_report(got.append), error_sink=got_errors.append,
-                                    raw_start=T0, raw_cadence_s=0.5)
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), each_report(got.append),
+                                    error_sink=got_errors.append, raw_start=T0, raw_cadence_s=0.5)
         assert got == messages
         assert got_errors == errors
         assert summary.lines == sum(1 for line in rows if line)
@@ -458,9 +531,8 @@ class TestReplayBlocks:
         text = path.read_text(encoding="utf-8", errors="replace").split("\n")
         messages, errors = self._per_line(text)
         got, got_errors = [], []
-        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), got.append,
-                                    rows_sink=each_report(got.append), error_sink=got_errors.append,
-                                    raw_start=T0, raw_cadence_s=0.5)
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), each_report(got.append),
+                                    error_sink=got_errors.append, raw_start=T0, raw_cadence_s=0.5)
         assert got == messages
         assert got_errors == errors
         assert [(e.error, e.raw) for e in errors] == [("malformed", text[300])]
@@ -494,11 +566,9 @@ class TestStorePartitions:
                 f"ais-{m.timestamp.astimezone(UTC).date().isoformat()}.jsonl"
             expected[name] = expected.get(name, "") + dumps(message_to_dict(m)) + "\n"
         with ingest.MessageStore(tmp_path / "s") as store:
-            for m in messages[:4]:
-                store.append(m)
+            store.append(*as_run(messages[:4]))
             store.close()  # the next append reopens its file and appends
-            for m in messages[4:]:
-                store.append(m)
+            store.append(*as_run(messages[4:]))
         got = {p.name: p.read_text() for p in (tmp_path / "s").iterdir()}
         assert got == expected
         assert {"ais-1970-01-01.jsonl", "ais-2019-09-01.jsonl", "ais-2019-09-02.jsonl"} <= set(got)
@@ -507,10 +577,10 @@ class TestStorePartitions:
 class TestColumnPass:
     def test_clean_block_builds_no_object_per_position(self, tmp_path, monkeypatch, nmea_fixture):
         """Replayed blocks of clean position lines and type 5 pairs, tagged or bare, reach the store as columns:
-        no outcome, report or datetime per position or static, no timedelta per line, and one sink call per
+        no outcome, report or datetime per position or static, no timedelta per line, and one store write per
         block."""
         built = {"DecodeOutcome": 0, "_report": 0, "StaticReport": 0, "from_epoch_us": 0, "_tag_time": 0,
-                 "timedelta": 0, "append": 0, "append_rows": 0}
+                 "timedelta": 0, "append": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -535,17 +605,16 @@ class TestColumnPass:
         path.write_text("\n".join(lines) + "\n")
         with ingest.MessageStore(tmp_path / "s") as store:
             summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
-                                        counted("append", store.append),
-                                        rows_sink=counted("append_rows", store.append_rows), raw_start=T0)
+                                        counted("append", store.append), raw_start=T0)
         assert summary.messages == len(lines) - statics
-        assert built == {**dict.fromkeys(built, 0), "append_rows": -(-len(lines) // ingest._REPLAY_BLOCK)}
+        assert built == {**dict.fromkeys(built, 0), "append": -(-len(lines) // ingest._REPLAY_BLOCK)}
         monkeypatch.undo()
         expected = [dumps(message_to_dict(m)) for m in decode_direct_at(lines, T0)]
         assert sum('"type":"static"' in line for line in expected) == statics
         assert read_lines(tmp_path / "s") == sorted(expected, key=lambda line: json.loads(line)["ts"][:10])
 
     def test_paced_rows_reach_the_rows_sink_one_by_one(self, tmp_path):
-        """A paced block's positions and statics each reach the rows sink as a run of one, after its pause."""
+        """A paced block's positions and statics each reach the sink as a run of one, after its pause."""
         t0 = int(T0.timestamp())
         positions = [oracles.tag_block(oracles.position_sentence(mmsi=1, navstat=0, rot_raw=0, sog_raw=100, lon_raw=0,
                                                                  lat_raw=0, cog_raw=0, heading_raw=0), t0 + 10 * i)
@@ -556,8 +625,8 @@ class TestColumnPass:
         path = tmp_path / "paced.nmea"
         path.write_text("\n".join(lines) + "\n")
         events = []
-        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path, replay_speed=10.0), events.append,
-                          rows_sink=lambda run, text: events.append((len(run), text)), sleep=events.append)
+        ingest.run_replay(ingest.SourceConfig(mode="replay", path=path, replay_speed=10.0),
+                          lambda run, text: events.append((len(run), text)), sleep=events.append)
         # 10 s and then 5 s twice, at 10x speed
         assert [e if isinstance(e, float) else e[0] for e in events] == [1, pytest.approx(1.0), 1, pytest.approx(0.5),
                                                                          1, pytest.approx(0.5), 1]
