@@ -135,14 +135,18 @@ def _load_validation(config_path, method, port_path) -> tuple[validate.Validatio
 def _area_filter(area, center, radius_m: float) -> AreaFilter | None:
     if not (math.isfinite(radius_m) and radius_m > 0):
         raise UsageError(f"bad --radius-m {radius_m!r}: not a finite number of metres > 0")
-    try:
-        if area:
+    if area:
+        try:
             return AreaFilter.from_geojson(area)
-        if center:
-            lat_s, _, lon_s = center.partition(",")
-            return AreaFilter.circle(float(lat_s), float(lon_s), radius_m)
-    except (OSError, ValueError, InvalidPolygon) as exc:
-        raise UsageError(f"bad area: {exc}") from exc
+        except (OSError, ValueError, InvalidPolygon) as exc:
+            raise UsageError(f"bad area: {exc}") from exc
+    if center:
+        try:
+            lat, lon = map(float, center.split(","))
+        except ValueError:
+            raise UsageError(f"bad --center {center!r}: not a lat,lon") from None
+        return AreaFilter.circle(_number_in(lat, -90, 90, "--center"), _number_in(lon, -180, 180, "--center"),
+                                 radius_m)
     return None
 
 
@@ -170,11 +174,18 @@ def _raw_start(text: str) -> dt.datetime:
         raise UsageError(f"bad --raw-start {text!r}: {exc}") from None
 
 
-def _raw_cadence(seconds: float) -> float:
-    """The receive time spacing of untagged lines, from --raw-cadence-s: a finite number of seconds >= 0."""
-    if not (math.isfinite(seconds) and seconds >= 0):
-        raise UsageError(f"bad --raw-cadence-s {seconds!r}: not a finite number of seconds >= 0")
-    return seconds
+def _non_negative(value: float, flag: str) -> float:
+    """The value of a flag that takes a finite number >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise UsageError(f"bad {flag} {value!r}: not a finite number >= 0")
+    return value
+
+
+def _number_in(value: float | None, low: float, high: float, flag: str) -> float | None:
+    """The value of a flag that takes a number in [low, high], if given."""
+    if value is not None and not low <= value <= high:
+        raise UsageError(f"bad {flag} {value!r}: not a number in [{low:g}, {high:g}]")
+    return value
 
 
 def _load_parts(path: pathlib.Path, what: str, convert, kind: str | None = None, size: int | None = None):
@@ -187,13 +198,8 @@ def _load_parts(path: pathlib.Path, what: str, convert, kind: str | None = None,
     try:
         while part := list(itertools.islice(docs, size)):
             yield convert(part)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise UsageError(f"bad {what} in {path}: {exc}") from exc
-
-
-def _load_jsonl(path: pathlib.Path, what: str, from_dict) -> list:
-    """from_dict(document) of each document of a stage's JSONL input, in one list."""
-    return next(_load_parts(path, what, lambda docs: list(map(from_dict, docs))), [])
 
 
 # stored lines a staged command holds as documents before it reads them into columns
@@ -276,24 +282,16 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
 def cmd_decode(args) -> int:
     source = _readable(args.input)
     raw_start = _raw_start(args.raw_start)
-    raw_cadence_s = _raw_cadence(args.raw_cadence_s)
+    raw_cadence_s = _non_negative(args.raw_cadence_s, "--raw-cadence-s")
+    max_error_rate = _number_in(args.max_error_rate, 0, 1, "--max-error-rate")
     out = pathlib.Path(args.output)
     errors = pathlib.Path(args.errors) if args.errors else out.with_suffix(".errors.jsonl")
-    _, _, status = decode_stage(source, out, errors, raw_start, raw_cadence_s, args.max_error_rate, digests={})
+    _, _, status = decode_stage(source, out, errors, raw_start, raw_cadence_s, max_error_rate, digests={})
     return status
 
 
 # ---------------------------------------------------------------------------
 # validate
-
-
-def _outage_to_dict(o: validate.Outage) -> dict:
-    return {
-        "scope": o.scope,
-        "start": format_ts(o.start),
-        "end": format_ts(o.end),
-        "subject": o.subject,
-    }
 
 
 # The dict codec of one validated message: its position's document with the
@@ -325,7 +323,7 @@ def validate_stage(positions: Positions, port: PortGeometry | None, cfg: validat
         for a in range(0, len(validated), CHUNK_ROWS):
             f.write("\n".join(validated[a:a + CHUNK_ROWS].lines()))
             f.write("\n")
-    jsonl.write_jsonl(outages_out, (_outage_to_dict(o) for o in outages))
+    jsonl.write_jsonl(outages_out, map(validate.Outages.to_dict, outages))
     agreement = np.count_nonzero(validated.agreed_with_reported) / len(validated) if len(validated) else 1.0
     print(f"validated {len(validated)} messages, agreement with reported {agreement:.3f}, "
           f"{len(outages)} outages")
@@ -347,11 +345,12 @@ def validate_stage(positions: Positions, port: PortGeometry | None, cfg: validat
 def cmd_validate(args) -> int:
     source = _readable(args.input)
     cfg, port = _load_validation(args.config, args.method, args.port)
+    min_agreement = _number_in(args.min_agreement, 0, 1, "--min-agreement")
     out = pathlib.Path(args.output)
     outages_out = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
     positions = _load_table(source, "position message", Positions)
     _, status = validate_stage(positions, port, cfg, out, outages_out, source=source,
-                               port_path=args.port, config_path=args.config, min_agreement=args.min_agreement,
+                               port_path=args.port, config_path=args.config, min_agreement=min_agreement,
                                digests={})
     return status
 
@@ -497,7 +496,7 @@ def cmd_metrics(args) -> int:
     voyages_path = _readable(args.voyages)
     port = _load_port(args.port)
     truth, exclude = _load_ground_truth(args.ground_truth, args.exclude_dates)
-    voyages = _load_jsonl(voyages_path, "voyage", voyage.voyage_from_dict)
+    voyages = next(_load_parts(voyages_path, "voyage", lambda docs: list(map(voyage.voyage_from_dict, docs))), [])
     ship_types = {}
     if args.static:
         statics = _load_table(_readable(args.static), "static message", Statics)
@@ -515,17 +514,18 @@ def cmd_metrics(args) -> int:
 def cmd_synth(args) -> int:
     from . import synth
 
-    if args.scenario:
-        try:
+    try:
+        if args.scenario:
             scenario = synth.Scenario.load(args.scenario)
-        except (OSError, ValueError, KeyError) as exc:
-            raise UsageError(f"bad scenario: {exc}") from exc
-    elif args.preset == "ferry":
-        scenario = synth.ferry_scenario(days=args.days, error_p=args.error_p, seed=args.seed)
-    else:
-        scenario = synth.mixed_port_scenario(
-            n_vessels=args.vessels, days=args.days, error_p=args.error_p, seed=args.seed
-        )
+        elif args.preset == "ferry":
+            scenario = synth.ferry_scenario(days=args.days, error_p=args.error_p, seed=args.seed)
+        elif args.vessels < 1:
+            raise UsageError(f"bad --vessels {args.vessels}: not at least 1")
+        else:
+            scenario = synth.mixed_port_scenario(n_vessels=args.vessels, days=args.days, error_p=args.error_p,
+                                                 seed=args.seed)
+    except (OSError, ValueError, KeyError) as exc:
+        raise UsageError(f"bad scenario: {exc}") from exc
     lines, truth = synth.generate(scenario)
     nmea_path = pathlib.Path(args.out_nmea)
     with open(nmea_path, "w", encoding="utf-8", newline="\n") as f:
@@ -554,7 +554,7 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     try:
-        cfg = SourceConfig.parse_source(args.source, replay_speed=args.replay_speed)
+        cfg = SourceConfig.parse_source(args.source, replay_speed=_non_negative(args.replay_speed, "--replay-speed"))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if cfg.mode == "replay":
@@ -580,7 +580,8 @@ def cmd_run(args) -> int:
     area = _area_filter(args.area, args.center, args.radius_m)
     truth, exclude = _load_ground_truth(args.ground_truth, args.exclude_dates)
     raw_start = _raw_start(args.raw_start)
-    raw_cadence_s = _raw_cadence(args.raw_cadence_s)
+    raw_cadence_s = _non_negative(args.raw_cadence_s, "--raw-cadence-s")
+    max_error_rate = _number_in(args.max_error_rate, 0, 1, "--max-error-rate")
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     decoded = outdir / "decoded.jsonl"
@@ -588,7 +589,7 @@ def cmd_run(args) -> int:
     voyages_path = outdir / "voyages.jsonl"
     digests: dict[pathlib.Path, str] = {}  # each file is hashed once for all four manifests
     positions, ship_types, status = decode_stage(source, decoded, outdir / "errors.jsonl", raw_start,
-                                                 raw_cadence_s, args.max_error_rate, digests=digests)
+                                                 raw_cadence_s, max_error_rate, digests=digests)
     validated, _ = validate_stage(positions, port, cfg, validated_path, outdir / "outages.jsonl",
                                   source=decoded, port_path=args.port, config_path=args.config,
                                   min_agreement=None, digests=digests)

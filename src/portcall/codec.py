@@ -406,37 +406,34 @@ def _sent(values: np.ndarray, scale: int, sentinel: int) -> np.ndarray:
     return np.where(np.isnan(values), sentinel, np.rint(values * scale)).astype(np.int64)
 
 
-def encode_statics(reports: list[StaticReport], message_ids) -> list[str]:
-    """The two lines of each static report, in order: the inverse of feed_block's type 5 pairs.
+def encode_statics(statics: Statics, message_ids) -> list[str]:
+    """The two lines of each row of a table, in order: the inverse of feed_block's type 5 pairs.
 
-    Each report becomes a type 5 message in two sentences on channel A with
+    Each row becomes a type 5 message in two sentences on channel A with
     its one-digit message id (0-9), the first holding 36 payload characters
     and the second the other 35 and 2 fill bits, each behind a TAG block whose
-    c: field is the report's timestamp in whole seconds. The name is written
+    c: field is the row's receive time in whole seconds. The name is written
     in upper case, cut or padded with '@' to 20 characters, with '@' for a
     character 6-bit text cannot hold. Length and width are split evenly
-    between the dimensions to bow and stern and to port and starboard, None
-    as 0. The EPFD type is 1 (GPS).
+    between the dimensions to bow and stern and to port and starboard. The
+    EPFD type is 1 (GPS).
     """
     ids = np.asarray(message_ids, dtype=np.int64)
     if ((ids < 0) | (ids > 9)).any():
         raise ValueError("message ids must be single digits")
-    names = {name: k for k, name in enumerate(dict.fromkeys(r.vessel_name for r in reports))}
+    s = statics
+    names, name_rows = np.unique(s.name, return_inverse=True)
     name_fields = np.zeros((len(names), _NAME_CHARS), dtype=np.int64)  # each distinct name's 6-bit values, made once
-    for k, name in enumerate(names):
+    for k, name in enumerate(names.tolist()):
         values = [ord(u) & 63 if len(u := c.upper()) == 1 and 32 <= ord(u) <= 95 else 0 for c in name[:_NAME_CHARS]]
         name_fields[k, : len(values)] = values
-    mmsi, name_row, ship_type, length, width = np.array(
-        [(r.mmsi, names[r.vessel_name], r.ship_type, r.length or 0, r.width or 0) for r in reports],
-        dtype=np.int64).reshape(-1, 5).T
-    fields = np.column_stack((np.full(len(reports), 5), mmsi, name_fields[name_row], ship_type, length // 2,
-                              length - length // 2, width // 2, width - width // 2, np.ones(len(reports), np.int64)))
-    seconds = np.array([epoch_us(r.timestamp) for r in reports], dtype=np.int64) // 1_000_000
+    fields = np.column_stack((np.full(len(s), 5), s.mmsi, name_fields[name_rows], s.ship_type, s.length // 2,
+                              s.length - s.length // 2, s.width // 2, s.width - s.width // 2, np.ones_like(s.mmsi)))
     payloads = _ARMOR_BYTES[_write_rows(fields, _STATIC_WRITE, _STATIC_CHARS)]
     ids = (ids + ord("0")).astype(np.uint8).reshape(-1, 1)
-    tag = _tag(seconds)
-    return _texts(len(reports), [*tag, b"!", *_checked(b"AIVDM,2,1,", ids, b",A,", payloads[:, :36], b",0"), b"\n",
-                                 *tag, b"!", *_checked(b"AIVDM,2,2,", ids, b",A,", payloads[:, 36:], b",2"), b"\n"])
+    tag = _tag(s.time_us // 1_000_000)
+    return _texts(len(s), [*tag, b"!", *_checked(b"AIVDM,2,1,", ids, b",A,", payloads[:, :36], b",0"), b"\n",
+                           *tag, b"!", *_checked(b"AIVDM,2,2,", ids, b",A,", payloads[:, 36:], b",2"), b"\n"])
 
 
 def _tag(seconds: np.ndarray) -> list:

@@ -7,10 +7,10 @@ among its own. ValidatedMessage is the row type: indexing or iterating the
 table builds them.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .codec import STATUS_KINDS, PositionReport, Positions
-from .table import BOOLEAN, INTEGER, TEXT, Field, integer
+from .table import BOOLEAN, INTEGER, TEXT, Field
 
 
 @dataclass(slots=True)
@@ -29,13 +29,6 @@ class ValidatedMessage:
     gap_flag: bool
 
 
-def _status(value, key: str) -> int:
-    """One of the status codes the pipeline acts on."""
-    if integer(value, key) not in STATUS_KINDS:
-        raise ValueError(f"{key} {value!r} is not one of {sorted(STATUS_KINDS)}")
-    return value
-
-
 class Validated(Positions, kind="validated"):
     """Validated messages as columns: the position columns, and for each row the other fields of its
     ValidatedMessage.
@@ -45,7 +38,7 @@ class Validated(Positions, kind="validated"):
     their rows are.
     """
 
-    corrected_navstat = Field(replace(INTEGER, check=_status))
+    corrected_navstat = Field(INTEGER.one_of(STATUS_KINDS))
     method = Field(TEXT)
     agreed_with_reported = Field(BOOLEAN)
     gap_flag = Field(BOOLEAN, default=False)

@@ -68,8 +68,8 @@ class SourceConfig:
                 raise ValueError("replay mode needs a path and no endpoint")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.replay_speed < 0:
-            raise ValueError("replay_speed must be >= 0")
+        if not 0 <= self.replay_speed < math.inf:
+            raise ValueError(f"replay_speed {self.replay_speed!r} is not a finite number >= 0")
 
     @classmethod
     def parse_source(cls, source: str, **kwargs) -> "SourceConfig":

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import STATUS_KINDS, Positions, StaticReport, encode_positions, encode_statics
+from .codec import STATUS_KINDS, Positions, Statics, encode_positions, encode_statics
 from .geo import AreaFilter, EARTH_RADIUS_M, PortGeometry, Polygon
 from .metrics import vessel_category
 from .table import UTC, epoch_us, format_ts, from_epoch_us, parse_ts
@@ -469,10 +469,10 @@ class _Emitter:
         if self._statics:
             epoch, seq, vessels = zip(*self._statics)
             self._statics = []
-            self._lines += encode_statics(
-                [StaticReport(v.mmsi, v.name, v.ship_type, length=120, width=20, timestamp=from_epoch_us(e * 1_000_000))
-                 for e, v in zip(epoch, vessels)],
-                [v.mmsi % 10 for v in vessels])
+            mmsi, ship_type = np.array([(v.mmsi, v.ship_type) for v in vessels]).T
+            statics = Statics(np.array(epoch) * 1_000_000, mmsi, ship_type, np.full_like(mmsi, 120),
+                              np.full_like(mmsi, 20), np.array([v.name for v in vessels], dtype=object))
+            self._lines += encode_statics(statics, mmsi % 10)
             # both lines of a static carry its time, and the sequence numbers seq and seq + 1
             self._keys.append((np.repeat(epoch, 2), np.repeat(seq, 2) + np.tile([0, 1], len(seq))))
 

@@ -1,15 +1,17 @@
 """Tables of columns whose fields are each declared once, the JSON text of their rows, and the one time rule.
 
-A stored row (a position, a type 5 static, a validated position) is one
-JSON document per line, and a run holds many as a Table: one numpy column
-per field, one row per document. A Table subclass declares each field once,
-as a Field class attribute: the attribute names the column and, unless
-others are given, the JSON key and the row type's attribute; its Rule gives
-the dtype, the check of a stored value and the JSON text of each value of a
-column. From the declaration come the length, slicing, `concat` and the
-empty table, `utc_days`, the line writer `lines`, the checked column
-readers `read` (stored documents) and `of_rows` (row objects), and the
-one-row forms `to_dict` and `values` that the dict codecs are made of.
+A stored row (a position, a type 5 static, a validated position, an outage,
+a voyage or one of its phases) is one JSON document, and a run holds many as
+a Table: one numpy column per field, one row per document. A Table subclass
+declares each field once, as a Field class attribute: the attribute names
+the column and, unless others are given, the JSON key and the row type's
+attribute; its Rule gives the dtype, the check of a stored value and the
+JSON text of each value of a column. Only a table that names a document type
+writes its "type" key. From the declaration come the length, slicing,
+`concat` and the empty table, `utc_days`, the line writer `lines`, the
+checked column readers `read` (stored documents) and `of_rows` (row
+objects), and the one-row forms `to_dict` and `values` that the dict codecs
+are made of.
 
 `lines` fills one template per table, an f-string function generated from
 the declaration once, as dataclasses generates __init__: the text `dumps`
@@ -90,14 +92,14 @@ _INT64 = 1 << 63
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer up to this magnitude exactly, and not the next one
 
 
-def coordinate(value, key: str, limit: float) -> float:
+def _coordinate(value, key: str, limit: float) -> float:
     """A finite number in [-limit, limit], the range the NMEA decoder accepts, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not -limit <= value <= limit:
         raise ValueError(f"{key} {value!r} is not a number in [-{limit:g}, {limit:g}]")
     return float(value)
 
 
-def integer(value, key: str) -> int:
+def _integer(value, key: str) -> int:
     """An int that fits the int64 columns the stages hold it in."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} {value!r} is not an integer")
@@ -106,13 +108,13 @@ def integer(value, key: str) -> int:
     return value
 
 
-def text(value, key: str) -> str:
+def _text(value, key: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{key} {value!r} is not a string")
     return value
 
 
-def optional_number(value, key: str) -> float | None:
+def _optional_number(value, key: str) -> float | None:
     """None, or a number a float64 holds, as a float: an int past the largest float is no finite number either."""
     if value is None:
         return None
@@ -122,7 +124,7 @@ def optional_number(value, key: str) -> float | None:
     return float(value)
 
 
-def boolean(value, key: str) -> bool:
+def _boolean(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{key} {value!r} is not true or false")
     return value
@@ -130,14 +132,14 @@ def boolean(value, key: str) -> bool:
 
 def _rate_of_turn(value, key: str) -> int:
     """An int a float64 holds exactly, as the columns hold the rate of turn."""
-    if abs(integer(value, key)) > _FLOAT_EXACT:
+    if abs(_integer(value, key)) > _FLOAT_EXACT:
         raise ValueError(f"{key} {value!r} is past the integers a float64 holds exactly")
     return value
 
 
 def _timestamp(value, key: str) -> dt.datetime:
     """A time as parse_ts reads it."""
-    value = text(value, key)
+    value = _text(value, key)
     try:
         return parse_ts(value)
     except ValueError:
@@ -202,20 +204,31 @@ class Rule:
             values = [None if v is None else self.cell(v) for v in values]
         return np.array([self.null if v is None else v for v in values], dtype=self.dtype)
 
+    def one_of(self, allowed) -> "Rule":
+        """This rule, its check taking only the allowed values."""
+        allowed = sorted(allowed)
 
-INTEGER = Rule(np.int64, integer, _integer_texts)
-LATITUDE = Rule(np.float64, lambda value, key: coordinate(value, key, 90.0), _number_texts)
-LONGITUDE = replace(LATITUDE, check=lambda value, key: coordinate(value, key, 180.0))
-NUMBER = Rule(np.float64, optional_number, _number_texts, null=np.nan)
+        def check(value, key: str):
+            if (checked := self.check(value, key)) not in allowed:
+                raise ValueError(f"{key} {value!r} is not one of {allowed}")
+            return checked
+
+        return replace(self, check=check)
+
+
+INTEGER = Rule(np.int64, _integer, _integer_texts)
+LATITUDE = Rule(np.float64, lambda value, key: _coordinate(value, key, 90.0), _number_texts)
+LONGITUDE = replace(LATITUDE, check=lambda value, key: _coordinate(value, key, 180.0))
+NUMBER = Rule(np.float64, _optional_number, _number_texts, null=np.nan)
 # a rate of turn is a whole number, held as a float64 column for its NaN
 RATE = Rule(np.float64, _rate_of_turn, lambda values: _texts_of(values, lambda v: "null" if v != v else repr(int(v))),
             null=np.nan)
 # an optional time that a row lacks is held as 1970-01-01T00:00:00Z, the day the store files such a row under
 TIME = Rule(np.int64, _timestamp, _timestamp_texts, null=0, cell=epoch_us, json=format_ts)
 # a length or width of 0 is "not available", as the decoder reads it, and is written as null
-DIMENSION = Rule(np.int64, integer, lambda values: ["null" if v == 0 else str(v) for v in values.tolist()], null=0)
-TEXT = Rule(object, text, lambda values: list(map(encode_basestring_ascii, values.tolist())))
-BOOLEAN = Rule(bool, boolean, lambda values: _BOOLEAN_TEXT[values.astype(np.intp)].tolist())
+DIMENSION = Rule(np.int64, _integer, lambda values: ["null" if v == 0 else str(v) for v in values.tolist()], null=0)
+TEXT = Rule(object, _text, lambda values: list(map(encode_basestring_ascii, values.tolist())))
+BOOLEAN = Rule(bool, _boolean, lambda values: _BOOLEAN_TEXT[values.astype(np.intp)].tolist())
 
 _REQUIRED = object()
 
@@ -250,10 +263,10 @@ class Field:
         return value if value is None or self.rule.json is None else self.rule.json(value)
 
 
-def _template(kind: str, keys: Sequence[str]) -> Callable[..., str]:
+def _template(kind: str | None, keys: Sequence[str]) -> Callable[..., str]:
     """The function of the JSON text of the value of each key that gives the text `dumps` writes for the document
-    of those values and a "type" of `kind`, generated as an f-string once."""
-    items = sorted([(key, f"{{v{k}}}") for k, key in enumerate(keys)] + [("type", f'"{kind}"')])
+    of those values and a "type" of `kind` (none without a kind), generated as an f-string once."""
+    items = sorted([(key, f"{{v{k}}}") for k, key in enumerate(keys)] + ([("type", f'"{kind}"')] if kind else []))
     body = ",".join(f'"{key}":{value}' for key, value in items)
     namespace: dict = {}
     exec(f"def line({', '.join(f'v{k}' for k in range(len(keys)))}):\n    return f'{{{{{body}}}}}'\n", namespace)
@@ -264,20 +277,20 @@ class Table:
     """Rows as columns, one per field, in declaration order, a parent table's first.
 
     A subclass names its document type (`class Positions(Table,
-    kind="position")`) and row(*values) gives its row object from one row's
-    values. An int index gives a row's object, and iterating gives every
-    row's in turn; a slice, mask or index array gives the table of those
-    rows. A table may subclass another to add fields; its row object then
-    holds the parent's row apart, so `to_dict` and `values` cover the
-    fields it declares itself, and `of_rows` takes the rows of a table that
-    subclasses none.
+    kind="position")`), or names none for documents without a "type" key,
+    and row(*values) gives its row object from one row's values. An int
+    index gives a row's object, and iterating gives every row's in turn; a
+    slice, mask or index array gives the table of those rows. A table may
+    subclass another to add fields; its row object then holds the parent's
+    row apart, so `to_dict` and `values` cover the fields it declares
+    itself, and `of_rows` takes the rows of a table that subclasses none.
     """
 
     fields: tuple[Field, ...] = ()
     own: tuple[Field, ...] = ()  # the fields the class declares itself
-    kind: str
+    kind: str | None
 
-    def __init_subclass__(cls, kind: str, **kwargs):
+    def __init_subclass__(cls, kind: str | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.kind = kind
         cls.own = tuple(v for v in vars(cls).values() if isinstance(v, Field))
@@ -341,8 +354,8 @@ class Table:
 
     @classmethod
     def to_dict(cls, row) -> dict:
-        """The stored document of a row object: the JSON value of each field the class declares, and the type."""
-        return {"type": cls.kind, **{f.key: f.json(getattr(row, f.row)) for f in cls.own}}
+        """The stored document of a row object: the JSON value of each field the class declares, and its type if any."""
+        return ({"type": cls.kind} if cls.kind else {}) | {f.key: f.json(getattr(row, f.row)) for f in cls.own}
 
     @classmethod
     def values(cls, doc: dict) -> dict:

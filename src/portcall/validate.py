@@ -52,7 +52,7 @@ from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, Positions
 from .columnar import Validated
 from .geo import PortGeometry, haversine_m, project_local
 from .knn import KnnIndex
-from .table import epoch_us, from_epoch_us
+from .table import INTEGER, TEXT, TIME, Field, Table, epoch_us, from_epoch_us
 
 
 class TooFewPoints(ValueError):
@@ -248,6 +248,15 @@ class Outage:
     @property
     def duration(self) -> dt.timedelta:
         return self.end - self.start
+
+
+class Outages(Table):
+    """The fields of a stored outage, as outages.jsonl holds one per line."""
+
+    scope = Field(TEXT)
+    start = Field(TIME)
+    end = Field(TIME)
+    subject = Field(INTEGER, default=None)
 
 
 def _recent_cadence_ok(times: np.ndarray, first: int, idx: int, max_cadence: int) -> bool:

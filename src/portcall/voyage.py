@@ -13,6 +13,11 @@ them once by (mmsi, time), finds every split from the shifted columns, and
 gives each voyage its range of the sorted rows. Phases are run lengths of
 the corrected status over that range, and only the few flagged gaps are
 looked at one by one.
+
+voyages.jsonl holds one document per voyage, its phases in a list. The
+fields of both are declared once, as tables without a document type
+(`Voyages`, `Phases`); voyage_to_dict and voyage_from_dict are their one-row
+forms.
 """
 
 import datetime as dt
@@ -22,7 +27,7 @@ import numpy as np
 
 from .codec import ANCHORED, MOORED, STATUS_KINDS
 from .geo import haversine_m
-from .table import boolean, coordinate, format_ts, from_epoch_us, integer, optional_number, parse_ts
+from .table import BOOLEAN, INTEGER, LATITUDE, LONGITUDE, NUMBER, TEXT, TIME, Field, Table, from_epoch_us
 from .columnar import Validated
 from .validate import SOFT_GAP_MOVE_M, left_and_returned
 
@@ -62,6 +67,28 @@ class Voyage:
     messages: Validated | list = field(default_factory=list, repr=False)
     phases: list[Phase] = field(default_factory=list)
     gap_flagged: bool = False
+
+
+class Phases(Table):
+    """A stored phase's fields; its kind is declared as phase_kind, since a table's `kind` is its document type."""
+
+    phase_kind = Field(TEXT.one_of(STATUS_KINDS.values()), key="kind", row="kind")
+    start = Field(TIME)
+    end = Field(TIME)
+    mean_sog = Field(NUMBER, default=None)
+    lat = Field(LATITUDE)
+    lon = Field(LONGITUDE)
+    n_messages = Field(INTEGER, default=0)
+    n_sog = Field(INTEGER, default=0)
+
+
+class Voyages(Table):
+    """A stored voyage's fields that read back; voyage_to_dict adds its message count and its phases."""
+
+    mmsi = Field(INTEGER)
+    arrival = Field(TIME)
+    departure = Field(TIME)
+    gap_flagged = Field(BOOLEAN, default=False)
 
 
 def extract_voyages(messages: Validated) -> list[Voyage]:
@@ -130,51 +157,11 @@ def flag_gaps(voyage: Voyage) -> Voyage:
 
 
 def voyage_to_dict(voyage: Voyage) -> dict:
-    return {
-        "mmsi": voyage.mmsi,
-        "arrival": format_ts(voyage.arrival),
-        "departure": format_ts(voyage.departure),
-        "n_messages": len(voyage.messages) or sum(p.n_messages for p in voyage.phases),
-        "gap_flagged": voyage.gap_flagged,
-        "phases": [
-            {
-                "kind": p.kind,
-                "start": format_ts(p.start),
-                "end": format_ts(p.end),
-                "mean_sog": p.mean_sog,
-                "lat": p.lat,
-                "lon": p.lon,
-                "n_messages": p.n_messages,
-                "n_sog": p.n_sog,
-            }
-            for p in voyage.phases
-        ],
-    }
+    return {**Voyages.to_dict(voyage), "n_messages": len(voyage.messages) or sum(p.n_messages for p in voyage.phases),
+            "phases": [Phases.to_dict(p) for p in voyage.phases]}
 
 
 def voyage_from_dict(doc: dict) -> Voyage:
-    """The voyage a stored document holds; a field of the wrong type is a ValueError."""
-    phases = []
-    for p in doc.get("phases", []):
-        if p["kind"] not in STATUS_KINDS.values():
-            raise ValueError(f"phase kind {p['kind']!r} is not one of {sorted(STATUS_KINDS.values())}")
-        phases.append(
-            Phase(
-                kind=p["kind"],
-                start=parse_ts(p["start"]),
-                end=parse_ts(p["end"]),
-                mean_sog=optional_number(p.get("mean_sog"), "mean_sog"),
-                lat=coordinate(p["lat"], "lat", 90.0),
-                lon=coordinate(p["lon"], "lon", 180.0),
-                n_messages=integer(p.get("n_messages", 0), "n_messages"),
-                n_sog=integer(p.get("n_sog", 0), "n_sog"),
-            )
-        )
-    return Voyage(
-        mmsi=integer(doc["mmsi"], "mmsi"),
-        arrival=parse_ts(doc["arrival"]),
-        departure=parse_ts(doc["departure"]),
-        messages=[],
-        phases=phases,
-        gap_flagged=boolean(doc.get("gap_flagged", False), "gap_flagged"),
-    )
+    """The voyage a stored document holds; a field it lacks or holds a value of the wrong type of is a ValueError
+    that starts with the field's key."""
+    return Voyage(**Voyages.values(doc), phases=[Phase(**Phases.values(p)) for p in doc.get("phases", [])])

@@ -378,3 +378,79 @@ def outage_gap_flagged(messages, outages) -> bool:
 def strftime_ts(t: dt.datetime) -> str:
     """A stored timestamp as strftime writes it: UTC, whole seconds, trailing Z."""
     return t.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def iso_ts(t: dt.datetime) -> str:
+    """A stored timestamp as isoformat writes it: UTC, whole seconds, trailing Z."""
+    return t.astimezone(UTC).replace(microsecond=0, tzinfo=None).isoformat() + "Z"
+
+
+def parse_iso_ts(s: str) -> dt.datetime:
+    return dt.datetime.fromisoformat(s.replace("Z", "+00:00")).astimezone(UTC)
+
+
+# --- stored voyages and outages: the dict codecs as they were written by hand, field by field ----------------
+
+PHASE_KINDS = ("underway", "anchored", "moored")
+
+
+def voyage_to_dict(voyage) -> dict:
+    return {
+        "mmsi": voyage.mmsi,
+        "arrival": iso_ts(voyage.arrival),
+        "departure": iso_ts(voyage.departure),
+        "n_messages": len(voyage.messages) or sum(p.n_messages for p in voyage.phases),
+        "gap_flagged": voyage.gap_flagged,
+        "phases": [
+            {
+                "kind": p.kind,
+                "start": iso_ts(p.start),
+                "end": iso_ts(p.end),
+                "mean_sog": p.mean_sog,
+                "lat": p.lat,
+                "lon": p.lon,
+                "n_messages": p.n_messages,
+                "n_sog": p.n_sog,
+            }
+            for p in voyage.phases
+        ],
+    }
+
+
+def voyage_from_dict(doc: dict, voyage_type, phase_type):
+    """The voyage_type a stored document holds, with its phases as phase_type; a phase kind it does not know is a
+    ValueError."""
+    phases = []
+    for p in doc.get("phases", []):
+        if p["kind"] not in PHASE_KINDS:
+            raise ValueError(f"phase kind {p['kind']!r} is not one of {sorted(PHASE_KINDS)}")
+        mean_sog = p.get("mean_sog")
+        phases.append(
+            phase_type(
+                kind=p["kind"],
+                start=parse_iso_ts(p["start"]),
+                end=parse_iso_ts(p["end"]),
+                mean_sog=None if mean_sog is None else float(mean_sog),
+                lat=float(p["lat"]),
+                lon=float(p["lon"]),
+                n_messages=p.get("n_messages", 0),
+                n_sog=p.get("n_sog", 0),
+            )
+        )
+    return voyage_type(
+        mmsi=doc["mmsi"],
+        arrival=parse_iso_ts(doc["arrival"]),
+        departure=parse_iso_ts(doc["departure"]),
+        messages=[],
+        phases=phases,
+        gap_flagged=doc.get("gap_flagged", False),
+    )
+
+
+def outage_to_dict(o) -> dict:
+    return {
+        "scope": o.scope,
+        "start": iso_ts(o.start),
+        "end": iso_ts(o.end),
+        "subject": o.subject,
+    }

@@ -916,3 +916,70 @@ def test_synth_refuses_a_malformed_scenario_file(tmp_path, capsys, doc):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "bad scenario" in capsys.readouterr().err
     assert not (tmp_path / "out.nmea").exists()
+
+
+@pytest.mark.parametrize("flags,message", [(["--error-p", "2"], "bad scenario: error_p 2.0 outside [0, 1]"),
+                                           (["--error-p", "nan"], "bad scenario: error_p nan"),
+                                           (["--preset", "ferry", "--error-p", "-1"], "bad scenario: error_p -1.0"),
+                                           (["--vessels", "0"], "bad --vessels 0"),
+                                           (["--vessels", "-3"], "bad --vessels -3")])
+def test_synth_refuses_a_bad_preset(tmp_path, capsys, flags, message):
+    """Each once exited 1 with an InvalidScenario traceback, or 0 with an empty stream."""
+    argv = ["synth", *flags, "--out-nmea", str(tmp_path / "out.nmea"), "--out-truth", str(tmp_path / "truth.jsonl")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("center", ["nan,nan", "95,200", "90.5,0", "0,-180.5", "inf,0", "34.45", "34.45,x",
+                                    "1,2,3"])
+def test_a_center_that_is_not_on_the_globe_is_a_usage_error(tmp_path, capsys, center):
+    """`--center nan,nan` and `--center 95,200` once gave an area that held no message, and `run` exited 0 with
+    no voyage."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out"
+    for argv in (["run", "--input", str(empty), "--outdir", str(out)],
+                 ["voyages", "--input", str(empty), "--output", str(out)]):
+        assert cli.main(argv + [f"--center={center}"]) == cli.EXIT_USAGE
+        assert "bad --center " in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_a_center_on_the_globe_s_edge_is_taken(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for center in ("90,180", "-90,-180", "0,0"):
+        argv = ["voyages", "--input", str(empty), "--output", str(tmp_path / "voyages.jsonl"), f"--center={center}"]
+        assert cli.main(argv) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+@pytest.mark.parametrize("command,flag", [("decode", "--max-error-rate"), ("run", "--max-error-rate"),
+                                          ("validate", "--min-agreement")])
+def test_a_rate_that_is_not_in_0_1_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    """A NaN rate once compared false, so its check could never trip."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"decode": ["decode", "--input", str(empty), "--output", str(out / "decoded.jsonl")],
+            "run": ["run", "--input", str(empty), "--outdir", str(out / "run")],
+            "validate": ["validate", "--input", str(empty), "--output", str(out / "validated.jsonl")]}[command]
+    assert cli.main(argv + [f"{flag}={value}"]) == cli.EXIT_USAGE
+    assert f"bad {flag} {float(value)!r}: not a number in [0, 1]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("speed", ["nan", "inf", "-1"])
+def test_a_replay_speed_that_is_not_a_finite_number_at_least_0_is_a_usage_error(tmp_path, capsys, speed):
+    """`--replay-speed nan` once turned pacing off without a word."""
+    nmea = tmp_path / "empty.nmea"
+    nmea.write_text("")
+    store = tmp_path / "store"
+    argv = ["ingest", "--source", f"file:{nmea}", "--store", str(store), f"--replay-speed={speed}"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"bad --replay-speed {float(speed)!r}: not a finite number >= 0" in capsys.readouterr().err
+    assert not store.exists()
+    with pytest.raises(ValueError, match="replay_speed"):
+        ingest.SourceConfig(mode="replay", path=nmea, replay_speed=float(speed))

@@ -470,7 +470,7 @@ def test_encoded_statics_decode_to_their_reports(rows):
     """encode_statics is the inverse of the block's type 5 pairs and of feed."""
     reports = [codec.StaticReport(mmsi, name, ship_type, length, width, codec.from_epoch_us(seconds * 1_000_000))
                for seconds, _, mmsi, name, ship_type, length, width in rows]
-    lines = codec.encode_statics(reports, [row[1] for row in rows])
+    lines = codec.encode_statics(codec.Statics.of_rows(reports), [row[1] for row in rows])
     want = [codec.StaticReport(r.mmsi, written_name(r.vessel_name), r.ship_type, r.length or None, r.width or None,
                                r.timestamp) for r in reports]
     block = codec.MessageDecoder().feed_block(lines, np.zeros(len(lines), dtype=np.int64))
@@ -482,7 +482,7 @@ def test_encoded_statics_decode_to_their_reports(rows):
 
 def test_encoded_statics_are_the_oracles():
     report = codec.StaticReport(219000001, "Testbed 1", 70, 120, 20, RX)
-    assert codec.encode_statics([report], [3]) == [
+    assert codec.encode_statics(codec.Statics.of_rows([report]), [3]) == [
         oracles.tag_block(sentence, int(RX.timestamp())) for sentence in oracles.static_sentences(
             message_id=3, first_chars=36, mmsi=219000001, name="TESTBED 1", ship_type=70, to_bow=60, to_stern=60,
             to_port=10, to_starboard=10, epfd=1)]
@@ -491,7 +491,7 @@ def test_encoded_statics_are_the_oracles():
 def test_static_encoder_takes_only_one_digit_message_ids():
     report = codec.StaticReport(1, "X", 70, None, None, RX)
     with pytest.raises(ValueError):
-        codec.encode_statics([report], [10])
+        codec.encode_statics(codec.Statics.of_rows([report]), [10])
 
 
 # --- the block path ------------------------------------------------------------

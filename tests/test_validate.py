@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import columns, decode_all
-from portcall import synth, validate
+from portcall import jsonl, synth, validate
 from portcall.codec import PositionReport, Positions
 from portcall.geo import PortGeometry, Polygon, project_local
 from portcall.knn import KnnIndex
@@ -672,3 +672,17 @@ def test_knn_oracle_equivalence_property(seed, layout, query):
     q = report(sog=0.0, lat=10.0 + rng.uniform(-0.05, 0.05), lon=20.0 + rng.uniform(-0.05, 0.05))
     qx, qy = project_local(10.0, 20.0, q.lat, q.lon)
     assert knn_vote(model, q) == oracles.brute_knn(xy, labels, k, qx, qy)
+
+
+outage_times = st.datetimes(min_value=dt.datetime(2, 1, 1), max_value=dt.datetime(9998, 12, 31),
+                            timezones=st.sampled_from([dt.timezone.utc, dt.timezone(dt.timedelta(hours=5, minutes=30)),
+                                                       dt.timezone(dt.timedelta(hours=-8))]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(o=st.builds(validate.Outage, scope=st.just("global"), start=outage_times, end=outage_times)
+       | st.builds(validate.Outage, scope=st.just("vessel"), start=outage_times, end=outage_times,
+                   subject=st.integers(0, 10**9)))
+def test_declared_outage_document_is_the_hand_written_one(o):
+    doc = validate.Outages.to_dict(o)
+    assert (doc, jsonl.dumps(doc)) == (oracles.outage_to_dict(o), jsonl.dumps(oracles.outage_to_dict(o)))

@@ -1,11 +1,14 @@
 import datetime as dt
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import columns, validated_columns
-from portcall import validate, voyage
+from portcall import jsonl, validate, voyage
 from portcall.codec import PositionReport
 from portcall.columnar import ValidatedMessage
 from portcall.validate import Outage
@@ -341,3 +344,68 @@ class TestSerialization:
             assert (p.kind, p.start, p.end, p.n_messages, p.n_sog) == (
                 q.kind, q.start, q.end, q.n_messages, q.n_sog)
             assert p.mean_sog == q.mean_sog
+
+
+# times of every offset the stored text converts to UTC, microseconds included, whose UTC day stays in the years
+# 1-9999
+stored_times = st.datetimes(min_value=dt.datetime(2, 1, 1), max_value=dt.datetime(9998, 12, 31),
+                            timezones=st.sampled_from([UTC, dt.timezone(dt.timedelta(hours=5, minutes=30)),
+                                                       dt.timezone(dt.timedelta(hours=-8))]))
+phases = st.builds(voyage.Phase, kind=st.sampled_from(oracles.PHASE_KINDS), start=stored_times, end=stored_times,
+                   mean_sog=st.none() | st.sampled_from([-0.0, 1e-07, 5e-324]) | st.floats(allow_nan=False,
+                                                                                          allow_infinity=False),
+                   lat=st.floats(-90, 90), lon=st.floats(-180, 180), n_messages=st.integers(1, 10**6),
+                   n_sog=st.just(0) | st.integers(0, 10**6))
+voyages = st.builds(voyage.Voyage, mmsi=st.integers(0, 10**9), arrival=stored_times, departure=stored_times,
+                    messages=st.just([]), phases=st.lists(phases, max_size=4), gap_flagged=st.booleans())
+OPTIONAL_KEYS = ("gap_flagged", "phases", "mean_sog", "n_messages", "n_sog")
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=voyages, left_out=st.sets(st.sampled_from(OPTIONAL_KEYS)))
+def test_declared_voyage_codec_is_the_hand_written_one(v, left_out):
+    """voyage_to_dict gives the hand-written codec's document and text, and voyage_from_dict reads a stored one,
+    its optional keys left out or not, as it read it."""
+    doc = voyage.voyage_to_dict(v)
+    assert doc == oracles.voyage_to_dict(v)
+    assert jsonl.dumps(doc) == jsonl.dumps(oracles.voyage_to_dict(v))
+    stored = json.loads(jsonl.dumps(doc))
+    stored = {key: value for key, value in stored.items() if key not in left_out}
+    for p in stored.get("phases", []):
+        for key in left_out:
+            p.pop(key, None)
+    back = voyage.voyage_from_dict(stored)
+    want = oracles.voyage_from_dict(stored, voyage.Voyage, voyage.Phase)
+    assert (back, repr(back)) == (want, repr(want))
+    assert jsonl.dumps(voyage.voyage_to_dict(back)) == jsonl.dumps(oracles.voyage_to_dict(want))
+
+
+PHASE_DOC = {"kind": "moored", "start": "2019-09-01T00:00:00Z", "end": "2019-09-01T01:00:00Z", "mean_sog": 0.1,
+             "lat": 1.0, "lon": 2.0, "n_messages": 2, "n_sog": 2}
+VOYAGE_DOC = {"mmsi": 1, "arrival": PHASE_DOC["start"], "departure": PHASE_DOC["end"], "gap_flagged": False,
+              "n_messages": 2, "phases": [PHASE_DOC]}
+
+
+@pytest.mark.parametrize("key,value", [("mmsi", "1"), ("mmsi", 1.5), ("mmsi", True), ("mmsi", None),
+                                       ("arrival", 5), ("arrival", "noon"), ("departure", None),
+                                       ("gap_flagged", "no"), ("gap_flagged", 1), ("gap_flagged", None)])
+def test_a_wrongly_typed_voyage_field_is_named(key, value):
+    with pytest.raises(ValueError, match=f"^{key} "):
+        voyage.voyage_from_dict(dict(VOYAGE_DOC, **{key: value}))
+
+
+@pytest.mark.parametrize("key,value", [("kind", "docked"), ("kind", 5), ("kind", None), ("start", 5),
+                                       ("end", "noon"), ("mean_sog", "1"), ("mean_sog", True), ("lat", 91),
+                                       ("lat", "x"), ("lon", -181.0), ("lon", None), ("n_messages", 1.5),
+                                       ("n_messages", "2"), ("n_sog", None)])
+def test_a_wrongly_typed_phase_field_is_named(key, value):
+    with pytest.raises(ValueError, match=f"^{key} "):
+        voyage.voyage_from_dict(dict(VOYAGE_DOC, phases=[dict(PHASE_DOC, **{key: value})]))
+
+
+@pytest.mark.parametrize("key", ["mmsi", "arrival", "departure", "kind", "start", "end", "lat", "lon"])
+def test_a_missing_required_field_is_named(key):
+    doc = {k: v for k, v in VOYAGE_DOC.items() if k != key}
+    doc["phases"] = [{k: v for k, v in PHASE_DOC.items() if k != key}]
+    with pytest.raises(ValueError, match=f"^{key} is missing"):
+        voyage.voyage_from_dict(doc)
