@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import pathlib
+import signal
 import sys
 import threading
 from typing import TYPE_CHECKING
@@ -188,13 +189,13 @@ def _number_in(value: float | None, low: float, high: float, flag: str) -> float
     return value
 
 
-def _load_parts(path: pathlib.Path, what: str, convert, kind: str | None = None, size: int | None = None):
+def _load_parts(path: pathlib.Path, what: str, convert, doc_type: str | None = None, size: int | None = None):
     """convert(documents) of the documents in a stage's JSONL input (only those of one type, if given), in lists
     of up to `size` (all in one without a size).
 
     A line that is not JSON or does not convert is a usage error.
     """
-    docs = (doc for doc in jsonl.read_jsonl(path) if kind is None or doc.get("type") == kind)
+    docs = (doc for doc in jsonl.read_jsonl(path) if doc_type is None or doc.get("type") == doc_type)
     try:
         while part := list(itertools.islice(docs, size)):
             yield convert(part)
@@ -208,15 +209,11 @@ _ROWS_PER_PART = 4096
 
 def _load_table(path: pathlib.Path, what: str, table: type[Table]) -> Table:
     """The rows of the documents of the table's type in a stage's JSONL input, read _ROWS_PER_PART at a time."""
-    return table.concat(list(_load_parts(path, what, table.read, table.kind, _ROWS_PER_PART)))
+    return table.concat(list(_load_parts(path, what, table.read, table.doc_type, _ROWS_PER_PART)))
 
 
 # ---------------------------------------------------------------------------
 # decode
-
-
-# runs whose positions decode_stage joins into one part, so that it holds few slice objects
-_SLICES_PER_PART = 256
 
 
 def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, raw_start: dt.datetime,
@@ -228,14 +225,13 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
     statics' ship types are read from their columns. Returns the positions
     as one `codec.Positions` table in the order they came, the ship type of
     every MMSI that sent static data (its last), and the exit status of the
-    error-rate check. The runs' position slices are joined _SLICES_PER_PART
-    at a time and the parts concatenated after the last line; no text of a
-    row is kept, as the columns give it back. Times are cut to the whole
-    seconds the JSONL holds, so later stages see the values a staged run
-    reads back from the file.
+    error-rate check. The positions of every run, one per block of lines
+    at most, are concatenated once after the last line; no text of a row is
+    kept, as the columns give it back. Times are cut to the whole seconds
+    the JSONL holds, so later stages see the values a staged run reads back
+    from the file.
     """
-    parts: list[Positions] = []  # the positions so far, in order
-    slices: list[Positions] = []  # slices not yet in parts
+    parts: list[Positions] = []  # the positions of each run, in order
     ship_types: dict[int, int] = {}
     with open(out, "w", encoding="utf-8", newline="\n") as fo, open(
         errors, "w", encoding="utf-8", newline="\n"
@@ -243,10 +239,7 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
 
         def keep(run, lines):
             fo.write("\n".join(lines) + "\n")
-            slices.append(run.positions)
-            if len(slices) == _SLICES_PER_PART:
-                parts.append(Positions.concat(slices))
-                slices.clear()
+            parts.append(run.positions)
             ship_types.update(zip(run.statics.mmsi.tolist(), run.statics.ship_type.tolist()))
 
         def reject(outcome):
@@ -258,7 +251,7 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
                                  raw_start=raw_start, raw_cadence_s=raw_cadence_s)
         except RawTimeOutOfRange as exc:
             raise UsageError(f"bad --raw-cadence-s {raw_cadence_s!r}: {exc}") from None
-    positions = Positions.concat(parts + slices)
+    positions = Positions.concat(parts)
     positions.time_us = positions.time_us - positions.time_us % 1_000_000
     print(
         f"decoded {len(positions)} positions, {summary.messages - len(positions)} statics, "
@@ -305,7 +298,7 @@ def validated_to_dict(vm: columnar.ValidatedMessage) -> dict:
 def validated_from_dict(doc: dict) -> columnar.ValidatedMessage:
     """The validated message a stored document holds; a field it lacks or holds a value of the wrong type of is a
     ValueError that starts with the field's key."""
-    return columnar.ValidatedMessage(message_from_dict({**doc, "type": Positions.kind}),
+    return columnar.ValidatedMessage(message_from_dict({**doc, "type": Positions.doc_type}),
                                      **columnar.Validated.values(doc))
 
 
@@ -517,6 +510,8 @@ def cmd_synth(args) -> int:
     try:
         if args.scenario:
             scenario = synth.Scenario.load(args.scenario)
+        elif args.days < 1:
+            raise UsageError(f"bad --days {args.days}: not at least 1")
         elif args.preset == "ferry":
             scenario = synth.ferry_scenario(days=args.days, error_p=args.error_p, seed=args.seed)
         elif args.vessels < 1:
@@ -552,6 +547,25 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _until_signalled(run):
+    """run(stop), with SIGINT and SIGTERM setting the stop event instead of ending the process.
+
+    The event is set from a thread of its own: the handler runs in the main
+    thread, which may be holding the event's lock inside Event.wait.
+    """
+    stop = threading.Event()
+
+    def handler(signum, frame):
+        threading.Thread(target=stop.set).start()
+
+    previous = {s: signal.signal(s, handler) for s in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        return run(stop)
+    finally:
+        for s, old in previous.items():
+            signal.signal(s, old)
+
+
 def cmd_ingest(args) -> int:
     try:
         cfg = SourceConfig.parse_source(args.source, replay_speed=_non_negative(args.replay_speed, "--replay-speed"))
@@ -564,7 +578,7 @@ def cmd_ingest(args) -> int:
         if cfg.mode == "replay":
             summary = run_replay(cfg, store.append)
         else:
-            summary = run_live(cfg, store.append, threading.Event())
+            summary = _until_signalled(lambda stop: run_live(cfg, store.append, stop))
     finally:
         store.close()
     print(

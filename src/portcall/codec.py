@@ -300,7 +300,7 @@ def _report(timestamp: dt.datetime, mmsi: int, navstat: int, lat: float, lon: fl
                           None if rot != rot else int(rot))
 
 
-class Positions(Table, kind="position"):
+class Positions(Table, doc_type="position"):
     """Position reports as columns, one row per report, in order: the form in which a run carries them.
 
     time_us holds the receive time in int64 microseconds since 1970-01-01
@@ -333,7 +333,7 @@ def _position_rows(time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading) -> 
     return Positions(time_us, mmsi, navstat, lat / 600000.0, lon / 600000.0, sog, cog, heading, rot)
 
 
-class Statics(Table, kind="static"):
+class Statics(Table, doc_type="static"):
     """Static reports (type 5) as columns, one row per report, in order.
 
     time_us holds the receive time in int64 microseconds since 1970-01-01
@@ -646,6 +646,12 @@ class BlockRun:
         static = [isinstance(m, StaticReport) for m in messages]
         return BlockRun(Positions.of_rows([m for m, s in zip(messages, static) if not s]),
                         Statics.of_rows([m for m, s in zip(messages, static) if s]), np.array(static, dtype=bool))
+
+    @staticmethod
+    def concat(runs: list["BlockRun"]) -> "BlockRun":
+        """The rows of every run, in order."""
+        return BlockRun(Positions.concat([r.positions for r in runs]), Statics.concat([r.statics for r in runs]),
+                        np.concatenate([r.static for r in runs]))
 
     def run(self, start: int, stop: int) -> "BlockRun":
         """Rows start..stop."""

@@ -29,7 +29,7 @@ class ValidatedMessage:
     gap_flag: bool
 
 
-class Validated(Positions, kind="validated"):
+class Validated(Positions, doc_type="validated"):
     """Validated messages as columns: the position columns, and for each row the other fields of its
     ValidatedMessage.
 

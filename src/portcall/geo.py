@@ -95,8 +95,9 @@ def _self_intersects(ring) -> bool:
 class Polygon:
     """Closed ring of (lat, lon) vertices; the closing edge is implicit.
 
-    Rings are validated on construction: at least three vertices, no
-    repeated consecutive vertices, no self-intersection.
+    Rings are validated on construction: at least three vertices, each with
+    lat in [-90, 90] and lon in [-180, 180], no repeated consecutive
+    vertices, no self-intersection.
     """
 
     name: str
@@ -109,6 +110,9 @@ class Polygon:
             ring = ring[:-1]  # accept explicitly closed rings
         if len(ring) < 3:
             raise InvalidPolygon(f"{self.name!r}: ring needs at least 3 vertices")
+        for lat, lon in ring:
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # NaN fails too
+                raise InvalidPolygon(f"{self.name!r}: vertex {(lat, lon)} is not on the globe")
         for i in range(len(ring)):
             if ring[i] == ring[(i + 1) % len(ring)]:
                 raise InvalidPolygon(f"{self.name!r}: repeated consecutive vertex {ring[i]}")

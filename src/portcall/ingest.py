@@ -12,14 +12,13 @@ malformed; it does not end the read.
 
 Every decoded message leaves this module as a row of a run: the sink is
 called as sink(run, lines) with a codec.BlockRun, rows in receive order, and
-the stored JSONL document of each row. A block's rows, the positions and
-type 5 statics feed_block's own pass decoded, come as runs whose documents
-the Positions and Statics tables write for the whole block at once. Every
-other message, a position or static the line parser decoded or a stored
-JSONL message, is gathered with the ones next to it into one run
-(BlockRun.of_messages), each document written by the dict codec. So a sink
-such as MessageStore.append writes a run without building an object per
-row, and no message or reported error comes between the rows of a run.
+the stored JSONL document of each row. Each block of lines is one call: a
+decoded block's rows, with the documents its Positions and Statics tables
+write at once, and among them in line order each message the line parser
+decoded; or up to _REPLAY_BLOCK stored JSONL messages. A parser or stored
+message gets the dict codec's document (perfbench's tracer counts the
+parser's through it). Errors go to the error sink. _paced wraps the sink
+to pace a replay, and the summary takes the decoder's counts.
 """
 
 import datetime as dt
@@ -35,12 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, PositionReport
+from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder
 from .jsonl import dumps, message_from_dict, message_to_dict
 from .table import UTC, epoch_us
 
 _LAST_US = epoch_us(dt.datetime.max.replace(tzinfo=UTC))  # the last receive time a datetime holds
-_REPLAY_BLOCK = 1024  # NMEA lines decoded together by run_replay, and other messages gathered into one run
+_REPLAY_BLOCK = 1024  # NMEA lines decoded together by run_replay, and stored lines handed on as one run
 _OPEN_DAYS = 64  # day files a MessageStore keeps open
 
 
@@ -96,14 +95,23 @@ class IngestSummary:
     skipped: int = 0
     connection_gaps: list[tuple[dt.datetime, dt.datetime]] = field(default_factory=list)
 
+    def add(self, dec: MessageDecoder) -> "IngestSummary":
+        """This summary, the decoder's messages, errors and skipped lines added to its own counts."""
+        self.messages += dec.positions + dec.statics
+        self.errors += dec.errors
+        self.skipped += dec.skipped
+        return self
+
 
 class MessageStore:
     """Append-only JSONL persistence partitioned by UTC date.
 
     Files are named ais-YYYY-MM-DD.jsonl; messages inside one file keep
     their receive order. append() writes a run of rows with one write per
-    stretch of rows from the same UTC day. At most _OPEN_DAYS day files stay
-    open: a day not among them closes the one opened longest ago.
+    stretch of rows from the same UTC day, and flushes each file it writes,
+    so a process that is killed loses no run already appended. At most
+    _OPEN_DAYS day files stay open: a day not among them closes the one
+    opened longest ago.
     """
 
     def __init__(self, root):
@@ -125,7 +133,9 @@ class MessageStore:
         start = 0
         for day, same_day in itertools.groupby(rows.utc_days().tolist()):
             stop = start + len(list(same_day))
-            self._file(day).write("\n".join(lines[start:stop]) + "\n")
+            f = self._file(day)
+            f.write("\n".join(lines[start:stop]) + "\n")
+            f.flush()
             start = stop
 
     def close(self) -> None:
@@ -144,73 +154,43 @@ def _utcnow_s() -> dt.datetime:
     return dt.datetime.now(tz=UTC).replace(microsecond=0)
 
 
-@dataclass
-class _Delivery:
-    """Hands decoded messages and errors on to the sinks in order, counting them in `summary`.
+def _deliver(block: DecodedBlock, sink, error_sink) -> None:
+    """A block's messages to sink as one run in order: its rows, and at its place among them each message the line
+    parser decoded, with the dict codec's document. Its errors go to error_sink."""
+    lines = _documents(block)
+    runs, documents, start = [], [], 0
+    parsed = [(row, o.message) for o, row in zip(block.outcomes, block.rows) if o.message is not None]
+    for row, group in itertools.groupby(parsed, key=lambda item: item[0]):
+        messages = [m for _, m in group]
+        runs += [block.run(start, row), BlockRun.of_messages(messages)]
+        documents += lines[start:row] + [dumps(message_to_dict(m)) for m in messages]
+        start = row
+    runs.append(block.run(start, len(block)))
+    documents += lines[start:]
+    for outcome in block.outcomes:
+        if outcome.kind == "error":
+            error_sink(outcome)
+    if documents:
+        sink(BlockRun.concat(runs), documents)
 
-    A block's rows reach sink as runs with the stored document of each row.
-    Every other message is gathered into `_messages`, and flush() hands them
-    on as one run: before the next block rows, before an error for
-    error_sink, at _REPLAY_BLOCK messages, and whenever the source calls it.
-    With a `pause`, each message reaches sink as a run of one right after
-    pause(its receive time in microseconds); a message without a time does
-    not pause.
-    """
 
-    sink: object
-    error_sink: object
-    summary: IngestSummary
-    pause: object = None
-    _messages: list = field(default_factory=list)  # messages not yet handed on
+def _paced(sink, speed: float, sleep):
+    """sink, handed each row of a run as a run of one right after sleeping the time since the row before over
+    speed. A static held at time 0, which is stored without one, neither pauses nor moves the clock."""
+    prev_us = None
 
-    def outcome(self, outcome: DecodeOutcome) -> None:
-        if outcome.kind in ("position", "static"):
-            if self.pause is not None and outcome.message.timestamp is not None:
-                self.pause(epoch_us(outcome.message.timestamp))
-            self.summary.messages += 1
-            self._messages.append(outcome.message)
-            if self.pause is not None or len(self._messages) >= _REPLAY_BLOCK:
-                self.flush()
-        elif outcome.kind == "error":
-            self.summary.errors += 1
-            if self.error_sink is not None:
-                self.flush()
-                self.error_sink(outcome)
-        elif outcome.kind == "skipped":
-            self.summary.skipped += 1
+    def paced(run: BlockRun, lines: list[str]) -> None:
+        nonlocal prev_us
+        for k in range(len(run)):
+            row = run.run(k, k + 1)
+            t_us = int((row.statics if row.static[0] else row.positions).time_us[0])
+            if t_us or not row.static[0]:
+                if prev_us is not None:
+                    sleep(max(0.0, (t_us - prev_us) / 1_000_000) / speed)
+                prev_us = t_us
+            sink(row, lines[k : k + 1])
 
-    def flush(self) -> None:
-        """The gathered messages as one run, with the dict codec's document of each."""
-        if self._messages:
-            messages, self._messages = self._messages, []  # taken first: a failing sink cannot resend them
-            self.sink(BlockRun.of_messages(messages), [dumps(message_to_dict(m)) for m in messages])
-
-    def block(self, block: DecodedBlock) -> None:
-        """A block's rows and outcomes in order. The documents of its rows are written for the whole block at
-        once, and a run of rows reaches sink in one call unless a message or an error for a sink comes between."""
-        lines = _documents(block)
-        start = 0
-        for outcome, row in zip(block.outcomes, block.rows):
-            if row > start and (outcome.kind in ("position", "static")
-                                or outcome.kind == "error" and self.error_sink is not None):
-                self._rows(block, lines, start, row)
-                start = row
-            self.outcome(outcome)
-        if start < len(lines):
-            self._rows(block, lines, start, len(lines))
-
-    def _rows(self, block: DecodedBlock, lines: list[str], start: int, stop: int) -> None:
-        """Rows start..stop of a block, with their documents, after the messages gathered before them."""
-        self.flush()
-        if self.pause is not None and stop - start > 1:
-            for k in range(start, stop):
-                self._rows(block, lines, k, k + 1)
-            return
-        run = block.run(start, stop)
-        if self.pause is not None:
-            self.pause(int((run.statics if run.static[0] else run.positions).time_us[0]))
-        self.summary.messages += stop - start
-        self.sink(run, lines[start:stop])
+    return paced
 
 
 def _documents(block: DecodedBlock) -> list[str]:
@@ -222,15 +202,6 @@ def _documents(block: DecodedBlock) -> list[str]:
     lines[~block.static] = np.array(positions, dtype=object)
     lines[block.static] = np.array(block.statics.lines(), dtype=object)
     return lines.tolist()
-
-
-def _stored_outcome(line: str) -> DecodeOutcome:
-    """A stored JSONL message as the outcome the decoder gives a sentence; one that does not parse is malformed."""
-    try:
-        msg = message_from_dict(json.loads(line))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        return DecodeOutcome("error", error="malformed", detail=str(exc), raw=line)
-    return DecodeOutcome("position" if isinstance(msg, PositionReport) else "static", message=msg)
 
 
 def _raw_times(start_us: int, numbers, cadence_s: float) -> np.ndarray:
@@ -266,38 +237,44 @@ def run_replay(
     lines go to the decoder in blocks of up to _REPLAY_BLOCK lines through
     feed_block, which gives what feeding them one by one would, also when
     reading the file fails partway. Every message reaches sink(run, lines)
-    in order, in runs: a block's rows, and runs of up to _REPLAY_BLOCK of
-    the other messages between them. A byte that is not UTF-8 reads as
-    U+FFFD, which makes its line malformed. A line that starts with `{` is
-    read as a stored JSONL message, after the NMEA lines before it; one
-    that does not parse goes to error_sink as a "malformed" error.
+    in order: each block's messages in one call, and the stored lines
+    between blocks in runs of up to _REPLAY_BLOCK. A byte that is not UTF-8
+    reads as U+FFFD, which makes its line malformed. A line that starts with
+    `{` is read as a stored JSONL message, after the NMEA lines before it;
+    one that does not parse goes to error_sink as a "malformed" error.
     replay_speed scales the pauses between consecutive message timestamps
-    (0 disables pacing); each message is emitted as a run of one right after
-    its pause, and a message without a time neither pauses nor moves the
-    pacing clock.
+    (0 disables pacing): _paced hands each message to sink as a run of one
+    right after its pause, and a static without a time neither pauses nor
+    moves the pacing clock. The summary counts what the decoder counted,
+    and the stored messages and malformed stored lines.
     """
     if not (math.isfinite(raw_cadence_s) and raw_cadence_s >= 0):
         raise ValueError(f"raw_cadence_s {raw_cadence_s!r} is not a finite number >= 0")
     dec = MessageDecoder()
     summary = IngestSummary()
+    error_sink = error_sink or (lambda outcome: None)
     start_us = epoch_us(raw_start)
-    prev_us: int | None = None
-    block: list[str] = []
+    if cfg.replay_speed > 0:
+        sink = _paced(sink, cfg.replay_speed, sleep)
+    block: list[str] = []  # NMEA lines, or stored lines
     numbers: list[int] = []  # the line number in the file of each line of `block`
-
-    def pause(t_us: int) -> None:
-        nonlocal prev_us
-        if prev_us is not None:
-            sleep(max(0.0, (t_us - prev_us) / 1_000_000) / cfg.replay_speed)
-        prev_us = t_us
-
-    deliver = _Delivery(sink, error_sink, summary, pause if cfg.replay_speed > 0 else None)
 
     def feed():
         nonlocal block, numbers
-        if block:
-            lines, at, block, numbers = block, numbers, [], []  # taken first: a failing sink cannot resend them
-            deliver.block(dec.feed_block(lines, _raw_times(start_us, at, raw_cadence_s)))
+        lines, at, block, numbers = block, numbers, [], []  # taken first: a failing sink cannot resend them
+        if lines and not lines[0].startswith("{"):
+            _deliver(dec.feed_block(lines, _raw_times(start_us, at, raw_cadence_s)), sink, error_sink)
+        elif lines:
+            messages = []
+            for line in lines:
+                try:
+                    messages.append(message_from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    summary.errors += 1
+                    error_sink(DecodeOutcome("error", error="malformed", detail=str(exc), raw=line))
+            summary.messages += len(messages)
+            if messages:
+                sink(BlockRun.of_messages(messages), [dumps(message_to_dict(m)) for m in messages])
 
     with open(cfg.path, "r", encoding="utf-8", errors="replace") as f:
         try:
@@ -306,20 +283,17 @@ def run_replay(
                 if not line:
                     continue
                 summary.lines += 1
-                if line.startswith("{"):
+                if block and block[0].startswith("{") != line.startswith("{"):
                     feed()
-                    deliver.outcome(_stored_outcome(line))
-                else:
-                    block.append(line)
-                    numbers.append(i)
-                    if len(block) == _REPLAY_BLOCK:
-                        feed()
+                block.append(line)
+                numbers.append(i)
+                if len(block) == _REPLAY_BLOCK:
+                    feed()
         finally:  # a read that fails partway still delivers the lines read before it
             feed()
-            deliver.flush()
     for outcome in dec.finish():  # timeouts only
-        deliver.outcome(outcome)
-    return summary
+        error_sink(outcome)
+    return summary.add(dec)
 
 
 def run_live(
@@ -334,21 +308,22 @@ def run_live(
 
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
-    time overrides it as in replay. Messages reach sink in runs as in
-    run_replay, and every message of a block before the next chunk is
-    read. Waits a backoff with full jitter after a failed connect and after
-    every disconnect, doubling from 1 s to a cap of 60 s by default and
-    starting over once a connection delivers a complete line. A partial
+    time overrides it as in replay. Each block's messages reach sink in one
+    call, as in run_replay, before the next chunk is read. Waits a backoff
+    with full jitter after a failed connect and after every disconnect,
+    doubling from 1 s to a cap of 60 s by default and starting over once a
+    connection delivers a complete line. A partial
     line at disconnect is discarded and counted as an error; completed
-    lines are never lost. Connection gaps are returned for outage
-    bookkeeping.
+    lines are never lost. Once the stop event is set it returns within the
+    socket's 0.5 s timeout, fragment groups still pending counted as
+    timeouts. Connection gaps are returned for outage bookkeeping.
     """
     if cfg.endpoint is None:
         raise ValueError("live mode requires an endpoint")
     dec = MessageDecoder()
     rng = rng or random.Random()
     summary = IngestSummary()
-    deliver = _Delivery(sink, error_sink, summary)
+    error_sink = error_sink or (lambda outcome: None)
     backoff = cfg.reconnect_initial_s
     disconnected_at: dt.datetime | None = None
 
@@ -382,8 +357,7 @@ def run_live(
                     if lines:
                         backoff = cfg.reconnect_initial_s  # the feed works again
                     summary.lines += len(lines)
-                    deliver.block(dec.feed_block(lines, np.full(len(lines), epoch_us(_utcnow_s()))))
-                    deliver.flush()
+                    _deliver(dec.feed_block(lines, np.full(len(lines), epoch_us(_utcnow_s()))), sink, error_sink)
             finally:
                 sock.close()
             if buf.strip():
@@ -393,5 +367,5 @@ def run_live(
         stop.wait(rng.uniform(0.0, backoff))
         backoff = min(backoff * 2.0, cfg.reconnect_max_s)
     for outcome in dec.finish():
-        deliver.outcome(outcome)
-    return summary
+        error_sink(outcome)
+    return summary.add(dec)

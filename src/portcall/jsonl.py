@@ -36,9 +36,9 @@ def message_from_dict(doc: dict) -> PositionReport | StaticReport:
     """The message a stored document holds; a field it lacks or holds a value of the wrong type of is a ValueError
     that starts with the field's key."""
     kind = doc.get("type")
-    if kind == Positions.kind:
+    if kind == Positions.doc_type:
         return PositionReport(**Positions.values(doc))
-    if kind == Statics.kind:
+    if kind == Statics.doc_type:
         return StaticReport(**Statics.values(doc))
     raise ValueError(f"unknown message type {kind!r}")
 

@@ -202,44 +202,6 @@ class Scenario:
             if o.scope == "vessel" and o.mmsi is None:
                 raise InvalidScenario("vessel outage needs an mmsi")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "center": list(self.center),
-            "error_p": self.error_p,
-            "cadence_underway_s": self.cadence_underway_s,
-            "cadence_stopped_s": self.cadence_stopped_s,
-            "static_interval_s": self.static_interval_s,
-            "vessels": [
-                {
-                    "mmsi": v.mmsi,
-                    "name": v.name,
-                    "ship_type": v.ship_type,
-                    "cruise_kn": v.cruise_kn,
-                    "visits": [
-                        {
-                            "arrive": format_ts(visit.arrive),
-                            "anchor_h": visit.anchor_h,
-                            "moor_h": visit.moor_h,
-                            "terminal": visit.terminal,
-                            "anchor_rate_deg_h": visit.anchor_rate_deg_h,
-                        }
-                        for visit in v.visits
-                    ],
-                }
-                for v in self.vessels
-            ],
-            "outages": [
-                {
-                    "scope": o.scope,
-                    "start": format_ts(o.start),
-                    "end": format_ts(o.end),
-                    "mmsi": o.mmsi,
-                }
-                for o in self.outages
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Scenario":
         """The scenario a JSON document describes; InvalidScenario for one that is not a scenario."""

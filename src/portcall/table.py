@@ -277,7 +277,7 @@ class Table:
     """Rows as columns, one per field, in declaration order, a parent table's first.
 
     A subclass names its document type (`class Positions(Table,
-    kind="position")`), or names none for documents without a "type" key,
+    doc_type="position")`), or names none for documents without a "type" key,
     and row(*values) gives its row object from one row's values. An int
     index gives a row's object, and iterating gives every row's in turn; a
     slice, mask or index array gives the table of those rows. A table may
@@ -288,14 +288,14 @@ class Table:
 
     fields: tuple[Field, ...] = ()
     own: tuple[Field, ...] = ()  # the fields the class declares itself
-    kind: str | None
+    doc_type: str | None
 
-    def __init_subclass__(cls, kind: str | None = None, **kwargs):
+    def __init_subclass__(cls, doc_type: str | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.kind = kind
+        cls.doc_type = doc_type
         cls.own = tuple(v for v in vars(cls).values() if isinstance(v, Field))
         cls.fields = cls.fields + cls.own
-        cls._line = staticmethod(_template(kind, [f.key for f in cls.fields]))
+        cls._line = staticmethod(_template(doc_type, [f.key for f in cls.fields]))
 
     def __init__(self, *columns):
         if len(columns) != len(self.fields):
@@ -355,7 +355,7 @@ class Table:
     @classmethod
     def to_dict(cls, row) -> dict:
         """The stored document of a row object: the JSON value of each field the class declares, and its type if any."""
-        return ({"type": cls.kind} if cls.kind else {}) | {f.key: f.json(getattr(row, f.row)) for f in cls.own}
+        return ({"type": cls.doc_type} if cls.doc_type else {}) | {f.key: f.json(getattr(row, f.row)) for f in cls.own}
 
     @classmethod
     def values(cls, doc: dict) -> dict:

@@ -70,9 +70,9 @@ class Voyage:
 
 
 class Phases(Table):
-    """A stored phase's fields; its kind is declared as phase_kind, since a table's `kind` is its document type."""
+    """A stored phase's fields."""
 
-    phase_kind = Field(TEXT.one_of(STATUS_KINDS.values()), key="kind", row="kind")
+    kind = Field(TEXT.one_of(STATUS_KINDS.values()))
     start = Field(TIME)
     end = Field(TIME)
     mean_sog = Field(NUMBER, default=None)

@@ -454,3 +454,41 @@ def outage_to_dict(o) -> dict:
         "end": iso_ts(o.end),
         "subject": o.subject,
     }
+
+
+# --- scenario files ----------------------------------------------------------------------------------------
+
+
+def scenario_to_json_dict(scenario) -> dict:
+    """The JSON document of a synth scenario, as `Scenario.load` reads it."""
+    return {
+        "seed": scenario.seed,
+        "center": list(scenario.center),
+        "error_p": scenario.error_p,
+        "cadence_underway_s": scenario.cadence_underway_s,
+        "cadence_stopped_s": scenario.cadence_stopped_s,
+        "static_interval_s": scenario.static_interval_s,
+        "vessels": [
+            {
+                "mmsi": v.mmsi,
+                "name": v.name,
+                "ship_type": v.ship_type,
+                "cruise_kn": v.cruise_kn,
+                "visits": [
+                    {
+                        "arrive": iso_ts(visit.arrive),
+                        "anchor_h": visit.anchor_h,
+                        "moor_h": visit.moor_h,
+                        "terminal": visit.terminal,
+                        "anchor_rate_deg_h": visit.anchor_rate_deg_h,
+                    }
+                    for visit in v.visits
+                ],
+            }
+            for v in scenario.vessels
+        ],
+        "outages": [
+            {"scope": o.scope, "start": iso_ts(o.start), "end": iso_ts(o.end), "mmsi": o.mmsi}
+            for o in scenario.outages
+        ],
+    }

@@ -5,6 +5,7 @@ import datetime as dt
 import hashlib
 import itertools
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -783,6 +784,26 @@ def test_port_or_area_geojson_of_another_shape_is_a_usage_error(tmp_path, capsys
         assert not out.exists()
 
 
+@pytest.mark.parametrize("vertex", [[math.nan, 34.41], [18.31, 95.0], [math.inf, 34.41], [18.31, -math.inf]],
+                         ids=["nan-lon", "lat-95", "inf-lon", "-inf-lat"])
+def test_a_port_or_area_vertex_off_the_globe_is_a_usage_error(tmp_path, capsys, vertex):
+    """A port file with a NaN longitude once loaded: `run --port` exited 0, and the rows moored at that berth came
+    out underway."""
+    geometry, empty = tmp_path / "port.geojson", tmp_path / "empty.jsonl"
+    ring = [[18.3, 34.4], [18.31, 34.4], vertex, [18.3, 34.4]]  # GeoJSON's [lon, lat]
+    geometry.write_text(json.dumps({"type": "FeatureCollection", "features": [{"type": "Feature", "properties": {
+        "name": "berth", "kind": "terminal"}, "geometry": {"type": "Polygon", "coordinates": [ring]}}]}))
+    empty.write_text("")
+    out = tmp_path / "out"
+    for argv, message in ((["run", "--input", str(empty), "--outdir", str(out), "--port", str(geometry)],
+                           "bad port geometry: 'berth': vertex"),
+                          (["voyages", "--input", str(empty), "--output", str(out), "--area", str(geometry)],
+                           "bad area: 'berth': vertex")):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0", "-5"])
 def test_a_radius_that_is_not_a_finite_positive_number_is_a_usage_error(tmp_path, capsys, radius):
     """`--radius-m nan` once gave an area that held no message, and `run` exited 0 with no voyage."""
@@ -922,9 +943,13 @@ def test_synth_refuses_a_malformed_scenario_file(tmp_path, capsys, doc):
                                            (["--error-p", "nan"], "bad scenario: error_p nan"),
                                            (["--preset", "ferry", "--error-p", "-1"], "bad scenario: error_p -1.0"),
                                            (["--vessels", "0"], "bad --vessels 0"),
-                                           (["--vessels", "-3"], "bad --vessels -3")])
+                                           (["--vessels", "-3"], "bad --vessels -3"),
+                                           (["--days", "0"], "bad --days 0: not at least 1"),
+                                           (["--days", "-3"], "bad --days -3: not at least 1"),
+                                           (["--preset", "ferry", "--days", "0"], "bad --days 0: not at least 1")])
 def test_synth_refuses_a_bad_preset(tmp_path, capsys, flags, message):
-    """Each once exited 1 with an InvalidScenario traceback, or 0 with an empty stream."""
+    """Each once exited 1 with an InvalidScenario traceback, or 0 with an empty stream (or, for `--days` below 1
+    with the mixed preset, the 1,271 sentences of its fallback visit)."""
     argv = ["synth", *flags, "--out-nmea", str(tmp_path / "out.nmea"), "--out-truth", str(tmp_path / "truth.jsonl")]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert message in capsys.readouterr().err

@@ -113,6 +113,17 @@ class TestPolygon:
         with pytest.raises(geo.InvalidPolygon):
             geo.Polygon("p", "anchorage", bowtie)
 
+    @pytest.mark.parametrize("vertex", [(math.nan, 0.5), (0.5, math.nan), (95.0, 0.5), (-90.5, 0.5), (0.5, 180.5),
+                                        (0.5, -181.0), (math.inf, 0.5), (0.5, -math.inf)])
+    def test_a_vertex_off_the_globe(self, vertex):
+        """A NaN vertex once loaded, and every point it should have held tested outside the polygon."""
+        with pytest.raises(geo.InvalidPolygon, match="not on the globe"):
+            geo.Polygon("p", "anchorage", ((0.0, 0.0), (0.0, 1.0), vertex, (1.0, 0.0)))
+
+    def test_vertices_on_the_globe_s_edges_are_taken(self):
+        ring = ((-90.0, -180.0), (-90.0, 180.0), (90.0, 180.0), (90.0, -180.0))
+        assert geo.Polygon("p", "anchorage", ring).contains(0.0, 0.0)
+
 
 EDGE_EPS = 1e-9  # the boundary tolerance of the polygon test, in degrees
 

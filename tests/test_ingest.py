@@ -2,10 +2,14 @@ import dataclasses
 import datetime as dt
 import itertools
 import json
+import os
 import pathlib
 import random
+import signal
 import socket
 import socketserver
+import subprocess
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -15,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_run, decode_all, each_report
+from conftest import as_run, decode_all, each_report, messages
 from portcall import cli, codec, ingest, synth
 from portcall.codec import MessageDecoder, PositionReport, StaticReport
-from portcall.jsonl import dumps, message_to_dict
+from portcall.jsonl import dumps, message_from_dict, message_to_dict
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 UTC = dt.timezone.utc
 T0 = dt.datetime(2019, 9, 1, tzinfo=UTC)
 
@@ -169,6 +174,16 @@ class TestReplay:
         assert events == [[lines[0]], [lines[1]], pytest.approx(2.0), [lines[2]]]
 
 
+def stored_outcome(line: str) -> codec.DecodeOutcome:
+    """A stored JSONL message as the outcome the decoder gives a sentence; one that does not parse is malformed: the
+    per-line reference of what run_replay makes of a stored line."""
+    try:
+        msg = message_from_dict(json.loads(line))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        return codec.DecodeOutcome("error", error="malformed", detail=str(exc), raw=line)
+    return codec.DecodeOutcome("position" if isinstance(msg, PositionReport) else "static", message=msg)
+
+
 class TestMessageRuns:
     """Messages that are not block rows, such as stored lines, reach the sink gathered into runs."""
 
@@ -187,8 +202,32 @@ class TestMessageRuns:
                                     lambda run, text: calls.append(text) or each_report(got.append)(run, text))
         assert len(calls) <= -(-len(lines) // 7)
         assert [line for text in calls for line in text] == lines
-        assert got == [ingest._stored_outcome(line).message for line in lines]
+        assert got == [stored_outcome(line).message for line in lines]
         assert summary.messages == len(lines)
+
+    def test_a_block_reaches_the_sink_in_one_call(self, tmp_path):
+        """A position and a static the line parser decodes between a block's rows, and an error among them, once
+        split the block's messages into several sink calls; now the block is one run in per-line order, each row
+        with its stored document, and the error goes to error_sink."""
+        positions = [oracles.position_sentence(mmsi=k, navstat=0, rot_raw=0, sog_raw=100, lon_raw=0, lat_raw=0,
+                                               cog_raw=0, heading_raw=0) for k in range(1, 6)]
+        pair = oracles.static_sentences(message_id=3, mmsi=7, name="PARSED", ship_type=70, to_bow=60, to_stern=60,
+                                        to_port=10, to_starboard=10)
+        lines = [positions[0], positions[1] + " ", positions[2], "garbage line", pair[0] + " ", pair[1],
+                 *positions[3:], *oracles.static_sentences(message_id=4, mmsi=8, name="ROW", ship_type=60,
+                                                           to_bow=50, to_stern=50, to_port=8, to_starboard=8)]
+        path = tmp_path / "mixed.nmea"
+        path.write_text("\n".join(lines) + "\n")
+        calls, errors = [], []
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
+                                    lambda run, text: calls.append((messages(run), text)),
+                                    error_sink=errors.append, raw_start=T0)
+        expected = decode_direct_at(lines, T0)
+        assert [type(m).__name__ for m in expected] == ["PositionReport"] * 3 + ["StaticReport"] + \
+            ["PositionReport"] * 2 + ["StaticReport"]
+        assert calls == [(expected, [dumps(message_to_dict(m)) for m in expected])]
+        assert [(e.error, e.raw) for e in errors] == [("malformed", "garbage line")]
+        assert (summary.lines, summary.messages, summary.errors, summary.skipped) == (len(lines), 7, 1, 0)
 
     def test_a_failing_read_still_delivers_the_stored_lines_before_it(self, tmp_path, nmea_fixture, monkeypatch):
         path, lines = self._stored(tmp_path, nmea_fixture, 30)
@@ -476,6 +515,50 @@ class TestLive:
         assert (live.lines, live.messages, live.errors) == (replay.lines, replay.messages, replay.errors)
 
 
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_a_signal_stops_a_live_ingest_cleanly(tmp_path, sig):
+    """A live ingest once died on SIGTERM with every appended run still in its write buffer, and on SIGINT with a
+    traceback and no summary. Either signal now stops it as its stop event does: exit 0 and the summary, and the
+    store holds what was appended, on disk before the signal."""
+    lines = [oracles.position_sentence(mmsi=100 + k, navstat=0, rot_raw=0, sog_raw=100, lon_raw=0, lat_raw=0,
+                                       cog_raw=0, heading_raw=0) for k in range(20)]
+    release = threading.Event()
+
+    class Handler(socketserver.BaseRequestHandler):
+        def handle(self):
+            self.request.sendall(_blob(lines))
+            release.wait(60)  # the connection stays open
+
+    server = _LineServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    store = tmp_path / "store"
+    argv = [sys.executable, "-m", "portcall.cli", "ingest", "--source", f"tcp://127.0.0.1:{server.server_address[1]}",
+            "--store", str(store)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    try:
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as proc:
+            try:
+                deadline = time.monotonic() + 30
+                while len(read_lines(store)) < len(lines) and proc.poll() is None and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert len(read_lines(store)) == len(lines)  # appended, and flushed while the ingest still runs
+                proc.send_signal(sig)
+                out, err = proc.communicate(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+    finally:
+        release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert proc.returncode == 0, err
+    assert f"ingested {len(lines)} messages (0 errors, 0 skipped) into {store}" in out
+    assert [json.loads(line)["mmsi"] for line in read_lines(store)] == [100 + k for k in range(20)]
+
+
 class TestReplayBlocks:
     """run_replay decodes NMEA in blocks; the result must not depend on where blocks end."""
 
@@ -500,7 +583,7 @@ class TestReplayBlocks:
             if not line:
                 continue
             if line.startswith("{"):
-                outcomes.append(ingest._stored_outcome(line))
+                outcomes.append(stored_outcome(line))
             else:
                 outcomes += dec.feed(line, T0 + dt.timedelta(seconds=i * 0.5))
         outcomes += dec.finish()

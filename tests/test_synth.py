@@ -270,7 +270,7 @@ class TestScenarioSerialization:
     def test_json_roundtrip(self, tmp_path):
         scenario = synth.mixed_port_scenario(n_vessels=3, days=1, error_p=0.1, seed=5)
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario.to_json_dict()))
+        path.write_text(json.dumps(oracles.scenario_to_json_dict(scenario)))
         loaded = synth.Scenario.load(path)
         assert loaded == scenario
         assert synth.generate(loaded)[0] == synth.generate(scenario)[0]

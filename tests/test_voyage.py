@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import columns, validated_columns
-from portcall import jsonl, validate, voyage
+from portcall import jsonl, table, validate, voyage
 from portcall.codec import PositionReport
 from portcall.columnar import ValidatedMessage
 from portcall.validate import Outage
@@ -409,3 +410,21 @@ def test_a_missing_required_field_is_named(key):
     doc["phases"] = [{k: v for k, v in PHASE_DOC.items() if k != key}]
     with pytest.raises(ValueError, match=f"^{key} is missing"):
         voyage.voyage_from_dict(doc)
+
+
+def test_a_table_field_may_be_named_kind():
+    """A field declared as `kind` was once overwritten by the table's document type: left out of the table, and
+    neither written nor read."""
+
+    class Tagged(table.Table, doc_type="tagged"):
+        kind = table.Field(table.TEXT)
+        n = table.Field(table.INTEGER)
+
+    docs = [{"type": "tagged", "kind": "moored", "n": 3}, {"type": "tagged", "kind": "anchored", "n": 4}]
+    rows = Tagged.read(docs)
+    assert [f.attr for f in Tagged.fields] == ["kind", "n"] and Tagged.doc_type == "tagged"
+    assert rows.kind.tolist() == ["moored", "anchored"]
+    assert rows.lines() == [jsonl.dumps(doc) for doc in docs]
+    assert Tagged.values(docs[0]) == {"kind": "moored", "n": 3}
+    assert Tagged.to_dict(SimpleNamespace(kind="moored", n=3)) == docs[0]
+    assert [f.attr for f in voyage.Phases.fields][0] == "kind" and voyage.Phases.doc_type is None
