@@ -9,16 +9,18 @@ time; the AIS payload itself only carries a seconds-of-minute field.
 MessageDecoder.feed_block is the one decode path for live and replayed
 lines alike. It decodes the common line shapes, tagged or bare, for a whole
 block of lines at once with numpy: single-sentence position reports, and
-two-sentence type 5 reports whose fragments sit on adjacent lines.
-Checksums are an XOR reduction, payloads are de-armored through a lookup
-table, fields are read as integer columns and TAG times as one integer
-column. The positions and type 5 pairs this pass decodes leave as one
-Positions and one Statics table, placed among the block's outcomes
-(DecodedBlock), and no object is built per position or pair. Every other
-line goes in its place to MessageDecoder.feed, the general parser of one
-line, so a block gives what feeding its lines one by one would: malformed,
-orphaned and rare lines, and a pair that a block boundary splits. What feed
-gives, positions and statics included, stays an outcome.
+two-sentence type 5 reports whose fragments sit on adjacent lines. It learns
+each line shape of a block from one regex match and reads all the lines that
+fit it as one matrix of bytes; a line that fits no shape, or has a TAG block
+other than a bare c: time, takes the regex on its own. Checksums are an XOR
+reduction, payloads are de-armored through a lookup table, and fields and
+TAG times are read as integer columns. The positions and type 5 pairs this
+pass decodes leave as one Positions and one Statics table, placed among the
+block's outcomes (DecodedBlock), and no object is built per position or
+pair. Every other line goes in its place to MessageDecoder.feed, the general
+parser of one line, so a block gives what feeding its lines one by one
+would: malformed, orphaned and rare lines, and a pair that a block boundary
+splits. What feed gives, positions and statics included, stays an outcome.
 
 Positions is the one table (`table.Table`) of decoded positions that
 every stage carries, and Statics holds the block's static reports; each
@@ -523,16 +525,14 @@ _ERROR_NAMES = {
     OutOfRangePosition: "out_of_range_position",
 }
 
-# The lines MessageDecoder.feed_block reads itself: an AIVDM/AIVDO sentence,
-# bare or behind a TAG block of printable ASCII, that is either a single
-# sentence or a fragment of a two-sentence group with a one-digit message id.
-# Groups: TAG block body, its time digits when the body is a bare c:<digits>
-# of up to 15 digits (every time a datetime holds, in seconds or
-# milliseconds), TAG checksum, sentence body, fragment index (None for a
-# single sentence), message id, channel, payload, fill bits, sentence
-# checksum. Of these, feed_block decodes a single sentence with a
-# 28-character (168-bit) payload and no fill bits, and a fragment 1 and 2 of
-# one group on adjacent lines; every other line goes to the general parser.
+# The lines MessageDecoder.feed_block reads itself: an AIVDM/AIVDO sentence, bare or behind a TAG block of
+# printable ASCII, that is either a single sentence or a fragment of a two-sentence group with a one-digit message
+# id. Groups: TAG block body, its time digits when the body is a bare c:<digits> of up to 15 digits (every time a
+# datetime holds, in seconds or milliseconds), TAG checksum, sentence body, fragment index (None for a single
+# sentence), message id, channel, payload, fill bits, sentence checksum. Of these, feed_block decodes a single
+# sentence with a 28-character (168-bit) payload and no fill bits, and a fragment 1 and 2 of one group on adjacent
+# lines; every other line goes to the general parser. This is the only grammar: _scan matches it once for each
+# line shape a block shows (_shape, learned per block), and on its own only a line that fits no shape.
 _BLOCK_LINE = re.compile(
     r"(?:\\(c:([0-9]{1,15})(?=\*[0-9A-Fa-f]{2}\\)|[ -\[\]-~]+)\*([0-9A-Fa-f]{2})\\)?"
     r"!(AIVD[MO],(?:1,1,|2,([12]),([0-9])),([AB12]?),([0-9:;<=>?@A-W`a-w]+),([0-5]))\*([0-9A-Fa-f]{2})"
@@ -543,65 +543,105 @@ _SIXBIT = np.zeros(256, dtype=np.int64)
 _SIXBIT[list(ARMOR_ALPHABET.encode())] = np.arange(64)
 _HEX = np.zeros(256, dtype=np.int64)
 _HEX[list(b"0123456789ABCDEF")] = _HEX[list(b"0123456789abcdef")] = np.arange(16)
+# the bytes each group of _BLOCK_LINE that a shape does not hold fixed admits, by group number
+_GROUP_BYTES = {2: b"0123456789", 3: b"0123456789ABCDEFabcdef", 5: b"12", 6: b"0123456789", 7: b"AB12",
+                8: ARMOR_ALPHABET.encode(), 9: b"012345", 10: b"0123456789ABCDEFabcdef"}
+_PAYLOAD_CHARS = _STATIC_BITS // 6  # the most of a payload that the block pass reads
+_SCAN = np.dtype([("ok", bool), ("time_us", np.int64), ("timed", bool), ("fragment", np.int64),  # read by _scan
+                  ("message_id", np.int64), ("channel", np.int64), ("fill", np.int64), ("size", np.int64),
+                  ("payload", np.uint8, (_PAYLOAD_CHARS,))])
 
 
-def _ascii(texts) -> np.ndarray:
-    """The bytes of ASCII texts, joined."""
-    return np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+def _shape(m: re.Match) -> np.ndarray:
+    """The shape of a _BLOCK_LINE match of a bare line or one behind a c:<digits> TAG block: whether each byte
+    may stand at each position (position * 256 + byte) of a line of its length. The lines that fit are those that
+    match with the same spans: each byte outside the groups is m's own, but for the M or O of AIVDM/AIVDO."""
+    line = np.frombuffer(m.string.encode("ascii"), dtype=np.uint8)
+    allowed = np.zeros((len(line), 256), dtype=bool)
+    allowed[np.arange(len(line)), line] = True
+    allowed[m.start(4) + 4, list(b"MO")] = True
+    for group, chars in _GROUP_BYTES.items():  # an absent group spans -1..-1, which holds no position
+        allowed[m.start(group) : m.end(group), list(chars)] = True
+    return allowed.ravel()
 
 
-def _xor_segments(texts: list[str]) -> np.ndarray:
-    """XOR of the bytes of each non-empty ASCII text."""
-    ends = np.cumsum([len(t) for t in texts])
-    return np.bitwise_xor.reduceat(_ascii(texts), np.r_[0, ends[:-1]])
+def _scan(raws: list[str], rx_us: np.ndarray) -> np.ndarray:
+    """What each line of a block reads as, one _SCAN record each: whether it matches _BLOCK_LINE and its
+    checksums hold (ok), its receive time (its TAG time if it has one) and whether that reads (timed), its fragment
+    index (0 for a single sentence), message id, channel byte (0 for none), fill bits, payload size and payload.
 
-
-def _hex_values(digit_pairs) -> np.ndarray:
-    """The value of each two-digit hex text."""
-    pairs = _HEX[_ascii(digit_pairs)].reshape(-1, 2)
-    return pairs[:, 0] * 16 + pairs[:, 1]
-
-
-def _checksums_hold(groups: list[tuple]) -> list[bool]:
-    """Whether the sentence checksum, and the TAG checksum if any, of each _BLOCK_LINE match holds."""
-    tagged = [k for k, g in enumerate(groups) if g[0] is not None]
-    xors = _xor_segments([g[3] for g in groups] + [groups[k][0] for k in tagged])
-    ok = xors[: len(groups)] == _hex_values(g[9] for g in groups)
-    if tagged:
-        ok[tagged] &= xors[len(groups) :] == _hex_values(groups[k][2] for k in tagged)
-    return ok.tolist()
-
-
-def _sixes(payloads: list[str], width: int) -> np.ndarray:
-    """The 6-bit values of payloads of `width` characters, one row each."""
-    return _SIXBIT[_ascii(payloads)].reshape(-1, width)
-
-
-def _block_time(tag: str | None, rx_us: int) -> int:
-    """A block line's receive time in microseconds: its TAG time if it has one; Malformed for an unreadable one."""
-    rx = _tag_time(tag) if tag is not None else None
-    return rx_us if rx is None else epoch_us(rx)
-
-
-def _block_times(groups: list[tuple], rx_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The receive time in microseconds of each _BLOCK_LINE match, and whether it reads (_block_time).
-
-    A bare c:<digits> TAG time is read for all matches at once; any other TAG block goes through _tag_time.
+    The first line of each length is matched, and the shape of its match
+    (_shape) read for every line of that length that fits, as one matrix of
+    bytes; the lines that do not fit try the next one that matches, in turn.
+    A line that is not ASCII matches nothing. A line behind any other TAG
+    block is matched on its own; those whose spans agree are read together,
+    their TAG times through _tag_time.
     """
-    times = rx_us.copy()
-    ok = np.ones(len(groups), dtype=bool)
-    bare = [k for k, g in enumerate(groups) if g[1] is not None]
-    if bare:
-        seconds = np.fromiter(map(int, [groups[k][1] for k in bare]), dtype=np.int64, count=len(bare))
+    n = len(raws)
+    s = np.zeros(n, dtype=_SCAN)
+    s["time_us"], s["timed"] = rx_us, True
+    others: dict[tuple, tuple[re.Match, list[int]]] = {}  # by their spans, lines behind another TAG block
+    sizes = np.fromiter(map(len, raws), dtype=np.int64, count=n)
+    by_size = np.argsort(sizes, kind="stable")
+    for rows in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1) if n else ():
+        size, group = int(sizes[rows[0]]), [raws[k] for k in rows.tolist()]
+        if not "".join(group).isascii():
+            readable = [line.isascii() for line in group]
+            rows, group = rows[readable], [line for line, r in zip(group, readable) if r]
+        columns = _columns(group, size)
+        k = 0  # rows[:k] are read or match nothing
+        while size and k < len(rows):
+            m = _BLOCK_LINE.fullmatch(raws[rows[k]])
+            if m is not None and (m.start(1) == -1 or m.start(2) != -1):
+                fit = _shape(m).take(columns[:, k:] + 256 * np.arange(size)[:, None]).all(0)
+                _read(m, rows[k:][fit], columns[:, k:][:, fit], s)
+                rows, columns, k = rows[k:][~fit], columns[:, k:][:, ~fit], -1
+            elif m is not None:
+                others.setdefault(m.regs, (m, []))[1].append(int(rows[k]))
+            k += 1
+    for m, rows in others.values():
+        _read(m, np.array(rows), _columns([raws[k] for k in rows], len(m.string)), s)
+        start, end = m.span(1)
+        for k in rows:
+            try:
+                rx = _tag_time(raws[k][start:end])
+            except Malformed:
+                s["timed"][k] = False
+            else:
+                s["time_us"][k] = s["time_us"][k] if rx is None else epoch_us(rx)
+    return s
+
+
+def _columns(lines: list[str], size: int) -> np.ndarray:
+    """The bytes of ASCII lines of `size` characters, one column each: row j holds each line's j-th byte."""
+    return np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8).reshape(len(lines), size).T.copy()
+
+
+def _read(m: re.Match, rows: np.ndarray, columns: np.ndarray, s: np.ndarray) -> None:
+    """Read into s the fields of the block's lines `rows`, whose bytes are `columns` (_columns), that match
+    _BLOCK_LINE with the spans of m; a TAG time only if it is a bare c:<digits>."""
+
+    def holds(body: int, checksum: int) -> np.ndarray:  # whether group body's XOR is group checksum's hex number
+        hex_digits = _HEX.take(columns[m.start(checksum) : m.end(checksum)])
+        return np.bitwise_xor.reduce(columns[m.start(body) : m.end(body)], axis=0) == hex_digits[0] * 16 + hex_digits[1]
+
+    s["ok"][rows] = holds(4, 10) & (holds(1, 3) if m.start(1) != -1 else True)
+    if m.start(2) != -1:  # a bare c:<digits>, read for every line at once
+        start, end = m.span(2)
+        seconds = 10 ** np.arange(end - start - 1, -1, -1) @ (columns[start:end] - ord("0"))
         seconds = np.where(seconds >= 10**12, seconds // 1000, seconds)  # milliseconds
-        times[bare] = seconds * 1_000_000
-        ok[bare] = seconds <= _MAX_EPOCH_S
-    for k in [k for k, g in enumerate(groups) if g[0] is not None and g[1] is None]:
-        try:
-            times[k] = _block_time(groups[k][0], times[k])
-        except Malformed:
-            ok[k] = False
-    return times, ok
+        s["time_us"][rows] = seconds * 1_000_000
+        s["timed"][rows] = seconds <= _MAX_EPOCH_S
+    if m.start(5) != -1:
+        s["fragment"][rows] = columns[m.start(5)] - ord("0")
+        s["message_id"][rows] = columns[m.start(6)] - ord("0")
+    if m.end(7) > m.start(7):
+        s["channel"][rows] = columns[m.start(7)]
+    s["fill"][rows] = columns[m.start(9)] - ord("0")
+    start, end = m.span(8)
+    width = min(end - start, _PAYLOAD_CHARS)
+    s["payload"][rows, :width] = columns[start : start + width].T
+    s["size"][rows] = end - start
 
 
 @dataclass(slots=True)
@@ -798,8 +838,9 @@ class MessageDecoder:
         rx_us holds each line's receive time in microseconds since the
         epoch. Single-sentence position lines, and two-sentence type 5
         groups whose fragments 1 and 2 sit on adjacent lines, are
-        checksummed and decoded together (_BLOCK_LINE), TAG times included;
-        they become rows of a Positions and a Statics table without
+        checksummed and decoded together, TAG times included (_scan reads
+        each line shape the block shows at once, and matches _BLOCK_LINE on
+        its own only a line that fits none); they become rows of a Positions and a Statics table without
         any per-row object. A position line goes to feed() in its place
         when a checksum or its TAG time fails, its type is not 1-3 or it
         lies out of range. A pair goes to feed() when a checksum or TAG
@@ -813,42 +854,30 @@ class MessageDecoder:
         """
         rx_us = np.asarray(rx_us, dtype=np.int64)
         raws = [line if (line and line[-1] not in "\r\n") else line.rstrip("\r\n") for line in lines]
-        matches = [(i, m.groups()) for i, m in enumerate(map(_BLOCK_LINE.fullmatch, raws)) if m is not None]
-        # the position rows: the line and receive time of each, and its fields (_POSITION_LAYOUT after the type)
-        position_lines, position_times, *fields = (np.zeros(0, dtype=np.int64) for _ in range(10))
-        # the type 5 pairs: fragment 1's line and match, each fragment's receive time, and the fields of each
-        # (_STATIC_LAYOUT after the type)
-        pair_lines, pair_matches, first_times, static_times = (np.zeros(0, dtype=np.int64) for _ in range(4))
-        static_fields = np.zeros((0, len(_STATIC_LAYOUT) - 1), dtype=np.int64)
-        if matches:
-            # TAG body, TAG digits, TAG checksum, sentence body, fragment index, message id, channel, payload,
-            # fill, checksum
-            groups = [g for _, g in matches]
-            ok = _checksums_hold(groups)
-            singles = [k for k, g in enumerate(groups) if ok[k] and g[4] is None and g[8] == "0" and len(g[7]) == 28]
-            if singles:
-                mtype, *fields = _read_rows(_sixes([groups[k][7] for k in singles], 28), _POSITION_ROWS).T
-                position_lines = np.array([matches[k][0] for k in singles])
-                times, timed = _block_times([groups[k] for k in singles], rx_us[position_lines])
-                on_globe = _in_range(fields[5] / 600000.0, fields[4] / 600000.0)
-                keep = np.flatnonzero((mtype >= 1) & (mtype <= 3) & on_globe & timed)
-                position_lines, position_times = position_lines[keep], times[keep]
-                fields = [column[keep] for column in fields]
-            firsts = [k for k in [k for k, g in enumerate(groups[:-1]) if g[4] == "1"]
-                      if groups[k + 1][4] == "2" and ok[k] and ok[k + 1] and matches[k + 1][0] == matches[k][0] + 1
-                      and groups[k][5:7] == groups[k + 1][5:7]
-                      and 6 * (len(groups[k][7]) + len(groups[k + 1][7])) - int(groups[k + 1][8]) >= _STATIC_BITS]
-            if firsts:
-                width = _STATIC_BITS // 6
-                read = _read_rows(_sixes([(groups[k][7] + groups[k + 1][7])[:width] for k in firsts], width),
-                                  _STATIC_ROWS)
-                first_lines = np.array([matches[k][0] for k in firsts])
-                times, timed = _block_times([groups[k] for k in firsts] + [groups[k + 1] for k in firsts],
-                                            rx_us[np.concatenate((first_lines, first_lines + 1))])
-                (first, second), (timed1, timed2) = np.split(times, 2), np.split(timed, 2)
-                keep = np.flatnonzero((read[:, 0] == 5) & timed1 & timed2 & (second - first <= _REASSEMBLY_WINDOW_US))
-                pair_lines, pair_matches = first_lines[keep], np.array(firsts)[keep]
-                first_times, static_times, static_fields = first[keep], second[keep], read[keep, 1:]
+        scan = _scan(raws, rx_us)
+        ok, fragment, timed, size, payload = (scan[name] for name in ("ok", "fragment", "timed", "size", "payload"))
+        # the position rows: the line of each, its receive time, and its fields (_POSITION_LAYOUT after the type)
+        position_lines = np.flatnonzero(ok & (fragment == 0) & (scan["fill"] == 0) & (size == 28))
+        mtype, *fields = _read_rows(_SIXBIT.take(payload[position_lines, :28]), _POSITION_ROWS).T
+        on_globe = _in_range(fields[5] / 600000.0, fields[4] / 600000.0)
+        keep = np.flatnonzero((mtype >= 1) & (mtype <= 3) & on_globe & timed[position_lines])
+        position_lines, fields = position_lines[keep], [column[keep] for column in fields]
+        position_times = scan["time_us"][position_lines]
+        # the type 5 pairs: fragment 1's line, each fragment's receive time, and the fields of each (_STATIC_LAYOUT
+        # after the type), read from fragment 1's payload continued by fragment 2's
+        pair_lines = np.flatnonzero(ok[:-1] & ok[1:] & (fragment[:-1] == 1) & (fragment[1:] == 2)
+                                    & (scan["message_id"][:-1] == scan["message_id"][1:])
+                                    & (scan["channel"][:-1] == scan["channel"][1:])
+                                    & (6 * (size[:-1] + size[1:]) - scan["fill"][1:] >= _STATIC_BITS))
+        chars, cut = np.arange(_PAYLOAD_CHARS), size[pair_lines, None]
+        joined = np.where(chars < cut, payload[pair_lines],
+                          np.take_along_axis(payload[pair_lines + 1], np.maximum(chars - cut, 0), axis=1))
+        read = _read_rows(_SIXBIT.take(joined), _STATIC_ROWS)
+        first_times, static_times = scan["time_us"][pair_lines], scan["time_us"][pair_lines + 1]
+        keep = np.flatnonzero((read[:, 0] == 5) & timed[pair_lines] & timed[pair_lines + 1]
+                              & (static_times - first_times <= _REASSEMBLY_WINDOW_US))
+        pair_lines, first_times, static_times = pair_lines[keep], first_times[keep], static_times[keep]
+        static_fields = read[keep, 1:]
         # the rows in line order, and the time of each one's first line
         order = np.argsort(np.concatenate((position_lines, pair_lines)), kind="stable")
         static = order >= len(position_lines)
@@ -881,8 +910,8 @@ class MessageDecoder:
                 if static[start] and self._pending:
                     pair = int(order[start]) - len(position_lines)
                     i, rx2 = int(pair_lines[pair]), int(static_times[pair])
-                    g = matches[pair_matches[pair]][1]
-                    if (g[6], int(g[5])) in self._pending:
+                    channel = int(scan["channel"][i])
+                    if (chr(channel) if channel else "", int(scan["message_id"][i])) in self._pending:
                         kept[start] = False
                         put(fed(i) + fed(i + 1), start)
                     elif rx2 - _REASSEMBLY_WINDOW_US > min(group.first_rx for group in self._pending.values()):
@@ -922,7 +951,7 @@ class MessageDecoder:
         (91/181 degrees) do not; a static of 240-269 bits reads no dimensions.
         """
         nbits = 6 * len(payload) - fill
-        six = _sixes([payload], len(payload))
+        six = _SIXBIT[np.frombuffer(payload.encode("ascii"), dtype=np.uint8)][None]
         mtype = int(six[0, 0]) if nbits >= 6 else -1
         if mtype in (1, 2, 3):
             if nbits < 168:

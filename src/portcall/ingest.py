@@ -238,8 +238,9 @@ def run_replay(
     feed_block, which gives what feeding them one by one would, also when
     reading the file fails partway. Every message reaches sink(run, lines)
     in order: each block's messages in one call, and the stored lines
-    between blocks in runs of up to _REPLAY_BLOCK. A byte that is not UTF-8
-    reads as U+FFFD, which makes its line malformed. A line that starts with
+    between blocks in runs of up to _REPLAY_BLOCK. A UTF-8 byte-order mark
+    that starts the file is skipped. A byte that is not UTF-8 reads as
+    U+FFFD, which makes its line malformed. A line that starts with
     `{` is read as a stored JSONL message, after the NMEA lines before it;
     one that does not parse goes to error_sink as a "malformed" error.
     replay_speed scales the pauses between consecutive message timestamps
@@ -276,7 +277,7 @@ def run_replay(
             if messages:
                 sink(BlockRun.of_messages(messages), [dumps(message_to_dict(m)) for m in messages])
 
-    with open(cfg.path, "r", encoding="utf-8", errors="replace") as f:
+    with open(cfg.path, "r", encoding="utf-8-sig", errors="replace") as f:
         try:
             for i, line in enumerate(f):
                 line = line.rstrip("\r\n")

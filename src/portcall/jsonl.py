@@ -44,8 +44,8 @@ def message_from_dict(doc: dict) -> PositionReport | StaticReport:
 
 
 def read_jsonl(path):
-    """Yield parsed documents from a JSONL file."""
-    with open(path, "r", encoding="utf-8") as f:
+    """Yield parsed documents from a JSONL file; a UTF-8 byte-order mark that starts it is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as f:
         for line in f:
             line = line.strip()
             if line:

@@ -188,9 +188,10 @@ def load_ground_truth(path) -> ArrivalTable:
     Two layouts are accepted: `date,category,arrivals` with per-day counts,
     or `timestamp,mmsi,category` with one row per call event. A row that is
     short or holds a cell that does not parse is a ValueError naming the
-    file, the line and the row.
+    file, the line and the row. A UTF-8 byte-order mark that starts the file,
+    as spreadsheets write one, is skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:

@@ -114,6 +114,26 @@ def test_only_faulted_lines_and_block_split_statics_take_the_line_parser(tmp_pat
     assert len(fed) == len(inputs.ledger) + 2 * split
 
 
+@pytest.mark.parametrize("name", ["knn_noport", "port_run"])
+def test_a_clean_block_matches_the_line_grammar_once_per_line_length(tmp_path, monkeypatch, name):
+    """feed_block learns each line shape of a block from one match of _BLOCK_LINE and reads every line that fits
+    it together: a clean block of three line lengths takes at most three matches, not one per line."""
+    lines = workloads.make_inputs(workloads.WORKLOADS[name], 7, tmp_path / "inputs", tiny=True).lines
+    lines = lines[: ingest._REPLAY_BLOCK]
+    grammar, matched = codec._BLOCK_LINE, []
+
+    class Counted:
+        def fullmatch(self, line):
+            matched.append(line)
+            return grammar.fullmatch(line)
+
+    monkeypatch.setattr(codec, "_BLOCK_LINE", Counted())
+    block = codec.MessageDecoder().feed_block(lines, [0] * len(lines))
+    assert {len(line) for line in lines} == {64, 72, 73}
+    assert len(matched) <= 3
+    assert len(block.positions) + 2 * len(block.statics) >= len(lines) - 1  # all but a pair the block end splits
+
+
 def _outputs(out: pathlib.Path) -> dict[str, bytes]:
     """Every file a run wrote but the manifests, which hold absolute paths."""
     return {p.relative_to(out).as_posix(): p.read_bytes()

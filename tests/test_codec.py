@@ -726,3 +726,130 @@ class TestFeedBlock:
         outcome = feed_one(line)
         assert (outcome.kind, outcome.error) == ("error", "malformed")
         assert expanded(codec.MessageDecoder().feed_block([line], [codec.epoch_us(RX)])) == [outcome]
+
+
+# the line shapes synth writes, and their neighbours: a channel form, and a TAG time of whole seconds (9-12 digits)
+# or milliseconds (13-15), past year 9999 from 12 digits of seconds or 15 of milliseconds, or none
+CHANNELS = ("A", "B", "1", "2", "")
+TAG_DIGITS = (None, 9, 10, 11, 12, 13, 14, 15)
+# bytes on either side of the edges of _BLOCK_LINE's byte classes
+EDGE_BYTES = "09:;@AWX`awx/B12C3456MOPQ!$,*\\ "
+
+
+def _rechecked(line: str) -> str:
+    """An ASCII line with its sentence checksum, and its TAG checksum if it has one, made to hold again."""
+    tag, sentence = "", line
+    if line.startswith("\\") and "\\" in line[1:]:
+        end = line.index("\\", 1) + 1
+        tag, sentence = line[:end], line[end:]
+        if len(tag) > 4 and tag[-4] == "*":
+            tag = f"{tag[:-3]}{oracles.xor_checksum(tag[1:-4]):02X}\\"
+    if len(sentence) > 3 and sentence[-3] == "*":
+        sentence = f"{sentence[:-2]}{oracles.xor_checksum(sentence[1:-3]):02X}"
+    return tag + sentence
+
+
+@st.composite
+def shape_blocks(draw):
+    """A block in a few of the line shapes synth writes, with bytes replaced or put in.
+
+    Its lines are positions and type 5 pairs, AIVDM and AIVDO, on one to
+    three shapes (a channel form and a TAG time or none), after two shapes
+    of one length: a 9-digit time on channel A and a 10-digit time on no
+    channel. A byte put in a sentence field, the TAG block or anywhere is
+    printable ASCII, mostly at the edges of the grammar's byte classes, an
+    'é' or a U+FFFD, or another armoring character in a payload; in an empty
+    field (a channel) it is put in. The checksums may then hold again.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shapes = draw(st.lists(st.tuples(st.sampled_from(CHANNELS), st.sampled_from(TAG_DIGITS)), min_size=1, max_size=3))
+    specs = [("position", "AIVDM", ("A", 9)), ("position", "AIVDM", ("", 10))] + draw(st.lists(st.tuples(
+        st.sampled_from(("position", "position", "static")), st.sampled_from(("AIVDM", "AIVDO")),
+        st.sampled_from(shapes)), min_size=1, max_size=24))
+    lines, rxs = [], []
+    for k, (kind, talker, (channel, digits)) in enumerate(specs):
+        if kind == "position":
+            sentences = [oracles.sentence(_position_payload(rng), 0, channel=channel, talker=talker)]
+        else:
+            sentences = _static_fragments(rng, _static_bits(rng), rng.randrange(10), channel)
+        epoch = None if digits is None else rng.randrange(10 ** (digits - 1), 10**digits)
+        for sentence in sentences:
+            lines.append(sentence if epoch is None else oracles.tag_block(sentence, epoch))
+            rxs.append(dt.datetime(2019, 9, 12, tzinfo=UTC) + dt.timedelta(seconds=7 * k))
+    for line_pick, place, at_pick, char, recheck in draw(st.lists(st.tuples(
+            st.integers(0, 10**6), st.sampled_from(("any", "tag", 0, 1, 2, 3, 4, 5, 5, 6)), st.integers(0, 10**6),
+            st.one_of(st.sampled_from((*EDGE_BYTES, "\u00e9", "\ufffd", "armor")),
+                      st.characters(min_codepoint=32, max_codepoint=126)),
+            st.booleans()), min_size=1, max_size=6)):
+        j = 2 + line_pick % (len(lines) - 2)  # after the first two, so a shape of its length may have been learned
+        line = lines[j]
+        sentence = line.rsplit("\\", 1)[-1]
+        fields = sentence.split(",")
+        if place == "any" or (place == "tag" and not line.startswith("\\")) or (place != "tag" and len(fields) != 7):
+            start, size = 0, len(line)
+        elif place == "tag":
+            start, size = 1, len(line) - len(sentence) - 2
+        else:
+            start, size = len(line) - len(sentence) + len(",".join(fields[:place])) + (place > 0), len(fields[place])
+        if char == "armor":
+            char = rng.choice(codec.ARMOR_ALPHABET)
+        at = start + at_pick % max(size, 1)
+        line = line[:at] + char + line[at + (size > 0) :]
+        lines[j] = _rechecked(line) if recheck and line.isascii() else line
+    return lines, rxs
+
+
+def _equals_feeding_each_line(lines, rxs) -> None:
+    """feed_block hands feed the lines, and gives the outcomes, that matching _BLOCK_LINE line by line would."""
+    per_line = codec.MessageDecoder()
+    each = [per_line.feed(line, rx) for line, rx in zip(lines, rxs)]
+    expected = [o for outcomes in each for o in outcomes] + per_line.finish()
+    fed = []
+
+    class Recording(codec.MessageDecoder):
+        def feed(self, line, rx_time):
+            fed.append(line)
+            return super().feed(line, rx_time)
+
+    dec = Recording()
+    decoded_block = dec.feed_block(lines, [codec.epoch_us(rx) for rx in rxs])
+    assert expanded(decoded_block) + dec.finish() == as_fed(expected)
+    assert dec.counts == per_line.counts
+    # the lines feed_block decodes itself are those it decoded when it matched each line on its own
+    matched = [outcomes if codec._BLOCK_LINE.fullmatch(line) else [codec.DecodeOutcome("fed")]
+               for line, outcomes in zip(lines, each)]
+    decoded = _block_decoded(lines, matched)
+    assert fed == [line for j, line in enumerate(lines) if j not in decoded]
+    assert decoded_block.outcomes == kept(decoded_block, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape_blocks())
+def test_shape_scan_equals_feeding_each_line(block):
+    _equals_feeding_each_line(*block)
+
+
+# Lines in each shape, one group each: every checksum holds a 0 digit, which a byte that is not hex would read as.
+@pytest.mark.parametrize("group", [
+    ["!AIVDM,1,1,,A,13@ndh@0001CfLfCeo4SL2i60007,0*40"],
+    ["!AIVDO,1,1,,,23@ndh@0001CfLfCeo4SL2i6ww00,0*07"],
+    ["\\c:1568298505*50\\!AIVDM,1,1,,B,33@ndh@0001CfLfCeo4SL2i60006,0*40"],
+    ["\\c:1568298480149*60\\!AIVDM,1,1,,1,13@ndh@0001CfLfCeo4SL2i60007,0*30"],
+    ["\\c:999999009*60\\!AIVDM,2,1,3,2,13@ndh@0001CfLfCeo4SL2i60000,0*04"],
+    ["!AIVDM,2,1,7,A,53`l7@0000000000001<P50F1@E=@000000,0*38",
+     "!AIVDM,2,2,7,A,00016<PD:<00000000000000000000000000,2*0A"],
+], ids=["bare", "no-channel", "tagged", "milliseconds", "fragment", "pair"])
+def test_every_byte_replaced_is_read_as_fed(group):
+    """A group of lines in shapes the block has learned, with any one byte replaced by printable ASCII, an 'é' or a
+    U+FFFD, and its checksums made to hold again unless the byte is a checksum digit, is read as feed reads it: a
+    shape admits exactly the lines that _BLOCK_LINE matches with its spans. The groups are 31 s apart, so that a
+    fragment of bare lines that a replaced byte orphans has expired by the next group."""
+    chars = [chr(c) for c in range(32, 127)] + ["\u00e9", "\ufffd"]
+    groups = [group]
+    for t, line in enumerate(group):
+        for at, c in ((at, c) for at in range(len(line)) for c in chars if c != line[at]):
+            changed = line[:at] + c + line[at + 1 :]
+            rechecked = _rechecked(changed) if changed.isascii() else changed
+            groups.append(group[:t] + [rechecked if rechecked[at] == c else changed] + group[t + 1 :])
+    _equals_feeding_each_line([line for g in groups for line in g],
+                              [RX + dt.timedelta(seconds=31 * k) for k, g in enumerate(groups) for _ in g])

@@ -104,6 +104,24 @@ class TestReplay:
         assert summary.errors == 0
         assert [m for m in got if isinstance(m, PositionReport)] == positions
 
+    @pytest.mark.parametrize("stored", [False, True], ids=["nmea", "stored"])
+    def test_a_byte_order_mark_changes_nothing(self, tmp_path, nmea_fixture, stored):
+        """A file saved with a UTF-8 byte-order mark replays as the same file without one: bare lines, whose
+        first one starts a type 5 pair, or stored lines."""
+        bare = [line[line.index("\\", 1) + 1 :] for line in nmea_fixture]
+        k = next(k for k, line in enumerate(bare) if line.startswith("!AIVDM,2,1,"))
+        lines = [dumps(message_to_dict(m)) for m in decode_direct(nmea_fixture[:60])] if stored else bare[k : k + 60]
+        got = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(mark + "\n".join(lines).encode() + b"\n")
+            runs, errors = [], []
+            summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
+                                        lambda run, text: runs.extend(text), error_sink=errors.append, raw_start=T0)
+            got.append((runs, errors, dataclasses.asdict(summary)))
+        assert got[0] == got[1]
+        assert got[0][0] and not got[0][1]
+
     def test_missing_file(self, tmp_path):
         cfg = ingest.SourceConfig(mode="replay", path=tmp_path / "nope.nmea")
         with pytest.raises(FileNotFoundError):

@@ -230,3 +230,15 @@ def test_the_writers_keep_signed_zeros_and_null_apart():
     assert [line for k in range(len(rows)) for line in rows[k:k + 1].lines()] == expected
     assert [Positions.lat.rule.texts(rows.lat[k:k + 1]) for k in range(len(rows))] \
         == [["0.0"], ["0.0"], ["-0.0"], ["-0.0"]]
+
+
+def test_a_byte_order_mark_changes_nothing(tmp_path):
+    """A stage input saved with a UTF-8 byte-order mark reads as the same file without one."""
+    reports = [PositionReport(mmsi=k, timestamp=dt.datetime(2019, 9, 1, 0, k, tzinfo=dt.timezone.utc), lat=1.5,
+                              lon=-2.25, sog=None, cog=90.0, heading=None, navstat=5, rot=None) for k in range(3)]
+    text = "".join(jsonl.dumps(jsonl.message_to_dict(r)) + "\n" for r in reports)
+    plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert list(jsonl.read_jsonl(marked)) == list(jsonl.read_jsonl(plain))
+    assert [jsonl.message_from_dict(doc) for doc in jsonl.read_jsonl(marked)] == reports

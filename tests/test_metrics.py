@@ -331,6 +331,16 @@ class TestGroundTruthLoader:
         assert table[dt.date(2019, 9, 12)] == {"passenger": 2}
         assert table[dt.date(2019, 9, 13)] == {"cargo": 1}
 
+    @pytest.mark.parametrize("text", ["date,category,arrivals\n2019-09-12,cargo,7\n2019-09-13,tanker,2\n",
+                                      "timestamp,mmsi,category\n2019-09-12T06:01:00Z,1,passenger\n"],
+                             ids=["count", "event"])
+    def test_a_byte_order_mark_changes_nothing(self, tmp_path, text):
+        """A file saved as spreadsheets save "CSV UTF-8", with a byte-order mark, reads as the same file without."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert metrics.load_ground_truth(marked) == metrics.load_ground_truth(plain) != {}
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("when,what\n2019-09-12,7\n")
