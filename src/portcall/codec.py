@@ -9,10 +9,11 @@ time; the AIS payload itself only carries a seconds-of-minute field.
 MessageDecoder.feed_block is the one decode path for live and replayed
 lines alike. It decodes the common line shapes, tagged or bare, for a whole
 block of lines at once with numpy: single-sentence position reports, and
-two-sentence type 5 reports whose fragments sit on adjacent lines. It learns
-each line shape of a block from one regex match and reads all the lines that
-fit it as one matrix of bytes; a line that fits no shape, or has a TAG block
-other than a bare c: time, takes the regex on its own. Checksums are an XOR
+two-sentence type 5 reports whose fragments sit on adjacent lines. Where
+many lines of a block share a length, it learns the shape of those lines
+from one regex match and finds every line that fits it at once; every other
+line takes the regex on its own. All the block's lines are then read
+together from where the regex's groups lie in each. Checksums are an XOR
 reduction, payloads are de-armored through a lookup table, and fields and
 TAG times are read as integer columns. The positions and type 5 pairs this
 pass decodes leave as one Positions and one Statics table, placed among the
@@ -56,6 +57,7 @@ public AIVDM/AIVDO protocol notes:
 
 import datetime as dt
 import functools
+import itertools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -525,14 +527,19 @@ _ERROR_NAMES = {
     OutOfRangePosition: "out_of_range_position",
 }
 
-# The lines MessageDecoder.feed_block reads itself: an AIVDM/AIVDO sentence, bare or behind a TAG block of
-# printable ASCII, that is either a single sentence or a fragment of a two-sentence group with a one-digit message
-# id. Groups: TAG block body, its time digits when the body is a bare c:<digits> of up to 15 digits (every time a
-# datetime holds, in seconds or milliseconds), TAG checksum, sentence body, fragment index (None for a single
-# sentence), message id, channel, payload, fill bits, sentence checksum. Of these, feed_block decodes a single
-# sentence with a 28-character (168-bit) payload and no fill bits, and a fragment 1 and 2 of one group on adjacent
-# lines; every other line goes to the general parser. This is the only grammar: _scan matches it once for each
-# line shape a block shows (_shape, learned per block), and on its own only a line that fits no shape.
+# The lines MessageDecoder.feed_block reads itself: an AIVDM/AIVDO sentence,
+# bare or behind a TAG block of printable ASCII, that is either a single
+# sentence or a fragment of a two-sentence group with a one-digit message id.
+# Groups: TAG block body, its time digits when the body is a bare c:<digits>
+# of up to 15 digits (every time a datetime holds, in seconds or
+# milliseconds), TAG checksum, sentence body, fragment index (None for a
+# single sentence), message id, channel, payload, fill bits, sentence
+# checksum. Of these, feed_block decodes a single sentence with a
+# 28-character (168-bit) payload and no fill bits, and a fragment 1 and 2 of
+# one group on adjacent lines; every other line goes to the general parser.
+# This is the only grammar. _scan matches it once for each shape it learns
+# (_shape, per block, where _SHAPE_LINES lines of one length fit it), and
+# once for every line that fits no shape.
 _BLOCK_LINE = re.compile(
     r"(?:\\(c:([0-9]{1,15})(?=\*[0-9A-Fa-f]{2}\\)|[ -\[\]-~]+)\*([0-9A-Fa-f]{2})\\)?"
     r"!(AIVD[MO],(?:1,1,|2,([12]),([0-9])),([AB12]?),([0-9:;<=>?@A-W`a-w]+),([0-5]))\*([0-9A-Fa-f]{2})"
@@ -543,9 +550,14 @@ _SIXBIT = np.zeros(256, dtype=np.int64)
 _SIXBIT[list(ARMOR_ALPHABET.encode())] = np.arange(64)
 _HEX = np.zeros(256, dtype=np.int64)
 _HEX[list(b"0123456789ABCDEF")] = _HEX[list(b"0123456789abcdef")] = np.arange(16)
-# the bytes each group of _BLOCK_LINE that a shape does not hold fixed admits, by group number
-_GROUP_BYTES = {2: b"0123456789", 3: b"0123456789ABCDEFabcdef", 5: b"12", 6: b"0123456789", 7: b"AB12",
+# the bytes each group of _BLOCK_LINE admits where a shape does not hold a line's bytes fixed, by group number, and
+# under 0 the M or O of AIVDM/AIVDO; _ALLOWED[c * 256 + b] tells whether byte b may stand where a shape expects c:
+# for c < 256 the byte c itself, and for c = 256 + g one of _GROUP_BYTES[g]
+_GROUP_BYTES = {0: b"MO", 2: b"0123456789", 3: b"0123456789ABCDEFabcdef", 5: b"12", 6: b"0123456789", 7: b"AB12",
                 8: ARMOR_ALPHABET.encode(), 9: b"012345", 10: b"0123456789ABCDEFabcdef"}
+_ALLOWED = np.vstack([np.eye(256, dtype=bool)] + [np.isin(np.arange(256), list(_GROUP_BYTES.get(g, b""))) for g in
+                                                  range(11)]).ravel()
+_SHAPE_LINES = 16  # _scan learns shapes where this many lines share a length, until one fits fewer
 _PAYLOAD_CHARS = _STATIC_BITS // 6  # the most of a payload that the block pass reads
 _SCAN = np.dtype([("ok", bool), ("time_us", np.int64), ("timed", bool), ("fragment", np.int64),  # read by _scan
                   ("message_id", np.int64), ("channel", np.int64), ("fill", np.int64), ("size", np.int64),
@@ -553,16 +565,14 @@ _SCAN = np.dtype([("ok", bool), ("time_us", np.int64), ("timed", bool), ("fragme
 
 
 def _shape(m: re.Match) -> np.ndarray:
-    """The shape of a _BLOCK_LINE match of a bare line or one behind a c:<digits> TAG block: whether each byte
-    may stand at each position (position * 256 + byte) of a line of its length. The lines that fit are those that
+    """The shape of a _BLOCK_LINE match of a bare line or one behind a c:<digits> TAG block: at each position of a
+    line of its length, where in _ALLOWED the bytes that may stand there begin. The lines that fit are those that
     match with the same spans: each byte outside the groups is m's own, but for the M or O of AIVDM/AIVDO."""
-    line = np.frombuffer(m.string.encode("ascii"), dtype=np.uint8)
-    allowed = np.zeros((len(line), 256), dtype=bool)
-    allowed[np.arange(len(line)), line] = True
-    allowed[m.start(4) + 4, list(b"MO")] = True
-    for group, chars in _GROUP_BYTES.items():  # an absent group spans -1..-1, which holds no position
-        allowed[m.start(group) : m.end(group), list(chars)] = True
-    return allowed.ravel()
+    classes = np.frombuffer(m.string.encode("ascii"), dtype=np.uint8).astype(np.int64)
+    classes[m.start(4) + 4] = 256
+    for group in list(_GROUP_BYTES)[1:]:  # an absent group spans -1..-1, which holds no position
+        classes[m.start(group) : m.end(group)] = 256 + group
+    return 256 * classes
 
 
 def _scan(raws: list[str], rx_us: np.ndarray) -> np.ndarray:
@@ -570,78 +580,96 @@ def _scan(raws: list[str], rx_us: np.ndarray) -> np.ndarray:
     checksums hold (ok), its receive time (its TAG time if it has one) and whether that reads (timed), its fragment
     index (0 for a single sentence), message id, channel byte (0 for none), fill bits, payload size and payload.
 
-    The first line of each length is matched, and the shape of its match
-    (_shape) read for every line of that length that fits, as one matrix of
-    bytes; the lines that do not fit try the next one that matches, in turn.
-    A line that is not ASCII matches nothing. A line behind any other TAG
-    block is matched on its own; those whose spans agree are read together,
-    their TAG times through _tag_time.
+    The spans of each line's groups come first. Of at least _SHAPE_LINES
+    lines of one length, the first is matched, and every line that fits
+    the shape of its match (_shape) takes its spans; the rest take the next
+    line's, in turn, until a shape fits fewer than _SHAPE_LINES lines or
+    the next line does not match or has a TAG block other than a bare
+    c:<digits>. Every other line is matched on its own; a TAG time of
+    another TAG block is read by _tag_time. A line that is not ASCII
+    matches nothing. Every line is then read from its spans.
     """
     n = len(raws)
     s = np.zeros(n, dtype=_SCAN)
     s["time_us"], s["timed"] = rx_us, True
-    others: dict[tuple, tuple[re.Match, list[int]]] = {}  # by their spans, lines behind another TAG block
+    joined = "".join(raws)
+    if not joined.isascii():
+        raws = [line if line.isascii() else "" for line in raws]
+        joined = "".join(raws)
     sizes = np.fromiter(map(len, raws), dtype=np.int64, count=n)
+    starts = np.cumsum(sizes) - sizes
+    text = np.frombuffer((joined + "\0" * _PAYLOAD_CHARS).encode("ascii"), dtype=np.uint8)
+    table = [((-1, -1),) * 11]  # the spans of _BLOCK_LINE's groups that lines match with, once per layout
+    layouts = {}  # the place in table of each layout
+    spans = np.zeros(n, dtype=np.int64)  # the place in table of each line's spans
+
+    def layout(m: re.Match) -> int:  # the groups between these have fixed widths, so these fix every span
+        key = m.end(1), m.start(2), m.start(5), m.span(7), m.end()
+        if key not in layouts:
+            layouts[key] = len(table)
+            table.append(m.regs)
+        return layouts[key]
+
+    rest = []  # the lines to match one by one
     by_size = np.argsort(sizes, kind="stable")
     for rows in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1) if n else ():
-        size, group = int(sizes[rows[0]]), [raws[k] for k in rows.tolist()]
-        if not "".join(group).isascii():
-            readable = [line.isascii() for line in group]
-            rows, group = rows[readable], [line for line, r in zip(group, readable) if r]
-        columns = _columns(group, size)
-        k = 0  # rows[:k] are read or match nothing
-        while size and k < len(rows):
-            m = _BLOCK_LINE.fullmatch(raws[rows[k]])
-            if m is not None and (m.start(1) == -1 or m.start(2) != -1):
-                fit = _shape(m).take(columns[:, k:] + 256 * np.arange(size)[:, None]).all(0)
-                _read(m, rows[k:][fit], columns[:, k:][:, fit], s)
-                rows, columns, k = rows[k:][~fit], columns[:, k:][:, ~fit], -1
-            elif m is not None:
-                others.setdefault(m.regs, (m, []))[1].append(int(rows[k]))
-            k += 1
-    for m, rows in others.values():
-        _read(m, np.array(rows), _columns([raws[k] for k in rows], len(m.string)), s)
-        start, end = m.span(1)
-        for k in rows:
+        learn = sizes[rows[0]] and len(rows) >= _SHAPE_LINES
+        lines = text[starts[rows, None] + np.arange(sizes[rows[0]])] if learn else None
+        while learn and len(rows):
+            m = _BLOCK_LINE.fullmatch(raws[rows[0]])
+            if m is None or m.start(2) == -1 != m.start(1):
+                break
+            fit = _ALLOWED.take(lines + _shape(m)).all(1)
+            spans[rows[fit]] = layout(m)
+            learn = np.count_nonzero(fit) >= _SHAPE_LINES
+            rows, lines = rows[~fit], lines[~fit]
+        rest += rows.tolist()
+    time_us, timed = s["time_us"], s["timed"]
+    for k in rest:
+        m = _BLOCK_LINE.fullmatch(raws[k])
+        if m is None:
+            continue
+        spans[k] = layout(m)
+        if m.start(2) == -1 != m.start(1):
             try:
-                rx = _tag_time(raws[k][start:end])
+                rx = _tag_time(m[1])
             except Malformed:
-                s["timed"][k] = False
+                timed[k] = False
             else:
-                s["time_us"][k] = s["time_us"][k] if rx is None else epoch_us(rx)
+                time_us[k] = time_us[k] if rx is None else epoch_us(rx)
+    # every line read at once from its spans, those of a group that is absent standing at the line's start
+    table = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(table)), dtype=np.int64)
+    table = table.reshape(-1, 11, 2)
+    windows = np.lib.stride_tricks.sliding_window_view(text, _PAYLOAD_CHARS)  # windows[j]: text from j on
+
+    def present(group: int) -> np.ndarray:
+        return (table[:, group, 0] != -1).take(spans)
+
+    def at(group: int, end: int = 0) -> np.ndarray:  # where each line's group starts (or ends)
+        return starts + np.maximum(table[:, group, end], 0).take(spans)
+
+    def holds(body: int, checksum: int, rows=slice(None)) -> np.ndarray:  # in lines rows, whether the XOR of
+        hex_digits = _HEX.take(windows[at(checksum)[rows], :2])  # group body is group checksum's hex number
+        bounds = starts[:, None] + np.maximum(table[:, body], 0).take(spans, axis=0)
+        return np.bitwise_xor.reduceat(text, bounds[rows].ravel())[::2] == hex_digits[:, 0] * 16 + hex_digits[:, 1]
+
+    s["ok"] = present(0) & holds(4, 10)
+    tagged = np.flatnonzero(present(1))
+    s["ok"][tagged] &= holds(1, 3, tagged)
+    bare = np.flatnonzero(present(2))  # the lines with a bare c:<digits>, their times read at once
+    places, first = np.arange(15), at(2)[bare]
+    width = at(2, 1)[bare] - first
+    digits = np.where(places < width[:, None], windows[first, :15] - 48.0, 0)  # floats, exact below 2**53
+    seconds = (digits @ 10.0 ** (14 - places)).astype(np.int64) // 10 ** (15 - width)
+    seconds = np.where(seconds >= 10**12, seconds // 1000, seconds)  # milliseconds
+    time_us[bare], timed[bare] = seconds * 1_000_000, seconds <= _MAX_EPOCH_S
+    s["fragment"] = np.where(present(5), text[at(5)] - ord("0"), 0)
+    s["message_id"] = np.where(present(5), text[at(6)] - ord("0"), 0)
+    s["fill"] = text[at(9)] - ord("0")
+    s["channel"] = np.where(at(7, 1) > at(7), text[at(7)], 0)
+    s["size"] = at(8, 1) - at(8)
+    s["payload"] = windows[at(8)]  # what follows a shorter payload is never read
     return s
-
-
-def _columns(lines: list[str], size: int) -> np.ndarray:
-    """The bytes of ASCII lines of `size` characters, one column each: row j holds each line's j-th byte."""
-    return np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8).reshape(len(lines), size).T.copy()
-
-
-def _read(m: re.Match, rows: np.ndarray, columns: np.ndarray, s: np.ndarray) -> None:
-    """Read into s the fields of the block's lines `rows`, whose bytes are `columns` (_columns), that match
-    _BLOCK_LINE with the spans of m; a TAG time only if it is a bare c:<digits>."""
-
-    def holds(body: int, checksum: int) -> np.ndarray:  # whether group body's XOR is group checksum's hex number
-        hex_digits = _HEX.take(columns[m.start(checksum) : m.end(checksum)])
-        return np.bitwise_xor.reduce(columns[m.start(body) : m.end(body)], axis=0) == hex_digits[0] * 16 + hex_digits[1]
-
-    s["ok"][rows] = holds(4, 10) & (holds(1, 3) if m.start(1) != -1 else True)
-    if m.start(2) != -1:  # a bare c:<digits>, read for every line at once
-        start, end = m.span(2)
-        seconds = 10 ** np.arange(end - start - 1, -1, -1) @ (columns[start:end] - ord("0"))
-        seconds = np.where(seconds >= 10**12, seconds // 1000, seconds)  # milliseconds
-        s["time_us"][rows] = seconds * 1_000_000
-        s["timed"][rows] = seconds <= _MAX_EPOCH_S
-    if m.start(5) != -1:
-        s["fragment"][rows] = columns[m.start(5)] - ord("0")
-        s["message_id"][rows] = columns[m.start(6)] - ord("0")
-    if m.end(7) > m.start(7):
-        s["channel"][rows] = columns[m.start(7)]
-    s["fill"][rows] = columns[m.start(9)] - ord("0")
-    start, end = m.span(8)
-    width = min(end - start, _PAYLOAD_CHARS)
-    s["payload"][rows, :width] = columns[start : start + width].T
-    s["size"][rows] = end - start
 
 
 @dataclass(slots=True)
@@ -835,22 +863,21 @@ class MessageDecoder:
     def feed_block(self, lines: list[str], rx_us) -> DecodedBlock:
         """What feed(lines[i], rx_us[i]) for each line in order would give, as a DecodedBlock.
 
-        rx_us holds each line's receive time in microseconds since the
-        epoch. Single-sentence position lines, and two-sentence type 5
-        groups whose fragments 1 and 2 sit on adjacent lines, are
-        checksummed and decoded together, TAG times included (_scan reads
-        each line shape the block shows at once, and matches _BLOCK_LINE on
-        its own only a line that fits none); they become rows of a Positions and a Statics table without
-        any per-row object. A position line goes to feed() in its place
-        when a checksum or its TAG time fails, its type is not 1-3 or it
-        lies out of range. A pair goes to feed() when a checksum or TAG
-        time fails, it holds fewer than 270 bits or another type, or
-        fragment 2 arrives more than the reassembly window after fragment 1;
-        and, checked pair by pair only while a group is pending, when its
-        (channel, message id) key is still pending after expiring at
-        fragment 1's time, or a group would expire at fragment 2's. Every
-        other line goes to feed() too, and what feed() gives, positions and
-        statics included, joins the outcomes.
+        rx_us holds each line's receive time in microseconds since the epoch.
+        Single-sentence position lines, and two-sentence type 5 groups whose
+        fragments 1 and 2 sit on adjacent lines, are checksummed and decoded
+        together, TAG times included (_scan: one match of _BLOCK_LINE for each
+        line shape that many lines share, and one for each other line); they
+        become rows of a Positions and a Statics table without any per-row
+        object. A position line goes to feed() in its place when a checksum or
+        its TAG time fails, its type is not 1-3 or it lies out of range. A
+        pair goes to feed() when a checksum or TAG time fails, it holds fewer
+        than 270 bits or another type, or fragment 2 arrives more than the
+        reassembly window after fragment 1; and, checked pair by pair only
+        while a group is pending, when its (channel, message id) key is still
+        pending after expiring at fragment 1's time, or a group would expire
+        at fragment 2's. Every other line goes to feed() too, and what feed()
+        gives, positions and statics included, joins the outcomes.
         """
         rx_us = np.asarray(rx_us, dtype=np.int64)
         raws = [line if (line and line[-1] not in "\r\n") else line.rstrip("\r\n") for line in lines]

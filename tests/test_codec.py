@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 import random
 
 import numpy as np
@@ -823,10 +824,17 @@ def _equals_feeding_each_line(lines, rxs) -> None:
     assert decoded_block.outcomes == kept(decoded_block, expected)
 
 
-@settings(max_examples=300, deadline=None)
+# how few lines of one length _scan learns a shape for: every line that fits one, the default, or no line
+SHAPE_LINES = [1, codec._SHAPE_LINES, 10**9]
+
+
+@pytest.mark.parametrize("shape_lines", SHAPE_LINES)
+@settings(max_examples=150, deadline=None)
 @given(shape_blocks())
-def test_shape_scan_equals_feeding_each_line(block):
-    _equals_feeding_each_line(*block)
+def test_shape_scan_equals_feeding_each_line(shape_lines, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_SHAPE_LINES", shape_lines)
+        _equals_feeding_each_line(*block)
 
 
 # Lines in each shape, one group each: every checksum holds a 0 digit, which a byte that is not hex would read as.
@@ -839,11 +847,13 @@ def test_shape_scan_equals_feeding_each_line(block):
     ["!AIVDM,2,1,7,A,53`l7@0000000000001<P50F1@E=@000000,0*38",
      "!AIVDM,2,2,7,A,00016<PD:<00000000000000000000000000,2*0A"],
 ], ids=["bare", "no-channel", "tagged", "milliseconds", "fragment", "pair"])
-def test_every_byte_replaced_is_read_as_fed(group):
+@pytest.mark.parametrize("shape_lines", SHAPE_LINES)
+def test_every_byte_replaced_is_read_as_fed(monkeypatch, shape_lines, group):
     """A group of lines in shapes the block has learned, with any one byte replaced by printable ASCII, an 'é' or a
     U+FFFD, and its checksums made to hold again unless the byte is a checksum digit, is read as feed reads it: a
     shape admits exactly the lines that _BLOCK_LINE matches with its spans. The groups are 31 s apart, so that a
     fragment of bare lines that a replaced byte orphans has expired by the next group."""
+    monkeypatch.setattr(codec, "_SHAPE_LINES", shape_lines)
     chars = [chr(c) for c in range(32, 127)] + ["\u00e9", "\ufffd"]
     groups = [group]
     for t, line in enumerate(group):
@@ -853,3 +863,56 @@ def test_every_byte_replaced_is_read_as_fed(group):
             groups.append(group[:t] + [rechecked if rechecked[at] == c else changed] + group[t + 1 :])
     _equals_feeding_each_line([line for g in groups for line in g],
                               [RX + dt.timedelta(seconds=31 * k) for k, g in enumerate(groups) for _ in g])
+
+
+@pytest.mark.parametrize("shape_lines", SHAPE_LINES)
+def test_lines_of_one_length_in_other_layouts_read_as_fed(monkeypatch, shape_lines):
+    """Lines in every layout of _BLOCK_LINE's groups (bare or with a TAG time, a single sentence or a fragment, a
+    channel or none), with payloads of 26-30 characters so that many layouts share a length, are told apart: a
+    28-character payload is a position, and any other of type 8."""
+    monkeypatch.setattr(codec, "_SHAPE_LINES", shape_lines)
+    rng = random.Random(3)
+    lines = []
+    for digits, fragment, channel, talker, chars in itertools.product(
+            (None, 10, 13), (None, 1, 2), ("", "A"), ("AIVDM", "AIVDO"), range(26, 31)):
+        payload = _position_payload(rng) if chars == 28 else "8" + "0" * (chars - 1)
+        sentence = (oracles.sentence(payload, 0, channel=channel, talker=talker) if fragment is None else
+                    oracles.sentence(payload, 0, 2, fragment, rng.randrange(10), channel=channel, talker=talker))
+        lines.append(sentence if digits is None else oracles.tag_block(sentence, 10 ** (digits - 1) + len(lines) % 2))
+    rng.shuffle(lines)
+    _equals_feeding_each_line(lines, [RX + dt.timedelta(seconds=k) for k in range(len(lines))])
+
+
+def test_lines_that_share_no_shape_are_matched_once_each(monkeypatch):
+    """Lines behind TAG blocks with a source, lines of many lengths, and 21 lines of one length in 7 layouts share no
+    shape with _SHAPE_LINES others: at most one shape is built, and each line is matched once, the first of each
+    length at most twice; they decode as fed."""
+    rng = random.Random(5)
+    lines, rxs = [], []
+    for digits in range(9, 16):  # 3 lines each of 7 TAG time widths, the payload making up the difference
+        for _ in range(3):
+            payload = "8" + "0" * (40 - digits)
+            lines.append(oracles.tag_block(oracles.sentence(payload, 0), rng.randrange(10 ** (digits - 1), 10**digits)))
+            rxs.append(RX - dt.timedelta(seconds=len(lines)))
+    for k in range(300):
+        if k % 2:
+            payload = "8" + "".join(rng.choice(codec.ARMOR_ALPHABET) for _ in range(rng.randrange(10, 81)))  # type 8
+            line = oracles.sentence(payload, rng.randrange(6), channel=rng.choice(CHANNELS))
+        else:
+            body = f"s:rSTATION{rng.randrange(12)},c:{1568298480 + k}"
+            line = f"\\{body}*{oracles.xor_checksum(body):02X}\\" + oracles.sentence(_position_payload(rng), 0)
+        lines.append(line)
+        rxs.append(RX + dt.timedelta(seconds=k))
+    _equals_feeding_each_line(lines, rxs)
+    grammar, shape, matched, shapes = codec._BLOCK_LINE, codec._shape, [], []
+
+    class Counted:
+        def fullmatch(self, line):
+            matched.append(line)
+            return grammar.fullmatch(line)
+
+    monkeypatch.setattr(codec, "_BLOCK_LINE", Counted())
+    monkeypatch.setattr(codec, "_shape", lambda m: shapes.append(m) or shape(m))
+    codec.MessageDecoder().feed_block(lines, [codec.epoch_us(rx) for rx in rxs])
+    assert len(shapes) <= 1
+    assert len(matched) <= len(lines) + len({len(line) for line in lines})
