@@ -150,7 +150,8 @@ def nmea_checksum(body: str) -> int:
 
 
 def _parse_fields(line: str) -> tuple:
-    """Checksum-verified field split; the tuple matches RawSentence order."""
+    """Checksum-verified field split, its numbers ASCII digits and its channel one _BLOCK_LINE admits; the tuple
+    matches RawSentence order."""
     if not line:
         raise Malformed("empty line")
     if line[0] not in "!$":
@@ -179,12 +180,10 @@ def _parse_fields(line: str) -> tuple:
     if len(fields) != 7:
         raise Malformed(f"expected 7 comma-separated fields, got {len(fields)}")
     talker, frag_count_s, frag_index_s, msg_id_s, channel, payload, fill_s = fields
-    try:
-        fragment_count = int(frag_count_s)
-        fragment_index = int(frag_index_s)
-        fill_bits = int(fill_s)
-    except ValueError:
-        raise Malformed("non-integer fragment/fill field") from None
+    # the body is ASCII, where only 0-9 are digits; int() would also take spaces, a sign or underscores
+    if not (frag_count_s.isdigit() and frag_index_s.isdigit() and fill_s.isdigit()):
+        raise Malformed("non-integer fragment/fill field")
+    fragment_count, fragment_index, fill_bits = int(frag_count_s), int(frag_index_s), int(fill_s)
     if fragment_count < 1 or fragment_index < 1:
         raise Malformed("fragment numbers must be >= 1")
     if fragment_index > fragment_count:
@@ -193,10 +192,11 @@ def _parse_fields(line: str) -> tuple:
         raise Malformed(f"fill bits {fill_bits} outside 0..5")
     message_id = None
     if msg_id_s:
-        try:
-            message_id = int(msg_id_s)
-        except ValueError:
-            raise Malformed(f"message id {msg_id_s!r} is not an integer") from None
+        if not msg_id_s.isdigit():
+            raise Malformed(f"message id {msg_id_s!r} is not an integer")
+        message_id = int(msg_id_s)
+    if channel not in ("", "A", "B", "1", "2"):
+        raise Malformed(f"channel {channel!r} is not A, B, 1 or 2")
     if fragment_count > 1 and message_id is None:
         raise Malformed("multi-sentence group without a message id")
     if not payload:
@@ -506,10 +506,10 @@ def _tag_time(body: str) -> dt.datetime | None:
     rx = None
     for part in (body,) if "," not in body else body.split(","):
         if part.startswith("c:"):
-            try:
-                epoch = int(part[2:])
-            except ValueError:
-                raise Malformed(f"TAG block time {part!r} is not an integer") from None
+            # a checked body is ASCII, where only 0-9 are digits; a time before 1970 is written with a minus sign
+            if not part[2:].removeprefix("-").isdigit():
+                raise Malformed(f"TAG block time {part!r} is not an integer")
+            epoch = int(part[2:])
             if epoch >= 10**12:  # milliseconds
                 epoch //= 1000
             try:

@@ -179,7 +179,7 @@ class PortGeometry:
 
 def _geojson(source) -> dict:
     """The GeoJSON object a dict or a file holds; InvalidPolygon for JSON of another shape."""
-    data = source if isinstance(source, dict) else json.loads(pathlib.Path(source).read_text())
+    data = source if isinstance(source, dict) else json.loads(pathlib.Path(source).read_text(encoding="utf-8-sig"))
     if not isinstance(data, dict):
         raise InvalidPolygon(f"expected a GeoJSON object, got a JSON {type(data).__name__}")
     return data

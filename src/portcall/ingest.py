@@ -6,9 +6,9 @@ fully jittered delays. Connection gaps are recorded so they can seed the
 outage detector. Replay reads either raw/tag-blocked NMEA or previously
 stored JSONL messages, optionally pacing emission by the recorded
 timestamps. Live and replayed NMEA both go to MessageDecoder.feed_block
-in blocks: the complete lines of each chunk received, or up to
-_REPLAY_BLOCK lines of a file. A byte that is not UTF-8 makes its line
-malformed; it does not end the read.
+in blocks: the complete lines of each chunk received, or of each
+_REPLAY_BLOCK lines read from a file. A byte that is not UTF-8 makes its
+line malformed; it does not end the read.
 
 Every decoded message leaves this module as a row of a run: the sink is
 called as sink(run, lines) with a codec.BlockRun, rows in receive order, and
@@ -39,7 +39,7 @@ from .jsonl import dumps, message_from_dict, message_to_dict
 from .table import UTC, epoch_us
 
 _LAST_US = epoch_us(dt.datetime.max.replace(tzinfo=UTC))  # the last receive time a datetime holds
-_REPLAY_BLOCK = 1024  # NMEA lines decoded together by run_replay, and stored lines handed on as one run
+_REPLAY_BLOCK = 4096  # file lines run_replay reads at once: at most this many in a decoded block or stored run
 _OPEN_DAYS = 64  # day files a MessageStore keeps open
 
 
@@ -130,13 +130,12 @@ class MessageStore:
 
     def append(self, rows: BlockRun, lines: list[str]) -> None:
         """Write a run of rows, given the stored document of each in order; a row without a time goes to 1970."""
-        start = 0
-        for day, same_day in itertools.groupby(rows.utc_days().tolist()):
-            stop = start + len(list(same_day))
-            f = self._file(day)
+        days = rows.utc_days()
+        starts = np.flatnonzero(np.diff(days, prepend=0)).tolist()  # a day's ordinal is >= 1: row 0 starts a run
+        for start, stop in zip(starts, starts[1:] + [len(days)]):
+            f = self._file(int(days[start]))
             f.write("\n".join(lines[start:stop]) + "\n")
             f.flush()
-            start = stop
 
     def close(self) -> None:
         for f in self._open.values():
@@ -205,7 +204,7 @@ def _documents(block: DecodedBlock) -> list[str]:
 
 
 def _raw_times(start_us: int, numbers, cadence_s: float) -> np.ndarray:
-    """start_us plus n × cadence_s for each line number n, in microseconds rounded as
+    """start_us plus n × cadence_s for each line number n (an int64 array), in microseconds rounded as
     dt.timedelta(seconds=n * cadence_s) rounds them; RawTimeOutOfRange past year 9999."""
     steps = np.array(numbers, dtype=np.float64) * cadence_s
     late = np.flatnonzero(~(steps <= 4e11))  # ≈ 12,700 years: past any datetime, still exact in int64 microseconds
@@ -233,12 +232,15 @@ def run_replay(
     get synthetic ones, raw_start plus raw_cadence_s per line of the file
     (blank lines count), computed for a block at a time in integer
     microseconds. A cadence that is not finite or is negative is a
-    ValueError; a receive time past year 9999 is RawTimeOutOfRange. NMEA
-    lines go to the decoder in blocks of up to _REPLAY_BLOCK lines through
-    feed_block, which gives what feeding them one by one would, also when
-    reading the file fails partway. Every message reaches sink(run, lines)
-    in order: each block's messages in one call, and the stored lines
-    between blocks in runs of up to _REPLAY_BLOCK. A UTF-8 byte-order mark
+    ValueError; a receive time past year 9999 is RawTimeOutOfRange. The
+    file is read in chunks of _REPLAY_BLOCK lines, each taken whole: its
+    lines stripped and its blank lines dropped at once, with no statement
+    run per line, and split into blocks only where a line changes between
+    stored and NMEA. A read that fails partway keeps the lines of its chunk
+    read before it, and they are replayed. NMEA blocks go to the decoder
+    through feed_block, which gives what feeding their lines one by one
+    would, wherever a chunk ends. Every message reaches sink(run, lines) in
+    order: each block's messages in one call. A UTF-8 byte-order mark
     that starts the file is skipped. A byte that is not UTF-8 reads as
     U+FFFD, which makes its line malformed. A line that starts with
     `{` is read as a stored JSONL message, after the NMEA lines before it;
@@ -257,41 +259,44 @@ def run_replay(
     start_us = epoch_us(raw_start)
     if cfg.replay_speed > 0:
         sink = _paced(sink, cfg.replay_speed, sleep)
-    block: list[str] = []  # NMEA lines, or stored lines
-    numbers: list[int] = []  # the line number in the file of each line of `block`
 
-    def feed():
-        nonlocal block, numbers
-        lines, at, block, numbers = block, numbers, [], []  # taken first: a failing sink cannot resend them
-        if lines and not lines[0].startswith("{"):
-            _deliver(dec.feed_block(lines, _raw_times(start_us, at, raw_cadence_s)), sink, error_sink)
-        elif lines:
-            messages = []
-            for line in lines:
-                try:
-                    messages.append(message_from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    summary.errors += 1
-                    error_sink(DecodeOutcome("error", error="malformed", detail=str(exc), raw=line))
-            summary.messages += len(messages)
-            if messages:
-                sink(BlockRun.of_messages(messages), [dumps(message_to_dict(m)) for m in messages])
+    def replay(chunk: list[str], first: int) -> None:
+        """A chunk of the file's lines, chunk[0] its line `first`, in blocks split where a line changes between
+        stored and NMEA."""
+        lines = [line.rstrip("\r\n") for line in chunk]
+        heads = np.array([line[:1] for line in lines], dtype="U1")
+        kept = np.flatnonzero(heads != "")  # a blank line only takes its line number
+        if len(kept) < len(lines):
+            lines = [lines[k] for k in kept.tolist()]
+        summary.lines += len(lines)
+        stored = (heads[kept] == "{").view(np.int8)
+        starts = np.flatnonzero(np.diff(stored, prepend=2)).tolist()  # where a block starts
+        for start, stop in zip(starts, starts[1:] + [len(lines)]):
+            if not stored[start]:
+                times = _raw_times(start_us, first + kept[start:stop], raw_cadence_s)
+                _deliver(dec.feed_block(lines[start:stop], times), sink, error_sink)
+            else:
+                messages = []
+                for line in lines[start:stop]:
+                    try:
+                        messages.append(message_from_dict(json.loads(line)))
+                    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                        summary.errors += 1
+                        error_sink(DecodeOutcome("error", error="malformed", detail=str(exc), raw=line))
+                summary.messages += len(messages)
+                if messages:
+                    sink(BlockRun.of_messages(messages), [dumps(message_to_dict(m)) for m in messages])
 
     with open(cfg.path, "r", encoding="utf-8-sig", errors="replace") as f:
+        chunk: list[str] = []
+        read = 0  # the file's lines before chunk
         try:
-            for i, line in enumerate(f):
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                summary.lines += 1
-                if block and block[0].startswith("{") != line.startswith("{"):
-                    feed()
-                block.append(line)
-                numbers.append(i)
-                if len(block) == _REPLAY_BLOCK:
-                    feed()
-        finally:  # a read that fails partway still delivers the lines read before it
-            feed()
+            while chunk.extend(itertools.islice(f, _REPLAY_BLOCK)) or chunk:
+                taken, chunk = chunk, []  # taken first: a failing sink cannot resend them
+                replay(taken, read)
+                read += len(taken)
+        finally:  # list.extend keeps the lines it took before a read fails: they are still delivered
+            replay(chunk, read)
     for outcome in dec.finish():  # timeouts only
         error_sink(outcome)
     return summary.add(dec)

@@ -123,7 +123,7 @@ class ValidationConfig:
     @classmethod
     def from_file(cls, path) -> "ValidationConfig":
         mapping = {}
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

@@ -22,6 +22,11 @@ def feed_one(line, rx=RX, decoder=None):
     return outcomes[0]
 
 
+def checked(body: str) -> str:
+    """body followed by its NMEA checksum."""
+    return f"{body}*{oracles.xor_checksum(body):02X}"
+
+
 class TestParseSentence:
     """What feed makes of a line's sentence fields: the error name and detail it gives, or no error."""
 
@@ -78,6 +83,25 @@ class TestParseSentence:
     def test_malformed_structure(self, line):
         outcome = feed_one(line)
         assert (outcome.error, outcome.detail) == ("malformed", self.MALFORMED_LINES[line])
+
+    POSITION = oracles.position_sentence(mmsi=1, navstat=0, rot_raw=0, sog_raw=0, lon_raw=0, lat_raw=0, cog_raw=0,
+                                         heading_raw=0)
+    LOOSE = {  # fields that Python's int() reads, or a channel outside A, B, 1, 2 and none
+        "!" + checked(POSITION[1:-3].replace(",1,1,", ", 1,1,")): "non-integer fragment/fill field",
+        "!" + checked(POSITION[1:-3].replace(",1,1,", ",1,+1,")): "non-integer fragment/fill field",
+        "!" + checked(POSITION[1:-3].replace(",A,", ",ZZ,")): "channel 'ZZ' is not A, B, 1 or 2",
+        f"\\{checked('c:1_568_298_480')}\\{POSITION}": "TAG block time 'c:1_568_298_480' is not an integer",
+        f"\\{checked('c: 1568298480')}\\{POSITION}": "TAG block time 'c: 1568298480' is not an integer",
+        f"\\{checked('c:+1568298480')}\\{POSITION}": "TAG block time 'c:+1568298480' is not an integer",
+    }
+
+    @pytest.mark.parametrize("line", LOOSE)
+    def test_what_int_reads_is_malformed_through_feed_and_feed_block(self, line):
+        """Each number is ASCII digits and the channel one _BLOCK_LINE admits, in the line parser too."""
+        outcome = feed_one(line)
+        assert (outcome.error, outcome.detail) == ("malformed", self.LOOSE[line])
+        block = codec.MessageDecoder().feed_block([line], [0])
+        assert len(block) == 0 and block.outcomes == [outcome]
 
     def test_invalid_armor_character(self):
         body = "AIVDM,1,1,,A,xyz,0"  # 'x' is outside the alphabet

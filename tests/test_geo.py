@@ -225,6 +225,13 @@ class TestGeoJson:
         assert port.terminal_at(2.5, 2.5).name == "berth"
         assert port.terminal_at(0.5, 0.5) is None
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        """A port file written with a UTF-8 byte-order mark reads as the same port."""
+        fc = {"type": "FeatureCollection", "features": [_feature("berth", "terminal", [(2, 2), (2, 3), (3, 3)])]}
+        path = tmp_path / "port.geojson"
+        path.write_text("\ufeff" + json.dumps(fc), encoding="utf-8")
+        assert geo.load_port_geometry(path).terminal_at(2.2, 2.5).name == "berth"
+
     def test_kind_required(self):
         fc = {"type": "FeatureCollection", "features": [_feature("x", "harbor", [(0, 0), (0, 1), (1, 1)])]}
         with pytest.raises(geo.InvalidPolygon):

@@ -593,8 +593,8 @@ class TestReplayBlocks:
         return path, rows
 
     @staticmethod
-    def _per_line(rows):
-        """The sink and error-sink sequences of decoding each line on its own."""
+    def _outcomes(rows):
+        """The outcomes of decoding each line on its own, untagged lines at 0.5 s a line from T0."""
         dec = MessageDecoder()
         outcomes = []
         for i, line in enumerate(rows):
@@ -604,7 +604,12 @@ class TestReplayBlocks:
                 outcomes.append(stored_outcome(line))
             else:
                 outcomes += dec.feed(line, T0 + dt.timedelta(seconds=i * 0.5))
-        outcomes += dec.finish()
+        return outcomes + dec.finish()
+
+    @classmethod
+    def _per_line(cls, rows):
+        """The sink and error-sink sequences of decoding each line on its own."""
+        outcomes = cls._outcomes(rows)
         return ([o.message for o in outcomes if o.kind in ("position", "static")],
                 [o for o in outcomes if o.kind == "error"])
 
@@ -621,6 +626,37 @@ class TestReplayBlocks:
         assert summary.lines == sum(1 for line in rows if line)
         assert {e.error for e in errors} == {"malformed"}  # the torn stored and NMEA lines
         assert len(errors) == 2
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, None])
+    def test_chunk_edges_change_nothing(self, tmp_path, nmea_fixture, monkeypatch, block):
+        """The file is read in chunks of _REPLAY_BLOCK lines. Wherever a chunk ends, the sink and error-sink
+        sequences and the summary's counts are those of the per-line reference. The file has a byte-order mark,
+        CRLF and lone-CR endings, blank lines among untagged ones, stored lines, and a torn last line. It also has a
+        type 5 pair whose fragments lie on either side of a chunk edge at each block size but the default."""
+        if block is not None:
+            monkeypatch.setattr(ingest, "_REPLAY_BLOCK", block)
+        stored = [dumps(message_to_dict(m)) for m in decode_direct(nmea_fixture[:8])[:2]]
+        tagged = [line for line in nmea_fixture if "AIVDM,1,1," in line]
+        bare = [line[line.index("\\", 1) + 1 :] for line in tagged]
+        first = next(i for i, line in enumerate(nmea_fixture) if "AIVDM,2,1," in line)
+        pair = [line[line.index("\\", 1) + 1 :] for line in nmea_fixture[first : first + 2]]
+        rows = bare[:10] + ["", "", stored[0], ""] + tagged[10:20] + [stored[1], stored[1][:30], "", ""] + bare[20:30]
+        rows += bare[30 : 30 + 42 - len(rows) - 1] + pair + bare[40:60] + ["", ""] + tagged[60:70] + [bare[70][:25]]
+        assert rows[41:43] == pair  # fragment 2 starts a chunk of 1, 2, 3 or 7 lines
+        ends = ["\r\n" if i % 3 == 1 else "\r" if i % 3 == 2 and rows[i + 1] else "\n" for i in range(len(rows) - 1)]
+        path = tmp_path / "edges.nmea"
+        path.write_bytes(("\ufeff" + "".join(map(str.__add__, rows, ends)) + rows[-1]).encode())
+        outcomes = self._outcomes(rows)
+        messages, errors = self._per_line(rows)
+        assert messages != self._per_line([row for row in rows if row])[0]  # blank lines shift the untagged times
+        got, got_errors = [], []
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), each_report(got.append),
+                                    error_sink=got_errors.append, raw_start=T0, raw_cadence_s=0.5)
+        assert got == messages
+        assert got_errors == errors
+        assert [e.raw for e in errors] == [stored[1][:30], bare[70][:25]]
+        assert (summary.lines, summary.messages, summary.errors, summary.skipped) == (
+            sum(1 for row in rows if row), len(messages), len(errors), sum(o.kind == "skipped" for o in outcomes))
 
     def test_unreadable_byte_is_one_malformed_line(self, tmp_path, nmea_fixture, monkeypatch):
         """A byte that is not UTF-8 makes the line holding it malformed; the lines after it still decode."""
@@ -679,7 +715,8 @@ class TestColumnPass:
     def test_clean_block_builds_no_object_per_position(self, tmp_path, monkeypatch, nmea_fixture):
         """Replayed blocks of clean position lines and type 5 pairs, tagged or bare, reach the store as columns:
         no outcome, report or datetime per position or static, no timedelta per line, and one store write per
-        block."""
+        block. Blocks of 1,024 lines make the file span several."""
+        monkeypatch.setattr(ingest, "_REPLAY_BLOCK", 1024)
         built = {"DecodeOutcome": 0, "_report": 0, "StaticReport": 0, "from_epoch_us": 0, "_tag_time": 0,
                  "timedelta": 0, "append": 0}
 

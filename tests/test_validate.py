@@ -601,6 +601,11 @@ class TestConfig:
         assert cfg.hysteresis_msgs == 3
         assert cfg.hysteresis_min == 12.0
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "v.conf"
+        path.write_text("\ufeffmethod = kinematic\n", encoding="utf-8")
+        assert validate.ValidationConfig.from_file(path).method == "kinematic"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "v.conf"
         path.write_text("stoped_threshold_kn = 0.4\n")
