@@ -18,36 +18,41 @@ stored lines into the same tables, _ROWS_PER_PART lines at a time, through
 each table's checked reader (`table.Table.read`), and build no object per
 line either.
 
+`run` formats a position's latitude and longitude once: decode keeps the
+JSON text it wrote them with (HANDED_TEXTS, as byte columns), and validate
+writes each validated line with its position's texts, taken in the order
+validate_stream sorts its rows by, formatting only the other fields. The
+staged `validate` makes those texts from the table it read, so both take
+one path.
+
 Exit codes: 0 success, 1 data-quality threshold exceeded, 2 usage or I/O
 error.
 
-`synth` and `metrics` are imported by the commands that use them, so a
-command pays only for the stages it runs.
+Each command imports the stages it runs and no other: `validate`, `voyage`,
+`geo`, `metrics` and `synth` are imported by the commands that use them,
+and the live feed's modules by `ingest` from a socket, so `ingest` and
+`decode` load only the decoder, its tables and the store.
 """
 
 import argparse
 import datetime as dt
-import hashlib
 import itertools
 import json
 import math
 import pathlib
-import signal
 import sys
-import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection, Mapping
 
 import numpy as np
 
-from . import __version__, columnar, jsonl, validate, voyage
+from . import __version__, columnar, jsonl
 from .codec import Positions, Statics
-from .geo import AreaFilter, InvalidPolygon, PortGeometry, load_port_geometry
 from .ingest import MessageStore, RawTimeOutOfRange, SourceConfig, run_live, run_replay
 from .jsonl import message_from_dict, message_to_dict
-from .table import CHUNK_ROWS, Table, format_ts, parse_ts
+from .table import CHUNK_ROWS, Table, format_ts, parse_ts, stack_rows
 
 if TYPE_CHECKING:
-    from . import metrics
+    from . import geo, metrics, validate, voyage
 
 EXIT_OK = 0
 EXIT_QUALITY = 1
@@ -59,6 +64,8 @@ class UsageError(Exception):
 
 
 def _sha256(path: pathlib.Path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -111,7 +118,15 @@ def _readable(path) -> pathlib.Path:
     return path
 
 
-def _load_port(path) -> PortGeometry | None:
+def load_port_geometry(path) -> "geo.PortGeometry":
+    """geo.load_port_geometry, imported by the first command that reads port polygons; a name of this module, as
+    perfbench's tracer looks it up."""
+    from . import geo
+
+    return geo.load_port_geometry(path)
+
+
+def _load_port(path) -> "geo.PortGeometry | None":
     if not path:
         return None
     try:
@@ -120,7 +135,9 @@ def _load_port(path) -> PortGeometry | None:
         raise UsageError(f"bad port geometry: {exc}") from exc
 
 
-def _load_validation(config_path, method, port_path) -> tuple[validate.ValidationConfig, PortGeometry | None]:
+def _load_validation(config_path, method, port_path) -> "tuple[validate.ValidationConfig, geo.PortGeometry | None]":
+    from . import validate
+
     try:
         cfg = validate.ValidationConfig.from_file(config_path) if config_path else validate.ValidationConfig()
     except (OSError, ValueError) as exc:
@@ -133,20 +150,22 @@ def _load_validation(config_path, method, port_path) -> tuple[validate.Validatio
     return cfg, port
 
 
-def _area_filter(area, center, radius_m: float) -> AreaFilter | None:
+def _area_filter(area, center, radius_m: float) -> "geo.AreaFilter | None":
+    from . import geo
+
     if not (math.isfinite(radius_m) and radius_m > 0):
         raise UsageError(f"bad --radius-m {radius_m!r}: not a finite number of metres > 0")
     if area:
         try:
-            return AreaFilter.from_geojson(area)
-        except (OSError, ValueError, InvalidPolygon) as exc:
+            return geo.AreaFilter.from_geojson(area)
+        except (OSError, ValueError, geo.InvalidPolygon) as exc:
             raise UsageError(f"bad area: {exc}") from exc
     if center:
         try:
             lat, lon = map(float, center.split(","))
         except ValueError:
             raise UsageError(f"bad --center {center!r}: not a lat,lon") from None
-        return AreaFilter.circle(_number_in(lat, -90, 90, "--center"), _number_in(lon, -180, 180, "--center"),
+        return geo.AreaFilter.circle(_number_in(lat, -90, 90, "--center"), _number_in(lon, -180, 180, "--center"),
                                  radius_m)
     return None
 
@@ -215,23 +234,31 @@ def _load_table(path: pathlib.Path, what: str, table: type[Table]) -> Table:
 # ---------------------------------------------------------------------------
 # decode
 
+# The position fields whose JSON text `run` keeps from decode for validate to write again: latitude and longitude,
+# nearly every one a distinct float that repr formats on its own, and so most of what a position's text costs.
+# Every field's text would hold 83 B per position through validate's peak memory, where these hold 36 B.
+HANDED_TEXTS = ("lat", "lon")
+
 
 def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, raw_start: dt.datetime,
-                 raw_cadence_s: float, max_error_rate: float | None, *, digests: dict[pathlib.Path, str]):
+                 raw_cadence_s: float, max_error_rate: float | None, *, keep_texts: Collection[str],
+                 digests: dict[pathlib.Path, str]):
     """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
 
     Each run of messages that run_replay hands on is written to `out` in
     one write, with the stored document it gives for each row, and its
     statics' ship types are read from their columns. Returns the positions
-    as one `codec.Positions` table in the order they came, the ship type of
-    every MMSI that sent static data (its last), and the exit status of the
-    error-rate check. The positions of every run, one per block of lines
-    at most, are concatenated once after the last line; no text of a row is
-    kept, as the columns give it back. Times are cut to the whole seconds
-    the JSONL holds, so later stages see the values a staged run reads back
-    from the file.
+    as one `codec.Positions` table in the order they came; the JSON text
+    their lines were written with of each field keep_texts names, by
+    attribute (`table.Table.texts`), for validate_stage to write again; the
+    ship type of every MMSI that sent static data (its last); and the exit
+    status of the error-rate check. The positions and texts of every run, one per block of lines at
+    most, are concatenated once after the last line. Times are cut to the
+    whole seconds the JSONL holds, so later stages see the values a staged
+    run reads back from the file.
     """
     parts: list[Positions] = []  # the positions of each run, in order
+    texts: list[dict[str, np.ndarray]] = []  # the kept texts of each run's positions
     ship_types: dict[int, int] = {}
     with open(out, "w", encoding="utf-8", newline="\n") as fo, open(
         errors, "w", encoding="utf-8", newline="\n"
@@ -240,6 +267,7 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
         def keep(run, lines):
             fo.write("\n".join(lines) + "\n")
             parts.append(run.positions)
+            texts.append({name: run.texts[name] for name in keep_texts})
             ship_types.update(zip(run.statics.mmsi.tolist(), run.statics.ship_type.tolist()))
 
         def reject(outcome):
@@ -253,6 +281,7 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
             raise UsageError(f"bad --raw-cadence-s {raw_cadence_s!r}: {exc}") from None
     positions = Positions.concat(parts)
     positions.time_us = positions.time_us - positions.time_us % 1_000_000
+    texts = {name: stack_rows([run_texts[name] for run_texts in texts]) for name in keep_texts}
     print(
         f"decoded {len(positions)} positions, {summary.messages - len(positions)} statics, "
         f"{summary.errors} errors, {summary.skipped} skipped from {summary.lines} lines"
@@ -269,7 +298,7 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
     if max_error_rate is not None and summary.lines and summary.errors / summary.lines > max_error_rate:
         print(f"error rate {summary.errors / summary.lines:.3f} above threshold", file=sys.stderr)
         status = EXIT_QUALITY
-    return positions, ship_types, status
+    return positions, texts, ship_types, status
 
 
 def cmd_decode(args) -> int:
@@ -279,7 +308,8 @@ def cmd_decode(args) -> int:
     max_error_rate = _number_in(args.max_error_rate, 0, 1, "--max-error-rate")
     out = pathlib.Path(args.output)
     errors = pathlib.Path(args.errors) if args.errors else out.with_suffix(".errors.jsonl")
-    _, _, status = decode_stage(source, out, errors, raw_start, raw_cadence_s, max_error_rate, digests={})
+    *_, status = decode_stage(source, out, errors, raw_start, raw_cadence_s, max_error_rate, keep_texts=(),
+                              digests={})
     return status
 
 
@@ -302,20 +332,28 @@ def validated_from_dict(doc: dict) -> columnar.ValidatedMessage:
                                      **columnar.Validated.values(doc))
 
 
-def validate_stage(positions: Positions, port: PortGeometry | None, cfg: validate.ValidationConfig,
-                   out: pathlib.Path, outages_out: pathlib.Path, *, source: pathlib.Path, port_path: str | None,
-                   config_path: str | None, min_agreement: float | None, digests: dict[pathlib.Path, str]):
+def validate_stage(positions: Positions, texts: Mapping[str, np.ndarray], port: "geo.PortGeometry | None",
+                   cfg: "validate.ValidationConfig", out: pathlib.Path, outages_out: pathlib.Path, *,
+                   source: pathlib.Path, port_path: str | None, config_path: str | None,
+                   min_agreement: float | None, digests: dict[pathlib.Path, str]):
     """Correct the statuses, detect outages and flag the gaps they silenced.
 
+    texts holds the JSON text of some of the positions' fields, by attribute
+    (`table.Table.texts`), row-aligned with them. Each validated line takes
+    its position's texts, reordered as validate_stream orders its rows
+    (validate.stream_order), and only the other fields are formatted here.
     Returns the validated messages and the exit status of the agreement
     check.
     """
+    from . import validate
+
+    order = validate.stream_order(positions)
     outages = validate.detect_outages(positions)
-    validated = validate.validate_stream(positions, port, cfg, outages=outages)
-    with open(out, "w", encoding="utf-8", newline="\n") as f:
+    validated = validate.validate_stream(positions, port, cfg, outages=outages, order=order)
+    with open(out, "wb") as f:
         for a in range(0, len(validated), CHUNK_ROWS):
-            f.write("\n".join(validated[a:a + CHUNK_ROWS].lines()))
-            f.write("\n")
+            rows = order[a:a + CHUNK_ROWS]
+            f.write(validated[a:a + CHUNK_ROWS].jsonl({name: t[rows] for name, t in texts.items()}))
     jsonl.write_jsonl(outages_out, map(validate.Outages.to_dict, outages))
     agreement = np.count_nonzero(validated.agreed_with_reported) / len(validated) if len(validated) else 1.0
     print(f"validated {len(validated)} messages, agreement with reported {agreement:.3f}, "
@@ -342,7 +380,7 @@ def cmd_validate(args) -> int:
     out = pathlib.Path(args.output)
     outages_out = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
     positions = _load_table(source, "position message", Positions)
-    _, status = validate_stage(positions, port, cfg, out, outages_out, source=source,
+    _, status = validate_stage(positions, positions.texts(HANDED_TEXTS), port, cfg, out, outages_out, source=source,
                                port_path=args.port, config_path=args.config, min_agreement=min_agreement,
                                digests={})
     return status
@@ -352,14 +390,16 @@ def cmd_validate(args) -> int:
 # voyages
 
 
-def voyages_stage(messages: columnar.Validated, area: AreaFilter | None, out: pathlib.Path, *,
+def voyages_stage(messages: columnar.Validated, area: "geo.AreaFilter | None", out: pathlib.Path, *,
                   source: pathlib.Path, area_path: str | None, center: str | None,
-                  radius_m: float, digests: dict[pathlib.Path, str]) -> list[voyage.Voyage]:
+                  radius_m: float, digests: dict[pathlib.Path, str]) -> "list[voyage.Voyage]":
     """Group the messages inside the area into voyages with phases.
 
     A voyage is gap-flagged from its own messages' gap flags, so with an area
     only the gaps between in-area messages count.
     """
+    from . import voyage
+
     if area is not None:
         messages = messages[area.contains(messages.positions.lat, messages.positions.lon)]
     voyages = [voyage.segment_phases(v) for v in voyage.extract_voyages(messages)]
@@ -401,7 +441,7 @@ def _hours(delta: dt.timedelta) -> str:
     return f"{delta.total_seconds() / 3600.0:.3f}"
 
 
-def metrics_stage(voyages: list[voyage.Voyage], ship_types: dict[int, int], port: PortGeometry | None,
+def metrics_stage(voyages: "list[voyage.Voyage]", ship_types: dict[int, int], port: "geo.PortGeometry | None",
                   truth: "metrics.ArrivalTable | None", exclude: set[dt.date], outdir: pathlib.Path, *,
                   vessel: int | None, voyages_path: pathlib.Path, static_path: str | None, truth_path: str | None,
                   port_path: str | None, digests: dict[pathlib.Path, str]) -> None:
@@ -486,6 +526,8 @@ def metrics_stage(voyages: list[voyage.Voyage], ship_types: dict[int, int], port
 
 
 def cmd_metrics(args) -> int:
+    from . import voyage
+
     voyages_path = _readable(args.voyages)
     port = _load_port(args.port)
     truth, exclude = _load_ground_truth(args.ground_truth, args.exclude_dates)
@@ -553,6 +595,9 @@ def _until_signalled(run):
     The event is set from a thread of its own: the handler runs in the main
     thread, which may be holding the event's lock inside Event.wait.
     """
+    import signal
+    import threading
+
     stop = threading.Event()
 
     def handler(signum, frame):
@@ -602,12 +647,13 @@ def cmd_run(args) -> int:
     validated_path = outdir / "validated.jsonl"
     voyages_path = outdir / "voyages.jsonl"
     digests: dict[pathlib.Path, str] = {}  # each file is hashed once for all four manifests
-    positions, ship_types, status = decode_stage(source, decoded, outdir / "errors.jsonl", raw_start,
-                                                 raw_cadence_s, max_error_rate, digests=digests)
-    validated, _ = validate_stage(positions, port, cfg, validated_path, outdir / "outages.jsonl",
+    positions, texts, ship_types, status = decode_stage(source, decoded, outdir / "errors.jsonl", raw_start,
+                                                        raw_cadence_s, max_error_rate, keep_texts=HANDED_TEXTS,
+                                                        digests=digests)
+    validated, _ = validate_stage(positions, texts, port, cfg, validated_path, outdir / "outages.jsonl",
                                   source=decoded, port_path=args.port, config_path=args.config,
                                   min_agreement=None, digests=digests)
-    del positions  # the validated columns hold them sorted
+    del positions, texts  # the validated columns hold the positions sorted, and validated.jsonl is written
     voyages = voyages_stage(validated, area, voyages_path, source=validated_path, area_path=args.area,
                             center=args.center, radius_m=args.radius_m, digests=digests)
     metrics_stage(voyages, ship_types, port, truth, exclude, outdir / "metrics", vessel=args.vessel,
@@ -630,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     port.add_argument("--port", help="GeoJSON with anchorage/terminal polygons")
     validation = argparse.ArgumentParser(add_help=False)
     validation.add_argument("--config", help="key = value config file")
-    validation.add_argument("--method", choices=validate.METHODS)
+    validation.add_argument("--method", choices=columnar.METHODS)
     area = argparse.ArgumentParser(add_help=False)
     area.add_argument("--area", help="GeoJSON polygon bounding the port area")
     area.add_argument("--center", help="lat,lon of a circular port area")

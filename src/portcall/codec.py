@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .table import (DIMENSION, EPOCH, INTEGER, LATITUDE, LONGITUDE, NUMBER, RATE, TEXT, TIME, UTC,
-                    Field, Table, epoch_us, from_epoch_us)
+                    Field, Table, epoch_us, from_epoch_us, join_rows)
 
 
 class BadChecksum(ValueError):
@@ -402,7 +402,8 @@ def encode_positions(positions: Positions) -> list[str]:
                        np.rint(p.lat * 600000).astype(np.int64),
                        _sent(p.cog, 10, 3600), _sent(p.heading, 1, 511), seconds % 60), axis=1)
     payloads = _ARMOR_BYTES[_write_rows(fields, _POSITION_WRITE, 28)]
-    return _texts(len(p), [*_tag(seconds), b"!", *_checked(b"AIVDM,1,1,,A,", payloads, b",0"), b"\n"])
+    parts = [*_tag(seconds), b"!", *_checked(b"AIVDM,1,1,,A,", payloads, b",0"), b"\n"]
+    return join_rows(len(p), parts).decode("ascii").split("\n")[:-1]
 
 
 def _sent(values: np.ndarray, scale: int, sentinel: int) -> np.ndarray:
@@ -436,12 +437,13 @@ def encode_statics(statics: Statics, message_ids) -> list[str]:
     payloads = _ARMOR_BYTES[_write_rows(fields, _STATIC_WRITE, _STATIC_CHARS)]
     ids = (ids + ord("0")).astype(np.uint8).reshape(-1, 1)
     tag = _tag(s.time_us // 1_000_000)
-    return _texts(len(s), [*tag, b"!", *_checked(b"AIVDM,2,1,", ids, b",A,", payloads[:, :36], b",0"), b"\n",
-                           *tag, b"!", *_checked(b"AIVDM,2,2,", ids, b",A,", payloads[:, 36:], b",2"), b"\n"])
+    parts = [*tag, b"!", *_checked(b"AIVDM,2,1,", ids, b",A,", payloads[:, :36], b",0"), b"\n",
+             *tag, b"!", *_checked(b"AIVDM,2,2,", ids, b",A,", payloads[:, 36:], b",2"), b"\n"]
+    return join_rows(len(s), parts).decode("ascii").split("\n")[:-1]
 
 
 def _tag(seconds: np.ndarray) -> list:
-    """The parts (_texts) of a TAG block holding each c: time in whole seconds."""
+    """The parts (join_rows) of a TAG block holding each c: time in whole seconds."""
     size = np.abs(seconds)
     powers = 10 ** np.arange(len(str(int(size.max(initial=0)))) - 1, -1, -1, dtype=np.int64)
     digits = ((size[:, None] // powers) % 10 + ord("0")).astype(np.uint8)
@@ -451,23 +453,12 @@ def _tag(seconds: np.ndarray) -> list:
 
 
 def _checked(*parts) -> list:
-    """The parts (_texts) of an NMEA body followed by '*' and the two hex digits of its XOR checksum."""
+    """The parts (join_rows) of an NMEA body followed by '*' and the two hex digits of its XOR checksum."""
     xor = 0
     for part in parts:
         xor = xor ^ (functools.reduce(operator.xor, part, 0) if isinstance(part, bytes)
                      else np.bitwise_xor.reduce(part, axis=1))
     return [*parts, b"*", _HEX_DIGITS[np.stack((xor >> 4, xor & 15), axis=1)]]
-
-
-def _texts(n: int, parts: list) -> list[str]:
-    """The lines that n rows of parts side by side hold, each ended by a b"\\n" part.
-
-    A part is bytes, the same in every row, or an array of one row of bytes
-    each, in which 0 bytes are dropped.
-    """
-    rows = np.concatenate([np.broadcast_to(np.frombuffer(p, dtype=np.uint8), (n, len(p))) if isinstance(p, bytes)
-                           else p for p in parts], axis=1).ravel()
-    return rows[rows != 0].tobytes().decode("ascii").split("\n")[:-1]
 
 
 def split_tag_block(line: str) -> tuple[dt.datetime | None, str]:
@@ -551,12 +542,10 @@ _SIXBIT[list(ARMOR_ALPHABET.encode())] = np.arange(64)
 _HEX = np.zeros(256, dtype=np.int64)
 _HEX[list(b"0123456789ABCDEF")] = _HEX[list(b"0123456789abcdef")] = np.arange(16)
 # the bytes each group of _BLOCK_LINE admits where a shape does not hold a line's bytes fixed, by group number, and
-# under 0 the M or O of AIVDM/AIVDO; _ALLOWED[c * 256 + b] tells whether byte b may stand where a shape expects c:
-# for c < 256 the byte c itself, and for c = 256 + g one of _GROUP_BYTES[g]
-_GROUP_BYTES = {0: b"MO", 2: b"0123456789", 3: b"0123456789ABCDEFabcdef", 5: b"12", 6: b"0123456789", 7: b"AB12",
-                8: ARMOR_ALPHABET.encode(), 9: b"012345", 10: b"0123456789ABCDEFabcdef"}
-_ALLOWED = np.vstack([np.eye(256, dtype=bool)] + [np.isin(np.arange(256), list(_GROUP_BYTES.get(g, b""))) for g in
-                                                  range(11)]).ravel()
+# under 0 the M or O of AIVDM/AIVDO: three (low, high) ranges of byte values each, one repeated where there are fewer
+_GROUP_RANGES = {g: np.frombuffer(ranges, dtype=np.uint8).reshape(3, 2) for g, ranges in {
+    0: b"MMOOOO", 2: b"090909", 3: b"09AFaf", 5: b"121212", 6: b"090909", 7: b"AB1212", 8: b"0W`w`w", 9: b"050505",
+    10: b"09AFaf"}.items()}
 _SHAPE_LINES = 16  # _scan learns shapes where this many lines share a length, until one fits fewer
 _PAYLOAD_CHARS = _STATIC_BITS // 6  # the most of a payload that the block pass reads
 _SCAN = np.dtype([("ok", bool), ("time_us", np.int64), ("timed", bool), ("fragment", np.int64),  # read by _scan
@@ -564,15 +553,27 @@ _SCAN = np.dtype([("ok", bool), ("time_us", np.int64), ("timed", bool), ("fragme
                   ("payload", np.uint8, (_PAYLOAD_CHARS,))])
 
 
-def _shape(m: re.Match) -> np.ndarray:
+def _shape(m: re.Match) -> tuple[np.ndarray, np.ndarray]:
     """The shape of a _BLOCK_LINE match of a bare line or one behind a c:<digits> TAG block: at each position of a
-    line of its length, where in _ALLOWED the bytes that may stand there begin. The lines that fit are those that
-    match with the same spans: each byte outside the groups is m's own, but for the M or O of AIVDM/AIVDO."""
-    classes = np.frombuffer(m.string.encode("ascii"), dtype=np.uint8).astype(np.int64)
-    classes[m.start(4) + 4] = 256
-    for group in list(_GROUP_BYTES)[1:]:  # an absent group spans -1..-1, which holds no position
-        classes[m.start(group) : m.end(group)] = 256 + group
-    return 256 * classes
+    line of its length, three ranges of the bytes that may stand there, as their lows and their spans (high minus
+    low), one uint8 row per range. The lines that fit are those that match with the same spans: each byte outside
+    the groups is m's own, but for the M or O of AIVDM/AIVDO."""
+    text = np.frombuffer(m.string.encode("ascii"), dtype=np.uint8)
+    ranges = np.repeat(np.stack((text, text), axis=1)[None], 3, axis=0)
+    for group, group_ranges in _GROUP_RANGES.items():  # an absent group spans -1..-1, which holds no position
+        start, end = (m.start(4) + 4, m.start(4) + 5) if group == 0 else m.span(group)
+        ranges[:, start:end] = group_ranges[:, None]
+    return ranges[:, :, 0], ranges[:, :, 1] - ranges[:, :, 0]
+
+
+def _fits(lines: np.ndarray, shape: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Whether each row of a uint8 matrix of lines fits a _shape: whether each of its bytes lies in one of its
+    position's ranges. The bytes stay uint8, in which one below a range's low wraps past the range's span."""
+    lows, spans = shape
+    fit = lines - lows[0] <= spans[0]
+    for low, span in zip(lows[1:], spans[1:]):
+        fit |= lines - low <= span
+    return fit.all(1)
 
 
 def _scan(raws: list[str], rx_us: np.ndarray) -> np.ndarray:
@@ -614,12 +615,12 @@ def _scan(raws: list[str], rx_us: np.ndarray) -> np.ndarray:
     by_size = np.argsort(sizes, kind="stable")
     for rows in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1) if n else ():
         learn = sizes[rows[0]] and len(rows) >= _SHAPE_LINES
-        lines = text[starts[rows, None] + np.arange(sizes[rows[0]])] if learn else None
+        lines = np.lib.stride_tricks.sliding_window_view(text, sizes[rows[0]])[starts[rows]] if learn else None
         while learn and len(rows):
             m = _BLOCK_LINE.fullmatch(raws[rows[0]])
             if m is None or m.start(2) == -1 != m.start(1):
                 break
-            fit = _ALLOWED.take(lines + _shape(m)).all(1)
+            fit = _fits(lines, _shape(m))
             spans[rows[fit]] = layout(m)
             learn = np.count_nonzero(fit) >= _SHAPE_LINES
             rows, lines = rows[~fit], lines[~fit]
@@ -692,11 +693,13 @@ class DecodeOutcome:
 @dataclass(eq=False)
 class BlockRun:
     """A run of a block's rows in receive order: position rows and static rows, static[k] telling which one the
-    k-th row is."""
+    k-th row is. texts, once the run's lines are written, holds the JSON text of its positions' fields by
+    attribute, one byte matrix per field (`table.Table.texts`) row-aligned with positions, and None before."""
 
     positions: Positions
     statics: Statics
     static: np.ndarray  # bool, one per row
+    texts: dict[str, np.ndarray] | None = field(default=None, kw_only=True)
 
     def __len__(self) -> int:
         return len(self.static)
@@ -717,15 +720,17 @@ class BlockRun:
 
     @staticmethod
     def concat(runs: list["BlockRun"]) -> "BlockRun":
-        """The rows of every run, in order."""
+        """The rows of every run, in order, without texts."""
         return BlockRun(Positions.concat([r.positions for r in runs]), Statics.concat([r.statics for r in runs]),
                         np.concatenate([r.static for r in runs]))
 
     def run(self, start: int, stop: int) -> "BlockRun":
-        """Rows start..stop."""
+        """Rows start..stop, with their texts."""
         first, last = (int(np.count_nonzero(self.static[:k])) for k in (start, stop))
         return BlockRun(self.positions[start - first : stop - last], self.statics[first:last],
-                        self.static[start:stop])
+                        self.static[start:stop],
+                        texts=None if self.texts is None
+                        else {name: t[start - first : stop - last] for name, t in self.texts.items()})
 
 
 @dataclass(eq=False)

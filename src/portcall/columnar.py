@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from .codec import STATUS_KINDS, PositionReport, Positions
 from .table import BOOLEAN, INTEGER, TEXT, Field
 
+# The methods validate corrects statuses by (validate.ValidationConfig.method), here where the command line reads
+# them without importing validate.
+METHODS = ("geofence", "kinematic", "knn", "ensemble")
+
 
 @dataclass(slots=True)
 class ValidatedMessage:

@@ -13,12 +13,16 @@ line malformed; it does not end the read.
 Every decoded message leaves this module as a row of a run: the sink is
 called as sink(run, lines) with a codec.BlockRun, rows in receive order, and
 the stored JSONL document of each row. Each block of lines is one call: a
-decoded block's rows, with the documents its Positions and Statics tables
-write at once, and among them in line order each message the line parser
-decoded; or up to _REPLAY_BLOCK stored JSONL messages. A parser or stored
-message gets the dict codec's document (perfbench's tracer counts the
-parser's through it). Errors go to the error sink. _paced wraps the sink
-to pace a replay, and the summary takes the decoder's counts.
+decoded block's rows, and among them in line order each message the line
+parser decoded; or up to _REPLAY_BLOCK stored JSONL messages. Every
+position's document is written by the Positions table writer from the text
+of its fields, made once for the run, which the run then carries
+(BlockRun.texts) for a sink that writes its positions again. A static's
+is written by the Statics table writer, but a stored static keeps the dict
+codec's document, which writes a stored length or width of 0 back as 0.
+Errors go to the error sink. _paced wraps the sink to pace a replay, and the
+summary takes the decoder's counts. The live feed's socket is imported by
+run_live, so a replay does not load it.
 """
 
 import datetime as dt
@@ -27,14 +31,12 @@ import json
 import math
 import pathlib
 import random
-import socket
-import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder
+from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, StaticReport
 from .jsonl import dumps, message_from_dict, message_to_dict
 from .table import UTC, epoch_us
 
@@ -155,22 +157,32 @@ def _utcnow_s() -> dt.datetime:
 
 def _deliver(block: DecodedBlock, sink, error_sink) -> None:
     """A block's messages to sink as one run in order: its rows, and at its place among them each message the line
-    parser decoded, with the dict codec's document. Its errors go to error_sink."""
-    lines = _documents(block)
-    runs, documents, start = [], [], 0
+    parser decoded. Its errors go to error_sink."""
+    runs, start = [], 0
     parsed = [(row, o.message) for o, row in zip(block.outcomes, block.rows) if o.message is not None]
     for row, group in itertools.groupby(parsed, key=lambda item: item[0]):
-        messages = [m for _, m in group]
-        runs += [block.run(start, row), BlockRun.of_messages(messages)]
-        documents += lines[start:row] + [dumps(message_to_dict(m)) for m in messages]
+        runs += [block.run(start, row), BlockRun.of_messages([m for _, m in group])]
         start = row
     runs.append(block.run(start, len(block)))
-    documents += lines[start:]
     for outcome in block.outcomes:
         if outcome.kind == "error":
             error_sink(outcome)
-    if documents:
-        sink(BlockRun.concat(runs), documents)
+    run = BlockRun.concat(runs)
+    if len(run):
+        _send(run, run.statics.lines(), sink)
+
+
+def _send(run: BlockRun, statics: list[str], sink) -> None:
+    """A run to sink with the stored document of each row: a position's written from the texts of its fields, made
+    here once and then carried by the run (BlockRun.texts), and the given document of each static, in order."""
+    run.texts = run.positions.texts()
+    lines = run.positions.lines(run.texts)
+    if statics:
+        documents = np.empty(len(run), dtype=object)
+        documents[~run.static] = np.array(lines, dtype=object)
+        documents[run.static] = np.array(statics, dtype=object)
+        lines = documents.tolist()
+    sink(run, lines)
 
 
 def _paced(sink, speed: float, sleep):
@@ -190,17 +202,6 @@ def _paced(sink, speed: float, sleep):
             sink(row, lines[k : k + 1])
 
     return paced
-
-
-def _documents(block: DecodedBlock) -> list[str]:
-    """The stored document of each row of a block, in order."""
-    positions = block.positions.lines()
-    if not len(block.statics):
-        return positions
-    lines = np.empty(len(block.static), dtype=object)
-    lines[~block.static] = np.array(positions, dtype=object)
-    lines[block.static] = np.array(block.statics.lines(), dtype=object)
-    return lines.tolist()
 
 
 def _raw_times(start_us: int, numbers, cadence_s: float) -> np.ndarray:
@@ -284,8 +285,9 @@ def run_replay(
                         summary.errors += 1
                         error_sink(DecodeOutcome("error", error="malformed", detail=str(exc), raw=line))
                 summary.messages += len(messages)
-                if messages:
-                    sink(BlockRun.of_messages(messages), [dumps(message_to_dict(m)) for m in messages])
+                if messages:  # a stored static's length or width of 0 is written back as the dict codec wrote it
+                    _send(BlockRun.of_messages(messages),
+                          [dumps(message_to_dict(m)) for m in messages if isinstance(m, StaticReport)], sink)
 
     with open(cfg.path, "r", encoding="utf-8-sig", errors="replace") as f:
         chunk: list[str] = []
@@ -305,12 +307,12 @@ def run_replay(
 def run_live(
     cfg: SourceConfig,
     sink,
-    stop: threading.Event,
+    stop,
     *,
     error_sink=None,
     rng: random.Random | None = None,
 ) -> IngestSummary:
-    """Consume a line-oriented TCP feed until the stop event is set.
+    """Consume a line-oriented TCP feed until the stop event (a threading.Event) is set.
 
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
@@ -324,6 +326,8 @@ def run_live(
     socket's 0.5 s timeout, fragment groups still pending counted as
     timeouts. Connection gaps are returned for outage bookkeeping.
     """
+    import socket
+
     if cfg.endpoint is None:
         raise ValueError("live mode requires an endpoint")
     dec = MessageDecoder()

@@ -8,10 +8,11 @@ bytes.
 Positions, statics and validated messages are tables whose fields are each
 declared once (`table.Table`): a table writes the lines of its rows and
 reads stored lines into columns from that declaration. A single message,
-one the line parser decoded or a stored one read back, goes through the
-dict codecs here, the one-row forms of the same declaration, and `dumps`.
-A stored static stays a message: its length or width of 0 is written back
-as 0, where a Statics row holds it as "not available" and writes null.
+one the line parser decoded or a stored one read back, is read through the
+dict codecs here, the one-row forms of the same declaration, and joins its
+run as a row; only a stored static is written by them and `dumps`: its
+length or width of 0 is written back as 0, where a Statics row holds it as
+"not available" and writes null.
 
 A stored position's lat, lon, sog, cog and heading are read as floats, so a
 number another tool wrote as an int (`"sog":5`) is written back as `5.0`,

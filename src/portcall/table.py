@@ -8,17 +8,22 @@ the column and, unless others are given, the JSON key and the row type's
 attribute; its Rule gives the dtype, the check of a stored value and the
 JSON text of each value of a column. Only a table that names a document type
 writes its "type" key. From the declaration come the length, slicing,
-`concat` and the empty table, `utc_days`, the line writer `lines`, the
-checked column readers `read` (stored documents) and `of_rows` (row
-objects), and the one-row forms `to_dict` and `values` that the dict codecs
-are made of.
+`concat` and the empty table, `utc_days`, the line writers `jsonl` and
+`lines`, the checked column readers `read` (stored documents) and `of_rows`
+(row objects), and the one-row forms `to_dict` and `values` that the dict
+codecs are made of.
 
-`lines` fills one template per table, an f-string function generated from
-the declaration once, as dataclasses generates __init__: the text `dumps`
-writes for the row's dict. Each field's texts are made for a whole column:
-a float once per float64 bit pattern, so -0.0 and 0.0, and NaNs, stay
-apart; an integer once per distinct value; a time from a cached text of
-its day; a string escaped as `dumps` escapes it.
+The writer works on byte columns. `texts` gives each field's texts as a
+uint8 matrix, one row per value holding its JSON text left-aligned and
+padded with 0 bytes, made for the whole column: a float once per float64
+bit pattern, so -0.0 and 0.0, and NaNs, stay apart; an integer or a string
+once per distinct value, the string escaped as `dumps` escapes it; a time
+from a cached text of its day. `jsonl` lays each row's texts between the
+key literals of its table, sorted by key as `dumps` sorts them, and
+`join_rows`, the one line assembler (the NMEA encoders build their lines
+with it too), drops the padding. A caller that holds some fields' texts
+already, row-aligned with the table, hands them in and only the other
+fields are formatted.
 
 A time is int64 microseconds since 1970-01-01 UTC in a column, a datetime
 in a row, and second-precision ISO-8601 text with a trailing Z in a
@@ -30,7 +35,7 @@ import functools
 import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -146,37 +151,66 @@ def _timestamp(value, key: str) -> dt.datetime:
         raise ValueError(f"{key} {value!r} is not an ISO-8601 time in the years 1-9999 in UTC") from None
 
 
-# The texts of a column's values, in order.
+# The texts of a column's values, in order, as byte rows: one row of a uint8
+# matrix per value, its JSON text left-aligned and padded with 0 bytes. No
+# text holds a 0 byte of its own: a string is escaped as `dumps` escapes it,
+# NUL and every other control character included, and a number or a time
+# is written in digits and punctuation.
 
-_MINUTE_TEXT = np.array([f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)], dtype=object)
-_SECOND_TEXT = np.array([f'{s:02d}Z"' for s in range(60)], dtype=object)
-_BOOLEAN_TEXT = np.array(["false", "true"], dtype=object)
+
+def byte_rows(texts: Sequence[str]) -> np.ndarray:
+    """The ASCII texts as a byte matrix, one row each, as wide as the longest."""
+    column = np.array(texts, dtype="S")
+    return column.view(np.uint8).reshape(len(texts), column.itemsize)
 
 
-def _timestamp_texts(time_us: np.ndarray) -> list[str]:
+def stack_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows of byte matrices (`byte_rows`), in order, in one matrix as wide as the widest."""
+    rows = np.zeros((sum(map(len, parts)), max((p.shape[1] for p in parts), default=0)), dtype=np.uint8)
+    start = 0
+    for p in parts:
+        rows[start:start + len(p), :p.shape[1]] = p
+        start += len(p)
+    return rows
+
+
+_MINUTE_TEXT = byte_rows([f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)])
+_SECOND_TEXT = byte_rows([f'{s:02d}Z"' for s in range(60)])
+_BOOLEAN_TEXT = byte_rows(["false", "true"])
+_TIME_WIDTH = 22  # a quoted "YYYY-MM-DDTHH:MM:SSZ" of a year 1-9999
+
+
+def _timestamp_texts(time_us: np.ndarray) -> np.ndarray:
     """The quoted stored text of each time given in microseconds since 1970-01-01 UTC, cut to the second."""
     days, day_us = np.divmod(time_us, DAY_US)
     minutes, seconds = np.divmod(day_us // 1_000_000, 60)
     day_ordinals, day_rows = np.unique(days, return_inverse=True)
-    day_texts = np.array(['"' + _day_text(d + UNIX_ORDINAL) for d in day_ordinals.tolist()], dtype=object)
-    return (day_texts[day_rows] + _MINUTE_TEXT[minutes] + _SECOND_TEXT[seconds]).tolist()
+    texts = np.empty((len(time_us), _TIME_WIDTH), dtype=np.uint8)
+    texts[:, :12] = byte_rows(['"' + _day_text(d + UNIX_ORDINAL) for d in day_ordinals.tolist()])[day_rows]
+    texts[:, 12:18] = _MINUTE_TEXT[minutes]
+    texts[:, 18:] = _SECOND_TEXT[seconds]
+    return texts
 
 
-def _integer_texts(values: np.ndarray) -> list[str]:
-    """The text of each int64 value, made once per distinct value."""
-    distinct, rows = np.unique(values, return_inverse=True)
-    return np.array(list(map(str, distinct.tolist())), dtype=object)[rows].tolist()
+def _texts_of(values: np.ndarray, text=str) -> np.ndarray:
+    """The byte rows of text(v) for each value v, called once per distinct value: a float once per bit pattern,
+    so -0.0 and 0.0, and NaNs, stay apart."""
+    bits = values.dtype == np.float64
+    distinct, rows = np.unique(values.view(np.int64) if bits else values, return_inverse=True)
+    return byte_rows([text(v) for v in (distinct.view(np.float64) if bits else distinct).tolist()])[rows]
 
 
-def _texts_of(values: np.ndarray, text) -> list[str]:
-    """text(v) for each float64 v, called once per distinct bit pattern (so -0.0 and 0.0 stay apart)."""
-    bits, rows = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array([text(v) for v in bits.view(np.float64).tolist()], dtype=object)[rows].tolist()
-
-
-def _number_texts(values: np.ndarray) -> list[str]:
+def _number_texts(values: np.ndarray) -> np.ndarray:
     """Each float's repr, NaN as null."""
     return _texts_of(values, lambda v: "null" if v != v else repr(v))
+
+
+def _string_texts(values: np.ndarray) -> np.ndarray:
+    """Each string escaped as `dumps` escapes it, once per distinct string."""
+    strings = values.tolist()
+    place = {s: k for k, s in enumerate(dict.fromkeys(strings))}
+    rows = np.fromiter(map(place.__getitem__, strings), dtype=np.intp, count=len(strings))
+    return byte_rows(list(map(encode_basestring_ascii, place)))[rows]
 
 
 @dataclass(frozen=True)
@@ -187,8 +221,8 @@ class Rule:
     stored JSON value, or raises ValueError naming the key. cell gives the
     column's value of a row's value (the value itself without one), and
     null that of None. texts(column) gives the JSON text of each value of a
-    column, json the JSON value of a row's value (the value itself without
-    one).
+    column as a byte matrix (`byte_rows`), json the JSON value of a row's
+    value (the value itself without one).
     """
 
     dtype: type
@@ -216,7 +250,7 @@ class Rule:
         return replace(self, check=check)
 
 
-INTEGER = Rule(np.int64, _integer, _integer_texts)
+INTEGER = Rule(np.int64, _integer, _texts_of)
 LATITUDE = Rule(np.float64, lambda value, key: _coordinate(value, key, 90.0), _number_texts)
 LONGITUDE = replace(LATITUDE, check=lambda value, key: _coordinate(value, key, 180.0))
 NUMBER = Rule(np.float64, _optional_number, _number_texts, null=np.nan)
@@ -226,9 +260,9 @@ RATE = Rule(np.float64, _rate_of_turn, lambda values: _texts_of(values, lambda v
 # an optional time that a row lacks is held as 1970-01-01T00:00:00Z, the day the store files such a row under
 TIME = Rule(np.int64, _timestamp, _timestamp_texts, null=0, cell=epoch_us, json=format_ts)
 # a length or width of 0 is "not available", as the decoder reads it, and is written as null
-DIMENSION = Rule(np.int64, _integer, lambda values: ["null" if v == 0 else str(v) for v in values.tolist()], null=0)
-TEXT = Rule(object, _text, lambda values: list(map(encode_basestring_ascii, values.tolist())))
-BOOLEAN = Rule(bool, _boolean, lambda values: _BOOLEAN_TEXT[values.astype(np.intp)].tolist())
+DIMENSION = Rule(np.int64, _integer, lambda values: _texts_of(values, lambda v: "null" if v == 0 else str(v)), null=0)
+TEXT = Rule(object, _text, _string_texts)
+BOOLEAN = Rule(bool, _boolean, lambda values: _BOOLEAN_TEXT[values.astype(np.intp)])
 
 _REQUIRED = object()
 
@@ -263,14 +297,41 @@ class Field:
         return value if value is None or self.rule.json is None else self.rule.json(value)
 
 
-def _template(kind: str | None, keys: Sequence[str]) -> Callable[..., str]:
-    """The function of the JSON text of the value of each key that gives the text `dumps` writes for the document
-    of those values and a "type" of `kind` (none without a kind), generated as an f-string once."""
-    items = sorted([(key, f"{{v{k}}}") for k, key in enumerate(keys)] + ([("type", f'"{kind}"')] if kind else []))
-    body = ",".join(f'"{key}":{value}' for key, value in items)
-    namespace: dict = {}
-    exec(f"def line({', '.join(f'v{k}' for k in range(len(keys)))}):\n    return f'{{{{{body}}}}}'\n", namespace)
-    return namespace["line"]
+def join_rows(n: int, parts: Sequence) -> bytes:
+    """The ASCII text of n rows of parts side by side, row after row.
+
+    A part is bytes, the same in every row, or a byte matrix of one row
+    each, left-aligned and padded with 0 bytes (`byte_rows`); every 0 byte is
+    dropped. This is the one line assembler: the JSONL writer and the NMEA
+    encoders both build their lines with it.
+    """
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
+    rows = np.empty((n, sum(widths)), dtype=np.uint8)
+    # every row starts as the bytes parts, 0 where a matrix goes, and each matrix is then copied into its place
+    rows[:] = np.frombuffer(b"".join(p if isinstance(p, bytes) else bytes(w) for p, w in zip(parts, widths)),
+                            dtype=np.uint8)
+    start = 0
+    for p, w in zip(parts, widths):
+        if not isinstance(p, bytes):
+            rows[:, start:start + w] = p
+        start += w
+    rows = rows.ravel()
+    return rows[rows != 0].tobytes()
+
+
+def _row_parts(kind: str | None, fields: Sequence["Field"]) -> list:
+    """The parts (join_rows) of the line `dumps` writes for the document of a value of each field and a "type" of
+    `kind` (none without a kind): the text between the values as bytes, and each value as its field's attribute."""
+    items = sorted([(f.key, f.attr) for f in fields] + ([("type", f'"{kind}"'.encode())] if kind else []))
+    parts, literal = [], b"{"
+    for key, value in items:
+        literal += encode_basestring_ascii(key).encode() + b":"
+        if isinstance(value, bytes):
+            literal += value + b","
+        else:
+            parts += [literal, value]
+            literal = b","
+    return parts + [literal.removesuffix(b",") + b"}\n"]
 
 
 class Table:
@@ -295,7 +356,7 @@ class Table:
         cls.doc_type = doc_type
         cls.own = tuple(v for v in vars(cls).values() if isinstance(v, Field))
         cls.fields = cls.fields + cls.own
-        cls._line = staticmethod(_template(doc_type, [f.key for f in cls.fields]))
+        cls._parts = _row_parts(doc_type, cls.fields)
 
     def __init__(self, *columns):
         if len(columns) != len(self.fields):
@@ -346,11 +407,25 @@ class Table:
         (time,) = (f for f in self.fields if f.rule is TIME)
         return getattr(self, time.attr) // DAY_US + UNIX_ORDINAL
 
-    def lines(self) -> list[str]:
-        """The stored document of each row, as `dumps` writes its dict."""
-        if not len(self):
-            return []
-        return list(map(self._line, *(f.rule.texts(column) for f, column in zip(self.fields, self.columns()))))
+    def texts(self, names: Collection[str] | None = None) -> dict[str, np.ndarray]:
+        """The JSON text of the values of each field the names give by attribute (every field without names), by
+        attribute: a byte matrix per field (`Rule.texts`), one row per row."""
+        return {f.attr: f.rule.texts(getattr(self, f.attr)) for f in self.fields if names is None or f.attr in names}
+
+    def jsonl(self, texts: Mapping[str, np.ndarray] | None = None) -> bytes:
+        """The stored document of each row, as `dumps` writes its dict, each followed by a newline, in ASCII.
+
+        texts may give the text of some fields (`texts`), by attribute,
+        made already and row-aligned with the table; the other fields' are
+        made here. join_rows joins them with the key literals between.
+        """
+        texts = texts or {}
+        texts = {**self.texts([f.attr for f in self.fields if f.attr not in texts]), **texts}
+        return join_rows(len(self), [texts[p] if isinstance(p, str) else p for p in self._parts])
+
+    def lines(self, texts: Mapping[str, np.ndarray] | None = None) -> list[str]:
+        """The stored document of each row, as `jsonl` writes it, without the newlines."""
+        return self.jsonl(texts).decode("ascii").split("\n")[:-1]
 
     @classmethod
     def to_dict(cls, row) -> dict:

@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .codec import ANCHORED, MOORED, STATUS_KINDS, UNDERWAY, Positions
-from .columnar import Validated
+from .columnar import METHODS, Validated
 from .geo import PortGeometry, haversine_m, project_local
 from .knn import KnnIndex
 from .table import INTEGER, TEXT, TIME, Field, Table, epoch_us, from_epoch_us
@@ -58,8 +58,6 @@ from .table import INTEGER, TEXT, TIME, Field, Table, epoch_us, from_epoch_us
 class TooFewPoints(ValueError):
     """Not enough stopped training points to fit the requested k."""
 
-
-METHODS = ("geofence", "kinematic", "knn", "ensemble")
 
 # The votes each method asks for a stopped report, in order of precedence. A
 # vote is unavailable when its input is: the geofence without port polygons,
@@ -459,23 +457,29 @@ def _stopped_candidates(stopped: Positions, bounds: np.ndarray, port: PortGeomet
     return status, code
 
 
+def stream_order(positions: Positions) -> np.ndarray:
+    """The rows of validate_stream's output, in order: by (timestamp, mmsi), rows that tie on both in input order."""
+    return np.lexsort((positions.mmsi, positions.time_us))
+
+
 def validate_stream(
     positions: Positions,
     port: PortGeometry | None = None,
     config: ValidationConfig | None = None,
     *,
     outages: Sequence[Outage] | None = None,
+    order: np.ndarray | None = None,
 ) -> Validated:
     """Correct the status of every report; nothing is dropped.
 
     The input is processed per vessel in timestamp order; the output is the
-    whole stream sorted by (timestamp, mmsi), rows that tie on both in input
-    order. Outages are detected on the stream itself unless supplied, and
+    whole stream in stream_order, which `order` gives if the caller has it
+    already. Outages are detected on the stream itself unless supplied, and
     the knn model is fitted from the stream's own stopped reports when the
     method needs one.
     """
     cfg = config or ValidationConfig()
-    positions = positions[np.lexsort((positions.mmsi, positions.time_us))]
+    positions = positions[stream_order(positions) if order is None else order]
     if outages is None:
         outages = detect_outages(positions)
     model = None

@@ -509,6 +509,42 @@ def count_built(monkeypatch) -> dict[str, int]:
     return built
 
 
+def _reordered(lines: list[str], window: int = 8) -> list[str]:
+    """The lines with each window of messages reversed: a position line is one message, and a type 5 pair's two
+    lines another, kept adjacent so the pair still decodes."""
+    messages: list[list[str]] = []
+    for line in lines:
+        if messages and ",2,1," in messages[-1][-1]:  # a first fragment takes the next line
+            messages[-1].append(line)
+        else:
+            messages.append([line])
+    return [line for a in range(0, len(messages), window) for m in messages[a:a + window][::-1] for line in m]
+
+
+def test_run_hands_validate_the_texts_in_its_own_order(inputs, tmp_path):
+    """validate writes each position's decoded texts in the order it sorts its rows by, not in decode's: on tagged
+    lines reordered within short windows, run and the staged validate write what run writes on the lines in order,
+    and what the table writer gives for validate_stream's own columns."""
+    lines = inputs["tagged.nmea"].read_text().splitlines()
+    reordered = tmp_path / "reordered.nmea"
+    reordered.write_text("".join(line + "\n" for line in _reordered(lines)))
+    port = str(inputs["port.geojson"])
+    for name, nmea in (("in-order", inputs["tagged.nmea"]), ("reordered", reordered)):
+        assert cli.main(["run", "--input", str(nmea), "--outdir", str(tmp_path / name), "--port", port]) \
+            == cli.EXIT_OK
+    decoded = tmp_path / "reordered" / "decoded.jsonl"
+    staged = tmp_path / "staged.jsonl"
+    assert cli.main(["validate", "--input", str(decoded), "--output", str(staged), "--outages-output",
+                     str(tmp_path / "outages.jsonl"), "--port", port]) == cli.EXIT_OK
+    positions = codec.Positions.read([doc for doc in jsonl.read_jsonl(decoded) if doc["type"] == "position"])
+    order = validate.stream_order(positions)
+    assert (order != range(len(order))).sum() > len(order) // 2  # validate's order is not decode's
+    written = (tmp_path / "reordered" / "validated.jsonl").read_bytes()
+    assert written == staged.read_bytes() == (tmp_path / "in-order" / "validated.jsonl").read_bytes()
+    port_geometry = cli.load_port_geometry(port)
+    assert written.decode().splitlines() == validate.validate_stream(positions, port_geometry).lines()
+
+
 def test_run_builds_no_row_object_per_block_row(inputs, tmp_path, monkeypatch):
     """On a clean tagged input every position and static comes from the block pass, and `run` carries them as
     columns to its files: no PositionReport, StaticReport, ValidatedMessage or datetime per row. The datetimes are
@@ -582,6 +618,22 @@ def test_a_command_imports_only_the_stages_it_runs():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+@pytest.mark.parametrize("command", ["ingest", "decode"])
+def test_a_replayed_file_loads_only_the_modules_it_runs(inputs, tmp_path, command):
+    """ingest and decode replay a file through the decoder: of the package they load the command line, the
+    decoder, its tables and the store, and no stage after decode; nor the socket that only a live feed opens."""
+    argv = (["ingest", "--source", f"file:{inputs['tagged.nmea']}", "--store", str(tmp_path / "store")]
+            if command == "ingest" else
+            ["decode", "--input", str(inputs["tagged.nmea"]), "--output", str(tmp_path / "decoded.jsonl")])
+    probe = (f"import sys; from portcall import cli; cli.main({argv!r}); "
+             "print(sorted(m for m in sys.modules if m.startswith('portcall') or m == 'socket'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(["portcall", "portcall.cli", "portcall.codec", "portcall.columnar",
+                                                "portcall.ingest", "portcall.jsonl", "portcall.table"])
 
 
 def _fed_only(line: str, shape: int) -> list[str]:

@@ -1,8 +1,9 @@
-"""The fixed-template writers against the dict codecs and `dumps` they stand in for."""
+"""The byte-matrix writers against the dict codecs and `dumps` they stand in for."""
 
 import dataclasses
 import datetime as dt
 import json
+import math
 
 import numpy as np
 import pytest
@@ -228,8 +229,68 @@ def test_the_writers_keep_signed_zeros_and_null_apart():
     rows = validated_columns(messages)
     assert rows.lines() == expected
     assert [line for k in range(len(rows)) for line in rows[k:k + 1].lines()] == expected
-    assert [Positions.lat.rule.texts(rows.lat[k:k + 1]) for k in range(len(rows))] \
-        == [["0.0"], ["0.0"], ["-0.0"], ["-0.0"]]
+    assert [Positions.lat.rule.texts(rows.lat[k:k + 1]).tobytes() for k in range(len(rows))] \
+        == [b"0.0", b"0.0", b"-0.0", b"-0.0"]
+
+
+# --- the byte-matrix writer at its edges ----------------------------------------
+
+T0 = dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc)
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+# where repr switches between positional and scientific notation, the smallest subnormal, and a signed zero
+REPR_SWITCHES = (1e16, 9999999999999998.0, 1e-05, 0.0001, 5e-324, -0.0)
+
+
+@pytest.mark.parametrize("name", ["", "\x00", "a\x00b", "\x01\x1f\x7f", "\n\t\r\x0b", '"\\/',
+                                  "\u00e9\u20ac\U0001f6a2", "\u2028\ufeff", "x" * 40])
+def test_a_name_with_nul_control_or_non_ascii_characters_is_the_dict_codec_text(name):
+    """A string is escaped as `dumps` escapes it: NUL is written as \\u0000, so no text holds the 0 byte that
+    pads the writer's rows."""
+    rs = [StaticReport(1, name, 70, None, None, T0), StaticReport(2, "B", 70, None, None, T0)]
+    lines = static_columns(rs).lines()
+    assert lines == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
+    assert json.loads(lines[0])["name"] == name
+
+
+@pytest.mark.parametrize("value", REPR_SWITCHES + tuple(-v for v in REPR_SWITCHES) + (math.nan,))
+def test_a_float_at_a_repr_switch_is_the_dict_codec_text(value):
+    """Each number field holding the value, lat and lon where it lies on the globe, beside a row of ordinary
+    values; NaN is an optional field's None, written as null."""
+    number = None if value != value else value
+    on_globe = number is not None and abs(number) <= 90
+    rs = [PositionReport(1, T0, number if on_globe else 1.5, number if on_globe else -2.25, number, number, number, 0,
+                         None),
+          PositionReport(2, T0, 45.123456, -120.5, 12.3, 359.9, 511.0, 5, -127)]
+    lines = Positions.of_rows(rs).lines()
+    assert lines == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
+    assert json.loads(lines[0])["sog"] == number
+
+
+def test_int64_min_and_max_are_the_dict_codec_text():
+    rs = [StaticReport(INT64_MIN, "A", INT64_MAX, INT64_MAX, 1, T0),
+          StaticReport(INT64_MAX, "B", INT64_MIN, 1, None, T0)]
+    assert static_columns(rs).lines() == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
+    ps = [PositionReport(mmsi, T0, 0.0, 0.0, None, None, None, navstat, None)
+          for mmsi, navstat in ((INT64_MIN, INT64_MAX), (INT64_MAX, INT64_MIN))]
+    assert Positions.of_rows(ps).lines() == [jsonl.dumps(jsonl.message_to_dict(r)) for r in ps]
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_an_empty_or_one_row_table_is_the_dict_codec_text(rows):
+    """Every table the pipeline writes from columns, with no rows and with one; none of their text is handed
+    on, and then every field's is."""
+    report = PositionReport(7, T0, -0.0, 5e-324, None, 1e16, 0.0001, 1, None)
+    vm = columnar.ValidatedMessage(report, 1, "kn\x00n", False, True)
+    static = StaticReport(7, "\x00", 0, None, 3, T0)
+    for table_rows, expected in ((Positions.of_rows([report] * rows), [jsonl.message_to_dict(report)] * rows),
+                                 (validated_columns([vm] * rows), [cli.validated_to_dict(vm)] * rows),
+                                 (static_columns([static] * rows), [jsonl.message_to_dict(static)] * rows)):
+        lines = [jsonl.dumps(doc) for doc in expected]
+        assert table_rows.lines() == lines
+        assert table_rows.jsonl() == "".join(line + "\n" for line in lines).encode()
+        assert table_rows.lines(table_rows.texts()) == lines
+    assert validated_columns([vm] * rows).lines(Positions.of_rows([report] * rows).texts(["lat", "lon"])) \
+        == [jsonl.dumps(cli.validated_to_dict(vm))] * rows
 
 
 def test_a_byte_order_mark_changes_nothing(tmp_path):
