@@ -22,8 +22,10 @@ line either.
 JSON text it wrote them with (HANDED_TEXTS, as byte columns), and validate
 writes each validated line with its position's texts, taken in the order
 validate_stream sorts its rows by, formatting only the other fields. The
-staged `validate` makes those texts from the table it read, so both take
-one path.
+staged `validate` hands no texts: the same validate_stage formats every
+field of the rows it validated, so it writes `validated.jsonl` without the
+hand-off's reordering, and a `run` whose texts went to the wrong rows
+writes other bytes than the staged commands.
 
 Exit codes: 0 success, 1 data-quality threshold exceeded, 2 usage or I/O
 error.
@@ -338,7 +340,7 @@ def validate_stage(positions: Positions, texts: Mapping[str, np.ndarray], port: 
                    min_agreement: float | None, digests: dict[pathlib.Path, str]):
     """Correct the statuses, detect outages and flag the gaps they silenced.
 
-    texts holds the JSON text of some of the positions' fields, by attribute
+    texts holds the JSON text of any of the positions' fields, by attribute
     (`table.Table.texts`), row-aligned with them. Each validated line takes
     its position's texts, reordered as validate_stream orders its rows
     (validate.stream_order), and only the other fields are formatted here.
@@ -349,7 +351,7 @@ def validate_stage(positions: Positions, texts: Mapping[str, np.ndarray], port: 
 
     order = validate.stream_order(positions)
     outages = validate.detect_outages(positions)
-    validated = validate.validate_stream(positions, port, cfg, outages=outages, order=order)
+    validated = validate.validate_stream(positions, port, cfg, outages=outages)
     with open(out, "wb") as f:
         for a in range(0, len(validated), CHUNK_ROWS):
             rows = order[a:a + CHUNK_ROWS]
@@ -380,9 +382,8 @@ def cmd_validate(args) -> int:
     out = pathlib.Path(args.output)
     outages_out = pathlib.Path(args.outages_output) if args.outages_output else out.with_suffix(".outages.jsonl")
     positions = _load_table(source, "position message", Positions)
-    _, status = validate_stage(positions, positions.texts(HANDED_TEXTS), port, cfg, out, outages_out, source=source,
-                               port_path=args.port, config_path=args.config, min_agreement=min_agreement,
-                               digests={})
+    _, status = validate_stage(positions, {}, port, cfg, out, outages_out, source=source, port_path=args.port,
+                               config_path=args.config, min_agreement=min_agreement, digests={})
     return status
 
 

@@ -468,18 +468,16 @@ def validate_stream(
     config: ValidationConfig | None = None,
     *,
     outages: Sequence[Outage] | None = None,
-    order: np.ndarray | None = None,
 ) -> Validated:
     """Correct the status of every report; nothing is dropped.
 
     The input is processed per vessel in timestamp order; the output is the
-    whole stream in stream_order, which `order` gives if the caller has it
-    already. Outages are detected on the stream itself unless supplied, and
-    the knn model is fitted from the stream's own stopped reports when the
-    method needs one.
+    whole stream in stream_order. Outages are detected on the stream itself
+    unless supplied, and the knn model is fitted from the stream's own
+    stopped reports when the method needs one.
     """
     cfg = config or ValidationConfig()
-    positions = positions[stream_order(positions) if order is None else order]
+    positions = positions[stream_order(positions)]
     if outages is None:
         outages = detect_outages(positions)
     model = None

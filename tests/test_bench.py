@@ -159,9 +159,8 @@ def test_traced_run_writes_what_an_untraced_run_writes(tmp_path):
 
 
 def test_traced_ingest_writes_what_an_untraced_ingest_writes(tmp_path):
-    """The same for `ingest`, through which the tracer reaches the store's names (MessageStore.append, and the
-    dumps and message_to_dict that a stored static takes): a refactor that drops one must fail here too, and
-    tracing must not change a byte of the store."""
+    """The same for `ingest`, through which the tracer reaches the store's MessageStore.append: a refactor that
+    drops it must fail here too, and tracing must not change a byte of the store."""
     w = workloads.WORKLOADS["raw_ingest"]
     inputs = workloads.make_inputs(w, 7, tmp_path / "inputs", tiny=True)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -178,3 +177,27 @@ def test_traced_ingest_writes_what_an_untraced_ingest_writes(tmp_path):
     # every message reaches the store through the wrapped append, the line parser's too written by the table
     # writers, so no document of this replay, which holds no stored static, goes through the wrapped dumps
     assert traced["aggs"]["ingest.MessageStore.append"][0] > 0 and traced["aggs"]["jsonl.dumps"][0] == 0
+
+
+def test_traced_ingest_counts_the_documents_of_stored_statics(tmp_path):
+    """A stored static is the one message ingest writes through the dict codec: the tracer counts each through the
+    wrapped message_to_dict and dumps, and the bytes dumps gives, so `jsonl.docs_written` and `bytes_written` read
+    the stored statics, not 0. A stored position is written by the table writers and counts in neither."""
+    statics = ['{"length":0,"mmsi":2,"name":"A","ship_type":70,"ts":"2019-09-01T00:00:00Z","type":"static",'
+               '"width":null}',
+               '{"length":120,"mmsi":3,"name":"B","ship_type":70,"ts":"2019-09-01T00:00:02Z","type":"static",'
+               '"width":20}']
+    position = ('{"cog":null,"heading":null,"lat":34.0,"lon":18.5,"mmsi":1,"navstat":5,"rot":null,"sog":5.0,'
+                '"ts":"2019-09-01T00:00:01Z","type":"position"}')
+    stored = tmp_path / "stored.jsonl"
+    stored.write_text("".join(line + "\n" for line in (statics[0], position, statics[1])))
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "trace_child.py"), str(trace), "ingest", "--source",
+                           f"file:{stored}", "--store", str(tmp_path / "store")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert _outputs(tmp_path / "store") == {"ais-2019-09-01.jsonl": stored.read_bytes()}
+    traced = json.loads(trace.read_text())
+    assert traced["aggs"]["ingest.MessageStore.append"][0] > 0
+    assert traced["aggs"]["jsonl.dumps"][0] == traced["aggs"]["dict.message_to_dict"][0] == len(statics)
+    assert traced["counts"]["jsonl.bytes_written"] == sum(len(doc) + 1 for doc in statics)
