@@ -619,14 +619,11 @@ def cmd_ingest(args) -> int:
         raise UsageError(str(exc)) from exc
     if cfg.mode == "replay":
         _readable(cfg.path)
-    store = MessageStore(args.store)
-    try:
+    with MessageStore(args.store) as store:
         if cfg.mode == "replay":
             summary = run_replay(cfg, store.append)
         else:
             summary = _until_signalled(lambda stop: run_live(cfg, store.append, stop))
-    finally:
-        store.close()
     print(
         f"ingested {summary.messages} messages ({summary.errors} errors, "
         f"{summary.skipped} skipped) into {args.store}"

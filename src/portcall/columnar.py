@@ -38,8 +38,7 @@ class Validated(Positions, doc_type="validated"):
     ValidatedMessage.
 
     corrected_navstat is int64, method an object array of vote labels, and
-    agreed_with_reported and gap_flag are bool. Two tables are equal when
-    their rows are.
+    agreed_with_reported and gap_flag are bool.
     """
 
     corrected_navstat = Field(INTEGER.one_of(STATUS_KINDS))
@@ -56,6 +55,3 @@ class Validated(Positions, doc_type="validated"):
     def row(*values) -> ValidatedMessage:
         n = len(Positions.fields)
         return ValidatedMessage(Positions.row(*values[:n]), *values[n:])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Validated) and list(self) == list(other)

@@ -7,12 +7,13 @@ origin. Great-circle distances use the haversine formula on a spherical
 Earth (R = 6,371 km), which is exact to well under a metre at port scale.
 """
 
-import json
 import math
 import pathlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from .table import parse_json
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -179,7 +180,7 @@ class PortGeometry:
 
 def _geojson(source) -> dict:
     """The GeoJSON object a dict or a file holds; InvalidPolygon for JSON of another shape."""
-    data = source if isinstance(source, dict) else json.loads(pathlib.Path(source).read_text(encoding="utf-8-sig"))
+    data = source if isinstance(source, dict) else parse_json(pathlib.Path(source).read_text(encoding="utf-8-sig"))
     if not isinstance(data, dict):
         raise InvalidPolygon(f"expected a GeoJSON object, got a JSON {type(data).__name__}")
     return data

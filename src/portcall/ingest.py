@@ -27,7 +27,6 @@ run_live, so a replay does not load it.
 
 import datetime as dt
 import itertools
-import json
 import math
 import pathlib
 import random
@@ -38,11 +37,12 @@ import numpy as np
 
 from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, StaticReport
 from .jsonl import dumps, message_from_dict, message_to_dict
-from .table import UTC, epoch_us
+from .table import UTC, epoch_us, parse_json
 
 _LAST_US = epoch_us(dt.datetime.max.replace(tzinfo=UTC))  # the last receive time a datetime holds
 _REPLAY_BLOCK = 4096  # file lines run_replay reads at once: at most this many in a decoded block or stored run
 _OPEN_DAYS = 64  # day files a MessageStore keeps open
+_MAX_PARTIAL = 64 * 1024  # bytes a live feed's partial line may hold, far above any sentence with its TAG block
 
 
 class RawTimeOutOfRange(ValueError):
@@ -280,7 +280,7 @@ def run_replay(
                 messages = []
                 for line in lines[start:stop]:
                     try:
-                        messages.append(message_from_dict(json.loads(line)))
+                        messages.append(message_from_dict(parse_json(line)))
                     except (ValueError, KeyError, TypeError, AttributeError) as exc:
                         summary.errors += 1
                         error_sink(DecodeOutcome("error", error="malformed", detail=str(exc), raw=line))
@@ -320,11 +320,12 @@ def run_live(
     call, as in run_replay, before the next chunk is read. Waits a backoff
     with full jitter after a failed connect and after every disconnect,
     doubling from 1 s to a cap of 60 s by default and starting over once a
-    connection delivers a complete line. A partial
-    line at disconnect is discarded and counted as an error; completed
-    lines are never lost. Once the stop event is set it returns within the
-    socket's 0.5 s timeout, fragment groups still pending counted as
-    timeouts. Connection gaps are returned for outage bookkeeping.
+    connection delivers a complete line. A partial line at disconnect is
+    discarded and counted as an error, and so is a partial line that grows
+    past _MAX_PARTIAL bytes, with what follows it up to its newline;
+    completed lines are never lost. Once the stop event is set it returns
+    within the socket's 0.5 s timeout, fragment groups still pending counted
+    as timeouts. Connection gaps are returned for outage bookkeeping.
     """
     import socket
 
@@ -347,6 +348,7 @@ def run_live(
                 summary.connection_gaps.append((disconnected_at, _utcnow_s()))
             sock.settimeout(0.5)
             buf = b""
+            dropping = False  # the rest of an over-long line, up to its newline, is read and dropped
             try:
                 while not stop.is_set():
                     try:
@@ -357,9 +359,17 @@ def run_live(
                         break
                     if not chunk:
                         break
+                    if dropping:
+                        nl = chunk.find(b"\n")
+                        if nl == -1:
+                            continue
+                        chunk, dropping = chunk[nl + 1 :], False
                     buf += chunk
                     nl = buf.rfind(b"\n")
                     if nl == -1:
+                        if len(buf) > _MAX_PARTIAL:
+                            summary.errors += 1  # an over-long line
+                            buf, dropping = b"", True
                         continue
                     # no multi-byte character holds a newline byte; lines end at \n, \r\n or \r, as in a replayed file
                     text, buf = buf[:nl].decode("utf-8", errors="replace"), buf[nl + 1 :]

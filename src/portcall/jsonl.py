@@ -23,6 +23,7 @@ cannot hold exactly, does not read.
 import json
 
 from .codec import PositionReport, Positions, StaticReport, Statics
+from .table import parse_json
 
 
 def dumps(doc: dict) -> str:
@@ -50,7 +51,7 @@ def read_jsonl(path):
         for line in f:
             line = line.strip()
             if line:
-                yield json.loads(line)
+                yield parse_json(line)
 
 
 def write_jsonl(path, docs) -> int:

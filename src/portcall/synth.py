@@ -10,7 +10,8 @@ drop messages at global or vessel scope.
 Every generated sentence carries its receiver timestamp in a NMEA TAG block
 so the stream replays deterministically. The truth log records vessel
 identities, exact phase boundaries, daily arrival counts, and the injected
-outages, which makes it the oracle for the validation and metrics tests.
+outages: the truth that the tests and the benchmark score the pipeline
+against.
 
 A visit is a few track segments (underway legs, an anchorage stay, a berth
 stay), each with one report every cadence seconds. The only work done per
@@ -37,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import STATUS_KINDS, Positions, Statics, encode_positions, encode_statics
-from .geo import AreaFilter, EARTH_RADIUS_M, PortGeometry, Polygon
+from .geo import EARTH_RADIUS_M, PortGeometry, Polygon
 from .metrics import vessel_category
-from .table import UTC, epoch_us, format_ts, from_epoch_us, parse_ts
+from .table import UTC, epoch_us, format_ts, from_epoch_us, parse_json, parse_ts
 
 _KIND_STATUS = {kind: code for code, kind in STATUS_KINDS.items()}
 
@@ -85,9 +86,7 @@ def _rect(center: tuple[float, float], north_m: float, east_m: float, height_m: 
 class PortLayout:
     """Geometry bundle for one synthetic port."""
 
-    center: tuple[float, float]
     geometry: PortGeometry
-    area: AreaFilter
     entry: tuple[float, float]
     exit: tuple[float, float]
     anchorage_box: tuple[tuple[float, float], float, float]  # center, height, width
@@ -109,7 +108,7 @@ class PortLayout:
         }
 
 
-def build_port(center: tuple[float, float] = (34.45, 18.30), area_radius_m: float = 9000.0) -> PortLayout:
+def build_port(center: tuple[float, float] = (34.45, 18.30)) -> PortLayout:
     """Lay out a small two-terminal port with one anchorage roadstead."""
     anch_ring, anch_center = _rect(center, north_m=-2800, east_m=0, height_m=2000, width_m=3200)
     t1_ring, t1_center = _rect(center, north_m=800, east_m=-900, height_m=350, width_m=700)
@@ -122,9 +121,7 @@ def build_port(center: tuple[float, float] = (34.45, 18.30), area_radius_m: floa
         ),
     )
     return PortLayout(
-        center=center,
         geometry=geometry,
-        area=AreaFilter.circle(center[0], center[1], area_radius_m),
         entry=_offset(center[0], center[1], -6600, 4400),
         exit=_offset(center[0], center[1], -6600, -4400),
         anchorage_box=(anch_center, 2000.0, 3200.0),
@@ -249,8 +246,8 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
+        with open(path, "r", encoding="utf-8-sig") as f:
+            return cls.from_json_dict(parse_json(f.read()))
 
 
 @dataclass(frozen=True)
@@ -259,10 +256,6 @@ class TruthPhase:
     kind: str  # "underway" | "anchored" | "moored"
     start: dt.datetime
     end: dt.datetime
-
-    @property
-    def duration(self) -> dt.timedelta:
-        return self.end - self.start
 
 
 @dataclass
@@ -273,13 +266,6 @@ class TruthLog:
     phases: list[TruthPhase] = field(default_factory=list)
     arrivals: dict[dt.date, dict[str, int]] = field(default_factory=dict)
     outages: list[OutagePlan] = field(default_factory=list)
-
-    def status_at(self, mmsi: int, ts: dt.datetime) -> int | None:
-        """True status of a vessel at an instant, None outside any phase."""
-        for p in self.phases:
-            if p.mmsi == mmsi and p.start <= ts < p.end:
-                return _KIND_STATUS[p.kind]
-        return None
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -308,39 +294,6 @@ class TruthLog:
                     "mmsi": o.mmsi,
                 }
                 f.write(json.dumps(doc, sort_keys=True) + "\n")
-
-    @classmethod
-    def read_jsonl(cls, path) -> "TruthLog":
-        truth = cls()
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                doc = json.loads(line)
-                kind = doc.pop("kind")
-                if kind == "vessel":
-                    mmsi = doc.pop("mmsi")
-                    truth.vessels[mmsi] = doc
-                elif kind == "phase":
-                    truth.phases.append(
-                        TruthPhase(
-                            mmsi=doc["mmsi"],
-                            kind=doc["phase"],
-                            start=parse_ts(doc["start"]),
-                            end=parse_ts(doc["end"]),
-                        )
-                    )
-                elif kind == "arrival":
-                    date = dt.date.fromisoformat(doc["date"])
-                    truth.arrivals.setdefault(date, {})[doc["category"]] = doc["count"]
-                elif kind == "outage":
-                    truth.outages.append(
-                        OutagePlan(
-                            scope=doc["scope"],
-                            start=parse_ts(doc["start"]),
-                            end=parse_ts(doc["end"]),
-                            mmsi=doc.get("mmsi"),
-                        )
-                    )
-        return truth
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +558,6 @@ def mixed_port_scenario(
     days: int = 3,
     error_p: float = 0.3,
     seed: int = 7,
-    start: dt.datetime = dt.datetime(2019, 9, 1, tzinfo=UTC),
-    outages: tuple[OutagePlan, ...] = (),
 ) -> Scenario:
     """A port with staggered arrivals across vessel categories.
 
@@ -614,6 +565,7 @@ def mixed_port_scenario(
     to show; berth stays run 8-16 h like typical cargo calls.
     """
     rng = random.Random(seed * 7919 + 13)
+    start = dt.datetime(2019, 9, 1, tzinfo=UTC)
     vessels = []
     horizon = start + dt.timedelta(days=days)
     for i in range(n_vessels):
@@ -647,21 +599,14 @@ def mixed_port_scenario(
                 visits=tuple(visits),
             )
         )
-    return Scenario(seed=seed, vessels=tuple(vessels), error_p=error_p, outages=outages)
+    return Scenario(seed=seed, vessels=tuple(vessels), error_p=error_p)
 
 
-def ferry_scenario(
-    *,
-    days: int = 10,
-    skip_departure_day: int | None = 4,
-    error_p: float = 0.0,
-    seed: int = 3,
-    start: dt.datetime = dt.datetime(2019, 9, 9, tzinfo=UTC),
-) -> Scenario:
-    """A high-speed ferry on a fixed daily rotation.
+def ferry_scenario(*, days: int = 10, error_p: float = 0.0, seed: int = 3) -> Scenario:
+    """A high-speed ferry on a fixed daily rotation from 2019-09-09.
 
-    Arrives early afternoon, departs 04:20 the next morning. Optionally one
-    departure is skipped, so that stay runs a full day longer, which is the
+    Arrives early afternoon, departs 04:20 the next morning. The departure
+    of day 4 is skipped, so that stay runs a full day longer, which is the
     signature a schedule table should surface.
     """
     rng = random.Random(seed)
@@ -669,14 +614,14 @@ def ferry_scenario(
     berth = layout.berths[0]
     approach_s = leg_seconds(layout.entry, (berth[0], berth[1]), 27.0)
     visits = []
-    day = start.date()
+    day = dt.date(2019, 9, 9)
     d = 0
     while d < days:
         arrive = dt.datetime.combine(day, dt.time(13, 50), tzinfo=UTC) + dt.timedelta(
             days=d, minutes=rng.randint(-8, 8)
         )
         moor_start = arrive + dt.timedelta(seconds=approach_s)
-        depart_days = 2 if d == skip_departure_day else 1
+        depart_days = 2 if d == 4 else 1
         depart = dt.datetime.combine(day, dt.time(4, 20), tzinfo=UTC) + dt.timedelta(
             days=d + depart_days, minutes=rng.randint(-3, 3)
         )

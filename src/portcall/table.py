@@ -1,4 +1,5 @@
-"""Tables of columns whose fields are each declared once, the JSON text of their rows, and the one time rule.
+"""Tables of columns whose fields are each declared once, the JSON text of their rows, the one time rule, and the one
+JSON parser (`parse_json`).
 
 A stored row (a position, a type 5 static, a validated position, an outage,
 a voyage or one of its phases) is one JSON document, and a run holds many as
@@ -32,6 +33,7 @@ document; a row's UTC day is its proleptic Gregorian ordinal.
 
 import datetime as dt
 import functools
+import json
 import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
@@ -87,6 +89,15 @@ def parse_ts(s: str) -> dt.datetime:
         return t.astimezone(UTC)
     except OverflowError:
         raise ValueError(f"time {s!r} falls outside the years 1-9999 in UTC") from None
+
+
+def parse_json(text: str):
+    """The JSON value of a text; a ValueError for one that does not parse, a document nested too deep for the
+    parser included, which json.loads raises as a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deep to parse") from None
 
 
 # Checks of a stored value: each returns the value a row holds when the

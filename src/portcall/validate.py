@@ -243,10 +243,6 @@ class Outage:
     end: dt.datetime
     subject: int | None = None
 
-    @property
-    def duration(self) -> dt.timedelta:
-        return self.end - self.start
-
 
 class Outages(Table):
     """The fields of a stored outage, as outages.jsonl holds one per line."""

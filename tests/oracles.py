@@ -389,6 +389,20 @@ def parse_iso_ts(s: str) -> dt.datetime:
     return dt.datetime.fromisoformat(s.replace("Z", "+00:00")).astimezone(UTC)
 
 
+# --- the synthetic truth ----------------------------------------------------------------------------------------
+
+STATUS_OF_KIND = {"underway": 0, "anchored": 1, "moored": 5}
+
+
+def status_at(truth, mmsi: int, ts: dt.datetime) -> int | None:
+    """The true status of a vessel at an instant, by a scan of a synth truth log's phases; None outside every
+    phase."""
+    for p in truth.phases:
+        if p.mmsi == mmsi and p.start <= ts < p.end:
+            return STATUS_OF_KIND[p.kind]
+    return None
+
+
 # --- stored voyages and outages: the dict codecs as they were written by hand, field by field ----------------
 
 PHASE_KINDS = ("underway", "anchored", "moored")

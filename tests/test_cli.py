@@ -1060,3 +1060,75 @@ def test_a_replay_speed_that_is_not_a_finite_number_at_least_0_is_a_usage_error(
     assert not store.exists()
     with pytest.raises(ValueError, match="replay_speed"):
         ingest.SourceConfig(mode="replay", path=nmea, replay_speed=float(speed))
+
+
+# a JSON document nested deeper than the parser's recursion limit; json.loads raises RecursionError on it
+NESTED = '{"a":' * 2000 + "1" + "}" * 2000
+
+
+@pytest.mark.parametrize("command", ["decode", "ingest"])
+def test_a_stored_line_nested_too_deep_is_one_malformed_error(inputs, tmp_path, capsys, command):
+    """Such a line among ten good ones once ended the replay in a traceback, and ingest stored none of them."""
+    decoded = tmp_path / "decoded.jsonl"
+    assert cli.main(["decode", "--input", str(inputs["tagged.nmea"]), "--output", str(decoded)]) == cli.EXIT_OK
+    good = decoded.read_text().splitlines()[:10]
+    stored = tmp_path / "stored.jsonl"
+    stored.write_text("\n".join(good[:5] + [NESTED] + good[5:]) + "\n")
+    capsys.readouterr()
+    if command == "decode":
+        out, errors = tmp_path / "out.jsonl", tmp_path / "errors.jsonl"
+        assert cli.main(["decode", "--input", str(stored), "--output", str(out), "--errors", str(errors)]) \
+            == cli.EXIT_OK
+        assert out.read_text().splitlines() == good
+        (error,) = map(json.loads, errors.read_text().splitlines())
+        assert (error["error"], error["raw"]) == ("malformed", NESTED)
+    else:
+        store = tmp_path / "store"
+        assert cli.main(["ingest", "--source", f"file:{stored}", "--store", str(store)]) == cli.EXIT_OK
+        assert "".join(p.read_text() for p in sorted(store.iterdir())).splitlines() == good
+        assert "(1 errors, 0 skipped)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, message", [
+    ("validate", "bad position message"),
+    ("voyages", "bad validated message"),
+    ("metrics --voyages", "bad voyage"),
+    ("metrics --static", "bad static message"),
+    ("validate --port", "bad port geometry"),
+    ("run --port", "bad port geometry"),
+    ("voyages --area", "bad area"),
+    ("run --area", "bad area"),
+    ("synth --scenario", "bad scenario"),
+])
+def test_an_input_nested_too_deep_is_a_usage_error(tmp_path, capsys, command, message):
+    """Each once exited 1 with a RecursionError traceback."""
+    nested, empty, out = tmp_path / "nested.json", tmp_path / "empty.jsonl", tmp_path / "out"
+    nested.write_text(NESTED + "\n")
+    empty.write_text("")
+    argv = {
+        "validate": ["validate", "--input", nested, "--output", out],
+        "voyages": ["voyages", "--input", nested, "--output", out],
+        "metrics --voyages": ["metrics", "--voyages", nested, "--output-dir", out],
+        "metrics --static": ["metrics", "--voyages", empty, "--output-dir", out, "--static", nested],
+        "validate --port": ["validate", "--input", empty, "--output", out, "--port", nested],
+        "run --port": ["run", "--input", empty, "--outdir", out, "--port", nested],
+        "voyages --area": ["voyages", "--input", empty, "--output", out, "--area", nested],
+        "run --area": ["run", "--input", empty, "--outdir", out, "--area", nested],
+        "synth --scenario": ["synth", "--scenario", nested, "--out-nmea", out, "--out-truth", tmp_path / "truth"],
+    }[command]
+    assert cli.main([str(a) for a in argv]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_synth_skips_a_byte_order_mark_in_a_scenario_file(tmp_path):
+    """A scenario saved with a BOM once exited 2 with "Unexpected UTF-8 BOM"."""
+    scenario = synth.mixed_port_scenario(n_vessels=2, days=1, error_p=0.1, seed=5)
+    text = json.dumps(oracles.scenario_to_json_dict(scenario))
+    for name, data in (("plain", text.encode()), ("bom", "\ufeff".encode() + text.encode())):
+        (tmp_path / f"{name}.json").write_bytes(data)
+        assert cli.main(["synth", "--scenario", str(tmp_path / f"{name}.json"), "--out-nmea",
+                         str(tmp_path / f"{name}.nmea"), "--out-truth", str(tmp_path / f"{name}.truth")]) \
+            == cli.EXIT_OK
+    assert (tmp_path / "bom.nmea").read_bytes() == (tmp_path / "plain.nmea").read_bytes()
+    assert (tmp_path / "bom.truth").read_bytes() == (tmp_path / "plain.truth").read_bytes()

@@ -429,6 +429,34 @@ class TestLive:
             server.server_close()
             thread.join()
 
+    def test_an_over_long_line_is_dropped_to_its_newline_and_counted(self, nmea_fixture):
+        """A peer that sends no newline once grew the partial line without bound; past _MAX_PARTIAL bytes it is now
+        dropped, with what follows up to its newline, and counted as one error, and the lines after it decode."""
+        lines = nmea_fixture[:50]
+        over_long = b"!AIVDM," + b"x" * (ingest._MAX_PARTIAL + 300_000) + b"\n"
+        server, thread = _serve(over_long + _blob(lines), chunk=8192)
+        try:
+            got, errors = [], []
+            stop = threading.Event()
+            positions, statics, decode_errors = decode_all(lines)
+            expected = len(positions) + len(statics)
+
+            def sink(msg):
+                got.append(msg)
+                if len(got) >= expected:
+                    stop.set()
+
+            cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
+                                      reconnect_initial_s=0.05, reconnect_max_s=0.1)
+            summary = ingest.run_live(cfg, each_report(sink), stop, error_sink=errors.append, rng=random.Random(1))
+            assert [m for m in got if isinstance(m, PositionReport)] == positions
+            assert summary.errors == len(decode_errors) + 1
+            assert [e.raw for e in errors] == [e.raw for e in decode_errors]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+
     def test_reconnect_records_gap(self, nmea_fixture):
         lines = nmea_fixture[:20]
         server, thread = _serve(_blob(lines))
