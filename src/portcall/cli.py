@@ -330,8 +330,7 @@ def validated_to_dict(vm: columnar.ValidatedMessage) -> dict:
 def validated_from_dict(doc: dict) -> columnar.ValidatedMessage:
     """The validated message a stored document holds; a field it lacks or holds a value of the wrong type of is a
     ValueError that starts with the field's key."""
-    return columnar.ValidatedMessage(message_from_dict({**doc, "type": Positions.doc_type}),
-                                     **columnar.Validated.values(doc))
+    return columnar.ValidatedMessage(message_from_dict(doc), **columnar.Validated.values(doc))
 
 
 def validate_stage(positions: Positions, texts: Mapping[str, np.ndarray], port: "geo.PortGeometry | None",

@@ -21,15 +21,16 @@ block's outcomes (DecodedBlock), and no object is built per position or
 pair. Every other line goes in its place to MessageDecoder.feed, the general
 parser of one line, so a block gives what feeding its lines one by one
 would: malformed, orphaned and rare lines, and a pair that a block boundary
-splits. What feed gives, positions and statics included, stays an outcome.
+splits. What feed gives stays an outcome, a message it decodes carried as a
+run of one row.
 
 Positions is the one table (`table.Table`) of decoded positions that
 every stage carries, and Statics holds the block's static reports; each
 declares its fields once, with their JSON keys and checks. A receive time
 is integer microseconds since the epoch, MMSI and status are integers, and
 every other position field is the float64 value it reads as, NaN for "not
-available" (_field_values maps the raw fields). Their row types,
-PositionReport and StaticReport, are built only when a row is asked for.
+available" (_field_values maps the raw fields). A Positions row gives a
+PositionReport only when one is asked for.
 
 Each message type's fields are declared once, in _POSITION_LAYOUT and
 _STATIC_LAYOUT, and this module owns both directions of each layout. One
@@ -71,21 +72,19 @@ from .table import (DIMENSION, EPOCH, INTEGER, LATITUDE, LONGITUDE, NUMBER, RATE
 class BadChecksum(ValueError):
     """Computed XOR checksum does not match the declared one."""
 
+    error = "bad_checksum"
+
 
 class Malformed(ValueError):
     """Line does not follow the expected NMEA structure."""
+
+    error = "malformed"
 
 
 class DuplicateFragment(ValueError):
     """A fragment index appears twice in one group."""
 
-
-class TruncatedBuffer(ValueError):
-    """Payload is too short for the message type's mandatory fields."""
-
-
-class OutOfRangePosition(ValueError):
-    """Decoded latitude/longitude falls outside the valid range."""
+    error = "duplicate_fragment"
 
 
 # 6-bit armoring alphabet: values 0-39 map to ASCII 48-87, 40-63 to 96-119.
@@ -130,18 +129,6 @@ class PositionReport:
     heading: float | None
     navstat: int
     rot: int | None
-
-
-@dataclass(slots=True)
-class StaticReport:
-    """Decoded static/voyage data (type 5): identity and vessel type."""
-
-    mmsi: int
-    vessel_name: str
-    ship_type: int
-    length: int | None = None
-    width: int | None = None
-    timestamp: dt.datetime | None = None
 
 
 def nmea_checksum(body: str) -> int:
@@ -293,17 +280,6 @@ def _field_values(sog, cog, heading, rot) -> tuple:
     return _SOG[sog], _COG[np.minimum(cog, 3600)], _HEADING[heading], _ROT[rot + 128]
 
 
-def _optional(value: float):
-    return None if value != value else value
-
-
-def _report(timestamp: dt.datetime, mmsi: int, navstat: int, lat: float, lon: float, sog: float, cog: float,
-            heading: float, rot: float) -> PositionReport:
-    """The PositionReport of one row's values as Python numbers, NaN for None."""
-    return PositionReport(mmsi, timestamp, lat, lon, _optional(sog), _optional(cog), _optional(heading), navstat,
-                          None if rot != rot else int(rot))
-
-
 class Positions(Table, doc_type="position"):
     """Position reports as columns, one row per report, in order: the form in which a run carries them.
 
@@ -326,8 +302,11 @@ class Positions(Table, doc_type="position"):
     rot = Field(RATE, default=None)
 
     @staticmethod
-    def row(time_us: int, *values) -> PositionReport:
-        return _report(from_epoch_us(time_us), *values)
+    def row(time_us: int, mmsi: int, navstat: int, lat: float, lon: float, *optional: float) -> PositionReport:
+        """The PositionReport of one row's values as Python numbers, NaN for None."""
+        sog, cog, heading, rot = (None if v != v else v for v in optional)
+        return PositionReport(mmsi, from_epoch_us(time_us), lat, lon, sog, cog, heading, navstat,
+                              None if rot is None else int(rot))
 
 
 def _position_rows(time_us, mmsi, navstat, rot, sog, lon, lat, cog, heading) -> Positions:
@@ -345,7 +324,7 @@ class Statics(Table, doc_type="static"):
     where the report has None (a decoded length or width of 0 is "not
     available"); name is an object array of str. feed_block gives the type 5
     pairs it decodes as one table, and each row's stored document is written
-    from the columns. An int index gives the row's StaticReport.
+    from the columns.
     """
 
     time_us = Field(TIME, key="ts", row="timestamp", default=None)
@@ -354,10 +333,6 @@ class Statics(Table, doc_type="static"):
     length = Field(DIMENSION, default=None)
     width = Field(DIMENSION, default=None)
     name = Field(TEXT, row="vessel_name", default="")
-
-    @staticmethod
-    def row(time_us: int, mmsi: int, ship_type: int, length: int, width: int, name: str) -> StaticReport:
-        return StaticReport(mmsi, name, ship_type, length or None, width or None, from_epoch_us(time_us))
 
 
 # bytes.translate table of 6-bit text: values 0-31 are '@' and the letters, 32-63 space, digits and punctuation
@@ -509,14 +484,6 @@ def _tag_time(body: str) -> dt.datetime | None:
                 raise Malformed(f"TAG block time {part!r} is out of range") from None
     return rx
 
-
-_ERROR_NAMES = {
-    BadChecksum: "bad_checksum",
-    Malformed: "malformed",
-    DuplicateFragment: "duplicate_fragment",
-    TruncatedBuffer: "truncated_buffer",
-    OutOfRangePosition: "out_of_range_position",
-}
 
 # The lines MessageDecoder.feed_block reads itself: an AIVDM/AIVDO sentence,
 # bare or behind a TAG block of printable ASCII, that is either a single
@@ -680,11 +647,12 @@ class DecodeOutcome:
     kind is one of "position", "static", "buffered", "skipped", "error".
     Every fed line produces exactly one outcome; timeout outcomes for
     expired fragment groups are reported in addition, attributed to the
-    first line of the group.
+    first line of the group. A position or static outcome carries its
+    message as a run of one row.
     """
 
     kind: str
-    message: PositionReport | StaticReport | None = None
+    run: "BlockRun | None" = None
     error: str | None = None
     detail: str | None = None
     raw: str | None = None
@@ -710,13 +678,6 @@ class BlockRun:
         days[~self.static] = self.positions.utc_days()
         days[self.static] = self.statics.utc_days()
         return days
-
-    @staticmethod
-    def of_messages(messages: list[PositionReport | StaticReport]) -> "BlockRun":
-        """The run of the given reports, in order."""
-        static = [isinstance(m, StaticReport) for m in messages]
-        return BlockRun(Positions.of_rows([m for m, s in zip(messages, static) if not s]),
-                        Statics.of_rows([m for m, s in zip(messages, static) if s]), np.array(static, dtype=bool))
 
     @staticmethod
     def concat(runs: list["BlockRun"]) -> "BlockRun":
@@ -796,9 +757,9 @@ class MessageDecoder:
             "errors": self.errors,
         }
 
-    def _error(self, exc: Exception, raw: str) -> DecodeOutcome:
+    def _error(self, error: str, detail: str, raw: str) -> DecodeOutcome:
         self.errors += 1
-        return DecodeOutcome("error", None, _ERROR_NAMES.get(type(exc), "error"), str(exc), raw)
+        return DecodeOutcome("error", None, error, detail, raw)
 
     def _timeouts(self, groups: list[_PendingGroup], when: str) -> list[DecodeOutcome]:
         """One timeout error for each dropped group."""
@@ -841,7 +802,7 @@ class MessageDecoder:
             try:
                 tag_time, sentence_text = split_tag_block(raw)
             except Malformed as exc:
-                return [self._error(exc, raw)]
+                return [self._error(exc.error, str(exc), raw)]
             if tag_time is not None:
                 rx = tag_time
         outcomes = self._expire(epoch_us(rx)) if self._pending else []
@@ -853,13 +814,13 @@ class MessageDecoder:
         try:
             fields = _parse_fields(text)
         except (BadChecksum, Malformed) as exc:
-            return self._error(exc, raw)
+            return self._error(exc.error, str(exc), raw)
         if fields[1] == 1:  # single-sentence message: skip RawSentence
             return self._decode(fields[5], fields[6], rx, raw)
         try:
             joined = self._add_fragment(RawSentence(*fields), rx, raw)
         except (DuplicateFragment, Malformed) as exc:
-            return self._error(exc, raw)
+            return self._error(exc.error, str(exc), raw)
         if joined is None:
             self.buffered += 1
             return DecodeOutcome("buffered", None, None, None, raw)
@@ -978,34 +939,34 @@ class MessageDecoder:
     def _decode(self, payload: str, fill: int, rx: dt.datetime, raw: str) -> DecodeOutcome:
         """The outcome of a complete, checked payload whose last `fill` bits are fill, received at rx.
 
-        Its fields are read as a row of the block's (_read_rows). A position
-        must lie on the globe, which the "position unavailable" sentinels
-        (91/181 degrees) do not; a static of 240-269 bits reads no dimensions.
+        Its fields are read as a table of one row, as the block's rows are
+        (_read_rows, _position_rows, _static_rows). A position must lie on the
+        globe, which the "position unavailable" sentinels (91/181 degrees) do
+        not; a static of 240-269 bits reads no dimensions.
         """
         nbits = 6 * len(payload) - fill
         six = _SIXBIT[np.frombuffer(payload.encode("ascii"), dtype=np.uint8)][None]
         mtype = int(six[0, 0]) if nbits >= 6 else -1
+        rx_us = np.array([epoch_us(rx)])
         if mtype in (1, 2, 3):
             if nbits < 168:
-                return self._error(TruncatedBuffer(f"position report needs 168 bits, got {nbits}"), raw)
-            _, mmsi, navstat, rot, sog, lon, lat, cog, heading = _read_rows(six, _POSITION_ROWS)[0].tolist()
-            lon, lat = lon / 600000.0, lat / 600000.0
+                return self._error("truncated_buffer", f"position report needs 168 bits, got {nbits}", raw)
+            positions = _position_rows(rx_us, *_read_rows(six, _POSITION_ROWS)[:, 1:].T)
+            lat, lon = positions.lat.item(), positions.lon.item()
             if not _in_range(lat, lon):
-                return self._error(OutOfRangePosition(f"lat={lat:.5f} lon={lon:.5f}"), raw)
+                return self._error("out_of_range_position", f"lat={lat:.5f} lon={lon:.5f}", raw)
             self.positions += 1
-            msg = _report(rx, mmsi, navstat, lat, lon, *map(float, _field_values(sog, cog, heading, rot)))
-            return DecodeOutcome("position", msg, None, None, raw)
+            return DecodeOutcome("position", BlockRun(positions, Statics.empty(), np.zeros(1, dtype=bool)), raw=raw)
         if mtype == 5:
             # the name ends at bit 232 and the ship type at 240; the dimensions are optional
             if nbits < 240:
-                return self._error(TruncatedBuffer(f"static report needs at least 240 bits, got {nbits}"), raw)
+                return self._error("truncated_buffer", f"static report needs at least 240 bits, got {nbits}", raw)
             whole = _STATIC_BITS // 6 if nbits >= _STATIC_BITS else 40  # the 6-bit values of the fields it holds
             padded = np.zeros((1, _STATIC_BITS // 6), dtype=np.int64)
             padded[:, :whole] = six[:, :whole]
             self.statics += 1
-            msg = _static_rows(np.zeros(1, dtype=np.int64), _read_rows(padded, _STATIC_ROWS)[:, 1:])[0]
-            msg.timestamp = rx
-            return DecodeOutcome("static", msg, None, None, raw)
+            statics = _static_rows(rx_us, _read_rows(padded, _STATIC_ROWS)[:, 1:])
+            return DecodeOutcome("static", BlockRun(Positions.empty(), statics, np.ones(1, dtype=bool)), raw=raw)
         self.skipped += 1
         return DecodeOutcome("skipped", None, None, f"unsupported message type {mtype}", raw)
 

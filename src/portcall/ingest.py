@@ -10,19 +10,18 @@ in blocks: the complete lines of each chunk received, or of each
 _REPLAY_BLOCK lines read from a file. A byte that is not UTF-8 makes its
 line malformed; it does not end the read.
 
-Every decoded message leaves this module as a row of a run: the sink is
-called as sink(run, lines) with a codec.BlockRun, rows in receive order, and
-the stored JSONL document of each row. Each block of lines is one call: a
-decoded block's rows, and among them in line order each message the line
-parser decoded; or up to _REPLAY_BLOCK stored JSONL messages. Every
-position's document is written by the Positions table writer from the text
-of its fields, made once for the run, which the run then carries
-(BlockRun.texts) for a sink that writes its positions again. A static's
-is written by the Statics table writer, but a stored static keeps the dict
-codec's document, which writes a stored length or width of 0 back as 0.
-Errors go to the error sink. _paced wraps the sink to pace a replay, and the
-summary takes the decoder's counts. The live feed's socket is imported by
-run_live, so a replay does not load it.
+Every message leaves this module as a table row, with no object built per
+message: the sink is called as sink(run, lines) with a codec.BlockRun, rows
+in receive order, and the stored JSONL document of each row. Each block of
+lines is one call: a decoded block's rows, with the one-row run of each
+message the line parser decoded spliced in at its line; or up to
+_REPLAY_BLOCK stored JSONL messages, each checked as `table.Table.read`
+checks a document. Every document is written by the table writers, a
+position's from the texts of its fields, which the run then carries
+(BlockRun.texts) for a sink that writes its positions again. Errors go to
+the error sink. _paced wraps the sink to pace a replay, and the summary
+takes the decoder's counts. The live feed's socket is imported by run_live,
+so a replay does not load it.
 """
 
 import datetime as dt
@@ -35,9 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, StaticReport
-from .jsonl import dumps, message_from_dict, message_to_dict
+from .codec import BlockRun, DecodedBlock, DecodeOutcome, MessageDecoder, Positions, Statics
+from .jsonl import dumps, message_to_dict
 from .table import UTC, epoch_us, parse_json
+
+# perfbench's tracer wraps these names here, where no command calls them (see TRACER_ONLY and ROADMAP item 13)
+_TRACER_NAMES = (dumps, message_to_dict)
 
 _LAST_US = epoch_us(dt.datetime.max.replace(tzinfo=UTC))  # the last receive time a datetime holds
 _REPLAY_BLOCK = 4096  # file lines run_replay reads at once: at most this many in a decoded block or stored run
@@ -156,31 +158,30 @@ def _utcnow_s() -> dt.datetime:
 
 
 def _deliver(block: DecodedBlock, sink, error_sink) -> None:
-    """A block's messages to sink as one run in order: its rows, and at its place among them each message the line
-    parser decoded. Its errors go to error_sink."""
+    """A block's messages to sink as one run in order: its rows, and spliced in at its place among them the run of
+    each message the line parser decoded. Its errors go to error_sink."""
     runs, start = [], 0
-    parsed = [(row, o.message) for o, row in zip(block.outcomes, block.rows) if o.message is not None]
-    for row, group in itertools.groupby(parsed, key=lambda item: item[0]):
-        runs += [block.run(start, row), BlockRun.of_messages([m for _, m in group])]
-        start = row
-    runs.append(block.run(start, len(block)))
-    for outcome in block.outcomes:
-        if outcome.kind == "error":
+    for outcome, row in zip(block.outcomes, block.rows):
+        if outcome.run is not None:
+            runs += [block.run(start, row), outcome.run] if row > start else [outcome.run]
+            start = row
+        elif outcome.kind == "error":
             error_sink(outcome)
+    runs.append(block.run(start, len(block)))
     run = BlockRun.concat(runs)
     if len(run):
-        _send(run, run.statics.lines(), sink)
+        _send(run, sink)
 
 
-def _send(run: BlockRun, statics: list[str], sink) -> None:
-    """A run to sink with the stored document of each row: a position's written from the texts of its fields, made
-    here once and then carried by the run (BlockRun.texts), and the given document of each static, in order."""
+def _send(run: BlockRun, sink) -> None:
+    """A run to sink with the stored document of each row, in order, each written by its table's writer: a
+    position's from the texts of its fields, made here once and then carried by the run (BlockRun.texts)."""
     run.texts = run.positions.texts()
     lines = run.positions.lines(run.texts)
-    if statics:
+    if len(run.statics):
         documents = np.empty(len(run), dtype=object)
         documents[~run.static] = np.array(lines, dtype=object)
-        documents[run.static] = np.array(statics, dtype=object)
+        documents[run.static] = np.array(run.statics.lines(), dtype=object)
         lines = documents.tolist()
     sink(run, lines)
 
@@ -245,7 +246,8 @@ def run_replay(
     that starts the file is skipped. A byte that is not UTF-8 reads as
     U+FFFD, which makes its line malformed. A line that starts with
     `{` is read as a stored JSONL message, after the NMEA lines before it;
-    one that does not parse goes to error_sink as a "malformed" error.
+    one that does not parse, or that its "type"'s table does not take
+    (`table.Table.check`), goes to error_sink as a "malformed" error.
     replay_speed scales the pauses between consecutive message timestamps
     (0 disables pacing): _paced hands each message to sink as a run of one
     right after its pause, and a static without a time neither pauses nor
@@ -277,17 +279,23 @@ def run_replay(
                 times = _raw_times(start_us, first + kept[start:stop], raw_cadence_s)
                 _deliver(dec.feed_block(lines[start:stop], times), sink, error_sink)
             else:
-                messages = []
+                checked, static = ([], []), []  # the checked values of positions and of statics; which is which
                 for line in lines[start:stop]:
                     try:
-                        messages.append(message_from_dict(parse_json(line)))
-                    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                        doc = parse_json(line)
+                        kind = doc.get("type")
+                        if kind not in (Positions.doc_type, Statics.doc_type):
+                            raise ValueError(f"unknown message type {kind!r}")
+                        is_static = kind == Statics.doc_type
+                        checked[is_static].append((Statics if is_static else Positions).check(doc))
+                        static.append(is_static)
+                    except ValueError as exc:  # a line that starts with `{` and parses is an object
                         summary.errors += 1
                         error_sink(DecodeOutcome("error", error="malformed", detail=str(exc), raw=line))
-                summary.messages += len(messages)
-                if messages:  # a stored static's length or width of 0 is written back as the dict codec wrote it
-                    _send(BlockRun.of_messages(messages),
-                          [dumps(message_to_dict(m)) for m in messages if isinstance(m, StaticReport)], sink)
+                summary.messages += len(static)
+                if static:
+                    _send(BlockRun(Positions.of_checked(checked[0]), Statics.of_checked(checked[1]),
+                                   np.array(static, dtype=bool)), sink)
 
     with open(cfg.path, "r", encoding="utf-8-sig", errors="replace") as f:
         chunk: list[str] = []
@@ -316,13 +324,14 @@ def run_live(
 
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
-    time overrides it as in replay. Each block's messages reach sink in one
+    time overrides it as in replay, and a line ends at \n, \r\n or \r as
+    in replay. Each block's messages reach sink in one
     call, as in run_replay, before the next chunk is read. Waits a backoff
     with full jitter after a failed connect and after every disconnect,
     doubling from 1 s to a cap of 60 s by default and starting over once a
     connection delivers a complete line. A partial line at disconnect is
     discarded and counted as an error, and so is a partial line that grows
-    past _MAX_PARTIAL bytes, with what follows it up to its newline;
+    past _MAX_PARTIAL bytes, with what follows it up to its line end;
     completed lines are never lost. Once the stop event is set it returns
     within the socket's 0.5 s timeout, fragment groups still pending counted
     as timeouts. Connection gaps are returned for outage bookkeeping.
@@ -359,6 +368,8 @@ def run_live(
                         break
                     if not chunk:
                         break
+                    # lines end at \n, \r\n or \r as in a replayed file; \r\n, split or not, leaves an empty line
+                    chunk = chunk.replace(b"\r", b"\n")
                     if dropping:
                         nl = chunk.find(b"\n")
                         if nl == -1:
@@ -371,9 +382,9 @@ def run_live(
                             summary.errors += 1  # an over-long line
                             buf, dropping = b"", True
                         continue
-                    # no multi-byte character holds a newline byte; lines end at \n, \r\n or \r, as in a replayed file
+                    # no multi-byte character holds a newline or carriage return byte
                     text, buf = buf[:nl].decode("utf-8", errors="replace"), buf[nl + 1 :]
-                    lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line]
+                    lines = [line for line in text.split("\n") if line]
                     if lines:
                         backoff = cfg.reconnect_initial_s  # the feed works again
                     summary.lines += len(lines)

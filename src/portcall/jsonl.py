@@ -1,4 +1,4 @@
-"""JSONL files shared by the pipeline stages, and the dict codecs of single messages.
+"""JSONL files shared by the pipeline stages, and the dict codec of a single position.
 
 One JSON document per line, UTF-8, LF endings. Timestamps are second
 precision ISO-8601 with a trailing Z; serialization is deterministic
@@ -7,12 +7,10 @@ bytes.
 
 Positions, statics and validated messages are tables whose fields are each
 declared once (`table.Table`): a table writes the lines of its rows and
-reads stored lines into columns from that declaration. A single message,
-one the line parser decoded or a stored one read back, is read through the
-dict codecs here, the one-row forms of the same declaration, and joins its
-run as a row; only a stored static is written by them and `dumps`: its
-length or width of 0 is written back as 0, where a Statics row holds it as
-"not available" and writes null.
+reads stored lines into columns from that declaration, a stored message in
+replay included. No command runs the dict codec of a position here, the
+one-row form of the same declaration: perfbench's tracer looks it up, and
+the tests check the table writers against it.
 
 A stored position's lat, lon, sog, cog and heading are read as floats, so a
 number another tool wrote as an int (`"sog":5`) is written back as `5.0`,
@@ -22,7 +20,7 @@ cannot hold exactly, does not read.
 
 import json
 
-from .codec import PositionReport, Positions, StaticReport, Statics
+from .codec import PositionReport, Positions
 from .table import parse_json
 
 
@@ -30,19 +28,14 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def message_to_dict(msg: PositionReport | StaticReport) -> dict:
-    return (Positions if isinstance(msg, PositionReport) else Statics).to_dict(msg)
+def message_to_dict(msg: PositionReport) -> dict:
+    return Positions.to_dict(msg)
 
 
-def message_from_dict(doc: dict) -> PositionReport | StaticReport:
-    """The message a stored document holds; a field it lacks or holds a value of the wrong type of is a ValueError
+def message_from_dict(doc: dict) -> PositionReport:
+    """The position a stored document holds; a field it lacks or holds a value of the wrong type of is a ValueError
     that starts with the field's key."""
-    kind = doc.get("type")
-    if kind == Positions.doc_type:
-        return PositionReport(**Positions.values(doc))
-    if kind == Statics.doc_type:
-        return StaticReport(**Statics.values(doc))
-    raise ValueError(f"unknown message type {kind!r}")
+    return PositionReport(**Positions.values(doc))
 
 
 def read_jsonl(path):

@@ -10,9 +10,9 @@ attribute; its Rule gives the dtype, the check of a stored value and the
 JSON text of each value of a column. Only a table that names a document type
 writes its "type" key. From the declaration come the length, slicing,
 `concat` and the empty table, `utc_days`, the line writers `jsonl` and
-`lines`, the checked column readers `read` (stored documents) and `of_rows`
-(row objects), and the one-row forms `to_dict` and `values` that the dict
-codecs are made of.
+`lines`, the checked reader of stored documents `read`, made of the check of
+one document (`check`) and the table of checked values (`of_checked`), and
+the one-row forms `to_dict` and `values` that the dict codecs are made of.
 
 The writer works on byte columns. `texts` gives each field's texts as a
 uint8 matrix, one row per value holding its JSON text left-aligned and
@@ -349,13 +349,13 @@ class Table:
     """Rows as columns, one per field, in declaration order, a parent table's first.
 
     A subclass names its document type (`class Positions(Table,
-    doc_type="position")`), or names none for documents without a "type" key,
-    and row(*values) gives its row object from one row's values. An int
-    index gives a row's object, and iterating gives every row's in turn; a
-    slice, mask or index array gives the table of those rows. A table may
+    doc_type="position")`), or names none for documents without a "type" key;
+    one with a row type gives its row object of one row's values as
+    row(*values). An int index gives a row's object, and iterating gives every
+    row's in turn; a slice, mask or index array gives the table of those rows. A table may
     subclass another to add fields; its row object then holds the parent's
     row apart, so `to_dict` and `values` cover the fields it declares
-    itself, and `of_rows` takes the rows of a table that subclasses none.
+    itself.
     """
 
     fields: tuple[Field, ...] = ()
@@ -402,16 +402,21 @@ class Table:
         return cls(*map(np.concatenate, zip(*(part.columns() for part in parts)))) if parts else cls.empty()
 
     @classmethod
-    def of_rows(cls, rows: Sequence):
-        """The rows of the given row objects, in order."""
-        return cls(*(f.rule.column([getattr(r, f.row) for r in rows]) for f in cls.fields))
+    def check(cls, doc: dict) -> list:
+        """The checked value of each field in a stored document, in order: a ValueError for the first field it lacks
+        or holds a wrong value of, starting with the field's key."""
+        return [f.value(doc) for f in cls.fields]
+
+    @classmethod
+    def of_checked(cls, values: Sequence[list]):
+        """The rows of the checked values of stored documents (`check`), in order."""
+        return cls(*(f.rule.column(c) for f, c in zip(cls.fields, zip(*values)))) if values else cls.empty()
 
     @classmethod
     def read(cls, docs: Sequence[dict]):
-        """The rows of the given stored documents, in order, each value checked a document at a time: a ValueError
-        for the first document that lacks a field or holds a wrong value, starting with the field's key."""
-        values = [[f.value(doc) for f in cls.fields] for doc in docs]
-        return cls(*(f.rule.column(c) for f, c in zip(cls.fields, zip(*values)))) if values else cls.empty()
+        """The rows of the given stored documents, in order, each checked in turn (`check`): a ValueError for the
+        first document that lacks a field or holds a wrong value, starting with the field's key."""
+        return cls.of_checked([cls.check(doc) for doc in docs])
 
     def utc_days(self) -> np.ndarray:
         """The proleptic Gregorian ordinal of each row's UTC day."""

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import oracles
 from portcall import codec, jsonl, synth
 from portcall.codec import Positions, Statics
 from portcall.columnar import Validated
@@ -20,14 +22,25 @@ BUFFERED = codec.DecodeOutcome("buffered")
 
 
 def messages(run) -> list:
-    """The report of each row of a BlockRun, in order: a PositionReport or a StaticReport."""
-    positions, statics = iter(run.positions), iter(run.statics)
+    """The report of each row of a BlockRun, in order: a PositionReport or an `oracles.StaticReport`."""
+    positions, statics = iter(oracles.reports(run.positions)), iter(oracles.reports(run.statics))
     return [next(statics) if static else next(positions) for static in run.static.tolist()]
+
+
+def message_of(outcome):
+    """The report of a position or static outcome's row."""
+    (message,) = messages(outcome.run)
+    return message
+
+
+def with_messages(outcomes) -> list:
+    """Outcomes with each one's run as the reports of its rows, so that those of separate decoders compare."""
+    return [o if o.run is None else dataclasses.replace(o, run=messages(o.run)) for o in outcomes]
 
 
 def _items(block) -> list:
     """Each item of `expanded(block)`, with True where a row gave it and False where an outcome did."""
-    rows = [[BUFFERED, m] if isinstance(m, codec.StaticReport) else [m] for m in messages(block)]
+    rows = [[BUFFERED, m] if isinstance(m, oracles.StaticReport) else [m] for m in messages(block)]
     items, done = [], 0
     for outcome, row in zip(block.outcomes, block.rows):
         items += [(item, True) for row_items in rows[done:row] for item in row_items] + [(*as_fed([outcome]), False)]
@@ -59,7 +72,7 @@ def each_report(sink):
 def as_run(reports) -> tuple:
     """Reports as a sink of runs receives them: their BlockRun and the stored document of each."""
     reports = list(reports)
-    return codec.BlockRun.of_messages(reports), [jsonl.dumps(jsonl.message_to_dict(r)) for r in reports]
+    return oracles.run_of(reports), [jsonl.dumps(oracles.message_to_dict(r)) for r in reports]
 
 
 def static_columns(reports) -> Statics:
@@ -72,7 +85,7 @@ def static_columns(reports) -> Statics:
 
 def columns(reports) -> Positions:
     """Position reports as the column set that validate takes, in order."""
-    return Positions.of_rows(list(reports))
+    return oracles.of_rows(Positions, list(reports))
 
 
 def validated_columns(messages) -> Validated:
@@ -85,7 +98,7 @@ def validated_columns(messages) -> Validated:
 def as_fed(outcomes) -> list:
     """Outcomes of feed as `expanded` gives them: each position and static as its report, each buffered outcome as
     BUFFERED."""
-    return [o.message if o.kind in ("position", "static") else BUFFERED if o.kind == "buffered" else o
+    return [message_of(o) if o.kind in ("position", "static") else BUFFERED if o.kind == "buffered" else o
             for o in outcomes]
 
 
@@ -98,7 +111,7 @@ def decode_all(lines, rx=RX0):
     for o in expanded(block) + dec.finish():
         if isinstance(o, codec.PositionReport):
             positions.append(o)
-        elif isinstance(o, codec.StaticReport):
+        elif isinstance(o, oracles.StaticReport):
             statics.append(o)
         elif o.kind == "error":
             errors.append(o)

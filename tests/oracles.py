@@ -3,11 +3,21 @@
 Everything here is written from the protocol definitions directly, without
 reusing the package's tables or helpers, so the tests exercise two separate
 code paths: the hand-rolled encoder feeds the decoder, the brute-force
-scanners check the optimized classifiers and splitters.
+scanners check the optimized classifiers and splitters. The one exception is
+the section of row objects the package no longer builds: the static report,
+the dict codecs of single messages and the table of row objects, kept in
+the form the package had them as the references its tables are checked
+against.
 """
 
 import datetime as dt
 import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from portcall.codec import BlockRun, PositionReport, Positions, Statics
+from portcall.table import from_epoch_us
 
 UTC = dt.timezone.utc
 
@@ -387,6 +397,61 @@ def iso_ts(t: dt.datetime) -> str:
 
 def parse_iso_ts(s: str) -> dt.datetime:
     return dt.datetime.fromisoformat(s.replace("Z", "+00:00")).astimezone(UTC)
+
+
+# --- row objects of single messages, which the package hands on as table rows -------------------------------
+
+
+@dataclass(slots=True)
+class StaticReport:
+    """Decoded static/voyage data (type 5): identity and vessel type."""
+
+    mmsi: int
+    vessel_name: str
+    ship_type: int
+    length: int | None = None
+    width: int | None = None
+    timestamp: dt.datetime | None = None
+
+
+def static_report(time_us: int, mmsi: int, ship_type: int, length: int, width: int, name: str) -> StaticReport:
+    """The StaticReport of one Statics row's values: a length or width of 0 is None."""
+    return StaticReport(mmsi, name, ship_type, length or None, width or None, from_epoch_us(time_us))
+
+
+def reports(table) -> list:
+    """The report of each row of a Positions or a Statics table, in order."""
+    if isinstance(table, Statics):
+        return list(map(static_report, *(c.tolist() for c in table.columns())))
+    return list(table)
+
+
+def of_rows(table: type, rows) -> object:
+    """The table of the given row objects, in order: each field's column of their attribute values."""
+    return table(*(f.rule.column([getattr(r, f.row) for r in rows]) for f in table.fields))
+
+
+def run_of(messages) -> BlockRun:
+    """The run of the given PositionReports and StaticReports, in order."""
+    static = [isinstance(m, StaticReport) for m in messages]
+    return BlockRun(of_rows(Positions, [m for m, s in zip(messages, static) if not s]),
+                    of_rows(Statics, [m for m, s in zip(messages, static) if s]), np.array(static, dtype=bool))
+
+
+def message_to_dict(msg) -> dict:
+    """The stored document of a PositionReport or a StaticReport, as the dict codec wrote it."""
+    return (Positions if isinstance(msg, PositionReport) else Statics).to_dict(msg)
+
+
+def message_from_dict(doc: dict):
+    """The PositionReport or StaticReport a stored document holds; a ValueError as a stored line's malformed
+    error gives it."""
+    kind = doc.get("type")
+    if kind == Positions.doc_type:
+        return PositionReport(**Positions.values(doc))
+    if kind == Statics.doc_type:
+        return StaticReport(**Statics.values(doc))
+    raise ValueError(f"unknown message type {kind!r}")
 
 
 # --- the synthetic truth ----------------------------------------------------------------------------------------

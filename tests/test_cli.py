@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import oracles
-from conftest import columns
+from conftest import columns, message_of
 from portcall import cli, codec, columnar, ingest, jsonl, synth, table, validate, voyage
 from portcall.codec import MessageDecoder, PositionReport, from_epoch_us
 
@@ -484,9 +484,11 @@ def test_unparseable_ground_truth_cell_is_a_usage_error(inputs, tmp_path, capsys
 
 
 def count_built(monkeypatch) -> dict[str, int]:
-    """Counts, until monkeypatch.undo(), the PositionReport, StaticReport and ValidatedMessage objects built, and
-    the datetimes that codec, validate and voyage make from epoch microseconds."""
-    built = {"PositionReport": 0, "StaticReport": 0, "ValidatedMessage": 0, "datetime": 0}
+    """Counts, until monkeypatch.undo(), the PositionReport and ValidatedMessage objects built, and the datetimes
+    that codec, validate and voyage make from epoch microseconds. The package has no static row object to build:
+    a static is only ever a row of a Statics table."""
+    assert not any(hasattr(module, "StaticReport") for module in (codec, columnar, ingest, jsonl, table))
+    built = {"PositionReport": 0, "ValidatedMessage": 0, "datetime": 0}
 
     def counted_init(name, cls):
         init = cls.__init__
@@ -502,7 +504,7 @@ def count_built(monkeypatch) -> dict[str, int]:
             return from_epoch_us(us)
         monkeypatch.setattr(module, "from_epoch_us", wrapper)
 
-    for cls in (PositionReport, codec.StaticReport, columnar.ValidatedMessage):
+    for cls in (PositionReport, columnar.ValidatedMessage):
         counted_init(cls.__name__, cls)
     for module in (codec, validate, voyage):
         counted_times(module)
@@ -560,7 +562,7 @@ def test_run_builds_no_row_object_per_block_row(inputs, tmp_path, monkeypatch):
     decoded = (outdir / "decoded.jsonl").read_text()
     n_statics = decoded.count('"type":"static"')
     assert decoded.count('"type":"position"') > 1000 and n_statics > 100 and voyages
-    assert built == {"PositionReport": 0, "StaticReport": 0, "ValidatedMessage": 0,
+    assert built == {"PositionReport": 0, "ValidatedMessage": 0,
                      "datetime": 2 * (len(voyages) + sum(len(v["phases"]) for v in voyages) + n_outages)}
 
 
@@ -579,12 +581,35 @@ def test_staged_commands_build_no_row_object_per_stored_line(inputs, tmp_path, m
     monkeypatch.undo()
     assert len((d / "validated.jsonl").read_text().splitlines()) > 1000
     assert json.loads((d / "metrics" / "summary.json").read_text())["n_voyages"] > 0
-    assert {name: n for name, n in built.items() if name != "datetime"} \
-        == {"PositionReport": 0, "StaticReport": 0, "ValidatedMessage": 0}
+    assert {name: n for name, n in built.items() if name != "datetime"} == {"PositionReport": 0, "ValidatedMessage": 0}
+
+
+@pytest.mark.parametrize("source", ["nmea", "stored", "mixed"])
+@pytest.mark.parametrize("command", ["run", "decode", "ingest"])
+def test_no_row_object_is_built_per_message_of_any_input(inputs, tmp_path, monkeypatch, command, source):
+    """run, decode and ingest hand every message on as table rows, whether the block pass decoded it, the line
+    parser did, or it was a stored line: no PositionReport or ValidatedMessage is built for any. The mixed input
+    holds stored lines, faults and positions in shapes that only the line parser decodes; decode and ingest of the
+    others make no datetime either."""
+    source_path = tmp_path / f"input.{source}"
+    if source == "nmea":
+        source_path.write_bytes(inputs["tagged.nmea"].read_bytes())
+    elif source == "stored":
+        assert cli.main(["decode", "--input", str(inputs["tagged.nmea"]), "--output", str(source_path)]) == 0
+    else:
+        source_path.write_bytes(mixed_replay(inputs["tagged.nmea"].read_text().splitlines(), fed=True))
+    argv = {"run": ["run", "--input", str(source_path), "--outdir", str(tmp_path / "out")],
+            "decode": ["decode", "--input", str(source_path), "--output", str(tmp_path / "decoded.jsonl")],
+            "ingest": ["ingest", "--source", f"file:{source_path}", "--store", str(tmp_path / "store")]}[command]
+    built = count_built(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_OK
+    monkeypatch.undo()
+    assert {name: n for name, n in built.items() if name != "datetime"} == {"PositionReport": 0, "ValidatedMessage": 0}
+    assert command == "run" or source == "mixed" or built["datetime"] == 0
 
 
 def test_replayed_stored_lines_keep_their_bytes(tmp_path):
-    """A stored static is replayed as a message, so its length of 0 stays 0 where a Statics row would write null;
+    """A stored static is written by the Statics writer, so its length of 0, "not available", is written as null;
     a stored position's ints in float fields are written as floats."""
     static = ('{"length":0,"mmsi":2,"name":"A \\"B\\"","ship_type":70,"ts":"2019-09-01T00:00:00Z","type":"static",'
               '"width":null}')
@@ -593,10 +618,30 @@ def test_replayed_stored_lines_keep_their_bytes(tmp_path):
     stored, out = tmp_path / "stored.jsonl", tmp_path / "decoded.jsonl"
     stored.write_text(static + "\n" + position + "\n")
     assert cli.main(["decode", "--input", str(stored), "--output", str(out)]) == cli.EXIT_OK
-    written = static + "\n" + position.replace('"lat":34,', '"lat":34.0,').replace('"sog":5,', '"sog":5.0,') + "\n"
+    written = (static.replace('"length":0,', '"length":null,') + "\n"
+               + position.replace('"lat":34,', '"lat":34.0,').replace('"sog":5,', '"sog":5.0,') + "\n")
     assert out.read_text() == written
     assert cli.main(["ingest", "--source", f"file:{stored}", "--store", str(tmp_path / "store")]) == cli.EXIT_OK
     assert (tmp_path / "store" / "ais-2019-09-01.jsonl").read_text() == written
+
+
+@pytest.mark.parametrize("ts", ["", '"ts":null,'], ids=["no-ts", "null-ts"])
+def test_a_stored_static_is_written_as_a_statics_row(tmp_path, ts):
+    """A stored static that another tool wrote with a length or width of 0 is written with null, as the decoder
+    reads 0 as "not available"; one without a time is written at 1970-01-01T00:00:00Z and filed under that day,
+    where the store already filed it. decode and ingest write the same bytes."""
+    static = ('{"length":0,"mmsi":2,"name":"A","ship_type":70,' + ts + '"type":"static","width":0}')
+    position = ('{"cog":null,"heading":null,"lat":34.0,"lon":18.5,"mmsi":1,"navstat":5,"rot":null,"sog":5.0,'
+                '"ts":"2019-09-01T00:00:01Z","type":"position"}')
+    stored, out = tmp_path / "stored.jsonl", tmp_path / "decoded.jsonl"
+    stored.write_text(static + "\n" + position + "\n")
+    assert cli.main(["decode", "--input", str(stored), "--output", str(out)]) == cli.EXIT_OK
+    written = ('{"length":null,"mmsi":2,"name":"A","ship_type":70,"ts":"1970-01-01T00:00:00Z","type":"static",'
+               '"width":null}\n')
+    assert out.read_text() == written + position + "\n"
+    assert cli.main(["ingest", "--source", f"file:{stored}", "--store", str(tmp_path / "store")]) == cli.EXIT_OK
+    assert _snapshot(tmp_path / "store") == {"ais-1970-01-01.jsonl": written.encode(),
+                                             "ais-2019-09-01.jsonl": (position + "\n").encode()}
 
 
 def test_an_output_that_cannot_be_written_is_an_io_error(tmp_path, capsys):
@@ -657,7 +702,7 @@ def mixed_replay(rows: list[str], fed: bool = False) -> bytes:
     lines and faults: a changed payload character, a cut line, garbage, a byte that is not UTF-8. With `fed`, some
     position lines take shapes that only the line parser decodes (_fed_only)."""
     dec = MessageDecoder()
-    stored = [jsonl.dumps(jsonl.message_to_dict(o.message)) for line in rows[:40]
+    stored = [jsonl.dumps(oracles.message_to_dict(message_of(o))) for line in rows[:40]
               for o in dec.feed(line, dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc))
               if o.kind in ("position", "static")]
     out = []
@@ -718,7 +763,7 @@ def stored_variants(rows: list[str]) -> list[str]:
     `rows`, so some tie with a table row: integer SOG, COG and heading; -0.0 in each; null in every optional
     field; and a fractional-second time, in UTC or at an offset."""
     dec = MessageDecoder()
-    reports = [o.message for line in rows for o in dec.feed(line, dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc))
+    reports = [message_of(o) for line in rows for o in dec.feed(line, dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc))
                if o.kind == "position"]
     out = []
     for k, r in enumerate(reports[::23]):
@@ -791,7 +836,7 @@ def test_run_writes_the_dict_codec_text_across_chunks_and_blocks(tmp_path):
     decoded = (outdir / "decoded.jsonl").read_text().splitlines()
     validated = (outdir / "validated.jsonl").read_text().splitlines()
     assert len(validated) > 2 * table.CHUNK_ROWS and len(decoded) > 2 * ingest._REPLAY_BLOCK
-    assert decoded == [jsonl.dumps(jsonl.message_to_dict(jsonl.message_from_dict(json.loads(line))))
+    assert decoded == [jsonl.dumps(oracles.message_to_dict(oracles.message_from_dict(json.loads(line))))
                        for line in decoded]
     assert validated == [jsonl.dumps(cli.validated_to_dict(cli.validated_from_dict(json.loads(line))))
                          for line in validated]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BUFFERED, as_fed, expanded, kept
+from conftest import BUFFERED, as_fed, expanded, kept, message_of, with_messages
 from portcall import codec
 
 UTC = dt.timezone.utc
@@ -35,7 +35,7 @@ class TestParseSentence:
                                          lon_raw=0, lat_raw=0, cog_raw=0, heading_raw=0)
         outcome = feed_one(line)
         assert (outcome.kind, outcome.error, outcome.detail) == ("position", None, None)
-        assert outcome.message.mmsi == 123456789
+        assert message_of(outcome).mmsi == 123456789
 
     def test_checksum_computed_by_hand(self):
         body = "AIVDM,1,1,,A,13@ndh@01W1CwHhCcK4t=Ih00000,0"
@@ -44,7 +44,7 @@ class TestParseSentence:
             byhand ^= ord(ch)
         outcome = feed_one(f"!{body}*{byhand:02X}")
         assert (outcome.kind, outcome.error) == ("position", None)
-        assert outcome.message.mmsi == 219000001
+        assert message_of(outcome).mmsi == 219000001
 
     def test_bad_checksum(self):
         line = oracles.position_sentence(mmsi=1, navstat=0, rot_raw=0, sog_raw=0,
@@ -144,7 +144,7 @@ def decode_static_group(**kwargs):
     assert feed_one(first, decoder=dec).kind == "buffered"
     outcome = feed_one(second, decoder=dec)
     assert outcome.kind == "static", outcome
-    return outcome.message
+    return message_of(outcome)
 
 
 class TestAssembly:
@@ -203,7 +203,7 @@ class TestDecodePosition:
         line = oracles.position_sentence(**kwargs)
         outcome = feed_one(line)
         assert outcome.kind == "position", outcome
-        return outcome.message
+        return message_of(outcome)
 
     def test_known_fields(self):
         # raw lat +5400000 is 9 degrees; raw sog 123 is 12.3 knots
@@ -248,8 +248,8 @@ class TestDecodePosition:
         payload, _ = oracles.bits_to_payload(oracles.position_bits(
             msg_type=1, mmsi=366000001, navstat=5, rot_raw=-3, sog_raw=17, lon_raw=-7000000, lat_raw=2000000,
             cog_raw=2700, heading_raw=268))
-        expected = feed_one(oracles.sentence(payload, 0)).message
-        assert feed_one(oracles.sentence(payload + "w0", 4)).message == expected
+        expected = message_of(feed_one(oracles.sentence(payload, 0)))
+        assert message_of(feed_one(oracles.sentence(payload + "w0", 4))) == expected
         assert expected.rot == -3 and expected.lon == -7000000 / 600000.0
 
 
@@ -260,7 +260,7 @@ class TestDecodeStatic:
         outcomes = dec.feed(line_pair[0], RX) + dec.feed(line_pair[1], RX)
         static = [o for o in outcomes if o.kind == "static"]
         assert len(static) == 1
-        assert static[0].message.ship_type == 70
+        assert message_of(static[0]).ship_type == 70
 
     def test_all_padding_name_is_empty(self):
         assert decode_static_group(mmsi=7, name="", ship_type=60).vessel_name == ""
@@ -297,7 +297,7 @@ class TestDecodeStatic:
         payload, fill = oracles.bits_to_payload(bits)
         dec = codec.MessageDecoder()
         assert feed_one(oracles.sentence(payload[:20], 0, 2, 1, 3), decoder=dec).kind == "buffered"
-        report = feed_one(oracles.sentence(payload[20:], fill, 2, 2, 3), decoder=dec).message
+        report = message_of(feed_one(oracles.sentence(payload[20:], fill, 2, 2, 3), decoder=dec))
         assert (report.mmsi, report.vessel_name, report.ship_type) == (7, "SHORT", 70)
         assert (report.length, report.width) == (None, None)
 
@@ -317,7 +317,7 @@ class TestTagBlock:
         assert rest == inner
         # the decoder prefers the tag time over the caller-supplied time
         outcome = feed_one(line, rx=RX)
-        assert outcome.message.timestamp == ts
+        assert message_of(outcome).timestamp == ts
 
     def test_millisecond_tags(self):
         inner = oracles.position_sentence(mmsi=1, navstat=0, rot_raw=0, sog_raw=0,
@@ -384,7 +384,7 @@ def test_roundtrip_property(mmsi, navstat, rot_raw, sog_raw, lon_raw, lat_raw, c
     )
     outcome = feed_one(line)
     assert outcome.kind == "position"
-    msg = outcome.message
+    msg = message_of(outcome)
     assert msg.mmsi == mmsi
     assert msg.navstat == navstat
     assert msg.lat == lat_raw / 600000.0
@@ -399,7 +399,7 @@ def test_single_character_corruption_never_silent():
     rng = random.Random(99)
     line = oracles.position_sentence(mmsi=538001234, navstat=1, rot_raw=3, sog_raw=5,
                                      lon_raw=13990000, lat_raw=20670000, cog_raw=900, heading_raw=77)
-    reference = feed_one(line).message
+    reference = message_of(feed_one(line))
     for _ in range(300):
         pos = rng.randrange(len(line))
         repl = chr(rng.randrange(33, 120))
@@ -408,7 +408,7 @@ def test_single_character_corruption_never_silent():
         corrupted = line[:pos] + repl + line[pos + 1 :]
         outcome = feed_one(corrupted)
         if outcome.kind == "position":
-            assert outcome.message != reference
+            assert message_of(outcome) != reference
         else:
             assert outcome.kind == "error"
 
@@ -476,7 +476,7 @@ def test_encoded_positions_decode_to_their_table(rows):
     assert block.positions.time_us.tolist() == [row[0] * 1_000_000 for row in rows]
     assert codec.encode_positions(block.positions) == lines
     fed = codec.MessageDecoder()
-    assert [o.message for line in lines for o in fed.feed(line, RX)] == list(block.positions)
+    assert [message_of(o) for line in lines for o in fed.feed(line, RX)] == oracles.reports(block.positions)
 
 
 def written_name(name: str) -> str:
@@ -493,30 +493,30 @@ static_rows = st.tuples(tag_seconds, st.integers(0, 9), _field(30), st.text(max_
 @given(rows=st.lists(static_rows, max_size=12))
 def test_encoded_statics_decode_to_their_reports(rows):
     """encode_statics is the inverse of the block's type 5 pairs and of feed."""
-    reports = [codec.StaticReport(mmsi, name, ship_type, length, width, codec.from_epoch_us(seconds * 1_000_000))
+    reports = [oracles.StaticReport(mmsi, name, ship_type, length, width, codec.from_epoch_us(seconds * 1_000_000))
                for seconds, _, mmsi, name, ship_type, length, width in rows]
-    lines = codec.encode_statics(codec.Statics.of_rows(reports), [row[1] for row in rows])
-    want = [codec.StaticReport(r.mmsi, written_name(r.vessel_name), r.ship_type, r.length or None, r.width or None,
+    lines = codec.encode_statics(oracles.of_rows(codec.Statics, reports), [row[1] for row in rows])
+    want = [oracles.StaticReport(r.mmsi, written_name(r.vessel_name), r.ship_type, r.length or None, r.width or None,
                                r.timestamp) for r in reports]
     block = codec.MessageDecoder().feed_block(lines, np.zeros(len(lines), dtype=np.int64))
-    assert (block.outcomes, list(block.statics)) == ([], want)
+    assert (block.outcomes, oracles.reports(block.statics)) == ([], want)
     assert expanded(block) == [item for report in want for item in (BUFFERED, report)]
     fed = codec.MessageDecoder()
-    assert [o.message for line in lines for o in fed.feed(line, RX) if o.kind == "static"] == want
+    assert [message_of(o) for line in lines for o in fed.feed(line, RX) if o.kind == "static"] == want
 
 
 def test_encoded_statics_are_the_oracles():
-    report = codec.StaticReport(219000001, "Testbed 1", 70, 120, 20, RX)
-    assert codec.encode_statics(codec.Statics.of_rows([report]), [3]) == [
+    report = oracles.StaticReport(219000001, "Testbed 1", 70, 120, 20, RX)
+    assert codec.encode_statics(oracles.of_rows(codec.Statics, [report]), [3]) == [
         oracles.tag_block(sentence, int(RX.timestamp())) for sentence in oracles.static_sentences(
             message_id=3, first_chars=36, mmsi=219000001, name="TESTBED 1", ship_type=70, to_bow=60, to_stern=60,
             to_port=10, to_starboard=10, epfd=1)]
 
 
 def test_static_encoder_takes_only_one_digit_message_ids():
-    report = codec.StaticReport(1, "X", 70, None, None, RX)
+    report = oracles.StaticReport(1, "X", 70, None, None, RX)
     with pytest.raises(ValueError):
-        codec.encode_statics(codec.Statics.of_rows([report]), [10])
+        codec.encode_statics(oracles.of_rows(codec.Statics, [report]), [10])
 
 
 # --- the block path ------------------------------------------------------------
@@ -708,11 +708,11 @@ class TestFeedBlock:
             assert any(line.startswith("\\") for line in took) and any(line.startswith("!") for line in took)
         # each position feed decoded is its whole outcome, raw line included
         fed_positions = [o for o in decoded_block.outcomes if o.kind == "position"]
-        assert fed_positions == [o for j, outcomes in enumerate(each) if j not in decoded
-                                 for o in outcomes if o.kind == "position"]
+        assert with_messages(fed_positions) == with_messages([o for j, outcomes in enumerate(each) if j not in decoded
+                                                              for o in outcomes if o.kind == "position"])
         assert fed_positions and all(o.raw for o in fed_positions)
         # and every outcome the block keeps is feed's in full, the raw lines that `expanded` drops included
-        assert decoded_block.outcomes == kept(decoded_block, expected)
+        assert with_messages(decoded_block.outcomes) == with_messages(kept(decoded_block, expected))
         assert {o.kind for o in decoded_block.outcomes} == {"position", "static", "buffered", "skipped", "error"}
         outcomes = [o for o in got if isinstance(o, codec.DecodeOutcome)]
         assert {o.error for o in outcomes} >= {"bad_checksum", "malformed", "timeout", "truncated_buffer",
@@ -845,7 +845,7 @@ def _equals_feeding_each_line(lines, rxs) -> None:
                for line, outcomes in zip(lines, each)]
     decoded = _block_decoded(lines, matched)
     assert fed == [line for j, line in enumerate(lines) if j not in decoded]
-    assert decoded_block.outcomes == kept(decoded_block, expected)
+    assert with_messages(decoded_block.outcomes) == with_messages(kept(decoded_block, expected))
 
 
 # how few lines of one length _scan learns a shape for: every line that fits one, the default, or no line

@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_run, decode_all, each_report, messages
-from portcall import cli, codec, ingest, synth
-from portcall.codec import MessageDecoder, PositionReport, StaticReport
-from portcall.jsonl import dumps, message_from_dict, message_to_dict
+from conftest import as_run, decode_all, each_report, message_of, messages
+from oracles import StaticReport, message_from_dict, message_to_dict
+from portcall import cli, codec, ingest, jsonl, synth
+from portcall.codec import MessageDecoder, PositionReport
+from portcall.jsonl import dumps
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 UTC = dt.timezone.utc
@@ -189,7 +190,9 @@ class TestReplay:
         events = []
         ingest.run_replay(ingest.SourceConfig(mode="replay", path=path, replay_speed=5.0),
                           lambda run, text: events.append(text), sleep=events.append)
-        assert events == [[lines[0]], [lines[1]], pytest.approx(2.0), [lines[2]]]
+        # written by the Statics writer: its null time as the 1970-01-01 it is held and filed as
+        no_time = lines[1].replace('"ts":null', '"ts":"1970-01-01T00:00:00Z"')
+        assert events == [[lines[0]], [no_time], pytest.approx(2.0), [lines[2]]]
 
 
 def stored_outcome(line: str) -> codec.DecodeOutcome:
@@ -199,7 +202,7 @@ def stored_outcome(line: str) -> codec.DecodeOutcome:
         msg = message_from_dict(json.loads(line))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         return codec.DecodeOutcome("error", error="malformed", detail=str(exc), raw=line)
-    return codec.DecodeOutcome("position" if isinstance(msg, PositionReport) else "static", message=msg)
+    return codec.DecodeOutcome("position" if isinstance(msg, PositionReport) else "static", run=oracles.run_of([msg]))
 
 
 class TestMessageRuns:
@@ -220,8 +223,42 @@ class TestMessageRuns:
                                     lambda run, text: calls.append(text) or each_report(got.append)(run, text))
         assert len(calls) <= -(-len(lines) // 7)
         assert [line for text in calls for line in text] == lines
-        assert got == [stored_outcome(line).message for line in lines]
+        assert got == [message_of(stored_outcome(line)) for line in lines]
         assert summary.messages == len(lines)
+
+    def test_bad_stored_lines_among_good_ones_are_one_error_each(self, tmp_path, nmea_fixture):
+        """A stored block with bad lines among good ones: each bad line is one malformed error with the detail the
+        dict codec gave it, and every good line reaches the sink in line order in one call, written as the staged
+        decode writes it."""
+        good = [dumps(message_to_dict(m)) for m in decode_direct(nmea_fixture)[:120]]
+        assert sum('"type":"static"' in line for line in good) >= 2
+        position = json.loads(next(line for line in good if '"type":"position"' in line))
+        bad = {
+            json.dumps({**position, "type": "voyage"}): "unknown message type 'voyage'",
+            json.dumps({k: v for k, v in position.items() if k != "type"}): "unknown message type None",
+            json.dumps({**position, "type": ["position"]}): "unknown message type ['position']",
+            json.dumps({k: v for k, v in position.items() if k != "mmsi"}): "mmsi is missing",
+            json.dumps({**position, "navstat": "5"}): "navstat '5' is not an integer",
+            '{"type":"position"} {}': "Extra data: line 1 column 21 (char 20)",
+            json.dumps({**position, "lat": 95.0}): "lat 95.0 is not a number in [-90, 90]",
+        }
+        bad_lines = list(bad)
+        lines = [text for k, line in enumerate(good) for text in (line, *bad_lines[k:k + 1])]  # one after each of 7
+        path = tmp_path / "stored.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        calls, errors = [], []
+        summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
+                                    lambda run, text: calls.append((messages(run), text)), error_sink=errors.append)
+        assert calls == [([message_from_dict(json.loads(line)) for line in good], good)]
+        assert [(e.error, e.detail, e.raw) for e in errors] == [("malformed", detail, line)
+                                                                for line, detail in bad.items()]
+        assert [(e.error, e.detail) for e in errors] == [(o.error, o.detail) for o in map(stored_outcome, bad)]
+        assert (summary.lines, summary.messages, summary.errors) == (len(lines), len(good), len(bad))
+        decoded = tmp_path / "decoded.jsonl"
+        assert cli.main(["decode", "--input", str(path), "--output", str(decoded)]) == cli.EXIT_OK
+        assert decoded.read_text() == "".join(line + "\n" for line in good)
+        assert [json.loads(line)["detail"] for line in decoded.with_suffix(".errors.jsonl").read_text().splitlines()] \
+            == list(bad.values())
 
     def test_a_block_reaches_the_sink_in_one_call(self, tmp_path):
         """A position and a static the line parser decodes between a block's rows, and an error among them, once
@@ -284,7 +321,7 @@ def read_store(root) -> list:
 
 def decode_direct(lines) -> list:
     dec = MessageDecoder()
-    return [o.message for line in lines for o in dec.feed(line, T0) if o.kind in ("position", "static")]
+    return [message_of(o) for line in lines for o in dec.feed(line, T0) if o.kind in ("position", "static")]
 
 
 class TestStore:
@@ -456,6 +493,65 @@ class TestLive:
             server.shutdown()
             server.server_close()
             thread.join()
+
+    def test_lines_ended_by_a_bare_carriage_return_are_delivered(self, nmea_fixture):
+        """A feed whose lines end in a bare \\r, as a replayed file's may, delivers each line; a feed once split only
+        at \\n and held the whole feed as one partial line."""
+        lines = nmea_fixture[:200]
+        server, thread = _serve("".join(line + "\r" for line in lines).encode(), chunk=1024)
+        try:
+            got, errors = [], []
+            stop = threading.Event()
+            positions, statics, decode_errors = decode_all(lines)
+            expected = len(positions) + len(statics)
+            timer = threading.Timer(10.0, stop.set)  # a feed that delivers nothing fails rather than hangs
+            timer.start()
+
+            def sink(msg):
+                got.append(msg)
+                if len(got) >= expected:
+                    stop.set()
+
+            cfg = ingest.SourceConfig(mode="live", endpoint=server.server_address,
+                                      reconnect_initial_s=0.05, reconnect_max_s=0.1)
+            summary = ingest.run_live(cfg, each_report(sink), stop, error_sink=errors.append, rng=random.Random(1))
+            timer.cancel()
+            assert [m for m in got if isinstance(m, PositionReport)][: len(positions)] == positions
+            assert summary.lines >= len(lines)
+            assert not decode_errors and not errors
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+
+    def test_a_crlf_split_between_reads_gives_each_line_once(self, nmea_fixture, monkeypatch):
+        """Every read ends between a line's \\r and its \\n: each line is delivered once, and the \\n that starts
+        the next read ends no line of its own."""
+        lines = nmea_fixture[:60]
+        reads = [("\n" if k else "") + line + "\r" for k, line in enumerate(lines)] + ["\n"]
+        stop = threading.Event()
+
+        class Feed:
+            def settimeout(self, timeout):
+                pass
+
+            def recv(self, size):
+                if reads:
+                    return reads.pop(0).encode()
+                stop.set()
+                return b""
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: Feed())
+        got, errors = [], []
+        cfg = ingest.SourceConfig(mode="live", endpoint=("127.0.0.1", 1))
+        summary = ingest.run_live(cfg, each_report(got.append), stop, error_sink=errors.append, rng=random.Random(1))
+        positions, statics, decode_errors = decode_all(lines)
+        assert [m for m in got if isinstance(m, PositionReport)] == positions
+        assert len(got) == len(positions) + len(statics)
+        assert (summary.lines, summary.errors, errors, decode_errors) == (len(lines), 0, [], [])
 
     def test_reconnect_records_gap(self, nmea_fixture):
         lines = nmea_fixture[:20]
@@ -638,7 +734,7 @@ class TestReplayBlocks:
     def _per_line(cls, rows):
         """The sink and error-sink sequences of decoding each line on its own."""
         outcomes = cls._outcomes(rows)
-        return ([o.message for o in outcomes if o.kind in ("position", "static")],
+        return ([message_of(o) for o in outcomes if o.kind in ("position", "static")],
                 [o for o in outcomes if o.kind == "error"])
 
     @pytest.mark.parametrize("block", [1, 3, 7, 4096])
@@ -745,8 +841,8 @@ class TestColumnPass:
         no outcome, report or datetime per position or static, no timedelta per line, and one store write per
         block. Blocks of 1,024 lines make the file span several."""
         monkeypatch.setattr(ingest, "_REPLAY_BLOCK", 1024)
-        built = {"DecodeOutcome": 0, "_report": 0, "StaticReport": 0, "from_epoch_us": 0, "_tag_time": 0,
-                 "timedelta": 0, "append": 0}
+        built = {"DecodeOutcome": 0, "PositionReport": 0, "from_epoch_us": 0, "_tag_time": 0, "timedelta": 0,
+                 "append": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -754,7 +850,7 @@ class TestColumnPass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("DecodeOutcome", "_report", "StaticReport", "from_epoch_us", "_tag_time"):
+        for name in ("DecodeOutcome", "PositionReport", "from_epoch_us", "_tag_time"):
             monkeypatch.setattr(codec, name, counted(name, getattr(codec, name)))
         monkeypatch.setattr(ingest, "dt", SimpleNamespace(**{k: getattr(dt, k) for k in ("date", "datetime")},
                                                           timedelta=counted("timedelta", dt.timedelta)))
@@ -779,6 +875,37 @@ class TestColumnPass:
         assert sum('"type":"static"' in line for line in expected) == statics
         assert read_lines(tmp_path / "s") == sorted(expected, key=lambda line: json.loads(line)["ts"][:10])
 
+    def test_stored_and_parsed_messages_build_no_report(self, tmp_path, monkeypatch, nmea_fixture):
+        """Stored lines and the messages the line parser decodes reach the store as table rows too: no report
+        object is built for them, and no dict codec document is written."""
+        stored = [dumps(message_to_dict(m)) for m in decode_direct(nmea_fixture[:300])]
+        parsed = [line.rpartition("\\")[2].replace("!AIVDM", "!BSVDM") for line in nmea_fixture[300:600]]
+        parsed = [line[:-2] + f"{oracles.xor_checksum(line[1:-3]):02X}" for line in parsed]  # the line parser's
+        lines = stored[:100] + parsed + stored[100:]
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        built = {"PositionReport": 0, "dumps": 0, "message_to_dict": 0, "message_from_dict": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(codec, "PositionReport", counted("PositionReport", codec.PositionReport))
+        for module, name in ((ingest, "dumps"), (ingest, "message_to_dict"), (jsonl, "dumps"),
+                             (jsonl, "message_to_dict"), (jsonl, "message_from_dict")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        with ingest.MessageStore(tmp_path / "s") as store:
+            summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path), store.append, raw_start=T0)
+        monkeypatch.undo()
+        dec = MessageDecoder()
+        assert sum(o.kind == "position" for line in parsed for o in dec.feed(line, T0)) > 100
+        assert summary.errors == 0 and summary.messages > len(stored) + 100
+        assert built == dict.fromkeys(built, 0)
+        expected = [dumps(message_to_dict(m)) for m in read_store(tmp_path / "s")]
+        assert read_lines(tmp_path / "s") == expected
+
     def test_paced_rows_reach_the_rows_sink_one_by_one(self, tmp_path):
         """A paced block's positions and statics each reach the sink as a run of one, after its pause."""
         t0 = int(T0.timestamp())
@@ -802,7 +929,7 @@ class TestColumnPass:
 
 def decode_direct_at(lines, start, cadence_s=1.0) -> list:
     dec = MessageDecoder()
-    return [o.message for i, line in enumerate(lines)
+    return [message_of(o) for i, line in enumerate(lines)
             for o in dec.feed(line, start + dt.timedelta(seconds=i * cadence_s)) if o.kind in ("position", "static")]
 
 

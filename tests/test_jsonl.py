@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_fed, expanded, static_columns, validated_columns
+from conftest import as_fed, expanded, message_of, static_columns, validated_columns
+from oracles import StaticReport
 from portcall import cli, codec, columnar, ingest, jsonl, table
-from portcall.codec import STATUS_KINDS, PositionReport, Positions, StaticReport
+from portcall.codec import STATUS_KINDS, PositionReport, Positions
 
 # floats that json and a hand-rolled formatter are apt to write differently
 AWKWARD = (1e-07, -0.0, 5e-324)
@@ -97,7 +98,7 @@ def test_stored_reports_round_trip_to_the_column_writers_line(rs):
     written alike by the dict codec and by the line writer from its row."""
     read = [jsonl.message_from_dict(json.loads(json.dumps(jsonl.message_to_dict(r)))) for r in rs]
     written = [jsonl.dumps(jsonl.message_to_dict(r)) for r in read]
-    assert written == Positions.of_rows(read).lines()
+    assert written == oracles.of_rows(Positions, read).lines()
     assert [jsonl.message_from_dict(json.loads(line)) for line in written] == read
     assert all(type(v) is float for r in read for v in (r.lat, r.lon, r.sog, r.cog, r.heading) if v is not None)
 
@@ -182,7 +183,7 @@ statics = st.builds(
 @given(st.lists(statics, max_size=12))
 def test_static_lines_are_the_dict_codec_text(rs):
     """The static line writer writes each row as `dumps` writes its report's dict, the name escaped alike."""
-    assert static_columns(rs).lines() == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
+    assert static_columns(rs).lines() == [jsonl.dumps(oracles.message_to_dict(r)) for r in rs]
 
 
 # one line of a replayed file: a position's raw fields, and its TAG time in seconds or milliseconds (None for
@@ -213,7 +214,7 @@ def test_decoded_block_writes_what_feeding_each_line_writes(lines, raw_start, ca
                 for o in per_line.feed(line, start + dt.timedelta(seconds=i * cadence))]
     block = codec.MessageDecoder().feed_block(text, ingest._raw_times(codec.epoch_us(start), range(len(text)), cadence))
     assert expanded(block) == as_fed(expected)
-    assert block.positions.lines() == [jsonl.dumps(jsonl.message_to_dict(o.message))
+    assert block.positions.lines() == [jsonl.dumps(jsonl.message_to_dict(message_of(o)))
                                                      for o in expected if o.kind == "position"]
 
 
@@ -248,7 +249,7 @@ def test_a_name_with_nul_control_or_non_ascii_characters_is_the_dict_codec_text(
     pads the writer's rows."""
     rs = [StaticReport(1, name, 70, None, None, T0), StaticReport(2, "B", 70, None, None, T0)]
     lines = static_columns(rs).lines()
-    assert lines == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
+    assert lines == [jsonl.dumps(oracles.message_to_dict(r)) for r in rs]
     assert json.loads(lines[0])["name"] == name
 
 
@@ -261,7 +262,7 @@ def test_a_float_at_a_repr_switch_is_the_dict_codec_text(value):
     rs = [PositionReport(1, T0, number if on_globe else 1.5, number if on_globe else -2.25, number, number, number, 0,
                          None),
           PositionReport(2, T0, 45.123456, -120.5, 12.3, 359.9, 511.0, 5, -127)]
-    lines = Positions.of_rows(rs).lines()
+    lines = oracles.of_rows(Positions, rs).lines()
     assert lines == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
     assert json.loads(lines[0])["sog"] == number
 
@@ -269,10 +270,10 @@ def test_a_float_at_a_repr_switch_is_the_dict_codec_text(value):
 def test_int64_min_and_max_are_the_dict_codec_text():
     rs = [StaticReport(INT64_MIN, "A", INT64_MAX, INT64_MAX, 1, T0),
           StaticReport(INT64_MAX, "B", INT64_MIN, 1, None, T0)]
-    assert static_columns(rs).lines() == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
+    assert static_columns(rs).lines() == [jsonl.dumps(oracles.message_to_dict(r)) for r in rs]
     ps = [PositionReport(mmsi, T0, 0.0, 0.0, None, None, None, navstat, None)
           for mmsi, navstat in ((INT64_MIN, INT64_MAX), (INT64_MAX, INT64_MIN))]
-    assert Positions.of_rows(ps).lines() == [jsonl.dumps(jsonl.message_to_dict(r)) for r in ps]
+    assert oracles.of_rows(Positions, ps).lines() == [jsonl.dumps(jsonl.message_to_dict(r)) for r in ps]
 
 
 @pytest.mark.parametrize("rows", [0, 1])
@@ -282,14 +283,14 @@ def test_an_empty_or_one_row_table_is_the_dict_codec_text(rows):
     report = PositionReport(7, T0, -0.0, 5e-324, None, 1e16, 0.0001, 1, None)
     vm = columnar.ValidatedMessage(report, 1, "kn\x00n", False, True)
     static = StaticReport(7, "\x00", 0, None, 3, T0)
-    for table_rows, expected in ((Positions.of_rows([report] * rows), [jsonl.message_to_dict(report)] * rows),
+    for table_rows, expected in ((oracles.of_rows(Positions, [report] * rows), [jsonl.message_to_dict(report)] * rows),
                                  (validated_columns([vm] * rows), [cli.validated_to_dict(vm)] * rows),
-                                 (static_columns([static] * rows), [jsonl.message_to_dict(static)] * rows)):
+                                 (static_columns([static] * rows), [oracles.message_to_dict(static)] * rows)):
         lines = [jsonl.dumps(doc) for doc in expected]
         assert table_rows.lines() == lines
         assert table_rows.jsonl() == "".join(line + "\n" for line in lines).encode()
         assert table_rows.lines(table_rows.texts()) == lines
-    assert validated_columns([vm] * rows).lines(Positions.of_rows([report] * rows).texts(["lat", "lon"])) \
+    assert validated_columns([vm] * rows).lines(oracles.of_rows(Positions, [report] * rows).texts(["lat", "lon"])) \
         == [jsonl.dumps(cli.validated_to_dict(vm))] * rows
 
 

@@ -19,6 +19,10 @@ TRACER_ONLY = {
     "table.Table.__iter__": "the tracer iterates the validated table for validate.knn_decided",
     "columnar.Validated.row": "the tracer's validate.knn_decided builds a ValidatedMessage per row",
     "codec.Positions.row": "the tracer's validate.knn_decided builds each ValidatedMessage's PositionReport",
+    "jsonl.message_to_dict": "the tracer wraps it as dict.message_to_dict in cli and ingest; cli.validated_to_dict "
+                             "calls it",
+    "jsonl.message_from_dict": "the tracer wraps it as dict.message_from_dict in cli; cli.validated_from_dict "
+                               "calls it",
 }
 
 

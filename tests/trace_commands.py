@@ -4,12 +4,16 @@
 
 The profile hooks go in before the package is imported, for this thread and
 every thread started after, so module-level code and the live feed's
-threads count too. `out.json` gets the file and first line of the code
-object of every Python function entered: for a decorated def, the line of
-its first decorator. The inputs are small, a few vessels over two days, so
-the whole run takes seconds under the hooks.
+threads count too. This thread's hook is cProfile's, written in C: a signal
+handler, which runs in this thread at whatever point the signal reaches the
+interpreter, then never runs inside a hook written in Python, where no call
+is reported. `out.json` gets the file and first line of the code object of
+every Python function entered: for a decorated def, the line of its first
+decorator. The inputs are small, a few vessels over two days, so the whole
+run takes seconds under the hooks.
 """
 
+import cProfile
 import json
 import os
 import pathlib
@@ -26,7 +30,8 @@ def _profile(frame, event, arg):
         entered[id(frame.f_code)] = frame.f_code
 
 
-sys.setprofile(_profile)
+main_profile = cProfile.Profile()
+main_profile.enable()
 threading.setprofile(_profile)
 
 import oracles  # noqa: E402
@@ -150,9 +155,10 @@ def main(work: pathlib.Path, out: pathlib.Path) -> None:
     run("ingest", "--source", f"file:{paced}", "--store", work / "paced-store", "--replay-speed", 1e6)
     live(faulted(lines[:200]), work / "live-store")
 
-    sys.setprofile(None)
+    main_profile.disable()
     threading.setprofile(None)
-    codes = [code for code in entered.values() if code.co_filename.startswith(str(pathlib.Path(cli.__file__).parent))]
+    codes = [*entered.values(), *(stat.code for stat in main_profile.getstats() if not isinstance(stat.code, str))]
+    codes = [code for code in codes if code.co_filename.startswith(str(pathlib.Path(cli.__file__).parent))]
     out.write_text(json.dumps(sorted({(code.co_filename, code.co_firstlineno) for code in codes})))
 
 
