@@ -11,12 +11,12 @@ outages it found and each message's gap flag; `voyages` reads only the
 validated messages and flags a voyage from their gap flags.
 
 Positions go from decode to voyages as columns: `decode_stage` returns one
-`codec.Positions`, the table that the decoder gives, and `validate_stage`
-one `columnar.Validated`; no stage builds an object per decoded row. The
-staged `validate`, `voyages` and `metrics --static` commands read their
-stored lines into the same tables, _ROWS_PER_PART lines at a time, through
-each table's checked reader (`table.Table.read`), and build no object per
-line either.
+`codec.Positions`, the table that the decoder gives, and writes the bytes
+of JSONL it comes with, and `validate_stage` one `columnar.Validated`; no
+stage builds an object per decoded row. The staged `validate`, `voyages`
+and `metrics --static` commands read their stored lines into the same
+tables, _ROWS_PER_PART lines at a time, through each table's checked
+reader (`table.Table.read`), and build no object per line either.
 
 `run` formats a position's latitude and longitude once: decode keeps the
 JSON text it wrote them with (HANDED_TEXTS, as byte columns), and validate
@@ -248,8 +248,8 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
     """Decode an NMEA file (or stored JSONL messages) into typed JSONL plus an error channel.
 
     Each run of messages that run_replay hands on is written to `out` in
-    one write, with the stored document it gives for each row, and its
-    statics' ship types are read from their columns. Returns the positions
+    one write of the bytes it gives, the stored document of each row, and
+    its statics' ship types are read from their columns. Returns the positions
     as one `codec.Positions` table in the order they came; the JSON text
     their lines were written with of each field keep_texts names, by
     attribute (`table.Table.texts`), for validate_stage to write again; the
@@ -262,12 +262,10 @@ def decode_stage(source: pathlib.Path, out: pathlib.Path, errors: pathlib.Path, 
     parts: list[Positions] = []  # the positions of each run, in order
     texts: list[dict[str, np.ndarray]] = []  # the kept texts of each run's positions
     ship_types: dict[int, int] = {}
-    with open(out, "w", encoding="utf-8", newline="\n") as fo, open(
-        errors, "w", encoding="utf-8", newline="\n"
-    ) as fe:
+    with open(out, "wb") as fo, open(errors, "w", encoding="utf-8", newline="\n") as fe:
 
-        def keep(run, lines):
-            fo.write("\n".join(lines) + "\n")
+        def keep(run, documents):
+            fo.write(documents)
             parts.append(run.positions)
             texts.append({name: run.texts[name] for name in keep_texts})
             ship_types.update(zip(run.statics.mmsi.tolist(), run.statics.ship_type.tolist()))

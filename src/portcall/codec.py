@@ -6,18 +6,18 @@ reports) and type 5 (static and voyage data). Other message types are
 counted and skipped. Receiver-assigned timestamps are attached at decode
 time; the AIS payload itself only carries a seconds-of-minute field.
 
-MessageDecoder.feed_block is the one decode path for live and replayed
-lines alike. It decodes the common line shapes, tagged or bare, for a whole
-block of lines at once with numpy: single-sentence position reports, and
-two-sentence type 5 reports whose fragments sit on adjacent lines. Where
-many lines of a block share a length, it learns the shape of those lines
-from one regex match and finds every line that fits it at once; every other
-line takes the regex on its own. All the block's lines are then read
-together from where the regex's groups lie in each. Checksums are an XOR
-reduction, payloads are de-armored through a lookup table, and fields and
-TAG times are read as integer columns. The positions and type 5 pairs this
-pass decodes leave as one Positions and one Statics table, placed among the
-block's outcomes (DecodedBlock), and no object is built per position or
+MessageDecoder.feed_block is the one decode path for live and replayed lines
+alike, read from bytes. It decodes the common line shapes, tagged or bare,
+for a whole block of lines at once with numpy: single-sentence position
+reports, and two-sentence type 5 reports whose fragments sit on adjacent
+lines. Where many lines of a block share a length, it learns the shape of
+those lines from one regex match and finds every line that fits it at once;
+every other line takes the regex on its own. All the block's lines are then
+read together from where the regex's groups lie in each. Checksums are an
+XOR reduction, payloads are de-armored through a lookup table, and fields
+and TAG times are read as integer columns. The positions and type 5 pairs
+this pass decodes leave as one Positions and one Statics table, placed among
+the block's outcomes (DecodedBlock), and no object is built per position or
 pair. Every other line goes in its place to MessageDecoder.feed, the general
 parser of one line, so a block gives what feeding its lines one by one
 would: malformed, orphaned and rare lines, and a pair that a block boundary
@@ -495,12 +495,12 @@ def _tag_time(body: str) -> dt.datetime | None:
 # checksum. Of these, feed_block decodes a single sentence with a
 # 28-character (168-bit) payload and no fill bits, and a fragment 1 and 2 of
 # one group on adjacent lines; every other line goes to the general parser.
-# This is the only grammar. _scan matches it once for each shape it learns
-# (_shape, per block, where _SHAPE_LINES lines of one length fit it), and
-# once for every line that fits no shape.
+# This is the only grammar, a pattern of bytes. _scan matches it once for
+# each shape it learns (_shape, per block, where _SHAPE_LINES lines of one
+# length fit it), and once for every line that fits no shape.
 _BLOCK_LINE = re.compile(
-    r"(?:\\(c:([0-9]{1,15})(?=\*[0-9A-Fa-f]{2}\\)|[ -\[\]-~]+)\*([0-9A-Fa-f]{2})\\)?"
-    r"!(AIVD[MO],(?:1,1,|2,([12]),([0-9])),([AB12]?),([0-9:;<=>?@A-W`a-w]+),([0-5]))\*([0-9A-Fa-f]{2})"
+    rb"(?:\\(c:([0-9]{1,15})(?=\*[0-9A-Fa-f]{2}\\)|[ -\[\]-~]+)\*([0-9A-Fa-f]{2})\\)?"
+    rb"!(AIVD[MO],(?:1,1,|2,([12]),([0-9])),([AB12]?),([0-9:;<=>?@A-W`a-w]+),([0-5]))\*([0-9A-Fa-f]{2})"
 )
 # byte -> 6-bit value of an armoring character, and byte -> hex digit value;
 # _BLOCK_LINE admits only bytes these tables define
@@ -525,7 +525,7 @@ def _shape(m: re.Match) -> tuple[np.ndarray, np.ndarray]:
     line of its length, three ranges of the bytes that may stand there, as their lows and their spans (high minus
     low), one uint8 row per range. The lines that fit are those that match with the same spans: each byte outside
     the groups is m's own, but for the M or O of AIVDM/AIVDO."""
-    text = np.frombuffer(m.string.encode("ascii"), dtype=np.uint8)
+    text = np.frombuffer(m.string, dtype=np.uint8)
     ranges = np.repeat(np.stack((text, text), axis=1)[None], 3, axis=0)
     for group, group_ranges in _GROUP_RANGES.items():  # an absent group spans -1..-1, which holds no position
         start, end = (m.start(4) + 4, m.start(4) + 5) if group == 0 else m.span(group)
@@ -543,10 +543,10 @@ def _fits(lines: np.ndarray, shape: tuple[np.ndarray, np.ndarray]) -> np.ndarray
     return fit.all(1)
 
 
-def _scan(raws: list[str], rx_us: np.ndarray) -> np.ndarray:
-    """What each line of a block reads as, one _SCAN record each: whether it matches _BLOCK_LINE and its
-    checksums hold (ok), its receive time (its TAG time if it has one) and whether that reads (timed), its fragment
-    index (0 for a single sentence), message id, channel byte (0 for none), fill bits, payload size and payload.
+def _scan(data: bytes, starts: np.ndarray, ends: np.ndarray, rx_us: np.ndarray) -> np.ndarray:
+    """What each line data[starts[k]:ends[k]] of a block reads as, one _SCAN record each: whether it matches
+    _BLOCK_LINE and its checksums hold (ok), its receive time (its TAG time if any) and whether that reads (timed),
+    its fragment index (0 for a single sentence), message id, channel byte (0 for none), fill bits, size and payload.
 
     The spans of each line's groups come first. Of at least _SHAPE_LINES
     lines of one length, the first is matched, and every line that fits
@@ -557,16 +557,14 @@ def _scan(raws: list[str], rx_us: np.ndarray) -> np.ndarray:
     another TAG block is read by _tag_time. A line that is not ASCII
     matches nothing. Every line is then read from its spans.
     """
-    n = len(raws)
+    n = len(starts)
     s = np.zeros(n, dtype=_SCAN)
     s["time_us"], s["timed"] = rx_us, True
-    joined = "".join(raws)
-    if not joined.isascii():
-        raws = [line if line.isascii() else "" for line in raws]
-        joined = "".join(raws)
-    sizes = np.fromiter(map(len, raws), dtype=np.int64, count=n)
-    starts = np.cumsum(sizes) - sizes
-    text = np.frombuffer((joined + "\0" * _PAYLOAD_CHARS).encode("ascii"), dtype=np.uint8)
+    first, last = (int(starts[0]), int(ends[-1])) if n else (0, 0)
+    text = np.frombuffer(data[first:last] + bytes(_PAYLOAD_CHARS), dtype=np.uint8)  # and room for a payload
+    sizes, high = ends - starts, np.flatnonzero(text >= 128) + first
+    rows = np.searchsorted(starts, high, side="right") - 1  # a line that is not ASCII reads as one without bytes
+    sizes[rows[high < ends[rows]]] = 0
     table = [((-1, -1),) * 11]  # the spans of _BLOCK_LINE's groups that lines match with, once per layout
     layouts = {}  # the place in table of each layout
     spans = np.zeros(n, dtype=np.int64)  # the place in table of each line's spans
@@ -580,11 +578,12 @@ def _scan(raws: list[str], rx_us: np.ndarray) -> np.ndarray:
 
     rest = []  # the lines to match one by one
     by_size = np.argsort(sizes, kind="stable")
+    starts = starts - first  # where each line starts in text
     for rows in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1) if n else ():
         learn = sizes[rows[0]] and len(rows) >= _SHAPE_LINES
         lines = np.lib.stride_tricks.sliding_window_view(text, sizes[rows[0]])[starts[rows]] if learn else None
         while learn and len(rows):
-            m = _BLOCK_LINE.fullmatch(raws[rows[0]])
+            m = _BLOCK_LINE.fullmatch(lines[0].tobytes())
             if m is None or m.start(2) == -1 != m.start(1):
                 break
             fit = _fits(lines, _shape(m))
@@ -593,14 +592,14 @@ def _scan(raws: list[str], rx_us: np.ndarray) -> np.ndarray:
             rows, lines = rows[~fit], lines[~fit]
         rest += rows.tolist()
     time_us, timed = s["time_us"], s["timed"]
-    for k in rest:
-        m = _BLOCK_LINE.fullmatch(raws[k])
+    for k, start, size in zip(rest, (starts[rest] + first).tolist(), sizes[rest].tolist()):
+        m = _BLOCK_LINE.fullmatch(data[start : start + size])
         if m is None:
             continue
         spans[k] = layout(m)
         if m.start(2) == -1 != m.start(1):
             try:
-                rx = _tag_time(m[1])
+                rx = _tag_time(m[1].decode("ascii"))
             except Malformed:
                 timed[k] = False
             else:
@@ -826,10 +825,11 @@ class MessageDecoder:
             return DecodeOutcome("buffered", None, None, None, raw)
         return self._decode(*joined, rx, raw)
 
-    def feed_block(self, lines: list[str], rx_us) -> DecodedBlock:
-        """What feed(lines[i], rx_us[i]) for each line in order would give, as a DecodedBlock.
+    def feed_block(self, data: bytes, starts, ends, rx_us) -> DecodedBlock:
+        """What feed(line i, rx_us[i]) for each line in order would give, as a DecodedBlock.
 
-        rx_us holds each line's receive time in microseconds since the epoch.
+        Line i is data[starts[i]:ends[i]], without its line end, received at
+        rx_us[i] microseconds since the epoch; only a line feed() takes becomes a str.
         Single-sentence position lines, and two-sentence type 5 groups whose
         fragments 1 and 2 sit on adjacent lines, are checksummed and decoded
         together, TAG times included (_scan: one match of _BLOCK_LINE for each
@@ -846,8 +846,7 @@ class MessageDecoder:
         gives, positions and statics included, joins the outcomes.
         """
         rx_us = np.asarray(rx_us, dtype=np.int64)
-        raws = [line if (line and line[-1] not in "\r\n") else line.rstrip("\r\n") for line in lines]
-        scan = _scan(raws, rx_us)
+        scan = _scan(data, starts, ends, rx_us)
         ok, fragment, timed, size, payload = (scan[name] for name in ("ok", "fragment", "timed", "size", "payload"))
         # the position rows: the line of each, its receive time, and its fields (_POSITION_LAYOUT after the type)
         position_lines = np.flatnonzero(ok & (fragment == 0) & (scan["fill"] == 0) & (size == 28))
@@ -886,7 +885,7 @@ class MessageDecoder:
             at.extend([row] * len(got))
 
         def fed(i: int) -> list[DecodeOutcome]:
-            return self.feed(lines[i], from_epoch_us(int(rx_us[i])))
+            return self.feed(data[starts[i] : ends[i]].decode("utf-8", "replace"), from_epoch_us(int(rx_us[i])))
 
         def take(start: int, stop: int) -> None:
             """Rows start..stop, each after the timeouts its first line's time expires. While a group is pending, a
@@ -910,13 +909,14 @@ class MessageDecoder:
                     elif rx2 - _REASSEMBLY_WINDOW_US > min(group.first_rx for group in self._pending.values()):
                         kept[start] = False
                         self.lines += 2
-                        first, second = (raws[j].rpartition("\\")[2] for j in (i, i + 1))
-                        put([self._sentence(first, from_epoch_us(int(times[start])), raws[i]), *self._expire(rx2),
-                             self._sentence(second, from_epoch_us(rx2), raws[i + 1])], start)
+                        raws = [data[starts[j] : ends[j]].decode("utf-8", "replace") for j in (i, i + 1)]
+                        first, second = (raw.rpartition("\\")[2] for raw in raws)
+                        put([self._sentence(first, from_epoch_us(int(times[start])), raws[0]), *self._expire(rx2),
+                             self._sentence(second, from_epoch_us(rx2), raws[1])], start)
                 start += 1
 
         # every line that is not in a row, with the number of rows before it
-        rest = np.ones(len(raws), dtype=bool)
+        rest = np.ones(len(starts), dtype=bool)
         rest[row_lines] = rest[pair_lines + 1] = False
         stops = np.flatnonzero(rest)
         done = 0

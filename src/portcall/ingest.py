@@ -5,16 +5,16 @@ sentence per line over TCP) and reconnects with exponentially backed-off,
 fully jittered delays. Connection gaps are recorded so they can seed the
 outage detector. Replay reads either raw/tag-blocked NMEA or previously
 stored JSONL messages, optionally pacing emission by the recorded
-timestamps. Live and replayed NMEA both go to MessageDecoder.feed_block
-in blocks: the complete lines of each chunk received, or of each
-_REPLAY_BLOCK lines read from a file. A byte that is not UTF-8 makes its
-line malformed; it does not end the read.
+timestamps. Both cut the bytes they read into lines with one splitter
+(_lines), and NMEA goes to MessageDecoder.feed_block as bytes, in blocks:
+the complete lines of each chunk received, or of each _REPLAY_BLOCK lines
+of a file. A byte that is not UTF-8 makes its line malformed.
 
 Every message leaves this module as a table row, with no object built per
-message: the sink is called as sink(run, lines) with a codec.BlockRun, rows
-in receive order, and the stored JSONL document of each row. Each block of
-lines is one call: a decoded block's rows, with the one-row run of each
-message the line parser decoded spliced in at its line; or up to
+message: the sink is called as sink(run, documents) with a codec.BlockRun,
+rows in receive order, and the stored JSONL of its rows as bytes. Each
+block of lines is one call: a decoded block's rows, with the one-row run of
+each message the line parser decoded spliced in at its line; or up to
 _REPLAY_BLOCK stored JSONL messages, each checked as `table.Table.read`
 checks a document. Every document is written by the table writers, a
 position's from the texts of its fields, which the run then carries
@@ -42,7 +42,8 @@ from .table import UTC, epoch_us, parse_json
 _TRACER_NAMES = (dumps, message_to_dict)
 
 _LAST_US = epoch_us(dt.datetime.max.replace(tzinfo=UTC))  # the last receive time a datetime holds
-_REPLAY_BLOCK = 4096  # file lines run_replay reads at once: at most this many in a decoded block or stored run
+_REPLAY_BLOCK = 4096  # file lines run_replay replays at once: at most this many in a decoded block or stored run
+_READ_BYTES = 1 << 18  # bytes run_replay reads at once, about a block of lines
 _OPEN_DAYS = 64  # day files a MessageStore keeps open
 _MAX_PARTIAL = 64 * 1024  # bytes a live feed's partial line may hold, far above any sentence with its TAG block
 
@@ -129,16 +130,17 @@ class MessageStore:
             if len(self._open) >= _OPEN_DAYS:
                 self._open.pop(next(iter(self._open))).close()
             name = f"ais-{dt.date.fromordinal(ordinal).isoformat()}.jsonl"
-            f = self._open[ordinal] = open(self.root / name, "a", encoding="utf-8", newline="\n")
+            f = self._open[ordinal] = open(self.root / name, "ab")
         return f
 
-    def append(self, rows: BlockRun, lines: list[str]) -> None:
-        """Write a run of rows, given the stored document of each in order; a row without a time goes to 1970."""
+    def append(self, rows: BlockRun, documents: bytes) -> None:
+        """Write a run of rows, given their stored documents in order as JSONL; a row without a time goes to 1970."""
         days = rows.utc_days()
         starts = np.flatnonzero(np.diff(days, prepend=0)).tolist()  # a day's ordinal is >= 1: row 0 starts a run
-        for start, stop in zip(starts, starts[1:] + [len(days)]):
-            f = self._file(int(days[start]))
-            f.write("\n".join(lines[start:stop]) + "\n")
+        cuts = _row_starts(documents)[starts[1:]].tolist() if len(starts) > 1 else []
+        for day, start, stop in zip(days[starts].tolist(), [0, *cuts], [*cuts, len(documents)]):
+            f = self._file(day)
+            f.write(documents[start:stop])
             f.flush()
 
     def close(self) -> None:
@@ -173,17 +175,21 @@ def _deliver(block: DecodedBlock, sink, error_sink) -> None:
         _send(run, sink)
 
 
+def _row_starts(documents: bytes) -> np.ndarray:
+    """Where each line of JSONL starts, and its length last."""
+    return np.concatenate(([0], np.flatnonzero(np.frombuffer(documents, dtype=np.uint8) == 10) + 1))
+
+
 def _send(run: BlockRun, sink) -> None:
-    """A run to sink with the stored document of each row, in order, each written by its table's writer: a
-    position's from the texts of its fields, made here once and then carried by the run (BlockRun.texts)."""
+    """A run to sink with its rows' stored documents as JSONL: the positions' at once, from the texts of their fields
+    made here once and then carried by the run (BlockRun.texts), and each static's spliced in at its row."""
     run.texts = run.positions.texts()
-    lines = run.positions.lines(run.texts)
+    documents = run.positions.jsonl(run.texts)
     if len(run.statics):
-        documents = np.empty(len(run), dtype=object)
-        documents[~run.static] = np.array(lines, dtype=object)
-        documents[run.static] = np.array(run.statics.lines(), dtype=object)
-        lines = documents.tolist()
-    sink(run, lines)
+        at = [0, *_row_starts(documents)[np.flatnonzero(run.static) - np.arange(len(run.statics))].tolist()]
+        parts = zip([documents[a:b] for a, b in zip(at, at[1:])], run.statics.jsonl().splitlines(keepends=True))
+        documents = b"".join(itertools.chain(*parts, [documents[at[-1] :]]))
+    sink(run, documents)
 
 
 def _paced(sink, speed: float, sleep):
@@ -191,8 +197,9 @@ def _paced(sink, speed: float, sleep):
     speed. A static held at time 0, which is stored without one, neither pauses nor moves the clock."""
     prev_us = None
 
-    def paced(run: BlockRun, lines: list[str]) -> None:
+    def paced(run: BlockRun, documents: bytes) -> None:
         nonlocal prev_us
+        cuts = _row_starts(documents).tolist()
         for k in range(len(run)):
             row = run.run(k, k + 1)
             t_us = int((row.statics if row.static[0] else row.positions).time_us[0])
@@ -200,7 +207,7 @@ def _paced(sink, speed: float, sleep):
                 if prev_us is not None:
                     sleep(max(0.0, (t_us - prev_us) / 1_000_000) / speed)
                 prev_us = t_us
-            sink(row, lines[k : k + 1])
+            sink(row, documents[cuts[k] : cuts[k + 1]])
 
     return paced
 
@@ -219,6 +226,42 @@ def _raw_times(start_us: int, numbers, cadence_s: float) -> np.ndarray:
     return times
 
 
+def _lines(data: bytes, final: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """The lines that end in data: each one's start and end, its line end left out, and where the rest starts. A line
+    ends at \\n, \\r\\n or \\r, but a \\r that ends data only when final: the next bytes may start with its \\n."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(b <= 13)  # a line holds almost no byte below 14: few to look at again
+    ends = ends[(b[ends] == 10) | (b[ends] == 13)]
+    lf = np.zeros(len(ends), dtype=bool)  # the \n of a \r\n, which ends no line of its own
+    lf[1:] = (ends[1:] == ends[:-1] + 1) & (b[ends[:-1]] == 13) & (b[ends[1:]] == 10)
+    starts = np.concatenate(([0], (ends + 1 + np.append(lf, False)[1:])[~lf]))
+    ends = ends[~lf]
+    if data.endswith(b"\r") and not final:
+        ends = ends[:-1]
+    return starts[: len(ends)], ends, int(starts[len(ends)])
+
+
+def _blocks(f):
+    """A binary file's lines, blank ones included, in blocks of _REPLAY_BLOCK: bytes holding the block, its lines'
+    bounds in them (_lines) and its first line's number. A failed read's error follows the complete lines before it."""
+    held, first, final = f.read(3).removeprefix(b"\xef\xbb\xbf"), 0, False  # UTF-8's byte-order mark
+    while not final:
+        try:
+            data = f.read(_READ_BYTES)
+        except BaseException:
+            yield held, *_lines(held, False)[:2], first
+            raise
+        buf, final = held + data, not data
+        starts, ends, rest = _lines(buf, final)
+        if final and rest < len(buf):  # a last line without a line end
+            starts, ends = np.append(starts, rest), np.append(ends, len(buf))
+        whole = len(ends) if final else len(ends) - len(ends) % _REPLAY_BLOCK  # the lines of whole blocks
+        held = buf[starts[whole] if whole < len(ends) else rest :]
+        for k in range(0, whole, _REPLAY_BLOCK):
+            yield buf, starts[k : k + _REPLAY_BLOCK], ends[k : k + _REPLAY_BLOCK], first + k
+        first += whole
+
+
 def run_replay(
     cfg: SourceConfig,
     sink,
@@ -235,19 +278,20 @@ def run_replay(
     (blank lines count), computed for a block at a time in integer
     microseconds. A cadence that is not finite or is negative is a
     ValueError; a receive time past year 9999 is RawTimeOutOfRange. The
-    file is read in chunks of _REPLAY_BLOCK lines, each taken whole: its
-    lines stripped and its blank lines dropped at once, with no statement
-    run per line, and split into blocks only where a line changes between
-    stored and NMEA. A read that fails partway keeps the lines of its chunk
-    read before it, and they are replayed. NMEA blocks go to the decoder
-    through feed_block, which gives what feeding their lines one by one
-    would, wherever a chunk ends. Every message reaches sink(run, lines) in
-    order: each block's messages in one call. A UTF-8 byte-order mark
-    that starts the file is skipped. A byte that is not UTF-8 reads as
-    U+FFFD, which makes its line malformed. A line that starts with
-    `{` is read as a stored JSONL message, after the NMEA lines before it;
-    one that does not parse, or that its "type"'s table does not take
-    (`table.Table.check`), goes to error_sink as a "malformed" error.
+    file is read as bytes in blocks of _REPLAY_BLOCK lines (_blocks), each
+    taken whole: its blank lines dropped at once, with no statement run per
+    line, and split into blocks only where a line changes between stored
+    and NMEA. A read that fails partway keeps the complete lines read
+    before it, and they are replayed. NMEA blocks go to the decoder through
+    feed_block, which gives what feeding their lines one by one would,
+    wherever a block ends. Every message reaches sink(run, documents) in
+    order: each block's messages in one call. A line read as text reads as
+    in the file read as UTF-8 text, a byte-order mark that starts it skipped
+    and a byte that is not UTF-8 as U+FFFD, which makes its line malformed.
+    A line that starts with `{` is read as a stored JSONL message, after
+    the NMEA lines before it; one that does not parse, or that its "type"'s
+    table does not take (`table.Table.check`), goes to error_sink as a
+    "malformed" error.
     replay_speed scales the pauses between consecutive message timestamps
     (0 disables pacing): _paced hands each message to sink as a run of one
     right after its pause, and a static without a time neither pauses nor
@@ -263,24 +307,22 @@ def run_replay(
     if cfg.replay_speed > 0:
         sink = _paced(sink, cfg.replay_speed, sleep)
 
-    def replay(chunk: list[str], first: int) -> None:
-        """A chunk of the file's lines, chunk[0] its line `first`, in blocks split where a line changes between
-        stored and NMEA."""
-        lines = [line.rstrip("\r\n") for line in chunk]
-        heads = np.array([line[:1] for line in lines], dtype="U1")
-        kept = np.flatnonzero(heads != "")  # a blank line only takes its line number
-        if len(kept) < len(lines):
-            lines = [lines[k] for k in kept.tolist()]
-        summary.lines += len(lines)
-        stored = (heads[kept] == "{").view(np.int8)
-        starts = np.flatnonzero(np.diff(stored, prepend=2)).tolist()  # where a block starts
-        for start, stop in zip(starts, starts[1:] + [len(lines)]):
+    def replay(data: bytes, starts: np.ndarray, ends: np.ndarray, first: int) -> None:
+        """A block of the file's lines, data[starts[k]:ends[k]] its line first + k, in blocks split where a line
+        changes between stored and NMEA."""
+        kept = np.flatnonzero(ends > starts)  # a blank line only takes its line number
+        starts, ends = starts[kept], ends[kept]
+        summary.lines += len(kept)
+        stored = (np.frombuffer(data, dtype=np.uint8)[starts] == ord("{")).view(np.int8)
+        runs = np.flatnonzero(np.diff(stored, prepend=2)).tolist()  # where a block starts
+        for start, stop in zip(runs, runs[1:] + [len(kept)]):
             if not stored[start]:
                 times = _raw_times(start_us, first + kept[start:stop], raw_cadence_s)
-                _deliver(dec.feed_block(lines[start:stop], times), sink, error_sink)
+                _deliver(dec.feed_block(data, starts[start:stop], ends[start:stop], times), sink, error_sink)
             else:
                 checked, static = ([], []), []  # the checked values of positions and of statics; which is which
-                for line in lines[start:stop]:
+                for line_start, line_end in zip(starts[start:stop].tolist(), ends[start:stop].tolist()):
+                    line = data[line_start:line_end].decode("utf-8", "replace")
                     try:
                         doc = parse_json(line)
                         kind = doc.get("type")
@@ -297,16 +339,9 @@ def run_replay(
                     _send(BlockRun(Positions.of_checked(checked[0]), Statics.of_checked(checked[1]),
                                    np.array(static, dtype=bool)), sink)
 
-    with open(cfg.path, "r", encoding="utf-8-sig", errors="replace") as f:
-        chunk: list[str] = []
-        read = 0  # the file's lines before chunk
-        try:
-            while chunk.extend(itertools.islice(f, _REPLAY_BLOCK)) or chunk:
-                taken, chunk = chunk, []  # taken first: a failing sink cannot resend them
-                replay(taken, read)
-                read += len(taken)
-        finally:  # list.extend keeps the lines it took before a read fails: they are still delivered
-            replay(chunk, read)
+    with open(cfg.path, "rb") as f:
+        for block in _blocks(f):
+            replay(*block)
     for outcome in dec.finish():  # timeouts only
         error_sink(outcome)
     return summary.add(dec)
@@ -324,8 +359,8 @@ def run_live(
 
     The complete lines of each chunk received go to the decoder as one
     block, all with the chunk's receive time (whole seconds); a TAG-block
-    time overrides it as in replay, and a line ends at \n, \r\n or \r as
-    in replay. Each block's messages reach sink in one
+    time overrides it as in replay, and lines are split as in replay, blank
+    ones dropped. Each block's messages reach sink in one
     call, as in run_replay, before the next chunk is read. Waits a backoff
     with full jitter after a failed connect and after every disconnect,
     doubling from 1 s to a cap of 60 s by default and starting over once a
@@ -347,6 +382,23 @@ def run_live(
     backoff = cfg.reconnect_initial_s
     disconnected_at: dt.datetime | None = None
 
+    def receive(buf: bytes, final: bool) -> bytes:
+        """The lines that end in buf (_lines), but blank ones, to the decoder as one block; the bytes after them."""
+        nonlocal backoff, dropping
+        starts, ends, rest = _lines(buf, final)
+        if dropping:  # the first line is the rest of an over-long line
+            starts, ends, dropping = starts[1:], ends[1:], not len(ends)
+        held = b"" if dropping else buf[rest:]
+        if len(held) > _MAX_PARTIAL:
+            summary.errors += 1  # an over-long line
+            held, dropping = b"", True
+        starts, ends = starts[ends > starts], ends[ends > starts]
+        if len(ends):
+            backoff = cfg.reconnect_initial_s  # the feed works again
+        summary.lines += len(ends)
+        _deliver(dec.feed_block(buf, starts, ends, np.full(len(ends), epoch_us(_utcnow_s()))), sink, error_sink)
+        return held
+
     while not stop.is_set():
         try:
             sock = socket.create_connection(cfg.endpoint, timeout=5.0)
@@ -356,8 +408,7 @@ def run_live(
             if disconnected_at is not None:
                 summary.connection_gaps.append((disconnected_at, _utcnow_s()))
             sock.settimeout(0.5)
-            buf = b""
-            dropping = False  # the rest of an over-long line, up to its newline, is read and dropped
+            held, dropping = b"", False  # dropping: the rest of an over-long line, up to its line end, is dropped
             try:
                 while not stop.is_set():
                     try:
@@ -368,30 +419,10 @@ def run_live(
                         break
                     if not chunk:
                         break
-                    # lines end at \n, \r\n or \r as in a replayed file; \r\n, split or not, leaves an empty line
-                    chunk = chunk.replace(b"\r", b"\n")
-                    if dropping:
-                        nl = chunk.find(b"\n")
-                        if nl == -1:
-                            continue
-                        chunk, dropping = chunk[nl + 1 :], False
-                    buf += chunk
-                    nl = buf.rfind(b"\n")
-                    if nl == -1:
-                        if len(buf) > _MAX_PARTIAL:
-                            summary.errors += 1  # an over-long line
-                            buf, dropping = b"", True
-                        continue
-                    # no multi-byte character holds a newline or carriage return byte
-                    text, buf = buf[:nl].decode("utf-8", errors="replace"), buf[nl + 1 :]
-                    lines = [line for line in text.split("\n") if line]
-                    if lines:
-                        backoff = cfg.reconnect_initial_s  # the feed works again
-                    summary.lines += len(lines)
-                    _deliver(dec.feed_block(lines, np.full(len(lines), epoch_us(_utcnow_s()))), sink, error_sink)
+                    held = receive(held + chunk, False)
             finally:
                 sock.close()
-            if buf.strip():
+            if receive(held, True).strip():  # the feed ended, and a \r that ends it ends its line
                 summary.errors += 1  # partial line lost at disconnect
             disconnected_at = _utcnow_s()
         # after a failed connect and after every disconnect alike, so a feed that accepts and closes cannot spin

@@ -439,10 +439,6 @@ class Table:
         texts = {**self.texts([f.attr for f in self.fields if f.attr not in texts]), **texts}
         return join_rows(len(self), [texts[p] if isinstance(p, str) else p for p in self._parts])
 
-    def lines(self, texts: Mapping[str, np.ndarray] | None = None) -> list[str]:
-        """The stored document of each row, as `jsonl` writes it, without the newlines."""
-        return self.jsonl(texts).decode("ascii").split("\n")[:-1]
-
     @classmethod
     def to_dict(cls, row) -> dict:
         """The stored document of a row object: the JSON value of each field the class declares, and its type if any."""

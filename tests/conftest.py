@@ -70,9 +70,9 @@ def each_report(sink):
 
 
 def as_run(reports) -> tuple:
-    """Reports as a sink of runs receives them: their BlockRun and the stored document of each."""
+    """Reports as a sink of runs receives them: their BlockRun and their stored documents, as JSONL."""
     reports = list(reports)
-    return oracles.run_of(reports), [jsonl.dumps(oracles.message_to_dict(r)) for r in reports]
+    return oracles.run_of(reports), "".join(jsonl.dumps(oracles.message_to_dict(r)) + "\n" for r in reports).encode()
 
 
 def static_columns(reports) -> Statics:
@@ -106,7 +106,7 @@ def decode_all(lines, rx=RX0):
     """Run lines through a fresh decoder as one block; returns (positions, statics, errors)."""
     lines = list(lines)
     dec = codec.MessageDecoder()
-    block = dec.feed_block(lines, [codec.epoch_us(rx)] * len(lines))
+    block = dec.feed_block(*oracles.block(lines), [codec.epoch_us(rx)] * len(lines))
     positions, statics, errors = [], [], []
     for o in expanded(block) + dec.finish():
         if isinstance(o, codec.PositionReport):

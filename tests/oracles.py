@@ -438,6 +438,21 @@ def run_of(messages) -> BlockRun:
                     of_rows(Statics, [m for m, s in zip(messages, static) if s]), np.array(static, dtype=bool))
 
 
+def lines(table, texts=None) -> list[str]:
+    """The stored document of each row of a table, as its JSONL writer (`Table.jsonl`) writes it, without the
+    newlines."""
+    return table.jsonl(texts).decode("ascii").split("\n")[:-1]
+
+
+def block(lines) -> tuple:
+    """Lines as MessageDecoder.feed_block takes them, each without its line end: their UTF-8 bytes in one buffer,
+    each followed by a newline, and the start and end of each line in it."""
+    data = [line.rstrip("\r\n").encode() for line in lines]
+    sizes = np.array(list(map(len, data)), dtype=np.int64)
+    ends = np.cumsum(sizes + 1) - 1
+    return b"".join(d + b"\n" for d in data), ends - sizes, ends
+
+
 def message_to_dict(msg) -> dict:
     """The stored document of a PositionReport or a StaticReport, as the dict codec wrote it."""
     return (Positions if isinstance(msg, PositionReport) else Statics).to_dict(msg)

@@ -13,6 +13,7 @@ import pytest
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import oracles  # noqa: E402
 import run as bench  # noqa: E402
 import score  # noqa: E402
 import workloads  # noqa: E402
@@ -128,7 +129,7 @@ def test_a_clean_block_matches_the_line_grammar_once_per_line_length(tmp_path, m
             return grammar.fullmatch(line)
 
     monkeypatch.setattr(codec, "_BLOCK_LINE", Counted())
-    block = codec.MessageDecoder().feed_block(lines, [0] * len(lines))
+    block = codec.MessageDecoder().feed_block(*oracles.block(lines), [0] * len(lines))
     assert {len(line) for line in lines} == {64, 72, 73}
     assert len(matched) <= 3
     assert len(block.positions) + 2 * len(block.statics) >= len(lines) - 1  # all but a pair the block end splits

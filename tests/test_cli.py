@@ -544,7 +544,7 @@ def test_run_hands_validate_the_texts_in_its_own_order(inputs, tmp_path):
     written = (tmp_path / "reordered" / "validated.jsonl").read_bytes()
     assert written == staged.read_bytes() == (tmp_path / "in-order" / "validated.jsonl").read_bytes()
     port_geometry = cli.load_port_geometry(port)
-    assert written.decode().splitlines() == validate.validate_stream(positions, port_geometry).lines()
+    assert written.decode().splitlines() == oracles.lines(validate.validate_stream(positions, port_geometry))
 
 
 def test_run_builds_no_row_object_per_block_row(inputs, tmp_path, monkeypatch):

@@ -100,7 +100,7 @@ class TestParseSentence:
         """Each number is ASCII digits and the channel one _BLOCK_LINE admits, in the line parser too."""
         outcome = feed_one(line)
         assert (outcome.error, outcome.detail) == ("malformed", self.LOOSE[line])
-        block = codec.MessageDecoder().feed_block([line], [0])
+        block = codec.MessageDecoder().feed_block(*oracles.block([line]), [0])
         assert len(block) == 0 and block.outcomes == [outcome]
 
     def test_invalid_armor_character(self):
@@ -446,7 +446,7 @@ def test_feed_and_feed_block_decode_alike(bits, cut, fill):
     per_line = codec.MessageDecoder()
     expected = [o for line in lines for o in per_line.feed(line, RX)]
     block = codec.MessageDecoder()
-    assert expanded(block.feed_block(lines, [codec.epoch_us(RX)] * len(lines))) == as_fed(expected)
+    assert expanded(block.feed_block(*oracles.block(lines), [codec.epoch_us(RX)] * len(lines))) == as_fed(expected)
     assert expected[-1].kind in ("position", "static", "error")
 
 
@@ -471,7 +471,7 @@ def test_encoded_positions_decode_to_their_table(rows):
     lines = [oracles.tag_block(oracles.position_sentence(
         mmsi=row[1], navstat=row[2], rot_raw=row[3], sog_raw=row[4], lon_raw=row[5], lat_raw=row[6], cog_raw=row[7],
         heading_raw=row[8], second=row[0] % 60), row[0]) for row in rows]
-    block = codec.MessageDecoder().feed_block(lines, np.zeros(len(lines), dtype=np.int64))
+    block = codec.MessageDecoder().feed_block(*oracles.block(lines), np.zeros(len(lines), dtype=np.int64))
     assert block.outcomes == []
     assert block.positions.time_us.tolist() == [row[0] * 1_000_000 for row in rows]
     assert codec.encode_positions(block.positions) == lines
@@ -498,7 +498,7 @@ def test_encoded_statics_decode_to_their_reports(rows):
     lines = codec.encode_statics(oracles.of_rows(codec.Statics, reports), [row[1] for row in rows])
     want = [oracles.StaticReport(r.mmsi, written_name(r.vessel_name), r.ship_type, r.length or None, r.width or None,
                                r.timestamp) for r in reports]
-    block = codec.MessageDecoder().feed_block(lines, np.zeros(len(lines), dtype=np.int64))
+    block = codec.MessageDecoder().feed_block(*oracles.block(lines), np.zeros(len(lines), dtype=np.int64))
     assert (block.outcomes, oracles.reports(block.statics)) == ([], want)
     assert expanded(block) == [item for report in want for item in (BUFFERED, report)]
     fed = codec.MessageDecoder()
@@ -694,14 +694,14 @@ class TestFeedBlock:
                 return super().feed(line, rx_time)
 
         block = Recording()
-        decoded_block = block.feed_block(lines, [codec.epoch_us(rx) for rx in rxs])
+        decoded_block = block.feed_block(*oracles.block(lines), [codec.epoch_us(rx) for rx in rxs])
         got = expanded(decoded_block) + block.finish()
         assert got == as_fed(expected)
         assert block.counts == per_line.counts
         # the single-sentence positions and the complete adjacent static pairs took the block path, tagged or
         # bare, and only those positions are table rows; every other line went to feed, in order
         decoded = _block_decoded(lines, each)
-        assert fed == [line for j, line in enumerate(lines) if j not in decoded]
+        assert fed == [line.rstrip("\r\n") for j, line in enumerate(lines) if j not in decoded]  # without line ends, as split
         assert len(decoded_block.positions) == sum(_sentence_fields(lines[j])[1] == "1" for j in decoded)
         for kind in ("position", "static"):
             took = [lines[j] for j in decoded if each[j][-1].kind == kind]
@@ -722,18 +722,18 @@ class TestFeedBlock:
         lines, rxs = _block_corpus(99)
         rxs = [codec.epoch_us(rx) for rx in rxs]
         whole = codec.MessageDecoder()
-        expected = expanded(whole.feed_block(lines, rxs)) + whole.finish()
+        expected = expanded(whole.feed_block(*oracles.block(lines), rxs)) + whole.finish()
         for size in (5, 64):  # blocks of one line: TestReplayBlocks
             dec = codec.MessageDecoder()
             got = []
             for k in range(0, len(lines), size):
-                got += expanded(dec.feed_block(lines[k : k + size], rxs[k : k + size]))
+                got += expanded(dec.feed_block(*oracles.block(lines[k : k + size]), rxs[k : k + size]))
             assert got + dec.finish() == expected
             assert dec.counts == whole.counts
 
     def test_empty_block(self):
         dec = codec.MessageDecoder()
-        block = dec.feed_block([], [])
+        block = dec.feed_block(*oracles.block([]), [])
         assert (len(block.positions), block.outcomes, block.rows) == (0, [], [])
         assert dec.counts["lines"] == 0
 
@@ -750,7 +750,7 @@ class TestFeedBlock:
         line = f"\\{body}*{cs:02X}\\{inner}"
         outcome = feed_one(line)
         assert (outcome.kind, outcome.error) == ("error", "malformed")
-        assert expanded(codec.MessageDecoder().feed_block([line], [codec.epoch_us(RX)])) == [outcome]
+        assert expanded(codec.MessageDecoder().feed_block(*oracles.block([line]), [codec.epoch_us(RX)])) == [outcome]
 
 
 # the line shapes synth writes, and their neighbours: a channel form, and a TAG time of whole seconds (9-12 digits)
@@ -837,11 +837,11 @@ def _equals_feeding_each_line(lines, rxs) -> None:
             return super().feed(line, rx_time)
 
     dec = Recording()
-    decoded_block = dec.feed_block(lines, [codec.epoch_us(rx) for rx in rxs])
+    decoded_block = dec.feed_block(*oracles.block(lines), [codec.epoch_us(rx) for rx in rxs])
     assert expanded(decoded_block) + dec.finish() == as_fed(expected)
     assert dec.counts == per_line.counts
     # the lines feed_block decodes itself are those it decoded when it matched each line on its own
-    matched = [outcomes if codec._BLOCK_LINE.fullmatch(line) else [codec.DecodeOutcome("fed")]
+    matched = [outcomes if codec._BLOCK_LINE.fullmatch(line.encode()) else [codec.DecodeOutcome("fed")]
                for line, outcomes in zip(lines, each)]
     decoded = _block_decoded(lines, matched)
     assert fed == [line for j, line in enumerate(lines) if j not in decoded]
@@ -937,6 +937,6 @@ def test_lines_that_share_no_shape_are_matched_once_each(monkeypatch):
 
     monkeypatch.setattr(codec, "_BLOCK_LINE", Counted())
     monkeypatch.setattr(codec, "_shape", lambda m: shapes.append(m) or shape(m))
-    codec.MessageDecoder().feed_block(lines, [codec.epoch_us(rx) for rx in rxs])
+    codec.MessageDecoder().feed_block(*oracles.block(lines), [codec.epoch_us(rx) for rx in rxs])
     assert len(shapes) <= 1
     assert len(matched) <= len(lines) + len({len(line) for line in lines})

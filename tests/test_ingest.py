@@ -1,6 +1,5 @@
 import dataclasses
 import datetime as dt
-import itertools
 import json
 import os
 import pathlib
@@ -118,7 +117,7 @@ class TestReplay:
             path.write_bytes(mark + "\n".join(lines).encode() + b"\n")
             runs, errors = [], []
             summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
-                                        lambda run, text: runs.extend(text), error_sink=errors.append, raw_start=T0)
+                                        lambda run, text: runs.append(text), error_sink=errors.append, raw_start=T0)
             got.append((runs, errors, dataclasses.asdict(summary)))
         assert got[0] == got[1]
         assert got[0][0] and not got[0][1]
@@ -192,7 +191,12 @@ class TestReplay:
                           lambda run, text: events.append(text), sleep=events.append)
         # written by the Statics writer: its null time as the 1970-01-01 it is held and filed as
         no_time = lines[1].replace('"ts":null', '"ts":"1970-01-01T00:00:00Z"')
-        assert events == [[lines[0]], [no_time], pytest.approx(2.0), [lines[2]]]
+        assert events == [jsonl_of([lines[0]]), jsonl_of([no_time]), pytest.approx(2.0), jsonl_of([lines[2]])]
+
+
+def jsonl_of(lines) -> bytes:
+    """Lines as a sink receives them: one bytes, each line followed by a newline."""
+    return "".join(line + "\n" for line in lines).encode()
 
 
 def stored_outcome(line: str) -> codec.DecodeOutcome:
@@ -222,7 +226,7 @@ class TestMessageRuns:
         summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
                                     lambda run, text: calls.append(text) or each_report(got.append)(run, text))
         assert len(calls) <= -(-len(lines) // 7)
-        assert [line for text in calls for line in text] == lines
+        assert b"".join(calls) == jsonl_of(lines)
         assert got == [message_of(stored_outcome(line)) for line in lines]
         assert summary.messages == len(lines)
 
@@ -249,7 +253,7 @@ class TestMessageRuns:
         calls, errors = [], []
         summary = ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
                                     lambda run, text: calls.append((messages(run), text)), error_sink=errors.append)
-        assert calls == [([message_from_dict(json.loads(line)) for line in good], good)]
+        assert calls == [([message_from_dict(json.loads(line)) for line in good], jsonl_of(good))]
         assert [(e.error, e.detail, e.raw) for e in errors] == [("malformed", detail, line)
                                                                 for line, detail in bad.items()]
         assert [(e.error, e.detail) for e in errors] == [(o.error, o.detail) for o in map(stored_outcome, bad)]
@@ -280,7 +284,7 @@ class TestMessageRuns:
         expected = decode_direct_at(lines, T0)
         assert [type(m).__name__ for m in expected] == ["PositionReport"] * 3 + ["StaticReport"] + \
             ["PositionReport"] * 2 + ["StaticReport"]
-        assert calls == [(expected, [dumps(message_to_dict(m)) for m in expected])]
+        assert calls == [(expected, jsonl_of(dumps(message_to_dict(m)) for m in expected))]
         assert [(e.error, e.raw) for e in errors] == [("malformed", "garbage line")]
         assert (summary.lines, summary.messages, summary.errors, summary.skipped) == (len(lines), 7, 1, 0)
 
@@ -288,10 +292,11 @@ class TestMessageRuns:
         path, lines = self._stored(tmp_path, nmea_fixture, 30)
 
         class FailingFile:
-            """The file, whose read fails after its first 12 lines."""
+            """The file, opened for binary reads, whose read fails after the bytes of its first 12 lines."""
 
             def __init__(self, *args, **kwargs):
                 self.f = open(*args, **kwargs)
+                self.left = len(jsonl_of(lines[:12]))
 
             def __enter__(self):
                 return self
@@ -299,15 +304,18 @@ class TestMessageRuns:
             def __exit__(self, *exc):
                 self.f.close()
 
-            def __iter__(self):
-                yield from itertools.islice(self.f, 12)
-                raise OSError("read failed")
+            def read(self, size):
+                if not self.left:
+                    raise OSError("read failed")
+                data = self.f.read(min(size, self.left))
+                self.left -= len(data)
+                return data
 
         monkeypatch.setattr(ingest, "open", FailingFile, raising=False)
         got = []
         with pytest.raises(OSError, match="read failed"):
             ingest.run_replay(ingest.SourceConfig(mode="replay", path=path),
-                              lambda run, text: got.extend(text))
+                              lambda run, text: got.extend(text.decode().splitlines()))
         assert got == lines[:12]
 
 
@@ -801,6 +809,63 @@ class TestReplayBlocks:
         assert len(messages) > len(self._per_line(text[:300])[0]) + 50  # the lines after it
         assert summary.lines == 400
 
+    def test_untagged_crlf_lines_across_reads_decode_as_their_lf_copy(self, tmp_path, nmea_fixture, monkeypatch):
+        """Bare lines with CRLF endings and blank lines, read a few bytes at a time so that reads end between a
+        \\r and its \\n, decode to the decoded.jsonl of their LF copy: a \\r that ends a read adds no blank line,
+        which would move the receive times of the untagged lines after it. Blocks of one line leave no line of a
+        read waiting for the next."""
+        size = 61
+        monkeypatch.setattr(ingest, "_READ_BYTES", size)
+        monkeypatch.setattr(ingest, "_REPLAY_BLOCK", 1)
+        bare = [line[line.index("\\", 1) + 1 :] for line in nmea_fixture[:300]]
+        rows = [row for k, line in enumerate(bare) for row in ([line, ""] if k % 25 == 7 else [line])]
+        decoded = {}
+        for end in ("\n", "\r\n"):
+            path, out = tmp_path / "lines.nmea", tmp_path / f"{len(end)}.jsonl"
+            data = "".join(row + end for row in rows).encode()
+            path.write_bytes(data)
+            assert cli.main(["decode", "--input", str(path), "--output", str(out)]) == cli.EXIT_OK
+            decoded[end] = out.read_bytes()
+        # the first read takes the 3 bytes a byte-order mark would fill
+        assert any(data[edge - 1 : edge + 1] == b"\r\n" for edge in range(3, len(data), size))
+        assert decoded["\r\n"] == decoded["\n"]
+        assert decoded["\n"].count(b"\n") > 250
+        unblanked = tmp_path / "unblanked.nmea"
+        unblanked.write_text("".join(row + "\n" for row in rows if row))
+        assert cli.main(["decode", "--input", str(unblanked), "--output", str(tmp_path / "unblanked.jsonl")]) == 0
+        assert (tmp_path / "unblanked.jsonl").read_bytes() != decoded["\n"]  # blank lines move the times
+
+
+# the bytes of the lines the replay reader splits: line ends, a stored line's and an NMEA line's first byte, ASCII
+# letters, a byte that is never UTF-8 and a three-byte sequence cut after two
+REPLAY_BYTES = [b"\r", b"\n", b"{", b"!", b"a", b"Z", b"\xff", b"\xe2\x80"]
+
+
+@pytest.fixture(scope="module")
+def replay_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("replay")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.lists(st.sampled_from(REPLAY_BYTES), max_size=40).map(b"".join), mark=st.booleans(),
+       read=st.integers(1, 9), block=st.integers(1, 4))
+def test_the_replay_reader_gives_the_lines_of_text_mode(replay_dir, data, mark, read, block):
+    """The lines _blocks gives, blank ones included and each read as UTF-8 with U+FFFD for a byte that is not, are
+    those of reading the file as text with universal newlines, a byte-order mark skipped, at every read size: a \\r
+    at the end of a read waits for the next byte."""
+    path = replay_dir / "lines"
+    path.write_bytes((b"\xef\xbb\xbf" if mark else b"") + data)
+    with open(path, encoding="utf-8-sig", errors="replace") as f:
+        expected = [line.rstrip("\r\n") for line in f]
+    with pytest.MonkeyPatch.context() as patch, open(path, "rb") as f:
+        patch.setattr(ingest, "_READ_BYTES", read)
+        patch.setattr(ingest, "_REPLAY_BLOCK", block)
+        blocks = list(ingest._blocks(f))
+    assert [buf[start:end].decode("utf-8", "replace") for buf, starts, ends, _ in blocks
+            for start, end in zip(starts.tolist(), ends.tolist())] == expected
+    assert [(first, len(starts)) for _, starts, _, first in blocks] == [
+        (first, min(block, len(expected) - first)) for first in range(0, len(expected), block)]
+
 
 class TestStorePartitions:
     def _position(self, ts):
@@ -924,7 +989,7 @@ class TestColumnPass:
         assert [e if isinstance(e, float) else e[0] for e in events] == [1, pytest.approx(1.0), 1, pytest.approx(0.5),
                                                                          1, pytest.approx(0.5), 1]
         assert [e[1] for e in events if isinstance(e, tuple)] == [
-            [dumps(message_to_dict(m))] for m in decode_direct(lines)]
+            jsonl_of([dumps(message_to_dict(m))]) for m in decode_direct(lines)]
 
 
 def decode_direct_at(lines, start, cadence_s=1.0) -> list:

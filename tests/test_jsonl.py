@@ -98,7 +98,7 @@ def test_stored_reports_round_trip_to_the_column_writers_line(rs):
     written alike by the dict codec and by the line writer from its row."""
     read = [jsonl.message_from_dict(json.loads(json.dumps(jsonl.message_to_dict(r)))) for r in rs]
     written = [jsonl.dumps(jsonl.message_to_dict(r)) for r in read]
-    assert written == oracles.of_rows(Positions, read).lines()
+    assert written == oracles.lines(oracles.of_rows(Positions, read))
     assert [jsonl.message_from_dict(json.loads(line)) for line in written] == read
     assert all(type(v) is float for r in read for v in (r.lat, r.lon, r.sog, r.cog, r.heading) if v is not None)
 
@@ -106,7 +106,7 @@ def test_stored_reports_round_trip_to_the_column_writers_line(rs):
 @settings(max_examples=500, deadline=None)
 @given(validated)
 def test_validated_line_is_the_dict_codec_text(vm):
-    (line,) = validated_columns([vm]).lines()
+    (line,) = oracles.lines(validated_columns([vm]))
     assert line == jsonl.dumps(cli.validated_to_dict(vm))
     assert cli.validated_from_dict(json.loads(line)) == dataclasses.replace(vm, report=whole_seconds(vm.report))
 
@@ -147,7 +147,7 @@ raw_rows = st.tuples(
 @given(st.lists(raw_rows, min_size=1, max_size=30))
 def test_position_lines_are_the_dict_codec_text(rows):
     positions = codec._position_rows(*(np.array(c, dtype=np.int64) for c in zip(*rows)))
-    assert positions.lines() == [jsonl.dumps(jsonl.message_to_dict(r)) for r in positions]
+    assert oracles.lines(positions) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in positions]
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,7 +160,7 @@ def test_block_rows_are_written_from_their_columns(rows):
     corrected, method, agreed, gap_flag = zip(*fields)
     rows = columnar.Validated(*positions.columns(), np.array(corrected), np.array(method, dtype=object),
                               np.array(agreed), np.array(gap_flag))
-    assert rows.lines() == [jsonl.dumps(cli.validated_to_dict(vm)) for vm in rows]
+    assert oracles.lines(rows) == [jsonl.dumps(cli.validated_to_dict(vm)) for vm in rows]
 
 
 # names holding what a JSON string escapes: quotes, backslashes, control characters and characters past ASCII,
@@ -183,7 +183,7 @@ statics = st.builds(
 @given(st.lists(statics, max_size=12))
 def test_static_lines_are_the_dict_codec_text(rs):
     """The static line writer writes each row as `dumps` writes its report's dict, the name escaped alike."""
-    assert static_columns(rs).lines() == [jsonl.dumps(oracles.message_to_dict(r)) for r in rs]
+    assert oracles.lines(static_columns(rs)) == [jsonl.dumps(oracles.message_to_dict(r)) for r in rs]
 
 
 # one line of a replayed file: a position's raw fields, and its TAG time in seconds or milliseconds (None for
@@ -212,10 +212,11 @@ def test_decoded_block_writes_what_feeding_each_line_writes(lines, raw_start, ca
     per_line = codec.MessageDecoder()
     expected = [o for i, line in enumerate(text)
                 for o in per_line.feed(line, start + dt.timedelta(seconds=i * cadence))]
-    block = codec.MessageDecoder().feed_block(text, ingest._raw_times(codec.epoch_us(start), range(len(text)), cadence))
+    block = codec.MessageDecoder().feed_block(*oracles.block(text),
+                                              ingest._raw_times(codec.epoch_us(start), range(len(text)), cadence))
     assert expanded(block) == as_fed(expected)
-    assert block.positions.lines() == [jsonl.dumps(jsonl.message_to_dict(message_of(o)))
-                                                     for o in expected if o.kind == "position"]
+    assert oracles.lines(block.positions) == [jsonl.dumps(jsonl.message_to_dict(message_of(o)))
+                                              for o in expected if o.kind == "position"]
 
 
 def test_the_writers_keep_signed_zeros_and_null_apart():
@@ -228,8 +229,8 @@ def test_the_writers_keep_signed_zeros_and_null_apart():
     expected = [jsonl.dumps(cli.validated_to_dict(vm)) for vm in messages]
     assert {'"lat":0.0', '"lat":-0.0', '"sog":null', '"sog":-0.0'} <= set(",".join(expected).split(","))
     rows = validated_columns(messages)
-    assert rows.lines() == expected
-    assert [line for k in range(len(rows)) for line in rows[k:k + 1].lines()] == expected
+    assert oracles.lines(rows) == expected
+    assert [line for k in range(len(rows)) for line in oracles.lines(rows[k:k + 1])] == expected
     assert [Positions.lat.rule.texts(rows.lat[k:k + 1]).tobytes() for k in range(len(rows))] \
         == [b"0.0", b"0.0", b"-0.0", b"-0.0"]
 
@@ -248,7 +249,7 @@ def test_a_name_with_nul_control_or_non_ascii_characters_is_the_dict_codec_text(
     """A string is escaped as `dumps` escapes it: NUL is written as \\u0000, so no text holds the 0 byte that
     pads the writer's rows."""
     rs = [StaticReport(1, name, 70, None, None, T0), StaticReport(2, "B", 70, None, None, T0)]
-    lines = static_columns(rs).lines()
+    lines = oracles.lines(static_columns(rs))
     assert lines == [jsonl.dumps(oracles.message_to_dict(r)) for r in rs]
     assert json.loads(lines[0])["name"] == name
 
@@ -262,7 +263,7 @@ def test_a_float_at_a_repr_switch_is_the_dict_codec_text(value):
     rs = [PositionReport(1, T0, number if on_globe else 1.5, number if on_globe else -2.25, number, number, number, 0,
                          None),
           PositionReport(2, T0, 45.123456, -120.5, 12.3, 359.9, 511.0, 5, -127)]
-    lines = oracles.of_rows(Positions, rs).lines()
+    lines = oracles.lines(oracles.of_rows(Positions, rs))
     assert lines == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
     assert json.loads(lines[0])["sog"] == number
 
@@ -270,10 +271,10 @@ def test_a_float_at_a_repr_switch_is_the_dict_codec_text(value):
 def test_int64_min_and_max_are_the_dict_codec_text():
     rs = [StaticReport(INT64_MIN, "A", INT64_MAX, INT64_MAX, 1, T0),
           StaticReport(INT64_MAX, "B", INT64_MIN, 1, None, T0)]
-    assert static_columns(rs).lines() == [jsonl.dumps(oracles.message_to_dict(r)) for r in rs]
+    assert oracles.lines(static_columns(rs)) == [jsonl.dumps(oracles.message_to_dict(r)) for r in rs]
     ps = [PositionReport(mmsi, T0, 0.0, 0.0, None, None, None, navstat, None)
           for mmsi, navstat in ((INT64_MIN, INT64_MAX), (INT64_MAX, INT64_MIN))]
-    assert oracles.of_rows(Positions, ps).lines() == [jsonl.dumps(jsonl.message_to_dict(r)) for r in ps]
+    assert oracles.lines(oracles.of_rows(Positions, ps)) == [jsonl.dumps(jsonl.message_to_dict(r)) for r in ps]
 
 
 @pytest.mark.parametrize("rows", [0, 1])
@@ -287,10 +288,11 @@ def test_an_empty_or_one_row_table_is_the_dict_codec_text(rows):
                                  (validated_columns([vm] * rows), [cli.validated_to_dict(vm)] * rows),
                                  (static_columns([static] * rows), [oracles.message_to_dict(static)] * rows)):
         lines = [jsonl.dumps(doc) for doc in expected]
-        assert table_rows.lines() == lines
+        assert oracles.lines(table_rows) == lines
         assert table_rows.jsonl() == "".join(line + "\n" for line in lines).encode()
-        assert table_rows.lines(table_rows.texts()) == lines
-    assert validated_columns([vm] * rows).lines(oracles.of_rows(Positions, [report] * rows).texts(["lat", "lon"])) \
+        assert oracles.lines(table_rows, table_rows.texts()) == lines
+    assert oracles.lines(validated_columns([vm] * rows),
+                         oracles.of_rows(Positions, [report] * rows).texts(["lat", "lon"])) \
         == [jsonl.dumps(cli.validated_to_dict(vm))] * rows
 
 

@@ -424,7 +424,7 @@ def test_a_table_field_may_be_named_kind():
     rows = Tagged.read(docs)
     assert [f.attr for f in Tagged.fields] == ["kind", "n"] and Tagged.doc_type == "tagged"
     assert rows.kind.tolist() == ["moored", "anchored"]
-    assert rows.lines() == [jsonl.dumps(doc) for doc in docs]
+    assert oracles.lines(rows) == [jsonl.dumps(doc) for doc in docs]
     assert Tagged.values(docs[0]) == {"kind": "moored", "n": 3}
     assert Tagged.to_dict(SimpleNamespace(kind="moored", n=3)) == docs[0]
     assert [f.attr for f in voyage.Phases.fields][0] == "kind" and voyage.Phases.doc_type is None
