@@ -239,10 +239,10 @@ _STATIC_ROWS = _row_plan(_STATIC_LAYOUT)
 def _read_rows(six: np.ndarray, plan) -> np.ndarray:
     """The fields of a layout (planned by _row_plan) in each row of an array of 6-bit values, one column each."""
     columns, shifts, masks, signs = plan
-    padded = np.concatenate((six, np.zeros((len(six), 5), dtype=six.dtype)), axis=1)
-    windows = padded[:, columns] << 30  # the 36 bits from the 6-bit value each field starts in
+    padded = np.concatenate((six, np.zeros((len(six), 5), dtype=np.uint8)), axis=1)
+    windows = padded[:, columns].astype(np.int64) << 30  # the 36 bits from the 6-bit value each field starts in
     for j in range(1, 6):
-        windows |= padded[:, columns + j] << (30 - 6 * j)
+        windows |= padded[:, columns + j].astype(np.int64) << (30 - 6 * j)
     fields = (windows >> shifts) & masks
     fields -= (2 * fields >= signs) * signs  # 0 for unsigned fields
     return fields
@@ -504,7 +504,7 @@ _BLOCK_LINE = re.compile(
 )
 # byte -> 6-bit value of an armoring character, and byte -> hex digit value;
 # _BLOCK_LINE admits only bytes these tables define
-_SIXBIT = np.zeros(256, dtype=np.int64)
+_SIXBIT = np.zeros(256, dtype=np.uint8)
 _SIXBIT[list(ARMOR_ALPHABET.encode())] = np.arange(64)
 _HEX = np.zeros(256, dtype=np.int64)
 _HEX[list(b"0123456789ABCDEF")] = _HEX[list(b"0123456789abcdef")] = np.arange(16)
@@ -962,7 +962,7 @@ class MessageDecoder:
             if nbits < 240:
                 return self._error("truncated_buffer", f"static report needs at least 240 bits, got {nbits}", raw)
             whole = _STATIC_BITS // 6 if nbits >= _STATIC_BITS else 40  # the 6-bit values of the fields it holds
-            padded = np.zeros((1, _STATIC_BITS // 6), dtype=np.int64)
+            padded = np.zeros((1, _STATIC_BITS // 6), dtype=np.uint8)
             padded[:, :whole] = six[:, :whole]
             self.statics += 1
             statics = _static_rows(rx_us, _read_rows(padded, _STATIC_ROWS)[:, 1:])

@@ -1,23 +1,31 @@
-"""Exact k-nearest-neighbour counts over a fixed set of planar points, for many queries at once.
+"""Exact k-nearest-neighbour majority votes over a fixed set of planar points, for many queries at once.
 
-The neighbours of a query are the first k points sorted by (squared
-distance, index), as an exhaustive scan gives them, so a vote over them is
-the same as one over an exhaustive scan even with duplicate points and
-ties. The search is the cell technique (Bentley, Stanat & Williams, "The
-complexity of finding fixed-radius near neighbors", Information Processing
-Letters 6(6), 1977) over the distinct positions of the points:
+A query's vote tells whether at least half of its k nearest points are
+marked. Its neighbours are the first k points sorted by (squared distance,
+index), as an exhaustive scan gives them, so the vote is the same as one
+over an exhaustive scan even with duplicate points and ties. The search is
+the cell technique (Bentley, Stanat & Williams, "The complexity of finding
+fixed-radius near neighbors", Information Processing Letters 6(6), 1977)
+over the distinct positions of the points:
 
   batches    queries in one square cell share a box, their extent widened
              by the largest of their half-widths, and one float64 matrix of
              squared distances to the distinct positions inside it. The
              cell's side is a quarter to a half of that half-width.
-  k-th       a row's k-th point lies among its k nearest positions, each
-             weighted by its count of points, so an argpartition and a
-             sort of those give its k-th squared distance dk.
-  certified  dk is exact when below the squared distance from the query
-             to the nearest box edge: every position outside is at least
-             that far by the same float operations, so none can tie or
-             beat dk. The other rows are searched again with the
+  certified  a row's k nearest points lie among its m nearest positions,
+             each weighted by its count of points, which an argpartition
+             finds; any position nearer than a squared distance tau taken
+             from them is one of them. When the T points at positions
+             nearer than tau number at least k, and tau is at most the
+             squared distance to the nearest box edge (every position
+             outside is at least that far by the same float operations),
+             the k nearest are among the T: with M of the T marked,
+             M - (T - k) to M of the k are, which settles the vote unless
+             those bounds straddle half. tau is taken near the (1.2 k)-th
+             point, then at the m-th position.
+  ranked     the rows left sort their m positions for the k-th squared
+             distance dk, exact when below the squared distance to the
+             nearest box edge. The other rows are searched again with the
              half-width sqrt(dk), an upper bound on their true k-th
              distance, and with the whole set, which is certified by
              definition, when their box held fewer than k points or would
@@ -49,6 +57,16 @@ _GUESS_MARGIN = 1.2
 _RETRY_EPS = 1e-9
 
 
+def _certify(d2: np.ndarray, count: np.ndarray, marked: np.ndarray, tau: np.ndarray, k: int,
+             gap2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of squared distances d2 to positions holding `count` points, `marked` of them marked, tau
+    certifies as the module docstring says, and their votes; gap2 is each row's squared distance to its box edge."""
+    inside = d2 < tau[:, None]
+    points, marks = np.einsum("ij,ij->i", count, inside), np.einsum("ij,ij->i", marked, inside)
+    sure = (points >= k) & (tau <= gap2) & ((2 * (marks - points + k) >= k) | (2 * marks < k))
+    return sure, 2 * marks >= k
+
+
 class KnnIndex:
     """Points with a mark each, held as their distinct positions sorted by (x, y), and a grid of their counts.
 
@@ -66,10 +84,11 @@ class KnnIndex:
         new = np.ones(n, dtype=bool)
         new[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
         self.first = np.flatnonzero(new)
-        self.count = np.diff(self.first, append=n)
+        # int32, so that a batch's gathers of counts move half the bytes
+        self.count = np.diff(self.first, append=n).astype(np.int32)
         self.x, self.y = x[self.first], y[self.first]
         self.marked_before = np.concatenate(([0], np.cumsum(marked[self.order])))
-        self.marked = self.marked_before[self.first + self.count] - self.marked_before[self.first]
+        self.marked = (self.marked_before[self.first + self.count] - self.marked_before[self.first]).astype(np.int32)
 
         finite = np.isfinite(self.x) & np.isfinite(self.y)
         fx, fy = self.x[finite], self.y[finite]
@@ -110,19 +129,18 @@ class KnnIndex:
             area = a0 + (k - inner) / (outer - inner) * (a1 - a0)
         return np.where(outer >= k, _GUESS_MARGIN * np.sqrt(area / math.pi), math.inf)
 
-    def neighbour_counts(self, x: np.ndarray, y: np.ndarray, k: int,
-                         r: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The marked points among the k nearest points of each query (x, y), and the number of neighbours.
+    def majority(self, x: np.ndarray, y: np.ndarray, k: int, r: float | None = None) -> np.ndarray:
+        """Whether at least half of the k nearest points of each query (x, y) are marked.
 
-        A query with a NaN coordinate has no neighbours, and when k is at
-        least the number of points every point is a neighbour. r is the
-        first half-width of every query's box, guessed from the grid when
-        None; it does not change the result.
+        A query with a NaN coordinate has no neighbours, none of them
+        marked, which is half; when k is at least the number of points every
+        point is a neighbour. r is the first half-width of every query's box,
+        guessed from the grid when None; it does not change the result.
         """
         n = self.order.shape[0]
         if k >= n:
-            return np.full(x.shape, self.marked_before[-1]), np.full(x.shape, n)
-        marked, total = np.zeros(x.shape, dtype=np.int64), np.zeros(x.shape, dtype=np.int64)
+            return np.full(x.shape, 2 * int(self.marked_before[-1]) >= n)
+        votes = np.ones(x.shape, dtype=bool)
         finite = np.isfinite(x) & np.isfinite(y)
         if r is None:
             r = self._guess(np.where(finite, x, 0.0), np.where(finite, y, 0.0), k)
@@ -137,13 +155,13 @@ class KnnIndex:
             todo, key = todo[sort], key[sort]
             retry = []
             for rows in np.split(todo, np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1):
-                retry += self._search_box(rows, x, y, k, r, marked, total)
+                retry += self._search_box(rows, x, y, k, r, votes)
             todo = np.concatenate(retry) if retry else todo[:0]
-        return marked, total
+        return votes
 
     def _search_box(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray, k: int, r: np.ndarray,
-                    marked: np.ndarray, total: np.ndarray) -> list[np.ndarray]:
-        """Search the queries `rows` in one box; write the counts of the certified ones, and give the others
+                    votes: np.ndarray) -> list[np.ndarray]:
+        """Search the queries `rows` in one box; write the votes of the certified ones, and give the others
         with their next half-width in r."""
         qx, qy, rg = x[rows], y[rows], float(r[rows].max())
         cand = np.arange(self.x.shape[0])
@@ -169,9 +187,27 @@ class KnnIndex:
             dy = np.subtract.outer(by, py)
             dy *= dy
             d2 += dy
+            del dy  # before the argpartition's index matrix: the heap this search grows is kept after it
             base = np.arange(0, b * c, c)[:, None]
-            near = (np.argpartition(d2, m - 1, axis=1)[:, :m] if c > m else np.arange(c)) + base
+            # each row's m nearest positions, copied whole: gathers by a strided view of them ran slower
+            ids = np.argpartition(d2, m - 1, axis=1)[:, :m].copy() if c > m else np.tile(np.arange(c), (b, 1))
             d2 = d2.ravel()
+            gap2 = np.full(b, math.inf)
+            if not whole:
+                gap2 = np.square(np.minimum(np.minimum(bx - x0, x1 - bx), np.minimum(by - y0, y1 - by)))
+            dm, count, mark = d2.take(ids + base), cand_count.take(ids), cand_marked.take(ids)
+            m2 = min(m, math.ceil(1.2 * k * count.size / count.sum()))
+            sure, vote = _certify(dm, count, mark, np.partition(dm, m2 - 1, axis=1)[:, m2 - 1], k, gap2)
+            votes[batch[sure]] = vote[sure]
+            rest = np.flatnonzero(~sure)
+            sure, vote = _certify(dm[rest], count[rest], mark[rest], dm[rest].max(axis=1), k, gap2[rest])
+            votes[batch[rest[sure]]] = vote[sure]
+            rest = rest[~sure]
+            if not rest.size:
+                continue
+            # the rows left are ranked: their k nearest points are counted
+            batch, gap2, base, b = batch[rest], gap2[rest], base[rest], rest.shape[0]
+            near = ids[rest] + base
             near = near.take(np.argsort(d2.take(near), axis=1) + np.arange(0, b * m, m)[:, None])
             ids = near - base  # each row's m nearest positions, nearest first
             cum = np.cumsum(cand_count.take(ids), axis=1)
@@ -179,8 +215,7 @@ class KnnIndex:
             dk, enough = d2[near[at, t]], cum[:, -1] >= k
             sure = np.ones(b, dtype=bool)
             if not whole:
-                gap = np.minimum(np.minimum(bx - x0, x1 - bx), np.minimum(by - y0, y1 - by))
-                sure = enough & (dk < gap * gap)
+                sure = enough & (dk < gap2)
                 wider = np.where(enough, np.sqrt(dk) * (1.0 + _RETRY_EPS), math.inf)
                 r[batch] = np.where(wider > rg, wider, math.inf)
                 retry.append(batch[~sure])
@@ -194,10 +229,10 @@ class KnnIndex:
             nearer_marked = np.cumsum(cand_marked.take(ids[done]), axis=1)[np.arange(done.shape[0]), t - 1]
             first = self.first[cand[ids[done, t]]]
             tied_marked = self.marked_before[first + k - nearer] - self.marked_before[first]
-            marked[batch[done]] = np.where(t > 0, nearer_marked, 0) + tied_marked
-            total[batch[done]] = k
+            votes[batch[done]] = 2 * (np.where(t > 0, nearer_marked, 0) + tied_marked) >= k
             for i in np.flatnonzero(sure & ~alone).tolist():
-                marked[batch[i]], total[batch[i]] = self._tied_counts(cand, d2[i * c:(i + 1) * c], dk[i], k)
+                marked, total = self._tied_counts(cand, d2[base[i, 0]:base[i, 0] + c], dk[i], k)
+                votes[batch[i]] = 2 * marked >= total
         return retry
 
     def _tied_counts(self, cand: np.ndarray, d2: np.ndarray, dk: float, k: int) -> tuple[int, int]:

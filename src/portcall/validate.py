@@ -190,16 +190,16 @@ def fit_knn(positions: Positions, k: int = 300, *, stopped_threshold_kn: float =
 def knn_votes(model: KnnModel, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     """The majority label of the k nearest training points of each (lat, lon); a tie goes to anchored.
 
-    Each distinct position is projected and searched once.
+    Each distinct position is projected and searched once, for whether at
+    least half of its k nearest points are anchored.
     """
     order = np.lexsort((lon, lat))
     lat, lon = lat[order], lon[order]
     new = np.ones(order.shape[0], dtype=bool)
     new[1:] = (lat[1:] != lat[:-1]) | (lon[1:] != lon[:-1])
-    ones, total = model.index.neighbour_counts(*project_local(model.origin[0], model.origin[1], lat[new], lon[new]),
-                                               model.k)
+    anchored = model.index.majority(*project_local(model.origin[0], model.origin[1], lat[new], lon[new]), model.k)
     votes = np.empty(order.shape[0], dtype=np.int64)
-    votes[order] = np.where(2 * ones >= total, ANCHORED, MOORED)[np.cumsum(new) - 1]
+    votes[order] = np.where(anchored, ANCHORED, MOORED)[np.cumsum(new) - 1]
     return votes
 
 

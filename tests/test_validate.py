@@ -229,16 +229,15 @@ def knn_vote(model, q):
     return int(validate.knn_votes(model, np.array([q.lat]), np.array([q.lon]))[0])
 
 
-def oracle_counts(xy, marked, k, qx, qy):
-    """(marked, total) over the exhaustive scan's k nearest points."""
+def oracle_vote(xy, marked, k, qx, qy):
+    """Whether at least half of the exhaustive scan's k nearest points are marked."""
     idx = oracles.brute_neighbors(xy, k, qx, qy)
-    return sum(1 for i in idx if marked[i]), len(idx)
+    return 2 * sum(1 for i in idx if marked[i]) >= len(idx)
 
 
-def neighbour_counts(index, k, qx, qy, r=None):
-    """(marked, total) of each query from the batched search."""
-    marked, total = index.neighbour_counts(np.array(qx, dtype=float), np.array(qy, dtype=float), k, r)
-    return list(zip(marked.tolist(), total.tolist()))
+def majority(index, k, qx, qy, r=None):
+    """The vote of each query from the batched search."""
+    return index.majority(np.array(qx, dtype=float), np.array(qy, dtype=float), k, r).tolist()
 
 
 class TestKnn:
@@ -315,7 +314,7 @@ class TestKnn:
         only_17 = np.arange(len(reports)) == 17
         q = reports[17]
         qx, qy = project_local(model.origin[0], model.origin[1], q.lat, q.lon)
-        assert neighbour_counts(KnnIndex(model.xy, only_17), 1, [qx], [qy]) == [(1, 1)]
+        assert majority(KnnIndex(model.xy, only_17), 1, [qx], [qy]) == [True]
 
     def test_tie_at_the_box_edge_goes_to_the_lower_index(self):
         # point 1 fills a box of half-width 4.5, but point 0 just outside it ties
@@ -323,7 +322,7 @@ class TestKnn:
         model = validate.KnnModel(k=1, origin=(10.0, 20.0), xy=np.array([(5.0, 0.0), (3.0, 4.0), (50.0, 50.0)]),
                                   labels=np.array([1, 5, 5], dtype=np.uint8))
         for r in (None, 0.0, 4.5, 5.0, math.inf):
-            assert neighbour_counts(model.index, 1, [0.0], [0.0], r) == [(1, 1)]
+            assert majority(model.index, 1, [0.0], [0.0], r) == [True]
 
     def test_tie_shared_by_two_positions_goes_by_index(self):
         # one point at the query, then three positions 5 m away: (5, 0) holds
@@ -333,7 +332,18 @@ class TestKnn:
             index = KnnIndex(np.array(xy), np.array(marked))
             for k in range(1, len(xy)):
                 for r in (None, 0.0, 5.0):
-                    assert neighbour_counts(index, k, [0.0], [0.0], r) == [oracle_counts(xy, marked, k, 0.0, 0.0)]
+                    assert majority(index, k, [0.0], [0.0], r) == [oracle_vote(xy, marked, k, 0.0, 0.0)]
+
+    def test_a_tie_at_the_kth_slot_is_ranked_by_index(self):
+        # k = 2: a point at the query, then two points tied at 5 m, on one position or two, and one 40 m off. The
+        # points nearer than any distance that holds 2 number 3 with 1 marked, which leaves the vote open: only the
+        # tie, which goes to the lower index, settles it
+        for tied in ([(5.0, 0.0), (5.0, 0.0)], [(5.0, 0.0), (0.0, 5.0)], [(0.0, 5.0), (5.0, 0.0)]):
+            xy = tied + [(0.0, 0.0), (40.0, 0.0)]
+            for marked, vote in (([True, False, False, True], True), ([False, True, False, True], False)):
+                index = KnnIndex(np.array(xy), np.array(marked))
+                for r in (None, 0.0, 5.0, math.inf):
+                    assert majority(index, 2, [0.0], [0.0], r) == [vote] == [oracle_vote(xy, marked, 2, 0.0, 0.0)]
 
     def test_many_queries_from_clusters_far_apart(self):
         # clusters 100 km apart, with queries from each in one call: every
@@ -347,14 +357,14 @@ class TestKnn:
         index = KnnIndex(np.array(xy), np.array(marked))
         qx, qy = zip(*queries)
         for k in (1, 20, 60, 61, 150):
-            assert neighbour_counts(index, k, qx, qy) == [oracle_counts(xy, marked, k, x, y) for x, y in queries]
+            assert majority(index, k, qx, qy) == [oracle_vote(xy, marked, k, x, y) for x, y in queries]
 
     def test_nan_query_ends_with_no_neighbours(self):
         # stored JSONL may carry NaN coordinates; such a query has no
         # neighbours, and so votes anchored, instead of widening forever
         model = validate.fit_knn(columns(two_cluster_reports(n_per=50)), k=5)
         for r in (None, 1.0):
-            assert neighbour_counts(model.index, 5, [math.nan, 0.0], [0.0, math.nan], r) == [(0, 0), (0, 0)]
+            assert majority(model.index, 5, [math.nan, 0.0], [0.0, math.nan], r) == [True, True]
         assert validate.knn_votes(model, np.array([math.nan]), np.array([20.0])).tolist() == [1]
 
     def test_stream_votes_match_the_oracle(self, monkeypatch):
@@ -368,9 +378,9 @@ class TestKnn:
             def __init__(self, xy, marked):
                 self.xy, self.marked = xy.tolist(), marked.tolist()
 
-            def neighbour_counts(self, x, y, k):
-                counts = [oracle_counts(self.xy, self.marked, k, qx, qy) for qx, qy in zip(x.tolist(), y.tolist())]
-                return np.array([c[0] for c in counts]), np.array([c[1] for c in counts])
+            def majority(self, x, y, k):
+                return np.array([oracle_vote(self.xy, self.marked, k, qx, qy)
+                                 for qx, qy in zip(x.tolist(), y.tolist())])
 
         monkeypatch.setattr(validate, "KnnIndex", BruteIndex)
         assert list(validate.validate_stream(columns(positions), None, cfg)) == list(fast)
@@ -670,9 +680,9 @@ def test_knn_oracle_equivalence_property(seed, layout, query):
     # and through a random marking
     for marked in ([label == 1 for label in labels], [rng.random() < 0.5 for _ in range(n)]):
         index = KnnIndex(np.array(xy), np.array(marked))
-        expected = [oracle_counts(xy, marked, k, x, y) for x, y in zip(qx, qy)]
+        expected = [oracle_vote(xy, marked, k, x, y) for x, y in zip(qx, qy)]
         for r in (None, 0.0, 1e-3, rng.uniform(0.0, 500.0), 1e7, math.inf):
-            assert neighbour_counts(index, k, qx, qy, r) == expected
+            assert majority(index, k, qx, qy, r) == expected
 
     q = report(sog=0.0, lat=10.0 + rng.uniform(-0.05, 0.05), lon=20.0 + rng.uniform(-0.05, 0.05))
     qx, qy = project_local(10.0, 20.0, q.lat, q.lon)
