@@ -12,6 +12,31 @@ over the distinct positions of the points:
              by the largest of their half-widths, and one float64 matrix of
              squared distances to the distinct positions inside it. The
              cell's side is a quarter to a half of that half-width.
+  settled    before its matrix is built, a box is settled whole from the
+             centre c of its queries' extent. With delta the largest
+             distance from c to a query and a a distance from c within
+             which k points lie, each query q (|q - c| <= delta) has k
+             points within a + delta, so a point farther than
+             b = a + 2 delta from c, more than a + delta from q, is farther
+             from q than k points are and is none of its neighbours. With M
+             of the T points within b marked, every query's marked count
+             lies in [M - (T - k), M], as under `certified`, and the box
+             votes as one unless those bounds straddle half. The points are
+             those of one square around c, cut from the positions sorted by
+             x, whose half-width is the largest half-width of the queries,
+             near their k-th distance, plus 2 delta; a is the distance of
+             the k-th point in it. Every position outside the square is at
+             least the squared distance from c to its nearest edge away, by
+             the same float operations, so the step holds only when b^2 is
+             below that: a box whose ball leaves its square could miss a
+             point within b, and goes on to the search below unchanged, as
+             one whose bounds straddle half does. Each squared distance is
+             that of the exact floats to within a few units in the last
+             place (a difference of two floats is rounded once), here and
+             in an exhaustive scan, so b is widened by _BALL_REL of itself,
+             far more than that, and by _BALL_ABS, more than the distances
+             whose squares underflow: no rounding can then put a point past
+             b among a query's k nearest.
   certified  a row's k nearest points lie among its m nearest positions,
              each weighted by its count of points, which an argpartition
              finds; any position nearer than a squared distance tau taken
@@ -46,8 +71,9 @@ import numpy as np
 
 # The guess grid has about this many cells, and a batch at most this many
 # query-position distances. Both stay small because the heap that the
-# search grows is kept after it: a batch of 2^18 distances lifted a `run`
-# on knn_noport from 58 to 66 MB peak, one of 2^16 to about 60.5 MB.
+# search grows is kept after it: a `run --method knn` on knn_noport peaked
+# at 62.6-64.5 MB with batches of 2^18 distances, and at 58.8-60.1 MB with
+# 2^16, within a megabyte of 2^14's 58.3-59.4 MB.
 _GRID_CELLS = 1 << 14
 _BATCH = 1 << 16
 # The first half-width is the guessed k-th distance times _GUESS_MARGIN; a
@@ -55,6 +81,10 @@ _BATCH = 1 << 16
 # at dk outside the box.
 _GUESS_MARGIN = 1.2
 _RETRY_EPS = 1e-9
+# A box's ball is widened by _BALL_REL of its radius and by _BALL_ABS, in the
+# points' units, so that no rounding can leave a neighbour outside it.
+_BALL_REL = 1e-9
+_BALL_ABS = 1e-9
 
 
 def _certify(d2: np.ndarray, count: np.ndarray, marked: np.ndarray, tau: np.ndarray, k: int,
@@ -155,9 +185,45 @@ class KnnIndex:
             todo, key = todo[sort], key[sort]
             retry = []
             for rows in np.split(todo, np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1):
-                retry += self._search_box(rows, x, y, k, r, votes)
+                if not self._settle_box(rows, x, y, k, r, votes):
+                    retry += self._search_box(rows, x, y, k, r, votes)
             todo = np.concatenate(retry) if retry else todo[:0]
         return votes
+
+    def _within(self, x0: float, x1: float, y0: float, y1: float) -> np.ndarray:
+        """The positions in [x0, x1] x [y0, y1], in ascending order."""
+        lo, hi = int(np.searchsorted(self.x, x0, "left")), int(np.searchsorted(self.x, x1, "right"))
+        return lo + np.flatnonzero((self.y[lo:hi] >= y0) & (self.y[lo:hi] <= y1))
+
+    def _settle_box(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray, k: int, r: np.ndarray,
+                    votes: np.ndarray) -> bool:
+        """Settle the votes of the queries `rows` in one box together from its centre, as the module docstring says;
+        False, with nothing written, when the ball leaves its square or the bounds straddle half."""
+        rg = float(r[rows].max())
+        if not rg < math.inf:
+            return False
+        qx, qy = x[rows], y[rows]
+        cx, cy = 0.5 * (float(qx.min()) + float(qx.max())), 0.5 * (float(qy.min()) + float(qy.max()))
+        delta = math.sqrt(float((np.square(qx - cx) + np.square(qy - cy)).max()))
+        w = rg + 2 * delta
+        x0, x1, y0, y1 = cx - w, cx + w, cy - w, cy + w
+        cand = self._within(x0, x1, y0, y1)
+        d2 = np.square(self.x[cand] - cx) + np.square(self.y[cand] - cy)
+        order = np.argsort(d2)
+        d2, cand = d2[order], cand[order]
+        cum = np.cumsum(self.count[cand])
+        if not cum.size or cum[-1] < k:
+            return False
+        b = (math.sqrt(float(d2[np.searchsorted(cum, k)])) + 2 * delta) * (1.0 + _BALL_REL) + _BALL_ABS
+        gap = min(cx - x0, x1 - cx, cy - y0, y1 - cy)
+        if not b * b < gap * gap:
+            return False
+        inside = int(np.searchsorted(d2, b * b, "right"))
+        points, marks = int(cum[inside - 1]), int(self.marked[cand[:inside]].sum())
+        sure = 2 * (marks - points + k) >= k or 2 * marks < k
+        if sure:
+            votes[rows] = 2 * marks >= k
+        return sure
 
     def _search_box(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray, k: int, r: np.ndarray,
                     votes: np.ndarray) -> list[np.ndarray]:
@@ -167,8 +233,7 @@ class KnnIndex:
         cand = np.arange(self.x.shape[0])
         if rg < math.inf:
             x0, x1, y0, y1 = float(qx.min()) - rg, float(qx.max()) + rg, float(qy.min()) - rg, float(qy.max()) + rg
-            lo, hi = int(np.searchsorted(self.x, x0, "left")), int(np.searchsorted(self.x, x1, "right"))
-            cand = lo + np.flatnonzero((self.y[lo:hi] >= y0) & (self.y[lo:hi] <= y1))
+            cand = self._within(x0, x1, y0, y1)
         if not cand.size:
             r[rows] = math.inf
             return [rows]

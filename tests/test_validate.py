@@ -347,17 +347,26 @@ class TestKnn:
 
     def test_many_queries_from_clusters_far_apart(self):
         # clusters 100 km apart, with queries from each in one call: every
-        # query's box must hold its own cluster and no other
+        # query's box must hold its own cluster and no other. Two more clusters
+        # of 60 sit 6 m apart, one all marked and one all unmarked, and a row of
+        # queries crosses the gap, from the marked one to its middle or to the
+        # far side: queries that settle together must not miss the points past
+        # the gap that their own k nearest take in
         rng = random.Random(5)
         centres = [(0.0, 0.0), (1e5, 0.0), (0.0, -1e5), (2e5, 3e5)]
         xy = [(cx + rng.gauss(0, 50), cy + rng.gauss(0, 50)) for cx, cy in centres for _ in range(60)]
         marked = [rng.random() < 0.5 for _ in xy]
         queries = [(cx + rng.gauss(0, 80), cy + rng.gauss(0, 80)) for cx, cy in centres for _ in range(15)]
         queries += [(5e4, 0.0), (1e6, 1e6)]  # between two clusters, and far from all
+        for cx, mark in ((-3e5, True), (-3e5 + 6.0, False)):
+            xy += [(cx + rng.gauss(0, 0.5), 2e5 + rng.gauss(0, 0.5)) for _ in range(60)]
+            marked += [mark] * 60
         index = KnnIndex(np.array(xy), np.array(marked))
-        qx, qy = zip(*queries)
-        for k in (1, 20, 60, 61, 150):
-            assert majority(index, k, qx, qy) == [oracle_vote(xy, marked, k, x, y) for x, y in queries]
+        for end in (3.75, 10.0):
+            row = [(-3e5 - 1.0 + 0.25 * i, 2e5) for i in range(int(4 * (end + 1.0)) + 1)]
+            qx, qy = zip(*queries + row)
+            for k in (1, 20, 59, 60, 61, 150):
+                assert majority(index, k, qx, qy) == [oracle_vote(xy, marked, k, x, y) for x, y in queries + row]
 
     def test_nan_query_ends_with_no_neighbours(self):
         # stored JSONL may carry NaN coordinates; such a query has no
@@ -637,12 +646,16 @@ class TestConfig:
             validate.ValidationConfig.from_file(path)
 
 
-def _training_layout(rng: random.Random, layout: str, n: int) -> list[tuple[float, float]]:
+Points = list[tuple[float, float]]
+
+
+def _training_layout(rng: random.Random, layout: str, n: int) -> tuple[Points, Points]:
+    """n points and the centres that crowded queries gather around."""
+    centres = [(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)) for _ in range(rng.randrange(1, 5))]
     if layout == "uniform":
-        return [(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)) for _ in range(n)]
+        return [(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)) for _ in range(n)], centres
     # berths and anchor spots: a few centres, positions on a 0.5 m grid (so
     # squared distances between them are exact and tie often) and repeats
-    centres = [(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)) for _ in range(rng.randrange(1, 5))]
     pts: list[tuple[float, float]] = []
     for _ in range(n):
         if pts and rng.random() < 0.4:
@@ -650,39 +663,48 @@ def _training_layout(rng: random.Random, layout: str, n: int) -> list[tuple[floa
         else:
             cx, cy = rng.choice(centres)
             pts.append((round(2 * (cx + rng.gauss(0, 3))) / 2, round(2 * (cy + rng.gauss(0, 3))) / 2))
-    return pts
+    return pts, centres
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from(["uniform", "clustered"]),
-    st.sampled_from(["near", "on_point", "far"]),
+    st.sampled_from(["near", "on_point", "far", "crowd"]),
 )
 def test_knn_oracle_equivalence_property(seed, layout, query):
     rng = random.Random(seed)
     n = rng.randrange(30, 400)
     k = rng.choice([1, 5, 30, n])
-    xy = _training_layout(rng, layout, n)
+    xy, centres = _training_layout(rng, layout, n)
     labels = [rng.choice([1, 5]) for _ in range(n)]
     model = validate.KnnModel(k=k, origin=(10.0, 20.0), xy=np.array(xy), labels=np.array(labels, dtype=np.uint8))
     queries = []
-    for _ in range(rng.randrange(1, 6)):  # one search for all of them
+    for _ in range(rng.randrange(20, 201) if query == "crowd" else rng.randrange(1, 6)):  # one search for all
         if query == "on_point":
             queries.append(rng.choice(xy))
         elif query == "far":  # well outside the extent: the box has to grow
             queries.append((rng.choice([-1, 1]) * rng.uniform(2e4, 1e6), rng.uniform(-1e6, 1e6)))
+        elif query == "crowd":  # around the centres, at several scales, so that boxes hold many rows
+            (cx, cy), spread = rng.choice(centres), rng.choice([1.0, 3.0, 10.0, 30.0, 100.0, 300.0])
+            queries.append((round(2 * (cx + rng.gauss(0, spread))) / 2, round(2 * (cy + rng.gauss(0, spread))) / 2))
         else:
             queries.append((round(2 * rng.uniform(-3500, 3500)) / 2, round(2 * rng.uniform(-3500, 3500)) / 2))
     qx, qy = (list(c) for c in zip(*queries))
+    ranked = [oracles.brute_neighbors(xy, n, x, y) for x, y in queries]  # every point, nearest first
     # the first half-width only changes the cost: every value gives the
-    # neighbours of the exhaustive scan, seen through the anchored labels
-    # and through a random marking
-    for marked in ([label == 1 for label in labels], [rng.random() < 0.5 for _ in range(n)]):
+    # neighbours of the exhaustive scan for every k, seen through the anchored
+    # labels, a random marking, and a marking by the side of a line through a
+    # centre, whose boxes settle together away from the line and straddle it
+    # near it
+    (ox, oy), angle = rng.choice(centres), rng.uniform(0.0, 2 * math.pi)
+    side = [(px - ox) * math.cos(angle) + (py - oy) * math.sin(angle) > 0 for px, py in xy]
+    for marked in ([label == 1 for label in labels], [rng.random() < 0.5 for _ in range(n)], side):
         index = KnnIndex(np.array(xy), np.array(marked))
-        expected = [oracle_vote(xy, marked, k, x, y) for x, y in zip(qx, qy)]
-        for r in (None, 0.0, 1e-3, rng.uniform(0.0, 500.0), 1e7, math.inf):
-            assert majority(index, k, qx, qy, r) == expected
+        for kk in (1, 5, 30, n):
+            expected = [2 * sum(marked[i] for i in idx[:kk]) >= kk for idx in ranked]
+            for r in (None, 0.0, 1e-3, rng.uniform(0.0, 500.0), 1e7, math.inf):
+                assert majority(index, kk, qx, qy, r) == expected
 
     q = report(sog=0.0, lat=10.0 + rng.uniform(-0.05, 0.05), lon=20.0 + rng.uniform(-0.05, 0.05))
     qx, qy = project_local(10.0, 20.0, q.lat, q.lon)
