@@ -15,16 +15,18 @@ one document (`check`) and the table of checked values (`of_checked`), and
 the one-row forms `to_dict` and `values` that the dict codecs are made of.
 
 The writer works on byte columns. `texts` gives each field's texts as a
-uint8 matrix, one row per value holding its JSON text left-aligned and
-padded with 0 bytes, made for the whole column: a float once per float64
-bit pattern, so -0.0 and 0.0, and NaNs, stay apart; an integer or a string
-once per distinct value, the string escaped as `dumps` escapes it; a time
-from a cached text of its day. `jsonl` lays each row's texts between the
-key literals of its table, sorted by key as `dumps` sorts them, and
+uint8 matrix, one row per value holding its JSON text padded with 0 bytes,
+made for the whole column: a float once per float64 bit pattern, so -0.0
+and 0.0, and NaNs, stay apart, as its repr, which for a latitude or a
+longitude, nearly each one distinct, is worked out for all of them at once
+in integer arithmetic (`shortest_reprs`); an integer or a string once per
+distinct value, the string escaped as `dumps` escapes it; a time from a
+cached text of its day. `jsonl` lays each row's texts between the key
+literals of its table, sorted by key as `dumps` sorts them, and
 `join_rows`, the one line assembler (the NMEA encoders build their lines
-with it too), drops the padding. A caller that holds some fields' texts
-already, row-aligned with the table, hands them in and only the other
-fields are formatted.
+with it too), drops the padding wherever it lies. A caller that holds
+some fields' texts already, row-aligned with the table, hands them in and
+only the other fields are formatted.
 
 A time is int64 microseconds since 1970-01-01 UTC in a column, a datetime
 in a row, and second-precision ISO-8601 text with a trailing Z in a
@@ -163,10 +165,11 @@ def _timestamp(value, key: str) -> dt.datetime:
 
 
 # The texts of a column's values, in order, as byte rows: one row of a uint8
-# matrix per value, its JSON text left-aligned and padded with 0 bytes. No
-# text holds a 0 byte of its own: a string is escaped as `dumps` escapes it,
-# NUL and every other control character included, and a number or a time
-# is written in digits and punctuation.
+# matrix per value, its JSON text padded with 0 bytes, after it (`byte_rows`)
+# or on both sides (`shortest_reprs`). No text holds a 0 byte of its own: a
+# string is escaped as `dumps` escapes it, NUL and every other control
+# character included, and a number or a time is written in digits and
+# punctuation.
 
 
 def byte_rows(texts: Sequence[str]) -> np.ndarray:
@@ -203,17 +206,103 @@ def _timestamp_texts(time_us: np.ndarray) -> np.ndarray:
     return texts
 
 
-def _texts_of(values: np.ndarray, text=str) -> np.ndarray:
-    """The byte rows of text(v) for each value v, called once per distinct value: a float once per bit pattern,
-    so -0.0 and 0.0, and NaNs, stay apart."""
+def _texts_of(values: np.ndarray, text=str, texts=None) -> np.ndarray:
+    """The byte rows of text(v) for each value v, called once per distinct value, or of texts(distinct), called
+    once with the array of distinct values: a float once per bit pattern, so -0.0 and 0.0, and NaNs, stay apart."""
     bits = values.dtype == np.float64
     distinct, rows = np.unique(values.view(np.int64) if bits else values, return_inverse=True)
-    return byte_rows([text(v) for v in (distinct.view(np.float64) if bits else distinct).tolist()])[rows]
+    distinct = distinct.view(np.float64) if bits else distinct
+    return (texts(distinct) if texts else byte_rows([text(v) for v in distinct.tolist()]))[rows]
 
 
-def _number_texts(values: np.ndarray) -> np.ndarray:
-    """Each float's repr, NaN as null."""
-    return _texts_of(values, lambda v: "null" if v != v else repr(v))
+def _number_text(v: float) -> str:
+    """A float's repr, NaN as null."""
+    return "null" if v != v else repr(v)
+
+
+_LENGTHS = np.array([[15], [16], [17]])  # the significant digits of each candidate decimal
+_POW5 = 5 ** np.arange(17, dtype=np.uint64)
+_POW10 = 10.0 ** np.arange(17)
+_INT10 = 10 ** np.arange(17, dtype=np.int64)
+_ONE = np.uint64(1)
+
+
+@functools.cache
+def _digit_texts() -> tuple[np.ndarray, np.ndarray]:
+    """The texts `shortest_reprs` lays its rows out from, made at its first call so that a process that writes no
+    coordinate holds none: a row's first 8 bytes by 1000 * negative + whole part, its sign, whole digits and point
+    right-aligned; and 4 fraction digits by kind and value: in full, without their trailing zeros (0000 as 0), and
+    none."""
+    heads = np.array([("-" * neg + f"{w}.").rjust(8, "\0") for neg in (0, 1) for w in range(1000)], dtype="S8")
+    quads = np.array([[f"{q:04d}" for q in range(10000)], [f"{q:04d}".rstrip("0") or "0" for q in range(10000)],
+                      [""] * 10000], dtype="S4")
+    return heads.view(np.uint64), quads.view(np.uint32)
+
+
+def shortest_reprs(floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The repr of each float v with 1 <= |v| < 1000 as a row of 24 bytes, 0 bytes before its sign and after its
+    last digit, and whether each row was made: the row of a value out of that range, or of one for which a
+    candidate below falls exactly halfway between two decimals, is not, and holds 0 bytes.
+
+    v = m * 2**e with 2**52 <= m < 2**53 (Steele & White, PLDI 1990; Adams,
+    Ryu, PLDI 2018). Its candidate of d = 15, 16 and 17 significant digits,
+    k of them whole, is the nearest decimal with n = d - k fraction digits,
+    round(m * 5**n / 2**s) for s = -e - n, 29 to 38: m * 5**n mod 2**64
+    holds the remainder in its low s bits and the quotient mod 2**(64 - s)
+    above them, which corrects a float estimate of v * 10**n. A candidate
+    reads back as v when it lies less than half v's last place away, 5**n / 2
+    in units of 2**-s (never exactly half: 5**n is odd). A float keeps 15
+    digits of any decimal, and 17 digits always read back, so repr, the
+    shortest decimal that reads back and the nearest such, is the first
+    candidate that does, without its trailing fraction zeros. (A power of two
+    has a nearer neighbour below, but in this range it is a whole number,
+    which its 15-digit candidate holds exactly.) A candidate exactly halfway
+    between two decimals stops the search and leaves v to repr.
+    """
+    a = np.abs(floats)
+    inside = np.flatnonzero((a >= 1.0) & (a < 1000.0))
+    a = a[inside]
+    bits = a.view(np.uint64)
+    m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
+    n = _LENGTHS - (1 + (a >= 10.0) + (a >= 100.0))  # one row of fraction digits per candidate
+    s = 1075 - (bits >> np.uint64(52)).astype(np.int64) - n
+    shift = s.astype(np.uint64)
+    low = m * _POW5[n]
+    estimate = (a * _POW10[n]).astype(np.int64)
+    quotient = estimate + ((low - (estimate.astype(np.uint64) << shift)).view(np.int64) >> s)
+    remainder, half = low & ((_ONE << shift) - _ONE), _ONE << (shift - _ONE)
+    twice = np.minimum(remainder, (_ONE << shift) - remainder) << _ONE
+    tie = remainder == half
+    stop = (twice < _POW5[n]) | tie
+    # the first candidate that stops, as an index into each (3, len(a)) array's ravel
+    pick = np.where(stop[0], 0, 2 - stop[1]) * len(a) + np.arange(len(a))
+    tied = tie.ravel()[pick]
+    made = np.zeros(len(floats), dtype=bool)
+    made[inside] = ~tied
+    n = n.ravel()[pick]
+    digits = (quotient + (remainder > half)).ravel()[pick]
+    whole = digits // _INT10[n]
+    fraction = (digits - whole * _INT10[n]) * _INT10[16 - n]  # 16 digits
+    # the fraction's four groups of 4 digits: each in full before the last that is not 0000 (the first if none
+    # is), that one without its trailing zeros, and none after it
+    quads = np.stack([fraction // 10**12, fraction // 10**8 % 10**4, fraction // 10**4 % 10**4, fraction % 10**4], 1)
+    last = (fraction % 10**12 != 0).astype(np.intp) + (fraction % 10**8 != 0) + (fraction % 10**4 != 0)
+    rows = np.zeros((len(floats), 3), dtype=np.uint64)
+    heads, quad_texts = _digit_texts()
+    rows[inside, 0] = heads[(floats[inside] < 0) * 1000 + whole]
+    rows[inside, 1:] = quad_texts[np.sign(np.arange(4) - last[:, None]) + 1, quads].view(np.uint64)
+    rows[inside[tied]] = 0
+    return rows.view(np.uint8), made
+
+
+def _coordinate_texts(floats: np.ndarray) -> np.ndarray:
+    """The byte rows of the floats' repr, NaN as null: `shortest_reprs` where it makes them, repr where it does not."""
+    texts, made = shortest_reprs(floats)
+    if not made.all():
+        others = byte_rows([_number_text(v) for v in floats[~made].tolist()])
+        texts = np.pad(texts, ((0, 0), (0, max(0, others.shape[1] - texts.shape[1]))))
+        texts[~made, :others.shape[1]] = others
+    return texts[:, texts.any(axis=0)]  # no wider than its texts: `run` holds them through validate
 
 
 def _string_texts(values: np.ndarray) -> np.ndarray:
@@ -262,9 +351,10 @@ class Rule:
 
 
 INTEGER = Rule(np.int64, _integer, _texts_of)
-LATITUDE = Rule(np.float64, lambda value, key: _coordinate(value, key, 90.0), _number_texts)
+LATITUDE = Rule(np.float64, lambda value, key: _coordinate(value, key, 90.0),
+                lambda values: _texts_of(values, texts=_coordinate_texts))
 LONGITUDE = replace(LATITUDE, check=lambda value, key: _coordinate(value, key, 180.0))
-NUMBER = Rule(np.float64, _optional_number, _number_texts, null=np.nan)
+NUMBER = Rule(np.float64, _optional_number, lambda values: _texts_of(values, _number_text), null=np.nan)
 # a rate of turn is a whole number, held as a float64 column for its NaN
 RATE = Rule(np.float64, _rate_of_turn, lambda values: _texts_of(values, lambda v: "null" if v != v else repr(int(v))),
             null=np.nan)
@@ -312,9 +402,9 @@ def join_rows(n: int, parts: Sequence) -> bytes:
     """The ASCII text of n rows of parts side by side, row after row.
 
     A part is bytes, the same in every row, or a byte matrix of one row
-    each, left-aligned and padded with 0 bytes (`byte_rows`); every 0 byte is
-    dropped. This is the one line assembler: the JSONL writer and the NMEA
-    encoders both build their lines with it.
+    each, padded with 0 bytes (`byte_rows`); every 0 byte is dropped. This
+    is the one line assembler: the JSONL writer and the NMEA encoders both
+    build their lines with it.
     """
     widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
     rows = np.empty((n, sum(widths)), dtype=np.uint8)

@@ -241,6 +241,12 @@ T0 = dt.datetime(2019, 9, 1, tzinfo=dt.timezone.utc)
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 # where repr switches between positional and scientific notation, the smallest subnormal, and a signed zero
 REPR_SWITCHES = (1e16, 9999999999999998.0, 1e-05, 0.0001, 5e-324, -0.0)
+# where the latitude and longitude writer (`table.shortest_reprs`) changes its binary exponent or its whole digits,
+# with their neighbours (the float after 1.0 among them), the largest float it writes, and the globe's edges; the
+# float below 1.0 is written by repr, and so is 1.000030517578125, an exact tie of two 15-digit decimals
+KERNEL_EDGES = tuple(float(x) for p in [2.0 ** e for e in range(10)] + [10.0, 100.0]
+                     for x in (np.nextafter(p, 0.0), p, np.nextafter(p, 1000.0))) \
+    + (999.9999999999999, 90.0, -180.0, 1.000030517578125)
 
 
 @pytest.mark.parametrize("name", ["", "\x00", "a\x00b", "\x01\x1f\x7f", "\n\t\r\x0b", '"\\/',
@@ -254,18 +260,51 @@ def test_a_name_with_nul_control_or_non_ascii_characters_is_the_dict_codec_text(
     assert json.loads(lines[0])["name"] == name
 
 
-@pytest.mark.parametrize("value", REPR_SWITCHES + tuple(-v for v in REPR_SWITCHES) + (math.nan,))
+@pytest.mark.parametrize("value", REPR_SWITCHES + tuple(-v for v in REPR_SWITCHES) + (math.nan,)
+                         + KERNEL_EDGES + tuple(-v for v in KERNEL_EDGES))
 def test_a_float_at_a_repr_switch_is_the_dict_codec_text(value):
     """Each number field holding the value, lat and lon where it lies on the globe, beside a row of ordinary
-    values; NaN is an optional field's None, written as null."""
+    values, in position and validated lines; NaN is an optional field's None, written as null."""
     number = None if value != value else value
-    on_globe = number is not None and abs(number) <= 90
-    rs = [PositionReport(1, T0, number if on_globe else 1.5, number if on_globe else -2.25, number, number, number, 0,
-                         None),
+    lat = number if number is not None and abs(number) <= 90 else 1.5
+    lon = number if number is not None and abs(number) <= 180 else -2.25
+    rs = [PositionReport(1, T0, lat, lon, number, number, number, 0, None),
           PositionReport(2, T0, 45.123456, -120.5, 12.3, 359.9, 511.0, 5, -127)]
     lines = oracles.lines(oracles.of_rows(Positions, rs))
     assert lines == [jsonl.dumps(jsonl.message_to_dict(r)) for r in rs]
     assert json.loads(lines[0])["sog"] == number
+    vms = [columnar.ValidatedMessage(r, 0, "reported", True, False) for r in rs]
+    assert oracles.lines(validated_columns(vms)) == [jsonl.dumps(cli.validated_to_dict(vm)) for vm in vms]
+
+
+# floats the latitude and longitude writer formats itself, of either sign: any bit pattern with 1 <= |v| < 1000, and
+# the k / 600000 degrees the decoder gives
+kernel_floats = st.builds(
+    lambda v, negative: -v if negative else v,
+    st.integers(0x3FF0000000000000, 0x408F3FFFFFFFFFFF).map(lambda bits: float(np.int64(bits).view(np.float64)))
+    | st.integers(600_000, 108_000_000).map(lambda k: k / 600_000),
+    st.booleans())
+
+
+def kernel_texts(values) -> list[str | None]:
+    """The text `table.shortest_reprs` makes of each value, None where it declines."""
+    rows, made = table.shortest_reprs(np.array(values, dtype=np.float64))
+    return [bytes(row).replace(b"\0", b"").decode() if m else None for row, m in zip(rows, made)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(kernel_floats, min_size=1, max_size=40))
+def test_the_coordinate_kernel_makes_repr_wherever_it_does_not_decline(values):
+    assert [text or repr(v) for v, text in zip(values, kernel_texts(values))] == list(map(repr, values))
+
+
+def test_the_coordinate_kernel_at_its_edges():
+    """Every edge in range is made, and is repr; the tie and the values out of range are declined."""
+    edges = KERNEL_EDGES + tuple(-v for v in KERNEL_EDGES)
+    declined = {v for v in edges if abs(v) < 1.0} | {1.000030517578125, -1.000030517578125}
+    assert {v for v, text in zip(edges, kernel_texts(edges)) if text is None} == declined
+    assert [text for v, text in zip(edges, kernel_texts(edges)) if v not in declined] \
+        == [repr(v) for v in edges if v not in declined]
 
 
 def test_int64_min_and_max_are_the_dict_codec_text():
