@@ -16,13 +16,17 @@ the one-row forms `to_dict` and `values` that the dict codecs are made of.
 
 The writer works on byte columns. `texts` gives each field's texts as a
 uint8 matrix, one row per value holding its JSON text padded with 0 bytes,
-made for the whole column: a float once per float64 bit pattern, so -0.0
-and 0.0, and NaNs, stay apart, as its repr, which for a latitude or a
-longitude, nearly each one distinct, is worked out for all of them at once
-in integer arithmetic (`shortest_reprs`); an integer or a string once per
-distinct value, the string escaped as `dumps` escapes it; a time from a
-cached text of its day. `jsonl` lays each row's texts between the key
-literals of its table, sorted by key as `dumps` sorts them, and
+made for the whole column. A SOG, COG, heading, rate of turn, status, ship
+type or dimension is sent on a fixed grid (ITU-R M.1371: tenths up to
+360.0, whole numbers), and its text is read off a table of the grid's texts
+made once per process (`_gridded`) when its bit pattern is a grid value's.
+Every other value's is made for the column: a float once per float64 bit
+pattern, so -0.0 and 0.0, and NaNs, stay apart, as its repr, which for a
+latitude or a longitude, nearly each one distinct, is worked out for all of
+them at once in integer arithmetic (`shortest_reprs`); an integer or a
+string once per distinct value, the string escaped as `dumps` escapes it; a
+time from a cached text of its day. `jsonl` lays each row's texts between
+the key literals of its table, sorted by key as `dumps` sorts them, and
 `join_rows`, the one line assembler (the NMEA encoders build their lines
 with it too), drops the padding wherever it lies. A caller that holds
 some fields' texts already, row-aligned with the table, hands them in and
@@ -169,7 +173,9 @@ def _timestamp(value, key: str) -> dt.datetime:
 # or on both sides (`shortest_reprs`). No text holds a 0 byte of its own: a
 # string is escaped as `dumps` escapes it, NUL and every other control
 # character included, and a number or a time is written in digits and
-# punctuation.
+# punctuation. A column's rows are taken from a table of texts with
+# take(rows, axis=0), which copies each row whole: indexing the matrix with
+# the array of rows takes two to four times as long.
 
 
 def byte_rows(texts: Sequence[str]) -> np.ndarray:
@@ -200,9 +206,10 @@ def _timestamp_texts(time_us: np.ndarray) -> np.ndarray:
     minutes, seconds = np.divmod(day_us // 1_000_000, 60)
     day_ordinals, day_rows = np.unique(days, return_inverse=True)
     texts = np.empty((len(time_us), _TIME_WIDTH), dtype=np.uint8)
-    texts[:, :12] = byte_rows(['"' + _day_text(d + UNIX_ORDINAL) for d in day_ordinals.tolist()])[day_rows]
-    texts[:, 12:18] = _MINUTE_TEXT[minutes]
-    texts[:, 18:] = _SECOND_TEXT[seconds]
+    day_texts = byte_rows(['"' + _day_text(d + UNIX_ORDINAL) for d in day_ordinals.tolist()])
+    texts[:, :12] = day_texts.take(day_rows, axis=0)
+    texts[:, 12:18] = _MINUTE_TEXT.take(minutes, axis=0)
+    texts[:, 18:] = _SECOND_TEXT.take(seconds, axis=0)
     return texts
 
 
@@ -212,12 +219,45 @@ def _texts_of(values: np.ndarray, text=str, texts=None) -> np.ndarray:
     bits = values.dtype == np.float64
     distinct, rows = np.unique(values.view(np.int64) if bits else values, return_inverse=True)
     distinct = distinct.view(np.float64) if bits else distinct
-    return (texts(distinct) if texts else byte_rows([text(v) for v in distinct.tolist()]))[rows]
+    return (texts(distinct) if texts else byte_rows([text(v) for v in distinct.tolist()])).take(rows, axis=0)
 
 
 def _number_text(v: float) -> str:
     """A float's repr, NaN as null."""
     return "null" if v != v else repr(v)
+
+
+def _gridded(dtype: type, text: Callable, first: int, last: int, scale: int = 1) -> Callable:
+    """The texts (`Rule.texts`) of a column of dtype, text(v) for each value v. The values k / scale for whole k
+    from first to last, and NaN in a float column, take their row of a table of their texts made at the first call;
+    every other value's text is made by `_texts_of`. A value takes a grid row only when its bit pattern is that grid
+    value's, so -0.0, a NaN of another payload or sign, and a float next to a grid value go to `_texts_of`."""
+
+    @functools.cache
+    def grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        whole = np.arange(first, last + 1)
+        values = np.append(whole / scale, np.nan) if dtype is np.float64 else whole
+        texts = [text(v) for v in values.tolist()]
+        return values.view(np.int64), byte_rows(texts), np.array(list(map(len, texts)))
+
+    def texts(values: np.ndarray) -> np.ndarray:
+        keys, rows, lengths = grid()
+        # each value's row is that of the grid value nearest it, and a NaN's is the last row, NaN's own, as fmin
+        # gives its other argument for a NaN; a signalling NaN sets the invalid flag in the product
+        with np.errstate(invalid="ignore"):
+            at = np.fmin(np.rint(np.clip(values, first / scale, last / scale) * scale) - first, len(keys) - 1)
+        at = at.astype(np.intp)
+        miss = np.flatnonzero(keys[at] != values.view(np.int64))
+        if len(miss) == len(values):  # an empty column, or one of MMSIs: the grid holds none of it
+            return _texts_of(values, text)
+        width = lengths[at].max()  # no wider than the column's texts: join_rows reads every byte
+        if len(miss):
+            others = _texts_of(values[miss], text)
+            rows, width = stack_rows([rows, others]), max(width, others.shape[1])
+            at[miss] = len(keys) + np.arange(len(miss))
+        return rows.take(at, axis=0)[:, :width]
+
+    return texts
 
 
 _LENGTHS = np.array([[15], [16], [17]])  # the significant digits of each candidate decimal
@@ -233,10 +273,18 @@ def _digit_texts() -> tuple[np.ndarray, np.ndarray]:
     coordinate holds none: a row's first 8 bytes by 1000 * negative + whole part, its sign, whole digits and point
     right-aligned; and 4 fraction digits by kind and value: in full, without their trailing zeros (0000 as 0), and
     none."""
-    heads = np.array([("-" * neg + f"{w}.").rjust(8, "\0") for neg in (0, 1) for w in range(1000)], dtype="S8")
-    quads = np.array([[f"{q:04d}" for q in range(10000)], [f"{q:04d}".rstrip("0") or "0" for q in range(10000)],
-                      [""] * 10000], dtype="S4")
-    return heads.view(np.uint64), quads.view(np.uint32)
+    w, q = np.arange(1000), np.arange(10000)
+    width = 1 + (w >= 10) + (w >= 100)
+    heads = np.zeros((2, 1000, 8), dtype=np.uint8)
+    heads[:, :, 7] = ord(".")
+    heads[:, :, 4:7] = np.where(np.arange(3, 0, -1) <= width[:, None], w[:, None] // [100, 10, 1] % 10 + ord("0"), 0)
+    heads[1, w, 6 - width] = ord("-")
+    quads = np.zeros((3, 10000, 4), dtype=np.uint8)
+    quads[:2] = q[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    # without trailing zeros: the digits before the first of them, and at least one
+    kept = np.maximum(4 - (q % 10 == 0) - (q % 100 == 0) - (q % 1000 == 0) - (q == 0), 1)
+    quads[1, np.arange(4) >= kept[:, None]] = 0
+    return heads.reshape(2000, 8).view(np.uint64)[:, 0], quads.view(np.uint32)[:, :, 0]
 
 
 def shortest_reprs(floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +358,7 @@ def _string_texts(values: np.ndarray) -> np.ndarray:
     strings = values.tolist()
     place = {s: k for k, s in enumerate(dict.fromkeys(strings))}
     rows = np.fromiter(map(place.__getitem__, strings), dtype=np.intp, count=len(strings))
-    return byte_rows(list(map(encode_basestring_ascii, place)))[rows]
+    return byte_rows(list(map(encode_basestring_ascii, place))).take(rows, axis=0)
 
 
 @dataclass(frozen=True)
@@ -323,6 +371,12 @@ class Rule:
     null that of None. texts(column) gives the JSON text of each value of a
     column as a byte matrix (`byte_rows`), json the JSON value of a row's
     value (the value itself without one).
+
+    NUMBER, RATE, INTEGER and DIMENSION read the text of a value on their
+    grid off a table (`_gridded`). A value matches a grid value by its bit
+    pattern, not by ==: repr of a float is a function of its bits, so the
+    table's row is then the text repr would write, while by value -0.0 would
+    take 0.0's row.
     """
 
     dtype: type
@@ -350,20 +404,22 @@ class Rule:
         return replace(self, check=check)
 
 
-INTEGER = Rule(np.int64, _integer, _texts_of)
+# the grids: the whole numbers 0-1023, which hold each status, ship type, length and width a message can send; the
+# tenths up to 360.0, each SOG, COG and heading the decoder gives; and the rates of turn it gives, -127 to 127
+INTEGER = Rule(np.int64, _integer, _gridded(np.int64, str, 0, 1023))
 LATITUDE = Rule(np.float64, lambda value, key: _coordinate(value, key, 90.0),
                 lambda values: _texts_of(values, texts=_coordinate_texts))
 LONGITUDE = replace(LATITUDE, check=lambda value, key: _coordinate(value, key, 180.0))
-NUMBER = Rule(np.float64, _optional_number, lambda values: _texts_of(values, _number_text), null=np.nan)
+NUMBER = Rule(np.float64, _optional_number, _gridded(np.float64, _number_text, 0, 3600, 10), null=np.nan)
 # a rate of turn is a whole number, held as a float64 column for its NaN
-RATE = Rule(np.float64, _rate_of_turn, lambda values: _texts_of(values, lambda v: "null" if v != v else repr(int(v))),
-            null=np.nan)
+RATE = Rule(np.float64, _rate_of_turn,
+            _gridded(np.float64, lambda v: "null" if v != v else repr(int(v)), -127, 127), null=np.nan)
 # an optional time that a row lacks is held as 1970-01-01T00:00:00Z, the day the store files such a row under
 TIME = Rule(np.int64, _timestamp, _timestamp_texts, null=0, cell=epoch_us, json=format_ts)
 # a length or width of 0 is "not available", as the decoder reads it, and is written as null
-DIMENSION = Rule(np.int64, _integer, lambda values: _texts_of(values, lambda v: "null" if v == 0 else str(v)), null=0)
+DIMENSION = Rule(np.int64, _integer, _gridded(np.int64, lambda v: "null" if v == 0 else str(v), 0, 1023), null=0)
 TEXT = Rule(object, _text, _string_texts)
-BOOLEAN = Rule(bool, _boolean, lambda values: _BOOLEAN_TEXT[values.astype(np.intp)])
+BOOLEAN = Rule(bool, _boolean, lambda values: _BOOLEAN_TEXT.take(values.astype(np.intp), axis=0))
 
 _REQUIRED = object()
 

@@ -399,6 +399,16 @@ def parse_iso_ts(s: str) -> dt.datetime:
     return dt.datetime.fromisoformat(s.replace("Z", "+00:00")).astimezone(UTC)
 
 
+def digit_texts() -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate kernel's two tables (`table._digit_texts`), built from f-strings: the first 8 bytes of a row
+    by 1000 * negative + whole part, its sign, whole digits and point right-aligned after 0 bytes; and 4 fraction
+    digits by kind and value, in full, without their trailing zeros (0000 as 0), and none."""
+    heads = np.array([("-" * neg + f"{w}.").rjust(8, "\0") for neg in (0, 1) for w in range(1000)], dtype="S8")
+    quads = np.array([[f"{q:04d}" for q in range(10000)], [f"{q:04d}".rstrip("0") or "0" for q in range(10000)],
+                      [""] * 10000], dtype="S4")
+    return heads.view(np.uint64), quads.view(np.uint32)
+
+
 # --- row objects of single messages, which the package hands on as table rows -------------------------------
 
 

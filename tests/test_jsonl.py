@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -305,6 +306,103 @@ def test_the_coordinate_kernel_at_its_edges():
     assert {v for v, text in zip(edges, kernel_texts(edges)) if text is None} == declined
     assert [text for v, text in zip(edges, kernel_texts(edges)) if v not in declined] \
         == [repr(v) for v in edges if v not in declined]
+
+
+def test_the_coordinate_kernel_tables_are_the_f_string_tables():
+    heads, quads = table._digit_texts()
+    expected_heads, expected_quads = oracles.digit_texts()
+    assert heads.dtype == expected_heads.dtype and quads.dtype == expected_quads.dtype
+    assert np.array_equal(heads, expected_heads) and np.array_equal(quads, expected_quads)
+
+
+# each rule that reads texts off a grid: the per-value text it stands in for, and the grid's values, the only ones
+# it may leave out of the per-value fallback (`table._texts_of`)
+GRIDS = {
+    "NUMBER": (table.NUMBER, table._number_text, np.append(np.arange(3601) / 10.0, np.nan)),
+    "RATE": (table.RATE, lambda v: "null" if v != v else repr(int(v)), np.append(np.arange(-127.0, 128.0), np.nan)),
+    "INTEGER": (table.INTEGER, str, np.arange(1024)),
+    "DIMENSION": (table.DIMENSION, lambda v: "null" if v == 0 else str(v), np.arange(1024)),
+}
+FLOAT_OFF_GRID = (-1.0, 1024.0, 2.0 ** 53, 12.345, -0.0, 5e-324, 1e308, -1e308)
+
+
+def gridded_texts(rule, column) -> tuple[list[str], np.ndarray]:
+    """The texts the rule writes for a column, and the values it hands the per-value fallback, in order."""
+    with mock.patch.object(table, "_texts_of", wraps=table._texts_of) as fallback:
+        rows = rule.texts(column)
+    assert rows.shape[0] == len(column)
+    handed = [c.args[0] for c in fallback.call_args_list]
+    return ([bytes(row).replace(b"\0", b"").decode() for row in rows],
+            np.concatenate(handed) if handed else column[:0])
+
+
+def assert_gridded(name: str, column: np.ndarray) -> None:
+    """The rule's texts are the per-value texts byte for byte, and exactly the values whose bit pattern is not a
+    grid value's take the fallback."""
+    rule, text, grid = GRIDS[name]
+    texts, handed = gridded_texts(rule, column)
+    assert texts == [text(v) for v in column.tolist()]
+    off_grid = column[~np.isin(column.view(np.int64), grid.view(np.int64))]
+    assert np.array_equal(handed.view(np.int64), off_grid.view(np.int64))
+
+
+def float_bits(name: str) -> st.SearchStrategy:
+    """The bit pattern of a float: a grid value, its neighbours, a NaN of any payload and sign, an awkward value off
+    the grid, or any float, infinite ones for NUMBER only (no rate of turn is infinite, and int() takes none)."""
+    finite = name == "RATE"
+    grid = GRIDS[name][2]
+    on_grid = st.sampled_from(grid.view(np.int64).tolist()) | st.just(grid[-1:].view(np.int64).item())  # NaN
+    neighbours = st.builds(lambda v, up: np.nextafter(v, math.inf if up else -math.inf).view(np.int64).item(),
+                           st.sampled_from(grid[:-1]), st.booleans())
+    nans = st.builds(lambda sign, payload: (sign << 63 | 0x7FF << 52 | payload) - (sign << 64),
+                     st.integers(0, 1), st.integers(1, (1 << 52) - 1))
+    others = (st.sampled_from(FLOAT_OFF_GRID + (() if finite else (math.inf, -math.inf)))
+              | st.floats(allow_infinity=not finite)).map(lambda v: np.float64(v).view(np.int64).item())
+    return on_grid | neighbours | nans | others
+
+
+def int_values(name: str) -> st.SearchStrategy:
+    """An int64: a grid value, one next to the grid, an extreme, or any."""
+    grid = GRIDS[name][2]
+    return (st.sampled_from(grid.tolist()) | st.sampled_from((-1, 1024, 1 << 53, INT64_MIN, INT64_MAX))
+            | st.integers(-1, 1024) | INT64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_a_gridded_rule_writes_the_per_value_text(name, data):
+    """Columns mixing grid values, their neighbours, -0.0, NaNs of other payloads and signs and values off the
+    grid: each value's text is its per-value text, and only the values off the grid take the fallback."""
+    if GRIDS[name][0].dtype is np.float64:
+        column = np.array(data.draw(st.lists(float_bits(name), max_size=60)), dtype=np.int64).view(np.float64)
+    else:
+        column = np.array(data.draw(st.lists(int_values(name), max_size=60)), dtype=np.int64)
+    assert_gridded(name, column)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_every_grid_value_and_its_neighbours_write_the_per_value_text(name):
+    """Every grid value, in one column and in reverse, takes its grid row; every neighbour of one takes the
+    fallback."""
+    grid = GRIDS[name][2]
+    assert_gridded(name, grid)
+    assert_gridded(name, grid[::-1].copy())
+    if grid.dtype == np.float64:
+        numbers = grid[:-1]
+        assert_gridded(name, np.concatenate([np.nextafter(numbers, -math.inf), numbers,
+                                             np.nextafter(numbers, math.inf)]))
+    else:
+        assert_gridded(name, np.concatenate([grid - 1, grid, grid + 1]))
+
+
+@pytest.mark.parametrize("kind", [Positions, codec.Statics, columnar.Validated], ids=lambda kind: kind.__name__)
+def test_an_empty_table_writes_no_bytes(kind):
+    """A table of no rows writes b"", and each field's texts are a matrix of no rows: no rule takes the least or
+    the greatest value of an empty column, which numpy refuses."""
+    rows = kind.empty()
+    assert rows.jsonl() == b""
+    assert all(t.shape[0] == 0 for t in rows.texts().values())
 
 
 def test_int64_min_and_max_are_the_dict_codec_text():
